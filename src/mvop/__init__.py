@@ -58,6 +58,7 @@ from .dwalgebra import (  # noqa: F401
     lambda_multiplicativity_check,
     module_decompose,
     module_generator,
+    relation,
     scalar_darboux_class,
     symmetry_check,
     verify_in_DW,

@@ -12,6 +12,7 @@ distinguishable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from .dwalgebra import (
     matrix_intertwiner_search,
     matrix_intertwiner_verify,
     operator_mismatch_detail,
+    relation,
     symmetry_check,
     verify_in_DW,
 )
@@ -224,8 +226,6 @@ def _lag3_expected(a: Fraction, a1: Fraction, a2: Fraction) -> dict:
         l0 = lambda m: classical_monic(Laguerre(a), m)
         l1 = lambda m: classical_monic(Laguerre(a + 1), m)
         l2 = lambda m: classical_monic(Laguerre(a + 2), m)
-        w = Fraction(n + 1) * 0  # keep Fractions exact below
-        del w
         c = (n + a + 1) * (n + a) * n
         return MatPoly(
             [
@@ -484,12 +484,18 @@ def default_params(name: str) -> dict[str, Fraction]:
 
 
 def entry_document_text(name: str, params: dict | None = None) -> str:
-    """The DSL serialization of an entry: its template, programmatic operators
-    in normal form, and its structural checks. This is the data/ file body."""
+    """The DSL serialization of an entry: its template with the entry's
+    parameter values, programmatic operators in normal form, and its
+    structural checks. At default parameters this is the data/ file body."""
     from .dsl import op_str
 
     e = entry(name, params)
-    text = _TEXTS[name].rstrip() + "\n"
+    text = re.sub(
+        r"^param (\w+) = .*$",
+        lambda m: f"param {m[1]} = {e.params[m[1]]}",
+        _TEXTS[name].rstrip() + "\n",
+        flags=re.MULTILINE,
+    )
     extra = [k for k in e.ops if k not in e.doc.ops]
     if extra:
         text += "\n"
@@ -516,18 +522,7 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
     consts = [b.coeff(0).eval(Fraction(0)) for b in basis]
     dim = len(consts)
     if dim > 6:
-        # grid would be large; sample pseudo-randomly instead (evidence only)
-        import random
-
-        rng = random.Random(20240301)
-        for _ in range(200):
-            u = [Fraction(rng.randint(-9, 9)) for _ in range(dim)]
-            acc = FracMat.zeros(size)
-            for ui, ci in zip(u, consts):
-                acc = acc + ci * ui
-            if acc.det() != 0:
-                return False
-        return True
+        raise DomainError(f"span of dimension {dim} exceeds the exact grid test's limit of 6")
     for point in itertools.product(range(size + 1), repeat=dim):
         acc = FracMat.zeros(size)
         for ui, ci in zip(point, consts):
@@ -554,29 +549,24 @@ def _eigen_family(polys, op: DiffOp, bound: int) -> tuple[bool, str]:
     """Each member of a (not necessarily monic) degree-n family is an
     eigenfunction: P_n . op = Lambda_n P_n with Lambda_n solved from the
     leading coefficients."""
-    for n in range(bound + 1):
-        r = apply(polys[n], op)
-        if isinstance(r, MatRF):
-            return False, f"non-polynomial image at n={n}"
-        lead = polys[n].coeff(n)
-        if lead.det() == 0:
-            return False, f"family leading coefficient singular at n={n}"
-        lam = r.coeff(n) * lead.inv()
-        if r != polys[n].lmul_const(lam):
-            return False, f"not an eigenfunction at n={n}"
-    return True, ""
+    rep = relation(polys.__getitem__, op, polys.__getitem__, bound)
+    return rep.ok, rep.detail
 
 
 def verify_entry(name: str, params: dict | None = None, n_max: int = 8) -> Report:
-    e = entry(name, params)
+    return check_entry(entry(name, params), n_max)
+
+
+def check_entry(e: CatalogEntry, n_max: int = 8) -> Report:
+    """Every stated identity of an already admitted entry."""
     rep = Report()
-    if name == "JAC2":
+    if e.name == "JAC2":
         _verify_jac2(e, rep, n_max)
-    elif name == "LAG3":
+    elif e.name == "LAG3":
         _verify_lag3(e, rep, n_max)
-    elif name == "GEG2":
+    elif e.name == "GEG2":
         _verify_geg2(e, rep, n_max)
-    elif name == "HER3":
+    elif e.name == "HER3":
         _verify_her3(e, rep, n_max)
     else:
         _verify_lag2diag(e, rep, n_max)
@@ -638,15 +628,10 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
     qs = [apply(seq.poly(n), ops["V"]) for n in range(n_max + 1)]
     ok = all(qs[n] == e.expected["Q_n"](n) for n in range(n_max + 1))
     rep.add("P_n . V matches the closed-form images", ok)
-    ok, detail = True, ""
-    for n in range(n_max + 1):
-        an = e.expected["A_n"](n)
-        if an.det() == 0:
-            ok, detail = False, f"stated A_{n} singular"
-            break
-        if qs[n] != seqt.poly(n).lmul_const(an):
-            ok, detail = False, f"A_n relation fails at n={n}"
-            break
+    stated = relation(seq.poly, ops["V"], seqt.poly, n_max, cs=e.expected["A_n"])
+    singular = [n for n in range(n_max + 1) if e.expected["A_n"](n).det() == 0]
+    ok = stated.ok and not singular
+    detail = f"stated A_{singular[0]} singular" if singular else stated.detail
     printed_diverges = [
         n for n in range(n_max + 1) if e.expected["A_n_printed"](n) != e.expected["A_n"](n)
     ]
@@ -728,14 +713,7 @@ def _verify_her3(e: CatalogEntry, rep: Report, n_max: int):
 
 
 def _verify_lag2diag(e: CatalogEntry, rep: Report, n_max: int):
-    W = e.weight_W
+    seq = sequence_for(e.weight_W)
     for gname in ("G1", "G2", "G3", "G4", "G5", "G6"):
-        mem = verify_in_DW(e.ops[gname], W, n_max)
-        ok = mem.ok
-        detail = mem.detail
-        if ok:
-            expect = e.expected["eigs"][gname]
-            bad = [n for n in range(n_max + 1) if mem.eigs[n] != expect(n)]
-            if bad:
-                ok, detail = False, f"eigenvalue differs from the stated form at n={bad[0]}"
-        rep.add(f"{gname} in algebra with the stated eigenvalues", ok, detail)
+        rel = relation(seq.poly, e.ops[gname], seq.poly, n_max, cs=e.expected["eigs"][gname])
+        rep.add(f"{gname} in algebra with the stated eigenvalues", rel.ok, rel.detail)

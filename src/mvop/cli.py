@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import DecompositionError, frac
+from .exactalg import DecompositionError, DomainError, frac
 from .dsl import CheckCommand, ParseError, SpecDocument, parse_spec
 from . import catalog as _catalog
 from . import dwalgebra as _dw
@@ -24,29 +24,21 @@ _STATUS_FAIL = "fail"
 _STATUS_ERROR = "error"
 
 
-def _result(name, kind, status, detail="", t0=None):
+def _result(name, kind, status, detail, seconds):
     return {
         "name": name,
         "kind": kind,
         "status": status,
         "detail": detail,
-        "time_ms": round((time.monotonic() - t0) * 1000, 3) if t0 is not None else 0.0,
+        "time_ms": round(seconds * 1000, 3),
     }
 
 
-def _flatten_report(label: str, kind: str, rep: _dw.Report, t0) -> list[dict]:
-    out = []
-    for c in rep.checks:
-        out.append(
-            _result(
-                f"{label}: {c.name}",
-                kind,
-                _STATUS_PASS if c.ok else _STATUS_FAIL,
-                c.detail,
-                t0,
-            )
-        )
-    return out
+def _flatten_report(label: str, kind: str, rep: _dw.Report) -> list[dict]:
+    return [
+        _result(f"{label}: {c.name}", kind, _STATUS_PASS if c.ok else _STATUS_FAIL, c.detail, c.seconds)
+        for c in rep.checks
+    ]
 
 
 def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
@@ -55,18 +47,22 @@ def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
     kind = cmd.kind
     vals = [a.value for a in cmd.args]
     opts = cmd.options
+
+    def one(status, detail=""):
+        if isinstance(status, bool):
+            status = _STATUS_PASS if status else _STATUS_FAIL
+        return [_result(label, kind, status, detail, time.monotonic() - t0)]
+
     try:
         if kind == "in_algebra":
             rep = _dw.verify_in_DW(vals[0], vals[1], opts.get("nmax", n_max))
-            status = _STATUS_PASS if rep.ok else _STATUS_FAIL
-            return [_result(label, kind, status, rep.detail, t0)]
+            return one(rep.ok, rep.detail)
         if kind == "symmetric":
             rep = _dw.symmetry_check(vals[0], vals[1])
-            detail = "" if rep.ok else f"residual at coefficient index k in {sorted(rep.residuals)}"
-            return [_result(label, kind, _STATUS_PASS if rep.ok else _STATUS_FAIL, detail, t0)]
+            return one(rep.ok, "" if rep.ok else f"residual at coefficient index k in {sorted(rep.residuals)}")
         if kind == "darboux":
             cert = _dw.DarbouxCertificate(vals[0], vals[1], vals[2], vals[3], vals[4], n_max)
-            return _flatten_report(label, kind, _dw.darboux_verify(cert), t0)
+            return _flatten_report(label, kind, _dw.darboux_verify(cert))
         if kind == "intertwine":
             rep = _dw.intertwiner_verify(vals[0], vals[1], vals[2], opts.get("nmax", n_max))
             detail = (
@@ -74,7 +70,7 @@ def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
                 if rep.ok
                 else rep.detail
             )
-            return [_result(label, kind, _STATUS_PASS if rep.ok else _STATUS_FAIL, detail, t0)]
+            return one(rep.ok, detail)
         if kind == "search":
             basis = _dw.intertwiner_search(
                 vals[0],
@@ -88,28 +84,38 @@ def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
             if "dim" in opts:
                 ok = basis.dim == opts["dim"]
                 detail += f" (dim {basis.dim}, expected {opts['dim']})"
-            return [_result(label, kind, _STATUS_PASS if ok else _STATUS_FAIL, detail, t0)]
+            return one(ok, detail)
         if kind == "decompose":
             try:
                 p = _dw.module_decompose(vals[0], vals[1], vals[2])
                 from .exactalg import poly_str
 
-                return [_result(label, kind, _STATUS_PASS, f"p(t) = {poly_str(p)}", t0)]
+                return one(True, f"p(t) = {poly_str(p)}")
             except DecompositionError as exc:
-                return [_result(label, kind, _STATUS_FAIL, str(exc), t0)]
+                return one(False, str(exc))
         if kind == "classify":
             got = _dw.scalar_darboux_class(vals[0], vals[1])
             ok = True
             detail = f"darboux-related: {'true' if got else 'false'}"
             if "expect" in opts:
                 ok = got == opts["expect"]
-            return [_result(label, kind, _STATUS_PASS if ok else _STATUS_FAIL, detail, t0)]
+            return one(ok, detail)
         if kind == "entry":
             rep = _catalog.verify_entry(vals[0], None, n_max)
-            return _flatten_report(label, kind, rep, t0)
-        return [_result(label, kind, _STATUS_ERROR, f"unhandled check kind {kind}", t0)]
+            return _flatten_report(label, kind, rep)
+        return one(_STATUS_ERROR, f"unhandled check kind {kind}")
     except Exception as exc:  # engine errors become failed checks
-        return [_result(label, kind, _STATUS_ERROR, f"{type(exc).__name__}: {exc}", t0)]
+        return one(_STATUS_ERROR, f"{type(exc).__name__}: {exc}")
+
+
+def _report(checks: list[dict], n_max: int) -> dict:
+    return {
+        "tool": "mvop",
+        "version": __version__,
+        "nmax": n_max,
+        "ok": all(c["status"] == _STATUS_PASS for c in checks),
+        "checks": checks,
+    }
 
 
 def run(doc: SpecDocument, n_max: int = 8) -> dict:
@@ -117,14 +123,7 @@ def run(doc: SpecDocument, n_max: int = 8) -> dict:
     checks: list[dict] = []
     for cmd in doc.checks:
         checks.extend(_run_check(cmd, n_max))
-    ok = all(c["status"] == _STATUS_PASS for c in checks)
-    return {
-        "tool": "mvop",
-        "version": __version__,
-        "nmax": n_max,
-        "ok": ok,
-        "checks": checks,
-    }
+    return _report(checks, n_max)
 
 
 def _emit(report: dict, fmt: str, out_path: str | None) -> None:
@@ -158,7 +157,7 @@ def _parse_params(s: str | None) -> dict[str, Fraction]:
         if not piece:
             continue
         if "=" not in piece:
-            raise SystemExit(f"bad --params entry {piece!r}, expected name=value")
+            raise ValueError(f"bad --params entry {piece!r}, expected name=value")
         k, v = piece.split("=", 1)
         out[k.strip()] = frac(v.strip())
     return out
@@ -201,41 +200,36 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    # reading the input and admitting its parameters: a failure here is a
+    # usage error (exit 2); nothing below this block is caught here
     try:
-        if args.command == "verify":
+        if args.command == "entry":
+            e = _catalog.entry(args.name, _parse_params(args.params))
+        elif args.command == "verify":
             with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            doc = parse_spec(text, _parse_params(args.params))
-            report = run(doc, args.nmax)
-        elif args.command == "entry":
-            t0 = time.monotonic()
-            rep = _catalog.verify_entry(args.name, _parse_params(args.params), args.nmax)
-            checks = _flatten_report(f"entry({args.name})", "entry", rep, t0)
-            report = {
-                "tool": "mvop",
-                "version": __version__,
-                "nmax": args.nmax,
-                "ok": rep.ok,
-                "checks": checks,
-            }
+                doc = parse_spec(fh.read(), _parse_params(args.params))
         elif args.command == "search":
-            text = (
+            doc = parse_spec(
                 f"check search({args.w1.strip()}, {args.w2.strip()}, "
                 f"order={args.order}, slack={args.slack})\n"
             )
-            doc = parse_spec(text)
-            report = run(doc, args.nmax)
         else:
-            text = f"check classify({args.w1.strip()}, {args.w2.strip()})\n"
-            doc = parse_spec(text)
-            report = run(doc, args.nmax)
+            doc = parse_spec(f"check classify({args.w1.strip()}, {args.w2.strip()})\n")
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ZeroDivisionError, DomainError) as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
 
+    if args.command == "entry":
+        rep = _catalog.check_entry(e, args.nmax)
+        report = _report(_flatten_report(f"entry({args.name})", "entry", rep), args.nmax)
+    else:
+        report = run(doc, args.nmax)
     _emit(report, args.format, args.out)
     return 0 if report["ok"] else 1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactalg import (
     DomainError,
@@ -64,10 +65,6 @@ class MatPoly:
     @staticmethod
     def scalar(p: Poly, n: int) -> "MatPoly":
         return MatPoly([[p if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_const(m: FracMat) -> "MatPoly":
-        return MatPoly([[Poly.const(c) for c in r] for r in m.rows])
 
     @property
     def size(self) -> int:
@@ -377,25 +374,10 @@ def formal_star(d: DiffOp) -> DiffOp:
     """The involution sending d to -d and constant matrices to transposes.
 
     Over Q the Hermitian conjugate of a coefficient matrix is its transpose;
-    the reordering of F* (-d)^j into normal form is a Leibniz expansion.
+    this is the W-adjoint for the unit density with identity factor.
     """
-    if d.is_zero:
-        return d
-    n = d.order
-    out = []
-    for m in range(n + 1):
-        acc = MatRF.zeros(d.size)
-        for j in range(m, n + 1):
-            f = d.coeffs[j]
-            if f.is_zero:
-                continue
-            t = f.transpose()
-            for _ in range(j - m):
-                t = t.derivative()
-            sign = Fraction(-1) ** j
-            acc = acc + t * (sign * math.comb(j, m))
-        out.append(acc)
-    return DiffOp(d.size, out)
+    unit = SimpleNamespace(sigma=lambda: RatFunc(Poly()), factor_matrix=lambda: MatRF.identity(d.size))
+    return w_adjoint(d, unit)
 
 
 def _twisted_derivative(r: MatRF, sigma: RatFunc) -> MatRF:
@@ -541,23 +523,6 @@ def block_antidiagonal(v: DiffOp, n: DiffOp) -> DiffOp:
             for c in range(s):
                 rows[r][s + c] = a.entry(r, c)
                 rows[s + r][c] = b.entry(r, c)
-        out.append(MatRF(rows))
-    return DiffOp(total, out)
-
-
-def block_diagonal(*ops: DiffOp) -> DiffOp:
-    total = sum(o.size for o in ops)
-    order = max((o.order for o in ops), default=-1)
-    out = []
-    for j in range(order + 1):
-        rows = [[RatFunc(Poly()) for _ in range(total)] for _ in range(total)]
-        off = 0
-        for o in ops:
-            c = o.coeff(j)
-            for r in range(o.size):
-                for cc in range(o.size):
-                    rows[off + r][off + cc] = c.entry(r, cc)
-            off += o.size
         out.append(MatRF(rows))
     return DiffOp(total, out)
 

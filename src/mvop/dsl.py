@@ -240,6 +240,9 @@ class _Parser:
             while self.accept("NEWLINE"):
                 pass
             if self.peek().kind == "EOF":
+                unknown = sorted(set(self.overrides) - set(self.doc.params))
+                if unknown:
+                    self.err(f"parameter override names no param statement: {', '.join(unknown)}")
                 return self.doc
             head = self.expect("NAME")
             if head.text == "param":
@@ -532,7 +535,8 @@ class _Parser:
 
 
 def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) -> SpecDocument:
-    """Parse a DSL document; ``param_overrides`` shadow param statements."""
+    """Parse a DSL document; ``param_overrides`` shadow param statements, and
+    an override that names no param statement is a ParseError."""
     return _Parser(_lex(text), param_overrides).parse()
 
 

@@ -10,6 +10,7 @@ over Q and are reported as bounded evidence, never as nonexistence proofs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from .diffop import (
     compose,
     degree_preserving,
     op_power,
+    w_adjoint,
 )
 from .weights import (
     HermiteShifted,
@@ -51,6 +53,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -58,18 +61,30 @@ class CheckResult:
 
 @dataclass
 class Report:
+    """Checks in the order they were added. Each check is stamped with the
+    time since the previous one was added (or since the report was made)."""
+
     checks: list[CheckResult] = field(default_factory=list)
+    _stamp: float = field(default_factory=time.monotonic, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    def _lap(self) -> float:
+        now = time.monotonic()
+        elapsed, self._stamp = now - self._stamp, now
+        return elapsed
+
     def add(self, name, ok, detail=""):
-        self.checks.append(CheckResult(name, bool(ok), detail))
+        self.checks.append(CheckResult(name, bool(ok), detail, self._lap()))
 
     def extend(self, other: "Report", prefix: str = ""):
+        # the sub-report's checks carry their own times; its run is not
+        # counted a second time against the next check added here
+        self._lap()
         for c in other.checks:
-            self.checks.append(CheckResult(prefix + c.name, c.ok, c.detail))
+            self.checks.append(CheckResult(prefix + c.name, c.ok, c.detail, c.seconds))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
@@ -97,12 +112,6 @@ def _weight_of(w) -> Weight:
 
 
 @dataclass
-class EigenData:
-    op: DiffOp
-    eigs: list[FracMat]
-
-
-@dataclass
 class MembershipReport:
     ok: bool
     eigs: list[FracMat] | None = None
@@ -114,36 +123,51 @@ class MembershipReport:
         return self.ok
 
 
+def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> MembershipReport:
+    """Check P_n . T = C_n Q_n for n <= n_max.
+
+    ``ps``, ``qs`` and ``cs`` map n to P_n, Q_n (matrix polynomials of degree
+    n) and C_n (constant matrices). Without ``cs``, C_n is solved from the
+    degree-n coefficients: [x^n](P_n . T) times the inverse of Q_n's leading
+    coefficient, which must then be nonsingular. ``eigs`` holds C_0, ...,
+    C_{k-1} for the first failing n = k (all of them when the relation holds).
+    """
+    eigs: list[FracMat] = []
+    for n in range(n_max + 1):
+        r = apply(ps(n), t)
+        if isinstance(r, MatRF):
+            return MembershipReport(False, eigs, n, r, f"non-polynomial action at n={n}")
+        q = qs(n)
+        if cs is not None:
+            c = cs(n)
+        else:
+            c = r.coeff(n)
+            lead = q.coeff(n)
+            if lead != FracMat.identity(q.size):
+                if lead.det() == 0:
+                    return MembershipReport(
+                        False, eigs, n, lead, f"leading coefficient of Q_n singular at n={n}"
+                    )
+                c = c * lead.inv()
+        expected = q.lmul_const(c)
+        if r != expected:
+            return MembershipReport(
+                False, eigs, n, r - expected, f"P_n . T != C_n Q_n at n={n}"
+            )
+        eigs.append(c)
+    return MembershipReport(True, eigs=eigs)
+
+
 def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> MembershipReport:
-    """Check P_n . d = Lambda_n P_n for n <= n_max, extracting Lambda_n from
-    the degree-n coefficient (the sequence is monic)."""
+    """Check P_n . d = Lambda_n P_n for n <= n_max (the sequence is monic)."""
     weight = _weight_of(weight)
     if d.size != weight.size:
         raise ShapeError("operator and weight sizes differ")
     seq = sequence_for(weight)
-    eigs: list[FracMat] = []
-    for n in range(n_max + 1):
-        p = seq.poly(n)
-        r = apply(p, d)
-        if isinstance(r, MatRF):
-            return MembershipReport(
-                False, fail_n=n, residual=r, detail=f"non-polynomial action at n={n}"
-            )
-        lam = r.coeff(n)
-        resid = r - p.lmul_const(lam)
-        if not resid.is_zero:
-            return MembershipReport(
-                False, fail_n=n, residual=resid, detail=f"not an eigenfunction at n={n}"
-            )
-        eigs.append(lam)
-    return MembershipReport(True, eigs=eigs)
-
-
-def eigen_data(d: DiffOp, weight: Weight, n_max: int = 8) -> EigenData:
-    rep = verify_in_DW(d, weight, n_max)
-    if not rep.ok:
-        raise DomainError(f"operator is not in the algebra: {rep.detail}")
-    return EigenData(d, rep.eigs)
+    rep = relation(seq.poly, d, seq.poly, n_max)
+    if isinstance(rep.residual, MatPoly):
+        rep.detail = f"not an eigenfunction at n={rep.fail_n}"
+    return rep
 
 
 def lambda_multiplicativity_check(d1: DiffOp, d2: DiffOp, weight: Weight, n_max: int = 8) -> bool:
@@ -170,48 +194,11 @@ class SymmetryReport:
 
 
 def symmetry_check(d: DiffOp, weight: Weight) -> SymmetryReport:
-    """Coefficient identities equivalent to W-symmetry.
-
-    For each 0 <= k <= n the alternating binomial sum of derivatives of
-    F_{n-j} W must equal W F_k^*; both sides are conjugated by W on the right
-    so that the scalar density cancels through its logarithmic derivative.
-    """
-    weight = _weight_of(weight)
-    if d.is_zero:
-        return SymmetryReport(True)
-    fam, m = weight.as_atomic()
-    if m.size != d.size:
-        raise ShapeError("operator and weight sizes differ")
-    sigma = fam.sigma()
-    minv = m.inverse()
-    n = d.order
-    twisted: list[list[MatRF]] = []
-    for l in range(n + 1):
-        seq = [d.coeffs[l] * m]
-        for _ in range(l):
-            prev = seq[-1]
-            seq.append(prev.derivative() + prev * sigma)
-        twisted.append(seq)
-    residuals = {}
-    for k in range(n + 1):
-        acc = MatRF.zeros(d.size)
-        for j in range(n - k + 1):
-            l = n - j
-            sign = Fraction(-1) ** l
-            term = twisted[l][l - k] * (sign * _binom(l, k))
-            acc = acc + term
-        lhs = acc * minv
-        rhs = m * d.coeffs[k].transpose() * minv
-        resid = lhs - rhs
-        if not resid.is_zero:
-            residuals[k] = resid
+    """W-symmetry: d equals its W-adjoint. The residuals are the nonzero
+    coefficients of w_adjoint(d, W) - d, keyed by d-power k."""
+    resid = w_adjoint(d, _weight_of(weight)) - d
+    residuals = {k: c for k, c in enumerate(resid.coeffs) if not c.is_zero}
     return SymmetryReport(not residuals, residuals)
-
-
-def _binom(n, k):
-    import math
-
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +223,10 @@ def intertwiner_verify(t: DiffOp, w1, w2, n_max: int = 8) -> IntertwineReport:
         raise ShapeError("intertwiner must be a scalar operator")
     s1 = sequence_for(f1.scalar_weight())
     s2 = sequence_for(f2.scalar_weight())
-    lambdas = []
-    for n in range(n_max + 1):
-        r = apply(s1.poly(n), t)
-        if isinstance(r, MatRF):
-            return IntertwineReport(False, fail_n=n, detail=f"non-polynomial action at n={n}")
-        rp = r.entry(0, 0)
-        lam = rp[n]
-        if rp != lam * s2.poly(n).entry(0, 0):
-            return IntertwineReport(False, fail_n=n, detail=f"not proportional at n={n}")
-        lambdas.append(lam)
-    return IntertwineReport(True, lambdas=lambdas)
+    rep = relation(s1.poly, t, s2.poly, n_max)
+    if not rep.ok:
+        return IntertwineReport(False, fail_n=rep.fail_n, detail=rep.detail)
+    return IntertwineReport(True, lambdas=[c.entry(0, 0) for c in rep.eigs])
 
 
 @dataclass
@@ -313,7 +293,6 @@ def _search_linear_space(
                             continue
                         vec[k] = derivs[j].entry(r, e)[t - i] if t - i >= 0 else Fraction(0)
                     out[r][c] = vec
-                    continue
             return out
 
         top = coeff_rows(n)  # C_n entries
@@ -400,14 +379,7 @@ def intertwiner_search(
 def matrix_intertwiner_verify(v: DiffOp, w1: Weight, w2: Weight, n_max: int = 8) -> bool:
     """P_n . v = C_n Pt_n with any constant matrices C_n, checked exactly."""
     s1, s2 = sequence_for(w1), sequence_for(w2)
-    for n in range(n_max + 1):
-        r = apply(s1.poly(n), v)
-        if isinstance(r, MatRF):
-            return False
-        cn = r.coeff(n)
-        if r != s2.poly(n).lmul_const(cn):
-            return False
-    return True
+    return relation(s1.poly, v, s2.poly, n_max).ok
 
 
 def matrix_intertwiner_search(
@@ -542,7 +514,7 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     rep.add(
         "factorization D = V N",
         composed == cert.D,
-        "" if composed == cert.D else _diff_detail(composed, cert.D),
+        "" if composed == cert.D else operator_mismatch_detail(composed, cert.D),
     )
 
     mem = verify_in_DW(cert.D, w, n_max)
@@ -556,37 +528,24 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
         "; ".join(s for s in (dv.reason, dn.reason) if s),
     )
 
-    conj: list[FracMat] = []
-    ok4 = True
-    detail4 = ""
-    for n in range(n_max + 1):
-        q = apply(seq.poly(n), cert.V)
-        if isinstance(q, MatRF):
-            ok4, detail4 = False, f"non-polynomial image at n={n}"
-            break
-        an = q.coeff(n)
-        if q != seqt.poly(n).lmul_const(an):
-            ok4, detail4 = False, f"P_{n} . V is not a multiple of Pt_{n}"
-            break
-        if an.det() == 0:
-            ok4, detail4 = False, f"conjugator A_{n} is singular"
-            break
-        conj.append(an)
+    fwd = relation(seq.poly, cert.V, seqt.poly, n_max)
+    singular = [n for n, a in enumerate(fwd.eigs) if a.det() == 0]
+    conj = fwd.eigs[: singular[0]] if singular else fwd.eigs
+    ok4 = fwd.ok and not singular
+    detail4 = f"conjugator A_{singular[0]} is singular" if singular else fwd.detail
     rep.add("P_n . V = A_n Pt_n with A_n nonsingular", ok4, detail4)
     cert.conjugators = conj
 
     memt = verify_in_DW(compose(cert.Nn, cert.V), wt, n_max)
     rep.add("N V in algebra of Wt", memt.ok, memt.detail)
 
-    ok6 = ok4 and mem.ok
-    detail6 = "" if ok6 else "skipped: prerequisites failed"
-    if ok6:
-        for n in range(n_max + 1):
-            r = apply(seqt.poly(n), cert.Nn)
-            expected = seq.poly(n).lmul_const(conj[n].inv() * mem.eigs[n])
-            if not isinstance(r, MatPoly) or r != expected:
-                ok6, detail6 = False, f"reverse relation fails at n={n}"
-                break
+    if ok4 and mem.ok:
+        rev = relation(
+            seqt.poly, cert.Nn, seq.poly, n_max, cs=lambda n: conj[n].inv() * mem.eigs[n]
+        )
+        ok6, detail6 = rev.ok, rev.detail
+    else:
+        ok6, detail6 = False, "skipped: prerequisites failed"
     rep.add("Pt_n . N = A_n^-1 Lambda_n(D) P_n", ok6, detail6)
 
     block = block_antidiagonal(cert.V, cert.Nn)
@@ -607,9 +566,6 @@ def operator_mismatch_detail(a: DiffOp, b: DiffOp, limit: int = 4) -> str:
             f"d^{j} cell ({r},{c}): {a.coeff(j).entry(r, c)} vs {b.coeff(j).entry(r, c)}"
         )
     return "; ".join(parts)
-
-
-_diff_detail = operator_mismatch_detail
 
 
 # ---------------------------------------------------------------------------

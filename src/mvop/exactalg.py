@@ -681,9 +681,6 @@ class FracMat:
             raise ShapeError("inverse of a nonsquare matrix")
         return FracMat(_field_inv(self.rows, _F0, _F1))
 
-    def is_nonsingular(self) -> bool:
-        return self.nrows == self.ncols and self.det() != 0
-
     def __repr__(self):
         body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
         return f"FracMat[{body}]"

@@ -7,6 +7,8 @@ import pytest
 
 from mvop.exactalg import DomainError, MatRF, Poly, RatFunc, X
 from mvop.catalog import ENTRY_NAMES, default_params, entry, entry_document_text, verify_entry
+from mvop.cli import run
+from mvop.diffop import DiffOp
 from mvop.dsl import parse_spec
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
@@ -109,6 +111,13 @@ class TestDataFiles:
         assert doc.params == e.params
         assert e.weight_W in doc.weights.values()
 
+    def test_rendered_document_carries_params(self):
+        p = {"alpha": F(1, 3), "a1": F(-2, 3), "a2": F(5, 4)}
+        text = entry_document_text("LAG3", p)
+        assert "param a1 = -2/3" in text
+        report = run(parse_spec(text), n_max=4)
+        assert report["ok"], [c["name"] for c in report["checks"] if c["status"] != "pass"]
+
 
 class TestVerification:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -132,6 +141,14 @@ class TestVerification:
         assert r1.ok and r2.ok
         for l1, l2 in zip(r1.eigs, r2.eigs):
             assert l1 * l2 == l2 * l1
+
+    def test_large_constant_term_span_refused(self):
+        # seven operators with zero constant term: the exact grid would have
+        # 2^7 points, and sampling instead would only be evidence
+        from mvop.catalog import _const_term_singular_on_span
+
+        with pytest.raises(DomainError, match="dimension 7"):
+            _const_term_singular_on_span([DiffOp.ddx(1)] * 7, 1)
 
     def test_lag3_printed_readings_reported(self):
         rep = verify_entry("LAG3", None, 4)

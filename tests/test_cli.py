@@ -1,12 +1,16 @@
 """Command line interface: dispatch, reports, exit codes, JSON schema."""
 
 import json
+import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from mvop.catalog import entry
 from mvop.cli import main, run
 from mvop.dsl import parse_spec
+from mvop.exactalg import DomainError
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
 
@@ -167,3 +171,37 @@ class TestMain:
         p.write_text("check classify(laguerre(alpha=1/2), laguerre(alpha=1/3), expect=true)\n")
         rc = main(["verify", str(p)])
         assert rc == 1
+
+    def test_entry_check_times_are_per_check(self, capsys):
+        t0 = time.monotonic()
+        rc = main(["entry", "JAC2", "--nmax", "4", "--format", "json"])
+        wall_ms = (time.monotonic() - t0) * 1000
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0 and len(report["checks"]) > 10
+        assert sum(c["time_ms"] for c in report["checks"]) <= wall_ms
+
+
+class TestBadParams:
+    """Parameter and admission errors exit 2 with one message line."""
+
+    def assert_usage_error(self, argv, capsys, needle):
+        rc = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and needle in err[0]
+
+    def test_inadmissible_entry_params(self, capsys):
+        self.assert_usage_error(["entry", "JAC2", "--params", "kappa=5"], capsys, "JAC2")
+
+    @pytest.mark.parametrize("cmd", [["entry", "JAC2"], ["verify", str(DATA_DIR / "jac2.mvop")]])
+    def test_non_rational_value(self, cmd, capsys):
+        self.assert_usage_error(cmd + ["--params", "alpha=abc"], capsys, "abc")
+
+    def test_unknown_name_in_document(self, capsys):
+        self.assert_usage_error(
+            ["verify", str(DATA_DIR / "jac2.mvop"), "--params", "zeta=1"], capsys, "zeta"
+        )
+
+    def test_unknown_name_in_entry(self):
+        with pytest.raises(DomainError, match="kapa"):
+            entry("JAC2", {"kapa": F(1)})

@@ -17,7 +17,7 @@ from mvop.diffop import (
     poly_of_op,
     w_adjoint,
 )
-from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, sequence_for
+from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, inner_product, sequence_for
 from mvop.dwalgebra import (
     DarbouxCertificate,
     commutativity_predicate,
@@ -30,6 +30,7 @@ from mvop.dwalgebra import (
     matrix_intertwiner_verify,
     module_decompose,
     module_generator,
+    relation,
     scalar_darboux_class,
     symmetry_check,
     verify_in_DW,
@@ -106,6 +107,58 @@ class TestSymmetry:
             op = e.ops[name]
             fixed = w_adjoint(op, e.weight_Wt) == op
             assert symmetry_check(op, e.weight_Wt).ok == fixed
+
+
+class TestSymmetryPairing:
+    """W-symmetry read independently of any adjoint: <P . D, Q>_W equals
+    <P, Q . D>_W for P = x^i I and Q = x^j I with i, j <= 5. The (a, c) entry
+    of that pairing is the one of the row vectors x^i e_a and x^j e_c, so
+    these pairs cover every monomial row vector up to degree 5."""
+
+    @staticmethod
+    def pairing_holds(d, w):
+        mons = [MatPoly.scalar(Poly.monomial(i), d.size) for i in range(6)]
+        return all(
+            inner_product(apply(p, d), q, w) == inner_product(p, apply(q, d), w)
+            for p in mons
+            for q in mons
+        )
+
+    @pytest.mark.parametrize("name", ["D1", "D2"])
+    def test_jac2_generators_symmetric(self, name):
+        from mvop.catalog import entry
+
+        e = entry("JAC2")
+        op, w = e.ops[name], e.weight_Wt
+        assert self.pairing_holds(op, w)
+        assert symmetry_check(op, w).ok
+
+    def test_shifted_derivative_asymmetric(self):
+        op = DiffOp.scalar([X, Poly((1,))])  # d + x
+        w = LAG.scalar_weight()
+        assert not self.pairing_holds(op, w)
+        assert not symmetry_check(op, w).ok
+
+
+class TestRelation:
+    def test_stated_constants_wrong_at_two(self):
+        seq = sequence_for(LAG.scalar_weight())
+        stated = lambda n: FracMat([[7 if n == 2 else -n]])  # the true value is -n
+        rep = relation(seq.poly, LAG.delta(), seq.poly, 5, cs=stated)
+        assert not rep.ok and rep.fail_n == 2
+        assert rep.eigs == [FracMat([[0]]), FracMat([[-1]])]
+
+    def test_non_monic_family_constants_solved(self):
+        seq = sequence_for(LAG.scalar_weight())
+        scaled = lambda n: seq.poly(n) * 3
+        rep = relation(scaled, LAG.delta(), scaled, 6)
+        assert rep.ok and [m.entry(0, 0) for m in rep.eigs] == [-n for n in range(7)]
+
+    def test_singular_leading_coefficient_fails(self):
+        family = [MatPoly.identity(2), MatPoly([[X, 0], [0, 1]])]  # lead diag(1, 0)
+        rep = relation(family.__getitem__, DiffOp.identity(2), family.__getitem__, 1)
+        assert not rep.ok and rep.fail_n == 1 and rep.eigs == [FracMat.identity(2)]
+        assert "n=1" in rep.detail
 
 
 class TestIntertwinerVerify:
@@ -312,6 +365,25 @@ class TestDarbouxVerify:
         rep = darboux_verify(cert)
         assert not rep.ok
         assert any("factorization" in c.name for c in rep.failures())
+
+
+    def test_mutant_conjugators_stop_at_first_failure(self):
+        from mvop.catalog import entry
+
+        e = entry("GEG2")
+        # x^3 d^2 in cell (0, 0) leaves n = 0, 1 alone and raises the degree from n = 2
+        v = e.ops["V"] + embed_scalar(DiffOp.scalar([Poly(), Poly(), X**3]), 2, 0, 0)
+        cert = DarbouxCertificate(e.weight_W, e.weight_Wt, v, e.ops["N"], e.ops["D"], 6)
+        rep = darboux_verify(cert)
+        check4 = next(c for c in rep.checks if c.name.startswith("P_n . V = A_n Pt_n"))
+        assert not check4.ok and "n=2" in check4.detail
+        seq, seqt = sequence_for(e.weight_W), sequence_for(e.weight_Wt)
+        expected = []
+        for n in range(2):
+            q = apply(seq.poly(n), v)
+            assert q == seqt.poly(n).lmul_const(q.coeff(n))
+            expected.append(q.coeff(n))
+        assert cert.conjugators == expected
 
 
 class TestSandwichClosure:
