@@ -110,12 +110,6 @@ check symmetric(D2, W)
 def _build_jac2(overrides) -> CatalogEntry:
     doc = parse_spec(_JAC2_TEXT, overrides)
     a, b, k = doc.params["alpha"], doc.params["beta"], doc.params["kappa"]
-    if not (a > -1 and b > -1):
-        raise DomainError("JAC2 requires alpha, beta > -1")
-    if not (0 < k < b + 1):
-        raise DomainError("JAC2 requires 0 < kappa < beta + 1")
-    if k == a + 1:
-        raise DomainError("JAC2 requires kappa != alpha + 1 (weight degenerates)")
     ops = dict(doc.ops)
     ident = DiffOp.identity(2)
     ops["FD1"] = ops["D1"] - ops["D2"] - ((a + b + 2 - k) * (1 + k)) * ident
@@ -245,10 +239,6 @@ def _lag3_expected(a: Fraction, a1: Fraction, a2: Fraction) -> dict:
 def _build_lag3(overrides) -> CatalogEntry:
     doc = parse_spec(_LAG3_TEXT, overrides)
     a, a1, a2 = doc.params["alpha"], doc.params["a1"], doc.params["a2"]
-    if not a > -1:
-        raise DomainError("LAG3 requires alpha > -1")
-    if a1 == 0 or a2 == 0:
-        raise DomainError("LAG3 requires nonzero a1, a2")
     ops = dict(doc.ops)
     ops["D"] = _lag3_D(a, a1, a2)
     verbatim = parse_spec(_LAG3_N_VERBATIM, overrides)
@@ -289,9 +279,6 @@ check darboux(w, W, V, N, D)
 
 def _build_geg2(overrides) -> CatalogEntry:
     doc = parse_spec(_GEG2_TEXT, overrides)
-    r, a = doc.params["r"], doc.params["a"]
-    if not (r > 0 and 0 < a < r / 2):
-        raise DomainError("GEG2 requires r > 0 and 0 < a < r/2")
     return CatalogEntry(
         name="GEG2",
         params=dict(doc.params),
@@ -357,9 +344,6 @@ def _her3_D(doc: SpecDocument) -> DiffOp:
 
 def _build_her3(overrides) -> CatalogEntry:
     doc = parse_spec(_HER3_TEXT, overrides)
-    a, b = doc.params["a"], doc.params["b"]
-    if a == 0 or b == 0:
-        raise DomainError("HER3 requires nonzero a, b")
     ops = dict(doc.ops)
     ops["D"] = _her3_D(doc)
     verb = parse_spec(_HER3_VERBATIM, overrides)
@@ -413,8 +397,6 @@ check in_algebra(G6, W)
 def _build_lag2diag(overrides) -> CatalogEntry:
     doc = parse_spec(_LAG2DIAG_TEXT, overrides)
     a = doc.params["alpha"]
-    if not a > 0:
-        raise DomainError("LAG2DIAG requires alpha > 0")
 
     def eig(name):
         # expected eigenvalue matrices, as functions of n
@@ -456,6 +438,23 @@ _CHECK_BLOCKS = {
     "LAG2DIAG": _LAG2DIAG_CHECKS,
 }
 
+# each entry's stated parameter rules, checked before its template builds
+# weights so that a refusal names the rule, not a template line
+_RULES = {
+    "JAC2": (
+        ("alpha, beta > -1", lambda p: p["alpha"] > -1 and p["beta"] > -1),
+        ("0 < kappa < beta + 1", lambda p: 0 < p["kappa"] < p["beta"] + 1),
+        ("kappa != alpha + 1 (weight degenerates)", lambda p: p["kappa"] != p["alpha"] + 1),
+    ),
+    "LAG3": (
+        ("alpha > -1", lambda p: p["alpha"] > -1),
+        ("nonzero a1, a2", lambda p: p["a1"] != 0 and p["a2"] != 0),
+    ),
+    "GEG2": (("r > 0 and 0 < a < r/2", lambda p: p["r"] > 0 and 0 < p["a"] < p["r"] / 2),),
+    "HER3": (("nonzero a, b", lambda p: p["a"] != 0 and p["b"] != 0),),
+    "LAG2DIAG": (("alpha > 0", lambda p: p["alpha"] > 0),),
+}
+
 _TEXTS = {
     "JAC2": _JAC2_TEXT,
     "LAG3": _LAG3_TEXT,
@@ -473,6 +472,11 @@ def entry(name: str, params: dict | None = None) -> CatalogEntry:
         raise LookupError(f"unknown catalog entry {name!r}; have {ENTRY_NAMES}")
     overrides = {k: frac(v) for k, v in (params or {}).items()}
     try:
+        head = "".join(ln for ln in _TEXTS[name].splitlines(True) if ln.startswith("param "))
+        params = parse_spec(head, overrides).params
+        for rule, holds in _RULES[name]:
+            if not holds(params):
+                raise DomainError(f"{name} requires {rule}")
         return _BUILDERS[name](overrides)
     except ParseError as exc:
         # template text is fixed, so a parse failure is a parameter problem

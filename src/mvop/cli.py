@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import DecompositionError, DomainError, frac
-from .dsl import CheckCommand, ParseError, SpecDocument, parse_spec
+from .dsl import LIMIT, CheckCommand, ParseError, SpecDocument, parse_spec
 from . import catalog as _catalog
 from . import dwalgebra as _dw
 
@@ -199,6 +199,9 @@ def main(argv=None) -> int:
     add_common(p_classify)
 
     args = parser.parse_args(argv)
+    if not 0 <= args.nmax <= LIMIT:
+        print(f"bad horizon: --nmax {args.nmax} outside 0..{LIMIT}", file=sys.stderr)
+        return 2
 
     # reading the input and admitting its parameters: a failure here is a
     # usage error (exit 2); nothing below this block is caught here

@@ -60,11 +60,17 @@ _CHECK_SIGS = {
     "entry": ("name",),
 }
 
+# the largest exponent, derivative order or horizon a document may ask for
+# (the catalog needs 8), so that no input starts unbounded work
+LIMIT = 64
+
+# int options map to their (least, greatest) value, or None when unbounded
+_COUNT = (0, LIMIT)
 _CHECK_OPTIONS = {
-    "search": {"order": "int", "slack": "int", "dim": "int", "horizon": "int"},
+    "search": {"order": _COUNT, "slack": (-LIMIT, LIMIT), "dim": None, "horizon": _COUNT},
     "classify": {"expect": "bool"},
-    "intertwine": {"nmax": "int"},
-    "in_algebra": {"nmax": "int"},
+    "intertwine": {"nmax": _COUNT},
+    "in_algebra": {"nmax": _COUNT},
 }
 
 
@@ -220,6 +226,14 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def small_int(self, what, least=0, greatest=LIMIT) -> int:
+        neg = bool(self.accept("SYM", "-"))
+        tok = self.expect("INT")
+        v = -int(tok.text) if neg else int(tok.text)
+        if greatest is not None and not least <= v <= greatest:
+            self.err(f"{what} {v} outside {least}..{greatest}", tok)
+        return v
+
     def accept(self, kind, text=None):
         t = self.peek()
         if t.kind == kind and (text is None or t.text == text):
@@ -363,7 +377,7 @@ class _Parser:
         if t.kind == "NAME" and t.text == "d":
             self.next()
             self.expect("SYM", "^")
-            j = int(self.expect("INT").text)
+            j = self.small_int("derivative order")
             if self.accept("SYM", "*"):
                 return j, self.op_factor()
             return j, Poly((1,))
@@ -451,8 +465,7 @@ class _Parser:
         else:
             self.err("expected a polynomial factor", t)
         if self.accept("SYM", "^"):
-            e = int(self.expect("INT").text)
-            base = base**e
+            base = base ** self.small_int("exponent")
         return base
 
     # checks
@@ -481,7 +494,7 @@ class _Parser:
             ):
                 self.next()
                 self.next()
-                options[t.text] = self.option_value(allowed[t.text])
+                options[t.text] = self.option_value(t.text, allowed[t.text])
                 continue
             if len(args) >= len(sig):
                 self.err(f"too many arguments for {kind}", t)
@@ -492,19 +505,13 @@ class _Parser:
             self.err("search requires an order=... option", kind_tok)
         self.doc.checks.append(CheckCommand(kind, args, options, kind_tok.line))
 
-    def option_value(self, typ):
-        t = self.peek()
+    def option_value(self, name, typ):
         if typ == "bool":
             tok = self.expect("NAME")
             if tok.text not in ("true", "false"):
                 self.err("expected true or false", tok)
             return tok.text == "true"
-        if typ == "int":
-            neg = bool(self.accept("SYM", "-"))
-            tok = self.expect("INT")
-            v = int(tok.text)
-            return -v if neg else v
-        self.err("bad option", t)
+        return self.small_int(name, *(typ or (None, None)))
 
     def check_arg(self, want: str) -> CheckArg:
         t = self.peek()

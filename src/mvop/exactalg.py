@@ -5,8 +5,9 @@ Everything in this module is immutable and pure, and the coefficient field is
 Matrices come in two flavours: ``FracMat`` (constant rational entries, used
 for eigenvalues, recursion coefficients and conjugating matrices) and
 ``MatRF`` (square, rational-function entries, used for operator
-coefficients). Gaussian elimination is written once, generically over a
-field, and shared by both.
+coefficients). Gaussian elimination is written three times: ``_field_det``
+and ``solve_square`` (which also inverts) work over either field, and
+``nullspace`` works over Fraction; ROADMAP item 2 folds them into one kernel.
 """
 
 from __future__ import annotations
@@ -503,35 +504,10 @@ def _field_det(rows, zero, one):
     return det
 
 
-def _field_inv(rows, zero, one):
-    n = len(rows)
-    m = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            raise SingularError("matrix is singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [e / pv for e in m[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f == zero:
-                continue
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def solve_square(a_rows, b_rows):
-    """Solve A X = B exactly over Fraction; A square. Raises SingularError."""
+    """Solve A X = B exactly, A square, over any field whose elements support
+    truth testing and division (Fraction, RatFunc). Raises SingularError."""
     n = len(a_rows)
-    w = len(b_rows[0])
     m = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
     for col in range(n):
         piv = None
@@ -679,7 +655,7 @@ class FracMat:
     def inv(self) -> "FracMat":
         if self.nrows != self.ncols:
             raise ShapeError("inverse of a nonsquare matrix")
-        return FracMat(_field_inv(self.rows, _F0, _F1))
+        return FracMat(solve_square(self.rows, FracMat.identity(self.nrows).rows))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
@@ -776,7 +752,7 @@ class MatRF:
         return _field_det(self.rows, _RF0, _RF1)
 
     def inverse(self) -> "MatRF":
-        return MatRF(_field_inv(self.rows, _RF0, _RF1))
+        return MatRF(solve_square(self.rows, MatRF.identity(self.size).rows))
 
     @property
     def is_polynomial(self) -> bool:

@@ -21,6 +21,7 @@ from .exactalg import (
     Poly,
     RatFunc,
     ShapeError,
+    SingularError,
     X,
     frac,
 )
@@ -432,6 +433,12 @@ class Weight:
 class OPSequence:
     """Monic orthogonal polynomials of a weight, with recursion data.
 
+    An atomic weight's sequence is built by the block three-term recursion
+    P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. With an identity factor B_k and
+    C_k are the family's closed forms times I; otherwise they come from Gram
+    blocks H_k = <P_k, P_k>: B_k = <x P_k, P_k> H_k^-1, C_k = H_k H_{k-1}^-1,
+    C_0 = 0. A direct sum assembles its blocks' sequences.
+
     Construction memoizes inside the object (build-then-share: one thread
     extends, any number may read afterwards).
     """
@@ -441,19 +448,10 @@ class OPSequence:
         self._polys: list[MatPoly] = []
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
+        self._h_prev_inv: FracMat | None = None  # H_{k-1}^-1 of the last step
         self._children: list[OPSequence] | None = None
-        self._scalar: list[Poly] | None = None
-        self._mode = self._pick_mode()
-
-    def _pick_mode(self) -> str:
-        w = self.weight
-        if not w.is_atomic:
-            self._children = [sequence_for(b) for b in w.blocks]
-            return "blocks"
-        if w.M == MatRF.identity(w.size):
-            self._scalar = []
-            return "scalar"
-        return "hankel"
+        if not weight.is_atomic:
+            self._children = [sequence_for(b) for b in weight.blocks]
 
     # -- public access
 
@@ -472,28 +470,12 @@ class OPSequence:
     def _extend(self, n: int):
         while len(self._polys) <= n:
             k = len(self._polys)
-            if self._mode == "scalar":
-                self._extend_scalar(k)
-            elif self._mode == "blocks":
+            if self._children is not None:
                 self._extend_blocks(k)
+            elif k == 0:
+                self._polys.append(MatPoly.identity(self.weight.size))
             else:
-                self._extend_hankel(k)
-
-    def _extend_scalar(self, k: int):
-        fam = self.weight.family
-        if k == 0:
-            self._scalar.append(Poly((1,)))
-        else:
-            b, c = fam.recursion(k - 1)
-            p = (X - Poly.const(b)) * self._scalar[k - 1]
-            if k >= 2:
-                p = p - c * self._scalar[k - 2]
-            self._scalar.append(p)
-        b, c = fam.recursion(k)
-        n = self.weight.size
-        self._polys.append(MatPoly.scalar(self._scalar[k], n))
-        self._B.append(FracMat([[b if i == j else 0 for j in range(n)] for i in range(n)]))
-        self._C.append(FracMat([[c if i == j else 0 for j in range(n)] for i in range(n)]))
+                self._step(k - 1)
 
     def _extend_blocks(self, k: int):
         parts = [child.poly(k) for child in self._children]
@@ -502,77 +484,29 @@ class OPSequence:
         self._B.append(_blockdiag_frac([r[0] for r in recs]))
         self._C.append(_blockdiag_frac([r[1] for r in recs]))
 
-    def _extend_hankel(self, k: int):
-        size = self.weight.size
-        p = self._solve_hankel(k)
-        self._polys.append(p)
-        # three-term data B_{k-1}, C_{k-1} become available once P_k exists
-        if k >= 1:
-            n = k - 1
-            pn, pn1 = self._polys[n], self._polys[k]
-            xpn = MatPoly.scalar(X, size) * pn
-            rest = xpn - pn1
-            bn = rest.coeff(n)
-            rest = rest - pn.lmul_const(bn)
-            cn = rest.coeff(n - 1) if n >= 1 else FracMat.zeros(size)
-            recon = pn1 + pn.lmul_const(bn)
-            if n >= 1:
-                recon = recon + self._polys[n - 1].lmul_const(cn)
-            if recon != xpn:
-                raise DomainError("three-term recursion failed to close exactly")
-            self._B.append(bn)
-            self._C.append(cn)
-
-    def _solve_hankel(self, n: int) -> MatPoly:
-        from .exactalg import solve_square
-
-        size = self.weight.size
-        if n == 0:
-            return MatPoly.identity(size)
-        s = self._moment  # S_m
-        dim = n * size
-        a = [[Fraction(0)] * dim for _ in range(dim)]
-        for j in range(n):
-            for c in range(size):
-                for k in range(n):
-                    mat = s(k + j)
-                    for e in range(size):
-                        a[j * size + c][k * size + e] = mat.entry(e, c)
-        b = [[Fraction(0)] * size for _ in range(dim)]
-        for j in range(n):
-            mat = s(n + j)
-            for c in range(size):
-                for r in range(size):
-                    b[j * size + c][r] = -mat.entry(r, c)
-        try:
-            sol = solve_square(a, b)
-        except Exception as exc:
-            from .exactalg import SingularError
-
-            raise SingularError(f"degenerate moment system at degree {n}") from exc
-        rows = [[Poly.monomial(n, 1) if r == c else Poly() for c in range(size)] for r in range(size)]
-        for k in range(n):
-            for r in range(size):
-                for e in range(size):
-                    coef = sol[k * size + e][r]
-                    if coef:
-                        rows[r][e] = rows[r][e] + Poly.monomial(k, coef)
-        return MatPoly(rows)
-
-    def _moment(self, m: int) -> FracMat:
-        fam, mat = self.weight.as_atomic()
-        if not mat.is_polynomial:
-            raise NonPolynomialError("moment computation requires a polynomial factor")
-        mp = matrf_to_matpoly(mat)
-        deg = mp.degree
-        nu = _moments_list(fam, m + deg)
-        size = self.weight.size
-        acc = FracMat.zeros(size)
-        for sdeg in range(deg + 1):
-            coeffmat = mp.coeff(sdeg)
-            if not coeffmat.is_zero:
-                acc = acc + coeffmat * nu[m + sdeg]
-        return acc
+    def _step(self, k: int):
+        """Append P_{k+1}, B_k and C_k."""
+        w = self.weight
+        pk = self._polys[k]
+        xpk = X * pk
+        if w.M == MatRF.identity(w.size):
+            b, c = w.family.recursion(k)
+            bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
+        else:
+            h = inner_product(pk, pk, w)
+            try:
+                h_inv = h.inv()
+            except SingularError as exc:
+                raise SingularError(f"degenerate moment system at degree {k + 1}") from exc
+            bk = inner_product(xpk, pk, w) * h_inv
+            ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
+            self._h_prev_inv = h_inv
+        nxt = xpk - pk.lmul_const(bk)
+        if k:
+            nxt = nxt - self._polys[k - 1].lmul_const(ck)
+        self._polys.append(nxt)
+        self._B.append(bk)
+        self._C.append(ck)
 
 
 def _blockdiag_poly(parts: list[MatPoly]) -> MatPoly:

@@ -83,6 +83,13 @@ class TestEntryData:
         with pytest.raises(DomainError):
             entry("LAG2DIAG", {"alpha": F(0)})
 
+    def test_stated_rule_checked_before_template(self):
+        # kappa = 5 also makes the template's weight factor indefinite; the
+        # refusal names the entry's rule, not a line of its template
+        with pytest.raises(DomainError, match=r"JAC2 requires 0 < kappa < beta \+ 1") as exc:
+            entry("JAC2", {"kappa": F(5)})
+        assert "line" not in str(exc.value)
+
     def test_provenance_present(self):
         for name in ENTRY_NAMES:
             assert entry(name).provenance

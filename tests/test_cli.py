@@ -202,6 +202,22 @@ class TestBadParams:
             ["verify", str(DATA_DIR / "jac2.mvop"), "--params", "zeta=1"], capsys, "zeta"
         )
 
+    def test_entry_rule_named(self, capsys):
+        self.assert_usage_error(
+            ["entry", "JAC2", "--params", "kappa=5"], capsys, "JAC2 requires 0 < kappa < beta + 1"
+        )
+
+    @pytest.mark.parametrize("cmd", [["verify", str(DATA_DIR / "jac2.mvop")], ["entry", "GEG2"]])
+    def test_negative_horizon_refused(self, cmd, capsys):
+        # used to print "OK: ... (nmax=-1)" without checking any n
+        self.assert_usage_error(cmd + ["--nmax", "-1"], capsys, "--nmax -1")
+
+    def test_horizon_above_limit_refused(self, capsys):
+        from mvop.dsl import LIMIT
+
+        cmd = ["classify", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--nmax", str(LIMIT + 1)]
+        self.assert_usage_error(cmd, capsys, f"--nmax {LIMIT + 1}")
+
     def test_unknown_name_in_entry(self):
         with pytest.raises(DomainError, match="kapa"):
             entry("JAC2", {"kapa": F(1)})

@@ -122,6 +122,32 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_spec("weight w = laguerre(alpha=1/2)\ncheck classify(w)\n")
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "op T = d^{n}\n",
+            "op T = d^1*x^{n}\n",
+            "param a = 2^{n}\n",
+            "weight w = laguerre(alpha=1/2)\nop T = d^1\ncheck in_algebra(T, w, nmax={n})\n",
+            "weight w1 = laguerre(alpha=1/2)\nweight w2 = laguerre(alpha=3/2)\n"
+            "op T = d^1 - 1\ncheck intertwine(T, w1, w2, nmax={n})\n",
+            "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order={n})\n",
+            "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, horizon={n})\n",
+        ],
+        ids=["d-order", "x-exponent", "const-exponent", "in-algebra-nmax", "intertwine-nmax",
+             "search-order", "search-horizon"],
+    )
+    def test_limit_plus_one_refused(self, template):
+        from mvop.dsl import LIMIT
+
+        parse_spec(template.format(n=LIMIT))
+        with pytest.raises(ParseError, match=f"{LIMIT + 1} outside 0..{LIMIT}"):
+            parse_spec(template.format(n=LIMIT + 1))
+
+    def test_negative_nmax_refused(self):
+        with pytest.raises(ParseError, match="nmax -1"):
+            parse_spec("weight w = laguerre(alpha=1/2)\nop T = d^1\ncheck in_algebra(T, w, nmax=-1)\n")
+
     def test_search_requires_order(self):
         with pytest.raises(ParseError):
             parse_spec(

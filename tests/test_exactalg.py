@@ -21,6 +21,7 @@ from mvop.exactalg import (
     poly_gcd,
     poly_str,
     simplify,
+    solve_square,
 )
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -174,3 +175,60 @@ class TestLinearAlgebra:
         m = FracMat([[1, 2], [3, 4]])
         assert m * m.inv() == FracMat.identity(2)
         assert m.det() == -2
+
+
+# small rationals with extra zeros, so that singular matrices are common
+entries = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+square_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def _to_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
+
+
+def _from_sympy(m):
+    return [[F(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+class TestAgainstSympy:
+    """sympy as an independent oracle for the exact elimination kernels."""
+
+    @given(square_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_det_and_inverse(self, rows):
+        ref = _to_sympy(rows)
+        det = ref.det()
+        assert FracMat(rows).det() == F(int(det.p), int(det.q))
+        if det == 0:
+            with pytest.raises(SingularError):
+                FracMat(rows).inv()
+        else:
+            assert FracMat(rows).inv() == FracMat(_from_sympy(ref.inv()))
+
+    @given(square_rows, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_square(self, rows, data):
+        width = data.draw(st.integers(1, 3))
+        rhs = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in rows]
+        ref = _to_sympy(rows)
+        if ref.det() == 0:
+            with pytest.raises(SingularError):
+                solve_square(rows, rhs)
+        else:
+            assert solve_square(rows, rhs) == _from_sympy(ref.solve(_to_sympy(rhs)))
+
+    @given(square_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_span_and_dimension(self, rows):
+        sympy = pytest.importorskip("sympy")
+        a = _to_sympy(rows)
+        ref = a.nullspace()
+        basis = nullspace(rows, len(rows))
+        assert len(basis) == len(ref)
+        if basis:
+            ours = _to_sympy(basis).T
+            assert (a * ours).is_zero_matrix and ours.rank() == len(basis)
+            assert sympy.Matrix.hstack(ours, *ref).rank() == len(ref)

@@ -10,12 +10,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, X
+from mvop.catalog import entry
+from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, SingularError, X
 from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
 from mvop.weights import (
     HermiteShifted,
     Jacobi,
     Laguerre,
+    OPSequence,
     Weight,
     classical_delta,
     classical_monic,
@@ -193,8 +195,10 @@ class TestMonicSequences:
                 Jacobi(F(1, 2), F(3, 4)),
                 MatRF([[Poly((2,)), X], [X, Poly((1, 0, 1))]]),
             ),
+            entry("LAG3").weight_Wt,
+            entry("HER3").weight_Wt,
         ],
-        ids=["laguerre-2x2", "jacobi-2x2"],
+        ids=["laguerre-2x2", "jacobi-2x2", "lag3-Wt", "her3-W"],
     )
     def test_hankel_sequences_are_orthogonal_with_recursion(self, weight):
         seq = monic_ops(weight, 8)
@@ -223,6 +227,23 @@ class TestMonicSequences:
         for n in range(6):
             assert seq.poly(n).coeff(n) == FracMat.identity(2)
             assert seq.poly(n).degree == n
+
+
+class TestSingularGram:
+    """The raw constructor skips admission, so a Gram block can be singular."""
+
+    def test_singular_at_degree_two(self):
+        # H_1 = <P_1, P_1> has (2,2) entry nu_3 - 10 nu_2 + 28 nu_1 - 24 = 0
+        seq = OPSequence(Weight(family=Laguerre(F(2)), M=MatRF.diag(1, X - 6)))
+        assert seq.poly(1).degree == 1
+        with pytest.raises(SingularError, match="degenerate moment system at degree 2"):
+            seq.poly(2)
+
+    def test_singular_at_degree_one(self):
+        # H_0 = diag(1, nu_1 - 3/2) = diag(1, 0)
+        seq = OPSequence(Weight(family=Laguerre(F(1, 2)), M=MatRF.diag(1, X - F(3, 2))))
+        with pytest.raises(SingularError, match="degenerate moment system at degree 1"):
+            seq.poly(1)
 
 
 class TestAdjointPairing:
