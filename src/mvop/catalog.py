@@ -1,13 +1,16 @@
 """Explicit weights and operators from the worked examples, as data, plus
 end-to-end verification of every stated identity.
 
-Each entry is a DSL document (the same text that ships under data/) holding
-its weights and first-order data; higher-order operators that are naturally
-written as polynomials in the classical second-order operators are assembled
-programmatically from those. Where a printed source token is visibly corrupt
-the entry keeps both readings: the emended operator is primary and the
-verbatim one is re-checked and reported, so source typos and engine bugs stay
-distinguishable.
+Each entry's only text is its DSL document under data/, read with the
+package: its weights, its first-order data and its structural checks.
+Higher-order operators that are naturally written as polynomials in the
+classical second-order operators are computed here from those; the file
+stores their normal form at its own param values, which the builder ignores
+and ``entry_document_text`` re-renders. Python keeps only those closed forms,
+the stated parameter rules, the verbatim readings and the provenance. Where a
+printed source token is visibly corrupt the entry keeps both readings: the
+emended operator is primary and the verbatim one is re-checked and reported,
+so source typos and engine bugs stay distinguishable.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
+from typing import Callable
 
 from .exactalg import DomainError, FracMat, MatRF, Poly, X, frac
 from .diffop import (
@@ -29,7 +34,6 @@ from .diffop import (
 )
 from .weights import (
     HermiteShifted,
-    Jacobi,
     Laguerre,
     Weight,
     classical_monic,
@@ -49,9 +53,7 @@ from .dwalgebra import (
     symmetry_check,
     verify_in_DW,
 )
-from .dsl import SpecDocument, parse_spec
-
-ENTRY_NAMES = ("JAC2", "LAG3", "GEG2", "HER3", "LAG2DIAG")
+from .dsl import ParseError, SpecDocument, op_str, parse_spec
 
 
 @dataclass
@@ -80,35 +82,7 @@ def _scalar_to_size(t: DiffOp, size: int) -> DiffOp:
 # JAC2: irreducible 2x2 Jacobi-type weight from the spherical-pair family,
 # Darboux-related to w_{a+1,b} (+) w_{a+1,b+1}
 
-_JAC2_TEXT = """\
-# 2x2 Jacobi-type weight from the spherical-function family, with its
-# diagonal Darboux partner and the pair of order-two generators
-param alpha = 1/2
-param beta = 3/4
-param kappa = 1/4
-
-weight w1 = jacobi(alpha=alpha+1, beta=beta)
-weight w2 = jacobi(alpha=alpha+1, beta=beta+1)
-weight w = dsum(w1, w2)
-weight W = jacobi(alpha=alpha, beta=beta) * [4*(alpha+1) - 2*kappa*(1-x), 2*(alpha+1-kappa)*(1-x); 2*(alpha+1-kappa)*(1-x), (alpha+1-kappa)*(1-x)^2]
-
-op D1 = d^2*[1-x^2, 0; 0, 1-x^2] + d^1*[beta-alpha+1-x*(alpha+beta+3), -2; 0, beta-alpha-2-x*(alpha+beta+4)] + [alpha+beta-kappa+2, 0; alpha+1-kappa, 0]
-op D2 = d^2*[1-x^2, -2*(x+1); 0, 0] + d^1*[alpha+beta-2*kappa+3-x*(alpha+beta+3), -2*(alpha+beta-kappa+3); (1-x)*(alpha+1-kappa), -2*(alpha+1-kappa)] + [-kappa*(alpha+beta+2-kappa), 0; -kappa*(alpha+1-kappa), 0]
-op D = d^2*[2*kappa*(x^2-1), 0; 0, (alpha+1-kappa)*(x^2-1)] + d^1*[2*kappa*(alpha-beta+1+x*(alpha+beta+3)), 0; 0, (alpha+1-kappa)*(alpha-beta+x*(alpha+beta+4))] + [2*kappa^2*(alpha+beta-kappa+2), 0; 0, (kappa+1)*(alpha+1-kappa)*(alpha+beta-kappa+2)]
-op V = d^1*[x-1, 2; 0, 1+x] + [kappa, 0; kappa-alpha-1, alpha+beta-kappa+2]
-op N = d^1*[2*kappa*(x+1), 2*(kappa-alpha-1); 0, (alpha+1-kappa)*(x-1)] + [2*kappa*(alpha+beta-kappa+2), 0; 2*kappa*(alpha+1-kappa), (kappa+1)*(alpha+1-kappa)]
-"""
-
-_JAC2_CHECKS = """\
-check darboux(w, W, V, N, D)
-check in_algebra(D1, W)
-check in_algebra(D2, W)
-check symmetric(D2, W)
-"""
-
-
-def _build_jac2(overrides) -> CatalogEntry:
-    doc = parse_spec(_JAC2_TEXT, overrides)
+def _build_jac2(doc: SpecDocument) -> CatalogEntry:
     a, b, k = doc.params["alpha"], doc.params["beta"], doc.params["kappa"]
     ops = dict(doc.ops)
     ident = DiffOp.identity(2)
@@ -133,30 +107,6 @@ def _build_jac2(overrides) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # LAG3: 3x3 Laguerre-type weight reached through a sixth-order factorization
 
-_LAG3_TEXT = """\
-# 3x3 Laguerre-type weight: the diagonal weight, the order-three factors of a
-# sixth-order operator, and the order-two operator with the images as
-# eigenfunctions
-param alpha = 1/2
-param a1 = 1
-param a2 = 2
-
-weight w1 = laguerre(alpha=alpha+2)
-weight w2 = laguerre(alpha=alpha+1)
-weight w3 = laguerre(alpha=alpha)
-weight W = dsum(w1, w2, w3)
-weight Wt = laguerre(alpha=alpha) * [a1^2*x^3+x^2, a1*x^2, a1*a2*x^3; a1*x^2, x, a2*x^2; a1*a2*x^3, a2*x^2, a2^2*x^3+1]
-
-op V = d^3*[0, 0, 0; 0, a2^2*x^3, -a2*x^2; 0, -a2*x, 0] + d^2*[0, 0, 0; 0, 2*a2^2*x^2*(alpha+2), -2*a2*x*(alpha+2); 0, -a2*(alpha-3*x+2), 0] + d^1*[0, -a1*x, 0; -a1, x*(a2^2*(alpha+2)*(alpha+1)+a1^2), -a2*(alpha+2)*(alpha+1); 0, a2*(2*alpha-3*x+4), 0] + [1, -a1*(alpha+2), 0; 0, 1, 0; 0, -a2*(alpha+2), 1]
-op N = d^3*[0, 0, a1*a2*x^3; 0, 0, a2*x^2; 0, a2*x, a2^2*x^3] + d^2*[0, 0, a1*a2*x^2*(2*alpha+7); 0, 0, 2*a2*x*(alpha+2); 0, a2*(alpha-3*x+2), a2^2*x^2*(2*alpha+7)] + d^1*[a1^2*x, a1*x, a1*a2*x*(alpha+5)*(alpha+2); a1, 0, a2*(alpha+2)*(alpha+1); a1*a2*x, -a2*(2*alpha-3*x+4), a2^2*x*(alpha+5)*(alpha+2)] + [a1^2+1, a1*(alpha+2), a1*a2*(alpha+2)*(alpha+1); 0, 1, 0; a1*a2, a2*(alpha+2), a2^2*(alpha+2)*(alpha+1)+1]
-op E = d^2*[x, 0, 0; 0, x, 0; 0, 0, x] + d^1*[alpha+3-x, a1*x, 0; 0, alpha+2-x, 0; 0, 3*a2*x, alpha+1-x] + [0, a1*(alpha+2), 0; 0, 1, 0; 0, a2*(alpha+2), 0]
-"""
-
-_LAG3_CHECKS = """\
-check darboux(W, Wt, V, N, D)
-check in_algebra(E, Wt)
-"""
-
 # The printed source of N carries three corrupt cells, all in its third
 # column: the d^2 cell (3,3) has a broken exponent token (a2 2 for a2^2), the
 # d^1 cell (1,3) lost a factor of x (present in the parallel (3,3) cell), and
@@ -168,15 +118,11 @@ check in_algebra(E, Wt)
 # + 1). The entry's primary reading is the emended one; the literal reading
 # is re-checked and reported, never silently dropped.
 _LAG3_N_VERBATIM = """\
-param alpha = 1/2
-param a1 = 1
-param a2 = 2
 op N = d^3*[0, 0, a1*a2*x^3; 0, 0, a2*x^2; 0, a2*x, a2^2*x^3] + d^2*[0, 0, a1*a2*x^2*(2*alpha+7); 0, 0, 2*a2*x*(alpha+2); 0, a2*(alpha-3*x+2), 2*a2*x^2*(2*alpha+7)] + d^1*[a1^2*x, a1*x, a1*a2*(alpha+5)*(alpha+2); a1, 0, a2*(alpha+2)*(alpha+1); a1*a2*x, -a2*(2*alpha-3*x+4), a2^2*x*(alpha+5)*(alpha+2)] + [a1^2+1, a1*(alpha+2), a1*a2*(alpha+2)*(alpha+1); 0, 1, 0; a1*a2, a2*(alpha+2), a2^2*(alpha+2)*(alpha+1)]
 """
 
 
 def _lag3_D(a: Fraction, a1: Fraction, a2: Fraction, emended: bool = True) -> DiffOp:
-    one = DiffOp.identity(1)
     d0 = Laguerre(a).delta()
     d1 = Laguerre(a + 1).delta()
     d2 = Laguerre(a + 2).delta()
@@ -236,12 +182,11 @@ def _lag3_expected(a: Fraction, a1: Fraction, a2: Fraction) -> dict:
     return {"A_n": a_n, "A_n_printed": a_n_printed, "Q_n": q_n}
 
 
-def _build_lag3(overrides) -> CatalogEntry:
-    doc = parse_spec(_LAG3_TEXT, overrides)
+def _build_lag3(doc: SpecDocument) -> CatalogEntry:
     a, a1, a2 = doc.params["alpha"], doc.params["a1"], doc.params["a2"]
     ops = dict(doc.ops)
     ops["D"] = _lag3_D(a, a1, a2)
-    verbatim = parse_spec(_LAG3_N_VERBATIM, overrides)
+    verbatim = _with_params(doc, _LAG3_N_VERBATIM)
     return CatalogEntry(
         name="LAG3",
         params=dict(doc.params),
@@ -258,27 +203,7 @@ def _build_lag3(overrides) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # GEG2: 2x2 Gegenbauer-type weight from spherical functions on the 3-sphere
 
-_GEG2_TEXT = """\
-# 2x2 Gegenbauer-type weight; the diagonal side is two copies of the
-# symmetric Jacobi weight of parameter r/2
-param r = 3
-param a = 1
-
-weight w = jacobi(alpha=1/2*r, beta=1/2*r) * [1, 0; 0, 1]
-weight W = jacobi(alpha=1/2*r-1, beta=1/2*r-1) * [a*(x^2-1)+r, -r*x; -r*x, (r-a)*(x^2-1)+r]
-
-op V = d^1*[-1, -x; -x, -1] + [0, a-r; -a, 0]
-op N = d^1*[r-a, -a*x; (a-r)*x, a] + [0, a*(a-r-1); (a+1)*(a-r), 0]
-op D = d^2*[(a-r)*(1-x^2), 0; 0, -a*(1-x^2)] + d^1*[-(a-r)*x*(r+2), 0; 0, a*x*(r+2)] + [(a-r)^2*(a+1), 0; 0, -a^2*(a-r-1)]
-"""
-
-_GEG2_CHECKS = """\
-check darboux(w, W, V, N, D)
-"""
-
-
-def _build_geg2(overrides) -> CatalogEntry:
-    doc = parse_spec(_GEG2_TEXT, overrides)
+def _build_geg2(doc: SpecDocument) -> CatalogEntry:
     return CatalogEntry(
         name="GEG2",
         params=dict(doc.params),
@@ -294,38 +219,12 @@ def _build_geg2(overrides) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # HER3: 3x3 Hermite-type weight with an eighth-order factorization
 
-_HER3_TEXT = """\
-# 3x3 Hermite-type weight; the factored operator is an order-eight polynomial
-# in the classical Hermite operator with constant matrix coefficients
-param a = 1
-param b = 1
-
-weight w = hermite(b=0) * [1, 0, 0; 0, 1, 0; 0, 0, 1]
-weight W = hermite(b=0) * [1+a^2*x^2+1/4*a^2*b^2*x^4, a*x+1/2*a*b^2*x^3, 1/2*a*b*x^2; a*x+1/2*a*b^2*x^3, b^2*x^2+1, b*x; 1/2*a*b*x^2, b*x, 1]
-
-op C3 = [2*(3*a^2*b^2+8*a^2-8*b^2)/(a^2*b^2), 0, -16/(a*b); 0, -4*(a^2*b^2+4*a^2+4*b^2)/(a^2*b^2), 0; -16/(a*b), 0, -2*(3*a^2*b^2+8*a^2+32)/(a^2*b^2)]
-op C2 = [4*(3*a^2*b^4+16*a^2*b^2-16*b^4+16*a^2-32*b^2)/(a^2*b^4), 0, 16*(a^2*b^2+4*a^2+8*b^2+16)/(a^3*b^3); 0, 4*(a^2*b^2+8*a^2+16*b^2+96)/(a^2*b^2), 0; 16*(a^2*b^2+4*a^2+8*b^2+16)/(a^3*b^3), 0, 8*(a^4*b^4+4*a^4*b^2+64*a^2*b^2+128*a^2+128)/(a^4*b^4)]
-op C1 = [8*(a^2*b^4+8*a^2*b^2-8*b^4+16*a^2-80*b^2-128)/(a^2*b^4), 0, -32*(3*a^2*b^4+12*a^2*b^2-8*b^4+48*b^2+128)/(a^3*b^5); 0, -64*(a^2*b^4+12*a^2*b^2+16*a^2+16*b^2)/(a^4*b^4), 0; -32*(3*a^2*b^4+12*a^2*b^2-8*b^4+48*b^2+128)/(a^3*b^5), 0, -128*(3*a^2*b^4+16*a^2*b^2+8*b^4+80*b^2+128)/(a^4*b^6)]
-op C0 = [256*(3*a^2*b^4+16*a^2*b^2+16*a^2+16*b^2)/(a^4*b^6), 0, 1024*(a^2*b^2+4*a^2+16)/(a^5*b^5); 0, 2048*(b^2+2)/(a^4*b^4), 0; 1024*(a^2*b^2+4*a^2+16)/(a^5*b^5), 0, 4096*(3*a^2*b^2+8*a^2+16)/(a^6*b^6)]
-
-op V = d^4*[1, -a*x, 1/2*a*b*x^2; 0, 1, -b*x; 0, 0, 1] + d^3*[-2*x, 2*a*x^2-4/a, -a*b*x^3+4*b*x/a; -4/a, 0, 2*b*x^2-4/b; 0, -4/b, -2*x] + d^2*[-2*(b^2-4)/b^2, 2*(a^2*b^2-4*a^2+4*b^2)*x/(a*b^2), -(a^2*b^2-4*a^2+8*b^2)*x^2/(a*b); 8*x/a, -4*x^2-6, 2*(3*b^2+8)*x/b; 0, 16*x/b, -2*(2*a^2*b^2*x^2+3*a^2*b^2+16)/(a^2*b^2)] + d^1*[0, 0, 16*x/(a*b); (16*b^2+32)/(a*b^2), -(8*b^2+32)*x/b^2, (8*a^2+32)/(a^2*b); -16*x/(a*b), (8*a^2*b^2+32*b^2+128)/(a^2*b^3), (4*a^2-32)*x/a^2] + [-64/(a^2*b^2), 0, -(-32*b^2-64)/(a*b^3); 0, -64/(a^2*b^2), 0; -256/(a^3*b^3), 0, 0]
-op N = d^4*[1, a*x, 1/2*a*b*x^2; 0, 1, b*x; 0, 0, 1] + d^3*[-2*x, -(2*a^2*x^2-4*a^2-4)/a, -a*x*(b^2*x^2-4*b^2-4)/b; 4/a, 0, -(2*b^2*x^2-4*b^2-4)/b; 0, 4/b, -2*x] + d^2*[-(4*b^2*x^2-4*b^2-8)/b^2, -2*x*(3*a^2+8)/a, -(6*a^2*b^2*x^2-6*a^2*b^2+8*a^2*x^2-12*a^2+16*x^2)/(a*b); -16*x/a, -4*x^2+6, -2*x*(3*a^2*b^2+4*a^2+16)/(a^2*b); 0, -8*x/b, -32/(a^2*b^2)] + d^1*[-4*x*(5*b^2+8)/b^2, -(24*b^2+32)/(a*b^2), -2*x*(3*a^2*b^4+8*a^2*b^2+40*b^2+64)/(a*b^3); -8/a, -8*x*(a^2+4)/a^2, -(96*b^2+128)/(a^2*b^3); -16*x/(a*b), -32/(a^2*b), 0] + [-(4*a^2*b^2+16*a^2+64)/(a^2*b^2), 0, -(48*a^2*b^2+128*a^2+256)/(a^3*b^3); 0, -(32*b^2+64)/(a^2*b^2), 0; (16*b^2+64)/(a*b^3), 0, -64/(a^2*b^2)]
-op E = d^2*[1, 0, 0; 0, 1, 0; 0, 0, 1] + d^1*[-2*x, 2*a, 0; 0, -2*x, 2*b; 0, 0, -2*x] + [-4, 0, a*b; 0, -2, 0; 0, 0, 0]
-"""
-
-_HER3_CHECKS = """\
-check darboux(w, W, V, N, D)
-check in_algebra(E, W)
-"""
-
 # Two printed sign typos, both single tokens: the (2,2) entry of the cubic
 # matrix coefficient of D is printed +4(...) where the factorization forces
 # -4(...), and the (1,1) constant of E is printed +4 where membership in the
 # algebra forces -4. Primary reading is emended; the literal one is re-run
 # and reported.
 _HER3_VERBATIM = """\
-param a = 1
-param b = 1
 op C3 = [2*(3*a^2*b^2+8*a^2-8*b^2)/(a^2*b^2), 0, -16/(a*b); 0, 4*(a^2*b^2+4*a^2+4*b^2)/(a^2*b^2), 0; -16/(a*b), 0, -2*(3*a^2*b^2+8*a^2+32)/(a^2*b^2)]
 op E = d^2*[1, 0, 0; 0, 1, 0; 0, 0, 1] + d^1*[-2*x, 2*a, 0; 0, -2*x, 2*b; 0, 0, -2*x] + [4, 0, a*b; 0, -2, 0; 0, 0, 0]
 """
@@ -342,11 +241,10 @@ def _her3_D(doc: SpecDocument) -> DiffOp:
     return out
 
 
-def _build_her3(overrides) -> CatalogEntry:
-    doc = parse_spec(_HER3_TEXT, overrides)
+def _build_her3(doc: SpecDocument) -> CatalogEntry:
     ops = dict(doc.ops)
     ops["D"] = _her3_D(doc)
-    verb = parse_spec(_HER3_VERBATIM, overrides)
+    verb = _with_params(doc, _HER3_VERBATIM)
     verb_doc = SpecDocument(
         params=doc.params,
         weights=doc.weights,
@@ -368,48 +266,17 @@ def _build_her3(overrides) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # LAG2DIAG: generators of the algebra of w_{alpha-1} (+) w_alpha
 
-_LAG2DIAG_TEXT = """\
-# the six generators of the operator algebra of a two-block Laguerre sum
-param alpha = 3/2
-
-weight w1 = laguerre(alpha=alpha-1)
-weight w2 = laguerre(alpha=alpha)
-weight W = dsum(w1, w2)
-
-op G1 = [1, 0; 0, 0]
-op G2 = [0, 0; 0, 1]
-op G3 = d^2*[x, 0; 0, 0] + d^1*[alpha-x, 0; 0, 0]
-op G4 = d^2*[0, 0; 0, x] + d^1*[0, 0; 0, alpha+1-x]
-op G5 = d^1*[0, 1; 0, 0] + [0, -1; 0, 0]
-op G6 = d^1*[0, 0; x, 0] + [0, 0; alpha, 0]
-"""
-
-_LAG2DIAG_CHECKS = """\
-check in_algebra(G1, W)
-check in_algebra(G2, W)
-check in_algebra(G3, W)
-check in_algebra(G4, W)
-check in_algebra(G5, W)
-check in_algebra(G6, W)
-"""
-
-
-def _build_lag2diag(overrides) -> CatalogEntry:
-    doc = parse_spec(_LAG2DIAG_TEXT, overrides)
+def _build_lag2diag(doc: SpecDocument) -> CatalogEntry:
     a = doc.params["alpha"]
-
-    def eig(name):
-        # expected eigenvalue matrices, as functions of n
-        e = {
-            "G1": lambda n: FracMat([[1, 0], [0, 0]]),
-            "G2": lambda n: FracMat([[0, 0], [0, 1]]),
-            "G3": lambda n: FracMat([[-n, 0], [0, 0]]),
-            "G4": lambda n: FracMat([[0, 0], [0, -n]]),
-            "G5": lambda n: FracMat([[0, -1], [0, 0]]),
-            "G6": lambda n: FracMat([[0, 0], [n + a, 0]]),
-        }
-        return e[name]
-
+    # expected eigenvalue matrices, as functions of n
+    eigs = {
+        "G1": lambda n: FracMat([[1, 0], [0, 0]]),
+        "G2": lambda n: FracMat([[0, 0], [0, 1]]),
+        "G3": lambda n: FracMat([[-n, 0], [0, 0]]),
+        "G4": lambda n: FracMat([[0, 0], [0, -n]]),
+        "G5": lambda n: FracMat([[0, -1], [0, 0]]),
+        "G6": lambda n: FracMat([[0, 0], [n + a, 0]]),
+    }
     return CatalogEntry(
         name="LAG2DIAG",
         params=dict(doc.params),
@@ -417,69 +284,39 @@ def _build_lag2diag(overrides) -> CatalogEntry:
         weight_W=doc.weights["W"],
         weight_Wt=None,
         ops=dict(doc.ops),
-        expected={"eigs": {g: eig(g) for g in ("G1", "G2", "G3", "G4", "G5", "G6")}},
+        expected={"eigs": eigs},
         provenance="generator table for the operator algebra of a two-block Laguerre direct sum",
     )
 
 
-_BUILDERS = {
-    "JAC2": _build_jac2,
-    "LAG3": _build_lag3,
-    "GEG2": _build_geg2,
-    "HER3": _build_her3,
-    "LAG2DIAG": _build_lag2diag,
-}
+def _data_text(name: str) -> str:
+    return resources.files(__package__).joinpath("data", f"{name.lower()}.mvop").read_text(encoding="utf-8")
 
-_CHECK_BLOCKS = {
-    "JAC2": _JAC2_CHECKS,
-    "LAG3": _LAG3_CHECKS,
-    "GEG2": _GEG2_CHECKS,
-    "HER3": _HER3_CHECKS,
-    "LAG2DIAG": _LAG2DIAG_CHECKS,
-}
 
-# each entry's stated parameter rules, checked before its template builds
-# weights so that a refusal names the rule, not a template line
-_RULES = {
-    "JAC2": (
-        ("alpha, beta > -1", lambda p: p["alpha"] > -1 and p["beta"] > -1),
-        ("0 < kappa < beta + 1", lambda p: 0 < p["kappa"] < p["beta"] + 1),
-        ("kappa != alpha + 1 (weight degenerates)", lambda p: p["kappa"] != p["alpha"] + 1),
-    ),
-    "LAG3": (
-        ("alpha > -1", lambda p: p["alpha"] > -1),
-        ("nonzero a1, a2", lambda p: p["a1"] != 0 and p["a2"] != 0),
-    ),
-    "GEG2": (("r > 0 and 0 < a < r/2", lambda p: p["r"] > 0 and 0 < p["a"] < p["r"] / 2),),
-    "HER3": (("nonzero a, b", lambda p: p["a"] != 0 and p["b"] != 0),),
-    "LAG2DIAG": (("alpha > 0", lambda p: p["alpha"] > 0),),
-}
-
-_TEXTS = {
-    "JAC2": _JAC2_TEXT,
-    "LAG3": _LAG3_TEXT,
-    "GEG2": _GEG2_TEXT,
-    "HER3": _HER3_TEXT,
-    "LAG2DIAG": _LAG2DIAG_TEXT,
-}
+def _with_params(doc: SpecDocument, text: str) -> SpecDocument:
+    """``text`` parsed after param lines holding the document's values."""
+    return parse_spec("".join(f"param {k} = {v}\n" for k, v in doc.params.items()) + text)
 
 
 def entry(name: str, params: dict | None = None) -> CatalogEntry:
     """The fully populated catalog entry, at default or overridden parameters."""
-    from .dsl import ParseError
-
-    if name not in _BUILDERS:
+    if name not in _ENTRIES:
         raise LookupError(f"unknown catalog entry {name!r}; have {ENTRY_NAMES}")
+    spec = _ENTRIES[name]
     overrides = {k: frac(v) for k, v in (params or {}).items()}
+    lines = _data_text(name).splitlines(True)
+    # the builder computes these operators itself; the file's checks are
+    # structural and not part of the entry
+    skip = ("check ",) + tuple(f"op {k} = " for k in spec.computed)
     try:
-        head = "".join(ln for ln in _TEXTS[name].splitlines(True) if ln.startswith("param "))
+        head = "".join(ln for ln in lines if ln.startswith("param "))
         params = parse_spec(head, overrides).params
-        for rule, holds in _RULES[name]:
+        for rule, holds in spec.rules:
             if not holds(params):
                 raise DomainError(f"{name} requires {rule}")
-        return _BUILDERS[name](overrides)
+        return spec.build(parse_spec("".join(ln for ln in lines if not ln.startswith(skip)), overrides))
     except ParseError as exc:
-        # template text is fixed, so a parse failure is a parameter problem
+        # the data file is fixed, so a parse failure is a parameter problem
         raise DomainError(f"inadmissible parameters for {name}: {exc}") from exc
 
 
@@ -488,24 +325,17 @@ def default_params(name: str) -> dict[str, Fraction]:
 
 
 def entry_document_text(name: str, params: dict | None = None) -> str:
-    """The DSL serialization of an entry: its template with the entry's
-    parameter values, programmatic operators in normal form, and its
-    structural checks. At default parameters this is the data/ file body."""
-    from .dsl import op_str
-
+    """The entry's data file with the entry's parameter values and, in normal
+    form, the operators its builder computes. At default parameters this is
+    the file itself."""
     e = entry(name, params)
-    text = re.sub(
-        r"^param (\w+) = .*$",
-        lambda m: f"param {m[1]} = {e.params[m[1]]}",
-        _TEXTS[name].rstrip() + "\n",
-        flags=re.MULTILINE,
-    )
-    extra = [k for k in e.ops if k not in e.doc.ops]
-    if extra:
-        text += "\n"
-        for k in sorted(extra):
-            text += f"op {k} = {op_str(e.ops[k])}\n"
-    return text + "\n" + _CHECK_BLOCKS[name]
+
+    def render(m):
+        if m[1] == "param":
+            return f"param {m[2]} = {e.params[m[2]]}"
+        return f"op {m[2]} = {op_str(e.ops[m[2]])}" if m[2] in _ENTRIES[name].computed else m[0]
+
+    return re.sub(r"^(param|op) (\w+) = .*$", render, _data_text(name), flags=re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +394,7 @@ def verify_entry(name: str, params: dict | None = None, n_max: int = 8) -> Repor
 def check_entry(e: CatalogEntry, n_max: int = 8) -> Report:
     """Every stated identity of an already admitted entry."""
     rep = Report()
-    if e.name == "JAC2":
-        _verify_jac2(e, rep, n_max)
-    elif e.name == "LAG3":
-        _verify_lag3(e, rep, n_max)
-    elif e.name == "GEG2":
-        _verify_geg2(e, rep, n_max)
-    elif e.name == "HER3":
-        _verify_her3(e, rep, n_max)
-    else:
-        _verify_lag2diag(e, rep, n_max)
+    _ENTRIES[e.name].verify(e, rep, n_max)
     return rep
 
 
@@ -721,3 +542,62 @@ def _verify_lag2diag(e: CatalogEntry, rep: Report, n_max: int):
     for gname in ("G1", "G2", "G3", "G4", "G5", "G6"):
         rel = relation(seq.poly, e.ops[gname], seq.poly, n_max, cs=e.expected["eigs"][gname])
         rep.add(f"{gname} in algebra with the stated eigenvalues", rel.ok, rel.detail)
+
+
+# ---------------------------------------------------------------------------
+# the entries, in catalog order
+
+
+@dataclass(frozen=True)
+class _EntrySpec:
+    """How an entry is built from its data file, admitted and verified."""
+
+    build: Callable[[SpecDocument], CatalogEntry]
+    # stated parameter rules, checked on the file's param lines before any
+    # weight is built, so that a refusal names the rule, not a file line
+    rules: tuple[tuple[str, Callable[[dict], bool]], ...]
+    verify: Callable[[CatalogEntry, Report, int], None]
+    # operators the builder computes; the file stores their normal form at
+    # its own param values only
+    computed: tuple[str, ...] = ()
+
+
+_ENTRIES = {
+    "JAC2": _EntrySpec(
+        _build_jac2,
+        (
+            ("alpha, beta > -1", lambda p: p["alpha"] > -1 and p["beta"] > -1),
+            ("0 < kappa < beta + 1", lambda p: 0 < p["kappa"] < p["beta"] + 1),
+            ("kappa < alpha + 1 (weight positive definite)", lambda p: p["kappa"] < p["alpha"] + 1),
+        ),
+        _verify_jac2,
+        computed=("FD1", "FD2"),
+    ),
+    "LAG3": _EntrySpec(
+        _build_lag3,
+        (
+            ("alpha > -1", lambda p: p["alpha"] > -1),
+            ("nonzero a1, a2", lambda p: p["a1"] != 0 and p["a2"] != 0),
+        ),
+        _verify_lag3,
+        computed=("D",),
+    ),
+    "GEG2": _EntrySpec(
+        _build_geg2,
+        (("r > 0 and 0 < a < r/2", lambda p: p["r"] > 0 and 0 < p["a"] < p["r"] / 2),),
+        _verify_geg2,
+    ),
+    "HER3": _EntrySpec(
+        _build_her3,
+        (("nonzero a, b", lambda p: p["a"] != 0 and p["b"] != 0),),
+        _verify_her3,
+        computed=("D",),
+    ),
+    "LAG2DIAG": _EntrySpec(
+        _build_lag2diag,
+        (("alpha > 0", lambda p: p["alpha"] > 0),),
+        _verify_lag2diag,
+    ),
+}
+
+ENTRY_NAMES = tuple(_ENTRIES)

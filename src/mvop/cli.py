@@ -101,11 +101,20 @@ def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
                 ok = got == opts["expect"]
             return one(ok, detail)
         if kind == "entry":
-            rep = _catalog.verify_entry(vals[0], None, n_max)
-            return _flatten_report(label, kind, rep)
+            return _entry_checks(label, lambda: _catalog.verify_entry(vals[0], None, n_max))
         return one(_STATUS_ERROR, f"unhandled check kind {kind}")
     except Exception as exc:  # engine errors become failed checks
         return one(_STATUS_ERROR, f"{type(exc).__name__}: {exc}")
+
+
+def _entry_checks(label: str, verify) -> list[dict]:
+    """The checks of an entry's report, or one error check carrying the class
+    of the engine error raised while they ran."""
+    t0 = time.monotonic()
+    try:
+        return _flatten_report(label, "entry", verify())
+    except Exception as exc:  # engine errors become failed checks
+        return [_result(label, "entry", _STATUS_ERROR, f"{type(exc).__name__}: {exc}", time.monotonic() - t0)]
 
 
 def _report(checks: list[dict], n_max: int) -> dict:
@@ -229,8 +238,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "entry":
-        rep = _catalog.check_entry(e, args.nmax)
-        report = _report(_flatten_report(f"entry({args.name})", "entry", rep), args.nmax)
+        checks = _entry_checks(f"entry({args.name})", lambda: _catalog.check_entry(e, args.nmax))
+        report = _report(checks, args.nmax)
     else:
         report = run(doc, args.nmax)
     _emit(report, args.format, args.out)

@@ -60,8 +60,9 @@ _CHECK_SIGS = {
     "entry": ("name",),
 }
 
-# the largest exponent, derivative order or horizon a document may ask for
-# (the catalog needs 8), so that no input starts unbounded work
+# the largest exponent, derivative order, horizon or expression nesting a
+# document may ask for (the catalog needs 8), so that no input starts
+# unbounded work or exhausts the parser's stack
 LIMIT = 64
 
 # int options map to their (least, greatest) value, or None when unbounded
@@ -211,6 +212,7 @@ class _Parser:
         self.pos = 0
         self.doc = SpecDocument()
         self.overrides = dict(overrides or {})
+        self.depth = 0
 
     # token helpers
 
@@ -442,6 +444,16 @@ class _Parser:
             else:
                 return acc
 
+    def nested(self, parse, tok):
+        # parentheses and prefix minus signs recurse; bounding their depth
+        # keeps any input off the interpreter's recursion limit
+        if self.depth == LIMIT:
+            self.err(f"expression nested deeper than {LIMIT}", tok)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def poly_factor(self) -> Poly:
         t = self.peek()
         if t.kind == "INT":
@@ -449,11 +461,11 @@ class _Parser:
             base = Poly.const(int(t.text))
         elif t.kind == "SYM" and t.text == "(":
             self.next()
-            base = self.poly_expr()
+            base = self.nested(self.poly_expr, t)
             self.expect("SYM", ")")
         elif t.kind == "SYM" and t.text == "-":
             self.next()
-            return -self.poly_factor()
+            return -self.nested(self.poly_factor, t)
         elif t.kind == "NAME":
             self.next()
             if t.text == "x":

@@ -90,6 +90,15 @@ class TestEntryData:
             entry("JAC2", {"kappa": F(5)})
         assert "line" not in str(exc.value)
 
+    def test_jac2_positivity_rule_named(self):
+        # kappa >= alpha + 1 makes the weight factor indefinite at x = -1; the
+        # stated rules used to miss it, so the refusal named a file line
+        with pytest.raises(
+            DomainError, match=r"JAC2 requires kappa < alpha \+ 1 \(weight positive definite\)"
+        ) as exc:
+            entry("JAC2", {"alpha": F(-1, 2), "beta": F(1, 2), "kappa": F(1)})
+        assert "line" not in str(exc.value)
+
     def test_provenance_present(self):
         for name in ENTRY_NAMES:
             assert entry(name).provenance
@@ -118,12 +127,23 @@ class TestDataFiles:
         assert doc.params == e.params
         assert e.weight_W in doc.weights.values()
 
-    def test_rendered_document_carries_params(self):
-        p = {"alpha": F(1, 3), "a1": F(-2, 3), "a2": F(5, 4)}
-        text = entry_document_text("LAG3", p)
-        assert "param a1 = -2/3" in text
-        report = run(parse_spec(text), n_max=4)
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_rendered_document_carries_params(self, name):
+        # the operators the builder computes are re-rendered at these values,
+        # not copied from the file's normal form at its defaults
+        p = ROBUSTNESS_PARAMS[name][1]
+        text = entry_document_text(name, p)
+        for k, v in p.items():
+            assert f"param {k} = {v}" in text
+        doc = parse_spec(text)
+        assert doc.ops == entry(name, p).ops
+        report = run(doc, n_max=4)
         assert report["ok"], [c["name"] for c in report["checks"] if c["status"] != "pass"]
+
+    def test_data_files_found_from_any_directory(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert entry("GEG2").params == {"r": F(3), "a": F(1)}
+        assert entry_document_text("GEG2") == (DATA_DIR / "geg2.mvop").read_text()
 
 
 class TestVerification:

@@ -180,6 +180,26 @@ class TestMain:
         assert rc == 0 and len(report["checks"]) > 10
         assert sum(c["time_ms"] for c in report["checks"]) <= wall_ms
 
+    def test_entry_engine_error_is_an_error_check(self, monkeypatch, capsys):
+        # an engine error while an entry's checks run used to end the process
+        from mvop import catalog
+        from mvop.exactalg import ShapeError
+
+        def broken_verifier(*args):
+            raise ShapeError("operator sizes differ")
+
+        monkeypatch.setattr(catalog, "verify_in_DW", broken_verifier)
+        rc = main(["entry", "GEG2", "--nmax", "2", "--format", "json"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.err == ""
+        checks = [{k: v for k, v in c.items() if k != "time_ms"} for c in json.loads(out.out)["checks"]]
+        assert checks == [
+            {"name": "entry(GEG2)", "kind": "entry", "status": "error", "detail": "ShapeError: operator sizes differ"}
+        ]
+        # the same check as `mvop verify` reports it
+        report = run(parse_spec("check entry(GEG2)\n"), n_max=2)
+        assert [{k: v for k, v in c.items() if k != "time_ms"} for c in report["checks"]] == checks
+
 
 class TestBadParams:
     """Parameter and admission errors exit 2 with one message line."""
@@ -217,6 +237,12 @@ class TestBadParams:
 
         cmd = ["classify", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--nmax", str(LIMIT + 1)]
         self.assert_usage_error(cmd, capsys, f"--nmax {LIMIT + 1}")
+
+    def test_deep_nesting_refused(self, tmp_path, capsys):
+        # used to end in a RecursionError traceback and exit 1
+        p = tmp_path / "deep.mvop"
+        p.write_text("param a = " + "(" * 400 + "1" + ")" * 400 + "\n")
+        self.assert_usage_error(["verify", str(p)], capsys, "nested deeper than")
 
     def test_unknown_name_in_entry(self):
         with pytest.raises(DomainError, match="kapa"):

@@ -144,6 +144,22 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"{LIMIT + 1} outside 0..{LIMIT}"):
             parse_spec(template.format(n=LIMIT + 1))
 
+    @pytest.mark.parametrize(
+        "nest",
+        [lambda k: "(" * k + "1" + ")" * k, lambda k: "-" * k + "1"],
+        ids=["parentheses", "prefix-minus"],
+    )
+    def test_nesting_beyond_limit_refused(self, nest):
+        # each level recurses in the parser; 400 levels used to raise
+        # RecursionError instead of a ParseError
+        from mvop.dsl import LIMIT
+
+        assert parse_spec(f"param a = 2*{nest(LIMIT)}\n").params == {"a": F(2)}
+        # the refused token is the (LIMIT + 1)-th, after the 12 characters
+        # of "param a = 2*"
+        with pytest.raises(ParseError, match=f"column {13 + LIMIT}: expression nested deeper than {LIMIT}"):
+            parse_spec(f"param a = 2*{nest(LIMIT + 1)}\n")
+
     def test_negative_nmax_refused(self):
         with pytest.raises(ParseError, match="nmax -1"):
             parse_spec("weight w = laguerre(alpha=1/2)\nop T = d^1\ncheck in_algebra(T, w, nmax=-1)\n")
