@@ -27,6 +27,7 @@ from .exactalg import (
     DomainError,
     FracMat,
     MatRF,
+    Matrix,
     NonPolynomialError,
     Poly,
     RatFunc,
@@ -35,134 +36,51 @@ from .exactalg import (
     nonneg_integer_roots,
 )
 
-_P1 = Poly((1,))
-
 
 # ---------------------------------------------------------------------------
 # square matrices of polynomials
 
 
-class MatPoly:
+class MatPoly(Matrix):
     """Square matrix with Poly entries (degree -1 when zero)."""
 
-    __slots__ = ("rows", "_hash")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(_as_p(c) for c in r) for r in rows)
-        n = len(self.rows)
-        if n < 1 or any(len(r) != n for r in self.rows):
-            raise ShapeError("MatPoly must be square, size >= 1")
-        self._hash = None
+    __slots__ = ()
+    _zero = Poly()
+    _scalars = (Poly, int, Fraction)
 
     @staticmethod
-    def identity(n: int) -> "MatPoly":
-        return MatPoly([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(n: int) -> "MatPoly":
-        return MatPoly([[0] * n for _ in range(n)])
+    def _coerce(v) -> Poly:
+        if isinstance(v, Poly):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return Poly.const(v)
+        if isinstance(v, RatFunc):
+            return v.as_poly()
+        raise TypeError(f"cannot coerce {v!r} to Poly")
 
     @staticmethod
     def scalar(p: Poly, n: int) -> "MatPoly":
-        return MatPoly([[p if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i, j) -> Poly:
-        return self.rows[i][j]
+        return MatPoly.diag(*([p] * n))
 
     @property
     def degree(self) -> int:
         return max(c.degree for r in self.rows for c in r)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for r in self.rows for c in r)
-
     def coeff(self, k: int) -> FracMat:
         return FracMat([[c[k] for c in r] for r in self.rows])
-
-    def __eq__(self, other):
-        if not isinstance(other, MatPoly):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
-
-    def __add__(self, other):
-        if self.size != other.size:
-            raise ShapeError("matrix size mismatch")
-        return MatPoly([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatPoly([[-c for c in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, MatPoly):
-            if self.size != other.size:
-                raise ShapeError("matrix size mismatch")
-            bt = list(zip(*other.rows))
-            return MatPoly([[_p_dot(row, col) for col in bt] for row in self.rows])
-        if isinstance(other, (Poly, int, Fraction)):
-            return MatPoly([[c * other for c in r] for r in self.rows])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Poly, int, Fraction)):
-            return MatPoly([[other * c for c in r] for r in self.rows])
-        return NotImplemented
 
     def lmul_const(self, m: FracMat) -> "MatPoly":
         """m . self with a constant matrix on the left."""
         if m.nrows != m.ncols or m.nrows != self.size:
             raise ShapeError("matrix size mismatch")
-        bt = list(zip(*self.rows))
-        return MatPoly(
-            [
-                [sum((a * p for a, p in zip(mrow, col) if a), Poly()) for col in bt]
-                for mrow in m.rows
-            ]
-        )
-
-    def transpose(self) -> "MatPoly":
-        return MatPoly(list(zip(*self.rows)))
+        cols = list(zip(*self.rows))
+        return MatPoly([[self._dot(mrow, col) for col in cols] for mrow in m.rows])
 
     def derivative(self) -> "MatPoly":
         return MatPoly([[c.derivative() for c in r] for r in self.rows])
 
     def to_matrf(self) -> MatRF:
         return MatRF(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
-        return f"MatPoly[{body}]"
-
-
-def _as_p(v):
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
-    if isinstance(v, RatFunc):
-        return v.as_poly()
-    raise TypeError(f"cannot coerce {v!r} to Poly")
-
-
-def _p_dot(row, col):
-    acc = Poly()
-    for a, b in zip(row, col):
-        if a.is_zero or b.is_zero:
-            continue
-        acc = acc + a * b
-    return acc
 
 
 def matrf_to_matpoly(m: MatRF) -> MatPoly:

@@ -62,7 +62,8 @@ _CHECK_SIGS = {
 
 # the largest exponent, derivative order, horizon or expression nesting a
 # document may ask for (the catalog needs 8), so that no input starts
-# unbounded work or exhausts the parser's stack
+# unbounded work or exhausts the parser's stack; a power's degree is bounded
+# by LIMIT and its coefficient bits by LIMIT squared
 LIMIT = 64
 
 # int options map to their (least, greatest) value, or None when unbounded
@@ -476,8 +477,18 @@ class _Parser:
                 self.err(f"unbound name {t.text!r}", t)
         else:
             self.err("expected a polynomial factor", t)
-        if self.accept("SYM", "^"):
-            base = base ** self.small_int("exponent")
+        hat = self.accept("SYM", "^")
+        if hat:
+            k = self.small_int("exponent")
+            # nested powers multiply: bound the result before computing it
+            if base.degree * k > LIMIT:
+                self.err(f"power of degree {base.degree * k} exceeds {LIMIT}", hat)
+            bits = max(
+                (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.coeffs), default=0
+            )
+            if bits * k > LIMIT * LIMIT:
+                self.err(f"power of {bits}-bit coefficients to {k} exceeds {LIMIT * LIMIT} bits", hat)
+            base = base**k
         return base
 
     # checks

@@ -2,17 +2,20 @@
 
 Everything in this module is immutable and pure, and the coefficient field is
 ``fractions.Fraction`` throughout, so every computation downstream is exact.
-Matrices come in two flavours: ``FracMat`` (constant rational entries, used
-for eigenvalues, recursion coefficients and conjugating matrices) and
-``MatRF`` (square, rational-function entries, used for operator
-coefficients). Gaussian elimination is written three times: ``_field_det``
-and ``solve_square`` (which also inverts) work over either field, and
-``nullspace`` works over Fraction; ROADMAP item 2 folds them into one kernel.
+Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
+entries, used for eigenvalues, recursion coefficients and conjugating
+matrices), ``MatRF`` (square, rational-function entries, used for operator
+coefficients) and ``diffop.MatPoly``. All exact linear algebra runs through one
+elimination kernel, ``_eliminate`` (an incremental row echelon form, over
+either field): ``det`` multiplies its pivots, and ``solve_square`` (which also
+inverts) and ``nullspace`` read their results off the reduced form that
+``_reduce`` makes of it by back substitution.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -278,33 +281,54 @@ def poly_str(p: Poly) -> str:
 
 
 def nonneg_integer_roots(p: Poly) -> list[int]:
-    """All nonnegative integer roots of a nonzero polynomial.
+    """All nonnegative integer roots of a nonzero polynomial, by exact root
+    isolation.
 
-    Integer roots of the denominator-cleared polynomial divide its trailing
-    nonzero coefficient; candidates are those divisors plus, as a belt, every
-    integer up to the degree.
+    The Sturm sequence of the square-free part q counts q's distinct real
+    roots in (a, b] as V(a) - V(b), V the number of sign changes. Bisecting
+    (-1, B], B a Cauchy bound, down to unit intervals (k - 1, k] leaves the
+    candidates k, each tested exactly. The work grows with the degree and
+    log B, not with the size of the roots.
     """
     if p.is_zero:
         raise DomainError("zero polynomial has every integer as a root")
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots = set()
-    if low > 0:
-        roots.add(0)
-    a0 = abs(ints[low])
-    candidates = set(range(p.degree + 1))
-    d = 1
-    while d * d <= a0:
-        if a0 % d == 0:
-            candidates.add(d)
-            candidates.add(a0 // d)
-        d += 1
-    for r in sorted(candidates):
-        if r > 0 and p(r) == 0:
-            roots.add(r)
+    q = exact_div(p, poly_gcd(p, p.derivative()))
+    if q.degree < 1:
+        return []
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    # positive rescaling keeps the signs: integer coefficients, exact Horner
+    ints = []
+    for s in chain:
+        scale = math.lcm(*(c.denominator for c in s.coeffs))
+        ints.append([int(c * scale) for c in reversed(s.coeffs)])
+
+    def changes(x):
+        out, last = 0, 0
+        for cs in ints:
+            v = 0
+            for c in cs:
+                v = v * x + c
+            if v:
+                if last and (v > 0) != (last > 0):
+                    out += 1
+                last = v
+        return out
+
+    bound = 1 + math.ceil(max(abs(c) for c in q.coeffs[:-1]) / abs(q.lc))
+    roots, todo = [], [(-1, bound, changes(-1), changes(bound))]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if b - a == 1:
+            if q(b) == 0:
+                roots.append(b)
+            continue
+        m = (a + b) // 2
+        vm = changes(m)
+        for half in ((a, m, va, vm), (m, b, vm, vb)):
+            if half[2] > half[3]:
+                todo.append(half)
     return sorted(roots)
 
 
@@ -475,85 +499,83 @@ def simplify(r: RatFunc) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# generic Gaussian elimination over a field
+# the elimination kernel
 
 
-def _field_det(rows, zero, one):
+def _eliminate(rows, ncols):
+    """Row echelon form by incremental elimination, pivoting in the first
+    ``ncols`` columns only.
+
+    Row operations span the whole row, so columns past ``ncols`` (an augmented
+    right-hand side) are carried along; a row that vanishes on the first
+    ``ncols`` columns is dropped. Each row is reduced only by multiples of the
+    rows kept before it, so it is zero at their pivots and left of its own.
+    Returns the pivot columns and the rows, unscaled. Works over any field
+    whose elements support truth testing and division (Fraction, RatFunc).
+    """
+    pivots, echelon = [], []
+    for row in rows:
+        r = list(row)
+        width = len(r)
+        for p, prow in zip(pivots, echelon):
+            if r[p]:
+                f = r[p] / prow[p]
+                for c in range(p, width):
+                    if prow[c]:
+                        r[c] = r[c] - f * prow[c]
+        lead = next((c for c in range(ncols) if r[c]), None)
+        if lead is not None:
+            pivots.append(lead)
+            echelon.append(r)
+    return pivots, echelon
+
+
+def _reduce(pivots, echelon):
+    """The reduced row echelon form of ``_eliminate``'s output, by back
+    substitution: each row scaled to 1 at its pivot, that column cleared in
+    the rows before it. The rows are changed in place."""
+    for i in range(len(echelon) - 1, -1, -1):
+        p, r = pivots[i], echelon[i]
+        inv = 1 / r[p]
+        r[:] = [c * inv if c else c for c in r]
+        for prow in echelon[:i]:
+            f = prow[p]
+            if f:
+                for c in range(p, len(r)):
+                    if r[c]:
+                        prow[c] = prow[c] - f * r[c]
+    return echelon
+
+
+def _det(rows, zero, one):
+    """Determinant of a square matrix: sign(pivot permutation) times the
+    product of the pivots, or zero when the rank is short. Elimination adds
+    to each row only multiples of earlier rows, which keeps the determinant."""
     n = len(rows)
-    m = [list(r) for r in rows]
+    pivots, echelon = _eliminate(rows, n)
+    if len(pivots) < n:
+        return zero
     det = one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            return zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            f = m[r][col] / pv
-            if f == zero:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return det
+    for p, r in zip(pivots, echelon):
+        det = det * r[p]
+    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return -det if swaps % 2 else det
 
 
 def solve_square(a_rows, b_rows):
-    """Solve A X = B exactly, A square, over any field whose elements support
-    truth testing and division (Fraction, RatFunc). Raises SingularError."""
+    """Solve A X = B exactly, A square, over either field (Fraction,
+    RatFunc), by reducing [A | B]. Raises SingularError."""
     n = len(a_rows)
-    m = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularError("singular linear system")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [e / pv for e in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    pivots, echelon = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)], n)
+    if len(pivots) < n:
+        raise SingularError("singular linear system")
+    return [row[n:] for _, row in sorted(zip(pivots, _reduce(pivots, echelon)))]
 
 
 def nullspace(rows, ncols) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a Fraction matrix, via RREF.
-
-    Rows are reduced incrementally, so redundant rows are cheap.
-    """
-    pivots: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for row in rows:
-        r = list(row)
-        for p, prow in zip(pivots, reduced):
-            if r[p]:
-                f = r[p]
-                for c in range(p, ncols):
-                    r[c] -= f * prow[c]
-        lead = next((c for c in range(ncols) if r[c]), None)
-        if lead is None:
-            continue
-        inv = 1 / r[lead]
-        r = [c * inv for c in r]
-        for p, prow in zip(pivots, reduced):
-            if prow[lead]:
-                f = prow[lead]
-                for c in range(ncols):
-                    prow[c] -= f * r[c]
-        pivots.append(lead)
-        reduced.append(r)
+    """Basis of the right nullspace of a Fraction matrix, read off its RREF."""
+    pivots, echelon = _eliminate(rows, ncols)
+    reduced = _reduce(pivots, echelon)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -568,48 +590,77 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# constant rational matrices
+# matrices
 
 
-class FracMat:
-    """Immutable matrix of Fractions (rectangular)."""
+class Matrix:
+    """Immutable matrix, the shared skeleton of FracMat, MatRF and MatPoly.
+
+    A subclass fixes its entry coercion ``_coerce`` (one call per entry,
+    TypeError when it does not apply), its zero ``_zero``, the scalar types it
+    multiplies by, and whether it must be square. Entries are tested for zero
+    by truth value, so products skip zero terms.
+    """
 
     __slots__ = ("rows", "_hash")
+    _square = True
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(frac(c) for c in r) for r in rows)
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ShapeError("ragged matrix")
+        coerce = self._coerce
+        self.rows = tuple(tuple(coerce(c) for c in r) for r in rows)
         self._hash = None
+        n = len(self.rows)
+        if self._square:
+            if n < 1 or any(len(r) != n for r in self.rows):
+                raise ShapeError(f"{type(self).__name__} must be square, size >= 1")
+        elif n and any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ShapeError("ragged matrix")
 
-    @staticmethod
-    def identity(n: int) -> "FracMat":
-        return FracMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    @classmethod
+    def identity(cls, n: int):
+        return cls.diag(*([1] * n))
 
-    @staticmethod
-    def zeros(n: int, m: int | None = None) -> "FracMat":
-        m = n if m is None else m
-        return FracMat([[0] * m for _ in range(n)])
+    @classmethod
+    def zeros(cls, n: int, m: int | None = None):
+        return cls([[cls._zero] * (n if m is None else m) for _ in range(n)])
+
+    @classmethod
+    def diag(cls, *entries):
+        n = len(entries)
+        return cls([[entries[i] if i == j else cls._zero for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def blockdiag(cls, parts):
+        """The matrix with ``parts`` down the diagonal and zeros elsewhere."""
+        width = sum(p.ncols for p in parts)
+        rows, off = [], 0
+        for p in parts:
+            for r in p.rows:
+                rows.append([cls._zero] * off + list(r) + [cls._zero] * (width - off - len(r)))
+            off += p.ncols
+        return cls(rows)
 
     @property
-    def nrows(self):
+    def nrows(self) -> int:
         return len(self.rows)
 
     @property
-    def ncols(self):
+    def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i, j) -> Fraction:
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def entry(self, i, j):
         return self.rows[i][j]
 
     @property
     def is_zero(self) -> bool:
-        return all(not c for r in self.rows for c in r)
+        return not any(c for r in self.rows for c in r)
 
     def __eq__(self, other):
-        if not isinstance(other, FracMat):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.rows == other.rows
 
@@ -618,138 +669,95 @@ class FracMat:
             self._hash = hash(self.rows)
         return self._hash
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeError("matrix size mismatch")
-        return FracMat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return type(self)([[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return FracMat([[-c for c in r] for r in self.rows])
+        return type(self)([[-c for c in r] for r in self.rows])
+
+    def _dot(self, row, col):
+        acc = self._zero
+        for a, b in zip(row, col):
+            if a and b:
+                acc = acc + a * b
+        return acc
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FracMat([[c * other for c in r] for r in self.rows])
-        if not isinstance(other, FracMat):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ShapeError("matrix size mismatch")
-        bt = list(zip(*other.rows))
-        return FracMat([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
+        if isinstance(other, type(self)):
+            if self.ncols != other.nrows:
+                raise ShapeError("matrix size mismatch")
+            cols = list(zip(*other.rows))
+            dot = self._dot
+            return type(self)([[dot(row, col) for col in cols] for row in self.rows])
+        if isinstance(other, self._scalars):
+            s = self._coerce(other)
+            return type(self)([[c * s for c in r] for r in self.rows])
         return NotImplemented
 
-    def transpose(self) -> "FracMat":
-        return FracMat(list(zip(*self.rows)))
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            s = self._coerce(other)
+            return type(self)([[s * c for c in r] for r in self.rows])
+        return NotImplemented
+
+    def transpose(self):
+        return type(self)(list(zip(*self.rows)))
+
+    def __repr__(self):
+        body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
+        return f"{type(self).__name__}[{body}]"
+
+
+class FracMat(Matrix):
+    """Immutable matrix of Fractions (rectangular)."""
+
+    __slots__ = ()
+    _square = False
+    _zero = _F0
+    _scalars = (int, Fraction)
+    _coerce = staticmethod(frac)
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a nonsquare matrix")
-        return _field_det(self.rows, _F0, _F1)
+        return _det(self.rows, _F0, _F1)
 
     def inv(self) -> "FracMat":
         if self.nrows != self.ncols:
             raise ShapeError("inverse of a nonsquare matrix")
         return FracMat(solve_square(self.rows, FracMat.identity(self.nrows).rows))
 
-    def __repr__(self):
-        body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
-        return f"FracMat[{body}]"
 
-
-# ---------------------------------------------------------------------------
-# square matrices of rational functions
-
-
-class MatRF:
+class MatRF(Matrix):
     """Square matrix with RatFunc entries."""
 
-    __slots__ = ("rows", "_hash")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(_coerce_rf(c) for c in r) for r in rows)
-        n = len(self.rows)
-        if n < 1 or any(len(r) != n for r in self.rows):
-            raise ShapeError("MatRF must be square, size >= 1")
-        self._hash = None
+    __slots__ = ()
+    _zero = _RF0
+    _scalars = (RatFunc, Poly, int, Fraction)
 
     @staticmethod
-    def identity(n: int) -> "MatRF":
-        return MatRF([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(n: int) -> "MatRF":
-        return MatRF([[0] * n for _ in range(n)])
-
-    @staticmethod
-    def diag(*entries) -> "MatRF":
-        n = len(entries)
-        return MatRF([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i, j) -> RatFunc:
-        return self.rows[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for r in self.rows for c in r)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatRF):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
-
-    def __add__(self, other):
-        if self.size != other.size:
-            raise ShapeError("matrix size mismatch")
-        return MatRF([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatRF([[-c for c in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, MatRF):
-            if self.size != other.size:
-                raise ShapeError("matrix size mismatch")
-            bt = list(zip(*other.rows))
-            return MatRF(
-                [[_rf_dot(row, col) for col in bt] for row in self.rows]
-            )
-        scal = _as_ratfunc(other)
-        if scal is None:
-            return NotImplemented
-        return MatRF([[c * scal for c in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        scal = _as_ratfunc(other)
-        if scal is None:
-            return NotImplemented
-        return MatRF([[scal * c for c in r] for r in self.rows])
-
-    def transpose(self) -> "MatRF":
-        return MatRF(list(zip(*self.rows)))
+    def _coerce(v) -> RatFunc:
+        if isinstance(v, RatFunc):
+            return v
+        if isinstance(v, (Poly, int, Fraction)):
+            return RatFunc(v)
+        raise TypeError(f"cannot coerce {v!r} to RatFunc")
 
     def derivative(self) -> "MatRF":
         return MatRF([[c.derivative() for c in r] for r in self.rows])
 
     def det(self) -> RatFunc:
-        return _field_det(self.rows, _RF0, _RF1)
+        return _det(self.rows, _RF0, _RF1)
 
     def inverse(self) -> "MatRF":
         return MatRF(solve_square(self.rows, MatRF.identity(self.size).rows))
@@ -763,23 +771,3 @@ class MatRF:
 
     def eval(self, x) -> FracMat:
         return FracMat([[c(x) for c in r] for r in self.rows])
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
-        return f"MatRF[{body}]"
-
-
-def _coerce_rf(v):
-    r = _as_ratfunc(v)
-    if r is None:
-        raise TypeError(f"cannot coerce {v!r} to RatFunc")
-    return r
-
-
-def _rf_dot(row, col):
-    acc = _RF0
-    for a, b in zip(row, col):
-        if a.is_zero or b.is_zero:
-            continue
-        acc = acc + a * b
-    return acc

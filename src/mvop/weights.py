@@ -388,16 +388,8 @@ class Weight:
             ):
                 raise NonPolynomialError("Jacobi parameters differ by a non-integer")
             base = Jacobi(amin, bmin)
-        total = self.size
-        rows = [[RatFunc(Poly()) for _ in range(total)] for _ in range(total)]
-        off = 0
-        for part in parts:
-            ratio = density_ratio(part.family, base)
-            for r in range(part.size):
-                for c in range(part.size):
-                    rows[off + r][off + c] = part.M.entry(r, c) * ratio
-            off += part.size
-        self._atomic = (base, MatRF(rows))
+        blocks = [part.M * density_ratio(part.family, base) for part in parts]
+        self._atomic = (base, MatRF.blockdiag(blocks))
         return self._atomic
 
     def sigma(self) -> RatFunc:
@@ -480,9 +472,9 @@ class OPSequence:
     def _extend_blocks(self, k: int):
         parts = [child.poly(k) for child in self._children]
         recs = [child.recursion_pair(k) for child in self._children]
-        self._polys.append(_blockdiag_poly(parts))
-        self._B.append(_blockdiag_frac([r[0] for r in recs]))
-        self._C.append(_blockdiag_frac([r[1] for r in recs]))
+        self._polys.append(MatPoly.blockdiag(parts))
+        self._B.append(FracMat.blockdiag([r[0] for r in recs]))
+        self._C.append(FracMat.blockdiag([r[1] for r in recs]))
 
     def _step(self, k: int):
         """Append P_{k+1}, B_k and C_k."""
@@ -507,30 +499,6 @@ class OPSequence:
         self._polys.append(nxt)
         self._B.append(bk)
         self._C.append(ck)
-
-
-def _blockdiag_poly(parts: list[MatPoly]) -> MatPoly:
-    total = sum(p.size for p in parts)
-    rows = [[Poly() for _ in range(total)] for _ in range(total)]
-    off = 0
-    for p in parts:
-        for r in range(p.size):
-            for c in range(p.size):
-                rows[off + r][off + c] = p.entry(r, c)
-        off += p.size
-    return MatPoly(rows)
-
-
-def _blockdiag_frac(parts: list[FracMat]) -> FracMat:
-    total = sum(p.nrows for p in parts)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    off = 0
-    for p in parts:
-        for r in range(p.nrows):
-            for c in range(p.ncols):
-                rows[off + r][off + c] = p.entry(r, c)
-        off += p.nrows
-    return FracMat(rows)
 
 
 _SEQUENCE_CACHE: dict[Weight, OPSequence] = {}

@@ -268,6 +268,17 @@ class TestDegreePreserving:
                     assert pn.coeff(n).det() != 0
 
 
+    def test_huge_symbol_determinant_decided(self):
+        # the symbol determinant of HER3's N at these parameters has a
+        # cleared constant term near 8.5e17: trial division up to its square
+        # root did not finish in 30 s, exact root isolation takes milliseconds
+        from mvop.catalog import entry
+
+        e = entry("HER3", {"a": F(17, 6), "b": F(-5, 6)})
+        rep = degree_preserving(e.ops["N"])
+        assert rep.ok and rep.symbol_det.degree == 6
+
+
 class TestAssembly:
     def test_block_antidiagonal_layout(self):
         b = block_antidiagonal(lag_v(), lag_n())

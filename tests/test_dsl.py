@@ -1,14 +1,19 @@
 """DSL parsing, printing, and round-trips."""
 
+import re
+import time
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvop.exactalg import MatRF, Poly, RatFunc, X
 from mvop.diffop import DiffOp, MatPoly
 from mvop.weights import Jacobi, Laguerre, Weight
 from mvop.dsl import (
     ParseError,
+    SpecDocument,
     op_scalar_str,
     op_str,
     parse_spec,
@@ -160,6 +165,27 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"column {13 + LIMIT}: expression nested deeper than {LIMIT}"):
             parse_spec(f"param a = 2*{nest(LIMIT + 1)}\n")
 
+    @pytest.mark.parametrize("text", ["(x^8)^8", "(2^64)^63", "((x + 1)^8)^8", "(1/3)^64"])
+    def test_bounded_powers_accepted(self, text):
+        parse_spec(f"op T = d^1*[{text}]\n")
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("(x^8)^9", "power of degree 72 exceeds 64", 18),
+            ("((x + 1)^64)^64", "power of degree 4096 exceeds 64", 25),
+            ("((2^64)^64)^64", "power of 65-bit coefficients to 64 exceeds 4096 bits", 20),
+            ("(((2^64)^64)^64)^16", "power of 65-bit coefficients to 64 exceeds 4096 bits", 21),
+        ],
+    )
+    def test_nested_powers_refused(self, text, message, col):
+        # nested powers multiply degrees and coefficient sizes; the bound is
+        # checked at the refused '^' before the power is computed
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"column {col}: {message}"):
+            parse_spec(f"op T = d^1*[{text}]\n")
+        assert time.perf_counter() - start < 1
+
     def test_negative_nmax_refused(self):
         with pytest.raises(ParseError, match="nmax -1"):
             parse_spec("weight w = laguerre(alpha=1/2)\nop T = d^1\ncheck in_algebra(T, w, nmax=-1)\n")
@@ -252,3 +278,45 @@ class TestPrinting:
             assert doc.ops["T"] == op
 
         inner()
+
+
+# every token kind of the grammar, names it gives meaning to, and characters
+# the lexer refuses
+_TOKENS = (
+    "param", "weight", "op", "check", "dsum", "hermite", "laguerre", "jacobi", "x", "d",
+    "true", "false", "a", "w", "W", "T", "V", "alpha", "beta", "b", "kappa", "in_algebra",
+    "symmetric", "darboux", "intertwine", "search", "decompose", "classify", "entry", "JAC2",
+    "order", "slack", "horizon", "nmax", "dim", "expect", "0", "1", "2", "3", "7", "64", "65",
+    "99999999999", *"=+-*/^()[],;", "\n", "#", "@", ".",
+)
+_DATA = [f.read_text() for f in (resources.files("mvop") / "data").iterdir() if f.name.endswith(".mvop")]
+
+
+def _parses_or_refuses(text):
+    try:
+        doc = parse_spec(text)
+    except ParseError:
+        return
+    assert isinstance(doc, SpecDocument)
+
+
+class TestFuzz:
+    """Any text is a document or a ParseError, never another exception."""
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join))
+    @settings(max_examples=150, deadline=None)
+    def test_token_strings(self, text):
+        _parses_or_refuses(text)
+
+    @given(
+        st.sampled_from(_DATA),
+        st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_TOKENS)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_data_files(self, text, edits):
+        # tokens sit at the odd indices of the split, whitespace between them
+        pieces = re.split(r"(\w+|[^\w\s])", text)
+        ntok = len(pieces) // 2
+        for at, tok in edits:
+            pieces[2 * (at % ntok) + 1] = tok
+        _parses_or_refuses("".join(pieces))

@@ -10,6 +10,7 @@ from mvop.exactalg import (
     DomainError,
     FracMat,
     MatRF,
+    NonPolynomialError,
     Poly,
     RatFunc,
     ShapeError,
@@ -79,6 +80,34 @@ class TestPoly:
         p = (X - 2) * (X + 3) * X
         assert nonneg_integer_roots(p) == [0, 2]
         assert nonneg_integer_roots(X**2 + Poly.const(1)) == []
+        # a0 is about 3e30: trial division up to its square root would take
+        # about 1.7e15 steps
+        big = 10**15
+        p = (X - big) * (X - (big + 2)) * (X**2 + 3)
+        assert nonneg_integer_roots(p) == [big, big + 2]
+        assert nonneg_integer_roots(X**2 + Poly.const(10**30 + 1)) == []
+        assert nonneg_integer_roots(F(1, 3) * (X - big) ** 2 * (3 * X - 1)) == [big]
+
+    @given(
+        st.lists(st.integers(-50, 10**12), max_size=4),
+        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), max_size=2),
+        st.lists(st.integers(1, 10**6), max_size=2),
+        st.integers(1, 3),
+        st.sampled_from([F(1), F(-2), F(3, 5)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_roots_found_exactly(self, ints, rats, quads, mult, lead):
+        # a product of chosen linear factors (repeated), rational roots and
+        # quadratics x^2 + c without real roots
+        p = Poly.const(lead)
+        for r in ints:
+            p = p * (X - r) ** mult
+        for r in rats:
+            p = p * (X - r)
+        for c in quads:
+            p = p * (X**2 + c)
+        expected = sorted({r for r in ints if r >= 0} | {int(r) for r in rats if r >= 0 and r.denominator == 1})
+        assert nonneg_integer_roots(p) == expected
 
 
 class TestRatFunc:
@@ -163,6 +192,44 @@ class TestMatRF:
             assert m * m.inverse() == MatRF.identity(n)
 
 
+class TestMatrixBase:
+    def test_blockdiag(self):
+        a, b = FracMat([[1, 2], [3, 4]]), FracMat([[5, 6, 7]])
+        assert FracMat.blockdiag([a, b]) == FracMat(
+            [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 5, 6, 7]]
+        )
+        m = MatRF.blockdiag([MatRF([[X]]), MatRF.identity(2)])
+        assert m == MatRF.diag(X, 1, 1)
+
+    def test_coercion_and_shape_errors(self):
+        from mvop.diffop import MatPoly
+
+        with pytest.raises(TypeError):
+            MatRF([["x"]])
+        with pytest.raises(TypeError):
+            MatPoly([[1.5]])
+        with pytest.raises(NonPolynomialError):
+            MatPoly([[RatFunc(Poly((1,)), X)]])
+        with pytest.raises(ShapeError):
+            FracMat([[1, 2], [3]])
+        with pytest.raises(ShapeError):
+            FracMat([[1, 2]]) * FracMat([[1, 2]])
+        with pytest.raises(ShapeError):
+            MatPoly.identity(2) + MatPoly.identity(3)
+
+    def test_products_and_scalars(self):
+        from mvop.diffop import MatPoly
+
+        m = FracMat([[1, 2, 3]])
+        assert m * m.transpose() == FracMat([[14]])
+        assert 2 * m == m * F(2) == m + m
+        p = MatPoly([[X, 1], [0, X]])
+        assert X * p == p * X == MatPoly([[X**2, X], [0, X**2]])
+        assert (p - p).is_zero and -p + p == MatPoly.zeros(2)
+        inv_x = RatFunc(Poly((1,)), X)
+        assert MatRF.identity(2) * inv_x == MatRF.diag(inv_x, inv_x)
+
+
 class TestLinearAlgebra:
     def test_nullspace_simple(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
@@ -181,6 +248,10 @@ class TestLinearAlgebra:
 entries = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 square_rows = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+# wider and taller than square, like the 252 x 81 LAG3 search system
+rect_rows = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.lists(st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0])
 )
 
 
@@ -220,15 +291,84 @@ class TestAgainstSympy:
         else:
             assert solve_square(rows, rhs) == _from_sympy(ref.solve(_to_sympy(rhs)))
 
-    @given(square_rows)
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(square_rows, rect_rows))
+    @settings(max_examples=120, deadline=None)
     def test_nullspace_span_and_dimension(self, rows):
         sympy = pytest.importorskip("sympy")
         a = _to_sympy(rows)
         ref = a.nullspace()
-        basis = nullspace(rows, len(rows))
+        basis = nullspace(rows, len(rows[0]))
         assert len(basis) == len(ref)
         if basis:
             ours = _to_sympy(basis).T
             assert (a * ours).is_zero_matrix and ours.rank() == len(basis)
             assert sympy.Matrix.hstack(ours, *ref).rank() == len(ref)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matrf_det_and_inverse(self, n, data):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        small = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+        rows = [[data.draw(small) for _ in range(n)] for _ in range(n)]
+        ref = sympy.Matrix([[_sympy_poly(p, x).as_expr() for p in r] for r in rows])
+        det = ref.det()
+        ours = MatRF(rows)
+        assert _parts(ours.det()) == _canonical(det, x)
+        if sympy.expand(det) == 0:
+            with pytest.raises(SingularError):
+                ours.inverse()
+        else:
+            inv, ref_inv = ours.inverse(), ref.inv()
+            for i in range(n):
+                for j in range(n):
+                    assert _parts(inv.entry(i, j)) == _canonical(ref_inv[i, j], x)
+
+    @given(polys, nonzero_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_poly_product_division_and_gcd(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        from mvop.exactalg import poly_divmod
+
+        x = sympy.Symbol("x")
+        sa, sb = _sympy_poly(a, x), _sympy_poly(b, x)
+        assert (a * b).coeffs == _coeffs(sa * sb)
+        q, r = poly_divmod(a, b)
+        sq, sr = sympy.div(sa, sb)
+        assert (q.coeffs, r.coeffs) == (_coeffs(sq), _coeffs(sr))
+        assert poly_gcd(a, b).coeffs == _coeffs(sympy.gcd(sa, sb).monic())
+
+    @given(polys, nonzero_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_ratfunc_canonical_form(self, num, den):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        expr = _sympy_poly(num, x).as_expr() / _sympy_poly(den, x).as_expr()
+        assert _parts(RatFunc(num, den)) == _canonical(expr, x)
+
+
+def _sympy_poly(p, x):
+    sympy = pytest.importorskip("sympy")
+    terms = [sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs)]
+    return sympy.Poly(sum(terms, sympy.Integer(0)), x, domain=sympy.QQ)
+
+
+def _coeffs(sp):
+    # low degree first, trailing zeros dropped, as Poly.coeffs
+    cs = [F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _parts(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+def _canonical(expr, x):
+    """sympy's reduced numerator and denominator, scaled to a monic denominator."""
+    sympy = pytest.importorskip("sympy")
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    num, den = sympy.Poly(num, x, domain=sympy.QQ), sympy.Poly(den, x, domain=sympy.QQ)
+    lc = den.LC()
+    return _coeffs(num.quo_ground(lc)), _coeffs(den.quo_ground(lc))
