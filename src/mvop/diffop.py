@@ -34,6 +34,7 @@ from .exactalg import (
     ShapeError,
     frac,
     nonneg_integer_roots,
+    poly_dot,
 )
 
 
@@ -69,12 +70,14 @@ class MatPoly(Matrix):
     def coeff(self, k: int) -> FracMat:
         return FracMat([[c[k] for c in r] for r in self.rows])
 
+    def _dot(self, row, col):
+        return poly_dot(zip(row, col))
+
     def lmul_const(self, m: FracMat) -> "MatPoly":
         """m . self with a constant matrix on the left."""
         if m.nrows != m.ncols or m.nrows != self.size:
             raise ShapeError("matrix size mismatch")
-        cols = list(zip(*self.rows))
-        return MatPoly([[self._dot(mrow, col) for col in cols] for mrow in m.rows])
+        return MatPoly([[Poly.const(c) for c in r] for r in m.rows]) * self
 
     def derivative(self) -> "MatPoly":
         return MatPoly([[c.derivative() for c in r] for r in self.rows])
@@ -220,14 +223,17 @@ def apply(p: MatPoly, d: DiffOp):
         raise ShapeError("size mismatch in apply")
     polys = d.poly_coeffs()
     if polys is not None:
-        acc = MatPoly.zeros(p.size)
-        der = p
+        # cell (r, c) is one dot product over every pair (P^(j)[r][k], F_j[k][c])
+        terms, der = [], p
         for j, f in enumerate(polys):
             if j:
                 der = der.derivative()
             if not f.is_zero:
-                acc = acc + der * f
-        return acc
+                terms.append((der.rows, list(zip(*f.rows))))
+        cells = range(p.size)
+        return MatPoly(
+            [[poly_dot(t for rows, cols in terms for t in zip(rows[r], cols[c])) for c in cells] for r in cells]
+        )
     acc = MatRF.zeros(p.size)
     der = p
     for j, f in enumerate(d.coeffs):

@@ -9,7 +9,10 @@ coefficients) and ``diffop.MatPoly``. All exact linear algebra runs through one
 elimination kernel, ``_eliminate`` (an incremental row echelon form, over
 either field): ``det`` multiplies its pivots, and ``solve_square`` (which also
 inverts) and ``nullspace`` read their results off the reduced form that
-``_reduce`` makes of it by back substitution.
+``_reduce`` makes of it by back substitution. All polynomial products run
+through one integer kernel, ``poly_dot`` (a sum of products by Kronecker
+substitution over a common denominator): ``Poly`` products, ``MatPoly``
+products and the right action ``diffop.apply``.
 """
 
 from __future__ import annotations
@@ -48,11 +51,14 @@ class DecompositionError(DomainError):
 
 
 def frac(value, den=None) -> Fraction:
-    """Coerce to Fraction. Accepts int, Fraction, float-free strings like '3/2'."""
+    """Coerce to Fraction. Accepts int, Fraction and strings like '3/2'; a
+    float is inexact and raises TypeError."""
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; pass an int, a Fraction or a string like '3/2'")
     return Fraction(value)
 
 
@@ -70,14 +76,15 @@ class Poly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_ints")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else frac(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
         self._hash = None
+        self._ints = None
 
     # -- construction helpers
 
@@ -164,16 +171,7 @@ class Poly:
             return Poly(tuple(c * a for a in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _P0
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        return poly_dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -215,6 +213,62 @@ class Poly:
 _P0 = Poly()
 _P1 = Poly((1,))
 X = Poly((0, 1))
+
+
+def _int_form(p: Poly):
+    """(numerators over the lcm of p's denominators, that lcm, their largest
+    bit length), computed once per Poly."""
+    if p._ints is None:
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        ints = tuple(c.numerator * (den // c.denominator) for c in p.coeffs)
+        p._ints = (ints, den, max(abs(v) for v in ints).bit_length())
+    return p._ints
+
+
+def _pack(ints, w):
+    v = 0
+    for c in reversed(ints):
+        v = (v << w) + c
+    return v
+
+
+def _unpack(v, w, count):
+    """The digits c_k of v = sum c_k 2^(w k), each in [-2^(w-1), 2^(w-1))."""
+    mask, half, out = (1 << w) - 1, 1 << (w - 1), []
+    for _ in range(count):
+        c = v & mask
+        v >>= w
+        if c >= half:  # a negative digit borrows one from the next
+            c -= 1 << w
+            v += 1
+        out.append(c)
+    return out
+
+
+def poly_dot(pairs) -> Poly:
+    """Sum of a * b over (Poly, Poly) pairs, the one polynomial-product loop.
+
+    Kronecker substitution: over the common denominator L of all products,
+    each polynomial's integer numerators are packed as the digits of one
+    integer in base 2^w, the packed pairs are multiplied as Python ints,
+    scaled to L and summed, and the sum is unpacked once. The width w leaves
+    room for the scale, both operands, the terms of one coefficient, the
+    number of pairs and a sign, so digits never overlap.
+    """
+    forms = [(_int_form(a), _int_form(b)) for a, b in pairs if a.coeffs and b.coeffs]
+    if not forms:
+        return _P0
+    den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
+    scales = [den // (fa[1] * fb[1]) for fa, fb in forms]
+    w = len(forms).bit_length() + 1 + max(
+        s.bit_length() + fa[2] + fb[2] + min(len(fa[0]), len(fb[0])).bit_length()
+        for s, (fa, fb) in zip(scales, forms)
+    )
+    acc = 0
+    for s, (fa, fb) in zip(scales, forms):
+        acc += s * _pack(fa[0], w) * _pack(fb[0], w)
+    count = max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
+    return Poly([Fraction(c, den) for c in _unpack(acc, w, count)])
 
 
 def _as_poly(v):
@@ -351,7 +405,8 @@ class RatFunc:
         if num.is_zero:
             den = _P1
         elif den.degree == 0:
-            num = num * (1 / den.lc)
+            if den.lc != 1:
+                num = num * (1 / den.lc)
             den = _P1
         else:
             g = poly_gcd(num, den)

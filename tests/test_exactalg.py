@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvop.diffop import DiffOp, MatPoly, apply
 from mvop.exactalg import (
     DivisionError,
     DomainError,
@@ -16,9 +17,13 @@ from mvop.exactalg import (
     ShapeError,
     SingularError,
     X,
+    _pack,
+    _unpack,
     exact_div,
+    frac,
     nonneg_integer_roots,
     nullspace,
+    poly_dot,
     poly_gcd,
     poly_str,
     simplify,
@@ -372,3 +377,131 @@ def _canonical(expr, x):
     num, den = sympy.Poly(num, x, domain=sympy.QQ), sympy.Poly(den, x, domain=sympy.QQ)
     lc = den.LC()
     return _coeffs(num.quo_ground(lc)), _coeffs(den.quo_ground(lc))
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel against Fraction schoolbook oracles
+
+
+def _schoolbook(pairs):
+    out = {}
+    for a, b in pairs:
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                out[i + j] = out.get(i + j, F(0)) + x * y
+    return Poly([out.get(k, F(0)) for k in range(max(out, default=-1) + 1)])
+
+
+def _matmul(p, q):
+    cols = list(zip(*q.rows))
+    return MatPoly([[_schoolbook(zip(row, col)) for col in cols] for row in p.rows])
+
+
+def _apply_per_j(p, d):
+    """The right action as one full matrix product per d-power, summed."""
+    acc, der = MatPoly.zeros(p.size), p
+    for j, f in enumerate(d.poly_coeffs()):
+        if j:
+            der = der.derivative()
+        if not f.is_zero:
+            acc = acc + _matmul(der, f)
+    return acc
+
+
+big_fractions = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 10**6))
+big_polys = st.lists(big_fractions, max_size=21).map(Poly)
+small_big_polys = st.lists(big_fractions, max_size=4).map(Poly)
+
+
+def _matpolys(n):
+    return st.lists(small_big_polys, min_size=n * n, max_size=n * n).map(
+        lambda cs: MatPoly([cs[r * n : (r + 1) * n] for r in range(n)])
+    )
+
+
+class TestProductKernel:
+    @given(st.lists(st.tuples(big_polys, big_polys), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_poly_dot_matches_schoolbook(self, pairs):
+        assert poly_dot(pairs) == _schoolbook(pairs)
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_schoolbook(self, a, b):
+        assert a * b == b * a == _schoolbook([(a, b)])
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_matpolys(n), _matpolys(n))))
+    @settings(max_examples=30, deadline=None)
+    def test_matpoly_product_matches_schoolbook(self, pq):
+        p, q = pq
+        assert p * q == _matmul(p, q)
+        c = p.coeff(0)
+        assert q.lmul_const(c) == _matmul(MatPoly([[Poly.const(v) for v in r] for r in c.rows]), q)
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(_matpolys(n), st.lists(_matpolys(n), max_size=4))))
+    @settings(max_examples=30, deadline=None)
+    def test_apply_matches_per_power_sum(self, args):
+        p, fs = args
+        d = DiffOp.from_matrices(p.size, fs)
+        assert apply(p, d) == _apply_per_j(p, d)
+
+    def test_sum_cancels_to_zero(self):
+        a, b = Poly((F(1, 3), -7, F(2**90, 11))), Poly((5, F(-1, 2)))
+        assert poly_dot([(a, b), (-a, b)]) == Poly()
+        assert poly_dot([(a, b), (b, -a)]).is_zero
+        assert poly_dot([]) == poly_dot([(Poly(), a)]) == Poly()
+
+    def test_leading_cancellation_trims_degree(self):
+        got = poly_dot([(X**2 + 1, X + 1), (X**2, -X)])
+        assert got == X**2 + X + 1 and got.degree == 2
+        assert (X + 1) * (X - 1) - X * X == Poly.const(-1)
+
+    def test_all_negative_coefficients_borrow_through(self):
+        a = Poly([-(2**100 + k) for k in range(20)])
+        b = Poly([F(k + 1, 3) for k in range(20)])
+        got = poly_dot([(a, b), (a, a)])
+        assert got == _schoolbook([(a, b), (a, a)])
+        assert all(c < 0 for c in (a * b).coeffs)
+
+    def test_digits_at_the_ends_of_the_signed_range(self):
+        w = 13
+        digits = [-(2 ** (w - 1)), 2 ** (w - 1) - 1, -1, 0, -(2 ** (w - 1)), 1, -(2 ** (w - 1))]
+        assert _unpack(_pack(digits, w), w, len(digits)) == digits
+        assert _unpack(_pack([-1] * 9, w), w, 9) == [-1] * 9
+
+    def test_width_bound_is_tight(self):
+        # numerator sums of 1253 * (2^61 - 1)^2 sit within a factor 2 of the
+        # packed digit range: three pairs, scales 60, 56, 63 to L = 2520,
+        # seven terms per coefficient, all at the largest magnitude
+        m = 2**61 - 1
+        for sign in (1, -1):
+            pairs = [(Poly([F(sign * m, d)] * 7), Poly([m] * 7)) for d in (42, 45, 40)]
+            got = poly_dot(pairs)
+            assert got == _schoolbook(pairs)
+            assert got[6] == sign * F(1253 * m * m, 2520)
+
+    def test_reused_poly_keeps_its_integer_form(self):
+        p = Poly((F(1, 2), F(-3, 4), F(2**70, 9)))
+        before = p.coeffs
+        for q in (p, X - 1, Poly((F(5, 6),)), p * p):
+            assert p * q == _schoolbook([(p, q)])
+            assert poly_dot([(p, q), (q, p)]) == _schoolbook([(p, q), (q, p)])
+        assert p.coeffs == before
+        assert p._ints == ((18, -27, 2**72), 36, 73)
+
+
+class TestExactCoercion:
+    def test_frac_refuses_float(self):
+        with pytest.raises(TypeError, match="0.1"):
+            frac(0.1)
+        assert frac(3) == 3 and frac(F(1, 2)) == F(1, 2) and frac("3/2") == F(3, 2)
+
+    def test_poly_refuses_float(self):
+        with pytest.raises(TypeError, match="0.1"):
+            Poly((1, 0.1))
+        assert Poly((1, "3/2", F(1, 2))).coeffs == (1, F(3, 2), F(1, 2))
+
+    def test_fracmat_refuses_float(self):
+        with pytest.raises(TypeError, match="0.5"):
+            FracMat([[0.5]])
+        assert FracMat([["1/2"]]) == FracMat([[F(1, 2)]])
