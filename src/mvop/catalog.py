@@ -2,15 +2,15 @@
 end-to-end verification of every stated identity.
 
 Each entry's only text is its DSL document under data/, read with the
-package: its weights, its first-order data and its structural checks.
-Higher-order operators that are naturally written as polynomials in the
-classical second-order operators are computed here from those; the file
-stores their normal form at its own param values, which the builder ignores
-and ``entry_document_text`` re-renders. Python keeps only those closed forms,
-the stated parameter rules, the verbatim readings and the provenance. Where a
-printed source token is visibly corrupt the entry keeps both readings: the
-emended operator is primary and the verbatim one is re-checked and reported,
-so source typos and engine bugs stay distinguishable.
+package: its weights, its operators and its structural checks. Operators that
+the sources write as polynomials in the classical second-order operators (the
+D of LAG3 and HER3, JAC2's FD1 and FD2) are written so in the file, as DSL
+operator expressions, and hold at any admissible parameters. Python keeps only
+the stated parameter rules, the closed forms the checks compare against, the
+verbatim readings and the provenance. Where a printed source token is visibly
+corrupt the entry keeps both readings: the emended operator is primary and the
+verbatim one is re-checked and reported, so source typos and engine bugs stay
+distinguishable.
 """
 
 from __future__ import annotations
@@ -21,25 +21,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
-from .exactalg import DomainError, FracMat, MatRF, Poly, X, frac
-from .diffop import (
-    DiffOp,
-    MatPoly,
-    apply,
-    compose,
-    diff_cells,
-    embed_scalar,
-    op_power,
-    poly_of_op,
-)
-from .weights import (
-    HermiteShifted,
-    Laguerre,
-    Weight,
-    classical_monic,
-    inner_product,
-    sequence_for,
-)
+from .exactalg import DomainError, FracMat, Poly, X, frac
+from .diffop import DiffOp, MatPoly, apply, compose, diff_cells
+from .weights import Laguerre, Weight, classical_monic, inner_product, sequence_for
 from .dwalgebra import (
     DarbouxCertificate,
     Report,
@@ -53,7 +37,7 @@ from .dwalgebra import (
     symmetry_check,
     verify_in_DW,
 )
-from .dsl import ParseError, SpecDocument, op_str, parse_spec
+from .dsl import ParseError, SpecDocument, parse_spec
 
 
 @dataclass
@@ -69,39 +53,14 @@ class CatalogEntry:
     verbatim_ops: dict[str, DiffOp] = field(default_factory=dict)
 
 
-def _scalar_to_size(t: DiffOp, size: int) -> DiffOp:
-    """A scalar operator acting diagonally: coefficients f_j I."""
-    out = []
-    for c in t.coeffs:
-        e = c.entry(0, 0)
-        out.append(MatRF.diag(*([e] * size)))
-    return DiffOp(size, out)
-
-
 # ---------------------------------------------------------------------------
 # JAC2: irreducible 2x2 Jacobi-type weight from the spherical-pair family,
 # Darboux-related to w_{a+1,b} (+) w_{a+1,b+1}
 
-def _build_jac2(doc: SpecDocument) -> CatalogEntry:
-    a, b, k = doc.params["alpha"], doc.params["beta"], doc.params["kappa"]
-    ops = dict(doc.ops)
-    ident = DiffOp.identity(2)
-    ops["FD1"] = ops["D1"] - ops["D2"] - ((a + b + 2 - k) * (1 + k)) * ident
-    ops["FD2"] = ops["D2"]
-    expected = {
-        # N V = c1 D1 + c2 D2 + c0 I
-        "combo": (-(a + 1 - k), a - 3 * k + 1, (k + 1) * (a + 1 - k) * (a + b - k + 2)),
-    }
-    return CatalogEntry(
-        name="JAC2",
-        params=dict(doc.params),
-        doc=doc,
-        weight_W=doc.weights["w"],
-        weight_Wt=doc.weights["W"],
-        ops=ops,
-        expected=expected,
-        provenance="2x2 Jacobi-type weight from matrix spherical functions on complex projective space",
-    )
+def _jac2_expected(p: dict) -> dict:
+    a, b, k = p["alpha"], p["beta"], p["kappa"]
+    # N V = c1 D1 + c2 D2 + c0 I
+    return {"combo": (-(a + 1 - k), a - 3 * k + 1, (k + 1) * (a + 1 - k) * (a + b - k + 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +76,15 @@ def _build_jac2(doc: SpecDocument) -> CatalogEntry:
 # forms of the images pin the true value a2^2 n(n+alpha)(n+alpha+1) + a1^2 n
 # + 1). The entry's primary reading is the emended one; the literal reading
 # is re-checked and reported, never silently dropped.
-_LAG3_N_VERBATIM = """\
-op N = d^3*[0, 0, a1*a2*x^3; 0, 0, a2*x^2; 0, a2*x, a2^2*x^3] + d^2*[0, 0, a1*a2*x^2*(2*alpha+7); 0, 0, 2*a2*x*(alpha+2); 0, a2*(alpha-3*x+2), 2*a2*x^2*(2*alpha+7)] + d^1*[a1^2*x, a1*x, a1*a2*(alpha+5)*(alpha+2); a1, 0, a2*(alpha+2)*(alpha+1); a1*a2*x, -a2*(2*alpha-3*x+4), a2^2*x*(alpha+5)*(alpha+2)] + [a1^2+1, a1*(alpha+2), a1*a2*(alpha+2)*(alpha+1); 0, 1, 0; a1*a2, a2*(alpha+2), a2^2*(alpha+2)*(alpha+1)]
+_LAG3_PRINTED = """\
+op N_printed = d^3*[0, 0, a1*a2*x^3; 0, 0, a2*x^2; 0, a2*x, a2^2*x^3] + d^2*[0, 0, a1*a2*x^2*(2*alpha+7); 0, 0, 2*a2*x*(alpha+2); 0, a2*(alpha-3*x+2), 2*a2*x^2*(2*alpha+7)] + d^1*[a1^2*x, a1*x, a1*a2*(alpha+5)*(alpha+2); a1, 0, a2*(alpha+2)*(alpha+1); a1*a2*x, -a2*(2*alpha-3*x+4), a2^2*x*(alpha+5)*(alpha+2)] + [a1^2+1, a1*(alpha+2), a1*a2*(alpha+2)*(alpha+1); 0, 1, 0; a1*a2, a2*(alpha+2), a2^2*(alpha+2)*(alpha+1)]
+op D_printed = (a1^2+1 - a1^2*delta(w1))*[1, 0, 0; 0, 0, 0; 0, 0, 0] + (1 - a1^2*delta(w2) - a2^2*delta(w2)*(alpha+1 - delta(w2))*(alpha - delta(w2)))*[0, 0, 0; 0, 1, 0; 0, 0, 0] + a2^2*(1 - delta(w3))*(alpha+2 - delta(w3))*(alpha+1 - delta(w3))*[0, 0, 0; 0, 0, 0; 0, 0, 1] + a1*a2*(alpha+2 + d^1*x)*(alpha+1 + d^1*x)*(1 - delta(w3))*[0, 0, 1; 0, 0, 0; 0, 0, 0] + a1*a2*(d^1 - 1)^2*(1 - delta(w1))*[0, 0, 0; 0, 0, 0; 1, 0, 0]
 """
 
 
-def _lag3_D(a: Fraction, a1: Fraction, a2: Fraction, emended: bool = True) -> DiffOp:
-    d0 = Laguerre(a).delta()
-    d1 = Laguerre(a + 1).delta()
-    d2 = Laguerre(a + 2).delta()
-    t = Poly((0, 1))
-    # diagonal entries as polynomials in the classical operators; the +1 on
-    # the (3,3) entry is the emendation (the +1 is printed on (1,1) and (2,2))
-    tail = Poly((1,)) if emended else Poly()
-    p11 = poly_of_op(-(a1**2) * t + (a1**2 + 1), d2)
-    p22 = poly_of_op(-(a2**2) * t * (Poly((a + 1,)) - t) * (Poly((a,)) - t) - a1**2 * t + 1, d1)
-    p33 = poly_of_op(a2**2 * (Poly((1,)) - t) * (Poly((a + 2,)) - t) * (Poly((a + 1,)) - t) + tail, d0)
-    n2 = DiffOp.scalar([Poly((a + 2,)), X])
-    n1 = DiffOp.scalar([Poly((a + 1,)), X])
-    v1 = DiffOp.scalar([Poly((-1,)), Poly((1,))])
-    e13 = (a2 * a1) * compose(n2, compose(n1, poly_of_op(Poly((1, -1)), d0)))
-    e31 = (a2 * a1) * compose(op_power(v1, 2), poly_of_op(Poly((1, -1)), d2))
-    out = embed_scalar(p11, 3, 0, 0) + embed_scalar(p22, 3, 1, 1) + embed_scalar(p33, 3, 2, 2)
-    return out + embed_scalar(e13, 3, 0, 2) + embed_scalar(e31, 3, 2, 0)
+def _lag3_expected(p: dict) -> dict:
+    a, a1, a2 = p["alpha"], p["a1"], p["a2"]
 
-
-def _lag3_expected(a: Fraction, a1: Fraction, a2: Fraction) -> dict:
     def a_n(n: int) -> FracMat:
         # middle entry in the form the closed-form images pin down; the
         # printed expansion lost a factor 2 on its n(n-1) term
@@ -182,40 +124,6 @@ def _lag3_expected(a: Fraction, a1: Fraction, a2: Fraction) -> dict:
     return {"A_n": a_n, "A_n_printed": a_n_printed, "Q_n": q_n}
 
 
-def _build_lag3(doc: SpecDocument) -> CatalogEntry:
-    a, a1, a2 = doc.params["alpha"], doc.params["a1"], doc.params["a2"]
-    ops = dict(doc.ops)
-    ops["D"] = _lag3_D(a, a1, a2)
-    verbatim = _with_params(doc, _LAG3_N_VERBATIM)
-    return CatalogEntry(
-        name="LAG3",
-        params=dict(doc.params),
-        doc=doc,
-        weight_W=doc.weights["W"],
-        weight_Wt=doc.weights["Wt"],
-        ops=ops,
-        expected=_lag3_expected(a, a1, a2),
-        provenance="3x3 Laguerre-type weight reached only through a sixth-order factorization",
-        verbatim_ops={"N": verbatim.ops["N"], "D": _lag3_D(a, a1, a2, emended=False)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# GEG2: 2x2 Gegenbauer-type weight from spherical functions on the 3-sphere
-
-def _build_geg2(doc: SpecDocument) -> CatalogEntry:
-    return CatalogEntry(
-        name="GEG2",
-        params=dict(doc.params),
-        doc=doc,
-        weight_W=doc.weights["w"],
-        weight_Wt=doc.weights["W"],
-        ops=dict(doc.ops),
-        expected={},
-        provenance="2x2 Gegenbauer-type weight from spherical functions on the three-sphere",
-    )
-
-
 # ---------------------------------------------------------------------------
 # HER3: 3x3 Hermite-type weight with an eighth-order factorization
 
@@ -224,50 +132,17 @@ def _build_geg2(doc: SpecDocument) -> CatalogEntry:
 # -4(...), and the (1,1) constant of E is printed +4 where membership in the
 # algebra forces -4. Primary reading is emended; the literal one is re-run
 # and reported.
-_HER3_VERBATIM = """\
-op C3 = [2*(3*a^2*b^2+8*a^2-8*b^2)/(a^2*b^2), 0, -16/(a*b); 0, 4*(a^2*b^2+4*a^2+4*b^2)/(a^2*b^2), 0; -16/(a*b), 0, -2*(3*a^2*b^2+8*a^2+32)/(a^2*b^2)]
-op E = d^2*[1, 0, 0; 0, 1, 0; 0, 0, 1] + d^1*[-2*x, 2*a, 0; 0, -2*x, 2*b; 0, 0, -2*x] + [4, 0, a*b; 0, -2, 0; 0, 0, 0]
+_HER3_PRINTED = """\
+op D_printed = delta(h)^4 + delta(h)^3*[2*(3*a^2*b^2+8*a^2-8*b^2)/(a^2*b^2), 0, -16/(a*b); 0, 4*(a^2*b^2+4*a^2+4*b^2)/(a^2*b^2), 0; -16/(a*b), 0, -2*(3*a^2*b^2+8*a^2+32)/(a^2*b^2)] + delta(h)^2*C2 + delta(h)*C1 + C0
+op E_printed = d^2*[1, 0, 0; 0, 1, 0; 0, 0, 1] + d^1*[-2*x, 2*a, 0; 0, -2*x, 2*b; 0, 0, -2*x] + [4, 0, a*b; 0, -2, 0; 0, 0, 0]
 """
-
-
-def _her3_D(doc: SpecDocument) -> DiffOp:
-    delta = HermiteShifted(0).delta()
-    def dk(k: int) -> DiffOp:
-        return _scalar_to_size(op_power(delta, k), 3)
-
-    out = dk(4)
-    for k, cname in ((3, "C3"), (2, "C2"), (1, "C1"), (0, "C0")):
-        out = out + compose(dk(k), doc.ops[cname])
-    return out
-
-
-def _build_her3(doc: SpecDocument) -> CatalogEntry:
-    ops = dict(doc.ops)
-    ops["D"] = _her3_D(doc)
-    verb = _with_params(doc, _HER3_VERBATIM)
-    verb_doc = SpecDocument(
-        params=doc.params,
-        weights=doc.weights,
-        ops={**doc.ops, "C3": verb.ops["C3"]},
-    )
-    return CatalogEntry(
-        name="HER3",
-        params=dict(doc.params),
-        doc=doc,
-        weight_W=doc.weights["w"],
-        weight_Wt=doc.weights["W"],
-        ops=ops,
-        expected={},
-        provenance="3x3 Hermite-type weight solving the second-order eigenfunction problem",
-        verbatim_ops={"D": _her3_D(verb_doc), "E": verb.ops["E"]},
-    )
 
 
 # ---------------------------------------------------------------------------
 # LAG2DIAG: generators of the algebra of w_{alpha-1} (+) w_alpha
 
-def _build_lag2diag(doc: SpecDocument) -> CatalogEntry:
-    a = doc.params["alpha"]
+def _lag2diag_expected(p: dict) -> dict:
+    a = p["alpha"]
     # expected eigenvalue matrices, as functions of n
     eigs = {
         "G1": lambda n: FracMat([[1, 0], [0, 0]]),
@@ -277,25 +152,11 @@ def _build_lag2diag(doc: SpecDocument) -> CatalogEntry:
         "G5": lambda n: FracMat([[0, -1], [0, 0]]),
         "G6": lambda n: FracMat([[0, 0], [n + a, 0]]),
     }
-    return CatalogEntry(
-        name="LAG2DIAG",
-        params=dict(doc.params),
-        doc=doc,
-        weight_W=doc.weights["W"],
-        weight_Wt=None,
-        ops=dict(doc.ops),
-        expected={"eigs": eigs},
-        provenance="generator table for the operator algebra of a two-block Laguerre direct sum",
-    )
+    return {"eigs": eigs}
 
 
 def _data_text(name: str) -> str:
     return resources.files(__package__).joinpath("data", f"{name.lower()}.mvop").read_text(encoding="utf-8")
-
-
-def _with_params(doc: SpecDocument, text: str) -> SpecDocument:
-    """``text`` parsed after param lines holding the document's values."""
-    return parse_spec("".join(f"param {k} = {v}\n" for k, v in doc.params.items()) + text)
 
 
 def entry(name: str, params: dict | None = None) -> CatalogEntry:
@@ -305,19 +166,31 @@ def entry(name: str, params: dict | None = None) -> CatalogEntry:
     spec = _ENTRIES[name]
     overrides = {k: frac(v) for k, v in (params or {}).items()}
     lines = _data_text(name).splitlines(True)
-    # the builder computes these operators itself; the file's checks are
-    # structural and not part of the entry
-    skip = ("check ",) + tuple(f"op {k} = " for k in spec.computed)
     try:
         head = "".join(ln for ln in lines if ln.startswith("param "))
         params = parse_spec(head, overrides).params
         for rule, holds in spec.rules:
             if not holds(params):
                 raise DomainError(f"{name} requires {rule}")
-        return spec.build(parse_spec("".join(ln for ln in lines if not ln.startswith(skip)), overrides))
+        # the file's checks are structural and not part of the entry; the
+        # verbatim readings parse in the same pass, after the file's names
+        doc = parse_spec("".join(ln for ln in lines if not ln.startswith("check ")) + spec.printed, overrides)
     except ParseError as exc:
         # the data file is fixed, so a parse failure is a parameter problem
         raise DomainError(f"inadmissible parameters for {name}: {exc}") from exc
+    verbatim = {k.removesuffix("_printed"): doc.ops.pop(k) for k in list(doc.ops) if k.endswith("_printed")}
+    w, wt = spec.weights
+    return CatalogEntry(
+        name=name,
+        params=dict(doc.params),
+        doc=doc,
+        weight_W=doc.weights[w],
+        weight_Wt=doc.weights[wt] if wt else None,
+        ops=dict(doc.ops),
+        expected=spec.expected(doc.params),
+        provenance=spec.provenance,
+        verbatim_ops=verbatim,
+    )
 
 
 def default_params(name: str) -> dict[str, Fraction]:
@@ -325,17 +198,10 @@ def default_params(name: str) -> dict[str, Fraction]:
 
 
 def entry_document_text(name: str, params: dict | None = None) -> str:
-    """The entry's data file with the entry's parameter values and, in normal
-    form, the operators its builder computes. At default parameters this is
-    the file itself."""
-    e = entry(name, params)
-
-    def render(m):
-        if m[1] == "param":
-            return f"param {m[2]} = {e.params[m[2]]}"
-        return f"op {m[2]} = {op_str(e.ops[m[2]])}" if m[2] in _ENTRIES[name].computed else m[0]
-
-    return re.sub(r"^(param|op) (\w+) = .*$", render, _data_text(name), flags=re.MULTILINE)
+    """The entry's data file with the entry's parameter values. At default
+    parameters this is the file itself."""
+    p = entry(name, params).params
+    return re.sub(r"^param (\w+) = .*$", lambda m: f"param {m[1]} = {p[m[1]]}", _data_text(name), flags=re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------
@@ -550,53 +416,62 @@ def _verify_lag2diag(e: CatalogEntry, rep: Report, n_max: int):
 
 @dataclass(frozen=True)
 class _EntrySpec:
-    """How an entry is built from its data file, admitted and verified."""
+    """How an entry is read from its data file, admitted and verified."""
 
-    build: Callable[[SpecDocument], CatalogEntry]
+    # the certificate's two weights (or one) by their names in the file
+    weights: tuple[str, str | None]
+    provenance: str
     # stated parameter rules, checked on the file's param lines before any
     # weight is built, so that a refusal names the rule, not a file line
     rules: tuple[tuple[str, Callable[[dict], bool]], ...]
     verify: Callable[[CatalogEntry, Report, int], None]
-    # operators the builder computes; the file stores their normal form at
-    # its own param values only
-    computed: tuple[str, ...] = ()
+    expected: Callable[[dict], dict] = lambda p: {}
+    # verbatim readings, as op statements named <op>_printed
+    printed: str = ""
 
 
 _ENTRIES = {
     "JAC2": _EntrySpec(
-        _build_jac2,
+        ("w", "W"),
+        "2x2 Jacobi-type weight from matrix spherical functions on complex projective space",
         (
             ("alpha, beta > -1", lambda p: p["alpha"] > -1 and p["beta"] > -1),
             ("0 < kappa < beta + 1", lambda p: 0 < p["kappa"] < p["beta"] + 1),
             ("kappa < alpha + 1 (weight positive definite)", lambda p: p["kappa"] < p["alpha"] + 1),
         ),
         _verify_jac2,
-        computed=("FD1", "FD2"),
+        _jac2_expected,
     ),
     "LAG3": _EntrySpec(
-        _build_lag3,
+        ("W", "Wt"),
+        "3x3 Laguerre-type weight reached only through a sixth-order factorization",
         (
             ("alpha > -1", lambda p: p["alpha"] > -1),
             ("nonzero a1, a2", lambda p: p["a1"] != 0 and p["a2"] != 0),
         ),
         _verify_lag3,
-        computed=("D",),
+        _lag3_expected,
+        _LAG3_PRINTED,
     ),
     "GEG2": _EntrySpec(
-        _build_geg2,
+        ("w", "W"),
+        "2x2 Gegenbauer-type weight from spherical functions on the three-sphere",
         (("r > 0 and 0 < a < r/2", lambda p: p["r"] > 0 and 0 < p["a"] < p["r"] / 2),),
         _verify_geg2,
     ),
     "HER3": _EntrySpec(
-        _build_her3,
+        ("w", "W"),
+        "3x3 Hermite-type weight solving the second-order eigenfunction problem",
         (("nonzero a, b", lambda p: p["a"] != 0 and p["b"] != 0),),
         _verify_her3,
-        computed=("D",),
+        printed=_HER3_PRINTED,
     ),
     "LAG2DIAG": _EntrySpec(
-        _build_lag2diag,
+        ("W", None),
+        "generator table for the operator algebra of a two-block Laguerre direct sum",
         (("alpha > 0", lambda p: p["alpha"] > 0),),
         _verify_lag2diag,
+        _lag2diag_expected,
     ),
 }
 

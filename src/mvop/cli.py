@@ -135,7 +135,8 @@ def run(doc: SpecDocument, n_max: int = 8) -> dict:
     return _report(checks, n_max)
 
 
-def _emit(report: dict, fmt: str, out_path: str | None) -> None:
+def _emit(report: dict, fmt: str, out_path: str | None) -> int | None:
+    """Print or write the report; 2 when the file cannot be written."""
     if fmt == "json":
         text = json.dumps(report, indent=2)
     else:
@@ -151,10 +152,15 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
         )
         text = "\n".join(lines)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
+    return None
 
 
 def _parse_params(s: str | None) -> dict[str, Fraction]:
@@ -199,7 +205,7 @@ def main(argv=None) -> int:
     p_search.add_argument("w1", help="e.g. 'laguerre(alpha=1/2)'")
     p_search.add_argument("w2")
     p_search.add_argument("--order", type=int, required=True)
-    p_search.add_argument("--slack", type=int, default=0)
+    p_search.add_argument("--slack", type=int, default=0, help=f"coefficient degree slack, 0..{LIMIT} (default 0)")
     add_common(p_search)
 
     p_classify = sub.add_parser("classify", help="decide the Darboux class of two scalar weights")
@@ -242,8 +248,7 @@ def main(argv=None) -> int:
         report = _report(checks, args.nmax)
     else:
         report = run(doc, args.nmax)
-    _emit(report, args.format, args.out)
-    return 0 if report["ok"] else 1
+    return _emit(report, args.format, args.out) or (0 if report["ok"] else 1)
 
 
 if __name__ == "__main__":

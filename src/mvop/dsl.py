@@ -5,24 +5,32 @@ but brackets and parentheses may span lines):
 
     document   := statement*
     statement  := param | weight | op | check
-    param      := 'param' NAME '=' constexpr
+    param      := 'param' NAME '=' expr                        (a constant)
     weight     := 'weight' NAME '=' ( family '(' kv (',' kv)* ')' ['*' matrix]
                                     | 'dsum' '(' NAME (',' NAME)* ')' )
     family     := 'hermite' | 'laguerre' | 'jacobi'
-    op         := 'op' NAME '=' ['-'] opterm (('+'|'-') opterm)*
-    opterm     := 'd' '^' INT ['*' opfactor] | opfactor
-    opfactor   := matrix | polyterm
+    kv         := NAME '=' expr                                (a constant)
+    op         := 'op' NAME '=' expr
+    expr       := ['-'] term (('+'|'-') term)*
+    term       := factor (('*'|'/') factor)*
+    factor     := '-' factor | atom ['^' INT]
+    atom       := INT | 'x' | NAME | 'd' '^' INT | 'delta' '(' scalar ')'
+                | matrix | '(' expr ')'
     matrix     := '[' row (';' row)* ']'
-    row        := polyexpr (',' polyexpr)*
-    polyexpr   := ['-'] polyterm (('+'|'-') polyterm)*
-    polyterm   := polyfactor (('*'|'/') polyfactor)*
-    polyfactor := ( INT | 'x' | NAME | '(' polyexpr ')' ) ['^' INT]
+    row        := expr (',' expr)*                             (polynomials)
+    scalar     := NAME | family '(' kv (',' kv)* ')'
     check      := 'check' kind '(' args ')'
 
-Division is only by subexpressions that evaluate to a nonzero constant, so
-values stay polynomial. Parameter names are substituted the moment a
-statement is parsed: the algebra layer never sees symbols. A scalar opterm
-or opfactor means that polynomial times the identity of the operator's size.
+An expression's value is a polynomial or an operator. A NAME is a param (a
+constant) or an earlier op; ``d^j`` is the j-th derivative, a matrix is
+multiplication by it, and ``delta(w)`` is the classical second-order operator
+of a plain scalar weight, named or written inline. ``+`` and ``-`` add,
+``*`` composes with the left factor applied first (as ``diffop.compose``, so
+``d^j*F`` puts F at d^j), and ``^k`` is a power. A 1x1 operator or polynomial
+inside an N x N expression acts as itself times the identity. Division is
+only by subexpressions that evaluate to a nonzero constant, so coefficients
+stay polynomial. Parameter names are substituted the moment a statement is
+parsed: the algebra layer never sees symbols.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import DomainError, MatRF, Poly, poly_str
-from .diffop import DiffOp, MatPoly
+from .exactalg import DomainError, MatRF, Poly, X, poly_str
+from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
 
 
@@ -44,7 +52,7 @@ class ParseError(ValueError):
 
 _RESERVED = {
     "param", "weight", "op", "check", "dsum", "hermite", "laguerre", "jacobi",
-    "x", "d", "true", "false",
+    "x", "d", "delta", "true", "false",
 }
 
 _FAMILIES = {"hermite", "laguerre", "jacobi"}
@@ -60,16 +68,17 @@ _CHECK_SIGS = {
     "entry": ("name",),
 }
 
-# the largest exponent, derivative order, horizon or expression nesting a
-# document may ask for (the catalog needs 8), so that no input starts
-# unbounded work or exhausts the parser's stack; a power's degree is bounded
-# by LIMIT and its coefficient bits by LIMIT squared
+# the largest exponent, derivative order, horizon, search slack or expression
+# nesting a document may ask for (the catalog needs 8), so that no input
+# starts unbounded work or exhausts the parser's stack; a product's or
+# power's order and coefficient degree are bounded by LIMIT and its
+# coefficient bits by LIMIT squared
 LIMIT = 64
 
 # int options map to their (least, greatest) value, or None when unbounded
 _COUNT = (0, LIMIT)
 _CHECK_OPTIONS = {
-    "search": {"order": _COUNT, "slack": (-LIMIT, LIMIT), "dim": None, "horizon": _COUNT},
+    "search": {"order": _COUNT, "slack": _COUNT, "dim": None, "horizon": _COUNT},
     "classify": {"expect": "bool"},
     "intertwine": {"nmax": _COUNT},
     "in_algebra": {"nmax": _COUNT},
@@ -201,6 +210,35 @@ class SpecDocument:
             and self.ops == other.ops
             and self.checks == other.checks
         )
+
+
+# ---------------------------------------------------------------------------
+# expression values
+
+
+_ONE = MatRF.identity(1)
+
+
+def _as_op(v) -> DiffOp:
+    """A polynomial as an operator: multiplication by it."""
+    return v if isinstance(v, DiffOp) else DiffOp.scalar([v])
+
+
+def _lift(op: DiffOp, n: int) -> DiffOp:
+    """A 1x1 operator times the identity of size n."""
+    return DiffOp(n, [MatRF.diag(*[c.entry(0, 0)] * n) for c in op.coeffs])
+
+
+def _bits(coeffs) -> int:
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+
+
+def _measure(v) -> tuple[int, int, int]:
+    """Order, coefficient degree and coefficient bit length of a value."""
+    if isinstance(v, Poly):
+        return 0, v.degree, _bits(v.coeffs)
+    cells = [e.num for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
+    return v.order, max((p.degree for p in cells), default=-1), _bits(c for p in cells for c in p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,56 +387,16 @@ class _Parser:
     def parse_op(self):
         name = self.fresh_name()
         self.expect("SYM", "=")
-        terms = []
-        sign = -1 if self.accept("SYM", "-") else 1
-        terms.append((sign, *self.op_term()))
-        while True:
-            if self.accept("SYM", "+"):
-                terms.append((1, *self.op_term()))
-            elif self.accept("SYM", "-"):
-                terms.append((-1, *self.op_term()))
-            else:
-                break
-        size = 1
-        for _, _, factor in terms:
-            if isinstance(factor, MatPoly):
-                size = factor.size
-                break
-        op = DiffOp.zero(size)
-        for sign, j, factor in terms:
-            if isinstance(factor, Poly):
-                factor = MatPoly.scalar(factor, size)
-            if factor.size != size:
-                self.err("matrix sizes differ between operator terms")
-            coeffs = [MatPoly.zeros(size)] * j + [factor]
-            term = DiffOp.from_matrices(size, [c.to_matrf() for c in coeffs])
-            op = op + (term if sign > 0 else -term)
-        self.doc.ops[name] = op
-
-    def op_term(self):
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "d":
-            self.next()
-            self.expect("SYM", "^")
-            j = self.small_int("derivative order")
-            if self.accept("SYM", "*"):
-                return j, self.op_factor()
-            return j, Poly((1,))
-        return 0, self.op_factor()
-
-    def op_factor(self):
-        if self.peek().kind == "SYM" and self.peek().text == "[":
-            return self.matrix()
-        return self.poly_term()
+        self.doc.ops[name] = _as_op(self.expr())
 
     def matrix(self) -> MatPoly:
         start = self.expect("SYM", "[")
-        rows = [[self.poly_expr()]]
+        rows = [[self.polynomial()]]
         while True:
             if self.accept("SYM", ","):
-                rows[-1].append(self.poly_expr())
+                rows[-1].append(self.polynomial())
             elif self.accept("SYM", ";"):
-                rows.append([self.poly_expr()])
+                rows.append([self.polynomial()])
             else:
                 break
         self.expect("SYM", "]")
@@ -407,47 +405,54 @@ class _Parser:
             self.err("matrix must be square with equal-length rows", start)
         return MatPoly(rows)
 
-    # polynomial expressions
+    # expressions: a value is a Poly or a DiffOp
 
     def const_expr(self) -> Fraction:
         tok = self.peek()
-        p = self.poly_expr()
-        if p.degree > 0:
+        p = self.expr()
+        if not isinstance(p, Poly) or p.degree > 0:
             self.err("expected a constant expression", tok)
         return p[0]
 
-    def poly_expr(self) -> Poly:
-        sign = -1 if self.accept("SYM", "-") else 1
-        acc = self.poly_term() * sign
-        while True:
-            if self.accept("SYM", "+"):
-                acc = acc + self.poly_term()
-            elif self.peek().kind == "SYM" and self.peek().text == "-":
-                # minus binds as term separator only inside expressions
-                self.next()
-                acc = acc - self.poly_term()
-            else:
-                return acc
+    def polynomial(self) -> Poly:
+        tok = self.peek()
+        p = self.expr()
+        if not isinstance(p, Poly):
+            self.err("a matrix entry must be a polynomial, not an operator", tok)
+        return p
 
-    def poly_term(self) -> Poly:
-        acc = self.poly_factor()
+    def expr(self):
+        neg = self.accept("SYM", "-")
+        acc = self.term()
+        if neg:
+            acc = -acc
         while True:
-            if self.accept("SYM", "*"):
-                acc = acc * self.poly_factor()
-            elif self.peek().kind == "SYM" and self.peek().text == "/":
-                tok = self.next()
-                div = self.poly_factor()
-                if div.degree > 0:
-                    self.err("division by a non-constant expression", tok)
-                if div.is_zero:
-                    self.err("division by zero", tok)
-                acc = acc * (1 / div[0])
-            else:
+            tok = self.accept("SYM", "+") or self.accept("SYM", "-")
+            if not tok:
                 return acc
+            rhs = self.term()
+            a, b = self.same_size(acc, rhs, tok)
+            acc = a + b if tok.text == "+" else a - b
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            tok = self.accept("SYM", "*") or self.accept("SYM", "/")
+            if not tok:
+                return acc
+            rhs = self.factor()
+            if tok.text == "/":
+                if not isinstance(rhs, Poly) or rhs.degree > 0:
+                    self.err("division by a non-constant expression", tok)
+                if rhs.is_zero:
+                    self.err("division by zero", tok)
+                rhs = Poly.const(1 / rhs[0])
+            acc = self.product(acc, rhs, tok)
 
     def nested(self, parse, tok):
-        # parentheses and prefix minus signs recurse; bounding their depth
-        # keeps any input off the interpreter's recursion limit
+        # parentheses, brackets, delta(...) and prefix minus signs recurse;
+        # bounding their depth keeps any input off the interpreter's
+        # recursion limit
         if self.depth == LIMIT:
             self.err(f"expression nested deeper than {LIMIT}", tok)
         self.depth += 1
@@ -455,41 +460,94 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def poly_factor(self) -> Poly:
+    def factor(self):
         t = self.peek()
-        if t.kind == "INT":
+        if t.kind == "SYM" and t.text == "-":
             self.next()
-            base = Poly.const(int(t.text))
-        elif t.kind == "SYM" and t.text == "(":
-            self.next()
-            base = self.nested(self.poly_expr, t)
-            self.expect("SYM", ")")
-        elif t.kind == "SYM" and t.text == "-":
-            self.next()
-            return -self.nested(self.poly_factor, t)
-        elif t.kind == "NAME":
-            self.next()
-            if t.text == "x":
-                base = Poly((0, 1))
-            elif t.text in self.doc.params:
-                base = Poly.const(self.doc.params[t.text])
-            else:
-                self.err(f"unbound name {t.text!r}", t)
-        else:
-            self.err("expected a polynomial factor", t)
+            return -self.nested(self.factor, t)
+        base = self.atom()
         hat = self.accept("SYM", "^")
         if hat:
             k = self.small_int("exponent")
-            # nested powers multiply: bound the result before computing it
-            if base.degree * k > LIMIT:
-                self.err(f"power of degree {base.degree * k} exceeds {LIMIT}", hat)
-            bits = max(
-                (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.coeffs), default=0
-            )
-            if bits * k > LIMIT * LIMIT:
-                self.err(f"power of {bits}-bit coefficients to {k} exceeds {LIMIT * LIMIT} bits", hat)
-            base = base**k
+            o, d, b = _measure(base)
+            self.bound(hat, "power", o * k, d * k, b * k, f"{b}-bit coefficients to {k}")
+            base = base**k if isinstance(base, Poly) else op_power(base, k)
         return base
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "SYM" and t.text == "[":
+            m = self.nested(self.matrix, t)
+            return DiffOp(m.size, [m.to_matrf()])
+        self.next()
+        if t.kind == "INT":
+            return Poly.const(int(t.text))
+        if t.kind == "SYM" and t.text == "(":
+            value = self.nested(self.expr, t)
+            self.expect("SYM", ")")
+            return value
+        if t.kind != "NAME":
+            self.err("expected an expression", t)
+        if t.text == "x":
+            return X
+        if t.text == "d":
+            self.expect("SYM", "^")
+            j = self.small_int("derivative order")
+            return DiffOp.scalar([Poly()] * j + [Poly((1,))])
+        if t.text == "delta":
+            self.expect("SYM", "(")
+            _, fam = self.nested(self.scalar_weight, t)
+            self.expect("SYM", ")")
+            return fam.delta()
+        if t.text in self.doc.params:
+            return Poly.const(self.doc.params[t.text])
+        if t.text in self.doc.ops:
+            return self.doc.ops[t.text]
+        if t.text in self.doc.weights:
+            self.err(f"weight {t.text!r} is not an operator; delta({t.text}) is its classical operator", t)
+        self.err(f"unbound name {t.text!r}", t)
+
+    def bound(self, tok, what, order, degree, bits, bits_text):
+        # products and powers add or multiply orders, degrees and coefficient
+        # sizes: bound the result before computing it
+        if order > LIMIT:
+            self.err(f"{what} of order {order} exceeds {LIMIT}", tok)
+        if degree > LIMIT:
+            self.err(f"{what} of degree {degree} exceeds {LIMIT}", tok)
+        if bits > LIMIT * LIMIT:
+            self.err(f"{what} of {bits_text} exceeds {LIMIT * LIMIT} bits", tok)
+
+    def product(self, a, b, tok):
+        """a * b: apply a, then b."""
+        (oa, da, ba), (ob, db, bb) = _measure(a), _measure(b)
+        self.bound(tok, "product", oa + ob, da + db, ba + bb, f"{ba}-bit and {bb}-bit coefficients")
+        # constants commute with every operator
+        if isinstance(b, Poly) and b.degree <= 0:
+            return a * b[0]
+        if isinstance(a, Poly) and a.degree <= 0:
+            return b * a[0]
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            return a * b
+        a, b = _as_op(a), _as_op(b)
+        if a.size == 1 and b.order <= 0:
+            # sum_j d^j a_j, then multiplication by G, is sum_j d^j a_j G
+            g = b.coeff(0)
+            return DiffOp(b.size, [g if c == _ONE else g * c.entry(0, 0) for c in a.coeffs])
+        return compose(*self.same_size(a, b, tok))
+
+    def same_size(self, a, b, tok):
+        """Two polynomials, or two operators of one size: a 1x1 operator in
+        an N x N expression acts as itself times the identity."""
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            return a, b
+        a, b = _as_op(a), _as_op(b)
+        if a.size == b.size:
+            return a, b
+        if a.size == 1:
+            return _lift(a, b.size), b
+        if b.size == 1:
+            return a, _lift(b, a.size)
+        self.err(f"operator sizes {a.size} and {b.size} differ", tok)
 
     # checks
 
@@ -541,27 +599,30 @@ class _Parser:
         if want == "name":
             tok = self.expect("NAME")
             return CheckArg(tok.text, tok.text)
-        if t.kind == "NAME" and t.text in _FAMILIES:
-            tok = self.next()
-            fam = self.family_call(tok)
-            if want == "op":
-                self.err("expected an operator, found a weight", tok)
-            return CheckArg(_family_text(fam), fam)
+        inline = t.kind == "NAME" and t.text in _FAMILIES
+        if inline and want == "op":
+            self.err("expected an operator, found a weight", t)
+        if inline or want == "scalar":
+            return CheckArg(*self.scalar_weight())
         tok = self.expect("NAME")
-        name = tok.text
-        if want == "op":
-            if name not in self.doc.ops:
-                self.err(f"unbound operator {name!r}", tok)
-            return CheckArg(name, self.doc.ops[name])
-        if name not in self.doc.weights:
-            self.err(f"unbound weight {name!r}", tok)
-        w = self.doc.weights[name]
-        if want == "scalar":
-            try:
-                return CheckArg(name, w.scalar_family())
-            except DomainError:
-                self.err(f"weight {name!r} is not a plain scalar weight", tok)
-        return CheckArg(name, w)
+        bound = self.doc.ops if want == "op" else self.doc.weights
+        if tok.text not in bound:
+            self.err(f"unbound {'operator' if want == 'op' else 'weight'} {tok.text!r}", tok)
+        return CheckArg(tok.text, bound[tok.text])
+
+    def scalar_weight(self) -> tuple[str, ScalarWeightFamily]:
+        """A scalar family written inline, or the name of a plain scalar
+        weight, with its text."""
+        tok = self.expect("NAME")
+        if tok.text in _FAMILIES:
+            fam = self.family_call(tok)
+            return _family_text(fam), fam
+        if tok.text not in self.doc.weights:
+            self.err(f"unbound weight {tok.text!r}", tok)
+        try:
+            return tok.text, self.doc.weights[tok.text].scalar_family()
+        except DomainError:
+            self.err(f"weight {tok.text!r} is not a plain scalar weight", tok)
 
 
 def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) -> SpecDocument:

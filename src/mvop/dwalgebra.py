@@ -346,6 +346,13 @@ def _normalize_op(op: DiffOp) -> DiffOp:
     return op * (1 / scale)
 
 
+def _check_slack(degree_slack: int):
+    # a negative slack drops coefficients every intertwiner may need, so an
+    # empty result would claim too much
+    if degree_slack < 0:
+        raise DomainError(f"negative degree slack {degree_slack}")
+
+
 def intertwiner_search(
     w1, w2, order_bound: int, degree_slack: int = 0, n_horizon: int | None = None
 ) -> IntertwinerBasis:
@@ -356,6 +363,7 @@ def intertwiner_search(
     evidence, not a nonexistence proof. Pairs whose density ratio is not a
     rational function are refused structurally: their module is zero.
     """
+    _check_slack(degree_slack)
     f1, f2 = _family_of(w1), _family_of(w2)
     if n_horizon is None:
         n_horizon = order_bound + degree_slack + 3
@@ -388,6 +396,7 @@ def matrix_intertwiner_search(
 ) -> list[DiffOp]:
     """Matrix analogue of the bounded intertwiner search (used as evidence
     about factorizations between matrix weights)."""
+    _check_slack(degree_slack)
     if w1.size != w2.size:
         raise ShapeError("weights must have equal size")
     if n_horizon is None:

@@ -208,38 +208,30 @@ class MomentTable:
         return self.values[s]
 
 
-_MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
+# family -> (nu_0..nu_s, the row vector e_0 J^s, recursion coefficients b_i, c_i)
+_MOMENT_CACHE: dict[ScalarWeightFamily, tuple[list[Fraction], list[Fraction], list, list]] = {}
 
 
 def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
-    cached = _MOMENT_CACHE.get(family)
-    if cached is not None and len(cached) > s_max:
-        return cached
-    # nu_s is the (0,0) entry of the s-th power of the truncated monic Jacobi
-    # matrix; a row vector times J, iterated, keeps this O(s_max^2)
-    size = s_max + 1
-    bs = []
-    cs = []
-    for n in range(size):
-        b, c = family.recursion(n)
-        bs.append(b)
-        cs.append(c)
-    u = [Fraction(0)] * size
-    u[0] = Fraction(1)
-    values = [Fraction(1)]
-    for _ in range(s_max):
-        nxt = [Fraction(0)] * size
+    # nu_s is the first entry of e_0 J^s, J the monic Jacobi matrix; e_0 J^s
+    # is nonzero only in its first s + 1 entries, so the table extends from
+    # the cached row vector at O(s) per step
+    values, u, bs, cs = _MOMENT_CACHE.setdefault(family, ([Fraction(1)], [Fraction(1)], [], []))
+    while len(values) <= s_max:
+        while len(bs) < len(u):
+            b, c = family.recursion(len(bs))
+            bs.append(b)
+            cs.append(c)
+        nxt = [Fraction(0)] * (len(u) + 1)
         for i, ui in enumerate(u):
             if not ui:
                 continue
             nxt[i] += ui * bs[i]
-            if i + 1 < size:
-                nxt[i + 1] += ui  # superdiagonal 1 in the monic normalization
-            if i - 1 >= 0:
+            nxt[i + 1] += ui  # superdiagonal 1 in the monic normalization
+            if i:
                 nxt[i - 1] += ui * cs[i]
-        u = nxt
-        values.append(u[0])
-    _MOMENT_CACHE[family] = values
+        u[:] = nxt
+        values.append(nxt[0])
     return values
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from mvop.exactalg import DomainError, MatRF, Poly, RatFunc, X
-from mvop.catalog import ENTRY_NAMES, default_params, entry, entry_document_text, verify_entry
-from mvop.cli import run
+from mvop.catalog import ENTRY_NAMES, check_entry, default_params, entry, entry_document_text, verify_entry
+from mvop.cli import main, run
 from mvop.diffop import DiffOp
 from mvop.dsl import parse_spec
 
@@ -129,8 +129,9 @@ class TestDataFiles:
 
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_rendered_document_carries_params(self, name):
-        # the operators the builder computes are re-rendered at these values,
-        # not copied from the file's normal form at its defaults
+        # only the param lines change; the file's operator expressions,
+        # LAG3's and HER3's D and JAC2's FD1 and FD2 among them, are
+        # evaluated at these values
         p = ROBUSTNESS_PARAMS[name][1]
         text = entry_document_text(name, p)
         for k, v in p.items():
@@ -139,6 +140,17 @@ class TestDataFiles:
         assert doc.ops == entry(name, p).ops
         report = run(doc, n_max=4)
         assert report["ok"], [c["name"] for c in report["checks"] if c["status"] != "pass"]
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_data_file_verifies_at_robustness_params(self, name, capsys):
+        # the files used to store LAG3's and HER3's D in normal form at
+        # their defaults, so `mvop verify` failed D = V N at other values
+        # while `mvop entry` passed
+        path = str(DATA_DIR / f"{name.lower()}.mvop")
+        for p in ROBUSTNESS_PARAMS[name]:
+            params = ["--params", ",".join(f"{k}={v}" for k, v in p.items())] if p else []
+            assert main(["verify", path, "--nmax", "4"] + params) == 0, (p, capsys.readouterr().out)
+            assert check_entry(entry(name, p), 4).ok
 
     def test_data_files_found_from_any_directory(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

@@ -244,6 +244,19 @@ class TestBadParams:
         p.write_text("param a = " + "(" * 400 + "1" + ")" * 400 + "\n")
         self.assert_usage_error(["verify", str(p)], capsys, "nested deeper than")
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback and exit 1, which
+        # means that checks failed
+        out = tmp_path / "missing" / "r.json"
+        self.assert_usage_error(
+            ["verify", str(DATA_DIR / "geg2.mvop"), "--nmax", "2", "--out", str(out)], capsys, "cannot write report"
+        )
+
+    def test_negative_slack_refused(self, capsys):
+        # slack -5 used to print PASS with "no intertwiner up to order 1"
+        cmd = ["search", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--order", "1", "--slack", "-5"]
+        self.assert_usage_error(cmd, capsys, "slack -5 outside 0..64")
+
     def test_unknown_name_in_entry(self):
         with pytest.raises(DomainError, match="kapa"):
             entry("JAC2", {"kapa": F(1)})

@@ -8,8 +8,8 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvop.exactalg import MatRF, Poly, RatFunc, X
-from mvop.diffop import DiffOp, MatPoly
+from mvop.exactalg import FracMat, MatRF, Poly, RatFunc, X
+from mvop.diffop import DiffOp, MatPoly, compose, embed_scalar, op_power
 from mvop.weights import Jacobi, Laguerre, Weight
 from mvop.dsl import (
     ParseError,
@@ -138,9 +138,11 @@ class TestParseErrors:
             "op T = d^1 - 1\ncheck intertwine(T, w1, w2, nmax={n})\n",
             "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order={n})\n",
             "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, horizon={n})\n",
+            "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, slack={n})\n",
+            "op T = (d^1)^{n}\n",
         ],
         ids=["d-order", "x-exponent", "const-exponent", "in-algebra-nmax", "intertwine-nmax",
-             "search-order", "search-horizon"],
+             "search-order", "search-horizon", "search-slack", "op-exponent"],
     )
     def test_limit_plus_one_refused(self, template):
         from mvop.dsl import LIMIT
@@ -186,6 +188,12 @@ class TestParseErrors:
             parse_spec(f"op T = d^1*[{text}]\n")
         assert time.perf_counter() - start < 1
 
+    def test_negative_slack_refused(self):
+        # a negative slack drops coefficients the ansatz needs: slack -5 used
+        # to report that no intertwiner of order 1 exists, though d^1 - 1 does
+        with pytest.raises(ParseError, match="slack -1 outside 0..64"):
+            parse_spec("check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, slack=-1)\n")
+
     def test_negative_nmax_refused(self):
         with pytest.raises(ParseError, match="nmax -1"):
             parse_spec("weight w = laguerre(alpha=1/2)\nop T = d^1\ncheck in_algebra(T, w, nmax=-1)\n")
@@ -195,6 +203,155 @@ class TestParseErrors:
             parse_spec(
                 "check search(laguerre(alpha=1/2), laguerre(alpha=3/2))\n"
             )
+
+
+_W = "weight w = laguerre(alpha=1/2)\nweight v = jacobi(alpha=1, beta=2)\n"
+_AB = "op A = d^1*[x, 1; 0, x] + [1, 0; x, 2]\nop B = d^2*[0, 1; 1, 0] + [x, 0; 0, 1]\n"
+
+
+def _lift2(t):
+    return embed_scalar(t, 2, 0, 0) + embed_scalar(t, 2, 1, 1)
+
+
+class TestOperatorExpressions:
+    """Operator expressions against the library's own operator algebra."""
+
+    def ops(self, text):
+        return parse_spec(_W + _AB + text).ops
+
+    def test_sum_and_difference(self):
+        ops = self.ops("op S = A + B - A - A\n")
+        assert ops["S"] == ops["B"] - ops["A"]
+
+    def test_composition_applies_left_factor_first(self):
+        ops = self.ops("op P = A*B\nop Q = B*A\nop R = x*d^1\n")
+        assert ops["P"] == compose(ops["A"], ops["B"])
+        assert ops["Q"] == compose(ops["B"], ops["A"]) != ops["P"]
+        # (P x)' = P' x + P
+        assert ops["R"] == DiffOp.scalar([Poly((1,)), X])
+
+    def test_power(self):
+        ops = self.ops("op P = A^3\nop Q = (A + B)^2\nop I = A^0\n")
+        assert ops["P"] == op_power(ops["A"], 3)
+        assert ops["Q"] == op_power(ops["A"] + ops["B"], 2)
+        assert ops["I"] == DiffOp.identity(2)
+
+    def test_op_name(self):
+        ops = self.ops("op C = A\nop E = 2*C - 1/2*A\n")
+        assert ops["C"] == ops["A"]
+        assert ops["E"] == F(3, 2) * ops["A"]
+
+    def test_delta_named_and_inline(self):
+        ops = self.ops("op L = delta(w)\nop J = delta(jacobi(alpha=1, beta=2))\nop K = delta(v)^2 - delta(v)\n")
+        assert ops["L"] == Laguerre(F(1, 2)).delta()
+        jac = Jacobi(F(1), F(2)).delta()
+        assert ops["J"] == jac
+        assert ops["K"] == op_power(jac, 2) - jac
+
+    def test_scalar_lift(self):
+        # a 1x1 operator in a 2x2 expression acts as itself times I_2
+        ops = self.ops("op T = A*delta(w) + delta(w)*A + (x - d^1) + [1, 2; 3, 4]*3\n")
+        t = _lift2(Laguerre(F(1, 2)).delta())
+        expected = (
+            compose(ops["A"], t)
+            + compose(t, ops["A"])
+            + _lift2(DiffOp.scalar([X, Poly((-1,))]))
+            + DiffOp.const(FracMat([[3, 6], [9, 12]]))
+        )
+        assert ops["T"] == expected
+
+    def test_matrix_units_place_cells(self):
+        # E_ij composed with t I puts t in cell (i, j), from either side
+        ops = self.ops("op T = (1 - delta(w))*[0, 1; 0, 0]\nop U = [0, 0; 1, 0]*(d^1*x + 2)\n")
+        t = DiffOp.identity(1) - Laguerre(F(1, 2)).delta()
+        assert ops["T"] == embed_scalar(t, 2, 0, 1)
+        assert ops["U"] == embed_scalar(DiffOp.scalar([Poly((2,)), X]), 2, 1, 0)
+
+    def test_d_power_places_order_zero_factor(self):
+        ops = self.ops("op T = d^3*[x, 1; 0, 2]\nop U = d^2*x^2\n")
+        m = MatPoly([[X, Poly((1,))], [Poly(), Poly((2,))]]).to_matrf()
+        assert ops["T"] == DiffOp(2, [MatRF.zeros(2)] * 3 + [m])
+        assert ops["T"] == compose(op_power(DiffOp.ddx(2), 3), DiffOp(2, [m]))
+        assert ops["U"] == DiffOp.scalar([Poly(), Poly(), X**2])
+
+    def test_catalog_forms(self):
+        from mvop.catalog import entry
+
+        e = entry("JAC2")
+        assert e.ops["FD2"] == e.ops["D2"]
+        a, b, k = e.params["alpha"], e.params["beta"], e.params["kappa"]
+        assert e.ops["FD1"] == e.ops["D1"] - e.ops["D2"] - (a + b + 2 - k) * (1 + k) * DiffOp.identity(2)
+
+    def refused(self, text, token, message):
+        """``text`` is refused at the first ``token`` of its last line."""
+        last = text.splitlines()[-1]
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_spec(_W + _AB + text)
+        assert (exc.value.line, exc.value.col) == (len((_W + _AB + text).splitlines()), last.index(token) + 1)
+
+    def test_product_order_bound(self):
+        self.ops("op T = d^40*d^24\n")
+        self.refused("op T = d^40*d^25\n", "*", "product of order 65 exceeds 64")
+
+    def test_power_order_bound(self):
+        self.ops("op T = (d^8)^8\n")
+        self.refused("op T = (d^9 + x)^8\n", "^8", "power of order 72 exceeds 64")
+
+    def test_product_degree_bound(self):
+        self.ops("op T = d^1*x^40*x^24\n")
+        self.refused("op T = d^1*x^40*x^25\n", "*x^25", "product of degree 65 exceeds 64")
+        self.refused("op T = (A*x^32)*(x^32*B)\n", "*(", "product of degree 66 exceeds 64")
+
+    def test_power_degree_bound(self):
+        self.refused("op T = (d^1*x^9)^8\n", "^8", "power of degree 72 exceeds 64")
+
+    def test_product_bits_bound(self):
+        # (2^64)^63 = 2^4032 has 4033 bits
+        text = "param a = (2^64)^63\n"
+        self.ops(text + "op T = a*2^62\n")
+        self.refused(text + "op T = a*2^63\n", "*", "product of 4033-bit and 64-bit coefficients exceeds 4096 bits")
+
+    def test_unbound_op_name(self):
+        self.refused("op T = A + S\n", "S", "unbound name 'S'")
+
+    def test_weight_is_not_an_operator(self):
+        self.refused("op T = A*w\n", "w", "weight 'w' is not an operator")
+
+    def test_delta_of_matrix_weight(self):
+        text = "weight W = dsum(w, w)\nop T = delta(W)\n"
+        self.refused(text, "W", "weight 'W' is not a plain scalar weight")
+        self.refused("op T = delta(jacobi(alpha=1, beta=1) * [1, 0; 0, 1])\n", "*", "expected ')'")
+
+    def test_mismatched_sizes(self):
+        three = "[1, 0, 0; 0, 1, 0; 0, 0, 1]"
+        self.refused(f"op T = A + {three}\n", "+", "operator sizes 2 and 3 differ")
+        self.refused(f"op T = {three}*B\n", "*", "operator sizes 3 and 2 differ")
+
+    def test_operator_in_polynomial_position(self):
+        self.refused("op T = [d^1, 0; 0, 1]\n", "d^1", "a matrix entry must be a polynomial")
+        self.refused("op T = d^1/A\n", "/", "division by a non-constant expression")
+        self.refused("param p = 1 + A\n", "1", "expected a constant expression")
+
+    def test_delta_is_reserved(self):
+        self.refused("param delta = 1\n", "delta", "'delta' is a reserved word")
+
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("[", "]")])
+    def test_operator_nesting_bound(self, open_, close):
+        # a matrix inside a matrix is refused, but only after its brackets
+        # are parsed, so they count toward the nesting bound like parentheses
+        from mvop.dsl import LIMIT
+
+        if open_ == "(":
+            parse_spec(f"op T = {open_ * LIMIT}d^1{close * LIMIT}\n")
+        with pytest.raises(ParseError, match=f"column {8 + LIMIT}: expression nested deeper than {LIMIT}"):
+            parse_spec(f"op T = {open_ * (LIMIT + 1)}d^1{close * (LIMIT + 1)}\n")
+
+    def test_delta_counts_toward_nesting(self):
+        from mvop.dsl import LIMIT
+
+        deep = "delta(laguerre(alpha=" * (LIMIT + 1) + "1" + "))" * (LIMIT + 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {LIMIT}"):
+            parse_spec(f"op T = {deep}\n")
 
 
 class TestChecks:
@@ -286,7 +443,8 @@ _TOKENS = (
     "param", "weight", "op", "check", "dsum", "hermite", "laguerre", "jacobi", "x", "d",
     "true", "false", "a", "w", "W", "T", "V", "alpha", "beta", "b", "kappa", "in_algebra",
     "symmetric", "darboux", "intertwine", "search", "decompose", "classify", "entry", "JAC2",
-    "order", "slack", "horizon", "nmax", "dim", "expect", "0", "1", "2", "3", "7", "64", "65",
+    "order", "slack", "horizon", "nmax", "dim", "expect", "delta", "A", "B", "D", "N", "E", "C3", "D1",
+    "h", "v", "w1", "0", "1", "2", "3", "7", "64", "65",
     "99999999999", *"=+-*/^()[],;", "\n", "#", "@", ".",
 )
 _DATA = [f.read_text() for f in (resources.files("mvop") / "data").iterdir() if f.name.endswith(".mvop")]
@@ -307,6 +465,12 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     def test_token_strings(self, text):
         _parses_or_refuses(text)
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join))
+    @settings(max_examples=150, deadline=None)
+    def test_operator_expressions(self, text):
+        # after bound weights and 2x2 operators, so that names resolve
+        _parses_or_refuses(_W + _AB + "op T = " + text)
 
     @given(
         st.sampled_from(_DATA),

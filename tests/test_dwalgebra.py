@@ -247,6 +247,18 @@ class TestIntertwinerSearch:
         with pytest.raises(DomainError):
             intertwiner_search(LAG, Laguerre(ALPHA + 1), 2, 0, n_horizon=3)
 
+    def test_negative_slack_refused(self):
+        # slack -5 used to drop d^1 - 1 from the ansatz and report that no
+        # intertwiner of order 1 exists
+        from mvop.dwalgebra import matrix_intertwiner_search
+        from mvop.exactalg import DomainError
+
+        with pytest.raises(DomainError, match="negative degree slack -5"):
+            intertwiner_search(LAG, Laguerre(ALPHA + 1), 1, -5)
+        w1, w2 = LAG.scalar_weight(), Laguerre(ALPHA + 1).scalar_weight()
+        with pytest.raises(DomainError, match="negative degree slack -1"):
+            matrix_intertwiner_search(w1, w2, 1, -1)
+
 
 class TestModuleGenerator:
     def test_laguerre_up_three(self):

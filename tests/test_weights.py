@@ -9,7 +9,9 @@ recursion-based production path.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mvop import weights
 from mvop.catalog import entry
 from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, SingularError, X
 from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
@@ -131,6 +133,28 @@ class TestMoments:
 
     def test_zeroth_is_one(self):
         assert normalized_moments(Jacobi(F(0), F(0)), 0)[0] == 1
+
+    _PARAM = st.fractions(min_value=F(-6, 7), max_value=F(5), max_denominator=7)
+
+    @given(
+        st.one_of(
+            st.sampled_from(FAMILIES),
+            st.builds(HermiteShifted, _PARAM),
+            st.builds(Laguerre, _PARAM),
+            st.builds(Jacobi, _PARAM, _PARAM),
+        ),
+        st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_extended_table_equals_cold_build(self, family, requests):
+        # the cached table grows by extension; in any order of requests it
+        # must hold what one cold build to the largest request holds
+        weights._MOMENT_CACHE.pop(family, None)
+        for s in requests:
+            assert weights._moments_list(family, s)[: s + 1] == closed_moments(family, s)
+        extended = weights._MOMENT_CACHE.pop(family)
+        weights._moments_list(family, max(requests))
+        assert weights._MOMENT_CACHE[family] == extended
 
 
 class TestInnerProduct:
