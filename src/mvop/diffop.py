@@ -11,6 +11,11 @@ first, and it fixes all sign and ordering questions below:
 
     (d^i F)(d^j G) = sum_m binom(j, m) d^(i+m) F^(j-m) G.
 
+So the d^k coefficient of A B collects apply(F_i, B_m) over i + m = k, with
+B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j, and ``compose`` is made of
+``apply``. On polynomial operands ``apply`` is one integer kernel,
+``exactalg.int_dot``, fed derivatives formed on the entries' integer forms.
+
 The formal adjoint * is the involution fixing constant real matrices by
 transposition and sending d to -d; the weight adjoint is computed from the
 closed-form coefficient sum, with the non-rational scalar density cancelled
@@ -33,6 +38,9 @@ from .exactalg import (
     RatFunc,
     ShapeError,
     frac,
+    int_derivative,
+    int_dot,
+    int_form,
     nonneg_integer_roots,
     poly_dot,
 )
@@ -126,12 +134,7 @@ class DiffOp:
 
     @staticmethod
     def from_matrices(size: int, coeffs) -> "DiffOp":
-        out = []
-        for c in coeffs:
-            if isinstance(c, MatPoly):
-                c = c.to_matrf()
-            out.append(c)
-        return DiffOp(size, out)
+        return DiffOp(size, coeffs)
 
     @staticmethod
     def scalar(coeffs) -> "DiffOp":
@@ -214,63 +217,57 @@ class DiffOp:
     def __repr__(self):
         from .dsl import op_str  # local import; dsl depends on this module
 
-        return f"DiffOp<{op_str(self)}>"
+        if self.is_polynomial:
+            return f"DiffOp<{op_str(self)}>"
+        # rational entries have no document form; show them as str(RatFunc)
+        return "DiffOp<" + " + ".join(f"d^{j}*{c!r}" for j, c in reversed(tuple(enumerate(self.coeffs)))) + ">"
 
 
-def apply(p: MatPoly, d: DiffOp):
-    """Right action P . D = sum_j P^(j) F_j; MatPoly when D is polynomial."""
+def apply(p: MatPoly | MatRF, d: DiffOp):
+    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is polynomial.
+
+    A MatPoly P under a polynomial D takes the integer path: P^(j) is formed
+    on the entries' integer forms and cell (r, c) is one ``int_dot`` over
+    every pair (P^(j)[r][k], F_j[k][c]). Anything else is summed over MatRF.
+    """
     if p.size != d.size:
         raise ShapeError("size mismatch in apply")
     polys = d.poly_coeffs()
-    if polys is not None:
-        # cell (r, c) is one dot product over every pair (P^(j)[r][k], F_j[k][c])
-        terms, der = [], p
+    if polys is not None and isinstance(p, MatPoly):
+        terms, der = [], [[int_form(c) if c else None for c in r] for r in p.rows]
         for j, f in enumerate(polys):
             if j:
-                der = der.derivative()
+                der = [[c and int_derivative(c) for c in r] for r in der]
             if not f.is_zero:
-                terms.append((der.rows, list(zip(*f.rows))))
+                terms.append((der, [[int_form(c) if c else None for c in col] for col in zip(*f.rows)]))
         cells = range(p.size)
         return MatPoly(
-            [[poly_dot(t for rows, cols in terms for t in zip(rows[r], cols[c])) for c in cells] for r in cells]
+            [[int_dot([(a, b) for rows, cols in terms for a, b in zip(rows[r], cols[c]) if a and b]) for c in cells] for r in cells]
         )
     acc = MatRF.zeros(p.size)
-    der = p
+    der = p if isinstance(p, MatRF) else p.to_matrf()
     for j, f in enumerate(d.coeffs):
         if j:
             der = der.derivative()
         if not f.is_zero:
-            acc = acc + der.to_matrf() * f
+            acc = acc + der * f
     if acc.is_polynomial:
         return matrf_to_matpoly(acc)
     return acc
 
 
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
-    """Operator product: apply ``first``, then ``second``."""
+    """Operator product: apply ``first``, then ``second``; a sum of apply(F_i, B_m) (module docstring)."""
     if first.size != second.size:
         raise ShapeError("size mismatch in compose")
-    if first.is_zero or second.is_zero:
-        return DiffOp.zero(first.size)
     n = first.size
-    out: list[MatRF | None] = [None] * (first.order + second.order + 1)
-    for j, g in enumerate(second.coeffs):
-        if g.is_zero:
-            continue
-        for i, f in enumerate(first.coeffs):
-            if f.is_zero:
-                continue
-            fder = f
-            # m runs down from j so that fder is differentiated j-m times
-            terms = []
-            for k in range(j + 1):
-                terms.append(fder)
-                fder = fder.derivative()
-            for m in range(j + 1):
-                contrib = terms[j - m] * g * Fraction(math.comb(j, m))
-                k = i + m
-                out[k] = contrib if out[k] is None else out[k] + contrib
-    return DiffOp(n, [MatRF.zeros(n) if c is None else c for c in out])
+    out = [MatRF.zeros(n)] * (first.order + second.order + 1)
+    lefts = first.poly_coeffs() or first.coeffs
+    for m in range(len(second.coeffs)):
+        bm = DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
+        for i, f in enumerate(lefts):
+            out[i + m] = out[i + m] + apply(f, bm)
+    return DiffOp(n, out)
 
 
 def op_power(d: DiffOp, k: int) -> DiffOp:
@@ -300,7 +297,8 @@ def formal_star(d: DiffOp) -> DiffOp:
     Over Q the Hermitian conjugate of a coefficient matrix is its transpose;
     this is the W-adjoint for the unit density with identity factor.
     """
-    unit = SimpleNamespace(sigma=lambda: RatFunc(Poly()), factor_matrix=lambda: MatRF.identity(d.size))
+    one = MatRF.identity(d.size)
+    unit = SimpleNamespace(sigma=lambda: RatFunc(Poly()), factor_matrix=lambda: one, factor_inverse=lambda: one)
     return w_adjoint(d, unit)
 
 
@@ -313,9 +311,9 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
     """Formal W-adjoint of d with respect to ``weight``.
 
     ``weight`` must expose ``sigma()`` (the logarithmic derivative of its
-    scalar density, a RatFunc) and ``factor_matrix()`` (the rational matrix
-    factor M with W = rho M). The density rho never appears: every occurrence
-    enters through sigma.
+    scalar density, a RatFunc), ``factor_matrix()`` (the rational matrix
+    factor M with W = rho M) and ``factor_inverse()`` (M^-1). The density rho
+    never appears: every occurrence enters through sigma.
     """
     if d.is_zero:
         return d
@@ -323,7 +321,7 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
     m: MatRF = weight.factor_matrix()
     if m.size != d.size:
         raise ShapeError("weight size does not match operator size")
-    minv = m.inverse()
+    minv = weight.factor_inverse()
     n = d.order
     # twisted[l][t] = T_t(M F_l^*), built incrementally per l
     out = []

@@ -654,7 +654,8 @@ def matrix_text(m) -> str:
 
 
 def op_str(d: DiffOp) -> str:
-    """Canonical matrix-form text of an operator, parseable by the DSL."""
+    """Canonical matrix-form text of an operator, parseable by the DSL. Documents
+    hold polynomial entries only, so a rational entry raises NonPolynomialError."""
     if d.is_zero:
         return matrix_text(MatPoly.zeros(d.size))
     parts = []

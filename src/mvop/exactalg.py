@@ -11,8 +11,10 @@ either field): ``det`` multiplies its pivots, and ``solve_square`` (which also
 inverts) and ``nullspace`` read their results off the reduced form that
 ``_reduce`` makes of it by back substitution. All polynomial products run
 through one integer kernel, ``poly_dot`` (a sum of products by Kronecker
-substitution over a common denominator): ``Poly`` products, ``MatPoly``
-products and the right action ``diffop.apply``.
+substitution over a common denominator, ``int_dot`` on integer forms):
+``Poly`` products, ``MatPoly`` products and the operator algebra, where
+``diffop.apply`` differentiates on integer forms and ``diffop.compose`` is
+made of ``apply``.
 """
 
 from __future__ import annotations
@@ -215,9 +217,9 @@ _P1 = Poly((1,))
 X = Poly((0, 1))
 
 
-def _int_form(p: Poly):
+def int_form(p: Poly):
     """(numerators over the lcm of p's denominators, that lcm, their largest
-    bit length), computed once per Poly."""
+    bit length) of a nonzero p, computed once per Poly."""
     if p._ints is None:
         den = math.lcm(*(c.denominator for c in p.coeffs))
         ints = tuple(c.numerator * (den // c.denominator) for c in p.coeffs)
@@ -245,8 +247,21 @@ def _unpack(v, w, count):
     return out
 
 
+def int_derivative(form):
+    """The integer form of p' from that of p, numerator k times k over the
+    same denominator; None when p is constant. Nothing is cached."""
+    ints = [k * c for k, c in enumerate(form[0]) if k]
+    return (ints, form[1], max(abs(v) for v in ints).bit_length()) if ints else None
+
+
 def poly_dot(pairs) -> Poly:
-    """Sum of a * b over (Poly, Poly) pairs, the one polynomial-product loop.
+    """Sum of a * b over (Poly, Poly) pairs, through ``int_dot``."""
+    return int_dot([(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs])
+
+
+def int_dot(forms) -> Poly:
+    """Sum of products over pairs of integer forms of nonzero polynomials,
+    the one polynomial-product loop.
 
     Kronecker substitution: over the common denominator L of all products,
     each polynomial's integer numerators are packed as the digits of one
@@ -255,7 +270,6 @@ def poly_dot(pairs) -> Poly:
     room for the scale, both operands, the terms of one coefficient, the
     number of pairs and a sign, so digits never overlap.
     """
-    forms = [(_int_form(a), _int_form(b)) for a, b in pairs if a.coeffs and b.coeffs]
     if not forms:
         return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))

@@ -256,7 +256,7 @@ def closed_moments(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
 class Weight:
     """Either Atomic(family, M) with W = rho_family * M, or a direct sum."""
 
-    __slots__ = ("family", "M", "blocks", "_hash", "_atomic")
+    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_minv")
 
     def __init__(self, family=None, M=None, blocks=None):
         self.family = family
@@ -264,6 +264,7 @@ class Weight:
         self.blocks = blocks
         self._hash = None
         self._atomic = None
+        self._minv = None
 
     @staticmethod
     def atomic(family: ScalarWeightFamily, M: MatRF) -> "Weight":
@@ -389,6 +390,12 @@ class Weight:
 
     def factor_matrix(self) -> MatRF:
         return self.as_atomic()[1]
+
+    def factor_inverse(self) -> MatRF:
+        """M^-1 of the atomic form, inverted once per weight."""
+        if self._minv is None:
+            self._minv = self.factor_matrix().inverse()
+        return self._minv
 
     # -- validation
 

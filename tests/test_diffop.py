@@ -1,11 +1,13 @@
 """Operators: right action, composition, adjoints, degree preservation."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvop.exactalg import DomainError, MatRF, Poly, RatFunc, ShapeError, X
+from mvop.dsl import op_str
+from mvop.exactalg import DomainError, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, X
 from mvop.diffop import (
     DiffOp,
     MatPoly,
@@ -93,6 +95,81 @@ class TestCompose:
         b = _random_op(data, size, 2)
         c = _random_op(data, size, 2)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+# ---------------------------------------------------------------------------
+# compose against the Leibniz rule on MatRF coefficients, the way products
+# were formed before they went through apply
+
+
+def _leibniz(first, second):
+    n = first.size
+    out = [MatRF.zeros(n)] * (first.order + second.order + 1)
+    for j, g in enumerate(second.coeffs):
+        for i, f in enumerate(first.coeffs):
+            ders = [f]
+            for _ in range(j):
+                ders.append(ders[-1].derivative())
+            for m in range(j + 1):
+                out[i + m] = out[i + m] + ders[j - m] * g * math.comb(j, m)
+    return DiffOp(n, out)
+
+
+big_coeffs = st.builds(F, st.integers(-(2**100), 2**100), st.integers(1, 10**6))
+small_coeffs = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+big_polys = st.lists(big_coeffs, max_size=4).map(Poly)
+small_polys = st.lists(small_coeffs, max_size=3).map(Poly)
+# a denominator x + c, nonconstant before any cancellation
+ratfuncs = st.builds(lambda num, c: RatFunc(num, X + c), small_polys, st.integers(-2, 2))
+
+
+def _ops(size, entries, max_order=4):
+    cells = size * size
+    return st.lists(
+        st.lists(entries, min_size=cells, max_size=cells), min_size=1, max_size=max_order + 1
+    ).map(lambda cs: DiffOp(size, [MatRF([c[r * size : (r + 1) * size] for r in range(size)]) for c in cs]))
+
+
+class TestComposeOracle:
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n, big_polys), _ops(n, big_polys))))
+    @settings(max_examples=25, deadline=None)
+    def test_polynomial_big_coefficients(self, ab):
+        a, b = ab
+        assert compose(a, b) == _leibniz(a, b)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n, ratfuncs), _ops(n, ratfuncs))))
+    @settings(max_examples=15, deadline=None)
+    def test_rational_coefficients(self, ab):
+        a, b = ab
+        assert compose(a, b) == _leibniz(a, b)
+
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n, small_polys), _ops(n, ratfuncs))),
+        st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_mixed_polynomial_and_rational(self, ab, swap):
+        a, b = ab[::-1] if swap else ab
+        assert compose(a, b) == _leibniz(a, b)
+
+    def test_zero_operands(self):
+        a = lag_n()
+        for z in (DiffOp.zero(1), DiffOp.scalar([Poly(), Poly()])):
+            assert compose(a, z) == compose(z, a) == DiffOp.zero(1) == _leibniz(a, z)
+
+
+class TestRepr:
+    def test_rational_operator_repr(self):
+        # repr must not raise, though op_str refuses: documents hold
+        # polynomial entries only
+        w = Weight.atomic(Laguerre(0), MatRF([[1 + X, X], [X, 1 + X**2]]))
+        adj = w_adjoint(DiffOp.ddx(2), w)
+        assert not adj.is_polynomial
+        text = repr(adj)
+        assert text.startswith("DiffOp<d^1*MatRF[") and ")/(" in text
+        with pytest.raises(NonPolynomialError):
+            op_str(adj)
+        assert repr(lag_v()) == "DiffOp<d^1*[1] + [-1]>"
 
 
 def _random_matpoly(data, size, maxdeg):

@@ -413,8 +413,11 @@ big_polys = st.lists(big_fractions, max_size=21).map(Poly)
 small_big_polys = st.lists(big_fractions, max_size=4).map(Poly)
 
 
-def _matpolys(n):
-    return st.lists(small_big_polys, min_size=n * n, max_size=n * n).map(
+edge_polys = st.one_of(st.just(Poly()), big_fractions.map(Poly.const), small_big_polys)
+
+
+def _matpolys(n, entries=small_big_polys):
+    return st.lists(entries, min_size=n * n, max_size=n * n).map(
         lambda cs: MatPoly([cs[r * n : (r + 1) * n] for r in range(n)])
     )
 
@@ -438,12 +441,23 @@ class TestProductKernel:
         c = p.coeff(0)
         assert q.lmul_const(c) == _matmul(MatPoly([[Poly.const(v) for v in r] for r in c.rows]), q)
 
-    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(_matpolys(n), st.lists(_matpolys(n), max_size=4))))
-    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_matpolys(n, edge_polys), st.lists(_matpolys(n, edge_polys), max_size=7))))
+    @settings(max_examples=50, deadline=None)
     def test_apply_matches_per_power_sum(self, args):
+        # zero and constant entries, sizes 1..3, d-powers up to 6 above entry
+        # degrees up to 3
         p, fs = args
         d = DiffOp.from_matrices(p.size, fs)
         assert apply(p, d) == _apply_per_j(p, d)
+
+    def test_apply_order_above_degree(self):
+        big = F(2**90 + 1, 7)
+        p = MatPoly([[big * X**2 - 1]])
+        assert apply(p, DiffOp.scalar([Poly(), Poly(), Poly(), Poly((1,))])) == MatPoly([[Poly()]])
+        assert apply(p, DiffOp.scalar([Poly(), Poly(), X])) == MatPoly([[2 * big * X]])
+        q = MatPoly([[Poly.const(big), Poly()], [X**3, Poly.const(3)]])
+        d = DiffOp.from_matrices(2, [MatPoly.zeros(2), MatPoly.identity(2), MatPoly.zeros(2), MatPoly.identity(2)])
+        assert apply(q, d) == MatPoly([[Poly(), Poly()], [3 * X**2 + 6, Poly()]]) == _apply_per_j(q, d)
 
     def test_sum_cancels_to_zero(self):
         a, b = Poly((F(1, 3), -7, F(2**90, 11))), Poly((5, F(-1, 2)))

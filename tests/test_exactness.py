@@ -1,18 +1,29 @@
 """Exactness gate: a faster path must return bit-identical results.
 
-One sha256 pins two outputs at default parameters: the monic orthogonal
+The first sha256 pins two outputs at default parameters: the monic orthogonal
 polynomials P_0..P_16 and the recursion pairs (B_n, C_n), n = 0..15, of both
 certificate weights of every catalog entry, and every ``verify_entry`` check
 (name, ok, detail) at n_max = 8. The digest was recorded by running this file
 on commit 3e7294a, before polynomial products moved to the integer kernel.
+
+The second sha256 pins the operator algebra: ``op_str`` of every entry's
+operators and verbatim readings at each ``ROBUSTNESS_PARAMS`` set, and the
+checks (name, ok, detail) and conjugators A_0..A_16 of ``darboux_verify`` at
+n_max = 16 and default parameters for JAC2, LAG3 and HER3. It was recorded by
+running this file on commit 7f6ada3, before composition and the right action
+moved onto one integer kernel.
 """
 
 import hashlib
 
 from mvop.catalog import ENTRY_NAMES, entry, verify_entry
+from mvop.dsl import op_str
+from mvop.dwalgebra import DarbouxCertificate, darboux_verify
 from mvop.weights import sequence_for
+from test_catalog import ROBUSTNESS_PARAMS
 
 DIGEST = "22f7c226ee2f2940fceba777755f847ed45def935b4c7d4cbff4faff952b25de"
+OPERATOR_DIGEST = "9bfcfb56e955e5de8d4b56cac8a69e705c9bac0273a71a82eee2474ed4215d3e"
 
 
 def _outputs():
@@ -29,3 +40,21 @@ def _outputs():
 
 def test_outputs_bit_identical_to_recorded_digest():
     assert hashlib.sha256("\n".join(_outputs()).encode()).hexdigest() == DIGEST
+
+
+def _operator_outputs():
+    for name in ENTRY_NAMES:
+        for params in ROBUSTNESS_PARAMS[name]:
+            e = entry(name, params)
+            for ops in (e.ops, e.verbatim_ops):
+                yield from (f"{name} {params} {k} = {op_str(d)}" for k, d in ops.items())
+    for name in ("JAC2", "LAG3", "HER3"):
+        e = entry(name)
+        cert = DarbouxCertificate(e.weight_W, e.weight_Wt, e.ops["V"], e.ops["N"], e.ops["D"], 16)
+        for c in darboux_verify(cert).checks:
+            yield repr((name, c.name, c.ok, c.detail))
+        yield from (repr(a) for a in cert.conjugators)
+
+
+def test_operator_outputs_bit_identical_to_recorded_digest():
+    assert hashlib.sha256("\n".join(_operator_outputs()).encode()).hexdigest() == OPERATOR_DIGEST
