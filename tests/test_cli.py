@@ -1,5 +1,6 @@
 """Command line interface: dispatch, reports, exit codes, JSON schema."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -79,6 +80,65 @@ class TestRun:
         statuses = [c["status"] for c in report["checks"]]
         assert statuses == ["pass", "fail"]
         assert report["ok"] is False
+
+
+# every check kind, each on a passing and a failing input: in_algebra,
+# symmetric, darboux (a factorization mismatch and a degree witness),
+# intertwine (the lambda_n list cut at six), search with and without dim and
+# refused, decompose, classify with and without expect, entry (an unknown
+# name is an error check)
+ALL_KINDS_DOC = (
+    "weight w1 = laguerre(alpha=1/2)\n"
+    "weight w2 = laguerre(alpha=3/2)\n"
+    "weight w3 = laguerre(alpha=1/3)\n"
+    "op L = delta(w1)\n"
+    "op T = d^1 - 1\n"
+    "op U = d^1\n"
+    "op N = d^1*x + 3/2\n"
+    "op D = T*N\n"
+    "op E = U*N\n"
+    "op F = d^1*x^2\n"
+    "check in_algebra(L, w1)\n"
+    "check in_algebra(U, w1, nmax=3)\n"
+    "check symmetric(L, w1)\n"
+    "check symmetric(U, w1)\n"
+    "check darboux(w1, w2, T, N, D)\n"
+    "check darboux(w1, w2, U, N, E)\n"
+    "check darboux(w1, w2, F, N, L)\n"
+    "check intertwine(T, w1, w2, nmax=8)\n"
+    "check intertwine(U, w1, w3, nmax=3)\n"
+    "check search(w1, w2, order=1)\n"
+    "check search(w1, hermite(b=0), order=1)\n"
+    "check search(w1, w2, order=1, dim=1)\n"
+    "check search(w1, w2, order=1, dim=2)\n"
+    "check decompose(T, w1, w2)\n"
+    "check decompose(L, w1, w2)\n"
+    "check classify(w1, w2, expect=true)\n"
+    "check classify(w1, w3, expect=true)\n"
+    "check classify(w1, w3)\n"
+    "check entry(LAG2DIAG)\n"
+    "check entry(NOSUCH)\n"
+)
+# sha256 of the report's JSON with time_ms dropped, recorded before the
+# check results shared one type; any change to a name, status or detail
+# changes it
+ALL_KINDS_DIGEST = "6b87f21782e833f3498f904885e7cc146ded26fbedbd3d3036de629152955d25"
+
+
+class TestOutputDigest:
+    def test_every_kind_passes_and_fails(self):
+        report = run(parse_spec(ALL_KINDS_DOC), n_max=3)
+        statuses = {}
+        for c in report["checks"]:
+            statuses.setdefault(c["kind"], set()).add(c["status"] == "pass")
+        assert statuses == {k: {True, False} for k in statuses} and len(statuses) == 8
+
+    def test_report_digest(self):
+        report = run(parse_spec(ALL_KINDS_DOC), n_max=3)
+        for c in report["checks"]:
+            del c["time_ms"]
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == ALL_KINDS_DIGEST
 
 
 class TestSchema:
