@@ -24,6 +24,7 @@ from .exactalg import (  # noqa: F401
 from .diffop import (  # noqa: F401
     DiffOp,
     MatPoly,
+    Verdict,
     apply,
     compose,
     degree_preserving,

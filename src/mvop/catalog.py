@@ -22,17 +22,17 @@ from importlib import resources
 from typing import Callable
 
 from .exactalg import DomainError, FracMat, Poly, X, frac
-from .diffop import DiffOp, MatPoly, apply, compose, diff_cells
+from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
 from .weights import Laguerre, Weight, classical_monic, inner_product, sequence_for
 from .dwalgebra import (
     DarbouxCertificate,
     Report,
+    check_horizon,
     commutativity_predicate,
     darboux_verify,
     fullness_check,
     matrix_intertwiner_search,
     matrix_intertwiner_verify,
-    operator_mismatch_detail,
     relation,
     symmetry_check,
     verify_in_DW,
@@ -233,16 +233,16 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
     return True
 
 
-def _gram_orthogonal(polys, weight: Weight, bound: int) -> tuple[bool, str]:
+def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
     for n in range(bound + 1):
         gn = inner_product(polys[n], polys[n], weight)
         if gn.det() == 0:
-            return False, f"Gram block at n={n} is singular"
+            return Verdict(False, f"Gram block at n={n} is singular", n, gn)
         for m in range(n):
             g = inner_product(polys[n], polys[m], weight)
             if not g.is_zero:
-                return False, f"nonzero Gram block at (n, m) = ({n}, {m})"
-    return True, ""
+                return Verdict(False, f"nonzero Gram block at (n, m) = ({n}, {m})", n, g)
+    return Verdict(True)
 
 
 def _eigen_family(polys, op: DiffOp, bound: int) -> tuple[bool, str]:
@@ -259,6 +259,7 @@ def verify_entry(name: str, params: dict | None = None, n_max: int = 8) -> Repor
 
 def check_entry(e: CatalogEntry, n_max: int = 8) -> Report:
     """Every stated identity of an already admitted entry."""
+    check_horizon(n_max)
     rep = Report()
     _ENTRIES[e.name].verify(e, rep, n_max)
     return rep
@@ -272,18 +273,13 @@ def _verify_jac2(e: CatalogEntry, rep: Report, n_max: int):
     c1, c2, c0 = e.expected["combo"]
     combo = c1 * ops["D1"] + c2 * ops["D2"] + c0 * DiffOp.identity(2)
     nv = compose(ops["N"], ops["V"])
-    rep.add(
-        "N V equals the stated combination of D1, D2, I",
-        nv == combo,
-        "" if nv == combo else operator_mismatch_detail(nv, combo),
-    )
+    rep.add("N V equals the stated combination of D1, D2, I", compare_operators(nv, combo))
     rep.add("D1 D2 = D2 D1", compose(ops["D1"], ops["D2"]) == compose(ops["D2"], ops["D1"]))
-    sym = symmetry_check(ops["D2"], W)
-    rep.add("D2 is W-symmetric", sym.ok, "" if sym.ok else f"residual at k in {sorted(sym.residuals)}")
+    rep.add("D2 is W-symmetric", symmetry_check(ops["D2"], W))
     m1 = verify_in_DW(ops["D1"], W, n_max)
     m2 = verify_in_DW(ops["D2"], W, n_max)
-    rep.add("D1 in algebra of W", m1.ok, m1.detail)
-    rep.add("D2 in algebra of W", m2.ok, m2.detail)
+    rep.add("D1 in algebra of W", m1)
+    rep.add("D2 in algebra of W", m2)
     if m1.ok and m2.ok:
         comm = all(
             m1.eigs[n] * m2.eigs[n] == m2.eigs[n] * m1.eigs[n] for n in range(n_max + 1)
@@ -294,26 +290,23 @@ def _verify_jac2(e: CatalogEntry, rep: Report, n_max: int):
     rep.add("diagonal side has a commutative algebra", commutativity_predicate(w))
     seq = sequence_for(w)
     qs = [apply(seq.poly(n), ops["V"]) for n in range(n_max + 1)]
-    ok, detail = _gram_orthogonal(qs, W, n_max)
-    rep.add("images P_n . V are Gram-orthogonal under W", ok, detail)
+    rep.add("images P_n . V are Gram-orthogonal under W", _gram_orthogonal(qs, W, n_max))
 
 
 def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
     W, Wt = e.weight_W, e.weight_Wt
     ops = e.ops
-    composed = compose(ops["V"], ops["N"])
-    eq = composed == ops["D"]
-    rep.add("D = V N exactly", eq, "" if eq else operator_mismatch_detail(composed, ops["D"]))
+    eq = compare_operators(compose(ops["V"], ops["N"]), ops["D"])
+    rep.add("D = V N exactly", eq)
     rep.add("D has order six", ops["D"].order == 6)
     verb = compose(ops["V"], e.verbatim_ops["N"])
     verb_cells = diff_cells(verb, e.verbatim_ops["D"])
-    rep.add(
-        "printed readings re-checked",
-        composed == ops["D"],
+    detail = (
         "verbatim N, D "
         + ("also match" if not verb_cells else f"disagree at {len(verb_cells)} cells, first {verb_cells[0]}")
-        + "; emended reading is primary",
+        + "; emended reading is primary"
     )
+    rep.add("printed readings re-checked", Verdict(eq.ok, detail))
     seq = sequence_for(W)
     seqt = sequence_for(Wt)
     qs = [apply(seq.poly(n), ops["V"]) for n in range(n_max + 1)]
@@ -331,13 +324,10 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
             f"literal printed middle entry diverges for n in {printed_diverges[:3]}...;"
             " emended closed form used"
         )
-    rep.add("P_n . V = A_n Pt_n with the stated A_n", ok, detail)
-    ok, detail = _eigen_family(qs, ops["E"], n_max)
-    rep.add("images are eigenfunctions of E", ok, detail)
-    mem = verify_in_DW(ops["E"], Wt, n_max)
-    rep.add("E in algebra of Wt", mem.ok, mem.detail)
-    ok, detail = _gram_orthogonal(qs, Wt, n_max)
-    rep.add("images are Gram-orthogonal under Wt", ok, detail)
+    rep.add("P_n . V = A_n Pt_n with the stated A_n", Verdict(ok, detail))
+    rep.add("images are eigenfunctions of E", Verdict(*_eigen_family(qs, ops["E"], n_max)))
+    rep.add("E in algebra of Wt", verify_in_DW(ops["E"], Wt, n_max))
+    rep.add("images are Gram-orthogonal under Wt", _gram_orthogonal(qs, Wt, n_max))
     # bounded evidence that no factorization with ord V' + ord N' < 6 exists:
     # such a pair has a factor of order <= 2, and a certificate factor needs a
     # nonsingular conjugator already at n = 0 (A_0 is the constant term), so
@@ -347,67 +337,59 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
     ok = _const_term_singular_on_span(fwd, 3) and _const_term_singular_on_span(rev, 3)
     rep.add(
         "no certificate factor of order <= 2 in either direction (slack 1)",
-        ok,
-        f"forward dim {len(fwd)}, reverse dim {len(rev)}, every element has singular A_0;"
-        " order-drop compositions outside searched region",
+        Verdict(
+            ok,
+            f"forward dim {len(fwd)}, reverse dim {len(rev)}, every element has singular A_0;"
+            " order-drop compositions outside searched region",
+        ),
     )
     control = matrix_intertwiner_verify(ops["V"], W, Wt, n_max)
     ctrl_space = matrix_intertwiner_search(W, Wt, 3, 0)
     rep.add(
         "positive control: order-3 space contains V",
-        control and len(ctrl_space) >= 1,
-        f"order-3 search dimension {len(ctrl_space)}",
+        Verdict(control and len(ctrl_space) >= 1, f"order-3 search dimension {len(ctrl_space)}"),
     )
 
 
 def _verify_geg2(e: CatalogEntry, rep: Report, n_max: int):
     w, W = e.weight_W, e.weight_Wt
     ops = e.ops
-    composed = compose(ops["V"], ops["N"])
-    eq = composed == ops["D"]
-    rep.add("D = V N exactly", eq, "" if eq else operator_mismatch_detail(composed, ops["D"]))
-    mem = verify_in_DW(ops["D"], w, n_max)
-    rep.add("D in algebra of the diagonal side", mem.ok, mem.detail)
+    rep.add("D = V N exactly", compare_operators(compose(ops["V"], ops["N"]), ops["D"]))
+    rep.add("D in algebra of the diagonal side", verify_in_DW(ops["D"], w, n_max))
     seq = sequence_for(w)
     qs = [apply(seq.poly(n), ops["V"]) for n in range(n_max + 1)]
-    ok, detail = _gram_orthogonal(qs, W, n_max)
-    rep.add("images are Gram-orthogonal under W", ok, detail)
+    rep.add("images are Gram-orthogonal under W", _gram_orthogonal(qs, W, n_max))
 
 
 def _verify_her3(e: CatalogEntry, rep: Report, n_max: int):
     w, W = e.weight_W, e.weight_Wt
     ops = e.ops
     composed = compose(ops["V"], ops["N"])
-    eq = composed == ops["D"]
-    rep.add("D = V N exactly", eq, "" if eq else operator_mismatch_detail(composed, ops["D"]))
+    eq = compare_operators(composed, ops["D"])
+    rep.add("D = V N exactly", eq)
     rep.add("D has order eight", ops["D"].order == 8)
     verb_cells = diff_cells(composed, e.verbatim_ops["D"])
-    rep.add(
-        "printed readings re-checked",
-        composed == ops["D"],
+    detail = (
         "verbatim D "
         + ("also matches" if not verb_cells else f"disagrees at {len(verb_cells)} cells (sign of the cubic (2,2) term)")
         + "; verbatim E "
-        + ("passes" if _eigen_family([apply(sequence_for(w).poly(n), ops["V"]) for n in range(3)], e.verbatim_ops["E"], 2)[0] else "fails (sign of the constant (1,1) term)"),
+        + ("passes" if _eigen_family([apply(sequence_for(w).poly(n), ops["V"]) for n in range(3)], e.verbatim_ops["E"], 2)[0] else "fails (sign of the constant (1,1) term)")
     )
+    rep.add("printed readings re-checked", Verdict(eq.ok, detail))
     seq = sequence_for(w)
     bound = min(n_max, 6)
     qs = [apply(seq.poly(n), ops["V"]) for n in range(bound + 1)]
-    ok, detail = _gram_orthogonal(qs, W, bound)
-    rep.add("images are Gram-orthogonal under W", ok, detail)
-    ok, detail = _eigen_family(qs, ops["E"], bound)
-    rep.add("images are eigenfunctions of E", ok, detail)
-    mem = verify_in_DW(ops["E"], W, bound)
-    rep.add("E in algebra of W", mem.ok, mem.detail)
-    sym = symmetry_check(ops["E"], W)
-    rep.add("E is W-symmetric", sym.ok, "" if sym.ok else f"residual at k in {sorted(sym.residuals)}")
+    rep.add("images are Gram-orthogonal under W", _gram_orthogonal(qs, W, bound))
+    rep.add("images are eigenfunctions of E", Verdict(*_eigen_family(qs, ops["E"], bound)))
+    rep.add("E in algebra of W", verify_in_DW(ops["E"], W, bound))
+    rep.add("E is W-symmetric", symmetry_check(ops["E"], W))
 
 
 def _verify_lag2diag(e: CatalogEntry, rep: Report, n_max: int):
     seq = sequence_for(e.weight_W)
     for gname in ("G1", "G2", "G3", "G4", "G5", "G6"):
         rel = relation(seq.poly, e.ops[gname], seq.poly, n_max, cs=e.expected["eigs"][gname])
-        rep.add(f"{gname} in algebra with the stated eigenvalues", rel.ok, rel.detail)
+        rep.add(f"{gname} in algebra with the stated eigenvalues", rel)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import DecompositionError, DomainError, frac
+from .exactalg import DecompositionError, DomainError, frac, poly_str
+from .diffop import Verdict
 from .dsl import LIMIT, CheckCommand, ParseError, SpecDocument, parse_spec
 from . import catalog as _catalog
 from . import dwalgebra as _dw
@@ -22,6 +23,10 @@ from . import dwalgebra as _dw
 _STATUS_PASS = "pass"
 _STATUS_FAIL = "fail"
 _STATUS_ERROR = "error"
+
+
+def _status(ok: bool) -> str:
+    return _STATUS_PASS if ok else _STATUS_FAIL
 
 
 def _result(name, kind, status, detail, seconds):
@@ -34,87 +39,55 @@ def _result(name, kind, status, detail, seconds):
     }
 
 
-def _flatten_report(label: str, kind: str, rep: _dw.Report) -> list[dict]:
-    return [
-        _result(f"{label}: {c.name}", kind, _STATUS_PASS if c.ok else _STATUS_FAIL, c.detail, c.seconds)
-        for c in rep.checks
-    ]
+def _outcome(kind: str, vals: list, opts: dict, n_max: int):
+    """The result of one check: a Verdict, or a Report of named verdicts."""
+    nmax = opts.get("nmax", n_max)
+    if kind == "in_algebra":
+        return _dw.verify_in_DW(*vals, nmax)
+    if kind == "symmetric":
+        return _dw.symmetry_check(*vals)
+    if kind == "darboux":
+        return _dw.darboux_verify(_dw.DarbouxCertificate(*vals, n_max))
+    if kind == "intertwine":
+        v = _dw.intertwiner_verify(*vals, nmax)
+        if v.ok:
+            v.detail = "lambda_n = " + ", ".join(str(c.entry(0, 0)) for c in v.eigs[:6])
+        return v
+    if kind == "search":
+        basis = _dw.intertwiner_search(*vals, opts["order"], opts.get("slack", 0), opts.get("horizon"))
+        if "dim" not in opts:
+            return Verdict(True, basis.describe())
+        detail = f"{basis.describe()} (dim {basis.dim}, expected {opts['dim']})"
+        return Verdict(basis.dim == opts["dim"], detail)
+    if kind == "decompose":
+        try:
+            return Verdict(True, f"p(t) = {poly_str(_dw.module_decompose(*vals))}")
+        except DecompositionError as exc:
+            return Verdict(False, str(exc))
+    if kind == "classify":
+        got = _dw.scalar_darboux_class(*vals)
+        return Verdict(got == opts.get("expect", got), f"darboux-related: {'true' if got else 'false'}")
+    if kind == "entry":
+        return _catalog.verify_entry(vals[0], None, n_max)
+    raise ValueError(f"unhandled check kind {kind}")
+
+
+def _rows(label: str, kind: str, check) -> list[dict]:
+    """The result rows of one check: a Report's checks, one row for a Verdict,
+    or one error row carrying the class of the engine error raised."""
+    t0 = time.monotonic()
+    try:
+        out = check()
+    except Exception as exc:  # engine errors become failed checks
+        return [_result(label, kind, _STATUS_ERROR, f"{type(exc).__name__}: {exc}", time.monotonic() - t0)]
+    if isinstance(out, Verdict):
+        return [_result(label, kind, _status(out.ok), out.detail, time.monotonic() - t0)]
+    return [_result(f"{label}: {c.name}", kind, _status(c.ok), c.detail, c.seconds) for c in out.checks]
 
 
 def _run_check(cmd: CheckCommand, n_max: int) -> list[dict]:
-    label = cmd.label()
-    t0 = time.monotonic()
-    kind = cmd.kind
     vals = [a.value for a in cmd.args]
-    opts = cmd.options
-
-    def one(status, detail=""):
-        if isinstance(status, bool):
-            status = _STATUS_PASS if status else _STATUS_FAIL
-        return [_result(label, kind, status, detail, time.monotonic() - t0)]
-
-    try:
-        if kind == "in_algebra":
-            rep = _dw.verify_in_DW(vals[0], vals[1], opts.get("nmax", n_max))
-            return one(rep.ok, rep.detail)
-        if kind == "symmetric":
-            rep = _dw.symmetry_check(vals[0], vals[1])
-            return one(rep.ok, "" if rep.ok else f"residual at coefficient index k in {sorted(rep.residuals)}")
-        if kind == "darboux":
-            cert = _dw.DarbouxCertificate(vals[0], vals[1], vals[2], vals[3], vals[4], n_max)
-            return _flatten_report(label, kind, _dw.darboux_verify(cert))
-        if kind == "intertwine":
-            rep = _dw.intertwiner_verify(vals[0], vals[1], vals[2], opts.get("nmax", n_max))
-            detail = (
-                "lambda_n = " + ", ".join(str(v) for v in rep.lambdas[: min(6, len(rep.lambdas))])
-                if rep.ok
-                else rep.detail
-            )
-            return one(rep.ok, detail)
-        if kind == "search":
-            basis = _dw.intertwiner_search(
-                vals[0],
-                vals[1],
-                opts["order"],
-                opts.get("slack", 0),
-                opts.get("horizon"),
-            )
-            detail = basis.describe()
-            ok = True
-            if "dim" in opts:
-                ok = basis.dim == opts["dim"]
-                detail += f" (dim {basis.dim}, expected {opts['dim']})"
-            return one(ok, detail)
-        if kind == "decompose":
-            try:
-                p = _dw.module_decompose(vals[0], vals[1], vals[2])
-                from .exactalg import poly_str
-
-                return one(True, f"p(t) = {poly_str(p)}")
-            except DecompositionError as exc:
-                return one(False, str(exc))
-        if kind == "classify":
-            got = _dw.scalar_darboux_class(vals[0], vals[1])
-            ok = True
-            detail = f"darboux-related: {'true' if got else 'false'}"
-            if "expect" in opts:
-                ok = got == opts["expect"]
-            return one(ok, detail)
-        if kind == "entry":
-            return _entry_checks(label, lambda: _catalog.verify_entry(vals[0], None, n_max))
-        return one(_STATUS_ERROR, f"unhandled check kind {kind}")
-    except Exception as exc:  # engine errors become failed checks
-        return one(_STATUS_ERROR, f"{type(exc).__name__}: {exc}")
-
-
-def _entry_checks(label: str, verify) -> list[dict]:
-    """The checks of an entry's report, or one error check carrying the class
-    of the engine error raised while they ran."""
-    t0 = time.monotonic()
-    try:
-        return _flatten_report(label, "entry", verify())
-    except Exception as exc:  # engine errors become failed checks
-        return [_result(label, "entry", _STATUS_ERROR, f"{type(exc).__name__}: {exc}", time.monotonic() - t0)]
+    return _rows(cmd.label(), cmd.kind, lambda: _outcome(cmd.kind, vals, cmd.options, n_max))
 
 
 def _report(checks: list[dict], n_max: int) -> dict:
@@ -244,7 +217,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "entry":
-        checks = _entry_checks(f"entry({args.name})", lambda: _catalog.check_entry(e, args.nmax))
+        checks = _rows(f"entry({args.name})", "entry", lambda: _catalog.check_entry(e, args.nmax))
         report = _report(checks, args.nmax)
     else:
         report = run(doc, args.nmax)

@@ -25,6 +25,7 @@ through its logarithmic derivative.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -349,22 +350,23 @@ def op_order_lead(d: DiffOp) -> tuple[int, MatRF]:
     return d.order, d.coeffs[-1]
 
 
-class DegreeReport:
-    """Outcome of the degree-preservation test, with a witness on failure."""
+@dataclass
+class Verdict:
+    """The outcome of one exact check, true or false as ``ok``.
 
-    __slots__ = ("ok", "reason", "witness_n", "symbol_det")
+    A failure carries its witness where the check has one: the first failing
+    index n and the nonzero residual. ``eigs`` holds the constant matrices
+    C_n a relation solved, the eigenvalues Lambda_n of a membership.
+    """
 
-    def __init__(self, ok, reason=None, witness_n=None, symbol_det=None):
-        self.ok = ok
-        self.reason = reason
-        self.witness_n = witness_n
-        self.symbol_det = symbol_det
+    ok: bool
+    detail: str = ""
+    fail_n: int | None = None
+    residual: object = None
+    eigs: list = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        return f"DegreeReport(ok={self.ok}, reason={self.reason!r}, witness_n={self.witness_n})"
 
 
 def _falling_factorial(j: int) -> Poly:
@@ -375,22 +377,23 @@ def _falling_factorial(j: int) -> Poly:
     return out
 
 
-def degree_preserving(d: DiffOp) -> DegreeReport:
+def degree_preserving(d: DiffOp) -> Verdict:
     """Decide whether P . d always has the degree of P.
 
     Criterion: every coefficient F_j is polynomial with deg F_j <= j, and the
     symbol S_n = sum_j (n)_j [x^j]F_j is nonsingular for every integer n >= 0.
     The unbounded quantifier over n is decided by taking det S_n as a
-    polynomial in n and ruling out nonnegative integer roots.
+    polynomial in n and ruling out nonnegative integer roots; the residual
+    is det S_n, and a failure's n is a root.
     """
     if d.is_zero:
-        return DegreeReport(False, reason="zero operator")
+        return Verdict(False, "zero operator")
     polys = d.poly_coeffs()
     if polys is None:
-        return DegreeReport(False, reason="non-polynomial coefficient")
+        return Verdict(False, "non-polynomial coefficient")
     for j, f in enumerate(polys):
         if f.degree > j:
-            return DegreeReport(False, reason=f"coefficient degree {f.degree} exceeds d-power {j}")
+            return Verdict(False, f"coefficient degree {f.degree} exceeds d-power {j}")
     # entries of S_n are polynomials in n; reuse MatRF with x standing for n
     n = d.size
     rows = [[RatFunc(Poly()) for _ in range(n)] for _ in range(n)]
@@ -405,13 +408,11 @@ def degree_preserving(d: DiffOp) -> DegreeReport:
                     rows[r][c] = rows[r][c] + RatFunc(fall * top.entry(r, c))
     det = MatRF(rows).det().as_poly()
     if det.is_zero:
-        return DegreeReport(False, reason="symbol determinant vanishes identically", witness_n=0)
+        return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
     roots = nonneg_integer_roots(det)
     if roots:
-        return DegreeReport(
-            False, reason=f"symbol singular at n = {roots[0]}", witness_n=roots[0], symbol_det=det
-        )
-    return DegreeReport(True, symbol_det=det)
+        return Verdict(False, f"symbol singular at n = {roots[0]}", fail_n=roots[0], residual=det)
+    return Verdict(True, residual=det)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +491,15 @@ def diff_cells(a: DiffOp, b: DiffOp) -> list[tuple[int, int, int]]:
                 if fa.entry(r, c) != fb.entry(r, c):
                     cells.append((j, r, c))
     return cells
+
+
+def compare_operators(a: DiffOp, b: DiffOp, limit: int = 4) -> Verdict:
+    """a = b, or a failure naming the first ``limit`` differing (d-power,
+    row, col) cells with both sides; the residual is a - b."""
+    if a == b:
+        return Verdict(True)
+    detail = "; ".join(
+        f"d^{j} cell ({r},{c}): {a.coeff(j).entry(r, c)} vs {b.coeff(j).entry(r, c)}"
+        for j, r, c in diff_cells(a, b)[:limit]
+    )
+    return Verdict(False, detail, residual=a - b)

@@ -571,8 +571,12 @@ class _Parser:
                 t.kind == "NAME"
                 and self.toks[self.pos + 1].kind == "SYM"
                 and self.toks[self.pos + 1].text == "="
-                and t.text in allowed
             ):
+                # no argument is written name = ..., so this is an option
+                if t.text not in allowed:
+                    self.err(f"unknown option {t.text!r} for {kind}", t)
+                if t.text in options:
+                    self.err(f"repeated option {t.text!r}", t)
                 self.next()
                 self.next()
                 options[t.text] = self.option_value(t.text, allowed[t.text])

@@ -4,8 +4,10 @@ the classification of direct sums of classical scalar weights.
 
 Every verification here is an exact statement about rational data: a check
 either holds coefficient-for-coefficient or fails with a witness (the first
-offending index n and the nonzero residual). Searches are linear algebra
-over Q and are reported as bounded evidence, never as nonexistence proofs.
+offending index n and the nonzero residual). Each check returns one result
+type, ``diffop.Verdict``; a ``Report`` lists named verdicts in order.
+Searches are linear algebra over Q and are reported as bounded evidence,
+never as nonexistence proofs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .exactalg import (
 from .diffop import (
     DiffOp,
     MatPoly,
+    Verdict,
     apply,
     block_antidiagonal,
+    compare_operators,
     compose,
     degree_preserving,
     op_power,
@@ -76,8 +80,10 @@ class Report:
         elapsed, self._stamp = now - self._stamp, now
         return elapsed
 
-    def add(self, name, ok, detail=""):
-        self.checks.append(CheckResult(name, bool(ok), detail, self._lap()))
+    def add(self, name: str, v: Verdict | bool):
+        """Add a check: a verdict, or a bool for a check without a witness."""
+        detail = v.detail if isinstance(v, Verdict) else ""
+        self.checks.append(CheckResult(name, bool(v), detail, self._lap()))
 
     def extend(self, other: "Report", prefix: str = ""):
         # the sub-report's checks carry their own times; its run is not
@@ -111,19 +117,13 @@ def _weight_of(w) -> Weight:
 # membership and eigenvalues
 
 
-@dataclass
-class MembershipReport:
-    ok: bool
-    eigs: list[FracMat] | None = None
-    fail_n: int | None = None
-    residual: object = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
+def check_horizon(n_max: int):
+    # a negative horizon checks no n at all, so its pass would claim too much
+    if n_max < 0:
+        raise DomainError(f"negative horizon n_max = {n_max}")
 
 
-def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> MembershipReport:
+def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     """Check P_n . T = C_n Q_n for n <= n_max.
 
     ``ps``, ``qs`` and ``cs`` map n to P_n, Q_n (matrix polynomials of degree
@@ -131,12 +131,14 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> MembershipReport:
     degree-n coefficients: [x^n](P_n . T) times the inverse of Q_n's leading
     coefficient, which must then be nonsingular. ``eigs`` holds C_0, ...,
     C_{k-1} for the first failing n = k (all of them when the relation holds).
+    A negative ``n_max`` is a DomainError.
     """
+    check_horizon(n_max)
     eigs: list[FracMat] = []
     for n in range(n_max + 1):
         r = apply(ps(n), t)
         if isinstance(r, MatRF):
-            return MembershipReport(False, eigs, n, r, f"non-polynomial action at n={n}")
+            return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
         q = qs(n)
         if cs is not None:
             c = cs(n)
@@ -145,20 +147,16 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> MembershipReport:
             lead = q.coeff(n)
             if lead != FracMat.identity(q.size):
                 if lead.det() == 0:
-                    return MembershipReport(
-                        False, eigs, n, lead, f"leading coefficient of Q_n singular at n={n}"
-                    )
+                    return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
                 c = c * lead.inv()
         expected = q.lmul_const(c)
         if r != expected:
-            return MembershipReport(
-                False, eigs, n, r - expected, f"P_n . T != C_n Q_n at n={n}"
-            )
+            return Verdict(False, f"P_n . T != C_n Q_n at n={n}", n, r - expected, eigs)
         eigs.append(c)
-    return MembershipReport(True, eigs=eigs)
+    return Verdict(True, eigs=eigs)
 
 
-def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> MembershipReport:
+def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> Verdict:
     """Check P_n . d = Lambda_n P_n for n <= n_max (the sequence is monic)."""
     weight = _weight_of(weight)
     if d.size != weight.size:
@@ -184,49 +182,27 @@ def lambda_multiplicativity_check(d1: DiffOp, d2: DiffOp, weight: Weight, n_max:
 # symmetry
 
 
-@dataclass
-class SymmetryReport:
-    ok: bool
-    residuals: dict[int, MatRF] = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
-
-
-def symmetry_check(d: DiffOp, weight: Weight) -> SymmetryReport:
-    """W-symmetry: d equals its W-adjoint. The residuals are the nonzero
-    coefficients of w_adjoint(d, W) - d, keyed by d-power k."""
+def symmetry_check(d: DiffOp, weight: Weight) -> Verdict:
+    """W-symmetry: d equals its W-adjoint. The residual is the operator
+    w_adjoint(d, W) - d; a failure names its nonzero d-powers k."""
     resid = w_adjoint(d, _weight_of(weight)) - d
-    residuals = {k: c for k, c in enumerate(resid.coeffs) if not c.is_zero}
-    return SymmetryReport(not residuals, residuals)
+    ks = [k for k, c in enumerate(resid.coeffs) if not c.is_zero]
+    return Verdict(not ks, f"residual at coefficient index k in {ks}" if ks else "", residual=resid)
 
 
 # ---------------------------------------------------------------------------
 # intertwiners between scalar weights
 
 
-@dataclass
-class IntertwineReport:
-    ok: bool
-    lambdas: list[Fraction] | None = None
-    fail_n: int | None = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def intertwiner_verify(t: DiffOp, w1, w2, n_max: int = 8) -> IntertwineReport:
-    """Check p_n^{w1} . t = lambda_n p_n^{w2} with scalar lambda_n (0 allowed)."""
+def intertwiner_verify(t: DiffOp, w1, w2, n_max: int = 8) -> Verdict:
+    """Check p_n^{w1} . t = lambda_n p_n^{w2} with scalar lambda_n (0 allowed);
+    ``eigs`` holds the 1x1 matrices [lambda_n]."""
     f1, f2 = _family_of(w1), _family_of(w2)
     if t.size != 1:
         raise ShapeError("intertwiner must be a scalar operator")
     s1 = sequence_for(f1.scalar_weight())
     s2 = sequence_for(f2.scalar_weight())
-    rep = relation(s1.poly, t, s2.poly, n_max)
-    if not rep.ok:
-        return IntertwineReport(False, fail_n=rep.fail_n, detail=rep.detail)
-    return IntertwineReport(True, lambdas=[c.entry(0, 0) for c in rep.eigs])
+    return relation(s1.poly, t, s2.poly, n_max)
 
 
 @dataclass
@@ -519,22 +495,16 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     seqt = sequence_for(wt)
     n_max = cert.n_max
 
-    composed = compose(cert.V, cert.Nn)
-    rep.add(
-        "factorization D = V N",
-        composed == cert.D,
-        "" if composed == cert.D else operator_mismatch_detail(composed, cert.D),
-    )
+    rep.add("factorization D = V N", compare_operators(compose(cert.V, cert.Nn), cert.D))
 
     mem = verify_in_DW(cert.D, w, n_max)
-    rep.add("D in algebra of W", mem.ok, mem.detail)
+    rep.add("D in algebra of W", mem)
 
     dv = degree_preserving(cert.V)
     dn = degree_preserving(cert.Nn)
     rep.add(
         "V and N degree-preserving",
-        dv.ok and dn.ok,
-        "; ".join(s for s in (dv.reason, dn.reason) if s),
+        Verdict(dv.ok and dn.ok, "; ".join(s for s in (dv.detail, dn.detail) if s)),
     )
 
     fwd = relation(seq.poly, cert.V, seqt.poly, n_max)
@@ -542,39 +512,25 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     conj = fwd.eigs[: singular[0]] if singular else fwd.eigs
     ok4 = fwd.ok and not singular
     detail4 = f"conjugator A_{singular[0]} is singular" if singular else fwd.detail
-    rep.add("P_n . V = A_n Pt_n with A_n nonsingular", ok4, detail4)
+    rep.add("P_n . V = A_n Pt_n with A_n nonsingular", Verdict(ok4, detail4))
     cert.conjugators = conj
 
     memt = verify_in_DW(compose(cert.Nn, cert.V), wt, n_max)
-    rep.add("N V in algebra of Wt", memt.ok, memt.detail)
+    rep.add("N V in algebra of Wt", memt)
 
     if ok4 and mem.ok:
         rev = relation(
             seqt.poly, cert.Nn, seq.poly, n_max, cs=lambda n: conj[n].inv() * mem.eigs[n]
         )
-        ok6, detail6 = rev.ok, rev.detail
     else:
-        ok6, detail6 = False, "skipped: prerequisites failed"
-    rep.add("Pt_n . N = A_n^-1 Lambda_n(D) P_n", ok6, detail6)
+        rev = Verdict(False, "skipped: prerequisites failed")
+    rep.add("Pt_n . N = A_n^-1 Lambda_n(D) P_n", rev)
 
     block = block_antidiagonal(cert.V, cert.Nn)
     bw = Weight.direct_sum([w, wt])
     memb = verify_in_DW(block, bw, n_max)
-    rep.add("antidiagonal block operator in algebra of W (+) Wt", memb.ok, memb.detail)
+    rep.add("antidiagonal block operator in algebra of W (+) Wt", memb)
     return rep
-
-
-def operator_mismatch_detail(a: DiffOp, b: DiffOp, limit: int = 4) -> str:
-    """Name the differing (d-power, row, col) cells with both sides."""
-    from .diffop import diff_cells
-
-    cells = diff_cells(a, b)[:limit]
-    parts = []
-    for (j, r, c) in cells:
-        parts.append(
-            f"d^{j} cell ({r},{c}): {a.coeff(j).entry(r, c)} vs {b.coeff(j).entry(r, c)}"
-        )
-    return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +632,10 @@ def fullness_check(
         )
     dp = degree_preserving(total)
     if dp.ok:
-        rep.add("sum is not a zero divisor", True, "symbol nonsingular for every n >= 0")
+        rep.add("sum is not a zero divisor", Verdict(True, "symbol nonsingular for every n >= 0"))
     else:
         mem = verify_in_DW(total, weight, n_max)
         ok = mem.ok and all(e.det() != 0 for e in mem.eigs)
-        rep.add(
-            "sum is not a zero divisor",
-            ok,
-            f"eigenvalue determinants nonzero for n <= {n_max}" if ok else mem.detail,
-        )
+        detail = f"eigenvalue determinants nonzero for n <= {n_max}" if ok else mem.detail
+        rep.add("sum is not a zero divisor", Verdict(ok, detail))
     return rep

@@ -171,6 +171,12 @@ class TestVerification:
             rep = verify_entry(name, params, 4)
             assert rep.ok, (params, [c.name for c in rep.failures()])
 
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_negative_horizon_refused(self, name):
+        # JAC2 at n_max = -1 used to pass every check
+        with pytest.raises(DomainError, match="horizon n_max = -1"):
+            check_entry(entry(name), -1)
+
     def test_jac2_eigenvalue_families_commute(self):
         from mvop.dwalgebra import verify_in_DW
 

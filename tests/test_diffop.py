@@ -319,12 +319,12 @@ class TestDegreePreserving:
         # symbol n - 2 vanishes at the nonnegative integer 2
         op = DiffOp.scalar([Poly((-2,)), X])
         rep = degree_preserving(op)
-        assert not rep.ok and rep.witness_n == 2
+        assert not rep.ok and rep.fail_n == 2
 
     def test_degree_violation(self):
         op = DiffOp.scalar([X**2])
         rep = degree_preserving(op)
-        assert not rep.ok and "degree" in rep.reason
+        assert not rep.ok and "degree" in rep.detail
 
     def test_catalog_factors_preserve_degrees(self):
         # consequence: monomials keep their degree and monic images keep a
@@ -353,7 +353,7 @@ class TestDegreePreserving:
 
         e = entry("HER3", {"a": F(17, 6), "b": F(-5, 6)})
         rep = degree_preserving(e.ops["N"])
-        assert rep.ok and rep.symbol_det.degree == 6
+        assert rep.ok and rep.residual.degree == 6
 
 
 class TestAssembly:

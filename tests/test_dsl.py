@@ -123,6 +123,23 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_spec("check frobnicate(x)\n")
 
+    @pytest.mark.parametrize(
+        "line, message, col",
+        [
+            # used to run silently with nmax=4
+            ("check in_algebra(D, w, nmax=3, nmax=4)", "repeated option 'nmax'", 32),
+            # used to be reported as too many arguments for in_algebra
+            ("check in_algebra(D, w, foo=3)", "unknown option 'foo' for in_algebra", 24),
+            ("check classify(w, w, nmax=3)", "unknown option 'nmax' for classify", 22),
+        ],
+    )
+    def test_bad_check_option(self, line, message, col):
+        text = "weight w = laguerre(alpha=1/2)\nop D = d^1\n" + line + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert message in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (3, col)
+
     def test_check_arity(self):
         with pytest.raises(ParseError):
             parse_spec("weight w = laguerre(alpha=1/2)\ncheck classify(w)\n")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvop.exactalg import DecompositionError, FracMat, Poly, ShapeError, X
+from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, ShapeError, X
 from mvop.diffop import (
     DiffOp,
     MatPoly,
@@ -65,6 +65,32 @@ class TestMembership:
             verify_in_DW(DiffOp.identity(2), LAG.scalar_weight(), 2)
 
 
+class TestNegativeHorizon:
+    """A negative horizon checks no n; each of these used to return ok."""
+
+    def test_membership(self):
+        with pytest.raises(DomainError, match="horizon n_max = -1"):
+            verify_in_DW(DDX, LAG.scalar_weight(), -1)
+
+    def test_relation(self):
+        seq = sequence_for(LAG.scalar_weight())
+        with pytest.raises(DomainError, match="horizon"):
+            relation(seq.poly, DDX, seq.poly, -2)
+
+    def test_scalar_intertwiner(self):
+        with pytest.raises(DomainError, match="horizon"):
+            intertwiner_verify(DDX, LAG, Laguerre(ALPHA + 1), -1)
+
+    def test_matrix_intertwiner(self):
+        w1, w2 = LAG.scalar_weight(), Laguerre(ALPHA + 1).scalar_weight()
+        with pytest.raises(DomainError, match="horizon"):
+            matrix_intertwiner_verify(DDX, w1, w2, -1)
+
+    def test_zero_horizon_still_checks_n_zero(self):
+        rep = verify_in_DW(DiffOp.scalar([Poly((1,)), Poly((1,))]), LAG.scalar_weight(), 0)
+        assert rep.ok and rep.eigs == [FracMat([[1]])]
+
+
 class TestLambdaMultiplicativity:
     def test_delta_squared(self):
         w = LAG.scalar_weight()
@@ -97,7 +123,7 @@ class TestSymmetry:
     def test_shifted_derivative_not_symmetric(self):
         op = DiffOp.scalar([X, Poly((1,))])  # d + x
         rep = symmetry_check(op, LAG.scalar_weight())
-        assert not rep.ok and 1 in rep.residuals
+        assert not rep.ok and not rep.residual.coeff(1).is_zero
 
     def test_agrees_with_adjoint_fixed_point(self):
         from mvop.catalog import entry
@@ -165,18 +191,18 @@ class TestIntertwinerVerify:
     def test_laguerre_ladder(self):
         t = DiffOp.scalar([Poly((-1,)), Poly((1,))])
         rep = intertwiner_verify(t, LAG, Laguerre(ALPHA + 1), 10)
-        assert rep.ok and set(rep.lambdas) == {F(-1)}
+        assert rep.ok and {c.entry(0, 0) for c in rep.eigs} == {F(-1)}
 
     def test_jacobi_ladder(self):
         a, b = F(1, 2), F(3, 4)
         t = DiffOp.scalar([Poly((b + 1,)), Poly((1, 1))])
         rep = intertwiner_verify(t, Jacobi(a, b + 1), Jacobi(a + 1, b), 10)
         assert rep.ok
-        assert rep.lambdas == [n + b + 1 for n in range(11)]
+        assert [c.entry(0, 0) for c in rep.eigs] == [n + b + 1 for n in range(11)]
 
     def test_identity(self):
         rep = intertwiner_verify(DiffOp.identity(1), LAG, LAG, 6)
-        assert rep.ok and set(rep.lambdas) == {F(1)}
+        assert rep.ok and {c.entry(0, 0) for c in rep.eigs} == {F(1)}
 
     def test_rejects_non_intertwiner(self):
         rep = intertwiner_verify(DDX, LAG, Laguerre(ALPHA + 1), 6)
@@ -186,7 +212,8 @@ class TestIntertwinerVerify:
         # composing the ladder with the classical operator makes lambda_0 = 0
         t = compose(DiffOp.scalar([Poly((-1,)), Poly((1,))]), Laguerre(ALPHA + 1).delta())
         rep = intertwiner_verify(t, LAG, Laguerre(ALPHA + 1), 8)
-        assert rep.ok and rep.lambdas[0] == 0 and rep.lambdas[1] != 0
+        lambdas = [c.entry(0, 0) for c in rep.eigs]
+        assert rep.ok and lambdas[0] == 0 and lambdas[1] != 0
 
 
 class TestIntertwinerSearch:
