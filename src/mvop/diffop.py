@@ -363,7 +363,7 @@ class Verdict:
     detail: str = ""
     fail_n: int | None = None
     residual: object = None
-    eigs: list = field(default_factory=list)
+    eigs: list[FracMat] = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
