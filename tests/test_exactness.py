@@ -12,18 +12,26 @@ checks (name, ok, detail) and conjugators A_0..A_16 of ``darboux_verify`` at
 n_max = 16 and default parameters for JAC2, LAG3 and HER3. It was recorded by
 running this file on commit 7f6ada3, before composition and the right action
 moved onto one integer kernel.
+
+The third sha256 pins the exact searches: ``op_str`` of every basis operator
+of LAG3's three ``matrix_intertwiner_search`` calls at each
+``ROBUSTNESS_PARAMS`` set, and of the acceptance gate's four
+``intertwiner_search`` pairs. It was recorded by running this file on commit
+9bf7937, before ``nullspace`` moved onto fraction-free integer elimination.
 """
 
 import hashlib
+from fractions import Fraction as F
 
 from mvop.catalog import ENTRY_NAMES, entry, verify_entry
 from mvop.dsl import op_str
-from mvop.dwalgebra import DarbouxCertificate, darboux_verify
-from mvop.weights import sequence_for
+from mvop.dwalgebra import DarbouxCertificate, darboux_verify, intertwiner_search, matrix_intertwiner_search
+from mvop.weights import HermiteShifted, Jacobi, Laguerre, sequence_for
 from test_catalog import ROBUSTNESS_PARAMS
 
 DIGEST = "22f7c226ee2f2940fceba777755f847ed45def935b4c7d4cbff4faff952b25de"
 OPERATOR_DIGEST = "9bfcfb56e955e5de8d4b56cac8a69e705c9bac0273a71a82eee2474ed4215d3e"
+SEARCH_DIGEST = "12a97444b698b6f2f31d7abbcc6da141de1a3db6644af2690866cd710b3041c4"
 
 
 def _outputs():
@@ -58,3 +66,26 @@ def _operator_outputs():
 
 def test_operator_outputs_bit_identical_to_recorded_digest():
     assert hashlib.sha256("\n".join(_operator_outputs()).encode()).hexdigest() == OPERATOR_DIGEST
+
+
+def _search_outputs():
+    for params in ROBUSTNESS_PARAMS["LAG3"]:
+        e = entry("LAG3", params)
+        W, Wt = e.weight_W, e.weight_Wt
+        for label, args in (("fwd", (W, Wt, 2, 1)), ("rev", (Wt, W, 2, 1)), ("ctrl", (W, Wt, 3, 0))):
+            yield from (f"LAG3 {params} {label} = {op_str(v)}" for v in matrix_intertwiner_search(*args))
+    a = F(1, 2)
+    pairs = (
+        (Laguerre(a), Laguerre(a + 1), 1, 0),
+        (Laguerre(a), Laguerre(a + 2), 2, 0),
+        (Jacobi(F(1, 2), F(3, 4)), Jacobi(F(3, 2), F(3, 4)), 4, 1),
+        (HermiteShifted(F(0)), HermiteShifted(F(1)), 3, 0),
+    )
+    for w1, w2, order, slack in pairs:
+        b = intertwiner_search(w1, w2, order, slack)
+        yield f"{w1} {w2} {order} {slack} refused={b.refused} dim={b.dim}"
+        yield from (op_str(t) for t in b.basis)
+
+
+def test_search_outputs_bit_identical_to_recorded_digest():
+    assert hashlib.sha256("\n".join(_search_outputs()).encode()).hexdigest() == SEARCH_DIGEST
