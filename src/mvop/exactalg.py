@@ -5,11 +5,14 @@ Everything in this module is immutable and pure, and the coefficient field is
 Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
 entries, used for eigenvalues, recursion coefficients and conjugating
 matrices), ``MatRF`` (square, rational-function entries, used for operator
-coefficients) and ``diffop.MatPoly``. All exact linear algebra runs through one
-elimination kernel, ``_eliminate`` (an incremental row echelon form, over
-either field): ``det`` multiplies its pivots, and ``solve_square`` (which also
-inverts) and ``nullspace`` read their results off the reduced form that
-``_reduce`` makes of it by back substitution. All polynomial products run
+coefficients) and ``diffop.MatPoly``. Exact linear algebra runs through two
+elimination kernels. ``_eliminate`` (an incremental row echelon form, over
+either field) serves the small systems: ``det`` multiplies its pivots, and
+``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
+solution off the reduced form that ``_reduce`` makes of it by back
+substitution. ``nullspace``, whose callers are the searches' large Fraction
+systems, eliminates the same way fraction-free, on primitive integer rows,
+and forms one Fraction per basis entry. All polynomial products run
 through one integer kernel, ``poly_dot`` (a sum of products by Kronecker
 substitution over a common denominator, ``int_dot`` on integer forms):
 ``Poly`` products, ``MatPoly`` products and the operator algebra, where
@@ -641,10 +644,43 @@ def solve_square(a_rows, b_rows):
     return [row[n:] for _, row in sorted(zip(pivots, _reduce(pivots, echelon)))]
 
 
+def _primitive(r):
+    g = math.gcd(*r)
+    return [c // g for c in r] if g > 1 else r
+
+
+def _clear(r, prow, p):
+    """b r - a prow over the whole row, a/b = r[p]/prow[p] in lowest terms."""
+    g = math.gcd(r[p], prow[p])
+    a, b = r[p] // g, prow[p] // g
+    return [b * x - a * y for x, y in zip(r, prow)]
+
+
 def nullspace(rows, ncols) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a Fraction matrix, read off its RREF."""
-    pivots, echelon = _eliminate(rows, ncols)
-    reduced = _reduce(pivots, echelon)
+    """Basis of the right nullspace of a Fraction matrix, read off its RREF.
+
+    Fraction-free: the rows, scaled to primitive integers, are eliminated as
+    in ``_eliminate`` and back-substituted as in ``_reduce`` by integer
+    combinations (``_clear``), pivot rows kept primitive. Row i ends as its
+    RREF row times an integer, so each basis entry is one Fraction and the
+    basis (the RREF is unique) is the one the field kernels give.
+    """
+    pivots, echelon = [], []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        r = _primitive([c.numerator * (den // c.denominator) for c in row])
+        for p, prow in zip(pivots, echelon):
+            if r[p]:
+                r = _clear(r, prow, p)
+        lead = next((c for c in range(ncols) if r[c]), None)
+        if lead is not None:
+            pivots.append(lead)
+            echelon.append(_primitive(r))
+    for i in range(len(echelon) - 1, 0, -1):
+        p, r = pivots[i], echelon[i]
+        for j in range(i):
+            if echelon[j][p]:
+                echelon[j] = _primitive(_clear(echelon[j], r, p))
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -652,8 +688,8 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
             continue
         v = [_F0] * ncols
         v[free] = _F1
-        for p, prow in zip(pivots, reduced):
-            v[p] = -prow[free]
+        for p, prow in zip(pivots, echelon):
+            v[p] = Fraction(-prow[free], prow[p]) if prow[free] else _F0
         basis.append(v)
     return basis
 

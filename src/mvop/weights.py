@@ -10,6 +10,8 @@ by a positive global factor.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from .exactalg import (
     SingularError,
     X,
     frac,
+    int_form,
 )
 from .diffop import DiffOp, MatPoly, matrf_to_matpoly
 
@@ -403,6 +406,8 @@ class Weight:
         # ratio > 0 on the open support, so positive definiteness of W(x) at a
         # rational sample point is exactly positivity of M(x)'s leading minors
         pts = self.family.sample_points()
+        if all(c.is_polynomial and c.num.degree < 1 for row in self.M.rows for c in row):
+            pts = pts[:1]  # a constant factor has the same minors everywhere
         for x in pts:
             try:
                 m = self.M.eval(x)
@@ -542,13 +547,16 @@ def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
     if not mat.is_polynomial:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
     integrand = p * matrf_to_matpoly(mat) * q.transpose()
-    deg = integrand.degree
-    if deg < 0:
-        return FracMat.zeros(p.size)
-    nu = _moments_list(fam, deg)
-    acc = FracMat.zeros(p.size)
-    for s in range(deg + 1):
-        c = integrand.coeff(s)
-        if not c.is_zero:
-            acc = acc + c * nu[s]
-    return acc
+    # each entry's integer numerators against nu_0..nu_deg over their common
+    # denominator: one integer dot and one Fraction per entry
+    nu = _moments_list(fam, integrand.degree)[: integrand.degree + 1]
+    den = math.lcm(*(v.denominator for v in nu))
+    nums = [v.numerator * (den // v.denominator) for v in nu]
+    return FracMat([[_contract(e, nums, den) for e in row] for row in integrand.rows])
+
+
+def _contract(e: Poly, nums, den) -> Fraction:
+    if not e:
+        return Fraction(0)
+    ints, d, _ = int_form(e)
+    return Fraction(sum(map(operator.mul, ints, nums)), d * den)

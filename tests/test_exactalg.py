@@ -17,7 +17,9 @@ from mvop.exactalg import (
     ShapeError,
     SingularError,
     X,
+    _eliminate,
     _pack,
+    _reduce,
     _unpack,
     exact_div,
     frac,
@@ -260,6 +262,39 @@ rect_rows = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
+huge = st.builds(F, st.integers(-(2**100), 2**100), st.integers(1, 10**6))
+null_entries = st.one_of(st.just(F(0)), entries, huge)
+
+
+@st.composite
+def null_rows(draw):
+    """Rectangular matrices with zero, repeated and scaled rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(null_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.sampled_from(rows))
+        scale = draw(st.one_of(st.just(F(1)), huge.filter(bool)))
+        row = draw(st.sampled_from(([F(0)] * ncols, [scale * c for c in src])))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def _nullspace_over_q(rows, ncols):
+    """Oracle: the Fraction route, the RREF of the field kernels read off."""
+    pivots, echelon = _eliminate(rows, ncols)
+    reduced = _reduce(pivots, echelon)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[free] = F(1)
+        for p, prow in zip(pivots, reduced):
+            v[p] = -prow[free]
+        basis.append(v)
+    return basis
+
+
 def _to_sympy(rows):
     sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
@@ -308,6 +343,12 @@ class TestAgainstSympy:
             ours = _to_sympy(basis).T
             assert (a * ours).is_zero_matrix and ours.rank() == len(basis)
             assert sympy.Matrix.hstack(ours, *ref).rank() == len(ref)
+
+    @given(null_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace_matches_field_kernel(self, rows):
+        ncols = len(rows[0])
+        assert repr(nullspace(rows, ncols)) == repr(_nullspace_over_q(rows, ncols))
 
     @given(st.integers(1, 3), st.data())
     @settings(max_examples=30, deadline=None)

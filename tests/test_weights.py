@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mvop import weights
 from mvop.catalog import entry
 from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, SingularError, X
-from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
+from mvop.diffop import DiffOp, MatPoly, apply, matrf_to_matpoly, w_adjoint
 from mvop.weights import (
     HermiteShifted,
     Jacobi,
@@ -190,6 +190,63 @@ class TestInnerProduct:
             inner_product(MatPoly.identity(2), MatPoly.identity(2), w)
 
 
+def _inner_product_by_fracmat(p, q, weight):
+    """Oracle: the integrand's coefficient matrices times the moments, summed
+    as FracMats."""
+    fam, mat = weight.as_atomic()
+    integrand = p * matrf_to_matpoly(mat) * q.transpose()
+    nu = normalized_moments(fam, max(integrand.degree, 0))
+    acc = FracMat.zeros(p.size)
+    for s in range(integrand.degree + 1):
+        c = integrand.coeff(s)
+        if not c.is_zero:
+            acc = acc + c * nu[s]
+    return acc
+
+
+BASE_FAMILIES = {
+    "hermite": lambda k: HermiteShifted(F(1, 3)),
+    "laguerre": lambda k: Laguerre(F(1, 2) + k),
+    "jacobi": lambda k: Jacobi(F(-1, 2) + k, F(3, 4) + (k + 1) // 2),
+}
+small_polys = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=4).map(Poly)
+
+
+@st.composite
+def factors(draw, n):
+    """A A^T with A lower triangular, constant nonzero diagonal: positive
+    definite for every x."""
+    a = [
+        [Poly((draw(st.integers(1, 3)),)) if i == j else draw(small_polys) if j < i else Poly() for j in range(n)]
+        for i in range(n)
+    ]
+    a = MatPoly(a)
+    return (a * a.transpose()).to_matrf()
+
+
+@st.composite
+def gram_cases(draw):
+    kind = draw(st.sampled_from(sorted(BASE_FAMILIES)))
+    n = draw(st.integers(1, 3))
+    sizes = draw(st.sampled_from([s for s in ([n], [1] * n, [1, 2], [2, 1]) if sum(s) == n]))
+    blocks = [Weight.atomic(BASE_FAMILIES[kind](k), draw(factors(m))) for k, m in enumerate(sizes)]
+    w = Weight.direct_sum(blocks)
+    operand = st.one_of(
+        st.just(MatPoly.zeros(n)),
+        st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n).map(MatPoly),
+    )
+    return draw(operand), draw(operand), w
+
+
+class TestInnerProductOracle:
+    @given(gram_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fracmat_contraction(self, case):
+        p, q, w = case
+        got, want = inner_product(p, q, w), _inner_product_by_fracmat(p, q, w)
+        assert got == want and repr(got) == repr(want)
+
+
 class TestMonicSequences:
     def test_hermite_degree_one(self):
         b = F(1, 3)
@@ -311,6 +368,20 @@ class TestWeightValidation:
         # diag(1, -1) is symmetric and nonsingular but not positive
         with pytest.raises(DomainError):
             Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((-1,))))
+
+    def test_constant_factor_checked_once(self, monkeypatch):
+        calls, evaluate = [], MatRF.eval
+        monkeypatch.setattr(MatRF, "eval", lambda m, x: calls.append(x) or evaluate(m, x))
+        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), Poly((1,))], [Poly((1,)), Poly((2,))]]))
+        assert calls == [F(-15, 17)]
+        with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 8/17$"):
+            Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((1,))]]))
+
+    def test_nonconstant_factor_checked_at_every_point(self):
+        # 15/2 - x is positive at every Laguerre sample point but the last
+        with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 128/17$"):
+            Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((F(15, 2), -1))))
+        Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((F(8), -1))))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
