@@ -216,11 +216,10 @@ small_polys = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5
 def factors(draw, n):
     """A A^T with A lower triangular, constant nonzero diagonal: positive
     definite for every x."""
-    a = [
+    a = MatPoly([
         [Poly((draw(st.integers(1, 3)),)) if i == j else draw(small_polys) if j < i else Poly() for j in range(n)]
         for i in range(n)
-    ]
-    a = MatPoly(a)
+    ])
     return (a * a.transpose()).to_matrf()
 
 
