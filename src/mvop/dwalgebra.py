@@ -12,9 +12,11 @@ never as nonexistence proofs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactalg import (
     DecompositionError,
@@ -24,6 +26,7 @@ from .exactalg import (
     Poly,
     ShapeError,
     X,
+    int_form,
     nullspace,
 )
 from .diffop import (
@@ -233,76 +236,84 @@ class IntertwinerBasis:
         return "basis [" + "; ".join(op_scalar_str(t) for t in self.basis) + "]"
 
 
+def _int_rows(m: MatPoly):
+    """The entries of a polynomial matrix as integer coefficient lists (empty
+    when zero) over one common denominator, and that denominator."""
+    forms = [[int_form(c) if c else None for c in r] for r in m.rows]
+    den = math.lcm(*(f[1] for r in forms for f in r if f))
+    return [[[a * (den // f[1]) for a in f[0]] if f else [] for f in r] for r in forms], den
+
+
+def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int):
+    """The homogeneous system of ``_search_linear_space`` as dense integer
+    rows, and the offset of each order's block of variables.
+
+    Variable (j, i, e, c), the x^i coefficient of F_j at entry (e, c), sits at
+    offsets[j] + (i size + e) size + c. Row (n, t, r, c), t != n, states
+    [x^t](P_n . T)_{rc} = [x^t](C_n Pt_n)_{rc} with C_n = [x^n](P_n . T). For
+    each n the derivatives P_n^(j) are put over one denominator L and Pt_n
+    over one denominator Lt, and the row is the rational one times L Lt. Rows
+    are filled at their nonzeros only; all-zero rows are dropped.
+    """
+    widths = [j + degree_slack + 1 for j in range(order_bound + 1)]
+    offsets = list(accumulate((w * size * size for w in widths), initial=0))
+    nvars = offsets[-1]
+    rows = []
+    for n in range(horizon + 1):
+        derivs = [_int_rows(seq1.poly(n))[0]]
+        for _ in range(order_bound):
+            derivs.append([[[k * a for k, a in enumerate(q) if k] for q in r] for r in derivs[-1]])
+        pt, lt = _int_rows(seq2.poly(n))
+
+        def terms(r, t):
+            # [x^t](P_n . T)_{r,c} as (variable - c, integer coefficient) pairs;
+            # P_n^(j) has degree <= n - j, so only i >= t - n + j can contribute
+            return [
+                (offsets[j] + (i * size + e) * size, q[t - i])
+                for j, dj in enumerate(derivs)
+                for i in range(max(0, t - n + j), min(widths[j], t + 1))
+                for e, q in enumerate(dj[r])
+                if t - i < len(q) and q[t - i]
+            ]
+
+        top = [terms(r, n) for r in range(size)]
+        for t in range(n + degree_slack + 1):
+            if t == n:
+                continue
+            for r in range(size):
+                cur = terms(r, t)
+                for c in range(size):
+                    row = [0] * nvars
+                    for base, a in cur:
+                        row[base + c] = lt * a
+                    for cc in range(size):
+                        q = pt[cc][c]
+                        b = q[t] if t < len(q) else 0
+                        if b:
+                            for base, a in top[r]:
+                                row[base + cc] -= b * a
+                    if any(row):
+                        rows.append(row)
+    return rows, offsets
+
+
 def _search_linear_space(
     seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int
 ) -> list[DiffOp]:
     """Basis of {T of order <= K, deg F_j <= j + slack : P_n . T = C_n Pt_n, n <= horizon}.
 
     The extraction C_n := [x^n](P_n . T) is itself linear in T, so the whole
-    condition is one homogeneous rational linear system.
+    condition is one homogeneous linear system over Q, assembled as an integer
+    system over one denominator per n (``_search_system``) and solved by
+    ``nullspace``.
     """
-    variables = [
-        (j, i, r, c)
-        for j in range(order_bound + 1)
-        for i in range(j + degree_slack + 1)
-        for r in range(size)
-        for c in range(size)
-    ]
-    index = {v: k for k, v in enumerate(variables)}
-    nvars = len(variables)
-    rows = []
-    for n in range(horizon + 1):
-        p = seq1.poly(n)
-        pt = seq2.poly(n)
-        derivs = [p]
-        for _ in range(order_bound):
-            derivs.append(derivs[-1].derivative())
-
-        def coeff_rows(t):
-            # linear form of [x^t](P_n . T), entry (r, c), as a vector over vars
-            out = [[None] * size for _ in range(size)]
-            for r in range(size):
-                for c in range(size):
-                    vec = [Fraction(0)] * nvars
-                    for (j, i, e, cc), k in index.items():
-                        if cc != c:
-                            continue
-                        vec[k] = derivs[j].entry(r, e)[t - i] if t - i >= 0 else Fraction(0)
-                    out[r][c] = vec
-            return out
-
-        top = coeff_rows(n)  # C_n entries
-        for t in range(n + degree_slack + 1):
-            cur = coeff_rows(t) if t != n else None
-            for r in range(size):
-                for c in range(size):
-                    if t == n:
-                        continue
-                    vec = list(cur[r][c])
-                    # subtract (C_n Pt_n)_{rc} coefficient of x^t
-                    for e in range(size):
-                        q = pt.entry(e, c)[t]
-                        if q:
-                            tvec = top[r][e]
-                            for k in range(nvars):
-                                if tvec[k]:
-                                    vec[k] -= q * tvec[k]
-                    if any(vec):
-                        rows.append(vec)
-    basis_vecs = nullspace(rows, nvars)
-    ops = []
-    for v in basis_vecs:
-        coeffs = []
-        for j in range(order_bound + 1):
-            rws = [[Poly() for _ in range(size)] for _ in range(size)]
-            for i in range(j + degree_slack + 1):
-                for r in range(size):
-                    for c in range(size):
-                        val = v[index[(j, i, r, c)]]
-                        if val:
-                            rws[r][c] = rws[r][c] + Poly.monomial(i, val)
-            coeffs.append(MatRF(rws))
-        op = DiffOp(size, coeffs)
+    rows, offsets = _search_system(seq1, seq2, size, order_bound, degree_slack, horizon)
+    ops, step = [], size * size
+    for v in nullspace(rows, offsets[-1]):
+        # entry (r, c) of F_j, coefficients by power of x, from j's block
+        blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
+        coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
+        op = DiffOp(size, [MatRF(f) for f in coeffs])
         if not op.is_zero:
             ops.append(_normalize_op(op))
     return ops

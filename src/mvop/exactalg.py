@@ -10,14 +10,14 @@ elimination kernels. ``_eliminate`` (an incremental row echelon form, over
 either field) serves the small systems: ``det`` multiplies its pivots, and
 ``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
 solution off the reduced form that ``_reduce`` makes of it by back
-substitution. ``nullspace``, whose callers are the searches' large Fraction
-systems, eliminates the same way fraction-free, on primitive integer rows,
-and forms one Fraction per basis entry. All polynomial products run
-through one integer kernel, ``poly_dot`` (a sum of products by Kronecker
-substitution over a common denominator, ``int_dot`` on integer forms):
-``Poly`` products, ``MatPoly`` products and the operator algebra, where
-``diffop.apply`` differentiates on integer forms and ``diffop.compose`` is
-made of ``apply``.
+substitution. ``nullspace``, whose callers are the searches' large sparse
+integer systems, eliminates the same way fraction-free, on primitive integer
+rows kept as maps of their nonzeros, and forms one Fraction per basis entry.
+All polynomial products run through one integer kernel, ``poly_dot`` (a sum
+of products by Kronecker substitution over a common denominator, ``int_dot``
+on integer forms): ``Poly`` products, ``MatPoly`` products and the operator
+algebra, where ``diffop.apply`` differentiates on integer forms and
+``diffop.compose`` is made of ``apply``.
 """
 
 from __future__ import annotations
@@ -645,41 +645,55 @@ def solve_square(a_rows, b_rows):
 
 
 def _primitive(r):
-    g = math.gcd(*r)
-    return [c // g for c in r] if g > 1 else r
+    """A sparse integer row {col: value} divided by the gcd of its values."""
+    g = math.gcd(*r.values())
+    return {k: v // g for k, v in r.items()} if g > 1 else r
 
 
 def _clear(r, prow, p):
-    """b r - a prow over the whole row, a/b = r[p]/prow[p] in lowest terms."""
+    """r := b r - a prow in place, a/b = r[p]/prow[p] in lowest terms, over the
+    union of both rows' nonzeros; entries that cancel (p among them) are
+    removed. Returns r."""
     g = math.gcd(r[p], prow[p])
     a, b = r[p] // g, prow[p] // g
-    return [b * x - a * y for x, y in zip(r, prow)]
+    if b != 1:
+        for k in r:
+            r[k] *= b
+    for k, v in prow.items():
+        w = r.get(k, 0) - a * v
+        if w:
+            r[k] = w
+        else:
+            del r[k]
+    return r
 
 
 def nullspace(rows, ncols) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a Fraction matrix, read off its RREF.
+    """Basis of the right nullspace of a matrix over Q, read off its RREF.
 
-    Fraction-free: the rows, scaled to primitive integers, are eliminated as
-    in ``_eliminate`` and back-substituted as in ``_reduce`` by integer
-    combinations (``_clear``), pivot rows kept primitive. Row i ends as its
-    RREF row times an integer, so each basis entry is one Fraction and the
-    basis (the RREF is unique) is the one the field kernels give.
+    Rows are sequences of ints or Fractions. Sparse and fraction-free: each
+    row becomes a primitive integer row {col: value} of its nonzeros, and the
+    rows are eliminated as in ``_eliminate`` and back-substituted as in
+    ``_reduce`` by integer combinations (``_clear``) over the union of two
+    rows' nonzeros, pivot rows kept primitive. Row i ends as its RREF row
+    times an integer, so each basis entry is one Fraction and the basis (the
+    RREF is unique) is the one the field kernels give.
     """
     pivots, echelon = [], []
     for row in rows:
-        den = math.lcm(*(c.denominator for c in row))
-        r = _primitive([c.numerator * (den // c.denominator) for c in row])
+        nz = {k: c for k, c in enumerate(row) if c}
+        den = math.lcm(*(c.denominator for c in nz.values()))
+        r = _primitive({k: c.numerator * (den // c.denominator) for k, c in nz.items()})
         for p, prow in zip(pivots, echelon):
-            if r[p]:
+            if p in r:
                 r = _clear(r, prow, p)
-        lead = next((c for c in range(ncols) if r[c]), None)
-        if lead is not None:
-            pivots.append(lead)
+        if r:
+            pivots.append(min(r))
             echelon.append(_primitive(r))
     for i in range(len(echelon) - 1, 0, -1):
         p, r = pivots[i], echelon[i]
         for j in range(i):
-            if echelon[j][p]:
+            if p in echelon[j]:
                 echelon[j] = _primitive(_clear(echelon[j], r, p))
     pivset = set(pivots)
     basis = []
@@ -689,7 +703,9 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
         v = [_F0] * ncols
         v[free] = _F1
         for p, prow in zip(pivots, echelon):
-            v[p] = Fraction(-prow[free], prow[p]) if prow[free] else _F0
+            c = prow.get(free)
+            if c:
+                v[p] = Fraction(-c, prow[p])
         basis.append(v)
     return basis
 

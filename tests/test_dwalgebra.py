@@ -1,6 +1,7 @@
 """Algebra membership, symmetry, intertwiners, Darboux machinery and the
 classification of direct sums."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from mvop.diffop import (
 from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, inner_product, sequence_for
 from mvop.dwalgebra import (
     DarbouxCertificate,
+    _search_system,
     commutativity_predicate,
     darboux_verify,
     diag_darboux_match,
@@ -285,6 +287,102 @@ class TestIntertwinerSearch:
         w1, w2 = LAG.scalar_weight(), Laguerre(ALPHA + 1).scalar_weight()
         with pytest.raises(DomainError, match="negative degree slack -1"):
             matrix_intertwiner_search(w1, w2, 1, -1)
+
+
+def _search_system_over_q(seq1, seq2, size, order_bound, degree_slack, horizon):
+    """Oracle: the search system assembled in Fractions, one variable at a
+    time, rows in (n, t, r, c) order with all-zero rows dropped."""
+    variables = [
+        (j, i, r, c)
+        for j in range(order_bound + 1)
+        for i in range(j + degree_slack + 1)
+        for r in range(size)
+        for c in range(size)
+    ]
+    index = {v: k for k, v in enumerate(variables)}
+    nvars = len(variables)
+    rows = []
+    for n in range(horizon + 1):
+        p = seq1.poly(n)
+        pt = seq2.poly(n)
+        derivs = [p]
+        for _ in range(order_bound):
+            derivs.append(derivs[-1].derivative())
+
+        def coeff_rows(t):
+            # linear form of [x^t](P_n . T), entry (r, c), as a vector over vars
+            out = [[None] * size for _ in range(size)]
+            for r in range(size):
+                for c in range(size):
+                    vec = [F(0)] * nvars
+                    for (j, i, e, cc), k in index.items():
+                        if cc == c and t - i >= 0:
+                            vec[k] = derivs[j].entry(r, e)[t - i]
+                    out[r][c] = vec
+            return out
+
+        top = coeff_rows(n)  # C_n entries
+        for t in range(n + degree_slack + 1):
+            if t == n:
+                continue
+            cur = coeff_rows(t)
+            for r in range(size):
+                for c in range(size):
+                    vec = list(cur[r][c])
+                    # subtract (C_n Pt_n)_{rc} coefficient of x^t
+                    for e in range(size):
+                        q = pt.entry(e, c)[t]
+                        if q:
+                            for k, a in enumerate(top[r][e]):
+                                if a:
+                                    vec[k] -= q * a
+                    if any(vec):
+                        rows.append(vec)
+    return rows, nvars
+
+
+def _primitive_ints(row):
+    den = math.lcm(*(F(c).denominator for c in row))
+    ints = [F(c).numerator * (den // F(c).denominator) for c in row]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _search_cases():
+    from mvop.catalog import entry
+    from test_catalog import ROBUSTNESS_PARAMS
+
+    for k, params in enumerate(ROBUSTNESS_PARAMS["LAG3"]):
+        e = entry("LAG3", params)
+        W, Wt = e.weight_W, e.weight_Wt
+        for label, args in (("fwd", (W, Wt, 2, 1)), ("rev", (Wt, W, 2, 1)), ("ctrl", (W, Wt, 3, 0))):
+            yield pytest.param(*args, id=f"LAG3-params{k}-{label}")
+    for name in ("JAC2", "GEG2"):
+        e = entry(name)
+        yield pytest.param(e.weight_W, e.weight_Wt, 2, 0, id=name)
+    a = F(1, 2)
+    for k, (w1, w2, order, slack) in enumerate((
+        (Laguerre(a), Laguerre(a + 1), 1, 0),
+        (Laguerre(a), Laguerre(a + 2), 2, 0),
+        (Jacobi(F(1, 2), F(3, 4)), Jacobi(F(3, 2), F(3, 4)), 4, 1),
+        (HermiteShifted(F(0)), HermiteShifted(F(1)), 3, 0),
+    )):
+        yield pytest.param(w1.scalar_weight(), w2.scalar_weight(), order, slack, id=f"scalar{k}")
+
+
+class TestSearchSystemOracle:
+    """The integer search system is the Fraction one, row for row, up to a
+    positive scale per row."""
+
+    @pytest.mark.parametrize("w1, w2, order, slack", _search_cases())
+    def test_rows_match_fraction_assembly(self, w1, w2, order, slack):
+        s1, s2 = sequence_for(w1), sequence_for(w2)
+        horizon = order + slack + 3
+        rows, offsets = _search_system(s1, s2, w1.size, order, slack, horizon)
+        want, nvars = _search_system_over_q(s1, s2, w1.size, order, slack, horizon)
+        assert offsets[-1] == nvars
+        assert all(type(c) is int for r in rows for c in r)
+        assert [_primitive_ints(r) for r in rows] == [_primitive_ints(r) for r in want]
 
 
 class TestModuleGenerator:

@@ -295,12 +295,47 @@ def _nullspace_over_q(rows, ncols):
     return basis
 
 
+nonzero_ints = st.one_of(st.integers(1, 2**70), st.integers(-(2**70), -1))
+sparse_values = st.one_of(
+    nonzero_ints,
+    st.builds(F, nonzero_ints, st.integers(1, 10**6)),
+    st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Wide int and Fraction rows, at most a fifth of each nonzero, like the
+    search systems, with zero, repeated and scaled rows mixed in."""
+    ncols = draw(st.integers(10, 40))
+    nonzeros = st.dictionaries(st.integers(0, ncols - 1), sparse_values, max_size=ncols // 5)
+    rows = []
+    for cells in draw(st.lists(nonzeros, min_size=1, max_size=24)):
+        row = [draw(st.sampled_from((0, F(0))))] * ncols
+        for c, v in cells.items():
+            row[c] = v
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 5))):
+        src = draw(st.sampled_from(rows))
+        scale = draw(st.one_of(st.just(1), sparse_values))
+        row = draw(st.sampled_from(([0] * ncols, [scale * c for c in src])))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
 class TestNullspaceOracle:
     @given(null_rows())
     @settings(max_examples=150, deadline=None)
     def test_nullspace_matches_field_kernel(self, rows):
         ncols = len(rows[0])
         assert repr(nullspace(rows, ncols)) == repr(_nullspace_over_q(rows, ncols))
+
+    @given(sparse_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_nullspace_matches_field_kernel(self, rows):
+        ncols = len(rows[0])
+        want = _nullspace_over_q([[F(c) for c in r] for r in rows], ncols)
+        assert repr(nullspace(rows, ncols)) == repr(want)
 
 
 def _to_sympy(rows):
