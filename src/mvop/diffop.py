@@ -12,9 +12,11 @@ first, and it fixes all sign and ordering questions below:
     (d^i F)(d^j G) = sum_m binom(j, m) d^(i+m) F^(j-m) G.
 
 So the d^k coefficient of A B collects apply(F_i, B_m) over i + m = k, with
-B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j, and ``compose`` is made of
-``apply``. On polynomial operands ``apply`` is one integer kernel,
-``exactalg.int_dot``, fed derivatives formed on the entries' integer forms.
+B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. On polynomial operands each cell
+of ``apply`` is one integer kernel, ``exactalg.int_dot``, over the pairs of
+integer forms that ``cell_pairs`` lists, with derivatives formed on the
+forms; ``compose`` gathers those pairs over i + m = k, one ``int_dot`` per
+cell, and ``dwalgebra.relation`` tests them for zero without unpacking.
 
 The formal adjoint * is the involution fixing constant real matrices by
 transposition and sending d to -d; the weight adjoint is computed from the
@@ -224,27 +226,38 @@ class DiffOp:
         return "DiffOp<" + " + ".join(f"d^{j}*{c!r}" for j, c in reversed(tuple(enumerate(self.coeffs)))) + ">"
 
 
-def apply(p: MatPoly | MatRF, d: DiffOp):
-    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is polynomial.
+def cell_pairs(p: MatPoly | MatRF, d: DiffOp):
+    """The pairs of integer forms whose ``int_dot`` is each cell of P . D.
 
-    A MatPoly P under a polynomial D takes the integer path: P^(j) is formed
-    on the entries' integer forms and cell (r, c) is one ``int_dot`` over
-    every pair (P^(j)[r][k], F_j[k][c]). Anything else is summed over MatRF.
+    For a MatPoly P under a polynomial D, cell (r, c) of the result lists
+    (P^(j)[r][k], F_j[k][c]) over j and k, zero entries left out, with P^(j)
+    formed on the entries' integer forms. None when P is a MatRF or D has a
+    rational coefficient.
     """
     if p.size != d.size:
         raise ShapeError("size mismatch in apply")
     polys = d.poly_coeffs()
-    if polys is not None and isinstance(p, MatPoly):
-        terms, der = [], [[int_form(c) if c else None for c in r] for r in p.rows]
-        for j, f in enumerate(polys):
-            if j:
-                der = [[c and int_derivative(c) for c in r] for r in der]
-            if not f.is_zero:
-                terms.append((der, [[int_form(c) if c else None for c in col] for col in zip(*f.rows)]))
-        cells = range(p.size)
-        return MatPoly(
-            [[int_dot([(a, b) for rows, cols in terms for a, b in zip(rows[r], cols[c]) if a and b]) for c in cells] for r in cells]
-        )
+    if polys is None or not isinstance(p, MatPoly):
+        return None
+    terms, der = [], [[int_form(c) if c else None for c in r] for r in p.rows]
+    for j, f in enumerate(polys):
+        if j:
+            der = [[c and int_derivative(c) for c in r] for r in der]
+        if not f.is_zero:
+            terms.append((der, [[int_form(c) if c else None for c in col] for col in zip(*f.rows)]))
+    cells = range(p.size)
+    return [[[(a, b) for rows, cols in terms for a, b in zip(rows[r], cols[c]) if a and b] for c in cells] for r in cells]
+
+
+def apply(p: MatPoly | MatRF, d: DiffOp):
+    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is polynomial.
+
+    A MatPoly P under a polynomial D takes the integer path: cell (r, c) is
+    one ``int_dot`` over its ``cell_pairs``. Anything else is summed over MatRF.
+    """
+    cells = cell_pairs(p, d)
+    if cells is not None:
+        return MatPoly([[int_dot(cell) for cell in row] for row in cells])
     acc = MatRF.zeros(p.size)
     der = p if isinstance(p, MatRF) else p.to_matrf()
     for j, f in enumerate(d.coeffs):
@@ -258,15 +271,33 @@ def apply(p: MatPoly | MatRF, d: DiffOp):
 
 
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
-    """Operator product: apply ``first``, then ``second``; a sum of apply(F_i, B_m) (module docstring)."""
+    """Operator product: apply ``first``, then ``second`` (module docstring).
+
+    On polynomial operands each cell of the d^k coefficient is one
+    ``int_dot`` over the ``cell_pairs`` of apply(F_i, B_m) for all i + m = k;
+    a rational operand sums those ``apply`` results over MatRF.
+    """
     if first.size != second.size:
         raise ShapeError("size mismatch in compose")
     n = first.size
+    bms = [
+        DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
+        for m in range(len(second.coeffs))
+    ]
+    lefts = first.poly_coeffs()
+    if lefts is not None and second.is_polynomial:
+        out = []
+        for k in range(first.order + second.order + 1):
+            cells = [[[] for _ in range(n)] for _ in range(n)]
+            for m in range(max(0, k - first.order), min(k, second.order) + 1):
+                for acc, row in zip(cells, cell_pairs(lefts[k - m], bms[m])):
+                    for cell, pairs in zip(acc, row):
+                        cell.extend(pairs)
+            out.append(MatPoly([[int_dot(cell) for cell in row] for row in cells]))
+        return DiffOp(n, out)
     out = [MatRF.zeros(n)] * (first.order + second.order + 1)
-    lefts = first.poly_coeffs() or first.coeffs
-    for m in range(len(second.coeffs)):
-        bm = DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
-        for i, f in enumerate(lefts):
+    for m, bm in enumerate(bms):
+        for i, f in enumerate(lefts or first.coeffs):
             out[i + m] = out[i + m] + apply(f, bm)
     return DiffOp(n, out)
 

@@ -602,6 +602,10 @@ class _Parser:
         t = self.peek()
         if want == "name":
             tok = self.expect("NAME")
+            from .catalog import ENTRY_NAMES  # catalog imports this module
+
+            if tok.text not in ENTRY_NAMES:
+                self.err(f"unknown catalog entry {tok.text!r}", tok)
             return CheckArg(tok.text, tok.text)
         inline = t.kind == "NAME" and t.text in _FAMILIES
         if inline and want == "op":

@@ -26,8 +26,11 @@ from .exactalg import (
     Poly,
     ShapeError,
     X,
+    int_coeff,
+    int_const,
     int_form,
     nullspace,
+    packed_dot,
 )
 from .diffop import (
     DiffOp,
@@ -35,6 +38,7 @@ from .diffop import (
     Verdict,
     apply,
     block_antidiagonal,
+    cell_pairs,
     compare_operators,
     compose,
     degree_preserving,
@@ -135,28 +139,56 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     coefficient, which must then be nonsingular. ``eigs`` holds C_0, ...,
     C_{k-1} for the first failing n = k (all of them when the relation holds).
     A negative ``n_max`` is a DomainError.
+
+    When P_n, Q_n and T are polynomial, neither side is built: [x^n] is read
+    off the ``cell_pairs`` of P_n . T, and each cell of P_n . T - C_n Q_n is
+    decided by one exact zero test, ``_vanishes``. Only an n that fails
+    materialises P_n . T and C_n Q_n, for the residual.
     """
     check_horizon(n_max)
     eigs: list[FracMat] = []
     for n in range(n_max + 1):
-        r = apply(ps(n), t)
+        p = ps(n)
+        cells = cell_pairs(p, t)
+        r = apply(p, t) if cells is None else None
         if isinstance(r, MatRF):
             return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
         q = qs(n)
         if cs is not None:
             c = cs(n)
         else:
-            c = r.coeff(n)
+            c = r.coeff(n) if r is not None else FracMat([[int_coeff(cell, n) for cell in row] for row in cells])
             lead = q.coeff(n)
             if lead != FracMat.identity(q.size):
                 if lead.det() == 0:
                     return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
                 c = c * lead.inv()
-        expected = q.lmul_const(c)
-        if r != expected:
-            return Verdict(False, f"P_n . T != C_n Q_n at n={n}", n, r - expected, eigs)
+        if r is not None or not _vanishes(cells, c, q):
+            if r is None:
+                r = apply(p, t)
+            expected = q.lmul_const(c)
+            if r != expected:
+                return Verdict(False, f"P_n . T != C_n Q_n at n={n}", n, r - expected, eigs)
         eigs.append(c)
     return Verdict(True, eigs=eigs)
+
+
+def _vanishes(cells, c: FracMat, q) -> bool:
+    """Whether every cell of P . T - C Q is zero, given the ``cell_pairs`` of
+    P . T: the cell's pairs with (-C[r][k], Q[k][c]) appended have packed sum
+    0, which is exact since packing is injective. False whenever C and Q are
+    not both matrices of P's size, so that the caller's materialised check
+    reports them."""
+    size = len(cells)
+    if not isinstance(q, MatPoly) or q.size != size or c.nrows != size or c.ncols != size:
+        return False
+    qcols = [[int_form(e) if e else None for e in col] for col in zip(*q.rows)]
+    for crow, row in zip(c.rows, cells):
+        negc = [int_const(-v) if v else None for v in crow]
+        for pairs, qcol in zip(row, qcols):
+            if packed_dot(pairs + [(a, b) for a, b in zip(negc, qcol) if a and b])[0]:
+                return False
+    return True
 
 
 def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> Verdict:

@@ -16,8 +16,12 @@ rows kept as maps of their nonzeros, and forms one Fraction per basis entry.
 All polynomial products run through one integer kernel, ``poly_dot`` (a sum
 of products by Kronecker substitution over a common denominator, ``int_dot``
 on integer forms): ``Poly`` products, ``MatPoly`` products and the operator
-algebra, where ``diffop.apply`` differentiates on integer forms and
-``diffop.compose`` is made of ``apply``.
+algebra, where ``diffop.cell_pairs`` lists each cell's pairs of integer
+forms, differentiated on the forms, for ``apply`` and ``compose``.
+``int_dot`` is still the one product loop. Its packed sum, ``packed_dot``, is
+injective, so a sum of products is tested for zero by testing that one
+integer, with no Fraction formed: that is how ``dwalgebra.relation`` decides
+an n that holds. ``int_coeff`` reads one coefficient of the sum off the pairs.
 """
 
 from __future__ import annotations
@@ -230,6 +234,11 @@ def int_form(p: Poly):
     return p._ints
 
 
+def int_const(v: Fraction):
+    """The integer form of the nonzero constant polynomial v."""
+    return (v.numerator,), v.denominator, abs(v.numerator).bit_length()
+
+
 def _pack(ints, w):
     v = 0
     for c in reversed(ints):
@@ -262,19 +271,21 @@ def poly_dot(pairs) -> Poly:
     return int_dot([(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs])
 
 
-def int_dot(forms) -> Poly:
-    """Sum of products over pairs of integer forms of nonzero polynomials,
-    the one polynomial-product loop.
+def packed_dot(forms) -> tuple[int, int, int, int]:
+    """The packed sum behind ``int_dot``: (acc, L, w, count) with
+    acc = sum_k c_k 2^(w k) and the sum of products sum_k (c_k / L) x^k,
+    count digits long; (0, 1, 1, 0) for no pairs.
 
     Kronecker substitution: over the common denominator L of all products,
     each polynomial's integer numerators are packed as the digits of one
     integer in base 2^w, the packed pairs are multiplied as Python ints,
-    scaled to L and summed, and the sum is unpacked once. The width w leaves
-    room for the scale, both operands, the terms of one coefficient, the
-    number of pairs and a sign, so digits never overlap.
+    scaled to L and summed. The width w leaves room for the scale, both
+    operands, the terms of one coefficient, the number of pairs and a sign,
+    so every digit lies in [-2^(w-1), 2^(w-1)) and digits never overlap:
+    packing is injective, and acc is 0 exactly when the sum is zero.
     """
     if not forms:
-        return _P0
+        return 0, 1, 1, 0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
     scales = [den // (fa[1] * fb[1]) for fa, fb in forms]
     w = len(forms).bit_length() + 1 + max(
@@ -284,8 +295,27 @@ def int_dot(forms) -> Poly:
     acc = 0
     for s, (fa, fb) in zip(scales, forms):
         acc += s * _pack(fa[0], w) * _pack(fb[0], w)
-    count = max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
+    return acc, den, w, max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
+
+
+def int_dot(forms) -> Poly:
+    """Sum of products over pairs of integer forms of nonzero polynomials,
+    the one polynomial-product loop: ``packed_dot``, unpacked once."""
+    acc, den, w, count = packed_dot(forms)
     return Poly([Fraction(c, den) for c in _unpack(acc, w, count)])
+
+
+def int_coeff(forms, k: int) -> Fraction:
+    """[x^k] of ``int_dot(forms)``, read off the pairs' numerators over their
+    common denominator without forming any product polynomial."""
+    den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
+    num = 0
+    for fa, fb in forms:
+        a, b = fa[0], fb[0]
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        if lo <= hi:
+            num += den // (fa[1] * fb[1]) * sum(a[i] * b[k - i] for i in range(lo, hi + 1))
+    return Fraction(num, den)
 
 
 def _as_poly(v):

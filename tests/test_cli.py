@@ -10,7 +10,7 @@ import pytest
 
 from mvop.catalog import entry
 from mvop.cli import main, run
-from mvop.dsl import parse_spec
+from mvop.dsl import CheckArg, CheckCommand, parse_spec
 from mvop.exactalg import DomainError
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
@@ -117,7 +117,6 @@ ALL_KINDS_DOC = (
     "check classify(w1, w3, expect=true)\n"
     "check classify(w1, w3)\n"
     "check entry(LAG2DIAG)\n"
-    "check entry(NOSUCH)\n"
 )
 # sha256 of the report's JSON with time_ms dropped, recorded before the
 # check results shared one type; any change to a name, status or detail
@@ -125,16 +124,25 @@ ALL_KINDS_DOC = (
 ALL_KINDS_DIGEST = "6b87f21782e833f3498f904885e7cc146ded26fbedbd3d3036de629152955d25"
 
 
+def all_kinds_doc():
+    """ALL_KINDS_DOC parsed, with a `check entry(NOSUCH)` appended in code:
+    the parser refuses that name, but a document built in code can still
+    hold it, and its failure at run time is part of the report."""
+    doc = parse_spec(ALL_KINDS_DOC)
+    doc.checks.append(CheckCommand("entry", [CheckArg("NOSUCH", "NOSUCH")], line=doc.checks[-1].line + 1))
+    return doc
+
+
 class TestOutputDigest:
     def test_every_kind_passes_and_fails(self):
-        report = run(parse_spec(ALL_KINDS_DOC), n_max=3)
+        report = run(all_kinds_doc(), n_max=3)
         statuses = {}
         for c in report["checks"]:
             statuses.setdefault(c["kind"], set()).add(c["status"] == "pass")
         assert statuses == {k: {True, False} for k in statuses} and len(statuses) == 8
 
     def test_report_digest(self):
-        report = run(parse_spec(ALL_KINDS_DOC), n_max=3)
+        report = run(all_kinds_doc(), n_max=3)
         for c in report["checks"]:
             del c["time_ms"]
         text = json.dumps(report, sort_keys=True)
@@ -221,6 +229,14 @@ class TestMain:
         rc = main(["verify", str(p)])
         assert rc == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_unknown_entry_exit_two(self, tmp_path, capsys):
+        # it used to parse, then fail at run time with exit 1
+        p = tmp_path / "bad.mvop"
+        p.write_text("check entry(LAG2DIAG)\ncheck entry(NOSUCH)\n")
+        rc = main(["verify", str(p)])
+        assert rc == 2
+        assert "line 2, column 13: unknown catalog entry 'NOSUCH'" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         rc = main(["verify", "/nonexistent/file.mvop"])

@@ -115,6 +115,19 @@ def _leibniz(first, second):
     return DiffOp(n, out)
 
 
+def _compose_summed(first, second):
+    # the d^k coefficient as a MatRF sum of apply(F_i, B_m) over i + m = k,
+    # the way compose formed it before one int_dot per cell
+    n = first.size
+    out = [MatRF.zeros(n)] * (first.order + second.order + 1)
+    lefts = first.poly_coeffs() or first.coeffs
+    for m in range(len(second.coeffs)):
+        bm = DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
+        for i, f in enumerate(lefts):
+            out[i + m] = out[i + m] + apply(f, bm)
+    return DiffOp(n, out)
+
+
 big_coeffs = st.builds(F, st.integers(-(2**100), 2**100), st.integers(1, 10**6))
 small_coeffs = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 big_polys = st.lists(big_coeffs, max_size=4).map(Poly)
@@ -151,6 +164,13 @@ class TestComposeOracle:
     def test_mixed_polynomial_and_rational(self, ab, swap):
         a, b = ab[::-1] if swap else ab
         assert compose(a, b) == _leibniz(a, b)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n, big_polys, 3), _ops(n, big_polys, 3))))
+    @settings(max_examples=25, deadline=None)
+    def test_polynomial_against_summed_applies(self, ab):
+        a, b = ab
+        got, want = compose(a, b), _compose_summed(a, b)
+        assert got == want and repr(got) == repr(want)
 
     def test_zero_operands(self):
         a = lag_n()

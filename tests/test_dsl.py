@@ -92,6 +92,17 @@ class TestParseErrors:
             parse_spec("op T = d^1*(gamma)\n")
         assert "unbound" in str(exc.value)
 
+    def test_unknown_entry(self):
+        with pytest.raises(ParseError, match="column 13: unknown catalog entry 'NOSUCH'"):
+            parse_spec("check entry(NOSUCH)\n")
+        # the names are the catalog's, in upper case
+        with pytest.raises(ParseError, match="unknown catalog entry 'jac2'"):
+            parse_spec("check entry(jac2)\n")
+        assert [c.args[0].value for c in parse_spec("check entry(JAC2)\ncheck entry(LAG2DIAG)\n").checks] == [
+            "JAC2",
+            "LAG2DIAG",
+        ]
+
     def test_parameter_out_of_range(self):
         with pytest.raises(ParseError) as exc:
             parse_spec("weight w = laguerre(alpha=-2)\n")

@@ -4,14 +4,20 @@ classification of direct sums."""
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, ShapeError, X
+from mvop import catalog, dwalgebra
+from mvop.exactalg import DecompositionError, DomainError, FracMat, MatRF, Poly, RatFunc, ShapeError, X
 from mvop.diffop import (
     DiffOp,
     MatPoly,
+    Verdict,
     apply,
+    bump_coefficient,
+    coefficient_sites,
     compose,
     embed_scalar,
     op_power,
@@ -187,6 +193,168 @@ class TestRelation:
         rep = relation(family.__getitem__, DiffOp.identity(2), family.__getitem__, 1)
         assert not rep.ok and rep.fail_n == 1 and rep.eigs == [FracMat.identity(2)]
         assert "n=1" in rep.detail
+
+
+# ---------------------------------------------------------------------------
+# relation against its materialising form: P_n . T and C_n Q_n built as
+# MatPolys and compared, the way every n was checked before the integer zero
+# test
+
+
+def _relation_materialised(ps, t, qs, n_max, cs=None):
+    eigs = []
+    for n in range(n_max + 1):
+        r = apply(ps(n), t)
+        if isinstance(r, MatRF):
+            return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
+        q = qs(n)
+        if cs is not None:
+            c = cs(n)
+        else:
+            c = r.coeff(n)
+            lead = q.coeff(n)
+            if lead != FracMat.identity(q.size):
+                if lead.det() == 0:
+                    return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
+                c = c * lead.inv()
+        expected = q.lmul_const(c)
+        if r != expected:
+            return Verdict(False, f"P_n . T != C_n Q_n at n={n}", n, r - expected, eigs)
+        eigs.append(c)
+    return Verdict(True, eigs=eigs)
+
+
+def _same_verdict(ps, t, qs, n_max, cs=None) -> Verdict:
+    with mock.patch.object(dwalgebra, "apply", wraps=dwalgebra.apply) as spy:
+        got = relation(ps, t, qs, n_max, cs)
+    want = _relation_materialised(ps, t, qs, n_max, cs)
+    assert got == want and repr(got) == repr(want)
+    if t.is_polynomial and isinstance(ps(0), MatPoly):
+        # a passing n builds neither side; the first failing n builds both
+        assert spy.call_count == got.detail.startswith("P_n . T != C_n Q_n")
+    return got
+
+
+def _entry_cases():
+    from test_catalog import ROBUSTNESS_PARAMS
+
+    for name, sets in ROBUSTNESS_PARAMS.items():
+        for k, params in enumerate(sets):
+            yield pytest.param(name, params, id=f"{name}-params{k}")
+
+
+# (entry, operator, side) of memberships the catalog asserts, for the random
+# operators and mutants below; HER3's D (order 8) is left out for time
+_MEMBERS = (("JAC2", "D1", "Wt"), ("JAC2", "D2", "Wt"), ("GEG2", "D", "W"), ("LAG3", "E", "Wt"),
+            ("HER3", "E", "Wt"), ("LAG2DIAG", "G3", "W"), ("LAG2DIAG", "G6", "W"))
+
+
+def _member(k):
+    name, op, side = _MEMBERS[k]
+    e = catalog.entry(name)
+    return e.ops[op], sequence_for(e.weight_W if side == "W" else e.weight_Wt)
+
+
+def _degree_bounded_op(data, size):
+    # deg F_j <= j, small integer coefficients
+    coeffs = []
+    for j in range(data.draw(st.integers(0, 2)) + 1):
+        entry = lambda: Poly(data.draw(st.lists(st.integers(-2, 2), max_size=j + 1)))
+        coeffs.append(MatPoly([[entry() for _ in range(size)] for _ in range(size)]))
+    return DiffOp(size, coeffs)
+
+
+class TestRelationOracle:
+    """relation returns the materialising check's Verdict, field for field."""
+
+    @pytest.mark.parametrize("name, params", _entry_cases())
+    def test_every_relation_of_verify_entry(self, name, params, monkeypatch):
+        verdicts = []
+
+        def checked(*args, **kwargs):
+            verdicts.append(_same_verdict(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(dwalgebra, "relation", checked)
+        monkeypatch.setattr(catalog, "relation", checked)
+        assert catalog.verify_entry(name, params).ok
+        assert verdicts
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_degree_bounded_operators_on_catalog_sequences(self, data):
+        op, seq = _member(data.draw(st.integers(0, len(_MEMBERS) - 1)))
+        t = _degree_bounded_op(data, op.size)
+        # a member plus a random operator: passes when the random part is a
+        # multiple of I, fails at a drawn n otherwise
+        t = t + op * data.draw(st.integers(-2, 2))
+        _same_verdict(seq.poly, t, seq.poly, 5)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bumped_members(self, data):
+        op, seq = _member(data.draw(st.integers(0, len(_MEMBERS) - 1)))
+        sites = list(coefficient_sites(op))
+        site = sites[data.draw(st.integers(0, len(sites) - 1))]
+        mutant = bump_coefficient(op, site, data.draw(st.sampled_from([-1, 1, F(1, 3)])))
+        _same_verdict(seq.poly, mutant, seq.poly, 5)
+
+    def test_members_pass(self):
+        for k in range(len(_MEMBERS)):
+            op, seq = _member(k)
+            assert _same_verdict(seq.poly, op, seq.poly, 6).ok
+
+    def test_non_monic_q(self):
+        op, seq = _member(0)
+        m = FracMat([[2, 1], [1, 1]])
+        qs = lambda n: seq.poly(n).lmul_const(m)  # lead m, C_n = Lambda_n m^-1
+        rep = _same_verdict(seq.poly, op, qs, 6)
+        assert rep.ok and rep.eigs[3] == _same_verdict(seq.poly, op, seq.poly, 6).eigs[3] * m.inv()
+
+    def test_singular_lead(self):
+        op, seq = _member(0)
+        qs = lambda n: seq.poly(n).lmul_const(FracMat([[1, 0], [0, 0]])) if n == 2 else seq.poly(n)
+        rep = _same_verdict(seq.poly, op, qs, 5)
+        assert not rep.ok and rep.fail_n == 2 and "singular" in rep.detail
+
+    def test_wrong_stated_constants(self):
+        e = catalog.entry("LAG2DIAG")
+        seq = sequence_for(e.weight_W)
+        for g in ("G3", "G5", "G6"):
+            stated = e.expected["eigs"][g]
+            for n, (r, c) in ((0, (0, 0)), (3, (1, 0)), (5, (0, 1))):
+                def wrong(m, n=n, r=r, c=c):
+                    rows = [list(row) for row in stated(m).rows]
+                    rows[r][c] += m == n
+                    return FracMat(rows)
+                rep = _same_verdict(seq.poly, e.ops[g], seq.poly, 6, cs=wrong)
+                assert not rep.ok and rep.fail_n == n and isinstance(rep.residual, MatPoly)
+
+    def test_rational_operator(self):
+        seq = sequence_for(LAG.scalar_weight())
+        rf = RatFunc(Poly((1,)), X + 1)
+        # F_1 = 1/(x + 1): the action is polynomial at n = 0 only
+        t = DiffOp.scalar([Poly((2,)), rf])
+        rep = _same_verdict(seq.poly, t, seq.poly, 4)
+        assert not rep.ok and rep.fail_n == 1 and isinstance(rep.residual, MatRF)
+        # F_5 = 1/(x + 1) does not act below degree 5, so T acts as 2 there
+        t = DiffOp.scalar([Poly((2,)), Poly(), Poly(), Poly(), Poly(), rf])
+        assert not t.is_polynomial
+        assert _same_verdict(seq.poly, t, seq.poly, 4).eigs == [FracMat([[2]])] * 5
+
+    def test_wrong_shapes_still_raise(self):
+        op, seq = _member(0)
+        for cs in (lambda n: FracMat.identity(3), lambda n: FracMat([[1, 0]])):
+            with pytest.raises(ShapeError):
+                relation(seq.poly, op, seq.poly, 2, cs=cs)
+        with pytest.raises(ShapeError):
+            relation(seq.poly, op, lambda n: MatPoly.identity(3), 2, cs=lambda n: FracMat.identity(2))
+
+    def test_matrf_p(self):
+        op, seq = _member(2)
+        ps = lambda n: seq.poly(n).to_matrf()
+        assert _same_verdict(ps, op, seq.poly, 5).ok
+        assert not _same_verdict(ps, op + DiffOp.ddx(op.size), seq.poly, 5).ok
 
 
 class TestIntertwinerVerify:

@@ -23,8 +23,11 @@ from mvop.exactalg import (
     _unpack,
     exact_div,
     frac,
+    int_coeff,
+    int_form,
     nonneg_integer_roots,
     nullspace,
+    packed_dot,
     poly_dot,
     poly_gcd,
     poly_str,
@@ -571,6 +574,17 @@ class TestProductKernel:
             got = poly_dot(pairs)
             assert got == _schoolbook(pairs)
             assert got[6] == sign * F(1253 * m * m, 2520)
+
+    @given(st.lists(st.tuples(big_polys, big_polys), max_size=6), st.integers(0, 42))
+    @settings(max_examples=60, deadline=None)
+    def test_coefficient_and_zero_test_without_unpacking(self, pairs, k):
+        forms = [(int_form(a), int_form(b)) for a, b in pairs if a and b]
+        want = _schoolbook(pairs)
+        assert int_coeff(forms, k) == want[k]
+        assert (packed_dot(forms)[0] == 0) == want.is_zero
+        # the same pairs again with one side negated cancel exactly
+        negated = [((tuple(-v for v in fa[0]),) + fa[1:], fb) for fa, fb in forms]
+        assert packed_dot(forms + negated)[0] == 0
 
     def test_reused_poly_keeps_its_integer_form(self):
         p = Poly((F(1, 2), F(-3, 4), F(2**70, 9)))
