@@ -43,6 +43,7 @@ from .weights import (  # noqa: F401
     classical_delta,
     classical_monic,
     inner_product,
+    moment_rows,
     monic_ops,
     normalized_moments,
     scalar_recursion,

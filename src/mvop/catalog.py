@@ -23,7 +23,7 @@ from typing import Callable
 
 from .exactalg import DomainError, FracMat, Poly, X, frac
 from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
-from .weights import Laguerre, Weight, classical_monic, inner_product, sequence_for
+from .weights import Laguerre, Weight, inner_product, moment_rows, sequence_for
 from .dwalgebra import (
     DarbouxCertificate,
     Report,
@@ -104,10 +104,12 @@ def _lag3_expected(p: dict) -> dict:
             [[1, -a1 * (a + n + 2), 0], [0, mid, 0], [0, -a2 * (a + 2 + 3 * n), 1]]
         )
 
+    seqs = []  # the Laguerre sequences of alpha, alpha + 1, alpha + 2, built on first use
+
     def q_n(n: int) -> MatPoly:
-        l0 = lambda m: classical_monic(Laguerre(a), m)
-        l1 = lambda m: classical_monic(Laguerre(a + 1), m)
-        l2 = lambda m: classical_monic(Laguerre(a + 2), m)
+        if not seqs:
+            seqs.extend(sequence_for(Laguerre(a + i).scalar_weight()) for i in range(3))
+        l0, l1, l2 = (lambda m, s=s: s.poly(m).entry(0, 0) for s in seqs)
         c = (n + a + 1) * (n + a) * n
         return MatPoly(
             [
@@ -234,6 +236,24 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
 
 
 def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
+    """Q_0..Q_bound are orthogonal for the weight with nonsingular Gram
+    blocks <Q_n, Q_n>.
+
+    When every deg Q_n <= n, the moment rows R_{n,k} = <Q_n, x^k I>, k <= n,
+    decide it with one product per image: <Q_n, Q_m> = sum_{k<=m} R_{n,k}
+    Q_{m,k}^T, so R_{n,k} = 0 for k < n clears every block below the
+    diagonal, and then <Q_n, Q_n> = R_{n,n} Q_{n,n}^T. Any other case (a
+    nonzero row, a singular block, an image of higher degree) runs the
+    pairwise check from n = 0, so a failure names the same first (n, m) and
+    block as the pairwise check alone.
+    """
+    if all(polys[n].degree <= n for n in range(bound + 1)):
+        for n in range(bound + 1):
+            *below, top = moment_rows(polys[n], weight, n)
+            if any(not r.is_zero for r in below) or (top * polys[n].coeff(n).transpose()).det() == 0:
+                break
+        else:
+            return Verdict(True)
     for n in range(bound + 1):
         gn = inner_product(polys[n], polys[n], weight)
         if gn.det() == 0:

@@ -146,8 +146,10 @@ def _parse_params(s: str | None) -> dict[str, Fraction]:
             continue
         if "=" not in piece:
             raise ValueError(f"bad --params entry {piece!r}, expected name=value")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = frac(v.strip())
+        k, v = (t.strip() for t in piece.split("=", 1))
+        if k in out:
+            raise ValueError(f"--params names {k!r} more than once")
+        out[k] = frac(v)
     return out
 
 

@@ -541,18 +541,48 @@ def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
     Requires the merged factor matrix to be polynomial, so that the integrand
     expands into power moments.
     """
-    if p.size != q.size or p.size != weight.size:
+    if p.size != q.size:
+        raise ShapeError("inner product size mismatch")
+    fam, pm = _times_factor(p, weight)
+    integrand = pm * q.transpose()
+    # each entry's integer numerators against nu_0..nu_deg over their common
+    # denominator: one integer dot and one Fraction per entry
+    nums, den = _moment_numerators(fam, integrand.degree)
+    return FracMat([[_contract(e, nums, den) for e in row] for row in integrand.rows])
+
+
+def moment_rows(p: MatPoly, weight: Weight, k_max: int) -> list[FracMat]:
+    """<P, x^k I> for k = 0..k_max, from one product P M.
+
+    <P, x^k I> = integral x^k P W, so row k contracts each entry of P M
+    against nu_k, nu_{k+1}, ...: the moment table is the one inner_product
+    fills to the same degree. By bilinearity <P, Q> = sum_k <P, x^k I> Q_k^T,
+    Q_k the x^k coefficient of Q, so these rows decide orthogonality to every
+    Q of degree <= k_max without a product per Q.
+    """
+    if k_max < 0:
+        raise DomainError("k_max must be nonnegative")
+    fam, pm = _times_factor(p, weight)
+    nums, den = _moment_numerators(fam, max(pm.degree, 0) + k_max)
+    tails = (nums[k:] for k in range(k_max + 1))
+    return [FracMat([[_contract(e, t, den) for e in row] for row in pm.rows]) for t in tails]
+
+
+def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPoly]:
+    """The base family and P M of the weight's atomic form, M polynomial."""
+    if p.size != weight.size:
         raise ShapeError("inner product size mismatch")
     fam, mat = weight.as_atomic()
     if not mat.is_polynomial:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    integrand = p * matrf_to_matpoly(mat) * q.transpose()
-    # each entry's integer numerators against nu_0..nu_deg over their common
-    # denominator: one integer dot and one Fraction per entry
-    nu = _moments_list(fam, integrand.degree)[: integrand.degree + 1]
+    return fam, p * matrf_to_matpoly(mat)
+
+
+def _moment_numerators(fam: ScalarWeightFamily, top: int) -> tuple[list[int], int]:
+    """nu_0..nu_top as integers over their common denominator, and it."""
+    nu = _moments_list(fam, top)[: top + 1]
     den = math.lcm(*(v.denominator for v in nu))
-    nums = [v.numerator * (den // v.denominator) for v in nu]
-    return FracMat([[_contract(e, nums, den) for e in row] for row in integrand.rows])
+    return [v.numerator * (den // v.denominator) for v in nu], den
 
 
 def _contract(e: Poly, nums, den) -> Fraction:

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from mvop.exactalg import DomainError, MatRF, Poly, RatFunc, X
-from mvop.catalog import ENTRY_NAMES, check_entry, default_params, entry, entry_document_text, verify_entry
+from mvop import catalog
+from mvop.exactalg import DomainError, FracMat, MatRF, Poly, RatFunc, X
+from mvop.catalog import ENTRY_NAMES, _gram_orthogonal, check_entry, default_params, entry, entry_document_text, verify_entry
 from mvop.cli import main, run
-from mvop.diffop import DiffOp
+from mvop.diffop import DiffOp, MatPoly, Verdict, apply, bump_coefficient, coefficient_sites
 from mvop.dsl import parse_spec
+from mvop.weights import inner_product, sequence_for
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
 
@@ -204,3 +206,84 @@ class TestVerification:
         rep = verify_entry("HER3", None, 4)
         line = next(c for c in rep.checks if "printed readings" in c.name)
         assert line.ok and "sign" in line.detail
+
+
+def _gram_orthogonal_pairwise(polys, weight, bound):
+    """Oracle: every Gram block <Q_n, Q_m>, m <= n, formed and tested."""
+    for n in range(bound + 1):
+        gn = inner_product(polys[n], polys[n], weight)
+        if gn.det() == 0:
+            return Verdict(False, f"Gram block at n={n} is singular", n, gn)
+        for m in range(n):
+            g = inner_product(polys[n], polys[m], weight)
+            if not g.is_zero:
+                return Verdict(False, f"nonzero Gram block at (n, m) = ({n}, {m})", n, g)
+    return Verdict(True)
+
+
+class TestGramOracle:
+    """_gram_orthogonal decides from moment rows; its Verdict must equal the
+    pairwise check's, field for field."""
+
+    def assert_same(self, qs, weight, bound):
+        got, want = _gram_orthogonal(qs, weight, bound), _gram_orthogonal_pairwise(qs, weight, bound)
+        assert got == want and repr(got) == repr(want)
+        return got
+
+    @staticmethod
+    def jac2_images(n_max=6, op=None):
+        e = entry("JAC2")
+        seq = sequence_for(e.weight_W)
+        return [apply(seq.poly(n), op or e.ops["V"]) for n in range(n_max + 1)], e.weight_Wt
+
+    @staticmethod
+    def count_inner_products(monkeypatch):
+        counted = []
+        monkeypatch.setattr(catalog, "inner_product", lambda *a: counted.append(a) or inner_product(*a))
+        return counted
+
+    @pytest.mark.parametrize("name", [n for n in ENTRY_NAMES if n != "LAG2DIAG"])
+    def test_every_catalog_call(self, name, monkeypatch):
+        # a passing check must not fall back to the pairwise blocks
+        counted = self.count_inner_products(monkeypatch)
+        seen = []
+
+        def checked(qs, weight, bound):
+            del counted[:]
+            got = self.assert_same(qs, weight, bound)
+            assert not (got.ok and counted)
+            seen.append(got.ok)
+            return got
+
+        monkeypatch.setattr(catalog, "_gram_orthogonal", checked)
+        for params in ROBUSTNESS_PARAMS[name]:
+            assert verify_entry(name, params).ok
+        assert seen and all(seen)
+
+    def test_bumped_operator(self):
+        e = entry("JAC2")
+        for site in coefficient_sites(e.ops["V"]):
+            qs, w = self.jac2_images(op=bump_coefficient(e.ops["V"], site))
+            got = self.assert_same(qs, w, 6)
+            assert not got.ok and got.detail.startswith("nonzero Gram block"), site
+
+    def test_neighbour_added(self):
+        # Q_3 + Q_2 is orthogonal to x^k for k < 2 but not to Q_2: only the
+        # moment row k = n - 1 shows it
+        qs, w = self.jac2_images()
+        qs[3] = qs[3] + qs[2]
+        got = self.assert_same(qs, w, 6)
+        assert not got.ok and got.detail == "nonzero Gram block at (n, m) = (3, 2)"
+
+    def test_singular_constant_multiple(self):
+        qs, w = self.jac2_images()
+        qs[4] = qs[4].lmul_const(FracMat([[1, 2], [2, 4]]))
+        got = self.assert_same(qs, w, 6)
+        assert not got.ok and got.detail == "Gram block at n=4 is singular"
+
+    def test_degree_above_n(self, monkeypatch):
+        counted = self.count_inner_products(monkeypatch)
+        qs, w = self.jac2_images()
+        qs[2] = qs[2] + MatPoly.scalar(X**3, 2)
+        got = self.assert_same(qs, w, 6)
+        assert not got.ok and counted

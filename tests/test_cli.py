@@ -293,6 +293,11 @@ class TestBadParams:
     def test_non_rational_value(self, cmd, capsys):
         self.assert_usage_error(cmd + ["--params", "alpha=abc"], capsys, "abc")
 
+    @pytest.mark.parametrize("cmd", [["entry", "JAC2"], ["verify", str(DATA_DIR / "jac2.mvop")]])
+    def test_repeated_param_refused(self, cmd, capsys):
+        # used to run with the last value, alpha = 3
+        self.assert_usage_error(cmd + ["--params", "alpha=1/2, alpha=3"], capsys, "'alpha' more than once")
+
     def test_unknown_name_in_document(self, capsys):
         self.assert_usage_error(
             ["verify", str(DATA_DIR / "jac2.mvop"), "--params", "zeta=1"], capsys, "zeta"

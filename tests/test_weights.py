@@ -9,11 +9,11 @@ recursion-based production path.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvop import weights
 from mvop.catalog import entry
-from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, SingularError, X
+from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, ShapeError, SingularError, X
 from mvop.diffop import DiffOp, MatPoly, apply, matrf_to_matpoly, w_adjoint
 from mvop.weights import (
     HermiteShifted,
@@ -26,6 +26,7 @@ from mvop.weights import (
     closed_moments,
     density_ratio,
     inner_product,
+    moment_rows,
     monic_ops,
     normalized_moments,
     scalar_recursion,
@@ -244,6 +245,29 @@ class TestInnerProductOracle:
         p, q, w = case
         got, want = inner_product(p, q, w), _inner_product_by_fracmat(p, q, w)
         assert got == want and repr(got) == repr(want)
+
+
+class TestMomentRows:
+    @given(gram_cases(), st.integers(0, 5))
+    @example((MatPoly.zeros(2), None, Weight.of_scalars(Laguerre(F(1, 2)), Laguerre(F(3, 2)))), 3)
+    @example((MatPoly.zeros(1), None, HermiteShifted(F(1, 3)).scalar_weight()), 0)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_inner_products_with_powers(self, case, k):
+        p, _, w = case
+        rows = moment_rows(p, w, k)
+        assert len(rows) == k + 1
+        for j, row in enumerate(rows):
+            want = inner_product(p, MatPoly.scalar(X**j, w.size), w)
+            assert row == want and repr(row) == repr(want)
+
+    def test_refusals(self):
+        w = Laguerre(F(1, 2)).scalar_weight()
+        with pytest.raises(ShapeError):
+            moment_rows(MatPoly.identity(2), w, 1)
+        with pytest.raises(DomainError):
+            moment_rows(MatPoly.identity(1), w, -1)
+        with pytest.raises(NonPolynomialError):
+            moment_rows(MatPoly.identity(2), Weight.of_scalars(Laguerre(F(1, 2)), Laguerre(F(1))), 1)
 
 
 class TestMonicSequences:
