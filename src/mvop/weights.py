@@ -26,6 +26,8 @@ from .exactalg import (
     SingularError,
     X,
     frac,
+    int_const,
+    int_dot,
     int_form,
 )
 from .diffop import DiffOp, MatPoly, matrf_to_matpoly
@@ -275,10 +277,14 @@ class Weight:
             raise ShapeError("weight matrix factor must have size >= 1")
         if M != M.transpose():
             raise DomainError("matrix factor must be symmetric")
-        if M.det().is_zero:
-            raise DomainError("matrix factor is singular as a rational matrix")
         w = Weight(family=family, M=M)
-        w._positivity_spot_check()
+        try:
+            # a positive last leading minor at a sample point proves det M != 0
+            w._positivity_spot_check()
+        except DomainError:
+            if M.det().is_zero:
+                raise DomainError("matrix factor is singular as a rational matrix") from None
+            raise
         return w
 
     @staticmethod
@@ -431,9 +437,14 @@ class OPSequence:
 
     An atomic weight's sequence is built by the block three-term recursion
     P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. With an identity factor B_k and
-    C_k are the family's closed forms times I; otherwise they come from Gram
-    blocks H_k = <P_k, P_k>: B_k = <x P_k, P_k> H_k^-1, C_k = H_k H_{k-1}^-1,
-    C_0 = 0. A direct sum assembles its blocks' sequences.
+    C_k are the family's closed forms times I; otherwise they are read off
+    the moment rows R_{k,j} = <P_k, x^j I> of one product P_k M (the matrix
+    form of the modified Chebyshev algorithm): P_k is monic and orthogonal
+    to lower degrees, so H_k = <P_k, P_k> = R_{k,k} and
+    <x P_k, P_k> = R_{k,k+1} + H_k P_{k,k-1}^T, with P_{k,k-1} the x^(k-1)
+    coefficient of P_k; B_k = <x P_k, P_k> H_k^-1, C_k = H_k H_{k-1}^-1,
+    C_0 = 0. Each cell of P_{k+1} is one integer sum, ``exactalg.int_dot``.
+    A direct sum assembles its blocks' sequences.
 
     Construction memoizes inside the object (build-then-share: one thread
     extends, any number may read afterwards).
@@ -445,6 +456,9 @@ class OPSequence:
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
         self._h_prev_inv: FracMat | None = None  # H_{k-1}^-1 of the last step
+        # an identity factor takes the family's closed forms; decided once,
+        # since building MatRF.identity costs a RatFunc per entry
+        self._closed = weight.is_atomic and weight.M == MatRF.identity(weight.size)
         self._children: list[OPSequence] | None = None
         if not weight.is_atomic:
             self._children = [sequence_for(b) for b in weight.blocks]
@@ -484,23 +498,39 @@ class OPSequence:
         """Append P_{k+1}, B_k and C_k."""
         w = self.weight
         pk = self._polys[k]
-        xpk = X * pk
-        if w.M == MatRF.identity(w.size):
+        if self._closed:
             b, c = w.family.recursion(k)
             bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
         else:
-            h = inner_product(pk, pk, w)
+            # rows k and k + 1; nu_(k+1).. must be as long as every entry of
+            # P_k M, since contraction stops at the shorter input
+            fam, pm = _times_factor(pk, w)
+            nums, den = _moment_numerators(fam, max(pm.degree, 0) + k + 1)
+            h, xh = (_moment_row(pm, nums[j:], den) for j in (k, k + 1))
             try:
                 h_inv = h.inv()
             except SingularError as exc:
                 raise SingularError(f"degenerate moment system at degree {k + 1}") from exc
-            bk = inner_product(xpk, pk, w) * h_inv
+            if k:
+                xh = xh + h * pk.coeff(k - 1).transpose()
+            bk = xh * h_inv
             ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
             self._h_prev_inv = h_inv
-        nxt = xpk - pk.lmul_const(bk)
-        if k:
-            nxt = nxt - self._polys[k - 1].lmul_const(ck)
-        self._polys.append(nxt)
+        # cell (r, c) of x P_k - B_k P_k - C_k P_{k-1} is one int_dot over
+        # (x, P_k[r][c]), (-B_k[r][t], P_k[t][c]) and (-C_k[r][t], P_{k-1}[t][c])
+        terms = [(bk, pk)] + ([(ck, self._polys[k - 1])] if k else [])
+        terms = [
+            ([[int_const(-v) if v else None for v in r] for r in m.rows],
+             [[int_form(e) if e else None for e in col] for col in zip(*p.rows)])
+            for m, p in terms
+        ]
+        xf, pcols, cells = int_form(X), terms[0][1], range(w.size)
+        self._polys.append(MatPoly([
+            [int_dot(([(xf, pcols[c][r])] if pcols[c][r] else [])
+                     + [(a, b) for consts, cols in terms for a, b in zip(consts[r], cols[c]) if a and b])
+             for c in cells]
+            for r in cells
+        ]))
         self._B.append(bk)
         self._C.append(ck)
 
@@ -564,8 +594,13 @@ def moment_rows(p: MatPoly, weight: Weight, k_max: int) -> list[FracMat]:
         raise DomainError("k_max must be nonnegative")
     fam, pm = _times_factor(p, weight)
     nums, den = _moment_numerators(fam, max(pm.degree, 0) + k_max)
-    tails = (nums[k:] for k in range(k_max + 1))
-    return [FracMat([[_contract(e, t, den) for e in row] for row in pm.rows]) for t in tails]
+    return [_moment_row(pm, nums[k:], den) for k in range(k_max + 1)]
+
+
+def _moment_row(pm: MatPoly, nums, den) -> FracMat:
+    """Each entry of P M contracted against the moments from nu_k on, i.e.
+    <P, x^k I> when ``nums`` starts at nu_k's numerator."""
+    return FracMat([[_contract(e, nums, den) for e in row] for row in pm.rows])
 
 
 def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPoly]:

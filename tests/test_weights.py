@@ -333,6 +333,85 @@ class TestMonicSequences:
             assert seq.poly(n).degree == n
 
 
+def _step_gram_products(self, k):
+    """Oracle: the recursion step from Gram products, H_k = <P_k, P_k> and
+    <x P_k, P_k> by ``inner_product`` and the update by MatPoly arithmetic."""
+    w = self.weight
+    pk = self._polys[k]
+    xpk = X * pk
+    if w.M == MatRF.identity(w.size):
+        b, c = w.family.recursion(k)
+        bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
+    else:
+        h = inner_product(pk, pk, w)
+        try:
+            h_inv = h.inv()
+        except SingularError as exc:
+            raise SingularError(f"degenerate moment system at degree {k + 1}") from exc
+        bk = inner_product(xpk, pk, w) * h_inv
+        ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
+        self._h_prev_inv = h_inv
+    nxt = xpk - pk.lmul_const(bk)
+    if k:
+        nxt = nxt - self._polys[k - 1].lmul_const(ck)
+    self._polys.append(nxt)
+    self._B.append(bk)
+    self._C.append(ck)
+
+
+def _no_inner_product(*args):
+    raise AssertionError("OPSequence._step called inner_product")
+
+
+def _sequence_reprs(weight, n_max, step=None):
+    """repr of P_n and of (B_n, C_n) for n <= n_max, built on a fresh
+    sequence cache (so a direct sum's blocks are rebuilt too), with
+    ``OPSequence._step`` replaced by ``step`` when given."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weights, "_SEQUENCE_CACHE", {})
+        if step is None:
+            m.setattr(weights, "inner_product", _no_inner_product)
+        else:
+            m.setattr(OPSequence, "_step", step)
+        seq = OPSequence(weight)
+        return [(repr(seq.poly(n)), repr(seq.recursion_pair(n))) for n in range(n_max + 1)]
+
+
+def _assert_step_matches_oracle(weight, n_max=16):
+    got = _sequence_reprs(weight, n_max)
+    assert got == _sequence_reprs(weight, n_max, _step_gram_products)
+
+
+def _entry_weights():
+    from test_catalog import ROBUSTNESS_PARAMS
+
+    for name, sets in ROBUSTNESS_PARAMS.items():
+        for k, params in enumerate(sets):
+            yield pytest.param(name, params, id=f"{name}-params{k}")
+
+
+class TestStepOracle:
+    """``_step`` reads H_k and B_k off moment rows and sums each cell of the
+    update as integers; every P_n, B_n and C_n must equal, by repr, what the
+    Gram-product step gives."""
+
+    @pytest.mark.parametrize("name, params", _entry_weights())
+    def test_catalog_weights(self, name, params):
+        for w in entry(name, params).doc.weights.values():
+            _assert_step_matches_oracle(w)
+
+    @given(gram_cases())
+    @example((None, None, Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))))
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_polynomial_factors(self, case):
+        _assert_step_matches_oracle(case[2])
+
+    def test_step_never_calls_inner_product(self, monkeypatch):
+        w = Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), X], [X, Poly((1, 0, 1))]]))
+        monkeypatch.setattr(weights, "inner_product", _no_inner_product)
+        assert OPSequence(w).poly(6).degree == 6
+
+
 class TestSingularGram:
     """The raw constructor skips admission, so a Gram block can be singular."""
 
@@ -389,7 +468,7 @@ class TestAdjointPairing:
 class TestWeightValidation:
     def test_positivity_spot_check_rejects(self):
         # diag(1, -1) is symmetric and nonsingular but not positive
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 8/17$"):
             Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((-1,))))
 
     def test_constant_factor_checked_once(self, monkeypatch):
@@ -411,8 +490,29 @@ class TestWeightValidation:
             Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((1,)), X], [Poly(), Poly((1,))]]))
 
     def test_singular_factor_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix factor is singular as a rational matrix$"):
             Weight.atomic(Laguerre(F(1, 2)), MatRF([[X, X], [X, X]]))
+
+    @pytest.mark.parametrize(
+        "family, m, message",
+        [
+            (Jacobi(F(0), F(0)), MatRF([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((4,))]]),
+             "matrix factor is singular as a rational matrix"),
+            (HermiteShifted(F(0)), MatRF([[Poly((1,)), X], [X, X * X]]), "matrix factor is singular as a rational matrix"),
+            (HermiteShifted(F(0)), MatRF.diag(Poly((1,)), X), "weight factor not positive definite at sample x = -45/17"),
+        ],
+        ids=["singular-constant", "singular-hermite", "indefinite"],
+    )
+    def test_rejection_messages(self, family, m, message):
+        # admission runs the spot check first and computes det M only when
+        # it fails, so each refusal must keep its message
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Weight.atomic(family, m)
+
+    def test_admission_skips_determinant(self, monkeypatch):
+        # the spot check's positive last minor already proves det M != 0
+        monkeypatch.setattr(MatRF, "det", lambda m: pytest.fail("det computed for an admitted factor"))
+        Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
 
     def test_mixed_support_direct_sum_rejected(self):
         with pytest.raises(DomainError):
