@@ -18,20 +18,42 @@ of LAG3's three ``matrix_intertwiner_search`` calls at each
 ``ROBUSTNESS_PARAMS`` set, and of the acceptance gate's four
 ``intertwiner_search`` pairs. It was recorded by running this file on commit
 9bf7937, before ``nullspace`` moved onto fraction-free integer elimination.
+
+The fourth sha256 pins ``relation``: the ``repr`` of every Verdict it returns
+inside ``darboux_verify`` (memberships with their Lambda_n, the forward and
+reverse conjugations, the block operator on W (+) Wt) and inside
+``matrix_intertwiner_verify`` for V and N, at n_max = 16 and default
+parameters for JAC2, LAG3 and HER3. The failing-n path is pinned by
+(fail_n, detail, residual) of three ``bump_coefficient`` mutants per entry:
+D in ``verify_in_DW``, V in ``matrix_intertwiner_verify`` and N in a whole
+``darboux_verify``, whose reverse relation runs with stated constants. It was
+recorded by running this file on commit 554ad6d, before ``relation``'s cells
+moved onto one packed integer matrix product.
 """
 
 import hashlib
+from unittest import mock
 from fractions import Fraction as F
 
 from mvop.catalog import ENTRY_NAMES, entry, verify_entry
+from mvop import dwalgebra
+from mvop.diffop import bump_coefficient, coefficient_sites
 from mvop.dsl import op_str
-from mvop.dwalgebra import DarbouxCertificate, darboux_verify, intertwiner_search, matrix_intertwiner_search
+from mvop.dwalgebra import (
+    DarbouxCertificate,
+    darboux_verify,
+    intertwiner_search,
+    matrix_intertwiner_search,
+    matrix_intertwiner_verify,
+    verify_in_DW,
+)
 from mvop.weights import HermiteShifted, Jacobi, Laguerre, sequence_for
 from test_catalog import ROBUSTNESS_PARAMS
 
 DIGEST = "22f7c226ee2f2940fceba777755f847ed45def935b4c7d4cbff4faff952b25de"
 OPERATOR_DIGEST = "9bfcfb56e955e5de8d4b56cac8a69e705c9bac0273a71a82eee2474ed4215d3e"
 SEARCH_DIGEST = "12a97444b698b6f2f31d7abbcc6da141de1a3db6644af2690866cd710b3041c4"
+RELATION_DIGEST = "7990d526a56fe5abe051e76b69cd034266df769f29e5062530bbd2d3a95497ef"
 
 
 def _outputs():
@@ -89,3 +111,35 @@ def _search_outputs():
 
 def test_search_outputs_bit_identical_to_recorded_digest():
     assert hashlib.sha256("\n".join(_search_outputs()).encode()).hexdigest() == SEARCH_DIGEST
+
+
+def _relation_outputs():
+    verdicts = []
+
+    def recorded(*args, **kwargs):
+        verdicts.append(relation(*args, **kwargs))
+        return verdicts[-1]
+
+    relation = dwalgebra.relation
+    with mock.patch.object(dwalgebra, "relation", recorded):
+        for name in ("JAC2", "LAG3", "HER3"):
+            e = entry(name)
+            W, Wt, ops = e.weight_W, e.weight_Wt, e.ops
+            verdicts.clear()
+            darboux_verify(DarbouxCertificate(W, Wt, ops["V"], ops["N"], ops["D"], 16))
+            matrix_intertwiner_verify(ops["V"], W, Wt, 16)
+            matrix_intertwiner_verify(ops["N"], Wt, W, 16)
+            yield from (f"{name} {v!r}" for v in verdicts)
+            mutants = {k: bump_coefficient(ops[k], site(list(coefficient_sites(ops[k]))))
+                       for k, site in (("D", lambda s: s[len(s) // 2]), ("V", lambda s: s[len(s) // 2]),
+                                       ("N", lambda s: s[-1]))}
+            verdicts.clear()
+            verify_in_DW(mutants["D"], W, 16)
+            matrix_intertwiner_verify(mutants["V"], W, Wt, 16)
+            darboux_verify(DarbouxCertificate(W, Wt, ops["V"], mutants["N"], ops["D"], 16))
+            assert sum(not v.ok for v in verdicts) >= 3
+            yield from (f"{name} mutant {v.ok} {v.fail_n} {v.detail} {v.residual!r}" for v in verdicts)
+
+
+def test_relation_verdicts_bit_identical_to_recorded_digest():
+    assert hashlib.sha256("\n".join(_relation_outputs()).encode()).hexdigest() == RELATION_DIGEST
