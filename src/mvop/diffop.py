@@ -12,11 +12,14 @@ first, and it fixes all sign and ordering questions below:
     (d^i F)(d^j G) = sum_m binom(j, m) d^(i+m) F^(j-m) G.
 
 So the d^k coefficient of A B collects apply(F_i, B_m) over i + m = k, with
-B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. On polynomial operands each cell
-of ``apply`` is one integer kernel, ``exactalg.int_dot``, over the pairs of
-integer forms that ``cell_pairs`` lists, with derivatives formed on the
-forms; ``compose`` gathers those pairs over i + m = k, one ``int_dot`` per
-cell, and ``dwalgebra.relation`` tests them for zero without unpacking.
+B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. On polynomial operands both run
+through one integer kernel, ``int_action``: the entries of P and its
+derivatives, formed on integer numerators, and those of the F_j, each over
+one common denominator, are packed once at one width, and each cell is one
+row-by-column sum of packed integers over the flattened (j, k) index.
+``apply`` unpacks those sums, ``compose`` sums over the concatenated (m, j)
+blocks of each d^k coefficient, and ``dwalgebra.relation`` tests them for
+zero without unpacking.
 
 The formal adjoint * is the involution fixing constant real matrices by
 transposition and sending d to -d; the weight adjoint is computed from the
@@ -27,6 +30,7 @@ through its logarithmic derivative.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
@@ -41,11 +45,12 @@ from .exactalg import (
     RatFunc,
     ShapeError,
     frac,
-    int_derivative,
-    int_dot,
-    int_form,
+    int_entries,
     nonneg_integer_roots,
+    pack,
+    pack_width,
     poly_dot,
+    unpack,
 )
 
 
@@ -226,38 +231,82 @@ class DiffOp:
         return "DiffOp<" + " + ".join(f"d^{j}*{c!r}" for j, c in reversed(tuple(enumerate(self.coeffs)))) + ">"
 
 
-def cell_pairs(p: MatPoly | MatRF, d: DiffOp):
-    """The pairs of integer forms whose ``int_dot`` is each cell of P . D.
+class IntOp:
+    """The coefficients F_j of a polynomial operator as integer numerator
+    lists over one common denominator ``den``, below 2^``bits`` in magnitude,
+    for the length of one call: column c lists F_j[k][c] by (j, k), packed at
+    most once per width."""
 
-    For a MatPoly P under a polynomial D, cell (r, c) of the result lists
-    (P^(j)[r][k], F_j[k][c]) over j and k, zero entries left out, with P^(j)
-    formed on the entries' integer forms. None when P is a MatRF or D has a
-    rational coefficient.
+    __slots__ = ("size", "order", "deg", "den", "bits", "cols", "_packed")
+
+    def __init__(self, size: int, coeffs):
+        ints, self.den, self.bits = int_entries([e for f in coeffs for r in f.rows for e in r])
+        self.size, self.order = size, len(coeffs) - 1
+        self.deg = max(map(len, ints), default=0) - 1
+        self.cols = [ints[c::size] for c in range(size)]
+        self._packed = {}
+
+    def packed_cols(self, w: int):
+        if w not in self._packed:
+            self._packed[w] = [[pack(e, w) for e in col] for col in self.cols]
+        return self._packed[w]
+
+
+def int_derivatives(ints, count: int):
+    """The numerator lists of p, p', ..., p^(count-1) for each list of ints
+    (over the same denominator: [x^k] p^(j) is k (k-1) ... (k-j+1) [x^(k+j)] p)."""
+    chain = [ints]
+    for _ in range(1, count):
+        chain.append([[k * a for k, a in enumerate(e) if k] for e in chain[-1]])
+    return chain
+
+
+def int_action(forms, s: int, op: IntOp, extra_bits: int = 0):
+    """The cells of P . T as packed integers, one C-level row-by-column sum
+    each, for the s x s matrix P whose entries, row by row, have the
+    ``int_entries`` ``forms`` (numerators over L). Row r lists P^(j)[r][k]
+    and column c lists F_j[k][c], both by (j, k), so cell (r, c) is
+    sum_k c_k 2^(w k) with P . T's (r, c) entry sum_k (c_k / (L op.den)) x^k.
+
+    The width w holds every digit, and ``extra_bits`` more (room a caller
+    needs for its own sums at the same width). Returns (sums, w, bits,
+    packed): every digit of the sums is below 2^bits, and ``packed`` holds
+    P's own entries packed at w, row by row.
     """
-    if p.size != d.size:
-        raise ShapeError("size mismatch in apply")
-    polys = d.poly_coeffs()
-    if polys is None or not isinstance(p, MatPoly):
-        return None
-    terms, der = [], [[int_form(c) if c else None for c in r] for r in p.rows]
-    for j, f in enumerate(polys):
-        if j:
-            der = [[c and int_derivative(c) for c in r] for r in der]
-        if not f.is_zero:
-            terms.append((der, [[int_form(c) if c else None for c in col] for col in zip(*f.rows)]))
-    cells = range(p.size)
-    return [[[(a, b) for rows, cols in terms for a, b in zip(rows[r], cols[c]) if a and b] for c in cells] for r in cells]
+    ints, _, pbits = forms
+    deg = max(map(len, ints)) - 1
+    count = min(op.order, deg) + 1
+    chain = int_derivatives(ints, max(count, 1))
+    # P^(j) multiplies [x^k] P by at most deg!/(deg-j)!; count*s pairs of
+    # entries give at most min(deg, deg F) + 1 products per coefficient
+    terms = count * s * (min(deg, op.deg) + 1) * math.perm(deg, count - 1) if count else 0
+    bits = pbits + op.bits + (terms - 1).bit_length()
+    w = pack_width(bits + extra_bits)
+    packed = [[pack(e, w) for e in der] for der in chain]
+    rows = [[v for der in packed[:count] for v in der[r * s : (r + 1) * s]] for r in range(s)]
+    cols = op.packed_cols(w)
+    sums = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+    return sums, w, bits, packed[0]
+
+
+def _unpacked(sums, w, count, den) -> MatPoly:
+    return MatPoly([[Poly([Fraction(c, den) for c in unpack(v, w, count)]) for v in row] for row in sums])
 
 
 def apply(p: MatPoly | MatRF, d: DiffOp):
     """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is polynomial.
 
-    A MatPoly P under a polynomial D takes the integer path: cell (r, c) is
-    one ``int_dot`` over its ``cell_pairs``. Anything else is summed over MatRF.
+    A MatPoly P under a polynomial D takes the integer path: ``int_action``'s
+    sums, unpacked. Anything else is summed over MatRF.
     """
-    cells = cell_pairs(p, d)
-    if cells is not None:
-        return MatPoly([[int_dot(cell) for cell in row] for row in cells])
+    if p.size != d.size:
+        raise ShapeError("size mismatch in apply")
+    polys = d.poly_coeffs()
+    if polys is not None and isinstance(p, MatPoly):
+        op = IntOp(d.size, polys)
+        ints, den, _ = forms = int_entries([e for r in p.rows for e in r])
+        sums, w = int_action(forms, p.size, op)[:2]
+        return _unpacked(sums, w, max(map(len, ints)) + op.deg, den * op.den)
     acc = MatRF.zeros(p.size)
     der = p if isinstance(p, MatRF) else p.to_matrf()
     for j, f in enumerate(d.coeffs):
@@ -273,28 +322,45 @@ def apply(p: MatPoly | MatRF, d: DiffOp):
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     """Operator product: apply ``first``, then ``second`` (module docstring).
 
-    On polynomial operands each cell of the d^k coefficient is one
-    ``int_dot`` over the ``cell_pairs`` of apply(F_i, B_m) for all i + m = k;
-    a rational operand sums those ``apply`` results over MatRF.
+    On polynomial operands cell (r, c) of the d^k coefficient is one
+    row-by-column sum of packed integers over the concatenated (m, j) blocks,
+    i + m = k and j >= m: row r lists binom(j, m) F_i^(j-m)[r][l] and column
+    c lists G_j[l][c], both by l. A rational operand sums ``apply`` results
+    over MatRF.
     """
     if first.size != second.size:
         raise ShapeError("size mismatch in compose")
     n = first.size
+    lefts, rights = first.poly_coeffs(), second.poly_coeffs()
+    if lefts is not None and rights is not None:
+        op = IntOp(n, rights)
+        ints, den, abits = int_entries([e for f in lefts for r in f.rows for e in r])
+        deg, nn = max(map(len, ints), default=0) - 1, n * n
+        # F_i^(t) for t <= min(order of second, deg of first)
+        top = min(op.order, deg)
+        # every coefficient of a row block sum_m binom(j, m) F_i^(j-m) is below
+        # 2^abits times the largest sum_m binom(j, m) deg!/(deg-j+m)!
+        scale = max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(j - top, j + 1) if m >= 0)
+                     for j in range(op.order + 1)), default=1)
+        terms = (op.order + 1) * n * (min(deg, op.deg) + 1) * scale
+        w = pack_width(abits + op.bits + (terms - 1).bit_length())
+        derivs = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i * nn : (i + 1) * nn], top + 1)]
+                  for i in range(len(lefts))]
+        cols = op.packed_cols(w)
+        out = []
+        for k in range(first.order + second.order + 1):
+            blocks = [(m, j) for m in range(max(0, k - first.order), min(k, second.order) + 1)
+                      for j in range(m, min(op.order, m + top) + 1)]
+            rows = [[math.comb(j, m) * v for m, j in blocks for v in derivs[k - m][j - m][r * n : (r + 1) * n]]
+                    for r in range(n)]
+            bcols = [[v for _, j in blocks for v in col[j * n : (j + 1) * n]] for col in cols]
+            sums = [[sum(map(operator.mul, row, col)) for col in bcols] for row in rows]
+            out.append(_unpacked(sums, w, deg + op.deg + 1, den * op.den))
+        return DiffOp(n, out)
     bms = [
         DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
         for m in range(len(second.coeffs))
     ]
-    lefts = first.poly_coeffs()
-    if lefts is not None and second.is_polynomial:
-        out = []
-        for k in range(first.order + second.order + 1):
-            cells = [[[] for _ in range(n)] for _ in range(n)]
-            for m in range(max(0, k - first.order), min(k, second.order) + 1):
-                for acc, row in zip(cells, cell_pairs(lefts[k - m], bms[m])):
-                    for cell, pairs in zip(acc, row):
-                        cell.extend(pairs)
-            out.append(MatPoly([[int_dot(cell) for cell in row] for row in cells]))
-        return DiffOp(n, out)
     out = [MatRF.zeros(n)] * (first.order + second.order + 1)
     for m, bm in enumerate(bms):
         for i, f in enumerate(lefts or first.coeffs):

@@ -5,7 +5,10 @@ the classification of direct sums of classical scalar weights.
 Every verification here is an exact statement about rational data: a check
 either holds coefficient-for-coefficient or fails with a witness (the first
 offending index n and the nonzero residual). Each check returns one result
-type, ``diffop.Verdict``; a ``Report`` lists named verdicts in order.
+type, ``diffop.Verdict``; a ``Report`` lists named verdicts in order. The
+statements about the algebra and Darboux transformations are instances of
+one checker, ``relation``, which decides each n on one packed integer matrix
+product (``diffop.int_action``) and builds both sides only where it fails.
 Searches are linear algebra over Q and are reported as bounded evidence,
 never as nonexistence proofs.
 """
@@ -13,6 +16,7 @@ never as nonexistence proofs.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,22 +30,23 @@ from .exactalg import (
     Poly,
     ShapeError,
     X,
-    int_coeff,
-    int_const,
-    int_form,
+    digit,
+    int_entries,
     nullspace,
-    packed_dot,
+    pack,
+    pack_width,
 )
 from .diffop import (
     DiffOp,
+    IntOp,
     MatPoly,
     Verdict,
     apply,
     block_antidiagonal,
-    cell_pairs,
     compare_operators,
     compose,
     degree_preserving,
+    int_action,
     op_power,
     w_adjoint,
 )
@@ -140,30 +145,34 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     C_{k-1} for the first failing n = k (all of them when the relation holds).
     A negative ``n_max`` is a DomainError.
 
-    When P_n, Q_n and T are polynomial, neither side is built: [x^n] is read
-    off the ``cell_pairs`` of P_n . T, and each cell of P_n . T - C_n Q_n is
-    decided by one exact zero test, ``_vanishes``. Only an n that fails
-    materialises P_n . T and C_n Q_n, for the residual.
+    When P_n, Q_n and T are polynomial, neither side is built: ``_decide``
+    tests every cell of P_n . T - C_n Q_n on ``diffop.int_action``'s packed
+    integer sums, T's coefficients put over one denominator once per call.
+    Only an n that fails materialises P_n . T and C_n Q_n, for the residual.
     """
     check_horizon(n_max)
+    polys = t.poly_coeffs()
+    op = IntOp(t.size, polys) if polys is not None else None
     eigs: list[FracMat] = []
     for n in range(n_max + 1):
         p = ps(n)
-        cells = cell_pairs(p, t)
-        r = apply(p, t) if cells is None else None
+        r = None if op is not None and isinstance(p, MatPoly) and p.size == t.size else apply(p, t)
         if isinstance(r, MatRF):
             return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
         q = qs(n)
-        if cs is not None:
-            c = cs(n)
-        else:
-            c = r.coeff(n) if r is not None else FracMat([[int_coeff(cell, n) for cell in row] for row in cells])
+        lead = None
+        if cs is None and any(e[n] != (i == k) for i, row in enumerate(q.rows) for k, e in enumerate(row)):
             lead = q.coeff(n)
-            if lead != FracMat.identity(q.size):
-                if lead.det() == 0:
-                    return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
-                c = c * lead.inv()
-        if r is not None or not _vanishes(cells, c, q):
+            if lead.det() == 0:
+                return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
+        c = cs(n) if cs is not None else None
+        if r is None:
+            c, ok = _decide(p, op, q, n, c, lead)
+        else:
+            ok = False
+            if c is None:
+                c = r.coeff(n) if lead is None else r.coeff(n) * lead.inv()
+        if not ok:
             if r is None:
                 r = apply(p, t)
             expected = q.lmul_const(c)
@@ -173,22 +182,51 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     return Verdict(True, eigs=eigs)
 
 
-def _vanishes(cells, c: FracMat, q) -> bool:
-    """Whether every cell of P . T - C Q is zero, given the ``cell_pairs`` of
-    P . T: the cell's pairs with (-C[r][k], Q[k][c]) appended have packed sum
-    0, which is exact since packing is injective. False whenever C and Q are
-    not both matrices of P's size, so that the caller's materialised check
-    reports them."""
-    size = len(cells)
-    if not isinstance(q, MatPoly) or q.size != size or c.nrows != size or c.ncols != size:
-        return False
-    qcols = [[int_form(e) if e else None for e in col] for col in zip(*q.rows)]
-    for crow, row in zip(c.rows, cells):
-        negc = [int_const(-v) if v else None for v in crow]
-        for pairs, qcol in zip(row, qcols):
-            if packed_dot(pairs + [(a, b) for a, b in zip(negc, qcol) if a and b])[0]:
-                return False
-    return True
+def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
+    """(C_n, whether P_n . T = C_n Q_n), decided on the packed sums S of
+    P_n . T (``int_action``), exactly since packing is injective.
+
+    L_P and L_Q are the common denominators of P_n and Q_n, L_T that of T,
+    and Q^ = L_Q Q_n. When C_n is solved and Q_n's leading coefficient
+    ``lead`` is I, S_n = L_P L_T C_n is digit n of the sums, and cell (r, c)
+    holds iff L_Q S[r][c] - sum_k S_n[r][k] Q^[k][c] is 0, at a width chosen
+    up front to hold it. A stated C_n (``c``) or one solved through the
+    inverse of ``lead`` is put over its denominator L_C, C^ = L_C C_n, and
+    the cell holds iff L_C L_Q S[r][c] - L_P L_T sum_k C^[r][k] Q^[k][c] is
+    0, the sums widened first if that needs it. False when Q_n or C_n does
+    not have P_n's size, so that the caller's materialised check reports it.
+    """
+    s = p.size
+    pf = int_entries([e for r in p.rows for e in r])
+    fits = isinstance(q, MatPoly) and q.size == s
+    qf = (pf if q is p else int_entries([e for r in q.rows for e in r])) if fits else None
+    fast = fits and c is None and lead is None
+    # both terms of L_Q S - S_n Q^ lie below 2^(bits + extra - 1)
+    extra = max((qf[1] - 1).bit_length(), qf[2] + (s - 1).bit_length()) + 1 if fast else 0
+    sums, w, bits, packed = int_action(pf, s, op, extra)
+    den = pf[1] * op.den
+    if c is None:
+        chat = [[digit(v, w, n) for v in row] for row in sums]
+        c = FracMat([[Fraction(v, den) for v in row] for row in chat])
+        if lead is not None:
+            c = c * lead.inv()
+    if not fits or c.nrows != s or c.ncols != s:
+        return c, False
+    if fast:
+        s1, s2 = qf[1], 1
+    else:
+        lc = math.lcm(*(v.denominator for row in c.rows for v in row))
+        chat = [[v.numerator * (lc // v.denominator) for v in row] for row in c.rows]
+        s1, s2 = lc * qf[1], den
+        cbits = max(abs(v) for row in chat for v in row).bit_length()
+        need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())
+        if pack_width(need) > w:
+            sums, w, bits, packed = int_action(pf, s, op, need - bits)
+    qpacked = packed if q is p else [pack(e, w) for e in qf[0]]
+    qcols = [qpacked[k::s] for k in range(s)]
+    return c, not any(
+        s1 * v - s2 * sum(map(operator.mul, crow, qcol)) for crow, row in zip(chat, sums) for v, qcol in zip(row, qcols)
+    )
 
 
 def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> Verdict:
@@ -271,9 +309,8 @@ class IntertwinerBasis:
 def _int_rows(m: MatPoly):
     """The entries of a polynomial matrix as integer coefficient lists (empty
     when zero) over one common denominator, and that denominator."""
-    forms = [[int_form(c) if c else None for c in r] for r in m.rows]
-    den = math.lcm(*(f[1] for r in forms for f in r if f))
-    return [[[a * (den // f[1]) for a in f[0]] if f else [] for f in r] for r in forms], den
+    ints, den, _ = int_entries([e for r in m.rows for e in r])
+    return [ints[r * m.size : (r + 1) * m.size] for r in range(m.size)], den
 
 
 def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int):

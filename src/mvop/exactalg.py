@@ -13,15 +13,16 @@ solution off the reduced form that ``_reduce`` makes of it by back
 substitution. ``nullspace``, whose callers are the searches' large sparse
 integer systems, eliminates the same way fraction-free, on primitive integer
 rows kept as maps of their nonzeros, and forms one Fraction per basis entry.
-All polynomial products run through one integer kernel, ``poly_dot`` (a sum
-of products by Kronecker substitution over a common denominator, ``int_dot``
-on integer forms): ``Poly`` products, ``MatPoly`` products and the operator
-algebra, where ``diffop.cell_pairs`` lists each cell's pairs of integer
-forms, differentiated on the forms, for ``apply`` and ``compose``.
-``int_dot`` is still the one product loop. Its packed sum, ``packed_dot``, is
-injective, so a sum of products is tested for zero by testing that one
-integer, with no Fraction formed: that is how ``dwalgebra.relation`` decides
-an n that holds. ``int_coeff`` reads one coefficient of the sum off the pairs.
+All polynomial products run through packed integers (Kronecker
+substitution): the numerators of polynomials over a common denominator
+(``int_form``, ``int_entries``) are packed as the digits of one Python
+integer each (``pack``), at a width from one routine, ``pack_width``, that
+keeps every digit of a sum of products in [-2^(w-1), 2^(w-1)). Packing is
+then injective: a sum is unpacked once (``unpack``), read at one digit
+(``digit``) or tested for zero as one integer. ``int_dot`` sums products of
+pairs this way for ``Poly`` and ``MatPoly`` products and the sequence
+recursion; ``diffop.int_action`` multiplies whole matrices of packed entries
+for the operator algebra and ``dwalgebra.relation``.
 """
 
 from __future__ import annotations
@@ -180,21 +181,31 @@ class Poly:
             return Poly(tuple(c * a for a in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        return poly_dot(((self, other),))
+        a, b = self.coeffs, other.coeffs
+        if len(a) > 1 < len(b):
+            return poly_dot(((self, other),))
+        if not a or not b:
+            return _P0
+        # a constant operand scales the other
+        c, p = (a[0], b) if len(a) == 1 else (b[0], a)
+        return Poly(tuple(c * v for v in p))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        out = _P1
-        base = self
-        while n:
+        cs = self.coeffs
+        if not any(cs[:-1]):  # zero, a constant or c x^k: no products
+            return Poly((0,) * (len(cs) - 1) * n + (cs[-1] ** n,)) if cs else _P0 if n else _P1
+        out, base = _P1, self
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -239,14 +250,41 @@ def int_const(v: Fraction):
     return (v.numerator,), v.denominator, abs(v.numerator).bit_length()
 
 
-def _pack(ints, w):
+def int_entries(polys):
+    """(numerator lists, L, b) of a list of polynomials over their common
+    denominator L, zero polynomials as empty lists, with every numerator
+    below 2^b in magnitude. b comes from each ``int_form``'s stored bit length
+    and the bits of its scale; no coefficient is scanned."""
+    forms = [int_form(p) if p.coeffs else None for p in polys]
+    den = math.lcm(*(f[1] for f in forms if f))
+    ints, bits = [], 0
+    for f in forms:
+        if f is None:
+            ints.append(())
+            continue
+        s = den // f[1]
+        ints.append(tuple(s * c for c in f[0]) if s > 1 else f[0])
+        bits = max(bits, f[2] + (s - 1).bit_length())
+    return ints, den, bits
+
+
+def pack_width(bits: int, step: int = 64) -> int:
+    """The width w at which sums of products whose integer coefficients lie
+    below 2^bits in magnitude pack injectively: every digit in
+    [-2^(w-1), 2^(w-1)). One sign bit, rounded up to a multiple of ``step``,
+    so that sums of nearby sizes share a width and what is packed at it."""
+    return -(-(bits + 1) // step) * step
+
+
+def pack(ints, w: int) -> int:
+    """sum_k ints[k] 2^(w k), linear in ints; 0 for no digits."""
     v = 0
     for c in reversed(ints):
         v = (v << w) + c
     return v
 
 
-def _unpack(v, w, count):
+def unpack(v, w, count):
     """The digits c_k of v = sum c_k 2^(w k), each in [-2^(w-1), 2^(w-1))."""
     mask, half, out = (1 << w) - 1, 1 << (w - 1), []
     for _ in range(count):
@@ -259,11 +297,12 @@ def _unpack(v, w, count):
     return out
 
 
-def int_derivative(form):
-    """The integer form of p' from that of p, numerator k times k over the
-    same denominator; None when p is constant. Nothing is cached."""
-    ints = [k * c for k, c in enumerate(form[0]) if k]
-    return (ints, form[1], max(abs(v) for v in ints).bit_length()) if ints else None
+def digit(v: int, w: int, k: int) -> int:
+    """Digit c_k of v = sum c_i 2^(w i), each c_i in [-2^(w-1), 2^(w-1)),
+    without unpacking: adding 2^(w-1) to each of the digits 0..k makes them
+    the ordinary base-2^w digits of the sum."""
+    offset = ((1 << (w * k + w)) - 1) // ((1 << w) - 1) << (w - 1)
+    return (((v + offset) >> (w * k)) & ((1 << w) - 1)) - (1 << (w - 1))
 
 
 def poly_dot(pairs) -> Poly:
@@ -271,51 +310,30 @@ def poly_dot(pairs) -> Poly:
     return int_dot([(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs])
 
 
-def packed_dot(forms) -> tuple[int, int, int, int]:
-    """The packed sum behind ``int_dot``: (acc, L, w, count) with
-    acc = sum_k c_k 2^(w k) and the sum of products sum_k (c_k / L) x^k,
-    count digits long; (0, 1, 1, 0) for no pairs.
+def int_dot(forms) -> Poly:
+    """Sum of products over pairs of integer forms of nonzero polynomials.
 
     Kronecker substitution: over the common denominator L of all products,
     each polynomial's integer numerators are packed as the digits of one
-    integer in base 2^w, the packed pairs are multiplied as Python ints,
-    scaled to L and summed. The width w leaves room for the scale, both
-    operands, the terms of one coefficient, the number of pairs and a sign,
-    so every digit lies in [-2^(w-1), 2^(w-1)) and digits never overlap:
-    packing is injective, and acc is 0 exactly when the sum is zero.
+    integer (``pack``), the packed pairs are multiplied as Python ints,
+    scaled to L, summed and unpacked once. The width leaves room for the
+    scale, both operands, the terms of one coefficient and the number of
+    pairs, so digits never overlap.
     """
     if not forms:
-        return 0, 1, 1, 0
+        return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
     scales = [den // (fa[1] * fb[1]) for fa, fb in forms]
-    w = len(forms).bit_length() + 1 + max(
-        s.bit_length() + fa[2] + fb[2] + min(len(fa[0]), len(fb[0])).bit_length()
+    bits = (len(forms) - 1).bit_length() + max(
+        fa[2] + fb[2] + (s * min(len(fa[0]), len(fb[0])) - 1).bit_length()
         for s, (fa, fb) in zip(scales, forms)
     )
+    w = pack_width(bits, 1)
     acc = 0
     for s, (fa, fb) in zip(scales, forms):
-        acc += s * _pack(fa[0], w) * _pack(fb[0], w)
-    return acc, den, w, max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
-
-
-def int_dot(forms) -> Poly:
-    """Sum of products over pairs of integer forms of nonzero polynomials,
-    the one polynomial-product loop: ``packed_dot``, unpacked once."""
-    acc, den, w, count = packed_dot(forms)
-    return Poly([Fraction(c, den) for c in _unpack(acc, w, count)])
-
-
-def int_coeff(forms, k: int) -> Fraction:
-    """[x^k] of ``int_dot(forms)``, read off the pairs' numerators over their
-    common denominator without forming any product polynomial."""
-    den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
-    num = 0
-    for fa, fb in forms:
-        a, b = fa[0], fb[0]
-        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        if lo <= hi:
-            num += den // (fa[1] * fb[1]) * sum(a[i] * b[k - i] for i in range(lo, hi + 1))
-    return Fraction(num, den)
+        acc += s * pack(fa[0], w) * pack(fb[0], w)
+    count = max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
+    return Poly([Fraction(c, den) for c in unpack(acc, w, count)])
 
 
 def _as_poly(v):

@@ -213,30 +213,15 @@ class MomentTable:
         return self.values[s]
 
 
-# family -> (nu_0..nu_s, the row vector e_0 J^s, recursion coefficients b_i, c_i)
-_MOMENT_CACHE: dict[ScalarWeightFamily, tuple[list[Fraction], list[Fraction], list, list]] = {}
+# family -> nu_0, nu_1, ..., as far as any caller has asked
+_MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
 
 
 def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
-    # nu_s is the first entry of e_0 J^s, J the monic Jacobi matrix; e_0 J^s
-    # is nonzero only in its first s + 1 entries, so the table extends from
-    # the cached row vector at O(s) per step
-    values, u, bs, cs = _MOMENT_CACHE.setdefault(family, ([Fraction(1)], [Fraction(1)], [], []))
+    # the family's closed one-step recurrence extends the table at O(1) per entry
+    values = _MOMENT_CACHE.setdefault(family, [Fraction(1)])
     while len(values) <= s_max:
-        while len(bs) < len(u):
-            b, c = family.recursion(len(bs))
-            bs.append(b)
-            cs.append(c)
-        nxt = [Fraction(0)] * (len(u) + 1)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            nxt[i] += ui * bs[i]
-            nxt[i + 1] += ui  # superdiagonal 1 in the monic normalization
-            if i:
-                nxt[i - 1] += ui * cs[i]
-        u[:] = nxt
-        values.append(nxt[0])
+        values.append(family.moment_step(len(values) - 1, values))
     return values
 
 
@@ -244,14 +229,6 @@ def normalized_moments(family: ScalarWeightFamily, s_max: int) -> MomentTable:
     if s_max < 0:
         raise DomainError("s_max must be nonnegative")
     return MomentTable(family, tuple(_moments_list(family, s_max)[: s_max + 1]))
-
-
-def closed_moments(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
-    """Moments from the family's closed one-step recurrence (cross-check path)."""
-    values = [Fraction(1)]
-    for s in range(s_max):
-        values.append(family.moment_step(s, values))
-    return values
 
 
 # ---------------------------------------------------------------------------

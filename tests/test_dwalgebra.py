@@ -16,6 +16,7 @@ from mvop.diffop import (
     MatPoly,
     Verdict,
     apply,
+    block_antidiagonal,
     bump_coefficient,
     coefficient_sites,
     compose,
@@ -355,6 +356,39 @@ class TestRelationOracle:
         ps = lambda n: seq.poly(n).to_matrf()
         assert _same_verdict(ps, op, seq.poly, 5).ok
         assert not _same_verdict(ps, op + DiffOp.ddx(op.size), seq.poly, 5).ok
+
+    def test_cell_test_fits_its_width(self):
+        # each false relation below packs to 0 at width 64: P_0 . T = x
+        # against a stated C_0 = 2^64, and a residual x^2 - 2^128 at n = 1 with
+        # C_1 solved; the cell test must widen past a stated C_n and size its
+        # width for Q_n up front
+        one = lambda n: MatPoly([[Poly((1,))]])
+        rep = _same_verdict(one, DiffOp.scalar([X]), one, 0, cs=lambda n: FracMat([[2**64]]))
+        assert not rep.ok and rep.fail_n == 0
+        t = DiffOp.scalar([Poly((1,)), Poly((0, 2**40 - 1, 1))])
+        ps, qs = [MatPoly([[Poly((1,))]]), MatPoly([[X]])], [MatPoly([[Poly((1,))]]), MatPoly([[X + 2**88]])]
+        rep = _same_verdict(ps.__getitem__, t, qs.__getitem__, 1)
+        assert not rep.ok and rep.fail_n == 1 and rep.residual == MatPoly([[X**2 - 2**128]])
+
+    def test_zero_operator(self):
+        for k in (0, 3):
+            op, seq = _member(k)
+            zero = DiffOp.zero(op.size)
+            rep = _same_verdict(seq.poly, zero, seq.poly, 6)
+            assert rep.ok and rep.eigs == [FracMat.zeros(op.size)] * 7
+            rep = _same_verdict(seq.poly, zero, seq.poly, 3, cs=lambda n: FracMat.identity(op.size))
+            assert not rep.ok and rep.fail_n == 0
+
+    @pytest.mark.parametrize("name", ["LAG3", "HER3"])
+    def test_block_operator_on_a_direct_sum(self, name):
+        # the 6x6 antidiagonal operator of a Darboux certificate on W (+) Wt
+        e = catalog.entry(name)
+        block = block_antidiagonal(e.ops["V"], e.ops["N"])
+        seq = sequence_for(Weight.direct_sum([e.weight_W, e.weight_Wt]))
+        assert block.size == 6 and _same_verdict(seq.poly, block, seq.poly, 8).ok
+        sites = list(coefficient_sites(block))
+        for site in (sites[0], sites[len(sites) // 2], sites[-1]):
+            assert not _same_verdict(seq.poly, bump_coefficient(block, site), seq.poly, 8).ok
 
 
 class TestIntertwinerVerify:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvop.diffop import DiffOp, MatPoly, apply
+from mvop.diffop import DiffOp, IntOp, MatPoly, apply, int_action
 from mvop.exactalg import (
     DivisionError,
     DomainError,
@@ -18,21 +18,20 @@ from mvop.exactalg import (
     SingularError,
     X,
     _eliminate,
-    _pack,
     _reduce,
-    _unpack,
+    digit,
     exact_div,
     frac,
-    int_coeff,
-    int_form,
+    int_entries,
     nonneg_integer_roots,
     nullspace,
-    packed_dot,
+    pack,
     poly_dot,
     poly_gcd,
     poly_str,
     simplify,
     solve_square,
+    unpack,
 )
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -503,6 +502,10 @@ def _matpolys(n, entries=small_big_polys):
     )
 
 
+def _forms(p):
+    return int_entries([e for r in p.rows for e in r])
+
+
 class TestProductKernel:
     @given(st.lists(st.tuples(big_polys, big_polys), max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -561,8 +564,8 @@ class TestProductKernel:
     def test_digits_at_the_ends_of_the_signed_range(self):
         w = 13
         digits = [-(2 ** (w - 1)), 2 ** (w - 1) - 1, -1, 0, -(2 ** (w - 1)), 1, -(2 ** (w - 1))]
-        assert _unpack(_pack(digits, w), w, len(digits)) == digits
-        assert _unpack(_pack([-1] * 9, w), w, 9) == [-1] * 9
+        assert unpack(pack(digits, w), w, len(digits)) == digits
+        assert unpack(pack([-1] * 9, w), w, 9) == [-1] * 9
 
     def test_width_bound_is_tight(self):
         # numerator sums of 1253 * (2^61 - 1)^2 sit within a factor 2 of the
@@ -575,16 +578,63 @@ class TestProductKernel:
             assert got == _schoolbook(pairs)
             assert got[6] == sign * F(1253 * m * m, 2520)
 
-    @given(st.lists(st.tuples(big_polys, big_polys), max_size=6), st.integers(0, 42))
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(_matpolys(n, edge_polys), st.lists(_matpolys(n, edge_polys), max_size=4))),
+        st.integers(0, 8),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_coefficient_and_zero_test_without_unpacking(self, pairs, k):
-        forms = [(int_form(a), int_form(b)) for a, b in pairs if a and b]
-        want = _schoolbook(pairs)
-        assert int_coeff(forms, k) == want[k]
-        assert (packed_dot(forms)[0] == 0) == want.is_zero
-        # the same pairs again with one side negated cancel exactly
-        negated = [((tuple(-v for v in fa[0]),) + fa[1:], fb) for fa, fb in forms]
-        assert packed_dot(forms + negated)[0] == 0
+    def test_coefficient_and_zero_test_on_packed_sums(self, args, k):
+        # int_action's cell sums against the schoolbook right action: digit k
+        # over the common denominator is [x^k], a sum is 0 exactly when its
+        # cell is, and the sums of -P cancel those of P
+        p, fs = args
+        d = DiffOp.from_matrices(p.size, fs)
+        op = IntOp(p.size, d.poly_coeffs())
+        sums, w = int_action(_forms(p), p.size, op)[:2]
+        want = _apply_per_j(p, d)
+        for row, wrow in zip(sums, want.rows):
+            for v, e in zip(row, wrow):
+                assert F(digit(v, w, k), _forms(p)[1] * op.den) == e[k]
+                assert (v == 0) == e.is_zero
+        negated, w2 = int_action(_forms(-p), p.size, op)[:2]
+        assert w2 == w and all(a + b == 0 for row, nrow in zip(sums, negated) for a, b in zip(row, nrow))
+
+    def test_digit_below_a_run_of_most_negative_digits(self):
+        for w in (2, 13, 64):
+            h = 1 << (w - 1)
+            for top in (-h, -1, 0, 1, h - 1):
+                digits = [-h] * 9 + [top, -h, h - 1]
+                v = pack(digits, w)
+                assert [digit(v, w, k) for k in range(len(digits) + 2)] == digits + [0, 0]
+
+    def test_action_width_is_tight(self):
+        # one product (2^32 - 1)^2 per digit reaches 2^(bits - 1), so a bound
+        # one bit short, or a width without the sign bit, misreads every digit
+        m = 2**32 - 1
+        op = IntOp(1, [MatPoly([[Poly.const(m)]])])
+        for sign in (1, -1):
+            sums, w, bits, _ = int_action(_forms(MatPoly([[Poly([sign * m] * 3)]])), 1, op)
+            assert (bits, w) == (64, 128)
+            got = [digit(sums[0][0], w, k) for k in range(4)]
+            assert got == [sign * m * m] * 3 + [0]
+            assert 2 ** (bits - 1) <= m * m < 2**bits
+
+    fast_path_polys = st.one_of(
+        st.just(Poly()),
+        fractions.map(Poly.const),
+        st.builds(Poly.monomial, st.integers(0, 4), fractions),
+        st.just(X),
+        polys,
+    )
+
+    @given(fast_path_polys, fast_path_polys, st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_constant_and_monomial_fast_paths(self, a, b, k):
+        assert a * b == b * a == _schoolbook([(a, b)])
+        want = Poly((1,))
+        for _ in range(k):
+            want = _schoolbook([(want, a)])
+        assert a**k == want
 
     def test_reused_poly_keeps_its_integer_form(self):
         p = Poly((F(1, 2), F(-3, 4), F(2**70, 9)))

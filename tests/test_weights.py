@@ -1,9 +1,10 @@
 """Weights, moments, inner products and monic orthogonal sequences.
 
 The recursion coefficients and moments are checked against independent
-oracles: closed one-step moment recurrences (Gamma recursion, integration by
-parts) feeding a Gram-Schmidt construction, entirely separate from the
-recursion-based production path.
+oracles: the moments of the closed one-step recurrences (Gamma recursion,
+integration by parts) feed a Gram-Schmidt construction that checks the
+closed-form recursion coefficients, and the first entries of e_0 J^s, J the
+monic Jacobi matrix of those coefficients, check the moments.
 """
 
 from fractions import Fraction as F
@@ -23,7 +24,6 @@ from mvop.weights import (
     Weight,
     classical_delta,
     classical_monic,
-    closed_moments,
     density_ratio,
     inner_product,
     moment_rows,
@@ -46,10 +46,29 @@ FAMILIES = [
 ]
 
 
+def row_moments(family, s_max):
+    """Oracle: nu_s as the first entry of the row vector e_0 J^s, J the monic
+    Jacobi matrix of the family's recursion coefficients; e_0 J^s is nonzero
+    only in its first s + 1 entries."""
+    values, u = [F(1)], [F(1)]
+    coeffs = [family.recursion(i) for i in range(s_max)]
+    for _ in range(s_max):
+        nxt = [F(0)] * (len(u) + 1)
+        for i, ui in enumerate(u):
+            b, c = coeffs[i]
+            nxt[i] += ui * b
+            nxt[i + 1] += ui  # superdiagonal 1 in the monic normalization
+            if i:
+                nxt[i - 1] += ui * c
+        u = nxt
+        values.append(u[0])
+    return values
+
+
 def gram_schmidt_recursion(family, n_max):
     """Oracle: monic orthogonal polynomials from closed-recurrence moments by
     Gram-Schmidt, and the three-term coefficients they induce."""
-    nu = closed_moments(family, 2 * n_max + 2)
+    nu = normalized_moments(family, 2 * n_max + 2).values
 
     def ip(p, q):
         prod = p * q
@@ -128,9 +147,9 @@ class TestMoments:
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_consistency_with_closed_recurrence(self, family):
-        jacobi_route = normalized_moments(family, 20).values
-        closed_route = closed_moments(family, 20)
-        assert list(jacobi_route) == closed_route
+        closed_route = normalized_moments(family, 20).values
+        jacobi_route = row_moments(family, 20)
+        assert list(closed_route) == jacobi_route
 
     def test_zeroth_is_one(self):
         assert normalized_moments(Jacobi(F(0), F(0)), 0)[0] == 1
@@ -152,7 +171,7 @@ class TestMoments:
         # must hold what one cold build to the largest request holds
         weights._MOMENT_CACHE.pop(family, None)
         for s in requests:
-            assert weights._moments_list(family, s)[: s + 1] == closed_moments(family, s)
+            assert weights._moments_list(family, s)[: s + 1] == row_moments(family, s)
         extended = weights._MOMENT_CACHE.pop(family)
         weights._moments_list(family, max(requests))
         assert weights._MOMENT_CACHE[family] == extended
