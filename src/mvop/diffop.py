@@ -232,16 +232,15 @@ class DiffOp:
 
 
 class IntOp:
-    """The coefficients F_j of a polynomial operator as integer numerator
-    lists over one common denominator ``den``, below 2^``bits`` in magnitude,
-    for the length of one call: column c lists F_j[k][c] by (j, k), packed at
-    most once per width."""
+    """A polynomial operator's F_j for the length of one call: numerators over
+    one denominator ``den``, below 2^``bits``; column c lists F_j[k][c] by
+    (j, k), packed at most once per width."""
 
-    __slots__ = ("size", "order", "deg", "den", "bits", "cols", "_packed")
+    __slots__ = ("order", "deg", "den", "bits", "cols", "_packed")
 
     def __init__(self, size: int, coeffs):
         ints, self.den, self.bits = int_entries([e for f in coeffs for r in f.rows for e in r])
-        self.size, self.order = size, len(coeffs) - 1
+        self.order = len(coeffs) - 1
         self.deg = max(map(len, ints), default=0) - 1
         self.cols = [ints[c::size] for c in range(size)]
         self._packed = {}
@@ -261,32 +260,39 @@ def int_derivatives(ints, count: int):
     return chain
 
 
-def int_action(forms, s: int, op: IntOp, extra_bits: int = 0):
-    """The cells of P . T as packed integers, one C-level row-by-column sum
-    each, for the s x s matrix P whose entries, row by row, have the
-    ``int_entries`` ``forms`` (numerators over L). Row r lists P^(j)[r][k]
-    and column c lists F_j[k][c], both by (j, k), so cell (r, c) is
-    sum_k c_k 2^(w k) with P . T's (r, c) entry sum_k (c_k / (L op.den)) x^k.
-
-    The width w holds every digit, and ``extra_bits`` more (room a caller
-    needs for its own sums at the same width). Returns (sums, w, bits,
-    packed): every digit of the sums is below 2^bits, and ``packed`` holds
-    P's own entries packed at w, row by row.
+def int_action(forms, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
+    """The cells of the d^k coefficients, k in ``ks``, of A T as packed
+    integers: A = sum_i d^i A_i, whose s x s coefficients' entries (by i, row,
+    column) have the ``int_entries`` ``forms`` over L. Cell (r, c) is one
+    C-level row-by-column sum over the concatenated (m, j) blocks, i = k - m:
+    row r lists binom(j, m) A_i^(j-m)[r][l], column c lists F_j[l][c], by l,
+    and digit e over L ``op.den`` is [x^e] of the cell. For A = P and k = 0
+    the cells are P . T. The width w holds every digit and ``extra_bits``
+    more, room for a caller's own sums. Returns (sums by k, w, bits, packed):
+    every digit is below 2^bits; packed[i][t] is A_i^(t) packed at w.
     """
-    ints, _, pbits = forms
-    deg = max(map(len, ints)) - 1
-    count = min(op.order, deg) + 1
-    chain = int_derivatives(ints, max(count, 1))
-    # P^(j) multiplies [x^k] P by at most deg!/(deg-j)!; count*s pairs of
-    # entries give at most min(deg, deg F) + 1 products per coefficient
-    terms = count * s * (min(deg, op.deg) + 1) * math.perm(deg, count - 1) if count else 0
-    bits = pbits + op.bits + (terms - 1).bit_length()
+    ints, _, abits = forms
+    nn = s * s
+    order, deg = len(ints) // nn - 1, max(map(len, ints), default=0) - 1
+    top, mtop = min(op.order, deg), min(max(ks, default=0), op.order)
+    # A_i^(t) vanishes for t > deg and multiplies [x^e] A_i by at most
+    # deg!/(deg-t)!; each cell's digit sums at most min(deg, deg F) + 1
+    # products per (j, l)
+    scale = max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(max(0, j - top), min(j, mtop) + 1))
+                 for j in range(op.order + 1)), default=0)
+    bits = abits + op.bits + ((op.order + 1) * s * (min(deg, op.deg) + 1) * scale - 1).bit_length()
     w = pack_width(bits + extra_bits)
-    packed = [[pack(e, w) for e in der] for der in chain]
-    rows = [[v for der in packed[:count] for v in der[r * s : (r + 1) * s]] for r in range(s)]
+    packed = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i * nn : (i + 1) * nn], max(top, 0) + 1)]
+              for i in range(order + 1)]
     cols = op.packed_cols(w)
-    sums = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
-    return sums, w, bits, packed[0]
+    out = []
+    for k in ks:
+        blocks = [(m, j) for m in range(max(0, k - order), min(k, op.order) + 1) for j in range(m, min(op.order, m + top) + 1)]
+        left = [(math.comb(j, m), packed[k - m][j - m]) for m, j in blocks]
+        rows = [[b * v if b > 1 else v for b, der in left for v in der[r * s : (r + 1) * s]] for r in range(s)]
+        bcols = [[v for _, j in blocks for v in col[j * s : (j + 1) * s]] for col in cols]
+        out.append([[sum(map(operator.mul, row, col)) for col in bcols] for row in rows])
+    return out, w, bits, packed
 
 
 def _unpacked(sums, w, count, den) -> MatPoly:
@@ -306,7 +312,7 @@ def apply(p: MatPoly | MatRF, d: DiffOp):
         op = IntOp(d.size, polys)
         ints, den, _ = forms = int_entries([e for r in p.rows for e in r])
         sums, w = int_action(forms, p.size, op)[:2]
-        return _unpacked(sums, w, max(map(len, ints)) + op.deg, den * op.den)
+        return _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
     acc = MatRF.zeros(p.size)
     der = p if isinstance(p, MatRF) else p.to_matrf()
     for j, f in enumerate(d.coeffs):
@@ -322,11 +328,9 @@ def apply(p: MatPoly | MatRF, d: DiffOp):
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     """Operator product: apply ``first``, then ``second`` (module docstring).
 
-    On polynomial operands cell (r, c) of the d^k coefficient is one
-    row-by-column sum of packed integers over the concatenated (m, j) blocks,
-    i + m = k and j >= m: row r lists binom(j, m) F_i^(j-m)[r][l] and column
-    c lists G_j[l][c], both by l. A rational operand sums ``apply`` results
-    over MatRF.
+    On polynomial operands each d^k coefficient is ``int_action``'s sums over
+    the concatenated (m, j) blocks, unpacked. A rational operand sums
+    ``apply`` results over MatRF.
     """
     if first.size != second.size:
         raise ShapeError("size mismatch in compose")
@@ -334,29 +338,10 @@ def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     lefts, rights = first.poly_coeffs(), second.poly_coeffs()
     if lefts is not None and rights is not None:
         op = IntOp(n, rights)
-        ints, den, abits = int_entries([e for f in lefts for r in f.rows for e in r])
-        deg, nn = max(map(len, ints), default=0) - 1, n * n
-        # F_i^(t) for t <= min(order of second, deg of first)
-        top = min(op.order, deg)
-        # every coefficient of a row block sum_m binom(j, m) F_i^(j-m) is below
-        # 2^abits times the largest sum_m binom(j, m) deg!/(deg-j+m)!
-        scale = max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(j - top, j + 1) if m >= 0)
-                     for j in range(op.order + 1)), default=1)
-        terms = (op.order + 1) * n * (min(deg, op.deg) + 1) * scale
-        w = pack_width(abits + op.bits + (terms - 1).bit_length())
-        derivs = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i * nn : (i + 1) * nn], top + 1)]
-                  for i in range(len(lefts))]
-        cols = op.packed_cols(w)
-        out = []
-        for k in range(first.order + second.order + 1):
-            blocks = [(m, j) for m in range(max(0, k - first.order), min(k, second.order) + 1)
-                      for j in range(m, min(op.order, m + top) + 1)]
-            rows = [[math.comb(j, m) * v for m, j in blocks for v in derivs[k - m][j - m][r * n : (r + 1) * n]]
-                    for r in range(n)]
-            bcols = [[v for _, j in blocks for v in col[j * n : (j + 1) * n]] for col in cols]
-            sums = [[sum(map(operator.mul, row, col)) for col in bcols] for row in rows]
-            out.append(_unpacked(sums, w, deg + op.deg + 1, den * op.den))
-        return DiffOp(n, out)
+        ints, den, _ = forms = int_entries([e for f in lefts for r in f.rows for e in r])
+        sums, w = int_action(forms, n, op, ks=range(first.order + second.order + 1))[:2]
+        count = max(map(len, ints), default=0) + op.deg
+        return DiffOp(n, [_unpacked(cells, w, count, den * op.den) for cells in sums])
     bms = [
         DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
         for m in range(len(second.coeffs))

@@ -47,6 +47,7 @@ from .diffop import (
     compose,
     degree_preserving,
     int_action,
+    int_derivatives,
     op_power,
     w_adjoint,
 )
@@ -145,10 +146,10 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     C_{k-1} for the first failing n = k (all of them when the relation holds).
     A negative ``n_max`` is a DomainError.
 
-    When P_n, Q_n and T are polynomial, neither side is built: ``_decide``
-    tests every cell of P_n . T - C_n Q_n on ``diffop.int_action``'s packed
-    integer sums, T's coefficients put over one denominator once per call.
-    Only an n that fails materialises P_n . T and C_n Q_n, for the residual.
+    When P_n, Q_n and T are polynomial, neither side is built: T is put over
+    one denominator once per call, and ``_decide`` tests each n on one packed
+    integer matrix product. Only an n that fails materialises P_n . T and
+    C_n Q_n, for the residual.
     """
     check_horizon(n_max)
     polys = t.poly_coeffs()
@@ -165,16 +166,13 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
             lead = q.coeff(n)
             if lead.det() == 0:
                 return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
-        c = cs(n) if cs is not None else None
+        c, ok = cs(n) if cs is not None else None, False
         if r is None:
             c, ok = _decide(p, op, q, n, c, lead)
-        else:
-            ok = False
-            if c is None:
-                c = r.coeff(n) if lead is None else r.coeff(n) * lead.inv()
+        elif c is None:
+            c = r.coeff(n) if lead is None else r.coeff(n) * lead.inv()
         if not ok:
-            if r is None:
-                r = apply(p, t)
+            r = apply(p, t) if r is None else r
             expected = q.lmul_const(c)
             if r != expected:
                 return Verdict(False, f"P_n . T != C_n Q_n at n={n}", n, r - expected, eigs)
@@ -183,18 +181,13 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
 
 
 def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
-    """(C_n, whether P_n . T = C_n Q_n), decided on the packed sums S of
-    P_n . T (``int_action``), exactly since packing is injective.
-
-    L_P and L_Q are the common denominators of P_n and Q_n, L_T that of T,
-    and Q^ = L_Q Q_n. When C_n is solved and Q_n's leading coefficient
-    ``lead`` is I, S_n = L_P L_T C_n is digit n of the sums, and cell (r, c)
-    holds iff L_Q S[r][c] - sum_k S_n[r][k] Q^[k][c] is 0, at a width chosen
-    up front to hold it. A stated C_n (``c``) or one solved through the
-    inverse of ``lead`` is put over its denominator L_C, C^ = L_C C_n, and
-    the cell holds iff L_C L_Q S[r][c] - L_P L_T sum_k C^[r][k] Q^[k][c] is
-    0, the sums widened first if that needs it. False when Q_n or C_n does
-    not have P_n's size, so that the caller's materialised check reports it.
+    """(C_n, whether P_n . T = C_n Q_n), decided exactly on the packed sums S
+    of P_n . T (``int_action``), L_P, L_Q, L_T the denominators of P_n, Q_n
+    and T and Q^ = L_Q Q_n. With C_n solved and Q_n's lead I, S_n = L_P L_T C_n
+    is digit n of S and a cell holds iff L_Q S - S_n Q^ is 0, at a width sized
+    for it up front. Otherwise, C^ = L_C C_n over C_n's denominator, a cell
+    holds iff L_C L_Q S - L_P L_T C^ Q^ is 0, S widened first if need be.
+    False when Q_n or C_n is not P_n's size, for the caller's check to report.
     """
     s = p.size
     pf = int_entries([e for r in p.rows for e in r])
@@ -203,7 +196,7 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     fast = fits and c is None and lead is None
     # both terms of L_Q S - S_n Q^ lie below 2^(bits + extra - 1)
     extra = max((qf[1] - 1).bit_length(), qf[2] + (s - 1).bit_length()) + 1 if fast else 0
-    sums, w, bits, packed = int_action(pf, s, op, extra)
+    (sums,), w, bits, packed = int_action(pf, s, op, extra)
     den = pf[1] * op.den
     if c is None:
         chat = [[digit(v, w, n) for v in row] for row in sums]
@@ -221,8 +214,8 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
         cbits = max(abs(v) for row in chat for v in row).bit_length()
         need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())
         if pack_width(need) > w:
-            sums, w, bits, packed = int_action(pf, s, op, need - bits)
-    qpacked = packed if q is p else [pack(e, w) for e in qf[0]]
+            (sums,), w, bits, packed = int_action(pf, s, op, need - bits)
+    qpacked = packed[0][0] if q is p else [pack(e, w) for e in qf[0]]
     qcols = [qpacked[k::s] for k in range(s)]
     return c, not any(
         s1 * v - s2 * sum(map(operator.mul, crow, qcol)) for crow, row in zip(chat, sums) for v, qcol in zip(row, qcols)
@@ -306,13 +299,6 @@ class IntertwinerBasis:
         return "basis [" + "; ".join(op_scalar_str(t) for t in self.basis) + "]"
 
 
-def _int_rows(m: MatPoly):
-    """The entries of a polynomial matrix as integer coefficient lists (empty
-    when zero) over one common denominator, and that denominator."""
-    ints, den, _ = int_entries([e for r in m.rows for e in r])
-    return [ints[r * m.size : (r + 1) * m.size] for r in range(m.size)], den
-
-
 def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int):
     """The homogeneous system of ``_search_linear_space`` as dense integer
     rows, and the offset of each order's block of variables.
@@ -329,10 +315,9 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
     nvars = offsets[-1]
     rows = []
     for n in range(horizon + 1):
-        derivs = [_int_rows(seq1.poly(n))[0]]
-        for _ in range(order_bound):
-            derivs.append([[[k * a for k, a in enumerate(q) if k] for q in r] for r in derivs[-1]])
-        pt, lt = _int_rows(seq2.poly(n))
+        # P_n^(j) and Pt_n, entries row by row over their denominators
+        derivs = int_derivatives(int_entries([e for r in seq1.poly(n).rows for e in r])[0], order_bound + 1)
+        pt, lt, _ = int_entries([e for r in seq2.poly(n).rows for e in r])
 
         def terms(r, t):
             # [x^t](P_n . T)_{r,c} as (variable - c, integer coefficient) pairs;
@@ -341,7 +326,7 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
                 (offsets[j] + (i * size + e) * size, q[t - i])
                 for j, dj in enumerate(derivs)
                 for i in range(max(0, t - n + j), min(widths[j], t + 1))
-                for e, q in enumerate(dj[r])
+                for e, q in enumerate(dj[r * size : (r + 1) * size])
                 if t - i < len(q) and q[t - i]
             ]
 
@@ -356,7 +341,7 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
                     for base, a in cur:
                         row[base + c] = lt * a
                     for cc in range(size):
-                        q = pt[cc][c]
+                        q = pt[cc * size + c]
                         b = q[t] if t < len(q) else 0
                         if b:
                             for base, a in top[r]:
@@ -389,17 +374,9 @@ def _search_linear_space(
 
 
 def _normalize_op(op: DiffOp) -> DiffOp:
-    lead = op.coeffs[-1]
-    scale = None
-    for r in range(op.size):
-        for c in range(op.size):
-            e = lead.entry(r, c)
-            if not e.is_zero:
-                p = e.as_poly()
-                scale = p.lc
-    if scale is None or scale == 1:
-        return op
-    return op * (1 / scale)
+    # scaled so that the last nonzero entry of the leading coefficient is monic
+    scale = [e.as_poly().lc for r in op.coeffs[-1].rows for e in r if e][-1]
+    return op if scale == 1 else op * (1 / scale)
 
 
 def _check_slack(degree_slack: int):

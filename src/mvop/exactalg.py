@@ -257,15 +257,9 @@ def int_entries(polys):
     and the bits of its scale; no coefficient is scanned."""
     forms = [int_form(p) if p.coeffs else None for p in polys]
     den = math.lcm(*(f[1] for f in forms if f))
-    ints, bits = [], 0
-    for f in forms:
-        if f is None:
-            ints.append(())
-            continue
-        s = den // f[1]
-        ints.append(tuple(s * c for c in f[0]) if s > 1 else f[0])
-        bits = max(bits, f[2] + (s - 1).bit_length())
-    return ints, den, bits
+    scales = [den // f[1] if f else 1 for f in forms]
+    bits = max((f[2] + (s - 1).bit_length() for f, s in zip(forms, scales) if f), default=0)
+    return [tuple(s * c for c in f[0]) if s > 1 else f[0] if f else () for f, s in zip(forms, scales)], den, bits
 
 
 def pack_width(bits: int, step: int = 64) -> int:
@@ -311,15 +305,11 @@ def poly_dot(pairs) -> Poly:
 
 
 def int_dot(forms) -> Poly:
-    """Sum of products over pairs of integer forms of nonzero polynomials.
-
-    Kronecker substitution: over the common denominator L of all products,
-    each polynomial's integer numerators are packed as the digits of one
-    integer (``pack``), the packed pairs are multiplied as Python ints,
-    scaled to L, summed and unpacked once. The width leaves room for the
-    scale, both operands, the terms of one coefficient and the number of
-    pairs, so digits never overlap.
-    """
+    """Sum of products over pairs of integer forms of nonzero polynomials:
+    over the common denominator L of all products, each pair packed, the
+    packed integers multiplied, scaled to L, summed and unpacked once, at a
+    width with room for the scale, both operands, the terms of one
+    coefficient and the number of pairs."""
     if not forms:
         return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))

@@ -590,13 +590,13 @@ class TestProductKernel:
         p, fs = args
         d = DiffOp.from_matrices(p.size, fs)
         op = IntOp(p.size, d.poly_coeffs())
-        sums, w = int_action(_forms(p), p.size, op)[:2]
+        (sums,), w = int_action(_forms(p), p.size, op)[:2]
         want = _apply_per_j(p, d)
         for row, wrow in zip(sums, want.rows):
             for v, e in zip(row, wrow):
                 assert F(digit(v, w, k), _forms(p)[1] * op.den) == e[k]
                 assert (v == 0) == e.is_zero
-        negated, w2 = int_action(_forms(-p), p.size, op)[:2]
+        (negated,), w2 = int_action(_forms(-p), p.size, op)[:2]
         assert w2 == w and all(a + b == 0 for row, nrow in zip(sums, negated) for a, b in zip(row, nrow))
 
     def test_digit_below_a_run_of_most_negative_digits(self):
@@ -613,7 +613,7 @@ class TestProductKernel:
         m = 2**32 - 1
         op = IntOp(1, [MatPoly([[Poly.const(m)]])])
         for sign in (1, -1):
-            sums, w, bits, _ = int_action(_forms(MatPoly([[Poly([sign * m] * 3)]])), 1, op)
+            (sums,), w, bits, _ = int_action(_forms(MatPoly([[Poly([sign * m] * 3)]])), 1, op)
             assert (bits, w) == (64, 128)
             got = [digit(sums[0][0], w, k) for k in range(4)]
             assert got == [sign * m * m] * 3 + [0]
