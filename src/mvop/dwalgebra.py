@@ -374,9 +374,17 @@ def _search_linear_space(
 
 
 def _normalize_op(op: DiffOp) -> DiffOp:
-    # scaled so that the last nonzero entry of the leading coefficient is monic
-    scale = [e.as_poly().lc for r in op.coeffs[-1].rows for e in r if e][-1]
-    return op if scale == 1 else op * (1 / scale)
+    lead = op.coeffs[-1]
+    scale = None
+    for r in range(op.size):
+        for c in range(op.size):
+            e = lead.entry(r, c)
+            if not e.is_zero:
+                p = e.as_poly()
+                scale = p.lc
+    if scale is None or scale == 1:
+        return op
+    return op * (1 / scale)
 
 
 def _check_slack(degree_slack: int):
