@@ -29,15 +29,26 @@ D in ``verify_in_DW``, V in ``matrix_intertwiner_verify`` and N in a whole
 ``darboux_verify``, whose reverse relation runs with stated constants. It was
 recorded by running this file on commit 554ad6d, before ``relation``'s cells
 moved onto one packed integer matrix product.
+
+The fifth sha256 pins adjoints and symbols, at default parameters and at each
+``ROBUSTNESS_PARAMS`` set: the ``repr`` of every ``symmetry_check`` and
+``degree_preserving`` Verdict that ``check_entry`` makes, ``degree_preserving``
+of every operator of the entry (verbatim readings included), the W-adjoint of
+each of those operators against every weight of its entry of the same size,
+and, so that rational coefficients print as before, the adjoints of
+``DiffOp.ddx(2)`` and of every 2x2 operator against the rational-inverse
+weight Laguerre(0) * [1+x, x; x, 1+x^2]. It was recorded by running this file
+on commit 6244517, while operators still stored ``MatRF`` coefficients.
 """
 
 import hashlib
 from unittest import mock
 from fractions import Fraction as F
 
-from mvop.catalog import ENTRY_NAMES, entry, verify_entry
-from mvop import dwalgebra
-from mvop.diffop import bump_coefficient, coefficient_sites
+from mvop.catalog import ENTRY_NAMES, check_entry, entry, verify_entry
+from mvop import catalog, dwalgebra
+from mvop.diffop import DiffOp, bump_coefficient, coefficient_sites, degree_preserving, w_adjoint
+from mvop.exactalg import MatRF, X
 from mvop.dsl import op_str
 from mvop.dwalgebra import (
     DarbouxCertificate,
@@ -47,13 +58,14 @@ from mvop.dwalgebra import (
     matrix_intertwiner_verify,
     verify_in_DW,
 )
-from mvop.weights import HermiteShifted, Jacobi, Laguerre, sequence_for
+from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, sequence_for
 from test_catalog import ROBUSTNESS_PARAMS
 
 DIGEST = "22f7c226ee2f2940fceba777755f847ed45def935b4c7d4cbff4faff952b25de"
 OPERATOR_DIGEST = "9bfcfb56e955e5de8d4b56cac8a69e705c9bac0273a71a82eee2474ed4215d3e"
 SEARCH_DIGEST = "12a97444b698b6f2f31d7abbcc6da141de1a3db6644af2690866cd710b3041c4"
 RELATION_DIGEST = "7990d526a56fe5abe051e76b69cd034266df769f29e5062530bbd2d3a95497ef"
+ADJOINT_DIGEST = "ea2dba74817ec4a7262c76d56f4faec3d173889d8dbdbe7e55d30f5d1c0d561c"
 
 
 def _outputs():
@@ -143,3 +155,36 @@ def _relation_outputs():
 
 def test_relation_verdicts_bit_identical_to_recorded_digest():
     assert hashlib.sha256("\n".join(_relation_outputs()).encode()).hexdigest() == RELATION_DIGEST
+
+
+def _adjoint_outputs():
+    verdicts = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            verdicts.append(fn(*args, **kwargs))
+            return verdicts[-1]
+
+        return call
+
+    rational = Weight.atomic(Laguerre(0), MatRF([[1 + X, X], [X, 1 + X**2]]))
+    yield f"ddx(2) {w_adjoint(DiffOp.ddx(2), rational)!r}"
+    for name in ENTRY_NAMES:
+        for params in ROBUSTNESS_PARAMS[name]:
+            e = entry(name, params)
+            verdicts.clear()
+            with mock.patch.object(catalog, "symmetry_check", recorded(dwalgebra.symmetry_check)), \
+                    mock.patch.object(dwalgebra, "degree_preserving", recorded(dwalgebra.degree_preserving)):
+                check_entry(e, 8)
+            yield from (f"{name} {params} check {v!r}" for v in verdicts)
+            for k, d in {**e.ops, **{k + "_printed": v for k, v in e.verbatim_ops.items()}}.items():
+                yield f"{name} {params} {k} {degree_preserving(d)!r}"
+                for wname, w in e.doc.weights.items():
+                    if w.size == d.size:
+                        yield f"{name} {params} {k}* on {wname} = {w_adjoint(d, w)!r}"
+                if d.size == 2:
+                    yield f"{name} {params} {k}* on rational = {w_adjoint(d, rational)!r}"
+
+
+def test_adjoints_and_symbols_bit_identical_to_recorded_digest():
+    assert hashlib.sha256("\n".join(_adjoint_outputs()).encode()).hexdigest() == ADJOINT_DIGEST
