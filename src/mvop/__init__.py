@@ -28,8 +28,6 @@ from .diffop import (  # noqa: F401
     apply,
     compose,
     degree_preserving,
-    formal_star,
-    op_order_lead,
     op_power,
     w_adjoint,
 )
@@ -37,16 +35,12 @@ from .weights import (  # noqa: F401
     HermiteShifted,
     Jacobi,
     Laguerre,
-    MomentTable,
     OPSequence,
     Weight,
-    classical_delta,
     classical_monic,
     inner_product,
     moment_rows,
     monic_ops,
-    normalized_moments,
-    scalar_recursion,
 )
 from .dwalgebra import (  # noqa: F401
     DarbouxCertificate,
@@ -57,7 +51,6 @@ from .dwalgebra import (  # noqa: F401
     fullness_check,
     intertwiner_search,
     intertwiner_verify,
-    lambda_multiplicativity_check,
     module_decompose,
     module_generator,
     relation,

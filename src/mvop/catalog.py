@@ -221,7 +221,7 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
 
     if not basis:
         return True
-    consts = [b.coeff(0).eval(Fraction(0)) for b in basis]
+    consts = [b.coeff(0).coeff(0) for b in basis]
     dim = len(consts)
     if dim > 6:
         raise DomainError(f"span of dimension {dim} exceeds the exact grid test's limit of 6")

@@ -1,7 +1,12 @@
 """Matrix differential operators in normal form, acting on the right.
 
-An operator is stored as ``sum_j d^j F_j(x)`` with square matrix coefficients
-``F_j``. It acts on a matrix polynomial P from the right:
+An operator ``sum_j d^j F_j(x)`` is stored as polynomial matrix numerators
+N_j over one monic scalar denominator ``den``, F_j = N_j / den, with
+gcd(den, every entry) = 1: a canonical form, so ``==`` and ``hash`` are
+structural, and ``den`` is 1 on every polynomial operator. ``MatRF`` and
+``RatFunc`` appear only at the edge: a ``MatRF`` given is put over one
+denominator, and a non-polynomial coefficient or action is returned as one.
+An operator acts on a matrix polynomial P from the right:
 
     P . D = sum_j P^(j)(x) F_j(x)
 
@@ -12,19 +17,18 @@ first, and it fixes all sign and ordering questions below:
     (d^i F)(d^j G) = sum_m binom(j, m) d^(i+m) F^(j-m) G.
 
 So the d^k coefficient of A B collects apply(F_i, B_m) over i + m = k, with
-B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. On polynomial operands both run
-through one integer kernel, ``int_action``: the entries of P and its
-derivatives, formed on integer numerators, and those of the F_j, each over
-one common denominator, are packed once at one width, and each cell is one
-row-by-column sum of packed integers over the flattened (j, k) index.
-``apply`` unpacks those sums, ``compose`` sums over the concatenated (m, j)
-blocks of each d^k coefficient, and ``dwalgebra.relation`` tests them for
-zero without unpacking.
+B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. Both run through one integer
+kernel, ``int_action``: the entries of P and its derivatives, formed on
+integer numerators, and those of the N_j, each over one common denominator,
+are packed once at one width, and each cell is one row-by-column sum of
+packed integers over the flattened (j, k) index. ``apply`` unpacks those
+sums, ``compose`` sums over the concatenated (m, j) blocks of each d^k
+coefficient, and ``dwalgebra.relation`` tests them for zero without
+unpacking. The right operand's ``den`` divides the result, and a left
+operand N / q is N o (1/q), so 1/q moves into the right operand first.
 
-The formal adjoint * is the involution fixing constant real matrices by
-transposition and sending d to -d; the weight adjoint is computed from the
-closed-form coefficient sum, with the non-rational scalar density cancelled
-through its logarithmic derivative.
+The weight adjoint is the twisted Leibniz sum on numerators, with the
+non-rational scalar density cancelled through its logarithmic derivative.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .exactalg import (
     DomainError,
@@ -44,14 +47,20 @@ from .exactalg import (
     Poly,
     RatFunc,
     ShapeError,
+    bareiss,
+    exact_div,
     frac,
     int_entries,
     nonneg_integer_roots,
     pack,
     pack_width,
+    poly_divmod,
     poly_dot,
+    poly_gcd,
     unpack,
 )
+
+_P1 = Poly((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +80,6 @@ class MatPoly(Matrix):
             return v
         if isinstance(v, (int, Fraction)):
             return Poly.const(v)
-        if isinstance(v, RatFunc):
-            return v.as_poly()
         raise TypeError(f"cannot coerce {v!r} to Poly")
 
     @staticmethod
@@ -102,8 +109,40 @@ class MatPoly(Matrix):
         return MatRF(self.rows)
 
 
-def matrf_to_matpoly(m: MatRF) -> MatPoly:
-    return MatPoly(m.poly_rows())
+def _rational(num: MatPoly, den: Poly) -> MatRF:
+    # the exit form of a non-polynomial matrix num / den
+    return MatRF([[RatFunc(e, den) for e in r] for r in num.rows])
+
+
+def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
+    """(N_j, q) with ms[j] = N_j / q, q the monic lcm of the denominators of
+    MatRF entries (the entry form); any other matrix is polynomial."""
+    q = _P1
+    for e in {e.den for m in ms if isinstance(m, MatRF) for r in m.rows for e in r}:
+        q = exact_div(q * e, poly_gcd(q, e))
+
+    def num(m):
+        if isinstance(m, MatRF):
+            return MatPoly([[e.num * exact_div(q, e.den) for e in r] for r in m.rows])
+        m = m if isinstance(m, MatPoly) else MatPoly(m.rows)
+        return m if q == _P1 else m * q
+
+    return [num(m) for m in ms], q
+
+
+def _canonical(nums: list[MatPoly], den: Poly) -> tuple[list[MatPoly], Poly]:
+    """nums / den with gcd(den, every entry) = 1 and den monic, by one gcd
+    over all entries and one exact division of each."""
+    g = den
+    for e in (e for m in nums for r in m.rows for e in r):
+        if g.degree < 1:
+            break
+        if e:
+            g = poly_gcd(g, e)
+    if g.degree > 0:
+        den = exact_div(den, g)
+        nums = [MatPoly([[exact_div(e, g) for e in r] for r in m.rows]) for m in nums]
+    return [m * (1 / den.lc) for m in nums] if den.lc != 1 else nums, den.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +150,29 @@ def matrf_to_matpoly(m: MatRF) -> MatPoly:
 
 
 class DiffOp:
-    """Normal-form operator sum_j d^j F_j with MatRF coefficients.
+    """Normal-form operator sum_j d^j F_j, stored as MatPoly numerators N_j
+    (``coeffs``) over one monic scalar denominator ``den`` (module docstring).
 
     The zero operator has an empty coefficient tuple and order -1.
     """
 
-    __slots__ = ("size", "coeffs", "_hash", "_poly")
+    __slots__ = ("size", "coeffs", "den", "_hash")
 
-    def __init__(self, size: int, coeffs=()):
-        cs = [c if isinstance(c, MatRF) else MatRF(c.rows) for c in coeffs]
+    def __init__(self, size: int, coeffs=(), den: Poly = _P1):
+        """F_j = coeffs[j] / den; a MatRF coefficient is converted on entry."""
+        cs, q = numerator_form(coeffs)
         for c in cs:
             if c.size != size:
                 raise ShapeError("coefficient size mismatch")
         while cs and cs[-1].is_zero:
             cs.pop()
+        den = den * q if q != _P1 else den
+        if den != _P1:
+            cs, den = _canonical(cs, den)
         self.size = size
         self.coeffs = tuple(cs)
+        self.den = den
         self._hash = None
-        self._poly = None
 
     # -- constructors
 
@@ -138,7 +182,7 @@ class DiffOp:
 
     @staticmethod
     def identity(size: int) -> "DiffOp":
-        return DiffOp(size, (MatRF.identity(size),))
+        return DiffOp(size, (MatPoly.identity(size),))
 
     @staticmethod
     def from_matrices(size: int, coeffs) -> "DiffOp":
@@ -147,15 +191,15 @@ class DiffOp:
     @staticmethod
     def scalar(coeffs) -> "DiffOp":
         """1x1 operator from a list of Poly/RatFunc coefficients by d-power."""
-        return DiffOp(1, [MatRF([[c]]) for c in coeffs])
+        return DiffOp(1, [MatRF([[c]]) if isinstance(c, RatFunc) else MatPoly([[c]]) for c in coeffs])
 
     @staticmethod
     def ddx(size: int = 1) -> "DiffOp":
-        return DiffOp(size, (MatRF.zeros(size), MatRF.identity(size)))
+        return DiffOp(size, (MatPoly.zeros(size), MatPoly.identity(size)))
 
     @staticmethod
     def const(m: FracMat) -> "DiffOp":
-        return DiffOp(m.nrows, (MatRF([[Poly.const(c) for c in r] for r in m.rows]),))
+        return DiffOp(m.nrows, (MatPoly(m.rows),))
 
     # -- structure
 
@@ -167,32 +211,27 @@ class DiffOp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, j: int) -> MatRF:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return MatRF.zeros(self.size)
-
     @property
     def is_polynomial(self) -> bool:
-        return self.poly_coeffs() is not None
+        return self.den == _P1
+
+    def coeff(self, j: int) -> MatPoly | MatRF:
+        """F_j: a MatPoly, or on a rational operator the exit form MatRF."""
+        num = self.coeffs[j] if 0 <= j < len(self.coeffs) else MatPoly.zeros(self.size)
+        return num if self.is_polynomial else _rational(num, self.den)
 
     def poly_coeffs(self) -> tuple[MatPoly, ...] | None:
         """Coefficients as MatPoly when every entry is polynomial, else None."""
-        if self._poly is None:
-            if all(c.is_polynomial for c in self.coeffs):
-                self._poly = tuple(matrf_to_matpoly(c) for c in self.coeffs)
-            else:
-                self._poly = False
-        return self._poly if self._poly is not False else None
+        return self.coeffs if self.is_polynomial else None
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.size == other.size and self.coeffs == other.coeffs
+        return self.size == other.size and self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.size, self.coeffs))
+            self._hash = hash((self.size, self.coeffs, self.den))
         return self._hash
 
     # -- linear structure (scalar multiples commute with everything, so these
@@ -203,8 +242,8 @@ class DiffOp:
             return NotImplemented
         if self.size != other.size:
             raise ShapeError("operator size mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(self.size, [self.coeff(j) + other.coeff(j) for j in range(n)])
+        a, b, den = _common(self, other)
+        return DiffOp(self.size, [x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
@@ -212,12 +251,12 @@ class DiffOp:
         return self + (-other)
 
     def __neg__(self):
-        return DiffOp(self.size, [-c for c in self.coeffs])
+        return DiffOp(self.size, [-c for c in self.coeffs], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            return DiffOp(self.size, [m * c for m in self.coeffs])
+            return DiffOp(self.size, [m * c for m in self.coeffs], self.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -228,7 +267,17 @@ class DiffOp:
         if self.is_polynomial:
             return f"DiffOp<{op_str(self)}>"
         # rational entries have no document form; show them as str(RatFunc)
-        return "DiffOp<" + " + ".join(f"d^{j}*{c!r}" for j, c in reversed(tuple(enumerate(self.coeffs)))) + ">"
+        return "DiffOp<" + " + ".join(f"d^{j}*{self.coeff(j)!r}" for j in range(self.order, -1, -1)) + ">"
+
+
+def _common(a: DiffOp, b: DiffOp):
+    """The numerators of a and of b, padded to one length, over one
+    denominator, and it."""
+    na, nb, den = a.coeffs, b.coeffs, a.den
+    if a.den != b.den:
+        na, nb, den = [c * b.den for c in na], [c * a.den for c in nb], a.den * b.den
+    zero, k = MatPoly.zeros(a.size), max(len(na), len(nb))
+    return [*na] + [zero] * (k - len(na)), [*nb] + [zero] * (k - len(nb)), den
 
 
 class IntOp:
@@ -299,58 +348,77 @@ def _unpacked(sums, w, count, den) -> MatPoly:
     return MatPoly([[Poly([Fraction(c, den) for c in unpack(v, w, count)]) for v in row] for row in sums])
 
 
-def apply(p: MatPoly | MatRF, d: DiffOp):
-    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is polynomial.
+def quotient_chain(p: Poly, q: Poly, count: int) -> list[Poly]:
+    """N_0, ..., N_{count-1} with (p/q)^(t) = N_t / q^(t+1), by the quotient
+    rule N_{t+1} = N_t' q - (t+1) q' N_t."""
+    dq, chain = q.derivative(), [p]
+    for t in range(1, count):
+        chain.append(chain[-1].derivative() * q - chain[-1] * (t * dq))
+    return chain
 
-    A MatPoly P under a polynomial D takes the integer path: ``int_action``'s
-    sums, unpacked. Anything else is summed over MatRF.
+
+def _under(q: Poly, d: DiffOp) -> DiffOp:
+    """The operator (1/q) o d, with P . (1/q) o d = (P/q) . d: by Leibniz its
+    d^m coefficient is sum_{j >= m} binom(j, m) (1/q)^(j-m) F_j, over q^(n+1)
+    with n the order of d."""
+    n = d.order
+    chain, powers = quotient_chain(_P1, q, n + 1), [q**i for i in range(n + 2)]
+    return DiffOp(d.size, [
+        sum((d.coeffs[j] * (chain[j - m] * powers[n - j + m] * math.comb(j, m)) for j in range(m, n + 1)),
+            MatPoly.zeros(d.size))
+        for m in range(n + 1)
+    ], powers[n + 1] * d.den)
+
+
+def action(p: MatPoly | MatRF, d: DiffOp) -> tuple[MatPoly, Poly]:
+    """P . D = sum_j P^(j) F_j as (numerators, denominator), the denominator
+    1 exactly when the action is polynomial.
+
+    ``int_action``'s sums, unpacked, over the right operand's ``den``; an
+    exact division by it decides whether the result is polynomial. A MatRF
+    P = N / q acts as N under (1/q) o D.
     """
     if p.size != d.size:
         raise ShapeError("size mismatch in apply")
-    polys = d.poly_coeffs()
-    if polys is not None and isinstance(p, MatPoly):
-        op = IntOp(d.size, polys)
-        ints, den, _ = forms = int_entries([e for r in p.rows for e in r])
-        sums, w = int_action(forms, p.size, op)[:2]
-        return _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
-    acc = MatRF.zeros(p.size)
-    der = p if isinstance(p, MatRF) else p.to_matrf()
-    for j, f in enumerate(d.coeffs):
-        if j:
-            der = der.derivative()
-        if not f.is_zero:
-            acc = acc + der * f
-    if acc.is_polynomial:
-        return matrf_to_matpoly(acc)
-    return acc
+    (p,), q = numerator_form([p])
+    if q != _P1:
+        d = _under(q, d)
+    op = IntOp(d.size, d.coeffs)
+    ints, den, _ = forms = int_entries([e for r in p.rows for e in r])
+    sums, w = int_action(forms, p.size, op)[:2]
+    s = _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
+    if d.is_polynomial:
+        return s, _P1
+    split = [[poly_divmod(e, d.den) for e in r] for r in s.rows]
+    if any(rem for r in split for _, rem in r):
+        return s, d.den
+    return MatPoly([[quo for quo, _ in r] for r in split]), _P1
+
+
+def apply(p: MatPoly | MatRF, d: DiffOp) -> MatPoly | MatRF:
+    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is
+    polynomial, else its exit form MatRF (``action``)."""
+    s, den = action(p, d)
+    return s if den == _P1 else _rational(s, den)
 
 
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     """Operator product: apply ``first``, then ``second`` (module docstring).
 
-    On polynomial operands each d^k coefficient is ``int_action``'s sums over
-    the concatenated (m, j) blocks, unpacked. A rational operand sums
-    ``apply`` results over MatRF.
+    Each d^k coefficient is ``int_action``'s sums over the concatenated
+    (m, j) blocks, unpacked, over the right operand's ``den``. A left operand
+    N / q is N o (1/q), so 1/q moves into the right operand first (``_under``).
     """
     if first.size != second.size:
         raise ShapeError("size mismatch in compose")
     n = first.size
-    lefts, rights = first.poly_coeffs(), second.poly_coeffs()
-    if lefts is not None and rights is not None:
-        op = IntOp(n, rights)
-        ints, den, _ = forms = int_entries([e for f in lefts for r in f.rows for e in r])
-        sums, w = int_action(forms, n, op, ks=range(first.order + second.order + 1))[:2]
-        count = max(map(len, ints), default=0) + op.deg
-        return DiffOp(n, [_unpacked(cells, w, count, den * op.den) for cells in sums])
-    bms = [
-        DiffOp(n, [g * math.comb(j, m) for j, g in enumerate(second.coeffs[m:], m)]) if m else second
-        for m in range(len(second.coeffs))
-    ]
-    out = [MatRF.zeros(n)] * (first.order + second.order + 1)
-    for m, bm in enumerate(bms):
-        for i, f in enumerate(lefts or first.coeffs):
-            out[i + m] = out[i + m] + apply(f, bm)
-    return DiffOp(n, out)
+    if not first.is_polynomial:
+        second = _under(first.den, second)
+    op = IntOp(n, second.coeffs)
+    ints, den, _ = forms = int_entries([e for f in first.coeffs for r in f.rows for e in r])
+    sums, w = int_action(forms, n, op, ks=range(first.order + second.order + 1))[:2]
+    count = max(map(len, ints), default=0) + op.deg
+    return DiffOp(n, [_unpacked(cells, w, count, den * op.den) for cells in sums], second.den)
 
 
 def op_power(d: DiffOp, k: int) -> DiffOp:
@@ -374,62 +442,37 @@ def poly_of_op(p: Poly, d: DiffOp) -> DiffOp:
     return acc
 
 
-def formal_star(d: DiffOp) -> DiffOp:
-    """The involution sending d to -d and constant matrices to transposes.
-
-    Over Q the Hermitian conjugate of a coefficient matrix is its transpose;
-    this is the W-adjoint for the unit density with identity factor.
-    """
-    one = MatRF.identity(d.size)
-    unit = SimpleNamespace(sigma=lambda: RatFunc(Poly()), factor_matrix=lambda: one, factor_inverse=lambda: one)
-    return w_adjoint(d, unit)
-
-
-def _twisted_derivative(r: MatRF, sigma: RatFunc) -> MatRF:
-    # (rho R)' = rho (R' + sigma R) with sigma = rho'/rho
-    return r.derivative() + r * sigma
-
-
 def w_adjoint(d: DiffOp, weight) -> DiffOp:
-    """Formal W-adjoint of d with respect to ``weight``.
+    """Formal W-adjoint of d with respect to ``weight``: the d^k coefficient
+    sum_{l >= k} (-1)^l binom(l, k) T^(l-k)(M F_l^T) M^-1, where
+    T(R) = R' + sigma R is the derivative twisted by the density.
 
-    ``weight`` must expose ``sigma()`` (the logarithmic derivative of its
-    scalar density, a RatFunc), ``factor_matrix()`` (the rational matrix
-    factor M with W = rho M) and ``factor_inverse()`` (M^-1). The density rho
-    never appears: every occurrence enters through sigma.
+    ``weight.factor_data()`` gives (s, t, M, A, det): W = rho M with M
+    polynomial, sigma = rho'/rho = s/t and M^-1 = A / det. The density rho
+    never appears. On numerators, with F_l = N_l / q and q folded into sigma
+    (T^i(R/q) is T^i(R)/q for sigma - q'/q), T^i(M N_l^T) = R_i / t^i with
+    R_0 = M N_l^T and R_{i+1} = R_i' t + (s - i t') R_i. Every coefficient is
+    put over q t^n det, n the order of d, and reduced once at the end.
     """
     if d.is_zero:
         return d
-    sigma: RatFunc = weight.sigma()
-    m: MatRF = weight.factor_matrix()
+    s, t, m, adj, det = weight.factor_data()
     if m.size != d.size:
         raise ShapeError("weight size does not match operator size")
-    minv = weight.factor_inverse()
-    n = d.order
-    # twisted[l][t] = T_t(M F_l^*), built incrementally per l
-    out = []
-    twisted_rows: list[list[MatRF]] = []
-    for l in range(n + 1):
-        f = d.coeffs[l]
-        seq = [m * f.transpose()]
-        for _ in range(l):
-            seq.append(_twisted_derivative(seq[-1], sigma))
-        twisted_rows.append(seq)
-    for k in range(n + 1):
-        acc = MatRF.zeros(d.size)
-        for l in range(k, n + 1):
-            if d.coeffs[l].is_zero:
-                continue
-            sign = Fraction(-1) ** l
-            acc = acc + twisted_rows[l][l - k] * (sign * math.comb(l, k))
-        out.append(acc * minv)
-    return DiffOp(d.size, out)
-
-
-def op_order_lead(d: DiffOp) -> tuple[int, MatRF]:
-    if d.is_zero:
-        raise DomainError("zero operator has no order")
-    return d.order, d.coeffs[-1]
+    q, n = d.den, d.order
+    if q != _P1:
+        s, t = s * q - t * q.derivative(), t * q
+    dt, powers = t.derivative(), [t**i for i in range(n + 1)]
+    out = [MatPoly.zeros(d.size)] * (n + 1)
+    for l, f in enumerate(d.coeffs):
+        if f.is_zero:
+            continue
+        r = m * f.transpose()
+        for i in range(l + 1):
+            out[l - i] = out[l - i] + r * (powers[n - i] * ((-1) ** l * math.comb(l, l - i)))
+            if i < l:
+                r = r.derivative() * t + r * (s - dt * i)
+    return DiffOp(d.size, [c * adj for c in out], q * powers[n] * det)
 
 
 @dataclass
@@ -476,9 +519,9 @@ def degree_preserving(d: DiffOp) -> Verdict:
     for j, f in enumerate(polys):
         if f.degree > j:
             return Verdict(False, f"coefficient degree {f.degree} exceeds d-power {j}")
-    # entries of S_n are polynomials in n; reuse MatRF with x standing for n
+    # entries of S_n are polynomials in n; det S_n fraction-free over Q[n]
     n = d.size
-    rows = [[RatFunc(Poly()) for _ in range(n)] for _ in range(n)]
+    rows = [[Poly() for _ in range(n)] for _ in range(n)]
     for j, f in enumerate(polys):
         top = f.coeff(j)
         if top.is_zero:
@@ -487,8 +530,8 @@ def degree_preserving(d: DiffOp) -> Verdict:
         for r in range(n):
             for c in range(n):
                 if top.entry(r, c):
-                    rows[r][c] = rows[r][c] + RatFunc(fall * top.entry(r, c))
-    det = MatRF(rows).det().as_poly()
+                    rows[r][c] = rows[r][c] + fall * top.entry(r, c)
+    det = bareiss(rows)[0]
     if det.is_zero:
         return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
     roots = nonneg_integer_roots(det)
@@ -507,10 +550,10 @@ def embed_scalar(t: DiffOp, size: int, i: int, j: int) -> DiffOp:
         raise ShapeError("embed_scalar expects a scalar operator")
     out = []
     for c in t.coeffs:
-        rows = [[RatFunc(Poly()) for _ in range(size)] for _ in range(size)]
+        rows = [[Poly() for _ in range(size)] for _ in range(size)]
         rows[i][j] = c.entry(0, 0)
-        out.append(MatRF(rows))
-    return DiffOp(size, out)
+        out.append(MatPoly(rows))
+    return DiffOp(size, out, t.den)
 
 
 def block_antidiagonal(v: DiffOp, n: DiffOp) -> DiffOp:
@@ -518,61 +561,37 @@ def block_antidiagonal(v: DiffOp, n: DiffOp) -> DiffOp:
     if v.size != n.size:
         raise ShapeError("blocks must have equal size")
     s = v.size
-    total = 2 * s
-    out = []
-    for j in range(max(len(v.coeffs), len(n.coeffs))):
-        a = v.coeff(j)
-        b = n.coeff(j)
-        rows = [[RatFunc(Poly()) for _ in range(total)] for _ in range(total)]
-        for r in range(s):
-            for c in range(s):
-                rows[r][s + c] = a.entry(r, c)
-                rows[s + r][c] = b.entry(r, c)
-        out.append(MatRF(rows))
-    return DiffOp(total, out)
+    a, b, den = _common(v, n)
+    return DiffOp(2 * s, [MatPoly([[Poly()] * s + list(r) for r in x.rows] + [list(r) + [Poly()] * s for r in y.rows])
+                          for x, y in zip(a, b)], den)
 
 
 def coefficient_sites(d: DiffOp):
     """Yield (j, row, col, power) for every stored nonzero x-power coefficient."""
-    for j, f in enumerate(d.coeffs):
-        for r in range(d.size):
-            for c in range(d.size):
-                e = f.entry(r, c)
-                if not e.is_polynomial:
-                    raise NonPolynomialError("coefficient sites require polynomial entries")
-                p = e.as_poly()
-                for k in range(p.degree + 1):
-                    if p[k]:
-                        yield (j, r, c, k)
+    if not d.is_polynomial:
+        raise NonPolynomialError("coefficient sites require polynomial entries")
+    yield from ((j, r, c, k) for j, f in enumerate(d.coeffs) for r, row in enumerate(f.rows)
+                for c, p in enumerate(row) for k, v in enumerate(p.coeffs) if v)
 
 
 def bump_coefficient(d: DiffOp, site, delta=1) -> DiffOp:
     """Return d with the rational coefficient at ``site`` shifted by delta."""
     j, r, c, k = site
-    out = []
-    for jj, f in enumerate(d.coeffs):
-        if jj != j:
-            out.append(f)
-            continue
-        rows = [list(row) for row in f.rows]
-        p = rows[r][c].as_poly()
-        rows[r][c] = RatFunc(p + Poly.monomial(k, delta))
-        out.append(MatRF(rows))
-    return DiffOp(d.size, out)
+    out = list(d.coeffs)
+    if j < len(out):
+        rows = [list(row) for row in out[j].rows]
+        rows[r][c] = rows[r][c] + Poly.monomial(k, delta) * d.den
+        out[j] = MatPoly(rows)
+    return DiffOp(d.size, out, d.den)
 
 
 def diff_cells(a: DiffOp, b: DiffOp) -> list[tuple[int, int, int]]:
     """Cells (d-power, row, col) where the two operators disagree."""
     if a.size != b.size:
         raise ShapeError("operator size mismatch")
-    cells = []
-    for j in range(max(len(a.coeffs), len(b.coeffs))):
-        fa, fb = a.coeff(j), b.coeff(j)
-        for r in range(a.size):
-            for c in range(a.size):
-                if fa.entry(r, c) != fb.entry(r, c):
-                    cells.append((j, r, c))
-    return cells
+    na, nb, _ = _common(a, b)
+    return [(j, r, c) for j, (x, y) in enumerate(zip(na, nb))
+            for r in range(a.size) for c in range(a.size) if x.entry(r, c) != y.entry(r, c)]
 
 
 def compare_operators(a: DiffOp, b: DiffOp, limit: int = 4) -> Verdict:

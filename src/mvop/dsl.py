@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import DomainError, MatRF, Poly, X, poly_str
+from .exactalg import DomainError, MatRF, NonPolynomialError, Poly, X, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
 
@@ -216,7 +216,7 @@ class SpecDocument:
 # expression values
 
 
-_ONE = MatRF.identity(1)
+_ONE = MatPoly.identity(1)
 
 
 def _as_op(v) -> DiffOp:
@@ -226,7 +226,7 @@ def _as_op(v) -> DiffOp:
 
 def _lift(op: DiffOp, n: int) -> DiffOp:
     """A 1x1 operator times the identity of size n."""
-    return DiffOp(n, [MatRF.diag(*[c.entry(0, 0)] * n) for c in op.coeffs])
+    return DiffOp(n, [MatPoly.scalar(c.entry(0, 0), n) for c in op.coeffs], op.den)
 
 
 def _bits(coeffs) -> int:
@@ -237,7 +237,7 @@ def _measure(v) -> tuple[int, int, int]:
     """Order, coefficient degree and coefficient bit length of a value."""
     if isinstance(v, Poly):
         return 0, v.degree, _bits(v.coeffs)
-    cells = [e.num for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
+    cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
     return v.order, max((p.degree for p in cells), default=-1), _bits(c for p in cells for c in p.coeffs)
 
 
@@ -478,7 +478,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "SYM" and t.text == "[":
             m = self.nested(self.matrix, t)
-            return DiffOp(m.size, [m.to_matrf()])
+            return DiffOp(m.size, [m])
         self.next()
         if t.kind == "INT":
             return Poly.const(int(t.text))
@@ -656,14 +656,16 @@ def _family_text(f: ScalarWeightFamily) -> str:
 
 
 def matrix_text(m) -> str:
-    if isinstance(m, MatRF):
-        m = MatPoly(m.poly_rows())
-    return "[" + "; ".join(", ".join(poly_str(e) for e in row) for row in m.rows) + "]"
+    """A MatPoly, or a MatRF weight factor with polynomial entries, as text."""
+    rows = m.poly_rows() if isinstance(m, MatRF) else m.rows
+    return "[" + "; ".join(", ".join(poly_str(e) for e in row) for row in rows) + "]"
 
 
 def op_str(d: DiffOp) -> str:
     """Canonical matrix-form text of an operator, parseable by the DSL. Documents
     hold polynomial entries only, so a rational entry raises NonPolynomialError."""
+    if not d.is_polynomial:
+        raise NonPolynomialError("documents hold polynomial operators only")
     if d.is_zero:
         return matrix_text(MatPoly.zeros(d.size))
     parts = []
@@ -678,16 +680,15 @@ def op_str(d: DiffOp) -> str:
 
 def op_scalar_str(d: DiffOp) -> str:
     """Compact text for 1x1 operators, like 'd^1 - 1'."""
-    if d.size != 1:
+    if d.size != 1 or not d.is_polynomial:
         return op_str(d)
     if d.is_zero:
         return "0"
     parts = []
     for j in range(d.order, -1, -1):
-        e = d.coeff(j).entry(0, 0)
-        if e.is_zero:
+        p = d.coeffs[j].entry(0, 0)
+        if p.is_zero:
             continue
-        p = e.as_poly()
         if j == 0:
             body = poly_str(p) if p.degree < 1 or len([c for c in p.coeffs if c]) == 1 else f"({poly_str(p)})"
         elif p == Poly((1,)):

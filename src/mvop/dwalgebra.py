@@ -9,6 +9,8 @@ type, ``diffop.Verdict``; a ``Report`` lists named verdicts in order. The
 statements about the algebra and Darboux transformations are instances of
 one checker, ``relation``, which decides each n on one packed integer matrix
 product (``diffop.int_action``) and builds both sides only where it fails.
+Operators are read in their numerator form: a rational T acts through
+``diffop.action``, whose denominator says whether P_n . T is polynomial.
 Searches are linear algebra over Q and are reported as bounded evidence,
 never as nonexistence proofs.
 """
@@ -26,7 +28,6 @@ from .exactalg import (
     DecompositionError,
     DomainError,
     FracMat,
-    MatRF,
     Poly,
     ShapeError,
     X,
@@ -41,6 +42,7 @@ from .diffop import (
     IntOp,
     MatPoly,
     Verdict,
+    action,
     apply,
     block_antidiagonal,
     compare_operators,
@@ -149,17 +151,18 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     When P_n, Q_n and T are polynomial, neither side is built: T is put over
     one denominator once per call, and ``_decide`` tests each n on one packed
     integer matrix product. Only an n that fails materialises P_n . T and
-    C_n Q_n, for the residual.
+    C_n Q_n, for the residual. A rational T acts through ``action``.
     """
     check_horizon(n_max)
-    polys = t.poly_coeffs()
-    op = IntOp(t.size, polys) if polys is not None else None
+    op = IntOp(t.size, t.coeffs) if t.is_polynomial else None
     eigs: list[FracMat] = []
     for n in range(n_max + 1):
         p = ps(n)
-        r = None if op is not None and isinstance(p, MatPoly) and p.size == t.size else apply(p, t)
-        if isinstance(r, MatRF):
-            return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
+        r = None
+        if op is None or not (isinstance(p, MatPoly) and p.size == t.size):
+            r, den = action(p, t)
+            if den.degree > 0:
+                return Verdict(False, f"non-polynomial action at n={n}", n, apply(p, t), eigs)
         q = qs(n)
         lead = None
         if cs is None and any(e[n] != (i == k) for i, row in enumerate(q.rows) for k, e in enumerate(row)):
@@ -232,16 +235,6 @@ def verify_in_DW(d: DiffOp, weight: Weight, n_max: int = 8) -> Verdict:
     if isinstance(rep.residual, MatPoly):
         rep.detail = f"not an eigenfunction at n={rep.fail_n}"
     return rep
-
-
-def lambda_multiplicativity_check(d1: DiffOp, d2: DiffOp, weight: Weight, n_max: int = 8) -> bool:
-    """Lambda_n(d1 d2) = Lambda_n(d1) Lambda_n(d2), a consequence of the right action."""
-    r1 = verify_in_DW(d1, weight, n_max)
-    r2 = verify_in_DW(d2, weight, n_max)
-    rp = verify_in_DW(compose(d1, d2), weight, n_max)
-    if not (r1.ok and r2.ok and rp.ok):
-        return False
-    return all(rp.eigs[n] == r1.eigs[n] * r2.eigs[n] for n in range(n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +360,16 @@ def _search_linear_space(
         # entry (r, c) of F_j, coefficients by power of x, from j's block
         blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
         coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
-        op = DiffOp(size, [MatRF(f) for f in coeffs])
+        op = DiffOp(size, [MatPoly(f) for f in coeffs])
         if not op.is_zero:
             ops.append(_normalize_op(op))
     return ops
 
 
 def _normalize_op(op: DiffOp) -> DiffOp:
-    lead = op.coeffs[-1]
-    scale = None
-    for r in range(op.size):
-        for c in range(op.size):
-            e = lead.entry(r, c)
-            if not e.is_zero:
-                p = e.as_poly()
-                scale = p.lc
-    if scale is None or scale == 1:
-        return op
-    return op * (1 / scale)
+    # scaled so that the last nonzero entry of the leading coefficient is monic
+    scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
+    return op if scale == 1 else op * (1 / scale)
 
 
 def _check_slack(degree_slack: int):
@@ -519,12 +504,11 @@ def module_decompose(a: DiffOp, w1, w2) -> Poly:
             )
         m = (o - torder) // 2
         base = compose(t, op_power(delta, m))
-        lead_r = r.coeffs[-1].entry(0, 0)
-        lead_b = base.coeffs[-1].entry(0, 0)
-        ratio = lead_r / lead_b
-        if not (ratio.is_polynomial and ratio.num.degree <= 0):
+        # the leads are proportional when r's numerator is c times r.den times base's
+        lead_r, lead_b = r.coeffs[-1].entry(0, 0), base.coeffs[-1].entry(0, 0) * r.den
+        c = lead_r.lc / lead_b.lc
+        if lead_r != lead_b * c:
             raise DecompositionError("leading coefficients are not proportional", residual=r)
-        c = ratio.num[0]
         coeffs[m] = c
         r = r - base * c
         if not r.is_zero and r.order >= o:

@@ -4,15 +4,18 @@ Everything in this module is immutable and pure, and the coefficient field is
 ``fractions.Fraction`` throughout, so every computation downstream is exact.
 Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
 entries, used for eigenvalues, recursion coefficients and conjugating
-matrices), ``MatRF`` (square, rational-function entries, used for operator
-coefficients) and ``diffop.MatPoly``. Exact linear algebra runs through two
-elimination kernels. ``_eliminate`` (an incremental row echelon form, over
-either field) serves the small systems: ``det`` multiplies its pivots, and
+matrices), ``MatRF`` (square, rational-function entries: weight factors as
+written, and the exit form of a rational operator coefficient) and
+``diffop.MatPoly``. Exact linear algebra runs through three elimination
+kernels. ``_eliminate`` (an incremental row echelon form, over either field)
+serves the small systems: ``det`` multiplies its pivots, and
 ``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
 solution off the reduced form that ``_reduce`` makes of it by back
-substitution. ``nullspace``, whose callers are the searches' large sparse
-integer systems, eliminates the same way fraction-free, on primitive integer
-rows kept as maps of their nonzeros, and forms one Fraction per basis entry.
+substitution. ``bareiss`` eliminates polynomial matrices fraction-free, for
+symbol determinants and the adjugate of a weight factor. ``nullspace``,
+whose callers are the searches' large sparse integer systems, eliminates
+as ``_eliminate`` does, fraction-free, on primitive integer rows kept as
+maps of their nonzeros, and forms one Fraction per basis entry.
 All polynomial products run through packed integers (Kronecker
 substitution): the numerators of polynomials over a common denominator
 (``int_form``, ``int_entries``) are packed as the digits of one Python
@@ -477,10 +480,6 @@ class RatFunc:
         self.den = den
         self._hash = None
 
-    @staticmethod
-    def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -561,11 +560,6 @@ class RatFunc:
             return NotImplemented
         return other / self
 
-    def inverse(self) -> "RatFunc":
-        if self.is_zero:
-            raise DomainError("zero has no inverse")
-        return RatFunc(self.den, self.num)
-
     def derivative(self) -> "RatFunc":
         if self.den == _P1:
             return RatFunc(self.num.derivative())
@@ -601,11 +595,6 @@ def _as_ratfunc(v):
     if isinstance(v, (int, Fraction)):
         return RatFunc(Poly.const(v))
     return None
-
-
-def simplify(r: RatFunc) -> RatFunc:
-    """Canonical form of a rational function (idempotent by construction)."""
-    return RatFunc(r.num, r.den)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +669,33 @@ def solve_square(a_rows, b_rows):
     if len(pivots) < n:
         raise SingularError("singular linear system")
     return [row[n:] for _, row in sorted(zip(pivots, _reduce(pivots, echelon)))]
+
+
+def bareiss(rows) -> tuple[Poly, list[list[Poly]] | None]:
+    """det A and det(A) A^-1 B for rows [A | B] of Poly entries, A the leading
+    square block (with B = I, the adjugate of A), by fraction-free (Bareiss)
+    elimination: at step k each other row becomes (p a_i - a_ik a_k) / p', p
+    the pivot a_kk and p' the one before, and every division is exact. With
+    a B the rows above each pivot are cleared as well (Gauss-Jordan), which
+    the determinant alone does not need. (0, None) when A is singular.
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    prev, sign = _P1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return _P0, None
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        piv, pivot_row = a[k][k], a[k][k:]
+        for i in range(n) if len(a[k]) > n else range(k + 1, n):
+            if i != k:
+                f = a[i][k]
+                cells = (piv * v - f * w for v, w in zip(a[i][k:], pivot_row))
+                a[i][k:] = [exact_div(c, prev) for c in cells] if prev != _P1 else cells
+        prev = piv
+    return prev * sign, [[v * sign for v in r[n:]] for r in a]
 
 
 def _primitive(r):

@@ -25,12 +25,13 @@ from .exactalg import (
     ShapeError,
     SingularError,
     X,
+    bareiss,
     frac,
     int_const,
     int_dot,
     int_form,
 )
-from .diffop import DiffOp, MatPoly, matrf_to_matpoly
+from .diffop import DiffOp, MatPoly, numerator_form
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +165,6 @@ class Jacobi(ScalarWeightFamily):
         return ((b - a) * values[s] + s * prev) / (a + b + 2 + s)
 
 
-def classical_delta(family: ScalarWeightFamily) -> DiffOp:
-    return family.delta()
-
-
-def scalar_recursion(family: ScalarWeightFamily, n: int) -> tuple[Fraction, Fraction]:
-    if n < 0:
-        raise DomainError("recursion index must be nonnegative")
-    return family.recursion(n)
-
-
 def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> RatFunc | None:
     """f1/f2 as a rational function, or None when the ratio is not rational."""
     if type(f1) is not type(f2):
@@ -202,18 +193,8 @@ def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> RatFunc | N
 # normalized moments
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Normalized power moments nu_s = mu_s / mu_0 of a scalar family."""
-
-    family: ScalarWeightFamily
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, s: int) -> Fraction:
-        return self.values[s]
-
-
-# family -> nu_0, nu_1, ..., as far as any caller has asked
+# normalized power moments nu_s = mu_s / mu_0: family -> nu_0, nu_1, ...,
+# as far as any caller has asked
 _MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
 
 
@@ -225,12 +206,6 @@ def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
     return values
 
 
-def normalized_moments(family: ScalarWeightFamily, s_max: int) -> MomentTable:
-    if s_max < 0:
-        raise DomainError("s_max must be nonnegative")
-    return MomentTable(family, tuple(_moments_list(family, s_max)[: s_max + 1]))
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -238,7 +213,7 @@ def normalized_moments(family: ScalarWeightFamily, s_max: int) -> MomentTable:
 class Weight:
     """Either Atomic(family, M) with W = rho_family * M, or a direct sum."""
 
-    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_minv")
+    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_factor")
 
     def __init__(self, family=None, M=None, blocks=None):
         self.family = family
@@ -246,7 +221,7 @@ class Weight:
         self.blocks = blocks
         self._hash = None
         self._atomic = None
-        self._minv = None
+        self._factor = None
 
     @staticmethod
     def atomic(family: ScalarWeightFamily, M: MatRF) -> "Weight":
@@ -371,17 +346,21 @@ class Weight:
         self._atomic = (base, MatRF.blockdiag(blocks))
         return self._atomic
 
-    def sigma(self) -> RatFunc:
-        return self.as_atomic()[0].sigma()
-
-    def factor_matrix(self) -> MatRF:
-        return self.as_atomic()[1]
-
-    def factor_inverse(self) -> MatRF:
-        """M^-1 of the atomic form, inverted once per weight."""
-        if self._minv is None:
-            self._minv = self.factor_matrix().inverse()
-        return self._minv
+    def factor_data(self) -> tuple[Poly, Poly, MatPoly, MatPoly, Poly]:
+        """(s, t, M, A, det) of the atomic form, computed once per weight:
+        W = rho M with M a polynomial matrix, s/t = rho'/rho, and
+        M^-1 = A / det, A the adjugate. A rational factor N/m (m the monic
+        lcm of its denominators) is written rho N/m = (rho/m) N, which moves
+        -m'/m into rho'/rho."""
+        if self._factor is None:
+            fam, mat = self.as_atomic()
+            s, t = fam.sigma().num, fam.sigma().den
+            (num,), m = numerator_form([mat])
+            if m.degree > 0:
+                s, t = s * m - t * m.derivative(), t * m
+            det, adj = bareiss([r + e for r, e in zip(num.rows, MatPoly.identity(num.size).rows)])
+            self._factor = (s, t, num, MatPoly(adj), det)
+        return self._factor
 
     # -- validation
 
@@ -587,7 +566,7 @@ def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPo
     fam, mat = weight.as_atomic()
     if not mat.is_polynomial:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    return fam, p * matrf_to_matpoly(mat)
+    return fam, p * MatPoly(mat.poly_rows())
 
 
 def _moment_numerators(fam: ScalarWeightFamily, top: int) -> tuple[list[int], int]:

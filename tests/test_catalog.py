@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mvop import catalog
-from mvop.exactalg import DomainError, FracMat, MatRF, Poly, RatFunc, X
+from mvop.exactalg import DomainError, FracMat, Poly, RatFunc, X
 from mvop.catalog import ENTRY_NAMES, _gram_orthogonal, check_entry, default_params, entry, entry_document_text, verify_entry
 from mvop.cli import main, run
 from mvop.diffop import DiffOp, MatPoly, Verdict, apply, bump_coefficient, coefficient_sites
@@ -63,8 +63,8 @@ class TestEntryData:
         e = entry("GEG2")
         r, a = e.params["r"], e.params["a"]
         v = e.ops["V"]
-        assert v.coeff(1) == MatRF([[Poly((-1,)), -X], [-X, Poly((-1,))]])
-        assert v.coeff(0) == MatRF([[Poly(), Poly((a - r,))], [Poly((-a,)), Poly()]])
+        assert v.coeff(1) == MatPoly([[Poly((-1,)), -X], [-X, Poly((-1,))]])
+        assert v.coeff(0) == MatPoly([[Poly(), Poly((a - r,))], [Poly((-a,)), Poly()]])
 
     def test_lag3_conjugator_corner(self):
         e = entry("LAG3")

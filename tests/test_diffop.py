@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop.dsl import op_str
-from mvop.exactalg import DomainError, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, X
+from mvop.exactalg import MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, X, bareiss
 from mvop.diffop import (
     DiffOp,
     MatPoly,
@@ -18,12 +18,11 @@ from mvop.diffop import (
     compose,
     degree_preserving,
     embed_scalar,
-    formal_star,
-    op_order_lead,
     op_power,
+    quotient_chain,
     w_adjoint,
 )
-from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, classical_monic
+from mvop.weights import Jacobi, Laguerre, Weight, classical_monic, sequence_for
 
 ALPHA = F(1, 2)
 
@@ -99,14 +98,19 @@ class TestCompose:
 
 # ---------------------------------------------------------------------------
 # compose against the Leibniz rule on MatRF coefficients, the way products
-# were formed before they went through apply
+# were formed before they went through apply; a rational operator's
+# coefficients are read through the exit accessor coeff(j)
+
+
+def _matrf_coeffs(d):
+    return [MatRF(d.coeff(j).rows) for j in range(d.order + 1)]
 
 
 def _leibniz(first, second):
     n = first.size
     out = [MatRF.zeros(n)] * (first.order + second.order + 1)
-    for j, g in enumerate(second.coeffs):
-        for i, f in enumerate(first.coeffs):
+    for j, g in enumerate(_matrf_coeffs(second)):
+        for i, f in enumerate(_matrf_coeffs(first)):
             ders = [f]
             for _ in range(j):
                 ders.append(ders[-1].derivative())
@@ -211,23 +215,37 @@ def _random_op(data, size, maxorder):
 def _as_matpoly(v, size):
     if isinstance(v, MatPoly):
         return v
-    from mvop.diffop import matrf_to_matpoly
+    return MatPoly(v.poly_rows())
 
-    return matrf_to_matpoly(v)
+
+class _UnitWeight:
+    """Unit density and identity factor: the W-adjoint is then the formal
+    adjoint *, sending d to -d and constant matrices to their transposes."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def factor_data(self):
+        one = MatPoly.identity(self.size)
+        return Poly(), Poly((1,)), one, one, Poly((1,))
+
+
+def _formal_star(d):
+    return w_adjoint(d, _UnitWeight(d.size))
 
 
 class TestFormalStar:
     def test_d_negates(self):
-        assert formal_star(DiffOp.ddx(2)) == -1 * DiffOp.ddx(2)
+        assert _formal_star(DiffOp.ddx(2)) == -1 * DiffOp.ddx(2)
 
     def test_constant_transposes(self):
         c = DiffOp(2, [MatRF([[Poly((1,)), X * 0 + Poly((2,))], [Poly((3,)), Poly((4,))]])])
-        got = formal_star(c)
+        got = _formal_star(c)
         assert got.coeff(0).entry(0, 1) == RatFunc(Poly((3,)))
 
     def test_square_of_ladder(self):
         # ((d-1)^2)* = (d+1)^2 = d^2 + 2d + 1
-        got = formal_star(op_power(lag_v(), 2))
+        got = _formal_star(op_power(lag_v(), 2))
         want = DiffOp.scalar([Poly((1,)), Poly((2,)), Poly((1,))])
         assert got == want
 
@@ -237,8 +255,8 @@ class TestFormalStar:
         size = data.draw(st.integers(1, 2))
         a = _random_op(data, size, 2)
         b = _random_op(data, size, 2)
-        assert formal_star(formal_star(a)) == a
-        assert formal_star(compose(a, b)) == compose(formal_star(b), formal_star(a))
+        assert _formal_star(_formal_star(a)) == a
+        assert _formal_star(compose(a, b)) == compose(_formal_star(b), _formal_star(a))
 
 
 class TestWAdjoint:
@@ -300,26 +318,28 @@ class TestWAdjoint:
 
 class TestOrderLead:
     def test_jacobi_delta(self):
-        order, lead = op_order_lead(Jacobi(F(1, 2), F(3, 4)).delta())
-        assert order == 2
-        assert lead == MatRF([[RatFunc(Poly((1, 0, -1)))]])
+        d = Jacobi(F(1, 2), F(3, 4)).delta()
+        assert d.order == 2
+        assert d.coeff(d.order) == MatPoly([[Poly((1, 0, -1))]])
 
     def test_laguerre_ladder_products(self):
         from mvop.dwalgebra import module_generator
 
         for k in (1, 2, 3):
             t = module_generator(Laguerre(ALPHA + k), Laguerre(ALPHA))
-            order, lead = op_order_lead(t)
-            assert order == k
-            assert lead == MatRF([[RatFunc(X**k)]])
+            assert t.order == k
+            assert t.coeff(t.order) == MatPoly([[X**k]])
 
     def test_constant(self):
-        order, lead = op_order_lead(DiffOp.identity(2))
-        assert order == 0 and lead == MatRF.identity(2)
+        d = DiffOp.identity(2)
+        assert d.order == 0 and d.coeff(d.order) == MatPoly.identity(2)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            op_order_lead(DiffOp.zero(1))
+        # the zero operator has no leading coefficient and no symbol
+        z = DiffOp.zero(1)
+        assert z.order == -1 and z.coeffs == ()
+        rep = degree_preserving(z)
+        assert not rep.ok and rep.detail == "zero operator"
 
 
 class TestDegreePreserving:
@@ -390,3 +410,126 @@ class TestAssembly:
         mutated = bump_coefficient(d, sites[0])
         assert mutated != d
         assert bump_coefficient(mutated, sites[0], -1) == d
+
+
+# ---------------------------------------------------------------------------
+# the numerator form against the MatRF arithmetic it replaced, kept here as
+# the oracle
+
+
+def _apply_matrf(p, d):
+    acc, der = MatRF.zeros(p.size), p
+    for j, f in enumerate(_matrf_coeffs(d)):
+        if j:
+            der = der.derivative()
+        acc = acc + der * f
+    return acc
+
+
+def _w_adjoint_matrf(d, weight):
+    """sum_{l >= k} (-1)^l binom(l, k) T^(l-k)(M F_l^T) M^-1 with T(R) =
+    R' + sigma R, each entry a RatFunc normalised by gcd at every step."""
+    fam, m = weight.as_atomic()
+    sigma, minv, fs = fam.sigma(), m.inverse(), _matrf_coeffs(d)
+    out = []
+    for k in range(d.order + 1):
+        acc = MatRF.zeros(d.size)
+        for l in range(k, d.order + 1):
+            r = m * fs[l].transpose()
+            for _ in range(l - k):
+                r = r.derivative() + r * sigma
+            acc = acc + r * (F(-1) ** l * math.comb(l, k))
+        out.append(acc * minv)
+    return DiffOp(d.size, out)
+
+
+nonconstant_polys = small_polys.filter(lambda g: g.degree > 0)
+symbols = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@st.composite
+def rational_factor_weights(draw):
+    """Laguerre(alpha) * B diag(1/(x + c_i)) B^T, B unit lower triangular: a
+    factor with non-polynomial entries, positive definite on x > 0."""
+    cs = [draw(st.integers(1, 3)) for _ in range(2)]
+    b = MatRF([[Poly((1,)), Poly()], [draw(small_polys), Poly((1,))]])
+    m = b * MatRF.diag(*(RatFunc(Poly((1,)), X + c) for c in cs)) * b.transpose()
+    return Weight.atomic(Laguerre(draw(st.sampled_from([F(0), F(1, 2), F(2)]))), m)
+
+
+class TestNumeratorForm:
+    @given(st.integers(1, 2).flatmap(lambda n: _ops(n, st.one_of(small_polys, ratfuncs), 3)), nonconstant_polys)
+    @settings(max_examples=30, deadline=None)
+    def test_canonical_form(self, d, g):
+        # numerators times g over den times g reduce to the same operator
+        scaled = DiffOp(d.size, [c * g for c in d.coeffs], d.den * g)
+        assert scaled == d and hash(scaled) == hash(d)
+        assert scaled.den.lc == 1 and (scaled.den == Poly((1,))) == d.is_polynomial
+
+    @given(symbols)
+    @settings(max_examples=40, deadline=None)
+    def test_bareiss_against_matrf_det(self, rows):
+        det, _ = bareiss(rows)
+        assert RatFunc(det) == MatRF(rows).det()
+        # [A | I] leaves the adjugate: A adj(A) = det(A) I
+        n = len(rows)
+        adet, adj = bareiss([[*r, *e] for r, e in zip(rows, MatPoly.identity(n).rows)])
+        assert adet == det
+        if det:
+            assert MatPoly(rows) * MatPoly(adj) == MatPoly.scalar(det, n)
+        else:
+            assert adj is None
+
+    @given(small_polys, nonconstant_polys, st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_quotient_chain_against_ratfunc_derivative(self, p, q, count):
+        r = RatFunc(p, q)
+        for t, num in enumerate(quotient_chain(p, q, count)):
+            assert RatFunc(num, q ** (t + 1)) == r
+            r = r.derivative()
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(ratfuncs, min_size=n, max_size=n), min_size=n, max_size=n).map(MatRF),
+        _ops(n, st.one_of(small_polys, ratfuncs), 3),
+    )))
+    @settings(max_examples=30, deadline=None)
+    def test_rational_action(self, pd):
+        p, d = pd
+        got, want = apply(p, d), _apply_matrf(p, d)
+        assert isinstance(got, MatPoly) == want.is_polynomial
+        assert MatRF(got.rows) == want
+
+    @given(rational_factor_weights(), _ops(2, st.one_of(small_polys, ratfuncs), 2))
+    @settings(max_examples=20, deadline=None)
+    def test_rational_factor_adjoint(self, w, d):
+        assert w_adjoint(d, w) == _w_adjoint_matrf(d, w)
+
+
+class TestPolynomialPath:
+    def test_no_rational_arithmetic(self, monkeypatch):
+        # every operator the catalog builds is polynomial, and so is all of
+        # its work once the weights are set up
+        from mvop.catalog import ENTRY_NAMES, check_entry, entry
+
+        entries = [entry(name) for name in ENTRY_NAMES]
+        for e in entries:
+            for w in e.doc.weights.values():
+                w.as_atomic()
+                w.factor_data()
+                sequence_for(w)
+
+        def refuse(*args):
+            raise AssertionError("rational arithmetic on the polynomial path")
+
+        for name in ("__add__", "__mul__", "__truediv__", "derivative"):
+            monkeypatch.setattr(RatFunc, name, refuse)
+        monkeypatch.setattr(MatRF, "__mul__", refuse)
+        for e in entries:
+            assert check_entry(e, 8).ok
+            for d in (*e.ops.values(), *e.verbatim_ops.values()):
+                degree_preserving(d)
+                for w in e.doc.weights.values():
+                    if w.size == d.size:
+                        w_adjoint(d, w)

@@ -15,21 +15,18 @@ from hypothesis import example, given, settings, strategies as st
 from mvop import weights
 from mvop.catalog import entry
 from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, ShapeError, SingularError, X
-from mvop.diffop import DiffOp, MatPoly, apply, matrf_to_matpoly, w_adjoint
+from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
 from mvop.weights import (
     HermiteShifted,
     Jacobi,
     Laguerre,
     OPSequence,
     Weight,
-    classical_delta,
     classical_monic,
     density_ratio,
     inner_product,
     moment_rows,
     monic_ops,
-    normalized_moments,
-    scalar_recursion,
     sequence_for,
 )
 
@@ -68,7 +65,7 @@ def row_moments(family, s_max):
 def gram_schmidt_recursion(family, n_max):
     """Oracle: monic orthogonal polynomials from closed-recurrence moments by
     Gram-Schmidt, and the three-term coefficients they induce."""
-    nu = normalized_moments(family, 2 * n_max + 2).values
+    nu = weights._moments_list(family, 2 * n_max + 2)
 
     def ip(p, q):
         prod = p * q
@@ -91,68 +88,64 @@ def gram_schmidt_recursion(family, n_max):
 
 class TestClassicalDelta:
     def test_laguerre(self):
-        d = classical_delta(Laguerre(F(1, 2)))
+        d = Laguerre(F(1, 2)).delta()
         assert d == DiffOp.scalar([Poly(), Poly((F(3, 2), -1)), X])
 
     def test_jacobi(self):
         a, b = F(1, 2), F(3, 4)
-        d = classical_delta(Jacobi(a, b))
+        d = Jacobi(a, b).delta()
         assert d == DiffOp.scalar([Poly(), Poly((b - a, -(a + b + 2))), Poly((1, 0, -1))])
 
     def test_hermite_zero_shift(self):
-        d = classical_delta(HermiteShifted(F(0)))
+        d = HermiteShifted(F(0)).delta()
         assert d == DiffOp.scalar([Poly(), Poly((0, -2)), Poly((1,))])
 
 
 class TestScalarRecursion:
     def test_laguerre_base_case(self):
         a = F(1, 2)
-        assert scalar_recursion(Laguerre(a), 0) == (a + 1, F(0))
+        assert Laguerre(a).recursion(0) == (a + 1, F(0))
 
     def test_hermite_base_case(self):
         b = F(1, 3)
-        assert scalar_recursion(HermiteShifted(b), 1) == (b, F(1, 2))
+        assert HermiteShifted(b).recursion(1) == (b, F(1, 2))
 
     def test_symmetric_jacobi_centered(self):
         for n in range(6):
-            bn, _ = scalar_recursion(Jacobi(F(1, 2), F(1, 2)), n)
+            bn, _ = Jacobi(F(1, 2), F(1, 2)).recursion(n)
             assert bn == 0
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_against_gram_schmidt_oracle(self, family):
         _, oracle = gram_schmidt_recursion(family, 6)
         for n in range(7):
-            assert scalar_recursion(family, n) == oracle[n]
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(DomainError):
-            scalar_recursion(Laguerre(F(1, 2)), -1)
+            assert family.recursion(n) == oracle[n]
 
 
 class TestMoments:
     def test_laguerre_gamma_recursion_values(self):
         a = F(1, 2)
-        nu = normalized_moments(Laguerre(a), 2)
+        nu = weights._moments_list(Laguerre(a), 2)
         assert nu[1] == a + 1
         assert nu[2] == (a + 1) * (a + 2)
 
     def test_hermite_odd_vanishes(self):
-        nu = normalized_moments(HermiteShifted(F(0)), 5)
+        nu = weights._moments_list(HermiteShifted(F(0)), 5)
         assert nu[1] == 0 and nu[3] == 0 and nu[5] == 0
 
     def test_jacobi_first_moment(self):
         a, b = F(1, 2), F(3, 4)
-        nu = normalized_moments(Jacobi(a, b), 1)
+        nu = weights._moments_list(Jacobi(a, b), 1)
         assert nu[1] == (b - a) / (a + b + 2)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_consistency_with_closed_recurrence(self, family):
-        closed_route = normalized_moments(family, 20).values
+        closed_route = weights._moments_list(family, 20)[:21]
         jacobi_route = row_moments(family, 20)
         assert list(closed_route) == jacobi_route
 
     def test_zeroth_is_one(self):
-        assert normalized_moments(Jacobi(F(0), F(0)), 0)[0] == 1
+        assert weights._moments_list(Jacobi(F(0), F(0)), 0)[0] == 1
 
     _PARAM = st.fractions(min_value=F(-6, 7), max_value=F(5), max_denominator=7)
 
@@ -214,8 +207,8 @@ def _inner_product_by_fracmat(p, q, weight):
     """Oracle: the integrand's coefficient matrices times the moments, summed
     as FracMats."""
     fam, mat = weight.as_atomic()
-    integrand = p * matrf_to_matpoly(mat) * q.transpose()
-    nu = normalized_moments(fam, max(integrand.degree, 0))
+    integrand = p * MatPoly(mat.poly_rows()) * q.transpose()
+    nu = weights._moments_list(fam, max(integrand.degree, 0))
     acc = FracMat.zeros(p.size)
     for s in range(integrand.degree + 1):
         c = integrand.coeff(s)
@@ -452,7 +445,6 @@ class TestAdjointPairing:
     def test_pairing_on_catalog_members(self):
         # <P . D, Q> = <P, Q . Ddagger> on monomials up to degree 5
         from mvop.catalog import entry
-        from mvop.diffop import matrf_to_matpoly
 
         pairs = []
         jac2 = entry("JAC2")
