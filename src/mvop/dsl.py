@@ -35,6 +35,7 @@ parsed: the algebra layer never sees symbols.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,6 +99,13 @@ class _Tok:
 
 
 _SYMBOLS = set("=+-*/^()[],;")
+# ASCII only: str.isdigit and str.isalpha also accept other scripts' digits
+# and letters, and superscripts, which int() then reads or refuses
+_DIGITS = set(string.digits)
+_NAME_START = set(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+# decimal digits of 2^(LIMIT^2), the most a literal within the bit bound has
+_MAX_DIGITS = len(str(1 << LIMIT * LIMIT))
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -123,17 +131,20 @@ def _lex(text: str) -> list[_Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
+            digits = text[i:j].lstrip("0") or "0"
+            if len(digits) > _MAX_DIGITS or int(digits) >> LIMIT * LIMIT:
+                raise ParseError(f"integer literal exceeds {LIMIT * LIMIT} bits", line, col)
+            toks.append(_Tok("INT", digits, line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             toks.append(_Tok("NAME", text[i:j], line, col))
             col += j - i

@@ -277,6 +277,17 @@ class TestMain:
         assert [{k: v for k, v in c.items() if k != "time_ms"} for c in report["checks"]] == checks
 
 
+def test_darboux_on_mixed_supports_is_an_error_row(tmp_path, capsys):
+    # at nmax 0 checks 1, 2 and 4 pass, and W (+) Wt cannot be formed
+    p = tmp_path / "mixed.mvop"
+    p.write_text("weight W = laguerre(alpha=1/2)\nweight H = hermite(b=0)\nop I = 1\ncheck darboux(W, H, I, I, I)\n")
+    rc = main(["verify", str(p), "--nmax", "0"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "ERROR darboux(W, H, I, I, I)  [DomainError: direct sum blocks must share a support interval]"
+    )
+
+
 class TestBadParams:
     """Parameter and admission errors exit 2 with one message line."""
 
@@ -332,6 +343,23 @@ class TestBadParams:
         self.assert_usage_error(
             ["verify", str(DATA_DIR / "geg2.mvop"), "--nmax", "2", "--out", str(out)], capsys, "cannot write report"
         )
+
+    @pytest.mark.parametrize(
+        "value, needle",
+        [
+            # read as 3 by int()
+            ("\u0663", "line 1, column 11: unexpected character"),
+            # escaped as "bad parameters: invalid literal for int()"
+            ("1\u00b2", "line 1, column 12: unexpected character"),
+            # past int()'s 4,300-digit limit, escaped the same way
+            ("9" * 5000, "line 1, column 11: integer literal exceeds 4096 bits"),
+        ],
+        ids=["arabic-indic-digit", "superscript-two", "5000-digits"],
+    )
+    def test_non_ascii_and_oversized_literals_are_parse_errors(self, value, needle, tmp_path, capsys):
+        p = tmp_path / "lit.mvop"
+        p.write_text(f"param a = {value}\n", encoding="utf-8")
+        self.assert_usage_error(["verify", str(p)], capsys, f"parse error: {needle}")
 
     def test_negative_slack_refused(self, capsys):
         # slack -5 used to print PASS with "no intertwiner up to order 1"

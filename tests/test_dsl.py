@@ -216,6 +216,18 @@ class TestParseErrors:
             parse_spec(f"op T = d^1*[{text}]\n")
         assert time.perf_counter() - start < 1
 
+    def test_literal_bit_bound(self):
+        # the bound that products and powers have, at the literal's token;
+        # leading zeros do not count
+        assert parse_spec(f"param a = 000{2**4096 - 1}\n").params["a"] == 2**4096 - 1
+        with pytest.raises(ParseError, match="column 11: integer literal exceeds 4096 bits"):
+            parse_spec(f"param a = {2**4096}\n")
+
+    @pytest.mark.parametrize("text", ["param a\u0663 = 1\n", "param \u00e9 = 1\n", "param a = 1\u00b2\n"])
+    def test_non_ascii_refused(self, text):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_spec(text)
+
     def test_negative_slack_refused(self):
         # a negative slack drops coefficients the ansatz needs: slack -5 used
         # to report that no intertwiner of order 1 exists, though d^1 - 1 does

@@ -731,6 +731,78 @@ class TestDarbouxVerify:
         assert cert.conjugators == expected
 
 
+def _direct_darboux_checks(cert: DarbouxCertificate, rep) -> list[tuple]:
+    """(name, ok, detail) of all seven checks, with checks 5-7 computed by
+    their own scans, as darboux_verify ran them before it derived them."""
+    w, wt, n_max, v, nn = cert.W, cert.Wt, cert.n_max, cert.V, cert.Nn
+    mem = verify_in_DW(cert.D, w, n_max)
+    seq, seqt = sequence_for(w), sequence_for(wt)
+    if rep.checks[3].ok and mem.ok:
+        rev = relation(seqt.poly, nn, seq.poly, n_max, cs=lambda n: cert.conjugators[n].inv() * mem.eigs[n])
+    else:
+        rev = Verdict(False, "skipped: prerequisites failed")
+    implied = [
+        ("N V in algebra of Wt", verify_in_DW(compose(nn, v), wt, n_max)),
+        ("Pt_n . N = A_n^-1 Lambda_n(D) P_n", rev),
+        ("antidiagonal block operator in algebra of W (+) Wt",
+         verify_in_DW(block_antidiagonal(v, nn), Weight.direct_sum([w, wt]), n_max)),
+    ]
+    return [(c.name, c.ok, c.detail) for c in rep.checks[:4]] + [(k, r.ok, r.detail) for k, r in implied]
+
+
+class TestDerivedDarboux:
+    """Checks 5-7 are decided from checks 1, 2 and 4 when those pass; the
+    report must equal the one their own scans give."""
+
+    @pytest.mark.parametrize("n_max", [8, 16])
+    @pytest.mark.parametrize("name", ["JAC2", "LAG3", "HER3"])
+    def test_derived_report_equals_direct(self, name, n_max):
+        from mvop import weights
+        from mvop.catalog import entry
+        from test_catalog import ROBUSTNESS_PARAMS
+
+        for params in ROBUSTNESS_PARAMS[name]:
+            e = entry(name, params)
+            w, wt, ops = e.weight_W, e.weight_Wt, e.ops
+            weights._SEQUENCE_CACHE.pop(Weight.direct_sum([w, wt]), None)
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return relation(*args, **kwargs)
+
+            cert = DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"], n_max)
+            with mock.patch.object(dwalgebra, "relation", counted):
+                rep = darboux_verify(cert)
+            assert rep.ok and len(calls) == 2
+            assert Weight.direct_sum([w, wt]) not in weights._SEQUENCE_CACHE
+            assert [(c.name, c.ok, c.detail) for c in rep.checks] == _direct_darboux_checks(cert, rep)
+            certs = []
+            for k in ("D", "V", "N"):
+                sites = list(coefficient_sites(ops[k]))
+                bumped = {**ops, k: bump_coefficient(ops[k], sites[len(sites) // 2])}
+                certs.append(DarbouxCertificate(w, wt, bumped["V"], bumped["N"], bumped["D"], n_max))
+            # exactly one of checks 1, 2 and 4 fails
+            one = DiffOp.identity(w.size)
+            sites = list(coefficient_sites(ops["D"]))
+            outsider = bump_coefficient(ops["D"], sites[len(sites) // 2])
+            certs.append(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"] + ops["D"], n_max))
+            certs.append(DarbouxCertificate(w, w, one, outsider, outsider, n_max))
+            certs.append(DarbouxCertificate(w, wt, one, ops["D"], ops["D"], n_max))
+            for cert in certs:
+                rep = darboux_verify(cert)
+                assert not rep.ok
+                assert [(c.name, c.ok, c.detail) for c in rep.checks] == _direct_darboux_checks(cert, rep)
+            assert [[c.ok for c in (r.checks[0], r.checks[1], r.checks[3])]
+                    for r in map(darboux_verify, certs[3:])] == [[False, True, True], [True, False, True], [True, True, False]]
+
+    def test_mixed_support_still_refused(self):
+        one = DiffOp.identity(1)
+        cert = DarbouxCertificate(Laguerre(F(1, 2)).scalar_weight(), HermiteShifted(0).scalar_weight(), one, one, one, 0)
+        with pytest.raises(DomainError, match="direct sum blocks must share a support interval"):
+            darboux_verify(cert)
+
+
 class TestSandwichClosure:
     def test_catalog_certificates(self):
         # V A N stays in the algebra of the base for generators A of the

@@ -28,7 +28,12 @@ parameters for JAC2, LAG3 and HER3. The failing-n path is pinned by
 D in ``verify_in_DW``, V in ``matrix_intertwiner_verify`` and N in a whole
 ``darboux_verify``, whose reverse relation runs with stated constants. It was
 recorded by running this file on commit 554ad6d, before ``relation``'s cells
-moved onto one packed integer matrix product.
+moved onto one packed integer matrix product. Since ``darboux_verify`` decides
+its last three checks from the first, second and fourth when those pass, it
+calls ``relation`` twice on a sound certificate; the test then runs the three
+relations those checks stood for (N V on Wt, the reverse conjugation, the
+block operator on W (+) Wt) itself, in their old order, so the digest is the
+one recorded on 554ad6d.
 
 The fifth sha256 pins adjoints and symbols, at default parameters and at each
 ``ROBUSTNESS_PARAMS`` set: the ``repr`` of every ``symmetry_check`` and
@@ -47,7 +52,15 @@ from fractions import Fraction as F
 
 from mvop.catalog import ENTRY_NAMES, check_entry, entry, verify_entry
 from mvop import catalog, dwalgebra
-from mvop.diffop import DiffOp, bump_coefficient, coefficient_sites, degree_preserving, w_adjoint
+from mvop.diffop import (
+    DiffOp,
+    block_antidiagonal,
+    bump_coefficient,
+    coefficient_sites,
+    compose,
+    degree_preserving,
+    w_adjoint,
+)
 from mvop.exactalg import MatRF, X
 from mvop.dsl import op_str
 from mvop.dwalgebra import (
@@ -138,7 +151,16 @@ def _relation_outputs():
             e = entry(name)
             W, Wt, ops = e.weight_W, e.weight_Wt, e.ops
             verdicts.clear()
-            darboux_verify(DarbouxCertificate(W, Wt, ops["V"], ops["N"], ops["D"], 16))
+            cert = DarbouxCertificate(W, Wt, ops["V"], ops["N"], ops["D"], 16)
+            darboux_verify(cert)
+            # checks 5-7 follow from checks 1, 2 and 4 and scan nothing, so the
+            # three relations they stood for run here, in their old order
+            assert len(verdicts) == 2
+            seq, seqt, mem = sequence_for(W), sequence_for(Wt), verdicts[0]
+            verify_in_DW(compose(ops["N"], ops["V"]), Wt, 16)
+            dwalgebra.relation(seqt.poly, ops["N"], seq.poly, 16,
+                               cs=lambda n: cert.conjugators[n].inv() * mem.eigs[n])
+            verify_in_DW(block_antidiagonal(ops["V"], ops["N"]), Weight.direct_sum([W, Wt]), 16)
             matrix_intertwiner_verify(ops["V"], W, Wt, 16)
             matrix_intertwiner_verify(ops["N"], Wt, W, 16)
             yield from (f"{name} {v!r}" for v in verdicts)
