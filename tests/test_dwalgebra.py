@@ -783,9 +783,7 @@ class TestDerivedDarboux:
                 bumped = {**ops, k: bump_coefficient(ops[k], sites[len(sites) // 2])}
                 certs.append(DarbouxCertificate(w, wt, bumped["V"], bumped["N"], bumped["D"], n_max))
             # exactly one of checks 1, 2 and 4 fails
-            one = DiffOp.identity(w.size)
-            sites = list(coefficient_sites(ops["D"]))
-            outsider = bump_coefficient(ops["D"], sites[len(sites) // 2])
+            one, outsider = DiffOp.identity(w.size), certs[0].D
             certs.append(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"] + ops["D"], n_max))
             certs.append(DarbouxCertificate(w, w, one, outsider, outsider, n_max))
             certs.append(DarbouxCertificate(w, wt, one, ops["D"], ops["D"], n_max))
