@@ -15,13 +15,14 @@ distinguishable.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
-from .exactalg import DomainError, FracMat, Poly, X, frac
+from .exactalg import DomainError, FracMat, Poly, X, bareiss, frac, int_matrix
 from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
 from .weights import Laguerre, Weight, inner_product, moment_rows, sequence_for
 from .dwalgebra import (
@@ -214,23 +215,21 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
     """True when det of the constant coefficient vanishes identically on the
     span of the given operators.
 
-    The determinant has degree at most ``size`` in each coordinate, so
-    vanishing on a full (size+1)^dim grid decides identity to zero exactly.
+    f(u) = det(sum u_i C_i), C_i the constant terms, is homogeneous of degree
+    ``size``: with u_dim = size - (u_1 + ... + u_(dim-1)) it has total degree
+    <= size in dim - 1 variables, so it is zero when zero on the unisolvent
+    simplex lattice u >= 0, sum u = size, and then f vanishes wherever sum u
+    != 0, hence everywhere. Each lattice point is a multiset of ``size`` C_i.
     """
-    import itertools
-
     if not basis:
         return True
-    consts = [b.coeff(0).coeff(0) for b in basis]
-    dim = len(consts)
+    dim = len(basis)
     if dim > 6:
-        raise DomainError(f"span of dimension {dim} exceeds the exact grid test's limit of 6")
-    for point in itertools.product(range(size + 1), repeat=dim):
-        acc = FracMat.zeros(size)
-        for ui, ci in zip(point, consts):
-            if ui:
-                acc = acc + ci * Fraction(ui)
-        if acc.det() != 0:
+        raise DomainError(f"span of dimension {dim} exceeds the exact lattice test's limit of 6")
+    ints = int_matrix([row for b in basis for row in b.coeff(0).coeff(0).rows])[0]
+    consts = [ints[i : i + size] for i in range(0, len(ints), size)]
+    for picks in itertools.combinations_with_replacement(consts, size):
+        if bareiss([[sum(cells) for cells in zip(*rows)] for rows in zip(*picks)])[0]:
             return False
     return True
 

@@ -149,6 +149,9 @@ def _parse_params(s: str | None) -> dict[str, Fraction]:
         k, v = (t.strip() for t in piece.split("=", 1))
         if k in out:
             raise ValueError(f"--params names {k!r} more than once")
+        if not v.isascii():
+            # Fraction() reads any script's digits; the DSL reads ASCII only
+            raise ValueError(f"--params value {v!r} for {k!r} is not ASCII")
         out[k] = frac(v)
     return out
 

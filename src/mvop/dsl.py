@@ -231,8 +231,19 @@ _ONE = MatPoly.identity(1)
 
 
 def _as_op(v) -> DiffOp:
-    """A polynomial as an operator: multiplication by it."""
-    return v if isinstance(v, DiffOp) else DiffOp.scalar([v])
+    """A polynomial or constant as an operator: multiplication by it."""
+    return v if isinstance(v, DiffOp) else DiffOp.scalar([_as_poly(v)])
+
+
+def _as_poly(v):
+    """A constant as a polynomial; any other value as it is."""
+    return Poly.const(v) if isinstance(v, Fraction) else v
+
+
+def _const(v) -> Fraction | None:
+    """The value of a constant or of a polynomial of degree <= 0, else None."""
+    c = v[0] if isinstance(v, Poly) and v.degree <= 0 else v
+    return c if isinstance(c, Fraction) else None
 
 
 def _lift(op: DiffOp, n: int) -> DiffOp:
@@ -246,6 +257,8 @@ def _bits(coeffs) -> int:
 
 def _measure(v) -> tuple[int, int, int]:
     """Order, coefficient degree and coefficient bit length of a value."""
+    if isinstance(v, Fraction):
+        return (0, 0, _bits((v,))) if v else (0, -1, 0)
     if isinstance(v, Poly):
         return 0, v.degree, _bits(v.coeffs)
     cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
@@ -416,18 +429,18 @@ class _Parser:
             self.err("matrix must be square with equal-length rows", start)
         return MatPoly(rows)
 
-    # expressions: a value is a Poly or a DiffOp
+    # expressions: a value is a constant (Fraction), a Poly or a DiffOp
 
     def const_expr(self) -> Fraction:
         tok = self.peek()
-        p = self.expr()
-        if not isinstance(p, Poly) or p.degree > 0:
+        c = _const(self.expr())
+        if c is None:
             self.err("expected a constant expression", tok)
-        return p[0]
+        return c
 
     def polynomial(self) -> Poly:
         tok = self.peek()
-        p = self.expr()
+        p = _as_poly(self.expr())
         if not isinstance(p, Poly):
             self.err("a matrix entry must be a polynomial, not an operator", tok)
         return p
@@ -453,11 +466,11 @@ class _Parser:
                 return acc
             rhs = self.factor()
             if tok.text == "/":
-                if not isinstance(rhs, Poly) or rhs.degree > 0:
+                if (rhs := _const(rhs)) is None:
                     self.err("division by a non-constant expression", tok)
-                if rhs.is_zero:
+                if not rhs:
                     self.err("division by zero", tok)
-                rhs = Poly.const(1 / rhs[0])
+                rhs = 1 / rhs
             acc = self.product(acc, rhs, tok)
 
     def nested(self, parse, tok):
@@ -482,7 +495,7 @@ class _Parser:
             k = self.small_int("exponent")
             o, d, b = _measure(base)
             self.bound(hat, "power", o * k, d * k, b * k, f"{b}-bit coefficients to {k}")
-            base = base**k if isinstance(base, Poly) else op_power(base, k)
+            base = op_power(base, k) if isinstance(base, DiffOp) else base**k
         return base
 
     def atom(self):
@@ -492,7 +505,7 @@ class _Parser:
             return DiffOp(m.size, [m])
         self.next()
         if t.kind == "INT":
-            return Poly.const(int(t.text))
+            return Fraction(int(t.text))
         if t.kind == "SYM" and t.text == "(":
             value = self.nested(self.expr, t)
             self.expect("SYM", ")")
@@ -511,7 +524,7 @@ class _Parser:
             self.expect("SYM", ")")
             return fam.delta()
         if t.text in self.doc.params:
-            return Poly.const(self.doc.params[t.text])
+            return self.doc.params[t.text]
         if t.text in self.doc.ops:
             return self.doc.ops[t.text]
         if t.text in self.doc.weights:
@@ -533,10 +546,10 @@ class _Parser:
         (oa, da, ba), (ob, db, bb) = _measure(a), _measure(b)
         self.bound(tok, "product", oa + ob, da + db, ba + bb, f"{ba}-bit and {bb}-bit coefficients")
         # constants commute with every operator
-        if isinstance(b, Poly) and b.degree <= 0:
-            return a * b[0]
-        if isinstance(a, Poly) and a.degree <= 0:
-            return b * a[0]
+        if (c := _const(b)) is not None:
+            return a * c
+        if (c := _const(a)) is not None:
+            return b * c
         if isinstance(a, Poly) and isinstance(b, Poly):
             return a * b
         a, b = _as_op(a), _as_op(b)
@@ -547,10 +560,10 @@ class _Parser:
         return compose(*self.same_size(a, b, tok))
 
     def same_size(self, a, b, tok):
-        """Two polynomials, or two operators of one size: a 1x1 operator in
-        an N x N expression acts as itself times the identity."""
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return a, b
+        """Two constants, two polynomials, or two operators of one size: a 1x1
+        operator in an N x N expression acts as itself times the identity."""
+        if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
+            return (a, b) if type(a) is type(b) else (_as_poly(a), _as_poly(b))
         a, b = _as_op(a), _as_op(b)
         if a.size == b.size:
             return a, b

@@ -17,7 +17,6 @@ never as nonexistence proofs.
 
 from __future__ import annotations
 
-import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .exactalg import (
     X,
     digit,
     int_entries,
+    int_matrix,
     nullspace,
     pack,
     pack_width,
@@ -211,8 +211,7 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     if fast:
         s1, s2 = qf[1], 1
     else:
-        lc = math.lcm(*(v.denominator for row in c.rows for v in row))
-        chat = [[v.numerator * (lc // v.denominator) for v in row] for row in c.rows]
+        chat, lc = int_matrix(c.rows)
         s1, s2 = lc * qf[1], den
         cbits = max(abs(v) for row in chat for v in row).bit_length()
         need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())

@@ -12,7 +12,8 @@ serves the small systems: ``det`` multiplies its pivots, and
 ``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
 solution off the reduced form that ``_reduce`` makes of it by back
 substitution. ``bareiss`` eliminates polynomial matrices fraction-free, for
-symbol determinants and the adjugate of a weight factor. ``nullspace``,
+symbol determinants and the adjugate of a weight factor, and integer ones,
+for leading minors, Gram blocks and the singular-span test. ``nullspace``,
 whose callers are the searches' large sparse integer systems, eliminates
 as ``_eliminate`` does, fraction-free, on primitive integer rows kept as
 maps of their nonzeros, and forms one Fraction per basis entry.
@@ -263,6 +264,12 @@ def int_entries(polys):
     scales = [den // f[1] if f else 1 for f in forms]
     bits = max((f[2] + (s - 1).bit_length() for f, s in zip(forms, scales) if f), default=0)
     return [tuple(s * c for c in f[0]) if s > 1 else f[0] if f else () for f, s in zip(forms, scales)], den, bits
+
+
+def int_matrix(rows):
+    """(integer rows, L) of rows of Fractions over their common denominator L."""
+    den = math.lcm(*(v.denominator for r in rows for v in r))
+    return [[v.numerator * (den // v.denominator) for v in r] for r in rows], den
 
 
 def pack_width(bits: int, step: int = 64) -> int:
@@ -568,12 +575,6 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def __call__(self, x) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise DomainError(f"pole at x = {x}")
-        return self.num(x) / d
-
     def __repr__(self):
         return f"RatFunc({self!s})"
 
@@ -671,21 +672,25 @@ def solve_square(a_rows, b_rows):
     return [row[n:] for _, row in sorted(zip(pivots, _reduce(pivots, echelon)))]
 
 
-def bareiss(rows) -> tuple[Poly, list[list[Poly]] | None]:
-    """det A and det(A) A^-1 B for rows [A | B] of Poly entries, A the leading
-    square block (with B = I, the adjugate of A), by fraction-free (Bareiss)
-    elimination: at step k each other row becomes (p a_i - a_ik a_k) / p', p
-    the pivot a_kk and p' the one before, and every division is exact. With
-    a B the rows above each pivot are cleared as well (Gauss-Jordan), which
-    the determinant alone does not need. (0, None) when A is singular.
+def bareiss(rows, admit=None):
+    """det A and det(A) A^-1 B for rows [A | B] of Poly or int entries, A the
+    leading square block (with B = I, the adjugate of A), by fraction-free
+    (Bareiss) elimination: at step k each other row becomes (p a_i - a_ik
+    a_k) / p', p the pivot a_kk and p' the one before, and every division is
+    exact. With a B the rows above each pivot are cleared as well
+    (Gauss-Jordan), which the determinant alone does not need. (0, None)
+    when A is singular, or when ``admit(k, p)`` is false for a pivot p; it
+    sees p before any row exchange, and without exchanges pivot k is the
+    leading principal minor of order k + 1.
     """
     n = len(rows)
     a = [list(r) for r in rows]
-    prev, sign = _P1, 1
+    div, zero, one = (exact_div, _P0, _P1) if isinstance(a[0][0], Poly) else (operator.floordiv, 0, 1)
+    prev, sign = one, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return _P0, None
+        if admit and not admit(k, a[k][k]) or p is None:
+            return zero, None
         if p != k:
             a[k], a[p], sign = a[p], a[k], -sign
         piv, pivot_row = a[k][k], a[k][k:]
@@ -693,7 +698,7 @@ def bareiss(rows) -> tuple[Poly, list[list[Poly]] | None]:
             if i != k:
                 f = a[i][k]
                 cells = (piv * v - f * w for v, w in zip(a[i][k:], pivot_row))
-                a[i][k:] = [exact_div(c, prev) for c in cells] if prev != _P1 else cells
+                a[i][k:] = [div(c, prev) for c in cells] if prev != one else cells
         prev = piv
     return prev * sign, [[v * sign for v in r[n:]] for r in a]
 
@@ -943,6 +948,3 @@ class MatRF(Matrix):
 
     def poly_rows(self) -> tuple[tuple[Poly, ...], ...]:
         return tuple(tuple(c.as_poly() for c in r) for r in self.rows)
-
-    def eval(self, x) -> FracMat:
-        return FracMat([[c(x) for c in r] for r in self.rows])

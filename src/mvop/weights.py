@@ -10,7 +10,6 @@ by a positive global factor.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,9 @@ from .exactalg import (
     frac,
     int_const,
     int_dot,
+    int_entries,
     int_form,
+    int_matrix,
 )
 from .diffop import DiffOp, MatPoly, numerator_form
 
@@ -366,22 +367,24 @@ class Weight:
 
     def _positivity_spot_check(self):
         # ratio > 0 on the open support, so positive definiteness of W(x) at a
-        # rational sample point is exactly positivity of M(x)'s leading minors
-        pts = self.family.sample_points()
-        if all(c.is_polynomial and c.num.degree < 1 for row in self.M.rows for c in row):
+        # rational sample point is exactly positivity of M(x)'s leading minors.
+        # With M = N/m, L N integer (``cells``) and y = p/q, minor k of
+        # q^e L N(y) (e = deg N) is (q^e L m(y))^k times M(y)'s, and it is
+        # pivot k of bareiss, which sees each pivot before any row exchange
+        (num,), m = numerator_form([self.M])
+        cells = int_entries([e for row in num.rows for e in row])[0]
+        n, e, pts = num.size, num.degree, self.family.sample_points()
+        if e < 1 and m.degree < 1:
             pts = pts[:1]  # a constant factor has the same minors everywhere
         for x in pts:
-            try:
-                m = self.M.eval(x)
-            except DomainError:
-                m = self.M.eval(x + Fraction(1, 997))
-            n = m.nrows
-            for k in range(1, n + 1):
-                sub = FracMat([row[:k] for row in m.rows[:k]])
-                if sub.det() <= 0:
-                    raise DomainError(
-                        f"weight factor not positive definite at sample x = {x}"
-                    )
+            y = x if m(x) else x + Fraction(1, 997)  # off a pole of M
+            if not (my := m(y)):
+                raise DomainError(f"pole at x = {y}")
+            p, q, s = y.numerator, y.denominator, 1 if my > 0 else -1
+            powers = [p**i * q ** (e - i) for i in range(e + 1)]
+            rows = [[sum(map(operator.mul, cells[r * n + c], powers)) for c in range(n)] for r in range(n)]
+            if not bareiss(rows, lambda k, minor: minor * s ** (k + 1) > 0)[0]:
+                raise DomainError(f"weight factor not positive definite at sample x = {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ class OPSequence:
         self._polys: list[MatPoly] = []
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
-        self._h_prev_inv: FracMat | None = None  # H_{k-1}^-1 of the last step
+        self._h_inv = None  # H_k^-1 of the last step: (integer matrix, denominator)
         # an identity factor takes the family's closed forms; decided once,
         # since building MatRF.identity costs a RatFunc per entry
         self._closed = weight.is_atomic and weight.M == MatRF.identity(weight.size)
@@ -458,20 +461,23 @@ class OPSequence:
             b, c = w.family.recursion(k)
             bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
         else:
-            # rows k and k + 1; nu_(k+1).. must be as long as every entry of
-            # P_k M, since contraction stops at the shorter input
+            # rows k, k + 1 over one denominator dh; nu_(k+1).. must be as long
+            # as every entry of P_k M, since contraction stops at the shorter
             fam, pm = _times_factor(pk, w)
             nums, den = _moment_numerators(fam, max(pm.degree, 0) + k + 1)
-            h, xh = (_moment_row(pm, nums[j:], den) for j in (k, k + 1))
-            try:
-                h_inv = h.inv()
-            except SingularError as exc:
-                raise SingularError(f"degenerate moment system at degree {k + 1}") from exc
-            if k:
-                xh = xh + h * pk.coeff(k - 1).transpose()
-            bk = xh * h_inv
-            ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
-            self._h_prev_inv = h_inv
+            hr, dh = int_matrix([row for j in (k, k + 1) for row in _moment_row(pm, nums[j:], den).rows])
+            h, r = hr[: w.size], hr[w.size :]
+            det, adj = bareiss([row + [int(i == j) for j in range(w.size)] for i, row in enumerate(h)])
+            if not det:
+                raise SingularError(f"degenerate moment system at degree {k + 1}")
+            # with H_k^-1 = dh adj / det and P_{k,k-1} = pn / pd (zero at
+            # k = 0), <x P_k, P_k> = (r pd + h pn^T) / (dh pd), so
+            # B_k = (r pd + h pn^T) adj / (pd det); C_k = H_k H_{k-1}^-1
+            pn, pd = int_matrix(pk.coeff(k - 1).rows)
+            r = [[a * pd + b for a, b in zip(ra, rb)] for ra, rb in zip(r, _int_product(h, list(zip(*pn))))]
+            bk = _over(_int_product(r, adj), pd * det)
+            ck = _over(_int_product(h, self._h_inv[0]), dh * self._h_inv[1]) if k else FracMat.zeros(w.size)
+            self._h_inv = [[v * dh for v in row] for row in adj], det
         # cell (r, c) of x P_k - B_k P_k - C_k P_{k-1} is one int_dot over
         # (x, P_k[r][c]), (-B_k[r][t], P_k[t][c]) and (-C_k[r][t], P_{k-1}[t][c])
         terms = [(bk, pk)] + ([(ck, self._polys[k - 1])] if k else [])
@@ -569,11 +575,19 @@ def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPo
     return fam, p * MatPoly(mat.poly_rows())
 
 
+def _int_product(a, b) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _over(rows, den) -> FracMat:
+    return FracMat([[Fraction(v, den) for v in row] for row in rows])
+
+
 def _moment_numerators(fam: ScalarWeightFamily, top: int) -> tuple[list[int], int]:
     """nu_0..nu_top as integers over their common denominator, and it."""
-    nu = _moments_list(fam, top)[: top + 1]
-    den = math.lcm(*(v.denominator for v in nu))
-    return [v.numerator * (den // v.denominator) for v in nu], den
+    (nums,), den = int_matrix([_moments_list(fam, top)[: top + 1]])
+    return nums, den
 
 
 def _contract(e: Poly, nums, den) -> Fraction:

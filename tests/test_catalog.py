@@ -1,12 +1,14 @@
 """Catalog entries: data fidelity, end-to-end verification, robustness."""
 
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvop import catalog
-from mvop.exactalg import DomainError, FracMat, Poly, RatFunc, X
+from mvop.exactalg import DomainError, FracMat, Poly, RatFunc, X, bareiss
 from mvop.catalog import ENTRY_NAMES, _gram_orthogonal, check_entry, default_params, entry, entry_document_text, verify_entry
 from mvop.cli import main, run
 from mvop.diffop import DiffOp, MatPoly, Verdict, apply, bump_coefficient, coefficient_sites
@@ -190,8 +192,9 @@ class TestVerification:
             assert l1 * l2 == l2 * l1
 
     def test_large_constant_term_span_refused(self):
-        # seven operators with zero constant term: the exact grid would have
-        # 2^7 points, and sampling instead would only be evidence
+        # seven operators with zero constant term: the span is refused before
+        # any lattice point is tried, since the exact test is bounded to
+        # dimension 6 and sampling instead would only be evidence
         from mvop.catalog import _const_term_singular_on_span
 
         with pytest.raises(DomainError, match="dimension 7"):
@@ -287,3 +290,61 @@ class TestGramOracle:
         qs[2] = qs[2] + MatPoly.scalar(X**3, 2)
         got = self.assert_same(qs, w, 6)
         assert not got.ok and counted
+
+
+def _singular_on_grid(consts, size):
+    """Oracle: det(sum u_i C_i) by ``FracMat.det`` at every point of the
+    full grid {0..size}^dim."""
+    for point in itertools.product(range(size + 1), repeat=len(consts)):
+        acc = FracMat.zeros(size)
+        for u, c in zip(point, consts):
+            if u:
+                acc = acc + c * F(u)
+        if acc.det() != 0:
+            return False
+    return True
+
+
+@st.composite
+def constant_spans(draw):
+    """(C_1..C_dim, size), dim 1-4, size 1-3: random constant terms, or
+    spans singular by construction (a common kernel vector, or fewer
+    rank-one terms than size), or unit diagonals, whose determinant
+    vanishes on the lattice one level below size but not identically."""
+    size, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.fractions(-2, 2, max_denominator=3)
+    square = st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size).map(FracMat)
+    kind = draw(st.sampled_from(["random", "common-kernel", "rank-one", "unit-diagonal"]))
+    if kind == "unit-diagonal":
+        return [FracMat.diag(*(int(j == i % size) for j in range(size))) for i in range(dim)], size
+    consts = [draw(square) for _ in range(dim)]
+    if kind == "common-kernel":
+        # every C_i kills the first column's direction
+        consts = [FracMat([[0, *row[1:]] for row in c.rows]) for c in consts]
+    elif kind == "rank-one":
+        consts = [FracMat([[a * b for b in c.rows[1 % size]] for a in c.rows[0]]) for c in consts]
+    return consts, size
+
+
+class TestConstTermLattice:
+    """LAG3's bounded no-smaller-factorization check tests det(sum u_i C_i)
+    on the simplex lattice sum u = size instead of the full grid; both must
+    decide the same."""
+
+    @given(constant_spans())
+    # det(u1 E11 + u2 E22) = u1 u2 vanishes at (1, 0) and (0, 1) only
+    @example(([FracMat([[1, 0], [0, 0]]), FracMat([[0, 0], [0, 1]])], 2))
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_matches_full_grid(self, case):
+        consts, size = case
+        basis = [DiffOp(size, [MatPoly([[Poly((v,)) for v in row] for row in c.rows])]) for c in consts]
+        assert catalog._const_term_singular_on_span(basis, size) == _singular_on_grid(consts, size)
+
+    def test_lag3_spans_take_ten_points(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(catalog, "bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+        report = verify_entry("LAG3", None, 2)
+        line = next(c for c in report.checks if c.name.startswith("no certificate factor"))
+        assert line.ok and "forward dim 3, reverse dim 3" in line.detail
+        # C(3 + 3 - 1, 2) = 10 lattice points per 3-dimensional span
+        assert len(calls) == 20

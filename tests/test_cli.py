@@ -309,6 +309,15 @@ class TestBadParams:
         # used to run with the last value, alpha = 3
         self.assert_usage_error(cmd + ["--params", "alpha=1/2, alpha=3"], capsys, "'alpha' more than once")
 
+    @pytest.mark.parametrize("cmd", [["entry", "JAC2"], ["verify", str(DATA_DIR / "jac2.mvop")]])
+    @pytest.mark.parametrize("value", ["٣", "١/٢", "３"], ids=["arabic-indic", "ratio", "fullwidth"])
+    def test_non_ascii_param_value_refused(self, cmd, value, capsys):
+        # Fraction() reads these as 3, 1/2 and 3: verify passed 10/10 with
+        # alpha = 3 while the same value in the document is a parse error
+        self.assert_usage_error(
+            cmd + ["--params", f"alpha={value}", "--nmax", "1"], capsys, f"--params value {value!r} for 'alpha' is not ASCII"
+        )
+
     def test_unknown_name_in_document(self, capsys):
         self.assert_usage_error(
             ["verify", str(DATA_DIR / "jac2.mvop"), "--params", "zeta=1"], capsys, "zeta"

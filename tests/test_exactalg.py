@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvop.diffop import DiffOp, IntOp, MatPoly, apply, int_action
 from mvop.exactalg import (
@@ -18,6 +18,7 @@ from mvop.exactalg import (
     X,
     _eliminate,
     _reduce,
+    bareiss,
     digit,
     exact_div,
     frac,
@@ -251,6 +252,41 @@ class TestLinearAlgebra:
         m = FracMat([[1, 2], [3, 4]])
         assert m * m.inv() == FracMat.identity(2)
         assert m.det() == -2
+
+
+# small integers with extra zeros, so that row exchanges and singular
+# matrices are common
+int_square_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.just(0), st.integers(-3, 3)), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+class TestIntegerBareiss:
+    """``bareiss`` on integers: exact floor division, the FracMat field
+    kernel's determinant and inverse, leading minors through ``admit``."""
+
+    @given(int_square_rows)
+    @example([[0, 1], [1, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fracmat_det_and_inv(self, rows):
+        n, m = len(rows), FracMat(rows)
+        det, adj = bareiss([r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+        assert type(det) is int and det == m.det() == bareiss(rows)[0]
+        if det:
+            assert all(type(v) is int for r in adj for v in r)
+            assert FracMat(adj) * F(1, det) == m.inv()
+        else:
+            assert adj is None
+
+    @given(int_square_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_admit_sees_leading_minors(self, rows):
+        # pivots up to the first zero one are the leading principal minors
+        seen = []
+        bareiss(rows, lambda k, p: seen.append(p) or p != 0)
+        minors = [FracMat([r[:k] for r in rows[:k]]).det() for k in range(1, len(rows) + 1)]
+        stop = next((k for k, v in enumerate(minors) if not v), len(rows) - 1)
+        assert seen == minors[: stop + 1]
 
 
 # small rationals with extra zeros, so that singular matrices are common

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mvop import weights
 from mvop.catalog import entry
-from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, ShapeError, SingularError, X
+from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, SingularError, X
 from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
 from mvop.weights import (
     HermiteShifted,
@@ -476,6 +476,68 @@ class TestAdjointPairing:
                     assert lhs == rhs
 
 
+def _spot_check_by_fracmat(weight):
+    """Oracle: every leading minor of M(x) by ``FracMat.det`` at each sample
+    point, M evaluated entry by entry (at x + 1/997 when x is a pole); the
+    refusal message names x. None when every minor is positive."""
+    m = weight.M
+    pts = weight.family.sample_points()
+    if all(c.is_polynomial and c.num.degree < 1 for row in m.rows for c in row):
+        pts = pts[:1]
+    for x in pts:
+        y = x if all(c.den(x) for row in m.rows for c in row) else x + F(1, 997)
+        v = [[c.num(y) / c.den(y) for c in row] for row in m.rows]
+        if any(FracMat([r[:k] for r in v[:k]]).det() <= 0 for k in range(1, m.size + 1)):
+            return f"weight factor not positive definite at sample x = {x}"
+    return None
+
+
+SPOT_FAMILIES = [Laguerre(F(1, 2)), Jacobi(F(1, 2), F(3, 4)), HermiteShifted(F(1, 3))]
+
+
+@st.composite
+def spot_check_factors(draw):
+    """(family, M) with M = D^-1 (B B^T + diag(c)) D^-1 / r, size 1-4: B of
+    small polynomials and c of small constants, so the minors pass or fail
+    anywhere; D = diag(d_i) with d_i = 1 or x - e_i, so entries have
+    different denominators; r = 1 or +-(x - a) or (x - a)(x - b), which
+    changes sign between sample points. a, b and the e_i are often sample
+    points, so M has a pole there."""
+    fam = draw(st.sampled_from(SPOT_FAMILIES))
+    n = draw(st.integers(1, 4))
+    roots = st.one_of(st.sampled_from(fam.sample_points()), st.fractions(-3, 3, max_denominator=3))
+    b = MatPoly(draw(st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)))
+    s = b * b.transpose() + MatPoly.diag(*(Poly((draw(st.fractions(-2, 2, max_denominator=3)),)) for _ in range(n)))
+    d = [draw(st.one_of(st.just(Poly((1,))), roots.map(lambda e: X - e))) for _ in range(n)]
+    r = draw(st.one_of(
+        st.just(Poly((1,))),
+        st.tuples(roots, st.sampled_from([1, -1])).map(lambda t: (X - t[0]) * t[1]),
+        st.tuples(roots, roots).map(lambda t: (X - t[0]) * (X - t[1])),
+    ))
+    return fam, MatRF([[RatFunc(s.entry(i, j), r * d[i] * d[j]) for j in range(n)] for i in range(n)])
+
+
+class TestSpotCheckOracle:
+    """The spot check reads the leading minors of an integer matrix at each
+    point off one Bareiss pass; it must refuse exactly what the FracMat
+    minors refuse, with the same message."""
+
+    @given(spot_check_factors())
+    # the first Laguerre point is a pole and M is negative just past it
+    @example((Laguerre(F(1, 2)), MatRF.diag(RatFunc(Poly((1,)), Poly((F(8, 17), -1))), RatFunc(Poly((2,))))))
+    # r < 0 at the first points: the integer minors of N must flip sign
+    @example((Jacobi(F(1, 2), F(3, 4)), MatRF([[RatFunc(Poly((1,)), X)] * 2, [RatFunc(Poly((1,)), X), RatFunc(Poly((3,)), X)]])))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fracmat_minors(self, case):
+        fam, m = case
+        try:
+            Weight(family=fam, M=m)._positivity_spot_check()
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == _spot_check_by_fracmat(Weight(family=fam, M=m))
+
+
 class TestWeightValidation:
     def test_positivity_spot_check_rejects(self):
         # diag(1, -1) is symmetric and nonsingular but not positive
@@ -483,10 +545,15 @@ class TestWeightValidation:
             Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((-1,))))
 
     def test_constant_factor_checked_once(self, monkeypatch):
-        calls, evaluate = [], MatRF.eval
-        monkeypatch.setattr(MatRF, "eval", lambda m, x: calls.append(x) or evaluate(m, x))
+        # each evaluated sample point is one elimination of the factor's
+        # integer value there
+        calls, eliminate = [], weights.bareiss
+        monkeypatch.setattr(weights, "bareiss", lambda rows, admit: calls.append(rows) or eliminate(rows, admit))
         Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), Poly((1,))], [Poly((1,)), Poly((2,))]]))
-        assert calls == [F(-15, 17)]
+        assert calls == [[[2, 1], [1, 2]]]
+        calls.clear()
+        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), X], [X, Poly((2,))]]))
+        assert len(calls) == 16
         with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 8/17$"):
             Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((1,))]]))
 
