@@ -20,8 +20,9 @@ So the d^k coefficient of A B collects apply(F_i, B_m) over i + m = k, with
 B_m = sum_{j >= m} binom(j, m) d^(j-m) G_j. Both run through one integer
 kernel, ``int_action``: the entries of P and its derivatives, formed on
 integer numerators, and those of the N_j, each over one common denominator,
-are packed once at one width, and each cell is one row-by-column sum of
-packed integers over the flattened (j, k) index. ``apply`` unpacks those
+are packed at one width and kept per width by the matrix or operator they
+came from (``IntForm``), and each cell is one row-by-column sum of packed
+integers over the flattened (j, k) index. ``apply`` unpacks those
 sums, ``compose`` sums over the concatenated (m, j) blocks of each d^k
 coefficient, and ``dwalgebra.relation`` tests them for zero without
 unpacking. The right operand's ``den`` divides the result, and a left
@@ -67,12 +68,47 @@ _P1 = Poly((1,))
 # square matrices of polynomials
 
 
-class MatPoly(Matrix):
-    """Square matrix with Poly entries (degree -1 when zero)."""
+class IntForm:
+    """The integer form of an immutable polynomial matrix or operator, kept
+    by the object: ``int_form`` once, the packed derivatives of ``packed``
+    once per width. A subclass lists its entries in ``_entries`` and has
+    slots ``_form`` and ``_packs``, left unset until first read so that
+    making an object costs nothing more."""
 
     __slots__ = ()
+
+    def int_form(self):
+        """The ``int_entries`` form of the entries (by coefficient, row and
+        column) over one denominator."""
+        try:
+            return self._form
+        except AttributeError:
+            self._form = int_entries(self._entries())
+            return self._form
+
+    def packed(self, w: int, count: int):
+        """By coefficient i, [A_i, A_i', ..., A_i^(count-1)] on the
+        numerators of ``int_form``, each entry packed at width w."""
+        try:
+            got = self._packs.get(w)
+        except AttributeError:
+            got, self._packs = None, {}
+        if got is None or (got and len(got[0]) < count):
+            ints, nn = self.int_form()[0], self.size * self.size
+            got = self._packs[w] = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i : i + nn], count)]
+                                    for i in range(0, len(ints), nn)]
+        return got
+
+
+class MatPoly(IntForm, Matrix):
+    """Square matrix with Poly entries (degree -1 when zero)."""
+
+    __slots__ = ("_form", "_packs", "_monic")
     _zero = Poly()
     _scalars = (Poly, int, Fraction)
+
+    def _entries(self):
+        return [e for r in self.rows for e in r]
 
     @staticmethod
     def _coerce(v) -> Poly:
@@ -89,6 +125,18 @@ class MatPoly(Matrix):
     @property
     def degree(self) -> int:
         return max(c.degree for r in self.rows for c in r)
+
+    @property
+    def monic_degree(self) -> int:
+        """The degree d when the x^d coefficient is the identity, else -1;
+        decided once."""
+        try:
+            return self._monic
+        except AttributeError:
+            d = self.degree
+            monic = d >= 0 and all(e[d] == (i == k) for i, row in enumerate(self.rows) for k, e in enumerate(row))
+            self._monic = d if monic else -1
+            return self._monic
 
     def coeff(self, k: int) -> FracMat:
         return FracMat([[c[k] for c in r] for r in self.rows])
@@ -119,11 +167,12 @@ def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
     MatRF entries (the entry form); any other matrix is polynomial."""
     q = _P1
     for e in {e.den for m in ms if isinstance(m, MatRF) for r in m.rows for e in r}:
-        q = exact_div(q * e, poly_gcd(q, e))
+        if e != q:
+            q = exact_div(q * e, poly_gcd(q, e))
 
     def num(m):
         if isinstance(m, MatRF):
-            return MatPoly([[e.num * exact_div(q, e.den) for e in r] for r in m.rows])
+            return MatPoly([[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in m.rows])
         m = m if isinstance(m, MatPoly) else MatPoly(m.rows)
         return m if q == _P1 else m * q
 
@@ -149,14 +198,15 @@ def _canonical(nums: list[MatPoly], den: Poly) -> tuple[list[MatPoly], Poly]:
 # operators
 
 
-class DiffOp:
+class DiffOp(IntForm):
     """Normal-form operator sum_j d^j F_j, stored as MatPoly numerators N_j
     (``coeffs``) over one monic scalar denominator ``den`` (module docstring).
+    Its integer form (``IntForm``) and ``IntOp`` are built once.
 
     The zero operator has an empty coefficient tuple and order -1.
     """
 
-    __slots__ = ("size", "coeffs", "den", "_hash")
+    __slots__ = ("size", "coeffs", "den", "_hash", "_form", "_packs", "_intop")
 
     def __init__(self, size: int, coeffs=(), den: Poly = _P1):
         """F_j = coeffs[j] / den; a MatRF coefficient is converted on entry."""
@@ -172,7 +222,7 @@ class DiffOp:
         self.size = size
         self.coeffs = tuple(cs)
         self.den = den
-        self._hash = None
+        self._hash = self._intop = None
 
     # -- constructors
 
@@ -219,6 +269,15 @@ class DiffOp:
         """F_j: a MatPoly, or on a rational operator the exit form MatRF."""
         num = self.coeffs[j] if 0 <= j < len(self.coeffs) else MatPoly.zeros(self.size)
         return num if self.is_polynomial else _rational(num, self.den)
+
+    def _entries(self):
+        return [e for f in self.coeffs for r in f.rows for e in r]
+
+    def int_op(self) -> "IntOp":
+        """The operator as the right operand of ``int_action``."""
+        if self._intop is None:
+            self._intop = IntOp(self.size, self.int_form())
+        return self._intop
 
     def poly_coeffs(self) -> tuple[MatPoly, ...] | None:
         """Coefficients as MatPoly when every entry is polynomial, else None."""
@@ -281,15 +340,15 @@ def _common(a: DiffOp, b: DiffOp):
 
 
 class IntOp:
-    """A polynomial operator's F_j for the length of one call: numerators over
-    one denominator ``den``, below 2^``bits``; column c lists F_j[k][c] by
-    (j, k), packed at most once per width."""
+    """An operator's numerators N_j from its integer form (``DiffOp.int_op``):
+    over one denominator ``den``, below 2^``bits``; column c lists N_j[k][c]
+    by (j, k), packed at most once per width."""
 
     __slots__ = ("order", "deg", "den", "bits", "cols", "_packed")
 
-    def __init__(self, size: int, coeffs):
-        ints, self.den, self.bits = int_entries([e for f in coeffs for r in f.rows for e in r])
-        self.order = len(coeffs) - 1
+    def __init__(self, size: int, forms):
+        ints, self.den, self.bits = forms
+        self.order = len(ints) // (size * size) - 1
         self.deg = max(map(len, ints), default=0) - 1
         self.cols = [ints[c::size] for c in range(size)]
         self._packed = {}
@@ -309,18 +368,19 @@ def int_derivatives(ints, count: int):
     return chain
 
 
-def int_action(forms, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
+def int_action(a: IntForm, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
     """The cells of the d^k coefficients, k in ``ks``, of A T as packed
-    integers: A = sum_i d^i A_i, whose s x s coefficients' entries (by i, row,
-    column) have the ``int_entries`` ``forms`` over L. Cell (r, c) is one
+    integers: A = sum_i d^i A_i, a MatPoly (one A_0) or a DiffOp of size s,
+    whose entries (by i, row, column) have the ``int_form`` over L, and T
+    the operator of ``op``. Cell (r, c) is one
     C-level row-by-column sum over the concatenated (m, j) blocks, i = k - m:
     row r lists binom(j, m) A_i^(j-m)[r][l], column c lists F_j[l][c], by l,
     and digit e over L ``op.den`` is [x^e] of the cell. For A = P and k = 0
     the cells are P . T. The width w holds every digit and ``extra_bits``
-    more, room for a caller's own sums. Returns (sums by k, w, bits, packed):
-    every digit is below 2^bits; packed[i][t] is A_i^(t) packed at w.
+    more, room for a caller's own sums. Returns (sums by k, w, bits): every
+    digit is below 2^bits.
     """
-    ints, _, abits = forms
+    ints, _, abits = a.int_form()
     nn = s * s
     order, deg = len(ints) // nn - 1, max(map(len, ints), default=0) - 1
     top, mtop = min(op.order, deg), min(max(ks, default=0), op.order)
@@ -331,9 +391,7 @@ def int_action(forms, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
                  for j in range(op.order + 1)), default=0)
     bits = abits + op.bits + ((op.order + 1) * s * (min(deg, op.deg) + 1) * scale - 1).bit_length()
     w = pack_width(bits + extra_bits)
-    packed = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i * nn : (i + 1) * nn], max(top, 0) + 1)]
-              for i in range(order + 1)]
-    cols = op.packed_cols(w)
+    packed, cols = a.packed(w, max(top, 0) + 1), op.packed_cols(w)
     out = []
     for k in ks:
         blocks = [(m, j) for m in range(max(0, k - order), min(k, op.order) + 1) for j in range(m, min(op.order, m + top) + 1)]
@@ -341,7 +399,7 @@ def int_action(forms, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
         rows = [[b * v if b > 1 else v for b, der in left for v in der[r * s : (r + 1) * s]] for r in range(s)]
         bcols = [[v for _, j in blocks for v in col[j * s : (j + 1) * s]] for col in cols]
         out.append([[sum(map(operator.mul, row, col)) for col in bcols] for row in rows])
-    return out, w, bits, packed
+    return out, w, bits
 
 
 def _unpacked(sums, w, count, den) -> MatPoly:
@@ -383,9 +441,9 @@ def action(p: MatPoly | MatRF, d: DiffOp) -> tuple[MatPoly, Poly]:
     (p,), q = numerator_form([p])
     if q != _P1:
         d = _under(q, d)
-    op = IntOp(d.size, d.coeffs)
-    ints, den, _ = forms = int_entries([e for r in p.rows for e in r])
-    sums, w = int_action(forms, p.size, op)[:2]
+    op = d.int_op()
+    ints, den, _ = p.int_form()
+    sums, w = int_action(p, p.size, op)[:2]
     s = _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
     if d.is_polynomial:
         return s, _P1
@@ -414,9 +472,9 @@ def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     n = first.size
     if not first.is_polynomial:
         second = _under(first.den, second)
-    op = IntOp(n, second.coeffs)
-    ints, den, _ = forms = int_entries([e for f in first.coeffs for r in f.rows for e in r])
-    sums, w = int_action(forms, n, op, ks=range(first.order + second.order + 1))[:2]
+    op = second.int_op()
+    ints, den, _ = first.int_form()
+    sums, w = int_action(first, n, op, ks=range(first.order + second.order + 1))[:2]
     count = max(map(len, ints), default=0) + op.deg
     return DiffOp(n, [_unpacked(cells, w, count, den * op.den) for cells in sums], second.den)
 

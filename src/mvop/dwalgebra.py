@@ -31,10 +31,8 @@ from .exactalg import (
     ShapeError,
     X,
     digit,
-    int_entries,
     int_matrix,
     nullspace,
-    pack,
     pack_width,
 )
 from .diffop import (
@@ -148,13 +146,14 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     C_{k-1} for the first failing n = k (all of them when the relation holds).
     A negative ``n_max`` is a DomainError.
 
-    When P_n, Q_n and T are polynomial, neither side is built: T is put over
-    one denominator once per call, and ``_decide`` tests each n on one packed
-    integer matrix product. Only an n that fails materialises P_n . T and
-    C_n Q_n, for the residual. A rational T acts through ``action``.
+    When P_n, Q_n and T are polynomial, neither side is built: ``_decide``
+    tests each n on one packed integer matrix product, from the integer
+    forms P_n, Q_n and T keep (``diffop.IntForm``). Only an n that fails
+    materialises P_n . T and C_n Q_n, for the residual. A rational T acts
+    through ``action``.
     """
     check_horizon(n_max)
-    op = IntOp(t.size, t.coeffs) if t.is_polynomial else None
+    op = t.int_op() if t.is_polynomial else None
     eigs: list[FracMat] = []
     for n in range(n_max + 1):
         p = ps(n)
@@ -165,7 +164,7 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
                 return Verdict(False, f"non-polynomial action at n={n}", n, apply(p, t), eigs)
         q = qs(n)
         lead = None
-        if cs is None and any(e[n] != (i == k) for i, row in enumerate(q.rows) for k, e in enumerate(row)):
+        if cs is None and q.monic_degree != n:
             lead = q.coeff(n)
             if lead.det() == 0:
                 return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
@@ -193,14 +192,13 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     False when Q_n or C_n is not P_n's size, for the caller's check to report.
     """
     s = p.size
-    pf = int_entries([e for r in p.rows for e in r])
     fits = isinstance(q, MatPoly) and q.size == s
-    qf = (pf if q is p else int_entries([e for r in q.rows for e in r])) if fits else None
+    qf = q.int_form() if fits else None
     fast = fits and c is None and lead is None
     # both terms of L_Q S - S_n Q^ lie below 2^(bits + extra - 1)
     extra = max((qf[1] - 1).bit_length(), qf[2] + (s - 1).bit_length()) + 1 if fast else 0
-    (sums,), w, bits, packed = int_action(pf, s, op, extra)
-    den = pf[1] * op.den
+    (sums,), w, bits = int_action(p, s, op, extra)
+    den = p.int_form()[1] * op.den
     if c is None:
         chat = [[digit(v, w, n) for v in row] for row in sums]
         c = FracMat([[Fraction(v, den) for v in row] for row in chat])
@@ -216,8 +214,8 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
         cbits = max(abs(v) for row in chat for v in row).bit_length()
         need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())
         if pack_width(need) > w:
-            (sums,), w, bits, packed = int_action(pf, s, op, need - bits)
-    qpacked = packed[0][0] if q is p else [pack(e, w) for e in qf[0]]
+            (sums,), w = int_action(p, s, op, need - bits)[:2]
+    qpacked = q.packed(w, 1)[0][0]
     qcols = [qpacked[k::s] for k in range(s)]
     return c, not any(
         s1 * v - s2 * sum(map(operator.mul, crow, qcol)) for crow, row in zip(chat, sums) for v, qcol in zip(row, qcols)
@@ -308,8 +306,8 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
     rows = []
     for n in range(horizon + 1):
         # P_n^(j) and Pt_n, entries row by row over their denominators
-        derivs = int_derivatives(int_entries([e for r in seq1.poly(n).rows for e in r])[0], order_bound + 1)
-        pt, lt, _ = int_entries([e for r in seq2.poly(n).rows for e in r])
+        derivs = int_derivatives(seq1.poly(n).int_form()[0], order_bound + 1)
+        pt, lt, _ = seq2.poly(n).int_form()
 
         def terms(r, t):
             # [x^t](P_n . T)_{r,c} as (variable - c, integer coefficient) pairs;

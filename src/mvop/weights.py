@@ -28,7 +28,6 @@ from .exactalg import (
     frac,
     int_const,
     int_dot,
-    int_entries,
     int_form,
     int_matrix,
 )
@@ -194,6 +193,22 @@ def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> RatFunc | N
 # normalized moments
 
 
+# the module caches keep the CACHE_SIZE most recently used weights or
+# families; a dict holds its keys in insertion order, so a hit moves its key
+# to the end and the first key is the one dropped
+CACHE_SIZE = 32
+
+
+def _cached(cache: dict, key, make):
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    if len(cache) > CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return value
+
+
 # normalized power moments nu_s = mu_s / mu_0: family -> nu_0, nu_1, ...,
 # as far as any caller has asked
 _MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
@@ -201,7 +216,7 @@ _MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
 
 def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
     # the family's closed one-step recurrence extends the table at O(1) per entry
-    values = _MOMENT_CACHE.setdefault(family, [Fraction(1)])
+    values = _cached(_MOMENT_CACHE, family, lambda: [Fraction(1)])
     while len(values) <= s_max:
         values.append(family.moment_step(len(values) - 1, values))
     return values
@@ -214,15 +229,13 @@ def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
 class Weight:
     """Either Atomic(family, M) with W = rho_family * M, or a direct sum."""
 
-    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_factor")
+    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_numerator", "_factor")
 
     def __init__(self, family=None, M=None, blocks=None):
         self.family = family
         self.M = M
         self.blocks = blocks
-        self._hash = None
-        self._atomic = None
-        self._factor = None
+        self._hash = self._atomic = self._numerator = self._factor = None
 
     @staticmethod
     def atomic(family: ScalarWeightFamily, M: MatRF) -> "Weight":
@@ -347,6 +360,14 @@ class Weight:
         self._atomic = (base, MatRF.blockdiag(blocks))
         return self._atomic
 
+    def numerator(self) -> tuple[MatPoly, Poly]:
+        """(N, m) with the atomic form's factor M = N / m, m the monic lcm of
+        its denominators (``diffop.numerator_form``); computed once."""
+        if self._numerator is None:
+            (num,), m = numerator_form([self.as_atomic()[1]])
+            self._numerator = num, m
+        return self._numerator
+
     def factor_data(self) -> tuple[Poly, Poly, MatPoly, MatPoly, Poly]:
         """(s, t, M, A, det) of the atomic form, computed once per weight:
         W = rho M with M a polynomial matrix, s/t = rho'/rho, and
@@ -354,9 +375,9 @@ class Weight:
         lcm of its denominators) is written rho N/m = (rho/m) N, which moves
         -m'/m into rho'/rho."""
         if self._factor is None:
-            fam, mat = self.as_atomic()
+            fam = self.as_atomic()[0]
             s, t = fam.sigma().num, fam.sigma().den
-            (num,), m = numerator_form([mat])
+            num, m = self.numerator()
             if m.degree > 0:
                 s, t = s * m - t * m.derivative(), t * m
             det, adj = bareiss([r + e for r, e in zip(num.rows, MatPoly.identity(num.size).rows)])
@@ -371,8 +392,8 @@ class Weight:
         # With M = N/m, L N integer (``cells``) and y = p/q, minor k of
         # q^e L N(y) (e = deg N) is (q^e L m(y))^k times M(y)'s, and it is
         # pivot k of bareiss, which sees each pivot before any row exchange
-        (num,), m = numerator_form([self.M])
-        cells = int_entries([e for row in num.rows for e in row])[0]
+        num, m = self.numerator()
+        cells = num.int_form()[0]
         n, e, pts = num.size, num.degree, self.family.sample_points()
         if e < 1 and m.degree < 1:
             pts = pts[:1]  # a constant factor has the same minors everywhere
@@ -501,11 +522,9 @@ _SEQUENCE_CACHE: dict[Weight, OPSequence] = {}
 
 
 def sequence_for(weight: Weight) -> OPSequence:
-    seq = _SEQUENCE_CACHE.get(weight)
-    if seq is None:
-        seq = OPSequence(weight)
-        _SEQUENCE_CACHE[weight] = seq
-    return seq
+    """The weight's sequence, shared while it is among the CACHE_SIZE most
+    recently used; a direct sum's sequence holds its blocks' own."""
+    return _cached(_SEQUENCE_CACHE, weight, lambda: OPSequence(weight))
 
 
 def monic_ops(weight: Weight, n_max: int = 8) -> OPSequence:

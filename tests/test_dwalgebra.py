@@ -397,6 +397,62 @@ class TestRelationOracle:
             assert not _same_verdict(seq.poly, bump_coefficient(block, site), seq.poly, 8).ok
 
 
+
+def _fresh(d: DiffOp) -> DiffOp:
+    # a copy that shares no kept integer form with d
+    return DiffOp(d.size, [MatPoly(c.rows) for c in d.coeffs], d.den)
+
+
+class TestKeptForms:
+    """P_n and operators keep their integer forms; what reads them must give
+    what freshly built copies give."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_equals_fresh(self, data):
+        op, seq = _member(data.draw(st.integers(0, len(_MEMBERS) - 1)))
+        # copies of P_n that keep forms only from the uses below
+        ps = [MatPoly(seq.poly(n).rows) for n in range(6)]
+        fresh = lambda n: MatPoly(ps[n].rows)
+        m = FracMat([[2, 1], [1, 1]]) if op.size == 2 else FracMat.identity(op.size) * 3
+        non_monic = lambda n: ps[n].lmul_const(m)
+        narrow = op + _degree_bounded_op(data, op.size) * data.draw(st.integers(0, 1))
+        wide = narrow * data.draw(st.sampled_from([2**100, -(3**90)]))
+        # x^(j+1) d^j raises the degree of P_n's image from n = j on
+        j, r, c = (data.draw(st.integers(0, k)) for k in (op.order, op.size - 1, op.size - 1))
+        bumped = bump_coefficient(op, (j, r, c, j + 1))
+        assert wide.int_op().bits > narrow.int_op().bits + 64
+        # P_n's derivatives to order 0, then to narrow's order at a narrow
+        # width, at a wide one, then at the narrow one again
+        for t in (DiffOp(op.size, narrow.coeffs[:1]), narrow, wide, narrow, bumped):
+            for qs, fresh_qs in ((ps.__getitem__, fresh), (non_monic, lambda n: fresh(n).lmul_const(m))):
+                warm, cold = relation(ps.__getitem__, t, qs, 5), relation(fresh, _fresh(t), fresh_qs, 5)
+                assert warm == cold and repr(warm) == repr(cold)
+            assert apply(ps[5], t) == apply(fresh(5), _fresh(t))
+            assert compose(t, op) == compose(_fresh(t), _fresh(op))
+            assert compose(op, t) == compose(_fresh(op), _fresh(t))
+        rep = relation(ps.__getitem__, bumped, ps.__getitem__, 5)
+        assert rep.fail_n == j and isinstance(rep.residual, MatPoly)
+
+    def test_forms_built_once_per_p_n(self, monkeypatch):
+        from mvop import diffop, weights
+
+        e = catalog.entry("JAC2")
+        monkeypatch.setattr(weights, "_SEQUENCE_CACHE", {})
+        sequence_for(e.weight_Wt).poly(8)
+        counts = dict.fromkeys(("int_entries", "int_derivatives"), 0)
+        for name in counts:
+            def counted(*args, real=getattr(diffop, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(diffop, name, counted)
+        d = _fresh(e.ops["D1"])
+        for _ in range(3):
+            assert verify_in_DW(d, e.weight_Wt, 8).ok
+            # P_0..P_8 once each, and the operator once
+            assert counts == {"int_entries": 10, "int_derivatives": 9}
+
 class TestIntertwinerVerify:
     def test_laguerre_ladder(self):
         t = DiffOp.scalar([Poly((-1,)), Poly((1,))])

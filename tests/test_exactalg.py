@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvop.diffop import DiffOp, IntOp, MatPoly, apply, int_action
+from mvop.diffop import DiffOp, MatPoly, apply, int_action
 from mvop.exactalg import (
     DivisionError,
     DomainError,
@@ -22,7 +22,6 @@ from mvop.exactalg import (
     digit,
     exact_div,
     frac,
-    int_entries,
     nonneg_integer_roots,
     nullspace,
     pack,
@@ -538,10 +537,6 @@ def _matpolys(n, entries=small_big_polys):
     )
 
 
-def _forms(p):
-    return int_entries([e for r in p.rows for e in r])
-
-
 class TestProductKernel:
     @given(st.lists(st.tuples(big_polys, big_polys), max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -625,14 +620,14 @@ class TestProductKernel:
         # cell is, and the sums of -P cancel those of P
         p, fs = args
         d = DiffOp.from_matrices(p.size, fs)
-        op = IntOp(p.size, d.poly_coeffs())
-        (sums,), w = int_action(_forms(p), p.size, op)[:2]
+        op = d.int_op()
+        (sums,), w = int_action(p, p.size, op)[:2]
         want = _apply_per_j(p, d)
         for row, wrow in zip(sums, want.rows):
             for v, e in zip(row, wrow):
-                assert F(digit(v, w, k), _forms(p)[1] * op.den) == e[k]
+                assert F(digit(v, w, k), p.int_form()[1] * op.den) == e[k]
                 assert (v == 0) == e.is_zero
-        (negated,), w2 = int_action(_forms(-p), p.size, op)[:2]
+        (negated,), w2 = int_action(-p, p.size, op)[:2]
         assert w2 == w and all(a + b == 0 for row, nrow in zip(sums, negated) for a, b in zip(row, nrow))
 
     def test_digit_below_a_run_of_most_negative_digits(self):
@@ -647,9 +642,9 @@ class TestProductKernel:
         # one product (2^32 - 1)^2 per digit reaches 2^(bits - 1), so a bound
         # one bit short, or a width without the sign bit, misreads every digit
         m = 2**32 - 1
-        op = IntOp(1, [MatPoly([[Poly.const(m)]])])
+        op = DiffOp(1, [MatPoly([[Poly.const(m)]])]).int_op()
         for sign in (1, -1):
-            (sums,), w, bits, _ = int_action(_forms(MatPoly([[Poly([sign * m] * 3)]])), 1, op)
+            (sums,), w, bits = int_action(MatPoly([[Poly([sign * m] * 3)]]), 1, op)
             assert (bits, w) == (64, 128)
             got = [digit(sums[0][0], w, k) for k in range(4)]
             assert got == [sign * m * m] * 3 + [0]

@@ -612,3 +612,71 @@ class TestWeightValidation:
         fam, m = w.as_atomic()
         assert fam == Jacobi(a + 1, b)
         assert m == MatRF.diag(Poly((1,)), Poly((1, 1)))
+
+    def test_numerator_form_once_per_weight(self, monkeypatch):
+        # admission and factor_data share one numerator form, and a factor
+        # whose denominators are all 1 takes no exact division
+        from mvop import diffop
+
+        calls, divisions, form = [], [], weights.numerator_form
+        monkeypatch.setattr(weights, "numerator_form", lambda ms: calls.append(ms) or form(ms))
+        monkeypatch.setattr(diffop, "exact_div", lambda *args: divisions.append(args) or pytest.fail("exact division"))
+        w = Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
+        w.factor_data()
+        assert len(calls) == 1 and not divisions
+        assert w.numerator() == (MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]), Poly((1,)))
+
+
+class TestCacheBound:
+    """The module caches keep the CACHE_SIZE most recently used weights and
+    families; an evicted sequence rebuilds to the same polynomials."""
+
+    @staticmethod
+    def _others(k):
+        return [Laguerre(F(100 + i, 7)) for i in range(k)]
+
+    @pytest.fixture(autouse=True)
+    def _empty_caches(self, monkeypatch):
+        monkeypatch.setattr(weights, "_SEQUENCE_CACHE", {})
+        monkeypatch.setattr(weights, "_MOMENT_CACHE", {})
+
+    def test_at_most_cache_size(self):
+        first, *rest = self._others(weights.CACHE_SIZE + 8)
+        seq = sequence_for(first.scalar_weight())
+        weights._moments_list(first, 3)
+        for i, fam in enumerate(rest):
+            if i == weights.CACHE_SIZE // 2:
+                # a hit makes the first the most recently used again
+                assert sequence_for(first.scalar_weight()) is seq
+                weights._moments_list(first, 3)
+            sequence_for(fam.scalar_weight())
+            weights._moments_list(fam, 3)
+            assert len(weights._SEQUENCE_CACHE) <= weights.CACHE_SIZE
+            assert len(weights._MOMENT_CACHE) <= weights.CACHE_SIZE
+        assert len(weights._SEQUENCE_CACHE) == len(weights._MOMENT_CACHE) == weights.CACHE_SIZE
+        assert first.scalar_weight() in weights._SEQUENCE_CACHE and first in weights._MOMENT_CACHE
+        assert rest[0].scalar_weight() not in weights._SEQUENCE_CACHE and rest[0] not in weights._MOMENT_CACHE
+
+    def test_evicted_sequence_rebuilds_equal(self):
+        # JAC2's W has a non-identity factor, so its steps read the moment table
+        w = entry("JAC2").weight_W
+        seq = sequence_for(w)
+        polys = [seq.poly(n) for n in range(9)]
+        for fam in self._others(weights.CACHE_SIZE + 1):
+            sequence_for(fam.scalar_weight())
+            weights._moments_list(fam, 3)
+        assert w not in weights._SEQUENCE_CACHE and w.as_atomic()[0] not in weights._MOMENT_CACHE
+        rebuilt = sequence_for(w)
+        assert rebuilt is not seq
+        assert [rebuilt.poly(n) for n in range(9)] == polys
+
+    def test_direct_sum_reads_evicted_children(self):
+        a, b = Laguerre(F(1, 2)).scalar_weight(), Laguerre(F(3, 2)).scalar_weight()
+        seq = sequence_for(Weight.direct_sum([a, b]))
+        seq.poly(1)
+        for fam in self._others(weights.CACHE_SIZE):
+            sequence_for(fam.scalar_weight())
+        assert a not in weights._SEQUENCE_CACHE and b not in weights._SEQUENCE_CACHE
+        got = [seq.poly(n) for n in range(9)]
+        fresh = [OPSequence(a), OPSequence(b)]
+        assert got == [MatPoly.blockdiag([s.poly(n) for s in fresh]) for n in range(9)]
