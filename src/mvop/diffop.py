@@ -28,8 +28,9 @@ coefficient, and ``dwalgebra.relation`` tests them for zero without
 unpacking. The right operand's ``den`` divides the result, and a left
 operand N / q is N o (1/q), so 1/q moves into the right operand first.
 
-The weight adjoint is the twisted Leibniz sum on numerators, with the
-non-rational scalar density cancelled through its logarithmic derivative.
+The weight adjoint is the twisted Leibniz sum on integer numerators, with
+the non-rational scalar density cancelled through its logarithmic
+derivative; the symbol determinant of ``degree_preserving`` is taken in Z[n].
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .exactalg import (
     exact_div,
     frac,
     int_entries,
+    int_form,
+    int_poly_derivative,
+    int_poly_dot,
+    int_poly_matmul,
+    int_poly_quo,
     nonneg_integer_roots,
     pack,
     pack_width,
@@ -364,7 +370,7 @@ def int_derivatives(ints, count: int):
     (over the same denominator: [x^k] p^(j) is k (k-1) ... (k-j+1) [x^(k+j)] p)."""
     chain = [ints]
     for _ in range(1, count):
-        chain.append([[k * a for k, a in enumerate(e) if k] for e in chain[-1]])
+        chain.append([int_poly_derivative(e) for e in chain[-1]])
     return chain
 
 
@@ -510,27 +516,62 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
     never appears. On numerators, with F_l = N_l / q and q folded into sigma
     (T^i(R/q) is T^i(R)/q for sigma - q'/q), T^i(M N_l^T) = R_i / t^i with
     R_0 = M N_l^T and R_{i+1} = R_i' t + (s - i t') R_i. Every coefficient is
-    put over q t^n det, n the order of d, and reduced once at the end.
+    put over q t^n det, n the order of d.
+
+    All of it runs on integer coefficient lists (``int_poly_dot``): M, A,
+    det, q and the N_l each over their own denominator, s and t over one,
+    which leaves sigma unchanged. When the primitive part of q t^n det
+    divides every numerator, the quotients are the coefficients of a
+    polynomial adjoint; otherwise the adjoint is rational and is put in
+    canonical form.
     """
+    if d.size != weight.size:
+        raise ShapeError("operator and weight sizes differ")
     if d.is_zero:
         return d
     s, t, m, adj, det = weight.factor_data()
-    if m.size != d.size:
-        raise ShapeError("weight size does not match operator size")
-    q, n = d.den, d.order
-    if q != _P1:
-        s, t = s * q - t * q.derivative(), t * q
-    dt, powers = t.derivative(), [t**i for i in range(n + 1)]
-    out = [MatPoly.zeros(d.size)] * (n + 1)
-    for l, f in enumerate(d.coeffs):
-        if f.is_zero:
+    size, n, nn = d.size, d.order, d.size * d.size
+    (s, t), _, _ = int_entries([s, t])
+    (q, lq, _), (di, ld, _) = int_form(d.den), int_form(det)
+    if d.den != _P1:
+        s, t = int_poly_dot([(1, s, q), (-1, t, int_poly_derivative(q))]), int_poly_dot([(1, t, q)])
+    nums, ln, _ = d.int_form()
+    mi, lm, _ = m.int_form()
+    ai, la, _ = adj.int_form()
+    dt, powers = int_poly_derivative(t), [(1,)]
+    for _ in range(n):
+        powers.append(int_poly_dot([(1, powers[-1], t)]))
+    # entry e of the d^k numerator, before the product with A, sums
+    # (-1)^l binom(l, i) R_i[e] t^(n-i) over l - i = k
+    terms = [[[] for _ in range(nn)] for _ in range(n + 1)]
+    for l in range(n + 1):
+        nl = nums[l * nn : (l + 1) * nn]
+        if not any(nl):
             continue
-        r = m * f.transpose()
+        r = int_poly_matmul(mi, [nl[b * size + a] for a in range(size) for b in range(size)], size)
         for i in range(l + 1):
-            out[l - i] = out[l - i] + r * (powers[n - i] * ((-1) ** l * math.comb(l, l - i)))
+            c = (-1) ** l * math.comb(l, i)
+            for cell, e in zip(terms[l - i], r):
+                cell.append((c, e, powers[n - i]))
             if i < l:
-                r = r.derivative() * t + r * (s - dt * i)
-    return DiffOp(d.size, [c * adj for c in out], q * powers[n] * det)
+                r = [int_poly_dot([(1, int_poly_derivative(e), t), (1, e, s), (-i, e, dt)]) for e in r]
+    nums = [int_poly_matmul([int_poly_dot(cell) for cell in by_k], ai, size) for by_k in terms]
+    den = int_poly_dot([(1, int_poly_dot([(1, q, powers[n])]), di)])
+    # the coefficients are nums / den times lq ld / (lm ln la)
+    g = math.gcd(*den)
+    prim = [v // g for v in den]
+    quos = []
+    for by_k in nums:
+        quos.append([int_poly_quo(e, prim) for e in by_k])
+        if None in quos[-1]:
+            scale = Fraction(lm * ln * la, lq * ld)
+            return DiffOp(size, [_matpoly([Poly(e) for e in by_k], size) for by_k in nums], Poly(den) * scale)
+    scale = Fraction(lq * ld, lm * ln * la * g)
+    return DiffOp(size, [_matpoly([Poly([scale * v for v in e]) for e in by_k], size) for by_k in quos])
+
+
+def _matpoly(entries, size) -> MatPoly:
+    return MatPoly([entries[r * size : (r + 1) * size] for r in range(size)])
 
 
 @dataclass
@@ -552,14 +593,6 @@ class Verdict:
         return self.ok
 
 
-def _falling_factorial(j: int) -> Poly:
-    # n(n-1)...(n-j+1) as a polynomial in n
-    out = Poly((1,))
-    for t in range(j):
-        out = out * Poly((-t, 1))
-    return out
-
-
 def degree_preserving(d: DiffOp) -> Verdict:
     """Decide whether P . d always has the degree of P.
 
@@ -567,7 +600,9 @@ def degree_preserving(d: DiffOp) -> Verdict:
     symbol S_n = sum_j (n)_j [x^j]F_j is nonsingular for every integer n >= 0.
     The unbounded quantifier over n is decided by taking det S_n as a
     polynomial in n and ruling out nonnegative integer roots; the residual
-    is det S_n, and a failure's n is a root.
+    is det S_n, and a failure's n is a root. S_n is assembled on d's integer
+    form over its one denominator L, and its determinant taken in Z[n] by
+    ``bareiss``: det S_n is that determinant over L^N, N the size.
     """
     if d.is_zero:
         return Verdict(False, "zero operator")
@@ -577,21 +612,15 @@ def degree_preserving(d: DiffOp) -> Verdict:
     for j, f in enumerate(polys):
         if f.degree > j:
             return Verdict(False, f"coefficient degree {f.degree} exceeds d-power {j}")
-    # entries of S_n are polynomials in n; det S_n fraction-free over Q[n]
-    n = d.size
-    rows = [[Poly() for _ in range(n)] for _ in range(n)]
-    for j, f in enumerate(polys):
-        top = f.coeff(j)
-        if top.is_zero:
-            continue
-        fall = _falling_factorial(j)
-        for r in range(n):
-            for c in range(n):
-                if top.entry(r, c):
-                    rows[r][c] = rows[r][c] + fall * top.entry(r, c)
-    det = bareiss(rows)[0]
-    if det.is_zero:
+    size, nn, (nums, den, _) = d.size, d.size * d.size, d.int_form()
+    falls = [(1,)]  # n(n-1)...(n-j+1), lowest power of n first
+    for j in range(d.order):
+        falls.append(int_poly_dot([(1, falls[-1], (-j, 1))]))
+    sym = [int_poly_dot([(e[j], falls[j], (1,)) for j, e in enumerate(nums[c::nn]) if len(e) > j]) for c in range(nn)]
+    det = bareiss([sym[r * size : (r + 1) * size] for r in range(size)])[0]
+    if not det:
         return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
+    det = Poly([Fraction(c, den**size) for c in det])
     roots = nonneg_integer_roots(det)
     if roots:
         return Verdict(False, f"symbol singular at n = {roots[0]}", fail_n=roots[0], residual=det)

@@ -11,9 +11,10 @@ kernels. ``_eliminate`` (an incremental row echelon form, over either field)
 serves the small systems: ``det`` multiplies its pivots, and
 ``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
 solution off the reduced form that ``_reduce`` makes of it by back
-substitution. ``bareiss`` eliminates polynomial matrices fraction-free, for
-symbol determinants and the adjugate of a weight factor, and integer ones,
-for leading minors, Gram blocks and the singular-span test. ``nullspace``,
+substitution. ``bareiss`` eliminates integer matrices fraction-free, for
+leading minors, Gram blocks and the singular-span test, and polynomial ones
+as the integers their entries pack to, for symbol determinants and the
+adjugate of a weight factor. ``nullspace``,
 whose callers are the searches' large sparse integer systems, eliminates
 as ``_eliminate`` does, fraction-free, on primitive integer rows kept as
 maps of their nonzeros, and forms one Fraction per basis entry.
@@ -26,7 +27,10 @@ then injective: a sum is unpacked once (``unpack``), read at one digit
 (``digit``) or tested for zero as one integer. ``int_dot`` sums products of
 pairs this way for ``Poly`` and ``MatPoly`` products and the sequence
 recursion; ``diffop.int_action`` multiplies whole matrices of packed entries
-for the operator algebra and ``dwalgebra.relation``.
+for the operator algebra and ``dwalgebra.relation``. Kernels that stay in
+Z[x] take plain integer coefficient lists (``int_poly_dot``,
+``int_poly_matmul``, ``int_poly_quo``): the weight adjoint, and the Sturm
+chain of ``nonneg_integer_roots``.
 """
 
 from __future__ import annotations
@@ -323,17 +327,84 @@ def int_dot(forms) -> Poly:
     if not forms:
         return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
-    scales = [den // (fa[1] * fb[1]) for fa, fb in forms]
+    terms = [(den // (fa[1] * fb[1]), fa[0], fb[0]) for fa, fb in forms]
     bits = (len(forms) - 1).bit_length() + max(
-        fa[2] + fb[2] + (s * min(len(fa[0]), len(fb[0])) - 1).bit_length()
-        for s, (fa, fb) in zip(scales, forms)
+        fa[2] + fb[2] + (s * min(len(a), len(b)) - 1).bit_length() for (s, a, b), (fa, fb) in zip(terms, forms)
     )
+    return Poly([Fraction(c, den) for c in _packed_dot(terms, bits)])
+
+
+def int_poly_dot(terms) -> tuple[int, ...]:
+    """Sum of c a b over (c, a, b), c an integer and a, b integer
+    coefficient lists (zero as empty), as a coefficient tuple without
+    trailing zeros; ``int_dot``'s packing, at a width from the operands'
+    largest coefficients."""
+    terms = [t for t in terms if t[0] and t[1] and t[2]]
+    if not terms:
+        return ()
+    bits = (len(terms) - 1).bit_length() + max(
+        _bits(a) + _bits(b) + (abs(c) * min(len(a), len(b)) - 1).bit_length() for c, a, b in terms
+    )
+    return _trim(_packed_dot(terms, bits))
+
+
+def int_poly_matmul(a, b, n: int) -> list[tuple[int, ...]]:
+    """The product of n x n matrices of integer coefficient lists, each
+    flattened by row: every entry packed once at one width, each cell one
+    sum of packed products."""
+    la, lb = max(map(len, a)), max(map(len, b))
+    if not (la and lb):
+        return [()] * (n * n)
+    bits = (n - 1).bit_length() + (min(la, lb) - 1).bit_length()
+    w = pack_width(bits + max(map(_bits, filter(None, a))) + max(map(_bits, filter(None, b))), 1)
+    pa, pb = [pack(e, w) for e in a], [pack(e, w) for e in b]
+    return [_trim(unpack(sum(map(operator.mul, pa[r * n : (r + 1) * n], pb[c::n])), w, la + lb - 1))
+            for r in range(n) for c in range(n)]
+
+
+def _packed_dot(terms, bits):
+    # the digits of sum c a b, every one below 2^bits in magnitude
     w = pack_width(bits, 1)
     acc = 0
-    for s, (fa, fb) in zip(scales, forms):
-        acc += s * pack(fa[0], w) * pack(fb[0], w)
-    count = max(len(fa[0]) + len(fb[0]) for fa, fb in forms) - 1
-    return Poly([Fraction(c, den) for c in unpack(acc, w, count)])
+    for c, a, b in terms:
+        acc += c * pack(a, w) * pack(b, w)
+    return unpack(acc, w, max(len(a) + len(b) for _, a, b in terms) - 1)
+
+
+def _bits(ints) -> int:
+    return max(map(abs, ints)).bit_length()
+
+
+def _trim(ints) -> tuple[int, ...]:
+    ints = list(ints)
+    while ints and not ints[-1]:
+        ints.pop()
+    return tuple(ints)
+
+
+def int_poly_derivative(a) -> tuple[int, ...]:
+    """The derivative of an integer coefficient list."""
+    return tuple(k * c for k, c in enumerate(a) if k)
+
+
+def int_poly_quo(a, b) -> tuple[int, ...] | None:
+    """a / b for integer coefficient lists, b primitive and nonzero, or None
+    when b does not divide a. By Gauss's lemma a quotient of an integer
+    polynomial by a primitive one is integral, so each step of the long
+    division divides exactly or decides that b does not divide a."""
+    if not a:
+        return ()
+    db, lb, r = len(b) - 1, b[-1], list(a)
+    quo = [0] * (len(r) - db)
+    for k in range(len(r) - 1, db - 1, -1):
+        if r[k]:
+            f, rest = divmod(r[k], lb)
+            if rest:
+                return None
+            quo[k - db] = f
+            for i, v in enumerate(b):
+                r[k - db + i] -= f * v
+    return None if any(r[:db]) else tuple(quo)
 
 
 def _as_poly(v):
@@ -407,40 +478,36 @@ def nonneg_integer_roots(p: Poly) -> list[int]:
     roots in (a, b] as V(a) - V(b), V the number of sign changes. Bisecting
     (-1, B], B a Cauchy bound, down to unit intervals (k - 1, k] leaves the
     candidates k, each tested exactly. The work grows with the degree and
-    log B, not with the size of the roots.
+    log B, not with the size of the roots. Every polynomial here is a
+    primitive integer coefficient list, and each remainder of the chain is
+    scaled by positive integers only (``_sturm_rem``), which keeps its signs.
     """
     if p.is_zero:
         raise DomainError("zero polynomial has every integer as a root")
-    q = exact_div(p, poly_gcd(p, p.derivative()))
-    if q.degree < 1:
+    q = _primitive_coeffs(int_form(p)[0])
+    if len(q) < 2:
         return []
-    chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
-    # positive rescaling keeps the signs: integer coefficients, exact Horner
-    ints = []
-    for s in chain:
-        scale = math.lcm(*(c.denominator for c in s.coeffs))
-        ints.append([int(c * scale) for c in reversed(s.coeffs)])
+    chain = _sturm_chain(q)
+    if len(chain[-1]) > 1:  # the chain of q, q' ends in their gcd
+        q = int_poly_quo(q, chain[-1])
+        chain = _sturm_chain(q)
 
     def changes(x):
         out, last = 0, 0
-        for cs in ints:
-            v = 0
-            for c in cs:
-                v = v * x + c
+        for cs in chain:
+            v = _value(cs, x)
             if v:
                 if last and (v > 0) != (last > 0):
                     out += 1
                 last = v
         return out
 
-    bound = 1 + math.ceil(max(abs(c) for c in q.coeffs[:-1]) / abs(q.lc))
+    bound = 1 + -(-max(map(abs, q[:-1])) // abs(q[-1]))
     roots, todo = [], [(-1, bound, changes(-1), changes(bound))]
     while todo:
         a, b, va, vb = todo.pop()
         if b - a == 1:
-            if q(b) == 0:
+            if not _value(q, b):
                 roots.append(b)
             continue
         m = (a + b) // 2
@@ -449,6 +516,47 @@ def nonneg_integer_roots(p: Poly) -> list[int]:
             if half[2] > half[3]:
                 todo.append(half)
     return sorted(roots)
+
+
+def _primitive_coeffs(ints) -> tuple[int, ...]:
+    """Integer coefficients divided by their (positive) gcd."""
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
+
+
+def _sturm_chain(q):
+    """q, q', then -rem of the last two, each primitive, until a constant or
+    a zero remainder; a zero remainder leaves gcd(q, q') last."""
+    chain = [q, _primitive_coeffs(int_poly_derivative(q))]
+    while len(chain[-1]) > 1:
+        r = _sturm_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _sturm_rem(a, b):
+    """-rem(a, b) times a positive integer, primitive: each step clears the
+    top of r as u r - v x^(k - deg b) b with u = |lc b| / g > 0."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        if r[k]:
+            g = math.gcd(r[k], lb)
+            u, v = abs(lb) // g, r[k] // g if lb > 0 else -r[k] // g
+            if u != 1:
+                r = [u * c for c in r]
+            for i, c in enumerate(b):
+                r[k - db + i] -= v * c
+    return _primitive_coeffs([-c for c in _trim(r[:db])])
+
+
+def _value(ints, x: int) -> int:
+    # Horner on a coefficient list, lowest power first
+    v = 0
+    for c in reversed(ints):
+        v = v * x + c
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -673,24 +781,56 @@ def solve_square(a_rows, b_rows):
 
 
 def bareiss(rows, admit=None):
-    """det A and det(A) A^-1 B for rows [A | B] of Poly or int entries, A the
-    leading square block (with B = I, the adjugate of A), by fraction-free
-    (Bareiss) elimination: at step k each other row becomes (p a_i - a_ik
-    a_k) / p', p the pivot a_kk and p' the one before, and every division is
-    exact. With a B the rows above each pivot are cleared as well
-    (Gauss-Jordan), which the determinant alone does not need. (0, None)
-    when A is singular, or when ``admit(k, p)`` is false for a pivot p; it
-    sees p before any row exchange, and without exchanges pivot k is the
-    leading principal minor of order k + 1.
+    """det A and det(A) A^-1 B for rows [A | B], A the leading square block
+    (with B = I, the adjugate of A), by fraction-free (Bareiss) elimination
+    on integers (``_fraction_free``). Entries are all ints, all integer
+    coefficient tuples (polynomials, lowest power first, zero as ()) or all
+    Poly, and the results are of the same kind; (0, None) when A is
+    singular, or, for integer entries, when ``admit(k, p)`` is false for a
+    pivot p. A polynomial matrix is eliminated as the integers its entries
+    pack to, Poly entries over their common denominator L (which scales
+    both results by L^n): packing at width w is evaluation at x = 2^w, a
+    ring homomorphism, so every division stays exact, and at a width that
+    holds every minor it is injective on all that elimination forms.
+    """
+    first = rows[0][0]
+    if isinstance(first, int):
+        return _fraction_free(rows, admit)
+    n, width, poly = len(rows), len(rows[0]), isinstance(first, Poly)
+    if poly:
+        flat, den, _ = int_entries([e for r in rows for e in r])
+        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
+    entries = [e for r in rows for e in r if e]
+    # a minor of order m <= n sums m! products of m entries, each of degree
+    # <= deg with coefficients below 2^bits in magnitude
+    bits, deg = max(map(_bits, entries), default=0), max(map(len, entries), default=1) - 1
+    w = pack_width(math.factorial(n).bit_length() + n * bits + (n - 1) * (deg + 1).bit_length())
+    det, rest = _fraction_free([[pack(e, w) for e in r] for r in rows])
+    if rest is None:
+        return (_P0 if poly else ()), None
+    if poly:
+        scale = den**n
+        out = lambda v: Poly([Fraction(c, scale) for c in unpack(v, w, n * deg + 1)])
+    else:
+        out = lambda v: _trim(unpack(v, w, n * deg + 1))
+    return out(det), [[out(v) for v in r] for r in rest]
+
+
+def _fraction_free(rows, admit=None):
+    """``bareiss`` on integers: at step k each other row becomes (p a_i -
+    a_ik a_k) / p', p the pivot a_kk and p' the one before, and every
+    division is exact. With a B the rows above each pivot are cleared as
+    well (Gauss-Jordan), which the determinant alone does not need.
+    ``admit(k, p)`` sees each pivot p before any row exchange; without
+    exchanges pivot k is the leading principal minor of order k + 1.
     """
     n = len(rows)
     a = [list(r) for r in rows]
-    div, zero, one = (exact_div, _P0, _P1) if isinstance(a[0][0], Poly) else (operator.floordiv, 0, 1)
-    prev, sign = one, 1
+    prev, sign = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
         if admit and not admit(k, a[k][k]) or p is None:
-            return zero, None
+            return 0, None
         if p != k:
             a[k], a[p], sign = a[p], a[k], -sign
         piv, pivot_row = a[k][k], a[k][k:]
@@ -698,7 +838,7 @@ def bareiss(rows, admit=None):
             if i != k:
                 f = a[i][k]
                 cells = (piv * v - f * w for v, w in zip(a[i][k:], pivot_row))
-                a[i][k:] = [div(c, prev) for c in cells] if prev != one else cells
+                a[i][k:] = [c // prev for c in cells] if prev != 1 else cells
         prev = piv
     return prev * sign, [[v * sign for v in r[n:]] for r in a]
 

@@ -585,13 +585,14 @@ def _moment_row(pm: MatPoly, nums, den) -> FracMat:
 
 
 def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPoly]:
-    """The base family and P M of the weight's atomic form, M polynomial."""
+    """The base family and P M of the weight's atomic form, M polynomial:
+    the numerator the weight keeps, whose denominator is then 1."""
     if p.size != weight.size:
         raise ShapeError("inner product size mismatch")
-    fam, mat = weight.as_atomic()
-    if not mat.is_polynomial:
+    num, m = weight.numerator()
+    if m.degree > 0:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    return fam, p * MatPoly(mat.poly_rows())
+    return weight.as_atomic()[0], p * num
 
 
 def _int_product(a, b) -> list[list[int]]:

@@ -378,3 +378,21 @@ class TestBadParams:
     def test_unknown_name_in_entry(self):
         with pytest.raises(DomainError, match="kapa"):
             entry("JAC2", {"kapa": F(1)})
+
+
+def test_zero_operator_against_weight_of_another_size(tmp_path, capsys):
+    # the size check comes before the zero operator's shortcut, so
+    # symmetric() is an error row like in_algebra(), not a PASS
+    p = tmp_path / "zero.mvop"
+    p.write_text(
+        "op Z = 0*d^1\n"
+        "weight W = laguerre(alpha=0) * [1+x, x; x, 1+x^2]\n"
+        "check symmetric(Z, W)\n"
+        "check in_algebra(Z, W)\n"
+    )
+    rc = main(["verify", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "ERROR symmetric(Z, W)  [ShapeError: operator and weight sizes differ]",
+        "ERROR in_algebra(Z, W)  [ShapeError: operator and weight sizes differ]",
+    ]

@@ -260,6 +260,19 @@ class TestFormalStar:
 
 
 class TestWAdjoint:
+    def test_zero_operator_size_checked(self):
+        # a zero operator is refused against a weight of another size, as
+        # any other operator is, and so is its symmetry check
+        from mvop.dwalgebra import symmetry_check
+
+        w = Weight.atomic(Laguerre(0), MatRF([[1 + X, X], [X, 1 + X**2]]))
+        for z in (DiffOp.zero(1), DiffOp.zero(3)):
+            with pytest.raises(ShapeError):
+                w_adjoint(z, w)
+            with pytest.raises(ShapeError):
+                symmetry_check(z, w)
+        assert w_adjoint(DiffOp.zero(2), w) == DiffOp.zero(2)
+
     def test_classical_operator_self_adjoint(self):
         fam = Laguerre(ALPHA)
         assert w_adjoint(fam.delta(), fam.scalar_weight()) == fam.delta()
