@@ -808,11 +808,12 @@ def bareiss(rows, admit=None):
     det, rest = _fraction_free([[pack(e, w) for e in r] for r in rows])
     if rest is None:
         return (_P0 if poly else ()), None
-    if poly:
-        scale = den**n
-        out = lambda v: Poly([Fraction(c, scale) for c in unpack(v, w, n * deg + 1)])
-    else:
-        out = lambda v: _trim(unpack(v, w, n * deg + 1))
+    scale = den**n if poly else 1
+
+    def out(v):
+        digits = unpack(v, w, n * deg + 1)
+        return Poly([Fraction(c, scale) for c in digits]) if poly else _trim(digits)
+
     return out(det), [[out(v) for v in r] for r in rest]
 
 
