@@ -5,10 +5,9 @@ kept here as oracles: every result must be repr-identical."""
 import math
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvop import diffop, exactalg
+from mvop import exactalg
 from mvop.diffop import DiffOp, MatPoly, Verdict, degree_preserving, w_adjoint
 from mvop.exactalg import MatRF, Poly, RatFunc, X, exact_div, int_form, nonneg_integer_roots, poly_divmod, poly_gcd
 from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight
@@ -264,35 +263,3 @@ class TestRootsOracle:
             for a, b in zip(got, chain):
                 ratio = F(a[-1]) / b.lc
                 assert ratio > 0 and Poly(a) == b * ratio
-
-
-class TestIntegerPath:
-    def test_no_rational_polynomial_arithmetic(self, monkeypatch):
-        # degree_preserving on every catalog operator and w_adjoint on every
-        # (operator, same-size weight) pair with a polynomial adjoint run in
-        # Z[x]: no Poly product, division or gcd once the weights are set up
-        from mvop.catalog import ENTRY_NAMES, entry
-
-        ops, adjoints = [], []
-        for e in (entry(name) for name in ENTRY_NAMES):
-            for w in e.doc.weights.values():
-                w.factor_data()
-            for d in (*e.ops.values(), *e.verbatim_ops.values()):
-                ops.append(d)
-                adjoints += [(d, w) for w in e.doc.weights.values() if w.size == d.size and w_adjoint(d, w).is_polynomial]
-        assert len(adjoints) > 20
-
-        def refuse(*args):
-            raise AssertionError("Q[x] arithmetic on an integer kernel")
-
-        for module in (exactalg, diffop):
-            monkeypatch.setattr(module, "poly_divmod", refuse)
-            monkeypatch.setattr(module, "poly_gcd", refuse)
-        monkeypatch.setattr(Poly, "__mul__", refuse)
-        monkeypatch.setattr(Poly, "__rmul__", refuse)
-        verdicts = [degree_preserving(d) for d in ops]
-        assert any(v.ok for v in verdicts) and any(not v.ok for v in verdicts)
-        for d, w in adjoints:
-            w_adjoint(d, w)
-        with pytest.raises(AssertionError):
-            Poly((1, 1)) * Poly((1, 1))
