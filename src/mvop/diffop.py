@@ -50,6 +50,7 @@ from .exactalg import (
     RatFunc,
     ShapeError,
     bareiss,
+    den_lcm,
     exact_div,
     frac,
     int_entries,
@@ -171,10 +172,7 @@ def _rational(num: MatPoly, den: Poly) -> MatRF:
 def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
     """(N_j, q) with ms[j] = N_j / q, q the monic lcm of the denominators of
     MatRF entries (the entry form); any other matrix is polynomial."""
-    q = _P1
-    for e in {e.den for m in ms if isinstance(m, MatRF) for r in m.rows for e in r}:
-        if e != q:
-            q = exact_div(q * e, poly_gcd(q, e))
+    q = den_lcm(e for m in ms if isinstance(m, MatRF) for r in m.rows for e in r)
 
     def num(m):
         if isinstance(m, MatRF):

@@ -6,18 +6,16 @@ Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
 entries, used for eigenvalues, recursion coefficients and conjugating
 matrices), ``MatRF`` (square, rational-function entries: weight factors as
 written, and the exit form of a rational operator coefficient) and
-``diffop.MatPoly``. Exact linear algebra runs through three elimination
-kernels. ``_eliminate`` (an incremental row echelon form, over either field)
-serves the small systems: ``det`` multiplies its pivots, and
-``solve_square`` (which also inverts ``FracMat`` and ``MatRF``) reads its
-solution off the reduced form that ``_reduce`` makes of it by back
-substitution. ``bareiss`` eliminates integer matrices fraction-free, for
-leading minors, Gram blocks and the singular-span test, and polynomial ones
-as the integers their entries pack to, for symbol determinants and the
-adjugate of a weight factor. ``nullspace``,
-whose callers are the searches' large sparse integer systems, eliminates
-as ``_eliminate`` does, fraction-free, on primitive integer rows kept as
-maps of their nonzeros, and forms one Fraction per basis entry.
+``diffop.MatPoly``. Exact linear algebra runs through two elimination
+kernels. ``bareiss`` eliminates dense square matrices fraction-free: integer
+ones as they are, for leading minors, Gram blocks and the singular-span
+test, and polynomial ones as the integers their entries pack to, for symbol
+determinants and the adjugate of a weight factor. Every determinant,
+inverse and ``solve_square`` over a field is read off it too: a Fraction
+matrix goes over one denominator L to integers, a RatFunc matrix over q, the
+monic lcm of its denominators, to polynomials. ``nullspace``, whose callers
+are the searches' large sparse integer systems, reduces primitive integer
+rows kept as maps of their nonzeros and forms one Fraction per basis entry.
 All polynomial products run through packed integers (Kronecker
 substitution): the numerators of polynomials over a common denominator
 (``int_form``, ``int_entries``) are packed as the digits of one Python
@@ -693,7 +691,6 @@ class RatFunc:
 
 
 _RF0 = RatFunc(_P0)
-_RF1 = RatFunc(_P1)
 
 
 def _as_ratfunc(v):
@@ -706,78 +703,40 @@ def _as_ratfunc(v):
     return None
 
 
+def den_lcm(rfs) -> Poly:
+    """The monic lcm of the denominators of RatFuncs, 1 when there are none."""
+    q = _P1
+    for e in {f.den for f in rfs}:
+        if e != q:
+            q = exact_div(q * e, poly_gcd(q, e))
+    return q
+
+
 # ---------------------------------------------------------------------------
-# the elimination kernel
-
-
-def _eliminate(rows, ncols):
-    """Row echelon form by incremental elimination, pivoting in the first
-    ``ncols`` columns only.
-
-    Row operations span the whole row, so columns past ``ncols`` (an augmented
-    right-hand side) are carried along; a row that vanishes on the first
-    ``ncols`` columns is dropped. Each row is reduced only by multiples of the
-    rows kept before it, so it is zero at their pivots and left of its own.
-    Returns the pivot columns and the rows, unscaled. Works over any field
-    whose elements support truth testing and division (Fraction, RatFunc).
-    """
-    pivots, echelon = [], []
-    for row in rows:
-        r = list(row)
-        width = len(r)
-        for p, prow in zip(pivots, echelon):
-            if r[p]:
-                f = r[p] / prow[p]
-                for c in range(p, width):
-                    if prow[c]:
-                        r[c] = r[c] - f * prow[c]
-        lead = next((c for c in range(ncols) if r[c]), None)
-        if lead is not None:
-            pivots.append(lead)
-            echelon.append(r)
-    return pivots, echelon
-
-
-def _reduce(pivots, echelon):
-    """The reduced row echelon form of ``_eliminate``'s output, by back
-    substitution: each row scaled to 1 at its pivot, that column cleared in
-    the rows before it. The rows are changed in place."""
-    for i in range(len(echelon) - 1, -1, -1):
-        p, r = pivots[i], echelon[i]
-        inv = 1 / r[p]
-        r[:] = [c * inv if c else c for c in r]
-        for prow in echelon[:i]:
-            f = prow[p]
-            if f:
-                for c in range(p, len(r)):
-                    if r[c]:
-                        prow[c] = prow[c] - f * r[c]
-    return echelon
-
-
-def _det(rows, zero, one):
-    """Determinant of a square matrix: sign(pivot permutation) times the
-    product of the pivots, or zero when the rank is short. Elimination adds
-    to each row only multiples of earlier rows, which keeps the determinant."""
-    n = len(rows)
-    pivots, echelon = _eliminate(rows, n)
-    if len(pivots) < n:
-        return zero
-    det = one
-    for p, r in zip(pivots, echelon):
-        det = det * r[p]
-    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
-    return -det if swaps % 2 else det
+# elimination: bareiss (dense) and nullspace (sparse)
 
 
 def solve_square(a_rows, b_rows):
     """Solve A X = B exactly, A square, over either field (Fraction,
-    RatFunc), by reducing [A | B]. Raises SingularError."""
-    n = len(a_rows)
-    pivots, echelon = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)], n)
-    if len(pivots) < n:
+    RatFunc): ``bareiss`` on [A | B] over one denominator gives det A and
+    det(A) A^-1 B, and each entry of X is one quotient. Raises
+    SingularError."""
+    rows, _ = _cleared([list(a) + list(b) for a, b in zip(a_rows, b_rows)])
+    det, rest = bareiss(rows)
+    if rest is None:
         raise SingularError("singular linear system")
-    return [row[n:] for _, row in sorted(zip(pivots, _reduce(pivots, echelon)))]
+    quo = RatFunc if isinstance(det, Poly) else Fraction
+    return [[quo(v, det) for v in r] for r in rest]
+
+
+def _cleared(rows):
+    """Rows of Fractions as (integer rows, L) over their common denominator
+    L, or rows of RatFuncs as (Poly rows, q) over q, the monic lcm of their
+    denominators: the entries ``bareiss`` takes."""
+    if not isinstance(rows[0][0], RatFunc):
+        return int_matrix(rows)
+    q = den_lcm(e for r in rows for e in r)
+    return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows], q
 
 
 def bareiss(rows, admit=None):
@@ -792,6 +751,8 @@ def bareiss(rows, admit=None):
     both results by L^n): packing at width w is evaluation at x = 2^w, a
     ring homomorphism, so every division stays exact, and at a width that
     holds every minor it is injective on all that elimination forms.
+    ``FracMat.det``, ``MatRF.det`` and ``solve_square`` (and through it
+    ``FracMat.inv`` and ``MatRF.inverse``) call it over one denominator.
     """
     first = rows[0][0]
     if isinstance(first, int):
@@ -872,12 +833,14 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
     """Basis of the right nullspace of a matrix over Q, read off its RREF.
 
     Rows are sequences of ints or Fractions. Sparse and fraction-free: each
-    row becomes a primitive integer row {col: value} of its nonzeros, and the
-    rows are eliminated as in ``_eliminate`` and back-substituted as in
-    ``_reduce`` by integer combinations (``_clear``) over the union of two
-    rows' nonzeros, pivot rows kept primitive. Row i ends as its RREF row
-    times an integer, so each basis entry is one Fraction and the basis (the
-    RREF is unique) is the one the field kernels give.
+    row becomes a primitive integer row {col: value} of its nonzeros and is
+    reduced, in turn, by the pivot rows kept before it, so it is zero at
+    their pivots; a row left nonzero is kept, its pivot its first nonzero
+    column. Back substitution then clears each pivot column in the rows
+    above. Every step is an integer combination (``_clear``) over the union
+    of two rows' nonzeros, pivot rows kept primitive. Row i ends as its RREF
+    row times an integer, so each basis entry is one Fraction and the basis
+    (the RREF is unique) is the one elimination over Q gives.
     """
     pivots, echelon = [], []
     for row in rows:
@@ -1051,7 +1014,8 @@ class FracMat(Matrix):
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a nonsquare matrix")
-        return _det(self.rows, _F0, _F1)
+        ints, den = int_matrix(self.rows)
+        return Fraction(bareiss(ints)[0], den**self.nrows)
 
     def inv(self) -> "FracMat":
         if self.nrows != self.ncols:
@@ -1078,7 +1042,8 @@ class MatRF(Matrix):
         return MatRF([[c.derivative() for c in r] for r in self.rows])
 
     def det(self) -> RatFunc:
-        return _det(self.rows, _RF0, _RF1)
+        polys, q = _cleared(self.rows)
+        return RatFunc(bareiss(polys)[0], q**self.size)
 
     def inverse(self) -> "MatRF":
         return MatRF(solve_square(self.rows, MatRF.identity(self.size).rows))

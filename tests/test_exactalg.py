@@ -16,8 +16,6 @@ from mvop.exactalg import (
     ShapeError,
     SingularError,
     X,
-    _eliminate,
-    _reduce,
     bareiss,
     digit,
     exact_div,
@@ -31,6 +29,7 @@ from mvop.exactalg import (
     solve_square,
     unpack,
 )
+from test_integer_kernels import field_det, field_eliminate, field_inverse, field_reduce, field_solve
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 polys = st.lists(fractions, max_size=5).map(Poly)
@@ -261,8 +260,9 @@ int_square_rows = st.integers(1, 4).flatmap(
 
 
 class TestIntegerBareiss:
-    """``bareiss`` on integers: exact floor division, the FracMat field
-    kernel's determinant and inverse, leading minors through ``admit``."""
+    """``bareiss`` on integers: exact floor division, the field
+    elimination's determinant and inverse, leading minors through
+    ``admit``."""
 
     @given(int_square_rows)
     @example([[0, 1], [1, 0]])
@@ -270,10 +270,10 @@ class TestIntegerBareiss:
     def test_matches_fracmat_det_and_inv(self, rows):
         n, m = len(rows), FracMat(rows)
         det, adj = bareiss([r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
-        assert type(det) is int and det == m.det() == bareiss(rows)[0]
+        assert type(det) is int and det == field_det(m) == bareiss(rows)[0]
         if det:
             assert all(type(v) is int for r in adj for v in r)
-            assert FracMat(adj) * F(1, det) == m.inv()
+            assert FracMat(adj) * F(1, det) == field_inverse(m)
         else:
             assert adj is None
 
@@ -283,7 +283,7 @@ class TestIntegerBareiss:
         # pivots up to the first zero one are the leading principal minors
         seen = []
         bareiss(rows, lambda k, p: seen.append(p) or p != 0)
-        minors = [FracMat([r[:k] for r in rows[:k]]).det() for k in range(1, len(rows) + 1)]
+        minors = [field_det(FracMat([r[:k] for r in rows[:k]])) for k in range(1, len(rows) + 1)]
         stop = next((k for k, v in enumerate(minors) if not v), len(rows) - 1)
         assert seen == minors[: stop + 1]
 
@@ -317,9 +317,9 @@ def null_rows(draw):
 
 
 def _nullspace_over_q(rows, ncols):
-    """Oracle: the Fraction route, the RREF of the field kernels read off."""
-    pivots, echelon = _eliminate(rows, ncols)
-    reduced = _reduce(pivots, echelon)
+    """Oracle: the Fraction route, the RREF of the field elimination read off."""
+    pivots, echelon = field_eliminate(rows, ncols)
+    reduced = field_reduce(pivots, echelon)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -375,6 +375,30 @@ class TestNullspaceOracle:
         assert repr(nullspace(rows, ncols)) == repr(want)
 
 
+@st.composite
+def dense_rows(draw, values, max_size=4):
+    """Square matrices of ``values``; in about half of them one row is a
+    multiple of another (a zero multiple too), so that singular ones are
+    common."""
+    n = draw(st.integers(1, max_size))
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(values)
+        rows[i] = [scale * c for c in rows[j]]
+    return rows
+
+
+# small and huge Fractions; RatFuncs over (x + c)^k with repeated factors
+dense_fracs = st.one_of(entries, huge)
+dense_ratfuncs = st.builds(
+    lambda p, c, k: RatFunc(p, (X + c) ** k),
+    st.lists(fractions, max_size=3).map(Poly),
+    st.integers(-2, 2),
+    st.integers(0, 2),
+)
+
+
 def _to_sympy(rows):
     sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
@@ -387,29 +411,35 @@ def _from_sympy(m):
 class TestAgainstSympy:
     """sympy as an independent oracle for the exact elimination kernels."""
 
-    @given(square_rows)
-    @settings(max_examples=60, deadline=None)
+    @given(dense_rows(dense_fracs))
+    @settings(max_examples=100, deadline=None)
     def test_det_and_inverse(self, rows):
-        ref = _to_sympy(rows)
+        ref, m = _to_sympy(rows), FracMat(rows)
         det = ref.det()
-        assert FracMat(rows).det() == F(int(det.p), int(det.q))
+        assert m.det() == F(int(det.p), int(det.q))
+        assert repr(m.det()) == repr(field_det(m))
         if det == 0:
-            with pytest.raises(SingularError):
-                FracMat(rows).inv()
+            for inverse in (FracMat.inv, field_inverse):
+                with pytest.raises(SingularError):
+                    inverse(m)
         else:
-            assert FracMat(rows).inv() == FracMat(_from_sympy(ref.inv()))
+            assert m.inv() == FracMat(_from_sympy(ref.inv()))
+            assert repr(m.inv()) == repr(field_inverse(m))
 
-    @given(square_rows, st.data())
-    @settings(max_examples=60, deadline=None)
+    @given(dense_rows(dense_fracs), st.data())
+    @settings(max_examples=100, deadline=None)
     def test_solve_square(self, rows, data):
         width = data.draw(st.integers(1, 3))
-        rhs = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in rows]
+        rhs = [data.draw(st.lists(dense_fracs, min_size=width, max_size=width)) for _ in rows]
         ref = _to_sympy(rows)
         if ref.det() == 0:
-            with pytest.raises(SingularError):
-                solve_square(rows, rhs)
+            for solve in (solve_square, field_solve):
+                with pytest.raises(SingularError):
+                    solve(rows, rhs)
         else:
-            assert solve_square(rows, rhs) == _from_sympy(ref.solve(_to_sympy(rhs)))
+            got = solve_square(rows, rhs)
+            assert got == _from_sympy(ref.solve(_to_sympy(rhs)))
+            assert repr(got) == repr(field_solve(rows, rhs))
 
     @given(st.one_of(square_rows, rect_rows))
     @settings(max_examples=120, deadline=None)
@@ -424,25 +454,26 @@ class TestAgainstSympy:
             assert (a * ours).is_zero_matrix and ours.rank() == len(basis)
             assert sympy.Matrix.hstack(ours, *ref).rank() == len(ref)
 
-    @given(st.integers(1, 3), st.data())
+    @given(dense_rows(st.one_of(st.lists(st.integers(-3, 3), max_size=3).map(Poly), dense_ratfuncs), 3))
     @settings(max_examples=30, deadline=None)
-    def test_matrf_det_and_inverse(self, n, data):
+    def test_matrf_det_and_inverse(self, rows):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        small = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
-        rows = [[data.draw(small) for _ in range(n)] for _ in range(n)]
-        ref = sympy.Matrix([[_sympy_poly(p, x).as_expr() for p in r] for r in rows])
-        det = ref.det()
-        ours = MatRF(rows)
-        assert _parts(ours.det()) == _canonical(det, x)
-        if sympy.expand(det) == 0:
-            with pytest.raises(SingularError):
-                ours.inverse()
+        ours, n = MatRF(rows), len(rows)
+        ref = sympy.Matrix([[_sympy_poly(e.num, x).as_expr() / _sympy_poly(e.den, x).as_expr() for e in r] for r in ours.rows])
+        det = _canonical(ref.det(), x)
+        assert _parts(ours.det()) == det
+        assert repr(ours.det()) == repr(field_det(ours))
+        if not det[0]:
+            for inverse in (MatRF.inverse, field_inverse):
+                with pytest.raises(SingularError):
+                    inverse(ours)
         else:
             inv, ref_inv = ours.inverse(), ref.inv()
             for i in range(n):
                 for j in range(n):
                     assert _parts(inv.entry(i, j)) == _canonical(ref_inv[i, j], x)
+            assert repr(inv) == repr(field_inverse(ours))
 
     @given(polys, nonzero_polys)
     @settings(max_examples=40, deadline=None)

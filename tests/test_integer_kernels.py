@@ -1,6 +1,9 @@
 """The integer kernels of ``w_adjoint``, ``degree_preserving`` and
 ``nonneg_integer_roots`` against the Fraction-polynomial code they replaced,
-kept here as oracles: every result must be repr-identical."""
+kept here as oracles: every result must be repr-identical. The field
+elimination that ``det``, ``inverse`` and ``solve_square`` ran before they
+read their results off ``bareiss`` is kept here too, for the symbol oracle
+and for ``test_exactalg`` and ``test_diffop``."""
 
 import math
 from fractions import Fraction as F
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mvop import exactalg
 from mvop.diffop import DiffOp, MatPoly, Verdict, degree_preserving, w_adjoint
-from mvop.exactalg import MatRF, Poly, RatFunc, X, exact_div, int_form, nonneg_integer_roots, poly_divmod, poly_gcd
+from mvop.exactalg import MatRF, Poly, RatFunc, SingularError, X, exact_div, int_form, nonneg_integer_roots, poly_divmod, poly_gcd
 from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight
 
 _P1 = Poly((1,))
@@ -110,13 +113,86 @@ def symbol_oracle(d):
             for c in range(n):
                 if top.entry(r, c):
                     rows[r][c] = rows[r][c] + fall * top.entry(r, c)
-    det = MatRF(rows).det().as_poly()
+    det = field_det(MatRF(rows)).as_poly()
     if det.is_zero:
         return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
     roots = roots_oracle(det)
     if roots:
         return Verdict(False, f"symbol singular at n = {roots[0]}", fail_n=roots[0], residual=det)
     return Verdict(True, residual=det)
+
+
+def field_eliminate(rows, ncols):
+    """Row echelon form by incremental elimination over a field (Fraction,
+    RatFunc), pivoting in the first ``ncols`` columns only.
+
+    Row operations span the whole row, so columns past ``ncols`` (an augmented
+    right-hand side) are carried along; a row that vanishes on the first
+    ``ncols`` columns is dropped. Each row is reduced only by multiples of the
+    rows kept before it, so it is zero at their pivots and left of its own.
+    Returns the pivot columns and the rows, unscaled.
+    """
+    pivots, echelon = [], []
+    for row in rows:
+        r = list(row)
+        width = len(r)
+        for p, prow in zip(pivots, echelon):
+            if r[p]:
+                f = r[p] / prow[p]
+                for c in range(p, width):
+                    if prow[c]:
+                        r[c] = r[c] - f * prow[c]
+        lead = next((c for c in range(ncols) if r[c]), None)
+        if lead is not None:
+            pivots.append(lead)
+            echelon.append(r)
+    return pivots, echelon
+
+
+def field_reduce(pivots, echelon):
+    """The reduced row echelon form of ``field_eliminate``'s output, by back
+    substitution: each row scaled to 1 at its pivot, that column cleared in
+    the rows before it. The rows are changed in place."""
+    for i in range(len(echelon) - 1, -1, -1):
+        p, r = pivots[i], echelon[i]
+        inv = 1 / r[p]
+        r[:] = [c * inv if c else c for c in r]
+        for prow in echelon[:i]:
+            f = prow[p]
+            if f:
+                for c in range(p, len(r)):
+                    if r[c]:
+                        prow[c] = prow[c] - f * r[c]
+    return echelon
+
+
+def field_det(m):
+    """det of a FracMat or MatRF: sign(pivot permutation) times the product
+    of the pivots, or zero when the rank is short. Elimination adds to each
+    row only multiples of earlier rows, which keeps the determinant."""
+    n = m.nrows
+    pivots, echelon = field_eliminate(m.rows, n)
+    if len(pivots) < n:
+        return m._zero
+    det = m._coerce(1)
+    for p, r in zip(pivots, echelon):
+        det = det * r[p]
+    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return -det if swaps % 2 else det
+
+
+def field_solve(a_rows, b_rows):
+    """Solve A X = B, A square, by reducing [A | B]. Raises SingularError."""
+    n = len(a_rows)
+    pivots, echelon = field_eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)], n)
+    if len(pivots) < n:
+        raise SingularError("singular linear system")
+    return [row[n:] for _, row in sorted(zip(pivots, field_reduce(pivots, echelon)))]
+
+
+def field_inverse(m):
+    """The inverse of a square FracMat or MatRF by ``field_solve``."""
+    return type(m)(field_solve(m.rows, type(m).identity(m.nrows).rows))
 
 
 # ---------------------------------------------------------------------------
