@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (
+    _P1,  # one shared object: den == _P1 then compares one tuple with itself
     DomainError,
     FracMat,
     MatRF,
@@ -67,8 +68,6 @@ from .exactalg import (
     poly_gcd,
     unpack,
 )
-
-_P1 = Poly((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,8 @@ def _rational(num: MatPoly, den: Poly) -> MatRF:
 def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
     """(N_j, q) with ms[j] = N_j / q, q the monic lcm of the denominators of
     MatRF entries (the entry form); any other matrix is polynomial."""
-    q = den_lcm(e for m in ms if isinstance(m, MatRF) for r in m.rows for e in r)
+    rows = [r for m in ms if isinstance(m, MatRF) for r in m.rows]
+    q = den_lcm(rows) if rows else _P1
 
     def num(m):
         if isinstance(m, MatRF):

@@ -703,10 +703,10 @@ def _as_ratfunc(v):
     return None
 
 
-def den_lcm(rfs) -> Poly:
-    """The monic lcm of the denominators of RatFuncs, 1 when there are none."""
+def den_lcm(rows) -> Poly:
+    """The monic lcm of the denominators of rows of RatFuncs."""
     q = _P1
-    for e in {f.den for f in rfs}:
+    for e in {f.den for r in rows for f in r}:
         if e != q:
             q = exact_div(q * e, poly_gcd(q, e))
     return q
@@ -735,7 +735,7 @@ def _cleared(rows):
     denominators: the entries ``bareiss`` takes."""
     if not isinstance(rows[0][0], RatFunc):
         return int_matrix(rows)
-    q = den_lcm(e for r in rows for e in r)
+    q = den_lcm(rows)
     return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows], q
 
 
