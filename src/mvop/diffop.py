@@ -61,6 +61,7 @@ from .exactalg import (
     int_poly_matmul,
     int_poly_quo,
     nonneg_integer_roots,
+    numerators,
     pack,
     pack_width,
     poly_divmod,
@@ -176,7 +177,7 @@ def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
 
     def num(m):
         if isinstance(m, MatRF):
-            return MatPoly([[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in m.rows])
+            return MatPoly(numerators(m.rows, q))
         m = m if isinstance(m, MatPoly) else MatPoly(m.rows)
         return m if q == _P1 else m * q
 

@@ -712,6 +712,11 @@ def den_lcm(rows) -> Poly:
     return q
 
 
+def numerators(rows, q):
+    """Rows of RatFuncs times q, a multiple of every denominator: Poly rows."""
+    return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # elimination: bareiss (dense) and nullspace (sparse)
 
@@ -736,7 +741,7 @@ def _cleared(rows):
     if not isinstance(rows[0][0], RatFunc):
         return int_matrix(rows)
     q = den_lcm(rows)
-    return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows], q
+    return numerators(rows, q), q
 
 
 def bareiss(rows, admit=None):
