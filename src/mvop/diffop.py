@@ -3,10 +3,9 @@
 An operator ``sum_j d^j F_j(x)`` is stored as polynomial matrix numerators
 N_j over one monic scalar denominator ``den``, F_j = N_j / den, with
 gcd(den, every entry) = 1: a canonical form, so ``==`` and ``hash`` are
-structural, and ``den`` is 1 on every polynomial operator. ``MatRF`` and
-``RatFunc`` appear only at the edge: a ``MatRF`` given is put over one
-denominator, and a non-polynomial coefficient or action is returned as one.
-An operator acts on a matrix polynomial P from the right:
+structural, and ``den`` is 1 on every polynomial operator. A rational
+coefficient or action is returned the same way, as numerators and one
+denominator. An operator acts on a matrix polynomial P from the right:
 
     P . D = sum_j P^(j)(x) F_j(x)
 
@@ -44,14 +43,11 @@ from .exactalg import (
     _P1,  # one shared object: den == _P1 then compares one tuple with itself
     DomainError,
     FracMat,
-    MatRF,
     Matrix,
     NonPolynomialError,
     Poly,
-    RatFunc,
     ShapeError,
     bareiss,
-    den_lcm,
     exact_div,
     frac,
     int_entries,
@@ -61,12 +57,12 @@ from .exactalg import (
     int_poly_matmul,
     int_poly_quo,
     nonneg_integer_roots,
-    numerators,
     pack,
     pack_width,
-    poly_divmod,
     poly_dot,
     poly_gcd,
+    poly_quo,
+    ratio_str,
     unpack,
 )
 
@@ -160,33 +156,16 @@ class MatPoly(IntForm, Matrix):
     def derivative(self) -> "MatPoly":
         return MatPoly([[c.derivative() for c in r] for r in self.rows])
 
-    def to_matrf(self) -> MatRF:
-        return MatRF(self.rows)
 
-
-def _rational(num: MatPoly, den: Poly) -> MatRF:
-    # the exit form of a non-polynomial matrix num / den
-    return MatRF([[RatFunc(e, den) for e in r] for r in num.rows])
-
-
-def numerator_form(ms) -> tuple[list[MatPoly], Poly]:
-    """(N_j, q) with ms[j] = N_j / q, q the monic lcm of the denominators of
-    MatRF entries (the entry form); any other matrix is polynomial."""
-    rows = [r for m in ms if isinstance(m, MatRF) for r in m.rows]
-    q = den_lcm(rows) if rows else _P1
-
-    def num(m):
-        if isinstance(m, MatRF):
-            return MatPoly(numerators(m.rows, q))
-        m = m if isinstance(m, MatPoly) else MatPoly(m.rows)
-        return m if q == _P1 else m * q
-
-    return [num(m) for m in ms], q
+def ratio_matrix_str(num: MatPoly, den: Poly) -> str:
+    """num / den as text, each entry by ``ratio_str``, as MatRF's repr shows it."""
+    return "MatRF[" + "; ".join(", ".join(ratio_str(e, den) for e in r) for r in num.rows) + "]"
 
 
 def _canonical(nums: list[MatPoly], den: Poly) -> tuple[list[MatPoly], Poly]:
     """nums / den with gcd(den, every entry) = 1 and den monic, by one gcd
-    over all entries and one exact division of each."""
+    over all entries and one exact division of each, both in Z[x]. Weight
+    factors are kept in this form too."""
     g = den
     for e in (e for m in nums for r in m.rows for e in r):
         if g.degree < 1:
@@ -214,14 +193,13 @@ class DiffOp(IntForm):
     __slots__ = ("size", "coeffs", "den", "_hash", "_form", "_packs", "_intop")
 
     def __init__(self, size: int, coeffs=(), den: Poly = _P1):
-        """F_j = coeffs[j] / den; a MatRF coefficient is converted on entry."""
-        cs, q = numerator_form(coeffs)
+        """F_j = coeffs[j] / den, each coeffs[j] a polynomial matrix."""
+        cs = [c if isinstance(c, MatPoly) else MatPoly(c.rows) for c in coeffs]
         for c in cs:
             if c.size != size:
                 raise ShapeError("coefficient size mismatch")
         while cs and cs[-1].is_zero:
             cs.pop()
-        den = den * q if q != _P1 else den
         if den != _P1:
             cs, den = _canonical(cs, den)
         self.size = size
@@ -245,8 +223,8 @@ class DiffOp(IntForm):
 
     @staticmethod
     def scalar(coeffs) -> "DiffOp":
-        """1x1 operator from a list of Poly/RatFunc coefficients by d-power."""
-        return DiffOp(1, [MatRF([[c]]) if isinstance(c, RatFunc) else MatPoly([[c]]) for c in coeffs])
+        """1x1 operator from a list of Poly coefficients by d-power."""
+        return DiffOp(1, [MatPoly([[c]]) for c in coeffs])
 
     @staticmethod
     def ddx(size: int = 1) -> "DiffOp":
@@ -270,10 +248,9 @@ class DiffOp(IntForm):
     def is_polynomial(self) -> bool:
         return self.den == _P1
 
-    def coeff(self, j: int) -> MatPoly | MatRF:
-        """F_j: a MatPoly, or on a rational operator the exit form MatRF."""
-        num = self.coeffs[j] if 0 <= j < len(self.coeffs) else MatPoly.zeros(self.size)
-        return num if self.is_polynomial else _rational(num, self.den)
+    def coeff(self, j: int) -> MatPoly:
+        """The numerator N_j: F_j = N_j / ``den``, F_j itself when polynomial."""
+        return self.coeffs[j] if 0 <= j < len(self.coeffs) else MatPoly.zeros(self.size)
 
     def _entries(self):
         return [e for f in self.coeffs for r in f.rows for e in r]
@@ -330,8 +307,8 @@ class DiffOp(IntForm):
 
         if self.is_polynomial:
             return f"DiffOp<{op_str(self)}>"
-        # rational entries have no document form; show them as str(RatFunc)
-        return "DiffOp<" + " + ".join(f"d^{j}*{self.coeff(j)!r}" for j in range(self.order, -1, -1)) + ">"
+        # rational entries have no document form; show each in lowest terms
+        return "DiffOp<" + " + ".join(f"d^{j}*{ratio_matrix_str(self.coeffs[j], self.den)}" for j in range(self.order, -1, -1)) + ">"
 
 
 def _common(a: DiffOp, b: DiffOp):
@@ -433,36 +410,34 @@ def _under(q: Poly, d: DiffOp) -> DiffOp:
     ], powers[n + 1] * d.den)
 
 
-def action(p: MatPoly | MatRF, d: DiffOp) -> tuple[MatPoly, Poly]:
+def action(p: MatPoly, d: DiffOp) -> tuple[MatPoly, Poly]:
     """P . D = sum_j P^(j) F_j as (numerators, denominator), the denominator
     1 exactly when the action is polynomial.
 
     ``int_action``'s sums, unpacked, over the right operand's ``den``; an
-    exact division by it decides whether the result is polynomial. A MatRF
-    P = N / q acts as N under (1/q) o D.
+    exact division by it decides whether the result is polynomial.
     """
     if p.size != d.size:
         raise ShapeError("size mismatch in apply")
-    (p,), q = numerator_form([p])
-    if q != _P1:
-        d = _under(q, d)
     op = d.int_op()
     ints, den, _ = p.int_form()
     sums, w = int_action(p, p.size, op)[:2]
     s = _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
     if d.is_polynomial:
         return s, _P1
-    split = [[poly_divmod(e, d.den) for e in r] for r in s.rows]
-    if any(rem for r in split for _, rem in r):
+    quos = [[poly_quo(e, d.den) for e in r] for r in s.rows]
+    if any(None in r for r in quos):
         return s, d.den
-    return MatPoly([[quo for quo, _ in r] for r in split]), _P1
+    return MatPoly(quos), _P1
 
 
-def apply(p: MatPoly | MatRF, d: DiffOp) -> MatPoly | MatRF:
-    """Right action P . D = sum_j P^(j) F_j; a MatPoly when the result is
-    polynomial, else its exit form MatRF (``action``)."""
+def apply(p: MatPoly, d: DiffOp) -> MatPoly:
+    """Right action P . D = sum_j P^(j) F_j, which must be polynomial
+    (``action`` returns a rational one)."""
     s, den = action(p, d)
-    return s if den == _P1 else _rational(s, den)
+    if den != _P1:
+        raise NonPolynomialError("the action P . D is not polynomial")
+    return s
 
 
 def compose(first: DiffOp, second: DiffOp) -> DiffOp:
@@ -686,7 +661,7 @@ def compare_operators(a: DiffOp, b: DiffOp, limit: int = 4) -> Verdict:
     if a == b:
         return Verdict(True)
     detail = "; ".join(
-        f"d^{j} cell ({r},{c}): {a.coeff(j).entry(r, c)} vs {b.coeff(j).entry(r, c)}"
+        f"d^{j} cell ({r},{c}): {ratio_str(a.coeff(j).entry(r, c), a.den)} vs {ratio_str(b.coeff(j).entry(r, c), b.den)}"
         for j, r, c in diff_cells(a, b)[:limit]
     )
     return Verdict(False, detail, residual=a - b)

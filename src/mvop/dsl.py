@@ -39,7 +39,7 @@ import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import DomainError, MatRF, NonPolynomialError, Poly, X, poly_str
+from .exactalg import DomainError, NonPolynomialError, Poly, X, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
 
@@ -375,7 +375,7 @@ class _Parser:
         fam = self.family_call(t)
         if self.accept("SYM", "*"):
             mat = self.matrix()
-            return self._guard(t, lambda: Weight.atomic(fam, mat.to_matrf()))
+            return self._guard(t, lambda: Weight.atomic(fam, mat))
         return self._guard(t, lambda: fam.scalar_weight())
 
     def _guard(self, tok, build):
@@ -679,10 +679,9 @@ def _family_text(f: ScalarWeightFamily) -> str:
     return f"jacobi(alpha={_frac_text(f.alpha)}, beta={_frac_text(f.beta)})"
 
 
-def matrix_text(m) -> str:
-    """A MatPoly, or a MatRF weight factor with polynomial entries, as text."""
-    rows = m.poly_rows() if isinstance(m, MatRF) else m.rows
-    return "[" + "; ".join(", ".join(poly_str(e) for e in row) for row in rows) + "]"
+def matrix_text(m: MatPoly) -> str:
+    """A MatPoly as text."""
+    return "[" + "; ".join(", ".join(poly_str(e) for e in row) for row in m.rows) + "]"
 
 
 def op_str(d: DiffOp) -> str:
@@ -734,9 +733,11 @@ def op_scalar_str(d: DiffOp) -> str:
 def weight_text(w: Weight, block_names=None) -> str:
     if w.is_atomic:
         fam = _family_text(w.family)
-        if w.size == 1 and w.M == MatRF.identity(1):
+        if w.size == 1 and w.is_identity:
             return fam
-        return f"{fam} * {matrix_text(w.M)}"
+        if w.m.degree > 0:
+            raise NonPolynomialError("documents hold polynomial weight factors only")
+        return f"{fam} * {matrix_text(w.N)}"
     if block_names is None:
         raise DomainError("direct sums print through previously named blocks")
     refs = []

@@ -158,10 +158,10 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     for n in range(n_max + 1):
         p = ps(n)
         r = None
-        if op is None or not (isinstance(p, MatPoly) and p.size == t.size):
+        if op is None or p.size != t.size:
             r, den = action(p, t)
             if den.degree > 0:
-                return Verdict(False, f"non-polynomial action at n={n}", n, apply(p, t), eigs)
+                return Verdict(False, f"non-polynomial action at n={n}", n, (r, den), eigs)
         q = qs(n)
         lead = None
         if cs is None and q.monic_degree != n:

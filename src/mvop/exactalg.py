@@ -4,9 +4,9 @@ Everything in this module is immutable and pure, and the coefficient field is
 ``fractions.Fraction`` throughout, so every computation downstream is exact.
 Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
 entries, used for eigenvalues, recursion coefficients and conjugating
-matrices), ``MatRF`` (square, rational-function entries: weight factors as
-written, and the exit form of a rational operator coefficient) and
-``diffop.MatPoly``. Exact linear algebra runs through two elimination
+matrices), ``MatRF`` (square, rational-function entries, used by no other
+module: operators and weight factors are numerators over one denominator)
+and ``diffop.MatPoly``. Exact linear algebra runs through two elimination
 kernels. ``bareiss`` eliminates dense square matrices fraction-free: integer
 ones as they are, for leading minors, Gram blocks and the singular-span
 test, and polynomial ones as the integers their entries pack to, for symbol
@@ -28,7 +28,10 @@ recursion; ``diffop.int_action`` multiplies whole matrices of packed entries
 for the operator algebra and ``dwalgebra.relation``. Kernels that stay in
 Z[x] take plain integer coefficient lists (``int_poly_dot``,
 ``int_poly_matmul``, ``int_poly_quo``): the weight adjoint, and the Sturm
-chain of ``nonneg_integer_roots``.
+chain of ``nonneg_integer_roots`` and ``real_root_count``. Polynomial
+division runs there too: ``poly_quo`` and ``exact_div`` divide numerators by
+a primitive divisor, and ``poly_gcd`` follows the primitive remainder
+sequence of the Sturm chain (Brown 1971).
 """
 
 from __future__ import annotations
@@ -413,36 +416,39 @@ def _as_poly(v):
     return None
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+def poly_quo(a: Poly, b: Poly) -> Poly | None:
+    """a / b, or None when b does not divide a, in Z[x]: ``int_poly_quo`` on
+    a's numerators against the primitive part of b's (Gauss's lemma), the
+    quotient then rescaled by both denominators and b's content."""
     if b.is_zero:
         raise DomainError("polynomial division by zero")
-    q = [_F0] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coeffs)
-    blc = b.lc
-    bdeg = b.degree
-    for k in range(len(rem) - 1, bdeg - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        f = c / blc
-        q[k - bdeg] = f
-        for i, bc in enumerate(b.coeffs):
-            rem[k - bdeg + i] -= f * bc
-    return Poly(q), Poly(rem)
+    if a.is_zero:
+        return _P0
+    (na, la, _), (nb, lb, _) = int_form(a), int_form(b)
+    g = math.gcd(*nb)
+    quo = int_poly_quo(na, [c // g for c in nb])
+    return None if quo is None else Poly([Fraction(c * lb, la * g) for c in quo])
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
-    """Divide a by b; the remainder must be zero."""
-    q, r = poly_divmod(a, b)
-    if not r.is_zero:
-        raise DivisionError(f"nonzero remainder in exact division: {r}")
-    return q
+    """Divide a by b; b must divide a."""
+    quo = poly_quo(a, b)
+    if quo is None:
+        raise DivisionError(f"{b} does not divide {a}")
+    return quo
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    """The monic gcd (0 for two zeros), by the primitive pseudo-remainder
+    sequence of ``_sturm_rem`` on integer numerators."""
+    if a.is_zero or b.is_zero:
+        return (a or b).monic()
+    x, y = (_primitive_coeffs(int_form(p)[0]) for p in (a, b))
+    while len(y) > 1:
+        x, y = y, _sturm_rem(x, y)
+        if not y:
+            return Poly(x).monic()
+    return _P1
 
 
 def poly_str(p: Poly) -> str:
@@ -468,6 +474,21 @@ def poly_str(p: Poly) -> str:
     return "".join(parts)
 
 
+def lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / den with gcd(num, den) = 1 and den monic; 0 is 0 / 1."""
+    if den == _P1:
+        return num, den
+    g = poly_gcd(num, den) * den.lc
+    return exact_div(num, g), exact_div(den, g)
+
+
+def ratio_str(num: Poly, den: Poly) -> str:
+    """num / den in ``lowest_terms``, rendered like '(x + 1)/(x^2 - 2)', or
+    as ``poly_str`` when the denominator is 1."""
+    num, den = lowest_terms(num, den)
+    return poly_str(num) if den == _P1 else f"({poly_str(num)})/({poly_str(den)})"
+
+
 def nonneg_integer_roots(p: Poly) -> list[int]:
     """All nonnegative integer roots of a nonzero polynomial, by exact root
     isolation.
@@ -480,28 +501,8 @@ def nonneg_integer_roots(p: Poly) -> list[int]:
     primitive integer coefficient list, and each remainder of the chain is
     scaled by positive integers only (``_sturm_rem``), which keeps its signs.
     """
-    if p.is_zero:
-        raise DomainError("zero polynomial has every integer as a root")
-    q = _primitive_coeffs(int_form(p)[0])
-    if len(q) < 2:
-        return []
-    chain = _sturm_chain(q)
-    if len(chain[-1]) > 1:  # the chain of q, q' ends in their gcd
-        q = int_poly_quo(q, chain[-1])
-        chain = _sturm_chain(q)
-
-    def changes(x):
-        out, last = 0, 0
-        for cs in chain:
-            v = _value(cs, x)
-            if v:
-                if last and (v > 0) != (last > 0):
-                    out += 1
-                last = v
-        return out
-
-    bound = 1 + -(-max(map(abs, q[:-1])) // abs(q[-1]))
-    roots, todo = [], [(-1, bound, changes(-1), changes(bound))]
+    q, chain, bound = _sturm(p)
+    roots, todo = [], [(-1, bound, _changes(chain, -1), _changes(chain, bound))]
     while todo:
         a, b, va, vb = todo.pop()
         if b - a == 1:
@@ -509,11 +510,45 @@ def nonneg_integer_roots(p: Poly) -> list[int]:
                 roots.append(b)
             continue
         m = (a + b) // 2
-        vm = changes(m)
+        vm = _changes(chain, m)
         for half in ((a, m, va, vm), (m, b, vm, vb)):
             if half[2] > half[3]:
                 todo.append(half)
     return sorted(roots)
+
+
+def real_root_count(p: Poly, lo=None, hi=None) -> int:
+    """The number of distinct real roots of a nonzero polynomial in the open
+    interval (lo, hi), each end an integer or None for an infinite one: V(lo)
+    - V(hi) on ``nonneg_integer_roots``' Sturm chain counts (lo, hi]."""
+    q, chain, bound = _sturm(p)
+    lo, hi = -bound if lo is None else lo, bound if hi is None else hi
+    return _changes(chain, lo) - _changes(chain, hi) - (not _value(q, hi))
+
+
+def _sturm(p: Poly):
+    """(q, chain, B): q the square-free part of p's primitive integer
+    numerators, the Sturm chain of q and a Cauchy bound B > |every root|."""
+    if p.is_zero:
+        raise DomainError("zero polynomial has every integer as a root")
+    q = _primitive_coeffs(int_form(p)[0])
+    chain = _sturm_chain(q) if len(q) > 1 else [q]
+    if len(chain[-1]) > 1:  # the chain of q, q' ends in their gcd
+        q = int_poly_quo(q, chain[-1])
+        chain = _sturm_chain(q)
+    return q, chain, 1 + -(-max(map(abs, q[:-1]), default=0) // abs(q[-1]))
+
+
+def _changes(chain, x: int) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    out, last = 0, 0
+    for cs in chain:
+        v = _value(cs, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                out += 1
+            last = v
+    return out
 
 
 def _primitive_coeffs(ints) -> tuple[int, ...]:
@@ -573,24 +608,7 @@ class RatFunc:
             raise TypeError("RatFunc expects polynomial or rational arguments")
         if den.is_zero:
             raise DomainError("zero denominator")
-        if num.is_zero:
-            den = _P1
-        elif den.degree == 0:
-            if den.lc != 1:
-                num = num * (1 / den.lc)
-            den = _P1
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = exact_div(num, g)
-                den = exact_div(den, g)
-            lc = den.lc
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        self.num, self.den = lowest_terms(num, den)
         self._hash = None
 
     @property
@@ -599,15 +617,6 @@ class RatFunc:
 
     def __bool__(self):
         return not self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == _P1
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise NonPolynomialError(f"not a polynomial: {self}")
-        return self.num
 
     def __eq__(self, other):
         other = _as_ratfunc(other)
@@ -673,21 +682,11 @@ class RatFunc:
             return NotImplemented
         return other / self
 
-    def derivative(self) -> "RatFunc":
-        if self.den == _P1:
-            return RatFunc(self.num.derivative())
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     def __repr__(self):
         return f"RatFunc({self!s})"
 
     def __str__(self):
-        if self.is_polynomial:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+        return ratio_str(self.num, self.den)
 
 
 _RF0 = RatFunc(_P0)
@@ -703,18 +702,13 @@ def _as_ratfunc(v):
     return None
 
 
-def den_lcm(rows) -> Poly:
-    """The monic lcm of the denominators of rows of RatFuncs."""
+def den_lcm(dens) -> Poly:
+    """The monic lcm of monic polynomials."""
     q = _P1
-    for e in {f.den for r in rows for f in r}:
+    for e in set(dens):
         if e != q:
             q = exact_div(q * e, poly_gcd(q, e))
     return q
-
-
-def numerators(rows, q):
-    """Rows of RatFuncs times q, a multiple of every denominator: Poly rows."""
-    return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +734,8 @@ def _cleared(rows):
     denominators: the entries ``bareiss`` takes."""
     if not isinstance(rows[0][0], RatFunc):
         return int_matrix(rows)
-    q = den_lcm(rows)
-    return numerators(rows, q), q
+    q = den_lcm(f.den for r in rows for f in r)
+    return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows], q
 
 
 def bareiss(rows, admit=None):
@@ -1043,19 +1037,9 @@ class MatRF(Matrix):
             return RatFunc(v)
         raise TypeError(f"cannot coerce {v!r} to RatFunc")
 
-    def derivative(self) -> "MatRF":
-        return MatRF([[c.derivative() for c in r] for r in self.rows])
-
     def det(self) -> RatFunc:
         polys, q = _cleared(self.rows)
         return RatFunc(bareiss(polys)[0], q**self.size)
 
     def inverse(self) -> "MatRF":
         return MatRF(solve_square(self.rows, MatRF.identity(self.size).rows))
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(c.is_polynomial for r in self.rows for c in r)
-
-    def poly_rows(self) -> tuple[tuple[Poly, ...], ...]:
-        return tuple(tuple(c.as_poly() for c in r) for r in self.rows)

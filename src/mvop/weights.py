@@ -2,7 +2,8 @@
 orthogonal polynomial sequences.
 
 A matrix weight is stored as a classical scalar density rho times a square
-rational matrix factor M (``Atomic``), or a direct sum of weights. All inner
+matrix factor N / m kept as operators are, N polynomial over one monic m
+(``Weight.atomic``), or a direct sum of weights. All inner
 products are normalized by the zeroth moment of the base density, which keeps
 every value in Q; orthogonality and nonsingularity statements are unaffected
 by a positive global factor.
@@ -15,23 +16,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    _P1,
     DomainError,
     FracMat,
-    MatRF,
     NonPolynomialError,
     Poly,
-    RatFunc,
     ShapeError,
     SingularError,
     X,
     bareiss,
+    den_lcm,
+    exact_div,
     frac,
     int_const,
     int_dot,
     int_form,
     int_matrix,
+    lowest_terms,
+    real_root_count,
 )
-from .diffop import DiffOp, MatPoly, numerator_form
+from .diffop import DiffOp, MatPoly, _canonical, ratio_matrix_str
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +46,11 @@ class ScalarWeightFamily:
     """Base for the three classical families (shifted Hermite, Laguerre, Jacobi)."""
 
     def scalar_weight(self) -> "Weight":
-        return Weight.atomic(self, MatRF.identity(1))
+        return Weight.atomic(self, MatPoly.identity(1))
+
+    def ends(self):
+        """(end, the density's exponent there) at each end, None when infinite."""
+        return (None, None), (None, None)
 
 
 @dataclass(frozen=True)
@@ -57,14 +65,11 @@ class HermiteShifted(ScalarWeightFamily):
     def delta(self) -> DiffOp:
         return DiffOp.scalar([Poly(), Poly((2 * self.b, -2)), Poly((1,))])
 
-    def sigma(self) -> RatFunc:
-        return RatFunc(Poly((2 * self.b, -2)))
+    def sigma(self) -> tuple[Poly, Poly]:
+        return Poly((2 * self.b, -2)), _P1
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         return self.b, Fraction(n, 2)
-
-    def support_key(self) -> str:
-        return "real-line"
 
     def sample_points(self, k: int = 16):
         return [Fraction(-3) + Fraction(6 * i, k + 1) for i in range(1, k + 1)]
@@ -90,15 +95,15 @@ class Laguerre(ScalarWeightFamily):
     def delta(self) -> DiffOp:
         return DiffOp.scalar([Poly(), Poly((self.alpha + 1, -1)), X])
 
-    def sigma(self) -> RatFunc:
-        return RatFunc(Poly((self.alpha, -1)), X)
+    def sigma(self) -> tuple[Poly, Poly]:
+        return lowest_terms(Poly((self.alpha, -1)), X)
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         a = self.alpha
         return 2 * n + a + 1, Fraction(n) * (n + a)
 
-    def support_key(self) -> str:
-        return "half-line"
+    def ends(self):
+        return (0, self.alpha), (None, None)
 
     def sample_points(self, k: int = 16):
         return [Fraction(8 * i, k + 1) for i in range(1, k + 1)]
@@ -126,9 +131,9 @@ class Jacobi(ScalarWeightFamily):
         a, b = self.alpha, self.beta
         return DiffOp.scalar([Poly(), Poly((b - a, -(a + b + 2))), Poly((1, 0, -1))])
 
-    def sigma(self) -> RatFunc:
+    def sigma(self) -> tuple[Poly, Poly]:
         a, b = self.alpha, self.beta
-        return RatFunc(Poly((b - a, -(a + b))), Poly((1, 0, -1)))
+        return lowest_terms(Poly((b - a, -(a + b))), Poly((1, 0, -1)))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         a, b = self.alpha, self.beta
@@ -152,8 +157,8 @@ class Jacobi(ScalarWeightFamily):
             )
         return bn, cn
 
-    def support_key(self) -> str:
-        return "interval"
+    def ends(self):
+        return (-1, self.beta), (1, self.alpha)
 
     def sample_points(self, k: int = 16):
         return [Fraction(-1) + Fraction(2 * i, k + 1) for i in range(1, k + 1)]
@@ -165,28 +170,27 @@ class Jacobi(ScalarWeightFamily):
         return ((b - a) * values[s] + s * prev) / (a + b + 2 + s)
 
 
-def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> RatFunc | None:
-    """f1/f2 as a rational function, or None when the ratio is not rational."""
+def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> tuple[Poly, Poly] | None:
+    """f1/f2 as (numerator, denominator), or None when it is not rational."""
     if type(f1) is not type(f2):
         return None
     if isinstance(f1, HermiteShifted):
-        return RatFunc(Poly((1,))) if f1.b == f2.b else None
+        return (_P1, _P1) if f1.b == f2.b else None
     if isinstance(f1, Laguerre):
         d = f1.alpha - f2.alpha
         if d.denominator != 1:
             return None
         k = int(d)
-        return RatFunc(X**k) if k >= 0 else RatFunc(Poly((1,)), X ** (-k))
+        return (X**k, _P1) if k >= 0 else (_P1, X ** (-k))
     da = f1.alpha - f2.alpha
     db = f1.beta - f2.beta
     if da.denominator != 1 or db.denominator != 1:
         return None
     ka, kb = int(da), int(db)
-    num, den = Poly((1,)), Poly((1,))
     one_minus, one_plus = Poly((1, -1)), Poly((1, 1))
     num = (one_minus ** max(ka, 0)) * (one_plus ** max(kb, 0))
     den = (one_minus ** max(-ka, 0)) * (one_plus ** max(-kb, 0))
-    return RatFunc(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +231,35 @@ def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
 
 
 class Weight:
-    """Either Atomic(family, M) with W = rho_family * M, or a direct sum."""
+    """Either atomic, W = rho_family * N / m (module docstring), or a direct
+    sum of ``blocks``."""
 
-    __slots__ = ("family", "M", "blocks", "_hash", "_atomic", "_numerator", "_factor")
+    __slots__ = ("family", "N", "m", "blocks", "_hash", "_atomic", "_factor")
 
-    def __init__(self, family=None, M=None, blocks=None):
+    def __init__(self, family=None, N=None, m=_P1, blocks=None):
         self.family = family
-        self.M = M
+        self.N = N
+        self.m = m
         self.blocks = blocks
-        self._hash = self._atomic = self._numerator = self._factor = None
+        self._hash = self._atomic = self._factor = None
 
     @staticmethod
-    def atomic(family: ScalarWeightFamily, M: MatRF) -> "Weight":
-        if M.size < 1:
-            raise ShapeError("weight matrix factor must have size >= 1")
-        if M != M.transpose():
+    def atomic(family: ScalarWeightFamily, N: MatPoly, m: Poly = _P1) -> "Weight":
+        """rho N / m, N a symmetric polynomial matrix, in the canonical form
+        of operators (``diffop._canonical``: gcd(m, every entry) = 1, m monic);
+        refused unless integrable and positive definite on the support."""
+        if N != N.transpose():
             raise DomainError("matrix factor must be symmetric")
-        w = Weight(family=family, M=M)
+        if m != _P1:
+            (N,), m = _canonical([N], m)
+        w = Weight(family=family, N=N, m=m)
+        if m.degree > 0:
+            w._check_poles()
         try:
-            # a positive last leading minor at a sample point proves det M != 0
+            # a positive last leading minor at a sample point proves det N != 0
             w._positivity_spot_check()
         except DomainError:
-            if M.det().is_zero:
+            if not bareiss(N.rows)[0]:
                 raise DomainError("matrix factor is singular as a rational matrix") from None
             raise
         return w
@@ -276,14 +287,20 @@ class Weight:
         return self.blocks is None
 
     @property
+    def is_identity(self) -> bool:
+        """Atomic with the identity factor: W = rho I."""
+        return self.is_atomic and self.m == _P1 and self.N.monic_degree == 0
+
+    @property
     def size(self) -> int:
         if self.is_atomic:
-            return self.M.size
+            return self.N.size
         return sum(b.size for b in self.blocks)
 
-    def support_key(self) -> str:
+    def support_key(self) -> tuple:
+        """The ends of the support interval."""
         if self.is_atomic:
-            return self.family.support_key()
+            return tuple(e for e, _ in self.family.ends())
         return self.blocks[0].support_key()
 
     def flat_blocks(self) -> list["Weight"]:
@@ -296,38 +313,39 @@ class Weight:
 
     def scalar_family(self) -> ScalarWeightFamily:
         """The family of a 1x1 weight with trivial factor."""
-        if not (self.is_atomic and self.size == 1 and self.M == MatRF.identity(1)):
+        if not (self.size == 1 and self.is_identity):
             raise DomainError("not a plain scalar classical weight")
         return self.family
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return (self.family, self.M, self.blocks) == (other.family, other.M, other.blocks)
+        return (self.family, self.N, self.m, self.blocks) == (other.family, other.N, other.m, other.blocks)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.family, self.M, self.blocks))
+            self._hash = hash((self.family, self.N, self.m, self.blocks))
         return self._hash
 
     def __repr__(self):
         if self.is_atomic:
-            return f"Weight({self.family!r} * {self.M!r})"
+            return f"Weight({self.family!r} * {ratio_matrix_str(self.N, self.m)})"
         return "Weight(" + " (+) ".join(repr(b) for b in self.blocks) + ")"
 
     # -- common atomic form
 
-    def as_atomic(self) -> tuple[ScalarWeightFamily, MatRF]:
-        """Rewrite as a single (family, M) pair with one base density.
+    def as_atomic(self) -> tuple[ScalarWeightFamily, MatPoly, Poly]:
+        """Rewrite as a single (family, N, m) with one base density.
 
-        Direct sums are merged through rational density ratios relative to
-        the minimal parameters; Hermite blocks with distinct shifts have a
-        non-rational ratio and raise NonPolynomialError.
+        A direct sum is merged over the base with the least parameters, so
+        each block's density ratio to it is a polynomial; Hermite blocks with
+        distinct shifts have a non-rational ratio and raise
+        NonPolynomialError.
         """
         if self._atomic is not None:
             return self._atomic
         if self.is_atomic:
-            self._atomic = (self.family, self.M)
+            self._atomic = (self.family, self.N, self.m)
             return self._atomic
         parts = self.flat_blocks()
         fams = [p.family for p in parts]
@@ -356,28 +374,20 @@ class Weight:
             ):
                 raise NonPolynomialError("Jacobi parameters differ by a non-integer")
             base = Jacobi(amin, bmin)
-        blocks = [part.M * density_ratio(part.family, base) for part in parts]
-        self._atomic = (base, MatRF.blockdiag(blocks))
+        m = den_lcm(part.m for part in parts)
+        num = MatPoly.blockdiag([part.N * (density_ratio(part.family, base)[0] * exact_div(m, part.m)) for part in parts])
+        if m != _P1:
+            (num,), m = _canonical([num], m)
+        self._atomic = (base, num, m)
         return self._atomic
-
-    def numerator(self) -> tuple[MatPoly, Poly]:
-        """(N, m) with the atomic form's factor M = N / m, m the monic lcm of
-        its denominators (``diffop.numerator_form``); computed once."""
-        if self._numerator is None:
-            (num,), m = numerator_form([self.as_atomic()[1]])
-            self._numerator = num, m
-        return self._numerator
-
     def factor_data(self) -> tuple[Poly, Poly, MatPoly, MatPoly, Poly]:
         """(s, t, M, A, det) of the atomic form, computed once per weight:
         W = rho M with M a polynomial matrix, s/t = rho'/rho, and
-        M^-1 = A / det, A the adjugate. A rational factor N/m (m the monic
-        lcm of its denominators) is written rho N/m = (rho/m) N, which moves
-        -m'/m into rho'/rho."""
+        M^-1 = A / det, A the adjugate. A rational factor N/m is written
+        rho N/m = (rho/m) N, which moves -m'/m into rho'/rho."""
         if self._factor is None:
-            fam = self.as_atomic()[0]
-            s, t = fam.sigma().num, fam.sigma().den
-            num, m = self.numerator()
+            fam, num, m = self.as_atomic()
+            s, t = fam.sigma()
             if m.degree > 0:
                 s, t = s * m - t * m.derivative(), t * m
             det, adj = bareiss([r + e for r, e in zip(num.rows, MatPoly.identity(num.size).rows)])
@@ -386,26 +396,46 @@ class Weight:
 
     # -- validation
 
+    def _check_poles(self):
+        """Refuse N / m unless rho N / m is integrable: m has no root inside
+        the support (``real_root_count``), and at a finite end e, a_e the
+        density's exponent there, a_e + ord_e(N_ii) - ord_e(m) > -1 for each
+        nonzero N_ii, which bounds |W_ij| <= (W_ii W_jj)^(1/2) as well."""
+        (lo, a_lo), (hi, a_hi) = self.family.ends()
+        if real_root_count(self.m, lo, hi):
+            raise DomainError(f"weight factor has a pole inside the support, at a root of {self.m}")
+        for e, a in ((lo, a_lo), (hi, a_hi)):
+            k = a is not None and _order_at(self.m, e)
+            if k and any(d and a + _order_at(d, e) - k <= -1 for d in (r[i] for i, r in enumerate(self.N.rows))):
+                raise DomainError(f"weight is not integrable at the pole x = {e}")
+
     def _positivity_spot_check(self):
         # ratio > 0 on the open support, so positive definiteness of W(x) at a
         # rational sample point is exactly positivity of M(x)'s leading minors.
         # With M = N/m, L N integer (``cells``) and y = p/q, minor k of
         # q^e L N(y) (e = deg N) is (q^e L m(y))^k times M(y)'s, and it is
         # pivot k of bareiss, which sees each pivot before any row exchange
-        num, m = self.numerator()
+        num, m = self.N, self.m
         cells = num.int_form()[0]
         n, e, pts = num.size, num.degree, self.family.sample_points()
         if e < 1 and m.degree < 1:
             pts = pts[:1]  # a constant factor has the same minors everywhere
         for x in pts:
-            y = x if m(x) else x + Fraction(1, 997)  # off a pole of M
-            if not (my := m(y)):
-                raise DomainError(f"pole at x = {y}")
-            p, q, s = y.numerator, y.denominator, 1 if my > 0 else -1
+            if not (my := m(x)):  # admission has refused a pole inside the support
+                raise DomainError(f"pole at x = {x}")
+            p, q, s = x.numerator, x.denominator, 1 if my > 0 else -1
             powers = [p**i * q ** (e - i) for i in range(e + 1)]
             rows = [[sum(map(operator.mul, cells[r * n + c], powers)) for c in range(n)] for r in range(n)]
             if not bareiss(rows, lambda k, minor: minor * s ** (k + 1) > 0)[0]:
                 raise DomainError(f"weight factor not positive definite at sample x = {x}")
+
+
+def _order_at(p: Poly, e: int) -> int:
+    """The multiplicity of e as a root of a nonzero p."""
+    k, lin = 0, Poly((-e, 1))
+    while not p(e):
+        p, k = exact_div(p, lin), k + 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +466,8 @@ class OPSequence:
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
         self._h_inv = None  # H_k^-1 of the last step: (integer matrix, denominator)
-        # an identity factor takes the family's closed forms; decided once,
-        # since building MatRF.identity costs a RatFunc per entry
-        self._closed = weight.is_atomic and weight.M == MatRF.identity(weight.size)
+        # an identity factor takes the family's closed forms
+        self._closed = weight.is_identity
         self._children: list[OPSequence] | None = None
         if not weight.is_atomic:
             self._children = [sequence_for(b) for b in weight.blocks]
@@ -585,14 +614,14 @@ def _moment_row(pm: MatPoly, nums, den) -> FracMat:
 
 
 def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPoly]:
-    """The base family and P M of the weight's atomic form, M polynomial:
-    the numerator the weight keeps, whose denominator is then 1."""
+    """The base family and P N of the weight's atomic form, whose factor N / m
+    must be polynomial (m = 1)."""
     if p.size != weight.size:
         raise ShapeError("inner product size mismatch")
-    num, m = weight.numerator()
+    fam, num, m = weight.as_atomic()
     if m.degree > 0:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    return weight.as_atomic()[0], p * num
+    return fam, p * num
 
 
 def _int_product(a, b) -> list[list[int]]:

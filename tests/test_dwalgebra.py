@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop import catalog, dwalgebra
-from mvop.exactalg import DecompositionError, DomainError, FracMat, MatRF, Poly, RatFunc, ShapeError, X
+from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, RatFunc, ShapeError, X
 from mvop.diffop import (
     DiffOp,
     MatPoly,
     Verdict,
+    action,
     apply,
     block_antidiagonal,
     bump_coefficient,
@@ -211,9 +212,9 @@ class TestRelation:
 def _relation_materialised(ps, t, qs, n_max, cs=None):
     eigs = []
     for n in range(n_max + 1):
-        r = apply(ps(n), t)
-        if isinstance(r, MatRF):
-            return Verdict(False, f"non-polynomial action at n={n}", n, r, eigs)
+        r, den = action(ps(n), t)
+        if den.degree > 0:
+            return Verdict(False, f"non-polynomial action at n={n}", n, (r, den), eigs)
         q = qs(n)
         if cs is not None:
             c = cs(n)
@@ -339,13 +340,16 @@ class TestRelationOracle:
 
     def test_rational_operator(self):
         seq = sequence_for(LAG.scalar_weight())
-        rf = RatFunc(Poly((1,)), X + 1)
         # F_1 = 1/(x + 1): the action is polynomial at n = 0 only
-        t = DiffOp.scalar([Poly((2,)), rf])
+        two, one, zero = MatPoly([[2 * (X + 1)]]), MatPoly.identity(1), MatPoly.zeros(1)
+        t = DiffOp(1, [two, one], X + 1)
         rep = _same_verdict(seq.poly, t, seq.poly, 4)
-        assert not rep.ok and rep.fail_n == 1 and isinstance(rep.residual, MatRF)
+        assert not rep.ok and rep.fail_n == 1
+        # the residual is the action (numerators, den): P_1 . T = 2 P_1 + 1/(x + 1)
+        (num, den), p1 = rep.residual, seq.poly(1).entry(0, 0)
+        assert isinstance(num, MatPoly) and RatFunc(num.entry(0, 0), den) == RatFunc(2 * p1 * (X + 1) + 1, X + 1)
         # F_5 = 1/(x + 1) does not act below degree 5, so T acts as 2 there
-        t = DiffOp.scalar([Poly((2,)), Poly(), Poly(), Poly(), Poly(), rf])
+        t = DiffOp(1, [two, zero, zero, zero, zero, one], X + 1)
         assert not t.is_polynomial
         assert _same_verdict(seq.poly, t, seq.poly, 4).eigs == [FracMat([[2]])] * 5
 
@@ -356,12 +360,6 @@ class TestRelationOracle:
                 relation(seq.poly, op, seq.poly, 2, cs=cs)
         with pytest.raises(ShapeError):
             relation(seq.poly, op, lambda n: MatPoly.identity(3), 2, cs=lambda n: FracMat.identity(2))
-
-    def test_matrf_p(self):
-        op, seq = _member(2)
-        ps = lambda n: seq.poly(n).to_matrf()
-        assert _same_verdict(ps, op, seq.poly, 5).ok
-        assert not _same_verdict(ps, op + DiffOp.ddx(op.size), seq.poly, 5).ok
 
     def test_cell_test_fits_its_width(self):
         # each false relation below packs to 0 at width 64: P_0 . T = x
@@ -900,9 +898,7 @@ class TestReverseModuleAdjoint:
             dag = w_adjoint(block, ws)
             polys = dag.poly_coeffs()
             assert polys is not None
-            from mvop.exactalg import MatRF
-
-            rev = DiffOp(1, [MatRF([[c.entry(1, 0)]]) for c in polys])
+            rev = DiffOp.scalar([c.entry(1, 0) for c in polys])
             assert not rev.is_zero
             assert intertwiner_verify(rev, w2, w1, 8).ok
 

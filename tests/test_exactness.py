@@ -54,6 +54,7 @@ from mvop.catalog import ENTRY_NAMES, check_entry, entry, verify_entry
 from mvop import catalog, dwalgebra
 from mvop.diffop import (
     DiffOp,
+    MatPoly,
     block_antidiagonal,
     bump_coefficient,
     coefficient_sites,
@@ -61,7 +62,7 @@ from mvop.diffop import (
     degree_preserving,
     w_adjoint,
 )
-from mvop.exactalg import MatRF, X
+from mvop.exactalg import X
 from mvop.dsl import op_str
 from mvop.dwalgebra import (
     DarbouxCertificate,
@@ -189,7 +190,7 @@ def _adjoint_outputs():
 
         return call
 
-    rational = Weight.atomic(Laguerre(0), MatRF([[1 + X, X], [X, 1 + X**2]]))
+    rational = Weight.atomic(Laguerre(0), MatPoly([[1 + X, X], [X, 1 + X**2]]))
     yield f"ddx(2) {w_adjoint(DiffOp.ddx(2), rational)!r}"
     for name in ENTRY_NAMES:
         for params in ROBUSTNESS_PARAMS[name]:

@@ -1,18 +1,35 @@
-"""The integer kernels of ``w_adjoint``, ``degree_preserving`` and
-``nonneg_integer_roots`` against the Fraction-polynomial code they replaced,
-kept here as oracles: every result must be repr-identical. The field
-elimination that ``det``, ``inverse`` and ``solve_square`` ran before they
-read their results off ``bareiss`` is kept here too, for the symbol oracle
-and for ``test_exactalg`` and ``test_diffop``."""
+"""The integer kernels of ``w_adjoint``, ``degree_preserving``,
+``nonneg_integer_roots`` and polynomial division against the
+Fraction-polynomial code they replaced, kept here as oracles: every result
+must be repr-identical. The field elimination that ``det``, ``inverse`` and
+``solve_square`` ran before they read their results off ``bareiss``, the
+division and gcd over Q that ``poly_quo`` and ``poly_gcd`` replaced, and the
+MatRF entry form of operators and weight factors are kept here too, for the
+oracles of ``test_exactalg``, ``test_diffop`` and ``test_weights``."""
 
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvop import exactalg
 from mvop.diffop import DiffOp, MatPoly, Verdict, degree_preserving, w_adjoint
-from mvop.exactalg import MatRF, Poly, RatFunc, SingularError, X, exact_div, int_form, nonneg_integer_roots, poly_divmod, poly_gcd
+from mvop.exactalg import (
+    DivisionError,
+    DomainError,
+    MatRF,
+    Poly,
+    RatFunc,
+    SingularError,
+    X,
+    den_lcm,
+    exact_div,
+    int_form,
+    nonneg_integer_roots,
+    poly_gcd,
+    poly_quo,
+)
 from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight
 
 _P1 = Poly((1,))
@@ -45,12 +62,41 @@ def adjoint_oracle(d, weight):
     return DiffOp(d.size, [c * adj for c in out], q * powers[n] * det)
 
 
+def field_divmod(a, b):
+    """(quotient, remainder) of a by b, by long division over Q."""
+    if b.is_zero:
+        raise DomainError("polynomial division by zero")
+    q = [F(0)] * max(0, a.degree - b.degree + 1)
+    rem = list(a.coeffs)
+    for k in range(len(rem) - 1, b.degree - 1, -1):
+        if rem[k]:
+            f = rem[k] / b.lc
+            q[k - b.degree] = f
+            for i, c in enumerate(b.coeffs):
+                rem[k - b.degree + i] -= f * c
+    return Poly(q), Poly(rem)
+
+
+def field_exact_div(a, b):
+    q, r = field_divmod(a, b)
+    if not r.is_zero:
+        raise DivisionError(f"nonzero remainder in exact division: {r}")
+    return q
+
+
+def field_gcd(a, b):
+    """The monic gcd by Euclid's algorithm over Q."""
+    while not b.is_zero:
+        a, b = b, field_divmod(a, b)[1]
+    return a.monic()
+
+
 def sturm_oracle(p):
     """The square-free part q of p and its Sturm chain, over Q."""
-    q = exact_div(p, poly_gcd(p, p.derivative()))
+    q = field_exact_div(p, field_gcd(p, p.derivative()))
     chain = [q, q.derivative()]
     while chain[-1].degree > 0:
-        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+        chain.append(-field_divmod(chain[-2], chain[-1])[1])
     return q, chain
 
 
@@ -113,7 +159,9 @@ def symbol_oracle(d):
             for c in range(n):
                 if top.entry(r, c):
                     rows[r][c] = rows[r][c] + fall * top.entry(r, c)
-    det = field_det(MatRF(rows)).as_poly()
+    det = field_det(MatRF(rows))
+    assert det.den == _P1
+    det = det.num
     if det.is_zero:
         return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
     roots = roots_oracle(det)
@@ -195,6 +243,39 @@ def field_inverse(m):
     return type(m)(field_solve(m.rows, type(m).identity(m.nrows).rows))
 
 
+def numerator_form(ms):
+    """([N_j], q) with the MatRF ms[j] = N_j / q, q the monic lcm of their
+    denominators: the entry form that ``DiffOp`` and ``Weight`` took."""
+    q = den_lcm(f.den for m in ms for r in m.rows for f in r)
+    return [MatPoly([[e.num * exact_div(q, e.den) for e in r] for r in m.rows]) for m in ms], q
+
+
+def matrf_op(size, ms):
+    """The operator sum_j d^j ms[j] of MatRF coefficients."""
+    nums, q = numerator_form(ms)
+    return DiffOp(size, nums, q)
+
+
+def matrf_weight(family, m):
+    """rho_family times the MatRF factor m."""
+    (num,), q = numerator_form([m])
+    return Weight.atomic(family, num, q)
+
+
+def rf_derivative(r):
+    """The derivative of a RatFunc, by the quotient rule."""
+    return RatFunc(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
+
+
+def matrf_derivative(m):
+    return MatRF([[rf_derivative(c) for c in r] for r in m.rows])
+
+
+def matrf_coeffs(d):
+    """The coefficients F_j = N_j / den of an operator as MatRFs."""
+    return [MatRF([[RatFunc(e, d.den) for e in r] for r in d.coeff(j).rows]) for j in range(d.order + 1)]
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -251,8 +332,8 @@ def weights(draw, size):
     lower = MatRF([[1 if r == c else draw(_polys(1)) if r > c else 0 for c in range(size)] for r in range(size)])
     if shape == "rational":
         scale = MatRF.diag(*(RatFunc(_P1, X + draw(st.integers(1, 3))) for _ in range(size)))
-        return Weight.atomic(Laguerre(draw(params)), lower * scale * lower.transpose())
-    return Weight.atomic(_family(draw, kind), lower * lower.transpose())
+        return matrf_weight(Laguerre(draw(params)), lower * scale * lower.transpose())
+    return matrf_weight(_family(draw, kind), lower * lower.transpose())
 
 
 pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(operators(n), weights(n)))
@@ -339,3 +420,66 @@ class TestRootsOracle:
             for a, b in zip(got, chain):
                 ratio = F(a[-1]) / b.lc
                 assert ratio > 0 and Poly(a) == b * ratio
+
+
+# polynomial division: Z[x] against Q[x] and sympy
+
+big_coeffs = st.builds(F, st.integers(-(2**100), 2**100), st.integers(1, 10**6))
+division_coeffs = st.one_of(coeffs, big_coeffs)
+
+
+def _division_polys(max_degree):
+    return st.lists(division_coeffs, max_size=max_degree + 1).map(Poly)
+
+
+@st.composite
+def division_pairs(draw):
+    """(g u, g v): a common factor g and cofactors u, v, each possibly zero
+    or constant, with small Fraction coefficients or numerators up to 2^100;
+    v is often a constant, and then b divides a."""
+    g, u = draw(_division_polys(3)), draw(_division_polys(3))
+    v = draw(st.one_of(_division_polys(2), division_coeffs.map(Poly.const)))
+    return g * u, g * v
+
+
+def _sympy_coeffs(p, x):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], x, domain=sympy.QQ)
+
+
+def _from_sympy(sp):
+    cs = [F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())]
+    return Poly(cs)
+
+
+class TestDivisionOracle:
+    @given(division_pairs())
+    @settings(max_examples=200, deadline=None)
+    @example((Poly(), X + 1))
+    @example((X * 0, Poly()))
+    @example((Poly.const(F(3, 2)), Poly.const(F(-(2**100), 7))))
+    @example(((X + F(2**100, 3)) * (X - 1) * F(5, 7), (X + F(2**100, 3)) * F(2**99, 11)))
+    def test_against_field_oracle_and_sympy(self, pair):
+        sympy = pytest.importorskip("sympy")
+        a, b = pair
+        x = sympy.Symbol("x")
+        sa, sb = _sympy_coeffs(a, x), _sympy_coeffs(b, x)
+        g = poly_gcd(a, b)
+        assert repr(g) == repr(field_gcd(a, b))
+        if a or b:
+            assert g == _from_sympy(sympy.gcd(sa, sb).monic())
+        if b.is_zero:
+            for divide in (poly_quo, exact_div):
+                with pytest.raises(DomainError, match="division by zero"):
+                    divide(a, b)
+            return
+        q, r = field_divmod(a, b)
+        sq, sr = sympy.div(sa, sb)
+        assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
+        got = poly_quo(a, b)
+        if r:
+            assert got is None
+            with pytest.raises(DivisionError):
+                exact_div(a, b)
+        else:
+            assert repr(got) == repr(q) and repr(exact_div(a, b)) == repr(q)

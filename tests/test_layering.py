@@ -1,0 +1,45 @@
+"""The package's layering, read off its source with ``ast``: rational
+functions (``RatFunc``, ``MatRF``) are named only inside ``exactalg`` and
+the package's re-export, and polynomials are divided by one algorithm, in
+Z[x], so no ``poly_divmod`` is defined. String literals do not count."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mvop"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _names(tree):
+    """Every identifier the module uses or defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+
+
+def test_modules_found():
+    assert {"exactalg.py", "diffop.py", "weights.py", "dsl.py", "dwalgebra.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_rational_functions_stay_in_exactalg(path):
+    if path.name in ("exactalg.py", "__init__.py"):
+        return
+    assert not {"RatFunc", "MatRF"} & set(_names(ast.parse(path.read_text()))), path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_field_division(path):
+    defined = {n.name for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert "poly_divmod" not in defined, path.name

@@ -7,6 +7,7 @@ closed-form recursion coefficients, and the first entries of e_0 J^s, J the
 monic Jacobi matrix of those coefficients, check the moments.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from mvop import weights
 from mvop.catalog import entry
 from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, SingularError, X
 from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
+from test_integer_kernels import numerator_form
 from mvop.weights import (
     HermiteShifted,
     Jacobi,
@@ -191,7 +193,7 @@ class TestInnerProduct:
     def test_hermitian_symmetry(self):
         e = Weight.atomic(
             Jacobi(F(1, 2), F(3, 4)),
-            MatRF([[Poly((2,)), X], [X, Poly((1, 0, 1))]]),
+            MatPoly([[Poly((2,)), X], [X, Poly((1, 0, 1))]]),
         )
         p = MatPoly([[X, Poly((1,))], [Poly(), X**2]])
         q = MatPoly([[Poly((1,)), X], [X**2, Poly((2,))]])
@@ -206,8 +208,9 @@ class TestInnerProduct:
 def _inner_product_by_fracmat(p, q, weight):
     """Oracle: the integrand's coefficient matrices times the moments, summed
     as FracMats."""
-    fam, mat = weight.as_atomic()
-    integrand = p * MatPoly(mat.poly_rows()) * q.transpose()
+    fam, num, m = weight.as_atomic()
+    assert m == Poly((1,))
+    integrand = p * num * q.transpose()
     nu = weights._moments_list(fam, max(integrand.degree, 0))
     acc = FracMat.zeros(p.size)
     for s in range(integrand.degree + 1):
@@ -233,7 +236,7 @@ def factors(draw, n):
         [Poly((draw(st.integers(1, 3)),)) if i == j else draw(small_polys) if j < i else Poly() for j in range(n)]
         for i in range(n)
     ])
-    return (a * a.transpose()).to_matrf()
+    return a * a.transpose()
 
 
 @st.composite
@@ -305,11 +308,11 @@ class TestMonicSequences:
         [
             Weight.atomic(
                 Laguerre(F(1, 2)),
-                MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]),
+                MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]),
             ),
             Weight.atomic(
                 Jacobi(F(1, 2), F(3, 4)),
-                MatRF([[Poly((2,)), X], [X, Poly((1, 0, 1))]]),
+                MatPoly([[Poly((2,)), X], [X, Poly((1, 0, 1))]]),
             ),
             entry("LAG3").weight_Wt,
             entry("HER3").weight_Wt,
@@ -337,7 +340,7 @@ class TestMonicSequences:
     def test_monic_and_correct_degree(self):
         w = Weight.atomic(
             Laguerre(F(1, 2)),
-            MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]),
+            MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]),
         )
         seq = monic_ops(w, 5)
         for n in range(6):
@@ -351,7 +354,7 @@ def _step_gram_products(self, k):
     w = self.weight
     pk = self._polys[k]
     xpk = X * pk
-    if w.M == MatRF.identity(w.size):
+    if w.N == MatPoly.identity(w.size) and w.m == Poly((1,)):
         b, c = w.family.recursion(k)
         bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
     else:
@@ -413,13 +416,13 @@ class TestStepOracle:
             _assert_step_matches_oracle(w)
 
     @given(gram_cases())
-    @example((None, None, Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))))
+    @example((None, None, Weight.atomic(Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_polynomial_factors(self, case):
         _assert_step_matches_oracle(case[2])
 
     def test_step_never_calls_inner_product(self, monkeypatch):
-        w = Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), X], [X, Poly((1, 0, 1))]]))
+        w = Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatPoly([[Poly((2,)), X], [X, Poly((1, 0, 1))]]))
         monkeypatch.setattr(weights, "inner_product", _no_inner_product)
         assert OPSequence(w).poly(6).degree == 6
 
@@ -429,14 +432,14 @@ class TestSingularGram:
 
     def test_singular_at_degree_two(self):
         # H_1 = <P_1, P_1> has (2,2) entry nu_3 - 10 nu_2 + 28 nu_1 - 24 = 0
-        seq = OPSequence(Weight(family=Laguerre(F(2)), M=MatRF.diag(1, X - 6)))
+        seq = OPSequence(Weight(family=Laguerre(F(2)), N=MatPoly.diag(1, X - 6), m=Poly((1,))))
         assert seq.poly(1).degree == 1
         with pytest.raises(SingularError, match="degenerate moment system at degree 2"):
             seq.poly(2)
 
     def test_singular_at_degree_one(self):
         # H_0 = diag(1, nu_1 - 3/2) = diag(1, 0)
-        seq = OPSequence(Weight(family=Laguerre(F(1, 2)), M=MatRF.diag(1, X - F(3, 2))))
+        seq = OPSequence(Weight(family=Laguerre(F(1, 2)), N=MatPoly.diag(1, X - F(3, 2)), m=Poly((1,))))
         with pytest.raises(SingularError, match="degenerate moment system at degree 1"):
             seq.poly(1)
 
@@ -476,17 +479,17 @@ class TestAdjointPairing:
                     assert lhs == rhs
 
 
-def _spot_check_by_fracmat(weight):
-    """Oracle: every leading minor of M(x) by ``FracMat.det`` at each sample
-    point, M evaluated entry by entry (at x + 1/997 when x is a pole); the
-    refusal message names x. None when every minor is positive."""
-    m = weight.M
-    pts = weight.family.sample_points()
-    if all(c.is_polynomial and c.num.degree < 1 for row in m.rows for c in row):
+def _spot_check_by_fracmat(fam, m):
+    """Oracle: every leading minor of the MatRF M(x) by ``FracMat.det`` at
+    each sample point, M evaluated entry by entry; the refusal message names
+    x, a pole of M included. None when every minor is positive."""
+    pts = fam.sample_points()
+    if all(c.den == Poly((1,)) and c.num.degree < 1 for row in m.rows for c in row):
         pts = pts[:1]
     for x in pts:
-        y = x if all(c.den(x) for row in m.rows for c in row) else x + F(1, 997)
-        v = [[c.num(y) / c.den(y) for c in row] for row in m.rows]
+        if not all(c.den(x) for row in m.rows for c in row):
+            return f"pole at x = {x}"
+        v = [[c.num(x) / c.den(x) for c in row] for row in m.rows]
         if any(FracMat([r[:k] for r in v[:k]]).det() <= 0 for k in range(1, m.size + 1)):
             return f"weight factor not positive definite at sample x = {x}"
     return None
@@ -523,61 +526,62 @@ class TestSpotCheckOracle:
     minors refuse, with the same message."""
 
     @given(spot_check_factors())
-    # the first Laguerre point is a pole and M is negative just past it
+    # the first Laguerre point is a pole
     @example((Laguerre(F(1, 2)), MatRF.diag(RatFunc(Poly((1,)), Poly((F(8, 17), -1))), RatFunc(Poly((2,))))))
     # r < 0 at the first points: the integer minors of N must flip sign
     @example((Jacobi(F(1, 2), F(3, 4)), MatRF([[RatFunc(Poly((1,)), X)] * 2, [RatFunc(Poly((1,)), X), RatFunc(Poly((3,)), X)]])))
     @settings(max_examples=150, deadline=None)
     def test_matches_fracmat_minors(self, case):
         fam, m = case
+        (num,), q = numerator_form([m])
         try:
-            Weight(family=fam, M=m)._positivity_spot_check()
+            Weight(family=fam, N=num, m=q)._positivity_spot_check()
             got = None
         except DomainError as exc:
             got = str(exc)
-        assert got == _spot_check_by_fracmat(Weight(family=fam, M=m))
+        assert got == _spot_check_by_fracmat(fam, m)
 
 
 class TestWeightValidation:
     def test_positivity_spot_check_rejects(self):
         # diag(1, -1) is symmetric and nonsingular but not positive
         with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 8/17$"):
-            Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((-1,))))
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly.diag(Poly((1,)), Poly((-1,))))
 
     def test_constant_factor_checked_once(self, monkeypatch):
         # each evaluated sample point is one elimination of the factor's
         # integer value there
         calls, eliminate = [], weights.bareiss
-        monkeypatch.setattr(weights, "bareiss", lambda rows, admit: calls.append(rows) or eliminate(rows, admit))
-        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), Poly((1,))], [Poly((1,)), Poly((2,))]]))
+        monkeypatch.setattr(weights, "bareiss", lambda rows, admit=None: calls.append(rows) or eliminate(rows, admit))
+        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatPoly([[Poly((2,)), Poly((1,))], [Poly((1,)), Poly((2,))]]))
         assert calls == [[[2, 1], [1, 2]]]
         calls.clear()
-        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatRF([[Poly((2,)), X], [X, Poly((2,))]]))
+        Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatPoly([[Poly((2,)), X], [X, Poly((2,))]]))
         assert len(calls) == 16
         with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 8/17$"):
-            Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((1,))]]))
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((1,))]]))
 
     def test_nonconstant_factor_checked_at_every_point(self):
         # 15/2 - x is positive at every Laguerre sample point but the last
         with pytest.raises(DomainError, match=r"^weight factor not positive definite at sample x = 128/17$"):
-            Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((F(15, 2), -1))))
-        Weight.atomic(Laguerre(F(1, 2)), MatRF.diag(Poly((1,)), Poly((F(8), -1))))
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly.diag(Poly((1,)), Poly((F(15, 2), -1))))
+        Weight.atomic(Laguerre(F(1, 2)), MatPoly.diag(Poly((1,)), Poly((F(8), -1))))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
-            Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((1,)), X], [Poly(), Poly((1,))]]))
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly([[Poly((1,)), X], [Poly(), Poly((1,))]]))
 
     def test_singular_factor_rejected(self):
         with pytest.raises(DomainError, match="^matrix factor is singular as a rational matrix$"):
-            Weight.atomic(Laguerre(F(1, 2)), MatRF([[X, X], [X, X]]))
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly([[X, X], [X, X]]))
 
     @pytest.mark.parametrize(
         "family, m, message",
         [
-            (Jacobi(F(0), F(0)), MatRF([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((4,))]]),
+            (Jacobi(F(0), F(0)), MatPoly([[Poly((1,)), Poly((2,))], [Poly((2,)), Poly((4,))]]),
              "matrix factor is singular as a rational matrix"),
-            (HermiteShifted(F(0)), MatRF([[Poly((1,)), X], [X, X * X]]), "matrix factor is singular as a rational matrix"),
-            (HermiteShifted(F(0)), MatRF.diag(Poly((1,)), X), "weight factor not positive definite at sample x = -45/17"),
+            (HermiteShifted(F(0)), MatPoly([[Poly((1,)), X], [X, X * X]]), "matrix factor is singular as a rational matrix"),
+            (HermiteShifted(F(0)), MatPoly.diag(Poly((1,)), X), "weight factor not positive definite at sample x = -45/17"),
         ],
         ids=["singular-constant", "singular-hermite", "indefinite"],
     )
@@ -588,9 +592,12 @@ class TestWeightValidation:
             Weight.atomic(family, m)
 
     def test_admission_skips_determinant(self, monkeypatch):
-        # the spot check's positive last minor already proves det M != 0
-        monkeypatch.setattr(MatRF, "det", lambda m: pytest.fail("det computed for an admitted factor"))
-        Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
+        # the spot check's positive last minor already proves det N != 0;
+        # every elimination admission runs is one of its spot points
+        eliminate = weights.bareiss
+        monkeypatch.setattr(weights, "bareiss", lambda rows, admit=None: eliminate(rows, admit) if admit
+                            else pytest.fail("det computed for an admitted factor"))
+        Weight.atomic(Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
 
     def test_mixed_support_direct_sum_rejected(self):
         with pytest.raises(DomainError):
@@ -601,30 +608,94 @@ class TestWeightValidation:
             Laguerre(F(-3, 2))
 
     def test_density_ratio(self):
-        assert density_ratio(Laguerre(F(3, 2)), Laguerre(F(1, 2))).as_poly() == X
-        assert density_ratio(Laguerre(F(5, 2)), Laguerre(F(1, 2))).as_poly() == X**2
+        one = Poly((1,))
+        assert density_ratio(Laguerre(F(3, 2)), Laguerre(F(1, 2))) == (X, one)
+        assert density_ratio(Laguerre(F(5, 2)), Laguerre(F(1, 2))) == (X**2, one)
+        assert density_ratio(Laguerre(F(1, 2)), Laguerre(F(5, 2))) == (one, X**2)
+        assert density_ratio(Jacobi(F(3, 2), F(1, 2)), Jacobi(F(1, 2), F(3, 2))) == (Poly((1, -1)), Poly((1, 1)))
         assert density_ratio(Laguerre(F(1, 2)), Laguerre(F(1, 3))) is None
         assert density_ratio(HermiteShifted(F(0)), HermiteShifted(F(1))) is None
 
     def test_common_atomic_merge(self):
         a, b = F(1, 2), F(3, 4)
         w = Weight.of_scalars(Jacobi(a + 1, b), Jacobi(a + 1, b + 1))
-        fam, m = w.as_atomic()
+        fam, num, m = w.as_atomic()
         assert fam == Jacobi(a + 1, b)
-        assert m == MatRF.diag(Poly((1,)), Poly((1, 1)))
+        assert num == MatPoly.diag(Poly((1,)), Poly((1, 1))) and m == Poly((1,))
+
+    def test_rational_blocks_merge_to_canonical_form(self):
+        # blocks 1/x over Laguerre(5/2) and x^2/x over Laguerre(1/2): on the
+        # base Laguerre(1/2), diag(x^2/x, x^2/x) = diag(x, x) over 1; then
+        # x^2/(x + 1) and 1/(x^2 + x) are diag(x^3, 1) over x^2 + x
+        w = Weight.direct_sum([
+            Weight.atomic(Laguerre(F(5, 2)), MatPoly.identity(1), X),
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly([[X**2]]), X),
+        ])
+        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly.diag(X, X), Poly((1,)))
+        w = Weight.direct_sum([
+            Weight.atomic(Laguerre(F(5, 2)), MatPoly.identity(1), X + 1),
+            Weight.atomic(Laguerre(F(1, 2)), MatPoly.identity(1), X * (X + 1)),
+        ])
+        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly.diag(X**3, Poly((1,))), X**2 + X)
 
     def test_numerator_form_once_per_weight(self, monkeypatch):
-        # admission and factor_data share one numerator form, and a factor
-        # whose denominators are all 1 takes no exact division
+        # the weight keeps (N, m); admission, as_atomic and factor_data read
+        # it, and a polynomial factor takes no canonical form and no exact
+        # division
         from mvop import diffop
 
-        calls, divisions, form = [], [], weights.numerator_form
-        monkeypatch.setattr(weights, "numerator_form", lambda ms: calls.append(ms) or form(ms))
-        monkeypatch.setattr(diffop, "exact_div", lambda *args: divisions.append(args) or pytest.fail("exact division"))
-        w = Weight.atomic(Laguerre(F(1, 2)), MatRF([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
+        calls, canonical = [], weights._canonical
+        monkeypatch.setattr(weights, "_canonical", lambda *args: calls.append(args) or canonical(*args))
+        for module in (diffop, weights):
+            monkeypatch.setattr(module, "exact_div", lambda *args: pytest.fail("exact division"))
+        w = Weight.atomic(Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
         w.factor_data()
-        assert len(calls) == 1 and not divisions
-        assert w.numerator() == (MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]), Poly((1,)))
+        assert not calls
+        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]), Poly((1,)))
+        assert w.as_atomic()[1] is w.N and w.factor_data()[2] is w.N
+        monkeypatch.undo()
+        # a rational factor is put in canonical form at admission:
+        # diag(x^2 + x, 2 x) / (2 x^2 + 2 x) = diag((x + 1)/2, 1) / (x + 1)
+        w = Weight.atomic(Laguerre(F(1, 2)), MatPoly.diag(X**2 + X, 2 * X), 2 * X**2 + 2 * X)
+        assert (w.N, w.m) == (MatPoly.diag((X + 1) * F(1, 2), 1), X + 1)
+
+
+class TestPoles:
+    """Admission of a rational factor N / m is decided exactly: m may not
+    vanish inside the support, and at a finite end e where it vanishes the
+    exponent a_e + ord_e(N_ii) - ord_e(m) must stay above -1."""
+
+    @pytest.mark.parametrize(
+        "family, m, message",
+        [
+            (Laguerre(0), X, "weight is not integrable at the pole x = 0"),
+            (Jacobi(0, 0), X + 1, "weight is not integrable at the pole x = -1"),
+            (Laguerre(0), (X - 1) ** 2, "weight factor has a pole inside the support, at a root of x^2 - 2*x + 1"),
+            (Jacobi(F(1, 2), F(1, 2)), X**2, "weight factor has a pole inside the support, at a root of x^2"),
+        ],
+        ids=["laguerre-end", "jacobi-end", "laguerre-inside", "jacobi-inside"],
+    )
+    def test_non_integrable_refused(self, family, m, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Weight.atomic(family, MatPoly.identity(1), m)
+
+    @pytest.mark.parametrize(
+        "family, sign, m",
+        [(Laguerre(2), 1, X), (Jacobi(0, 1), 1, X + 1), (HermiteShifted(0), 1, X**2 + 1), (Jacobi(F(1, 2), 0), -1, X - 1)],
+        ids=["laguerre-end", "jacobi-end", "hermite-no-real-root", "jacobi-other-end"],
+    )
+    def test_integrable_admitted(self, family, sign, m):
+        w = Weight.atomic(family, MatPoly.identity(1) * sign, m)
+        assert (w.N, w.m) == (MatPoly.identity(1) * sign, m)
+
+    def test_order_of_the_numerator_counts(self):
+        # diag(x^2 + x^3, x) / x^2 is diag(x + x^2, 1) / x: at x = 0 the
+        # (1, 1) entry 1/x is not integrable against Laguerre(0), the (0, 0)
+        # entry 1 + x is; on Laguerre(1/2) both are
+        n = MatPoly.diag(X**2 + X**3, X)
+        with pytest.raises(DomainError, match="^weight is not integrable at the pole x = 0$"):
+            Weight.atomic(Laguerre(0), n, X**2)
+        assert Weight.atomic(Laguerre(F(1, 2)), n, X**2).m == X
 
 
 class TestCacheBound:
