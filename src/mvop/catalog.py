@@ -10,7 +10,8 @@ the stated parameter rules, the closed forms the checks compare against, the
 verbatim readings and the provenance. Where a printed source token is visibly
 corrupt the entry keeps both readings: the emended operator is primary and the
 verbatim one is re-checked and reported, so source typos and engine bugs stay
-distinguishable.
+distinguishable. A Gram check reads every block <Q_n, Q_m> off Q_n's moment
+rows (``weights.moment_rows``), one product per image.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 from .exactalg import DomainError, FracMat, Poly, X, bareiss, frac, int_matrix
 from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
-from .weights import Laguerre, Weight, inner_product, moment_rows, sequence_for
+from .weights import Laguerre, Weight, contract_rows, moment_rows, sequence_for
 from .dwalgebra import (
     DarbouxCertificate,
     Report,
@@ -238,36 +239,28 @@ def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
     """Q_0..Q_bound are orthogonal for the weight with nonsingular Gram
     blocks <Q_n, Q_n>.
 
-    When every deg Q_n <= n, the moment rows R_{n,k} = <Q_n, x^k I>, k <= n,
-    decide it with one product per image: <Q_n, Q_m> = sum_{k<=m} R_{n,k}
-    Q_{m,k}^T, so R_{n,k} = 0 for k < n clears every block below the
-    diagonal, and then <Q_n, Q_n> = R_{n,n} Q_{n,n}^T. Any other case (a
-    nonzero row, a singular block, an image of higher degree) runs the
-    pairwise check from n = 0, so a failure names the same first (n, m) and
-    block as the pairwise check alone.
+    One ``moment_rows`` call per n gives R_{n,k} = <Q_n, x^k I> up to the
+    largest deg Q_m, m <= n, and every block <Q_n, Q_m> = sum_k R_{n,k}
+    Q_{m,k}^T (``contract_rows``, which skips zero rows) is read off them:
+    the diagonal block first, then m = 0, 1, ..., so a failure names the
+    first (n, m) and its block.
     """
-    if all(polys[n].degree <= n for n in range(bound + 1)):
-        for n in range(bound + 1):
-            *below, top = moment_rows(polys[n], weight, n)
-            if any(not r.is_zero for r in below) or (top * polys[n].coeff(n).transpose()).det() == 0:
-                break
-        else:
-            return Verdict(True)
+    top = 0
     for n in range(bound + 1):
-        gn = inner_product(polys[n], polys[n], weight)
+        top = max(top, polys[n].degree)
+        rows = moment_rows(polys[n], weight, top)
+        gn = contract_rows(rows, polys[n])
         if gn.det() == 0:
             return Verdict(False, f"Gram block at n={n} is singular", n, gn)
         for m in range(n):
-            g = inner_product(polys[n], polys[m], weight)
+            g = contract_rows(rows, polys[m])
             if not g.is_zero:
                 return Verdict(False, f"nonzero Gram block at (n, m) = ({n}, {m})", n, g)
     return Verdict(True)
 
 
 def _eigen_family(polys, op: DiffOp, bound: int) -> tuple[bool, str]:
-    """Each member of a (not necessarily monic) degree-n family is an
-    eigenfunction: P_n . op = Lambda_n P_n with Lambda_n solved from the
-    leading coefficients."""
+    """(ok, detail) of ``relation`` on (polys, op, polys), for tests/test_acceptance.py."""
     rep = relation(polys.__getitem__, op, polys.__getitem__, bound)
     return rep.ok, rep.detail
 
@@ -304,7 +297,7 @@ def _verify_jac2(e: CatalogEntry, rep: Report, n_max: int):
             m1.eigs[n] * m2.eigs[n] == m2.eigs[n] * m1.eigs[n] for n in range(n_max + 1)
         )
         rep.add("eigenvalue families of D1, D2 commute", comm)
-    full = fullness_check(W, [ops["FD1"], ops["FD2"]], [DiffOp.identity(2), ops["D1"], ops["D2"]], n_max)
+    full = fullness_check([ops["FD1"], ops["FD2"]], [DiffOp.identity(2), ops["D1"], ops["D2"]])
     rep.extend(full, prefix="fullness: ")
     rep.add("diagonal side has a commutative algebra", commutativity_predicate(w))
     seq = sequence_for(w)
@@ -344,7 +337,8 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
             " emended closed form used"
         )
     rep.add("P_n . V = A_n Pt_n with the stated A_n", Verdict(ok, detail))
-    rep.add("images are eigenfunctions of E", Verdict(*_eigen_family(qs, ops["E"], n_max)))
+    # a degree-n family of eigenfunctions, Lambda_n solved from leading coefficients
+    rep.add("images are eigenfunctions of E", relation(qs.__getitem__, ops["E"], qs.__getitem__, n_max))
     rep.add("E in algebra of Wt", verify_in_DW(ops["E"], Wt, n_max))
     rep.add("images are Gram-orthogonal under Wt", _gram_orthogonal(qs, Wt, n_max))
     # bounded evidence that no factorization with ord V' + ord N' < 6 exists:
@@ -383,6 +377,9 @@ def _verify_geg2(e: CatalogEntry, rep: Report, n_max: int):
 def _verify_her3(e: CatalogEntry, rep: Report, n_max: int):
     w, W = e.weight_W, e.weight_Wt
     ops = e.ops
+    seq = sequence_for(w)
+    bound = min(n_max, 6)
+    qs = [apply(seq.poly(n), ops["V"]) for n in range(max(bound, 2) + 1)]
     composed = compose(ops["V"], ops["N"])
     eq = compare_operators(composed, ops["D"])
     rep.add("D = V N exactly", eq)
@@ -392,14 +389,11 @@ def _verify_her3(e: CatalogEntry, rep: Report, n_max: int):
         "verbatim D "
         + ("also matches" if not verb_cells else f"disagrees at {len(verb_cells)} cells (sign of the cubic (2,2) term)")
         + "; verbatim E "
-        + ("passes" if _eigen_family([apply(sequence_for(w).poly(n), ops["V"]) for n in range(3)], e.verbatim_ops["E"], 2)[0] else "fails (sign of the constant (1,1) term)")
+        + ("passes" if relation(qs.__getitem__, e.verbatim_ops["E"], qs.__getitem__, 2) else "fails (sign of the constant (1,1) term)")
     )
     rep.add("printed readings re-checked", Verdict(eq.ok, detail))
-    seq = sequence_for(w)
-    bound = min(n_max, 6)
-    qs = [apply(seq.poly(n), ops["V"]) for n in range(bound + 1)]
     rep.add("images are Gram-orthogonal under W", _gram_orthogonal(qs, W, bound))
-    rep.add("images are eigenfunctions of E", Verdict(*_eigen_family(qs, ops["E"], bound)))
+    rep.add("images are eigenfunctions of E", relation(qs.__getitem__, ops["E"], qs.__getitem__, bound))
     rep.add("E in algebra of W", verify_in_DW(ops["E"], W, bound))
     rep.add("E is W-symmetric", symmetry_check(ops["E"], W))
 

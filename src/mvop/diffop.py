@@ -655,13 +655,13 @@ def diff_cells(a: DiffOp, b: DiffOp) -> list[tuple[int, int, int]]:
             for r in range(a.size) for c in range(a.size) if x.entry(r, c) != y.entry(r, c)]
 
 
-def compare_operators(a: DiffOp, b: DiffOp, limit: int = 4) -> Verdict:
-    """a = b, or a failure naming the first ``limit`` differing (d-power,
-    row, col) cells with both sides; the residual is a - b."""
+def compare_operators(a: DiffOp, b: DiffOp) -> Verdict:
+    """a = b, or a failure naming the first four differing (d-power, row,
+    col) cells with both sides; the residual is a - b."""
     if a == b:
         return Verdict(True)
     detail = "; ".join(
         f"d^{j} cell ({r},{c}): {ratio_str(a.coeff(j).entry(r, c), a.den)} vs {ratio_str(b.coeff(j).entry(r, c), b.den)}"
-        for j, r, c in diff_cells(a, b)[:limit]
+        for j, r, c in diff_cells(a, b)[:4]
     )
     return Verdict(False, detail, residual=a - b)

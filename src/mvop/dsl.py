@@ -667,16 +667,12 @@ def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) ->
 # printing
 
 
-def _frac_text(v: Fraction) -> str:
-    return str(v)
-
-
 def _family_text(f: ScalarWeightFamily) -> str:
     if isinstance(f, HermiteShifted):
-        return f"hermite(b={_frac_text(f.b)})"
+        return f"hermite(b={f.b})"
     if isinstance(f, Laguerre):
-        return f"laguerre(alpha={_frac_text(f.alpha)})"
-    return f"jacobi(alpha={_frac_text(f.alpha)}, beta={_frac_text(f.beta)})"
+        return f"laguerre(alpha={f.alpha})"
+    return f"jacobi(alpha={f.alpha}, beta={f.beta})"
 
 
 def matrix_text(m: MatPoly) -> str:
@@ -752,7 +748,7 @@ def weight_text(w: Weight, block_names=None) -> str:
 def print_document(doc: SpecDocument) -> str:
     lines = []
     for k, v in doc.params.items():
-        lines.append(f"param {k} = {_frac_text(v)}")
+        lines.append(f"param {k} = {v}")
     if doc.params:
         lines.append("")
     block_names: dict[Weight, str] = {}

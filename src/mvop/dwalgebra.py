@@ -21,7 +21,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 from .exactalg import (
     DecompositionError,
@@ -664,34 +664,30 @@ def commutativity_predicate(w: Weight) -> bool:
 # fullness
 
 
-def fullness_check(
-    weight: Weight, ds: list[DiffOp], generators: list[DiffOp], n_max: int = 8
-) -> Report:
+def fullness_check(ds: list[DiffOp], generators: list[DiffOp]) -> Report:
     """Orthogonal system evidence: pairwise products vanish, the sum is
     central against the supplied generators, and the sum is not a zero
-    divisor (symbol nonsingularity, or nonsingular eigenvalues up to n_max)."""
+    divisor.
+
+    The last is decided exactly: the sum D has polynomial coefficients with
+    deg F_j <= j and det S_n, S_n its symbol (``degree_preserving``), is not
+    the zero polynomial in n. Then D X = 0 or X D = 0 forces X = 0 for X in
+    the algebra: Lambda_n(D X) = Lambda_n(D) Lambda_n(X) with Lambda_n(D) =
+    S_n, so Lambda_n(X) vanishes wherever det S_n does not, and a matrix
+    polynomial in n that vanishes at all but finitely many n is zero.
+    """
     rep = Report()
-    weight = _weight_of(weight)
-    for i in range(len(ds)):
-        for j in range(len(ds)):
-            if i == j:
-                continue
-            prod = compose(ds[i], ds[j])
-            rep.add(f"product D{i + 1} D{j + 1} = 0", prod.is_zero)
-    total = ds[0]
-    for d in ds[1:]:
-        total = total + d
+    for i, j in permutations(range(len(ds)), 2):
+        rep.add(f"product D{i + 1} D{j + 1} = 0", compose(ds[i], ds[j]).is_zero)
+    total = sum(ds[1:], ds[0])
     for k, g in enumerate(generators):
-        rep.add(
-            f"sum commutes with generator {k + 1}",
-            compose(total, g) == compose(g, total),
-        )
+        rep.add(f"sum commutes with generator {k + 1}", compose(total, g) == compose(g, total))
     dp = degree_preserving(total)
     if dp.ok:
-        rep.add("sum is not a zero divisor", Verdict(True, "symbol nonsingular for every n >= 0"))
-    else:
-        mem = verify_in_DW(total, weight, n_max)
-        ok = mem.ok and all(e.det() != 0 for e in mem.eigs)
-        detail = f"eigenvalue determinants nonzero for n <= {n_max}" if ok else mem.detail
-        rep.add("sum is not a zero divisor", Verdict(ok, detail))
+        dp = Verdict(True, "symbol nonsingular for every n >= 0")
+    elif dp.residual is not None:
+        # degree_preserving leaves det S_n as the residual only when every
+        # deg F_j <= j and det S_n != 0; here it has a nonnegative integer root
+        dp = Verdict(True, f"symbol singular at finitely many n, the first n = {dp.fail_n}")
+    rep.add("sum is not a zero divisor", dp)
     return rep

@@ -6,7 +6,10 @@ matrix factor N / m kept as operators are, N polynomial over one monic m
 (``Weight.atomic``), or a direct sum of weights. All inner
 products are normalized by the zeroth moment of the base density, which keeps
 every value in Q; orthogonality and nonsingularity statements are unaffected
-by a positive global factor.
+by a positive global factor. The one contraction against moments is
+``moment_rows``, R_k = <P, x^k I> from one product P M: an inner product is
+sum_k R_k Q_k^T (``contract_rows``) and the sequence step reads its rows k
+and k + 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    _F0,
     _P1,
     DomainError,
     FracMat,
@@ -71,8 +75,8 @@ class HermiteShifted(ScalarWeightFamily):
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         return self.b, Fraction(n, 2)
 
-    def sample_points(self, k: int = 16):
-        return [Fraction(-3) + Fraction(6 * i, k + 1) for i in range(1, k + 1)]
+    def sample_points(self):
+        return [Fraction(-3) + Fraction(6 * i, 17) for i in range(1, 17)]
 
     def moment_step(self, s: int, values) -> Fraction:
         # mu_{s+1} = b mu_s + (s/2) mu_{s-1}, from d/dx[x^s rho] integrating to 0
@@ -105,8 +109,8 @@ class Laguerre(ScalarWeightFamily):
     def ends(self):
         return (0, self.alpha), (None, None)
 
-    def sample_points(self, k: int = 16):
-        return [Fraction(8 * i, k + 1) for i in range(1, k + 1)]
+    def sample_points(self):
+        return [Fraction(8 * i, 17) for i in range(1, 17)]
 
     def moment_step(self, s: int, values) -> Fraction:
         # Gamma recursion: mu_{s+1} = (alpha + 1 + s) mu_s
@@ -160,8 +164,8 @@ class Jacobi(ScalarWeightFamily):
     def ends(self):
         return (-1, self.beta), (1, self.alpha)
 
-    def sample_points(self, k: int = 16):
-        return [Fraction(-1) + Fraction(2 * i, k + 1) for i in range(1, k + 1)]
+    def sample_points(self):
+        return [Fraction(-1) + Fraction(2 * i, 17) for i in range(1, 17)]
 
     def moment_step(self, s: int, values) -> Fraction:
         # integration by parts of d/dx[(1-x)^(a+1) (1+x)^(b+1) x^s]
@@ -511,11 +515,8 @@ class OPSequence:
             b, c = w.family.recursion(k)
             bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
         else:
-            # rows k, k + 1 over one denominator dh; nu_(k+1).. must be as long
-            # as every entry of P_k M, since contraction stops at the shorter
-            fam, pm = _times_factor(pk, w)
-            nums, den = _moment_numerators(fam, max(pm.degree, 0) + k + 1)
-            hr, dh = int_matrix([row for j in (k, k + 1) for row in _moment_row(pm, nums[j:], den).rows])
+            # rows k, k + 1 over one denominator dh
+            hr, dh = int_matrix([row for r in moment_rows(pk, w, k + 1, k) for row in r.rows])
             h, r = hr[: w.size], hr[w.size :]
             det, adj = bareiss([row + [int(i == j) for j in range(w.size)] for i, row in enumerate(h)])
             if not det:
@@ -576,52 +577,46 @@ def classical_monic(family: ScalarWeightFamily, n: int) -> Poly:
 
 
 def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
-    """<P, Q> = integral P W Q^T, normalized by the base density's mass.
-
-    Requires the merged factor matrix to be polynomial, so that the integrand
-    expands into power moments.
-    """
+    """<P, Q> = integral P W Q^T, normalized by the base density's mass,
+    contracted from P's moment rows up to deg Q (``contract_rows``)."""
     if p.size != q.size:
         raise ShapeError("inner product size mismatch")
-    fam, pm = _times_factor(p, weight)
-    integrand = pm * q.transpose()
-    # each entry's integer numerators against nu_0..nu_deg over their common
-    # denominator: one integer dot and one Fraction per entry
-    nums, den = _moment_numerators(fam, integrand.degree)
-    return FracMat([[_contract(e, nums, den) for e in row] for row in integrand.rows])
+    return contract_rows(moment_rows(p, weight, max(q.degree, 0)), q)
 
 
-def moment_rows(p: MatPoly, weight: Weight, k_max: int) -> list[FracMat]:
-    """<P, x^k I> for k = 0..k_max, from one product P M.
-
-    <P, x^k I> = integral x^k P W, so row k contracts each entry of P M
-    against nu_k, nu_{k+1}, ...: the moment table is the one inner_product
-    fills to the same degree. By bilinearity <P, Q> = sum_k <P, x^k I> Q_k^T,
-    Q_k the x^k coefficient of Q, so these rows decide orthogonality to every
-    Q of degree <= k_max without a product per Q.
-    """
+def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[FracMat]:
+    """<P, x^k I> = integral x^k P W for k = k_min..k_max, from one product
+    P M: row k is one integer dot per entry of P M against nu_k, nu_{k+1},
+    ... over their common denominator. The atomic form's factor N / m must be
+    polynomial (m = 1)."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    fam, pm = _times_factor(p, weight)
-    nums, den = _moment_numerators(fam, max(pm.degree, 0) + k_max)
-    return [_moment_row(pm, nums[k:], den) for k in range(k_max + 1)]
-
-
-def _moment_row(pm: MatPoly, nums, den) -> FracMat:
-    """Each entry of P M contracted against the moments from nu_k on, i.e.
-    <P, x^k I> when ``nums`` starts at nu_k's numerator."""
-    return FracMat([[_contract(e, nums, den) for e in row] for row in pm.rows])
-
-
-def _times_factor(p: MatPoly, weight: Weight) -> tuple[ScalarWeightFamily, MatPoly]:
-    """The base family and P N of the weight's atomic form, whose factor N / m
-    must be polynomial (m = 1)."""
     if p.size != weight.size:
         raise ShapeError("inner product size mismatch")
     fam, num, m = weight.as_atomic()
     if m.degree > 0:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    return fam, p * num
+    pm = p * num
+    # nu_k.. must be as long as every entry of P M, since a dot stops at the shorter
+    top = max(pm.degree, 0) + k_max
+    (nums,), den = int_matrix([_moments_list(fam, top)[: top + 1]])
+    forms = [[int_form(e)[:2] if e else ((), 1) for e in row] for row in pm.rows]
+    out = []
+    for k in range(k_min, k_max + 1):
+        tail = nums[k:]
+        dots = [[(sum(map(operator.mul, ints, tail)), d * den) for ints, d in row] for row in forms]
+        out.append(FracMat([[Fraction(v, d) if v else _F0 for v, d in row] for row in dots]))
+    return out
+
+
+def contract_rows(rows: list[FracMat], q: MatPoly) -> FracMat:
+    """sum_k R_k Q_k^T over the moment rows R_k = <P, x^k I> from k = 0, which
+    is <P, Q>; a zero row adds nothing and is skipped."""
+    acc = FracMat.zeros(q.size)
+    for k in range(q.degree + 1):
+        if not rows[k].is_zero:
+            acc = acc + rows[k] * q.coeff(k).transpose()
+    return acc
 
 
 def _int_product(a, b) -> list[list[int]]:
@@ -631,16 +626,3 @@ def _int_product(a, b) -> list[list[int]]:
 
 def _over(rows, den) -> FracMat:
     return FracMat([[Fraction(v, den) for v in row] for row in rows])
-
-
-def _moment_numerators(fam: ScalarWeightFamily, top: int) -> tuple[list[int], int]:
-    """nu_0..nu_top as integers over their common denominator, and it."""
-    (nums,), den = int_matrix([_moments_list(fam, top)[: top + 1]])
-    return nums, den
-
-
-def _contract(e: Poly, nums, den) -> Fraction:
-    if not e:
-        return Fraction(0)
-    ints, d, _ = int_form(e)
-    return Fraction(sum(map(operator.mul, ints, nums)), d * den)

@@ -13,7 +13,8 @@ from mvop.catalog import ENTRY_NAMES, _gram_orthogonal, check_entry, default_par
 from mvop.cli import main, run
 from mvop.diffop import DiffOp, MatPoly, Verdict, apply, bump_coefficient, coefficient_sites
 from mvop.dsl import parse_spec
-from mvop.weights import inner_product, sequence_for
+from mvop.weights import moment_rows, sequence_for
+from test_weights import _inner_product_by_fracmat
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
 
@@ -212,13 +213,14 @@ class TestVerification:
 
 
 def _gram_orthogonal_pairwise(polys, weight, bound):
-    """Oracle: every Gram block <Q_n, Q_m>, m <= n, formed and tested."""
+    """Oracle: every Gram block <Q_n, Q_m>, m <= n, formed from the integrand
+    P W Q^T and tested."""
     for n in range(bound + 1):
-        gn = inner_product(polys[n], polys[n], weight)
+        gn = _inner_product_by_fracmat(polys[n], polys[n], weight)
         if gn.det() == 0:
             return Verdict(False, f"Gram block at n={n} is singular", n, gn)
         for m in range(n):
-            g = inner_product(polys[n], polys[m], weight)
+            g = _inner_product_by_fracmat(polys[n], polys[m], weight)
             if not g.is_zero:
                 return Verdict(False, f"nonzero Gram block at (n, m) = ({n}, {m})", n, g)
     return Verdict(True)
@@ -240,21 +242,21 @@ class TestGramOracle:
         return [apply(seq.poly(n), op or e.ops["V"]) for n in range(n_max + 1)], e.weight_Wt
 
     @staticmethod
-    def count_inner_products(monkeypatch):
+    def count_moment_rows(monkeypatch):
         counted = []
-        monkeypatch.setattr(catalog, "inner_product", lambda *a: counted.append(a) or inner_product(*a))
+        monkeypatch.setattr(catalog, "moment_rows", lambda *a: counted.append(a) or moment_rows(*a))
         return counted
 
     @pytest.mark.parametrize("name", [n for n in ENTRY_NAMES if n != "LAG2DIAG"])
     def test_every_catalog_call(self, name, monkeypatch):
-        # a passing check must not fall back to the pairwise blocks
-        counted = self.count_inner_products(monkeypatch)
+        # a passing check takes one product of moment rows per n
+        counted = self.count_moment_rows(monkeypatch)
         seen = []
 
         def checked(qs, weight, bound):
             del counted[:]
             got = self.assert_same(qs, weight, bound)
-            assert not (got.ok and counted)
+            assert [a[0] for a in counted] == qs[: bound + 1]
             seen.append(got.ok)
             return got
 
@@ -285,11 +287,12 @@ class TestGramOracle:
         assert not got.ok and got.detail == "Gram block at n=4 is singular"
 
     def test_degree_above_n(self, monkeypatch):
-        counted = self.count_inner_products(monkeypatch)
+        # rows of Q_n reach the largest degree among Q_0..Q_n, here 3 from n = 2
+        counted = self.count_moment_rows(monkeypatch)
         qs, w = self.jac2_images()
         qs[2] = qs[2] + MatPoly.scalar(X**3, 2)
         got = self.assert_same(qs, w, 6)
-        assert not got.ok and counted
+        assert not got.ok and [a[2] for a in counted] == [0, 1, 3][: got.fail_n + 1]
 
 
 def _singular_on_grid(consts, size):

@@ -977,12 +977,11 @@ class TestFullness:
         d1 = DiffOp.const(FracMat([[1, 0], [0, 0]]))
         d2 = DiffOp.const(FracMat([[0, 0], [0, 1]]))
         gens = [d1, d2, DiffOp.identity(2)]
-        assert fullness_check(w, [d1, d2], gens, 6).ok
+        assert fullness_check([d1, d2], gens).ok
 
     def test_identity_pair_fails_product(self):
-        w = Weight.of_scalars(Laguerre(F(1, 2)), Laguerre(F(1, 3)))
         one = DiffOp.identity(2)
-        rep = fullness_check(w, [one, one], [one], 4)
+        rep = fullness_check([one, one], [one])
         assert not rep.ok
 
     def test_catalog_orthogonal_system(self):
@@ -990,4 +989,23 @@ class TestFullness:
 
         e = entry("JAC2")
         gens = [DiffOp.identity(2), e.ops["D1"], e.ops["D2"]]
-        assert fullness_check(e.weight_Wt, [e.ops["FD1"], e.ops["FD2"]], gens, 6).ok
+        assert fullness_check([e.ops["FD1"], e.ops["FD2"]], gens).ok
+
+    @staticmethod
+    def zero_divisor_line(ds):
+        rep = fullness_check(ds, [])
+        return next(c for c in rep.checks if c.name == "sum is not a zero divisor")
+
+    def test_symbol_root_passes(self):
+        # det S_n = n - 2 vanishes at n = 2 but is not the zero polynomial,
+        # whatever horizon a caller has in mind
+        line = self.zero_divisor_line([DiffOp.scalar([Poly((-2,)), X])])
+        assert line.ok and "n = 2" in line.detail
+
+    def test_symbol_identically_singular_fails(self):
+        line = self.zero_divisor_line([DiffOp.const(FracMat([[1, 0], [0, 0]]))])
+        assert not line.ok and "vanishes identically" in line.detail
+
+    def test_coefficient_degree_above_power_fails(self):
+        line = self.zero_divisor_line([DiffOp.scalar([X])])
+        assert not line.ok and "exceeds" in line.detail

@@ -272,8 +272,16 @@ class TestMomentRows:
         rows = moment_rows(p, w, k)
         assert len(rows) == k + 1
         for j, row in enumerate(rows):
-            want = inner_product(p, MatPoly.scalar(X**j, w.size), w)
+            want = _inner_product_by_fracmat(p, MatPoly.scalar(X**j, w.size), w)
             assert row == want and repr(row) == repr(want)
+
+    @given(gram_cases(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_row_range_is_slice_of_full_rows(self, case, k_min, span):
+        p, _, w = case
+        k_max = k_min + span
+        part = moment_rows(p, w, k_max, k_min)
+        assert [repr(r) for r in part] == [repr(r) for r in moment_rows(p, w, k_max)[k_min:]]
 
     def test_refusals(self):
         w = Laguerre(F(1, 2)).scalar_weight()
@@ -350,7 +358,8 @@ class TestMonicSequences:
 
 def _step_gram_products(self, k):
     """Oracle: the recursion step from Gram products, H_k = <P_k, P_k> and
-    <x P_k, P_k> by ``inner_product`` and the update by MatPoly arithmetic."""
+    <x P_k, P_k> by ``_inner_product_by_fracmat`` and the update by MatPoly
+    arithmetic."""
     w = self.weight
     pk = self._polys[k]
     xpk = X * pk
@@ -358,12 +367,12 @@ def _step_gram_products(self, k):
         b, c = w.family.recursion(k)
         bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
     else:
-        h = inner_product(pk, pk, w)
+        h = _inner_product_by_fracmat(pk, pk, w)
         try:
             h_inv = h.inv()
         except SingularError as exc:
             raise SingularError(f"degenerate moment system at degree {k + 1}") from exc
-        bk = inner_product(xpk, pk, w) * h_inv
+        bk = _inner_product_by_fracmat(xpk, pk, w) * h_inv
         ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
         self._h_prev_inv = h_inv
     nxt = xpk - pk.lmul_const(bk)
