@@ -241,14 +241,14 @@ def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
 
     One ``moment_rows`` call per n gives R_{n,k} = <Q_n, x^k I> up to the
     largest deg Q_m, m <= n, and every block <Q_n, Q_m> = sum_k R_{n,k}
-    Q_{m,k}^T (``contract_rows``, which skips zero rows) is read off them:
-    the diagonal block first, then m = 0, 1, ..., so a failure names the
-    first (n, m) and its block.
+    Q_{m,k}^T (``contract_rows``) is read off the nonzero ones, found once
+    per n: the diagonal block first, then m = 0, 1, ..., so a failure names
+    the first (n, m) and its block.
     """
     top = 0
     for n in range(bound + 1):
         top = max(top, polys[n].degree)
-        rows = moment_rows(polys[n], weight, top)
+        rows = [(k, r) for k, r in enumerate(moment_rows(polys[n], weight, top)) if not r.is_zero]
         gn = contract_rows(rows, polys[n])
         if gn.det() == 0:
             return Verdict(False, f"Gram block at n={n} is singular", n, gn)

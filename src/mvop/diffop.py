@@ -41,6 +41,7 @@ from fractions import Fraction
 
 from .exactalg import (
     _P1,  # one shared object: den == _P1 then compares one tuple with itself
+    _kept,
     DomainError,
     FracMat,
     Matrix,
@@ -52,6 +53,7 @@ from .exactalg import (
     frac,
     int_entries,
     int_form,
+    int_poly,
     int_poly_derivative,
     int_poly_dot,
     int_poly_matmul,
@@ -61,6 +63,7 @@ from .exactalg import (
     pack_width,
     poly_dot,
     poly_gcd,
+    poly_over,
     poly_quo,
     ratio_str,
     unpack,
@@ -90,16 +93,23 @@ class IntForm:
             return self._form
 
     def packed(self, w: int, count: int):
-        """By coefficient i, [A_i, A_i', ..., A_i^(count-1)] on the
-        numerators of ``int_form``, each entry packed at width w."""
+        """By coefficient i and row r, row r of A_i, A_i', ...,
+        A_i^(count-1) on the numerators of ``int_form``, concatenated and
+        each entry packed at width w: entry (r, c) of A_i^(t) sits at
+        t size + c, so a row's first (t + 1) size entries are those of the
+        first t + 1 derivatives. A width kept with fewer derivatives packs
+        only the missing ones; the derivatives themselves are not kept, since
+        few objects are packed twice."""
         try:
             got = self._packs.get(w)
         except AttributeError:
             got, self._packs = None, {}
-        if got is None or (got and len(got[0]) < count):
-            ints, nn = self.int_form()[0], self.size * self.size
-            got = self._packs[w] = [[[pack(e, w) for e in der] for der in int_derivatives(ints[i : i + nn], count)]
-                                    for i in range(0, len(ints), nn)]
+        s = self.size
+        if got is None or (got and len(got[0][0]) < count * s):
+            ints, nn, have = self.int_form()[0], s * s, len(got[0][0]) // s if got else 0
+            chains = [int_derivatives(ints[i : i + nn], count)[have:] for i in range(0, len(ints), nn)]
+            got = self._packs[w] = [[(got[i][r] if got else []) + [pack(e, w) for der in chain for e in der[r * s : (r + 1) * s]]
+                                     for r in range(s)] for i, chain in enumerate(chains)]
         return got
 
 
@@ -142,7 +152,7 @@ class MatPoly(IntForm, Matrix):
             return self._monic
 
     def coeff(self, k: int) -> FracMat:
-        return FracMat([[c[k] for c in r] for r in self.rows])
+        return FracMat._of((c[k] for c in r) for r in self.rows)
 
     def _dot(self, row, col):
         return poly_dot(zip(row, col))
@@ -154,7 +164,7 @@ class MatPoly(IntForm, Matrix):
         return MatPoly([[Poly.const(c) for c in r] for r in m.rows]) * self
 
     def derivative(self) -> "MatPoly":
-        return MatPoly([[c.derivative() for c in r] for r in self.rows])
+        return MatPoly._of((c.derivative() for c in r) for r in self.rows)
 
 
 def ratio_matrix_str(num: MatPoly, den: Poly) -> str:
@@ -350,6 +360,9 @@ def int_derivatives(ints, count: int):
     return chain
 
 
+_SCALES = {}  # (deg, order, top, mtop): int_action's scale
+
+
 def int_action(a: IntForm, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
     """The cells of the d^k coefficients, k in ``ks``, of A T as packed
     integers: A = sum_i d^i A_i, a MatPoly (one A_0) or a DiffOp of size s,
@@ -368,24 +381,31 @@ def int_action(a: IntForm, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
     top, mtop = min(op.order, deg), min(max(ks, default=0), op.order)
     # A_i^(t) vanishes for t > deg and multiplies [x^e] A_i by at most
     # deg!/(deg-t)!; each cell's digit sums at most min(deg, deg F) + 1
-    # products per (j, l)
-    scale = max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(max(0, j - top), min(j, mtop) + 1))
-                 for j in range(op.order + 1)), default=0)
+    # products per (j, l). Kept per (deg, order, top, mtop).
+    key = (deg, op.order, top, mtop)
+    scale = _SCALES.get(key)
+    if scale is None:
+        scale = _kept(_SCALES, key, max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(max(0, j - top), min(j, mtop) + 1))
+                                         for j in range(op.order + 1)), default=0))
     bits = abits + op.bits + ((op.order + 1) * s * (min(deg, op.deg) + 1) * scale - 1).bit_length()
     w = pack_width(bits + extra_bits)
     packed, cols = a.packed(w, max(top, 0) + 1), op.packed_cols(w)
     out = []
     for k in ks:
+        if k == 0 and order == 0:  # P . T: blocks (0, j), j <= top, binomials 1; a sum stops at the row's end
+            rows = [row[: (top + 1) * s] for row in packed[0]]
+            out.append([[sum(map(operator.mul, row, col)) for col in cols] for row in rows])
+            continue
         blocks = [(m, j) for m in range(max(0, k - order), min(k, op.order) + 1) for j in range(m, min(op.order, m + top) + 1)]
-        left = [(math.comb(j, m), packed[k - m][j - m]) for m, j in blocks]
-        rows = [[b * v if b > 1 else v for b, der in left for v in der[r * s : (r + 1) * s]] for r in range(s)]
+        left = [(math.comb(j, m), packed[k - m], (j - m) * s) for m, j in blocks]
+        rows = [[b * v if b > 1 else v for b, a_i, t in left for v in a_i[r][t : t + s]] for r in range(s)]
         bcols = [[v for _, j in blocks for v in col[j * s : (j + 1) * s]] for col in cols]
         out.append([[sum(map(operator.mul, row, col)) for col in bcols] for row in rows])
     return out, w, bits
 
 
 def _unpacked(sums, w, count, den) -> MatPoly:
-    return MatPoly([[Poly([Fraction(c, den) for c in unpack(v, w, count)]) for v in row] for row in sums])
+    return MatPoly._of((poly_over(unpack(v, w, count), den) for v in row) for row in sums)
 
 
 def quotient_chain(p: Poly, q: Poly, count: int) -> list[Poly]:
@@ -506,13 +526,15 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
     s, t, m, adj, det = weight.factor_data()
     size, n, nn = d.size, d.order, d.size * d.size
     (s, t), _, _ = int_entries([s, t])
-    (q, lq, _), (di, ld, _) = int_form(d.den), int_form(det)
+    s, t = int_poly(s), int_poly(t)
+    (q, lq, qb), (di, ld, db) = int_form(d.den), int_form(det)
+    q, di = (q, qb), (di, db)
     if d.den != _P1:
-        s, t = int_poly_dot([(1, s, q), (-1, t, int_poly_derivative(q))]), int_poly_dot([(1, t, q)])
-    nums, ln, _ = d.int_form()
-    mi, lm, _ = m.int_form()
-    ai, la, _ = adj.int_form()
-    dt, powers = int_poly_derivative(t), [(1,)]
+        s, t = int_poly_dot([(1, s, q), (-1, t, _derivative(q))]), int_poly_dot([(1, t, q)])
+    # every entry of a matrix carries the matrix's bound
+    (nums, ln, nb), (mi, lm, mb), (ai, la, ab) = d.int_form(), m.int_form(), adj.int_form()
+    mi, ai = [(e, mb) for e in mi], [(e, ab) for e in ai]
+    dt, powers = _derivative(t), [((1,), 1)]
     for _ in range(n):
         powers.append(int_poly_dot([(1, powers[-1], t)]))
     # entry e of the d^k numerator, before the product with A, sums
@@ -522,15 +544,15 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
         nl = nums[l * nn : (l + 1) * nn]
         if not any(nl):
             continue
-        r = int_poly_matmul(mi, [nl[b * size + a] for a in range(size) for b in range(size)], size)
+        r = int_poly_matmul(mi, [(nl[b * size + a], nb) for a in range(size) for b in range(size)], size)
         for i in range(l + 1):
             c = (-1) ** l * math.comb(l, i)
             for cell, e in zip(terms[l - i], r):
                 cell.append((c, e, powers[n - i]))
             if i < l:
-                r = [int_poly_dot([(1, int_poly_derivative(e), t), (1, e, s), (-i, e, dt)]) for e in r]
-    nums = [int_poly_matmul([int_poly_dot(cell) for cell in by_k], ai, size) for by_k in terms]
-    den = int_poly_dot([(1, int_poly_dot([(1, q, powers[n])]), di)])
+                r = [int_poly_dot([(1, _derivative(e), t), (1, e, s), (-i, e, dt)]) for e in r]
+    nums = [[e for e, _ in int_poly_matmul([int_poly_dot(cell) for cell in by_k], ai, size)] for by_k in terms]
+    den = int_poly_dot([(1, int_poly_dot([(1, q, powers[n])]), di)])[0]
     # the coefficients are nums / den times lq ld / (lm ln la)
     g = math.gcd(*den)
     prim = [v // g for v in den]
@@ -538,14 +560,19 @@ def w_adjoint(d: DiffOp, weight) -> DiffOp:
     for by_k in nums:
         quos.append([int_poly_quo(e, prim) for e in by_k])
         if None in quos[-1]:
-            scale = Fraction(lm * ln * la, lq * ld)
-            return DiffOp(size, [_matpoly([Poly(e) for e in by_k], size) for by_k in nums], Poly(den) * scale)
-    scale = Fraction(lq * ld, lm * ln * la * g)
-    return DiffOp(size, [_matpoly([Poly([scale * v for v in e]) for e in by_k], size) for by_k in quos])
+            return DiffOp(size, [_matpoly([poly_over(e, 1) for e in by_k], size) for by_k in nums],
+                          poly_over([v * lm * ln * la for v in den], lq * ld))
+    num, den = lq * ld, lm * ln * la * g
+    return DiffOp(size, [_matpoly([poly_over([v * num for v in e], den) for e in by_k], size) for by_k in quos])
+
+
+def _derivative(a):
+    # the derivative of an int_poly operand, as one
+    return int_poly(int_poly_derivative(a[0]))
 
 
 def _matpoly(entries, size) -> MatPoly:
-    return MatPoly([entries[r * size : (r + 1) * size] for r in range(size)])
+    return MatPoly._of(entries[r * size : (r + 1) * size] for r in range(size))
 
 
 @dataclass
@@ -587,14 +614,15 @@ def degree_preserving(d: DiffOp) -> Verdict:
         if f.degree > j:
             return Verdict(False, f"coefficient degree {f.degree} exceeds d-power {j}")
     size, nn, (nums, den, _) = d.size, d.size * d.size, d.int_form()
-    falls = [(1,)]  # n(n-1)...(n-j+1), lowest power of n first
+    falls = [((1,), 1)]  # n(n-1)...(n-j+1), lowest power of n first
     for j in range(d.order):
-        falls.append(int_poly_dot([(1, falls[-1], (-j, 1))]))
-    sym = [int_poly_dot([(e[j], falls[j], (1,)) for j, e in enumerate(nums[c::nn]) if len(e) > j]) for c in range(nn)]
+        falls.append(int_poly_dot([(1, falls[-1], int_poly((-j, 1)))]))
+    one = ((1,), 1)
+    sym = [int_poly_dot([(e[j], falls[j], one) for j, e in enumerate(nums[c::nn]) if len(e) > j])[0] for c in range(nn)]
     det = bareiss([sym[r * size : (r + 1) * size] for r in range(size)])[0]
     if not det:
         return Verdict(False, "symbol determinant vanishes identically", fail_n=0)
-    det = Poly([Fraction(c, den**size) for c in det])
+    det = poly_over(det, den**size)
     roots = nonneg_integer_roots(det)
     if roots:
         return Verdict(False, f"symbol singular at n = {roots[0]}", fail_n=roots[0], residual=det)

@@ -258,7 +258,7 @@ def _bits(coeffs) -> int:
 def _measure(v) -> tuple[int, int, int]:
     """Order, coefficient degree and coefficient bit length of a value."""
     if isinstance(v, Fraction):
-        return (0, 0, _bits((v,))) if v else (0, -1, 0)
+        return (0, 0, max(v.numerator.bit_length(), v.denominator.bit_length())) if v else (0, -1, 0)
     if isinstance(v, Poly):
         return 0, v.degree, _bits(v.coeffs)
     cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
@@ -276,6 +276,10 @@ class _Parser:
         self.doc = SpecDocument()
         self.overrides = dict(overrides or {})
         self.depth = 0
+        # by id, _measure of x and of each value bound to a name, None until
+        # taken: the document keeps them, so an id stays theirs. Any other
+        # value is new and is measured once, where it is used
+        self.named = {id(X): None}
 
     # token helpers
 
@@ -352,6 +356,7 @@ class _Parser:
         if name in self.overrides:
             value = self.overrides[name]
         self.doc.params[name] = value
+        self.named[id(value)] = None
 
     def parse_weight(self):
         name = self.fresh_name()
@@ -411,7 +416,8 @@ class _Parser:
     def parse_op(self):
         name = self.fresh_name()
         self.expect("SYM", "=")
-        self.doc.ops[name] = _as_op(self.expr())
+        op = self.doc.ops[name] = _as_op(self.expr())
+        self.named[id(op)] = None
 
     def matrix(self) -> MatPoly:
         start = self.expect("SYM", "[")
@@ -451,9 +457,10 @@ class _Parser:
         if neg:
             acc = -acc
         while True:
-            tok = self.accept("SYM", "+") or self.accept("SYM", "-")
-            if not tok:
+            tok = self.peek()
+            if tok.kind != "SYM" or tok.text not in ("+", "-"):
                 return acc
+            self.pos += 1
             rhs = self.term()
             a, b = self.same_size(acc, rhs, tok)
             acc = a + b if tok.text == "+" else a - b
@@ -461,9 +468,10 @@ class _Parser:
     def term(self):
         acc = self.factor()
         while True:
-            tok = self.accept("SYM", "*") or self.accept("SYM", "/")
-            if not tok:
+            tok = self.peek()
+            if tok.kind != "SYM" or tok.text not in ("*", "/"):
                 return acc
+            self.pos += 1
             rhs = self.factor()
             if tok.text == "/":
                 if (rhs := _const(rhs)) is None:
@@ -493,8 +501,8 @@ class _Parser:
         hat = self.accept("SYM", "^")
         if hat:
             k = self.small_int("exponent")
-            o, d, b = _measure(base)
-            self.bound(hat, "power", o * k, d * k, b * k, f"{b}-bit coefficients to {k}")
+            o, d, b = self.measure(base)
+            self.bound(hat, "power", o * k, d * k, b * k, "{}-bit coefficients to {}", b, k)
             base = op_power(base, k) if isinstance(base, DiffOp) else base**k
         return base
 
@@ -531,7 +539,16 @@ class _Parser:
             self.err(f"weight {t.text!r} is not an operator; delta({t.text}) is its classical operator", t)
         self.err(f"unbound name {t.text!r}", t)
 
-    def bound(self, tok, what, order, degree, bits, bits_text):
+    def measure(self, v) -> tuple[int, int, int]:
+        """``_measure`` of v, taken once per parse."""
+        m = self.named.get(id(v))
+        if m is None:
+            m = _measure(v)
+            if id(v) in self.named:
+                self.named[id(v)] = m
+        return m
+
+    def bound(self, tok, what, order, degree, bits, bits_text, *args):
         # products and powers add or multiply orders, degrees and coefficient
         # sizes: bound the result before computing it
         if order > LIMIT:
@@ -539,12 +556,14 @@ class _Parser:
         if degree > LIMIT:
             self.err(f"{what} of degree {degree} exceeds {LIMIT}", tok)
         if bits > LIMIT * LIMIT:
-            self.err(f"{what} of {bits_text} exceeds {LIMIT * LIMIT} bits", tok)
+            self.err(f"{what} of {bits_text.format(*args)} exceeds {LIMIT * LIMIT} bits", tok)
 
     def product(self, a, b, tok):
         """a * b: apply a, then b."""
-        (oa, da, ba), (ob, db, bb) = _measure(a), _measure(b)
-        self.bound(tok, "product", oa + ob, da + db, ba + bb, f"{ba}-bit and {bb}-bit coefficients")
+        (oa, da, ba), (ob, db, bb) = self.measure(a), self.measure(b)
+        self.bound(tok, "product", oa + ob, da + db, ba + bb, "{}-bit and {}-bit coefficients", ba, bb)
+        if type(a) is Fraction and type(b) is Fraction:
+            return a * b
         # constants commute with every operator
         if (c := _const(b)) is not None:
             return a * c

@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations
 
 from .exactalg import (
+    _F0,
     DecompositionError,
     DomainError,
     FracMat,
@@ -201,7 +202,7 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     den = p.int_form()[1] * op.den
     if c is None:
         chat = [[digit(v, w, n) for v in row] for row in sums]
-        c = FracMat([[Fraction(v, den) for v in row] for row in chat])
+        c = FracMat._of((Fraction(v, den) if v else _F0 for v in row) for row in chat)
         if lead is not None:
             c = c * lead.inv()
     if not fits or c.nrows != s or c.ncols != s:
@@ -215,8 +216,8 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
         need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())
         if pack_width(need) > w:
             (sums,), w = int_action(p, s, op, need - bits)[:2]
-    qpacked = q.packed(w, 1)[0][0]
-    qcols = [qpacked[k::s] for k in range(s)]
+    qrows = q.packed(w, 1)[0]
+    qcols = [[row[k] for row in qrows] for k in range(s)]
     return c, not any(
         s1 * v - s2 * sum(map(operator.mul, crow, qcol)) for crow, row in zip(chat, sums) for v, qcol in zip(row, qcols)
     )

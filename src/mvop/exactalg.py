@@ -105,6 +105,15 @@ class Poly:
         self._hash = None
         self._ints = None
 
+    @staticmethod
+    def _of(coeffs, ints=None) -> "Poly":
+        """The Poly on ``coeffs`` without coercion or trimming. Trusts that
+        ``coeffs`` are Fractions whose last, if any, is nonzero, and that
+        ``ints``, when given, is what ``int_form`` computes from them."""
+        p = Poly.__new__(Poly)
+        p.coeffs, p._hash, p._ints = tuple(coeffs), None, ints
+        return p
+
     # -- construction helpers
 
     @staticmethod
@@ -158,17 +167,19 @@ class Poly:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return other if b else self
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(_trim(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of(-c for c in self.coeffs)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -187,7 +198,7 @@ class Poly:
             c = frac(other)
             if not c:
                 return _P0
-            return Poly(tuple(c * a for a in self.coeffs))
+            return Poly._of(c * a for a in self.coeffs)
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -197,7 +208,7 @@ class Poly:
             return _P0
         # a constant operand scales the other
         c, p = (a[0], b) if len(a) == 1 else (b[0], a)
-        return Poly(tuple(c * v for v in p))
+        return Poly._of(c * v for v in p)
 
     __rmul__ = __mul__
 
@@ -217,7 +228,7 @@ class Poly:
             base = base * base
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly._of(i * c for i, c in enumerate(self.coeffs) if i)
 
     def __call__(self, x) -> Fraction:
         x = frac(x)
@@ -252,6 +263,21 @@ def int_form(p: Poly):
         ints = tuple(c.numerator * (den // c.denominator) for c in p.coeffs)
         p._ints = (ints, den, max(abs(v) for v in ints).bit_length())
     return p._ints
+
+
+def poly_over(ints, den: int) -> Poly:
+    """The polynomial sum_k ints[k] x^k / den, den > 0, for a kernel's
+    integer result, trailing zeros allowed. Its ``int_form`` is seeded from
+    ints over den divided by their gcd, which is the lcm of the reduced
+    coefficients' denominators."""
+    ints = _trim(ints)
+    if not ints:
+        return _P0
+    g = math.gcd(den, *ints)
+    if g > 1:
+        ints, den = tuple(c // g for c in ints), den // g
+    coeffs = map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints)
+    return Poly._of(coeffs, (ints, den, _bits(ints)))
 
 
 def int_const(v: Fraction):
@@ -306,11 +332,23 @@ def unpack(v, w, count):
     return out
 
 
+def _kept(memo: dict, key, value):
+    # memo[key] = value, a full memo emptied first: plain bounded dicts,
+    # since a functools cache marks its function as wrapped
+    if len(memo) >= 1024:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+_OFFSETS = {}  # (w, k): digit's offset
+
+
 def digit(v: int, w: int, k: int) -> int:
     """Digit c_k of v = sum c_i 2^(w i), each c_i in [-2^(w-1), 2^(w-1)),
     without unpacking: adding 2^(w-1) to each of the digits 0..k makes them
-    the ordinary base-2^w digits of the sum."""
-    offset = ((1 << (w * k + w)) - 1) // ((1 << w) - 1) << (w - 1)
+    the ordinary base-2^w digits of the sum. The offset is kept per (w, k)."""
+    offset = _OFFSETS.get((w, k)) or _kept(_OFFSETS, (w, k), ((1 << (w * k + w)) - 1) // ((1 << w) - 1) << (w - 1))
     return (((v + offset) >> (w * k)) & ((1 << w) - 1)) - (1 << (w - 1))
 
 
@@ -332,34 +370,42 @@ def int_dot(forms) -> Poly:
     bits = (len(forms) - 1).bit_length() + max(
         fa[2] + fb[2] + (s * min(len(a), len(b)) - 1).bit_length() for (s, a, b), (fa, fb) in zip(terms, forms)
     )
-    return Poly([Fraction(c, den) for c in _packed_dot(terms, bits)])
+    return poly_over(_packed_dot(terms, bits), den)
 
 
-def int_poly_dot(terms) -> tuple[int, ...]:
-    """Sum of c a b over (c, a, b), c an integer and a, b integer
-    coefficient lists (zero as empty), as a coefficient tuple without
-    trailing zeros; ``int_dot``'s packing, at a width from the operands'
-    largest coefficients."""
-    terms = [t for t in terms if t[0] and t[1] and t[2]]
+def int_poly(ints):
+    """The operand form of ``int_poly_dot`` and ``int_poly_matmul``: an
+    integer coefficient tuple without trailing zeros and the bit length of
+    its largest coefficient, (), 0 for zero. Results come in this form, so
+    no operand is scanned for its width again."""
+    ints = _trim(ints)
+    return ints, _bits(ints) if ints else 0
+
+
+def int_poly_dot(terms):
+    """Sum of c a b over (c, a, b), c an integer and a, b ``int_poly``
+    operands, as an ``int_poly``; ``int_dot``'s packing, at a width from the
+    bit lengths the operands carry."""
+    terms = [(c, a, b, ab + bb) for c, (a, ab), (b, bb) in terms if c and a and b]
     if not terms:
-        return ()
-    bits = (len(terms) - 1).bit_length() + max(
-        _bits(a) + _bits(b) + (abs(c) * min(len(a), len(b)) - 1).bit_length() for c, a, b in terms
-    )
-    return _trim(_packed_dot(terms, bits))
+        return (), 0
+    bits = (len(terms) - 1).bit_length() + max(s + (abs(c) * min(len(a), len(b)) - 1).bit_length() for c, a, b, s in terms)
+    return int_poly(_packed_dot([t[:3] for t in terms], bits))
 
 
-def int_poly_matmul(a, b, n: int) -> list[tuple[int, ...]]:
-    """The product of n x n matrices of integer coefficient lists, each
-    flattened by row: every entry packed once at one width, each cell one
-    sum of packed products."""
+def int_poly_matmul(a, b, n: int):
+    """The product of n x n matrices of ``int_poly`` entries, each flattened
+    by row, as ``int_poly`` entries: every entry packed once at one width,
+    from the bit lengths the entries carry, each cell one sum of packed
+    products."""
+    (a, ba), (b, bb) = zip(*a), zip(*b)
     la, lb = max(map(len, a)), max(map(len, b))
     if not (la and lb):
-        return [()] * (n * n)
+        return [((), 0)] * (n * n)
     bits = (n - 1).bit_length() + (min(la, lb) - 1).bit_length()
-    w = pack_width(bits + max(map(_bits, filter(None, a))) + max(map(_bits, filter(None, b))), 1)
+    w = pack_width(bits + max(ba) + max(bb), 1)
     pa, pb = [pack(e, w) for e in a], [pack(e, w) for e in b]
-    return [_trim(unpack(sum(map(operator.mul, pa[r * n : (r + 1) * n], pb[c::n])), w, la + lb - 1))
+    return [int_poly(unpack(sum(map(operator.mul, pa[r * n : (r + 1) * n], pb[c::n])), w, la + lb - 1))
             for r in range(n) for c in range(n)]
 
 
@@ -427,7 +473,7 @@ def poly_quo(a: Poly, b: Poly) -> Poly | None:
     (na, la, _), (nb, lb, _) = int_form(a), int_form(b)
     g = math.gcd(*nb)
     quo = int_poly_quo(na, [c // g for c in nb])
-    return None if quo is None else Poly([Fraction(c * lb, la * g) for c in quo])
+    return None if quo is None else poly_over([c * lb for c in quo], la * g)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -772,7 +818,7 @@ def bareiss(rows, admit=None):
 
     def out(v):
         digits = unpack(v, w, n * deg + 1)
-        return Poly([Fraction(c, scale) for c in digits]) if poly else _trim(digits)
+        return poly_over(digits, scale) if poly else _trim(digits)
 
     return out(det), [[out(v) for v in r] for r in rest]
 
@@ -900,6 +946,15 @@ class Matrix:
             raise ShapeError("ragged matrix")
 
     @classmethod
+    def _of(cls, rows):
+        """The matrix on ``rows`` without coercion or shape checks. Trusts
+        that ``rows`` are equal-length rows of the class's entry type (square
+        and nonempty where the class must be square)."""
+        m = cls.__new__(cls)
+        m.rows, m._hash = tuple(map(tuple, rows)), None
+        return m
+
+    @classmethod
     def identity(cls, n: int):
         return cls.diag(*([1] * n))
 
@@ -957,7 +1012,10 @@ class Matrix:
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeError("matrix size mismatch")
-        return type(self)([[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        if op is operator.add and type(other) is type(self) and (self.is_zero or other.is_zero):
+            return self if other.is_zero else other
+        rows = [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return (type(self)._of if type(other) is type(self) else type(self))(rows)
 
     def __add__(self, other):
         return self._entrywise(other, operator.add)
@@ -966,7 +1024,7 @@ class Matrix:
         return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return type(self)([[-c for c in r] for r in self.rows])
+        return type(self)._of((-c for c in r) for r in self.rows)
 
     def _dot(self, row, col):
         acc = self._zero
@@ -981,20 +1039,18 @@ class Matrix:
                 raise ShapeError("matrix size mismatch")
             cols = list(zip(*other.rows))
             dot = self._dot
-            return type(self)([[dot(row, col) for col in cols] for row in self.rows])
+            return type(self)._of([dot(row, col) for col in cols] for row in self.rows)
         if isinstance(other, self._scalars):
             s = self._coerce(other)
-            return type(self)([[c * s for c in r] for r in self.rows])
+            return type(self)._of((c * s for c in r) for r in self.rows)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, self._scalars):
-            s = self._coerce(other)
-            return type(self)([[s * c for c in r] for r in self.rows])
-        return NotImplemented
+        # every scalar ring here is commutative
+        return self * other if isinstance(other, self._scalars) else NotImplemented
 
     def transpose(self):
-        return type(self)(list(zip(*self.rows)))
+        return type(self)._of(zip(*self.rows))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)

@@ -8,8 +8,8 @@ products are normalized by the zeroth moment of the base density, which keeps
 every value in Q; orthogonality and nonsingularity statements are unaffected
 by a positive global factor. The one contraction against moments is
 ``moment_rows``, R_k = <P, x^k I> from one product P M: an inner product is
-sum_k R_k Q_k^T (``contract_rows``) and the sequence step reads its rows k
-and k + 1.
+sum_k R_k Q_k^T over the nonzero rows (``contract_rows``) and the sequence
+step reads its rows k and k + 1.
 """
 
 from __future__ import annotations
@@ -581,7 +581,8 @@ def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
     contracted from P's moment rows up to deg Q (``contract_rows``)."""
     if p.size != q.size:
         raise ShapeError("inner product size mismatch")
-    return contract_rows(moment_rows(p, weight, max(q.degree, 0)), q)
+    rows = moment_rows(p, weight, max(q.degree, 0))
+    return contract_rows([(k, r) for k, r in enumerate(rows) if not r.is_zero], q)
 
 
 def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[FracMat]:
@@ -609,14 +610,11 @@ def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[
     return out
 
 
-def contract_rows(rows: list[FracMat], q: MatPoly) -> FracMat:
-    """sum_k R_k Q_k^T over the moment rows R_k = <P, x^k I> from k = 0, which
-    is <P, Q>; a zero row adds nothing and is skipped."""
-    acc = FracMat.zeros(q.size)
-    for k in range(q.degree + 1):
-        if not rows[k].is_zero:
-            acc = acc + rows[k] * q.coeff(k).transpose()
-    return acc
+def contract_rows(rows: list[tuple[int, FracMat]], q: MatPoly) -> FracMat:
+    """<P, Q> = sum_k R_k Q_k^T over the pairs (k, R_k) of P's nonzero moment
+    rows R_k = <P, x^k I>, k <= deg Q; a zero row adds nothing, so a caller
+    that contracts one P's rows with several Q finds them once."""
+    return sum((r * q.coeff(k).transpose() for k, r in rows if k <= q.degree), FracMat.zeros(q.size))
 
 
 def _int_product(a, b) -> list[list[int]]:

@@ -292,6 +292,32 @@ class TestWAdjoint:
         w = Weight.of_scalars(Laguerre(ALPHA), Laguerre(ALPHA))
         assert w_adjoint(c, w) == c
 
+    def test_seeded_int_forms_are_recomputed_ones(self):
+        # w_adjoint and degree_preserving build their polynomials from
+        # integer numerators and keep those as the integer forms
+        from mvop.catalog import ENTRY_NAMES, entry
+        from mvop.exactalg import int_form
+
+        def check(p):
+            assert not p.coeffs or p.coeffs[-1] != 0
+            assert p._ints is None or p._ints == int_form(Poly(p.coeffs))
+
+        seen = 0
+        for name in ENTRY_NAMES:
+            e = entry(name)
+            for op in e.ops.values():
+                for w in (e.weight_W, e.weight_Wt):
+                    if w is None or op.size != w.size:
+                        continue
+                    adj = w_adjoint(op, w)
+                    for p in [adj.den] + [x for c in adj.coeffs for r in c.rows for x in r]:
+                        check(p)
+                        seen += p._ints is not None
+                v = degree_preserving(op)
+                if v.residual is not None:
+                    check(v.residual)
+        assert seen
+
     def test_involution_on_catalog_operators(self):
         from mvop.catalog import ENTRY_NAMES, entry
 

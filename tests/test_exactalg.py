@@ -1,11 +1,12 @@
 """Exact arithmetic foundation: examples plus algebraic property tests."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvop.diffop import DiffOp, MatPoly, apply, int_action
+from mvop.diffop import DiffOp, MatPoly, apply, compose, int_action
 from mvop.exactalg import (
     DivisionError,
     DomainError,
@@ -20,11 +21,13 @@ from mvop.exactalg import (
     digit,
     exact_div,
     frac,
+    int_form,
     nonneg_integer_roots,
     nullspace,
     pack,
     poly_dot,
     poly_gcd,
+    poly_over,
     poly_quo,
     poly_str,
     solve_square,
@@ -725,3 +728,145 @@ class TestExactCoercion:
         with pytest.raises(TypeError, match="0.5"):
             FracMat([[0.5]])
         assert FracMat([["1/2"]]) == FracMat([[F(1, 2)]])
+
+
+def _trusted_poly(p):
+    """p is what the checked constructor makes of its coefficients, and a
+    seeded integer form is the one ``int_form`` computes from them."""
+    assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert Poly(p.coeffs) == p
+    if p._ints is not None:
+        assert p._ints == int_form(Poly(p.coeffs))
+
+
+def _seeded_poly(p):
+    # a kernel's result: nonzero, it carries its integer form
+    _trusted_poly(p)
+    assert p.is_zero or p._ints is not None
+
+
+def _trusted_matrix(m, entry):
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert all(type(e) is entry for r in m.rows for e in r)
+    assert type(m)(m.rows) == m
+    if entry is Poly:
+        for r in m.rows:
+            for e in r:
+                _trusted_poly(e)
+
+
+def _fracmats(r, c):
+    return st.lists(st.lists(fractions, min_size=c, max_size=c), min_size=r, max_size=r).map(FracMat)
+
+
+class TestTrustedConstruction:
+    """``Poly._of`` and ``Matrix._of`` skip coercion, trimming and shape
+    checks; every result built through them must equal the checked
+    constructor's, and every integer form a kernel seeds must be the one
+    ``int_form`` recomputes."""
+
+    @given(polys, polys, fractions)
+    @example(X**2 + 1, 1 - X**2, F(0))
+    @settings(max_examples=80, deadline=None)
+    def test_poly_arithmetic(self, a, b, c):
+        for r in (a + b, a - b, b - a, -a, a + (-a), a * c, c * a, a * 3, a * Poly.const(c), Poly.const(c) * a, a.derivative()):
+            _trusted_poly(r)
+        assert a + 0 is a and 0 + a is a and a + Poly() is a
+        assert Poly() + a is a or a.is_zero
+
+    @given(st.lists(st.integers(-(2**80), 2**80), max_size=6), st.integers(0, 3), st.integers(1, 10**6))
+    @example([4, 6, 0, 2], 2, 2)
+    @example([0, 0], 1, 5)
+    @settings(max_examples=80, deadline=None)
+    def test_poly_over_seeds_int_form(self, ints, zeros, den):
+        p = poly_over(ints + [0] * zeros, den)
+        assert p == Poly([F(c, den) for c in ints])
+        _seeded_poly(p)
+
+    @given(st.lists(st.tuples(big_polys, big_polys), max_size=4), nonzero_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_results_seed_int_form(self, pairs, b):
+        dot = poly_dot(pairs)
+        _seeded_poly(dot)
+        for a, c in pairs:
+            # a constant operand scales the other without the kernel
+            (_seeded_poly if a.degree > 0 < c.degree else _trusted_poly)(a * c)
+        quo = poly_quo(dot * b, b)
+        assert quo == dot
+        _seeded_poly(quo)
+        det, adj = bareiss([[b, X], [Poly.const(3), b * b]])
+        _seeded_poly(det)
+        for r in adj:
+            for e in r:
+                _seeded_poly(e)
+
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+            lambda d: st.tuples(_fracmats(d[0], d[1]), _fracmats(d[0], d[1]), _fracmats(d[1], d[2]))
+        ),
+        fractions,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fracmat_results(self, mats, c):
+        a, b, m = mats
+        for r in (a + b, a - b, -a, a * m, a * c, c * a, 2 * a, a.transpose(), a + (-a)):
+            _trusted_matrix(r, F)
+        zero = FracMat.zeros(a.nrows, a.ncols)
+        assert a + zero is a
+        assert zero + a is a or a.is_zero
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_matpolys(n, edge_polys), _matpolys(n, edge_polys))), fractions)
+    @settings(max_examples=40, deadline=None)
+    def test_matpoly_results(self, pq, c):
+        p, q = pq
+        for r in (p + q, p - q, -p, p * q, p * c, c * p, X * p, p * X, p.transpose(), p.derivative()):
+            _trusted_matrix(r, Poly)
+        for r in (p * q, p.lmul_const(q.coeff(0))):
+            for e in (e for row in r.rows for e in row):
+                _seeded_poly(e)
+        for k in range(3):
+            _trusted_matrix(p.coeff(k), F)
+        zero = MatPoly.zeros(p.size)
+        assert p + zero is p
+        assert zero + p is p or p.is_zero
+        with pytest.raises(ShapeError):
+            MatPoly.zeros(p.size + 1) + p
+
+    @given(st.lists(st.builds(RatFunc, polys, nonzero_polys), min_size=4, max_size=4), fractions)
+    @settings(max_examples=20, deadline=None)
+    def test_matrf_results(self, entries, c):
+        a = MatRF([entries[:2], entries[2:]])
+        b = a.transpose()
+        for r in (a + b, a - b, -a, a * b, a * c, c * a, X * a, a.transpose()):
+            _trusted_matrix(r, RatFunc)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_matpolys(n, edge_polys), st.lists(_matpolys(n, edge_polys), max_size=4))))
+    @settings(max_examples=40, deadline=None)
+    def test_unpacked_results(self, args):
+        # apply and compose unpack int_action's sums straight into MatPoly
+        p, fs = args
+        d = DiffOp.from_matrices(p.size, fs)
+        for m in (apply(p, d), *compose(d, d).coeffs):
+            _trusted_matrix(m, Poly)
+            for e in (e for row in m.rows for e in row):
+                _seeded_poly(e)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(_fracmats(n, n), min_size=1, max_size=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_relation_c_n(self, fs):
+        # T = sum_j d^j x^j F_j maps x^n I to (sum_j (n)_j F_j) x^n, so C_n
+        # is that sum
+        from mvop.dwalgebra import relation
+
+        size = fs[0].nrows
+        d = DiffOp.from_matrices(size, [MatPoly([[Poly.monomial(j, v) for v in r] for r in f.rows]) for j, f in enumerate(fs)])
+        powers = lambda n: MatPoly.scalar(X**n, size)
+        rep = relation(powers, d, powers, 4)
+        assert rep.ok
+        for n, c in enumerate(rep.eigs):
+            _trusted_matrix(c, F)
+            want = FracMat.zeros(size)
+            for j, f in enumerate(fs):
+                want = want + f * F(math.perm(n, j))
+            assert c == want
