@@ -156,7 +156,15 @@ def _parse_params(s: str | None) -> dict[str, Fraction]:
     return out
 
 
-def main(argv=None) -> int:
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process:
+    parsing leaves it unchanged, and building it costs more than most checks."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="mvop",
         description="exact verification engine for matrix differential operators, "
@@ -191,7 +199,12 @@ def main(argv=None) -> int:
     p_classify.add_argument("w2")
     add_common(p_classify)
 
-    args = parser.parse_args(argv)
+    _PARSER = parser
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if not 0 <= args.nmax <= LIMIT:
         print(f"bad horizon: --nmax {args.nmax} outside 0..{LIMIT}", file=sys.stderr)
         return 2

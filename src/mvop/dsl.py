@@ -35,9 +35,11 @@ parsed: the algebra layer never sees symbols.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import DomainError, NonPolynomialError, Poly, X, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
@@ -90,78 +92,67 @@ _CHECK_OPTIONS = {
 # lexer
 
 
-@dataclass
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # NAME, INT, SYM, NEWLINE, EOF
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = set("=+-*/^()[],;")
-# ASCII only: str.isdigit and str.isalpha also accept other scripts' digits
-# and letters, and superscripts, which int() then reads or refuses
-_DIGITS = set(string.digits)
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# the text splits into pieces that cover it: a newline, with the comment
+# before it on its line if any; a comment that ends the text; a run of
+# blanks; an integer; a name; or any one other character. A piece's first
+# character gives its kind: "\n" for a newline or a comment, None for a
+# character no token starts with. ASCII only: str.isdigit and str.isalpha
+# also accept other scripts' digits and letters, and superscripts, which
+# int() then reads or refuses
+_PIECES = re.compile(r"(?:#[^\n]*)?\n|#[^\n]*|[ \t\r]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.")
+_KINDS = {
+    **dict.fromkeys("=+-*/^()[],;", "SYM"),
+    **dict.fromkeys(string.ascii_letters + "_", "NAME"),
+    **dict.fromkeys(string.digits, "INT"),
+    **dict.fromkeys(" \t\r", " "),
+    "#": "\n",
+    "\n": "\n",
+}
+_new = tuple.__new__  # a _Tok from its fields, without NamedTuple's Python-level __new__
 # decimal digits of 2^(LIMIT^2), the most a literal within the bit bound has
 _MAX_DIGITS = len(str(1 << LIMIT * LIMIT))
 
 
 def _lex(text: str) -> list[_Tok]:
+    """The tokens of ``text``, then NEWLINE and EOF. A newline outside
+    brackets ends a statement (one NEWLINE for a run of them). Line and
+    column count characters from 1; a comment takes no column, so a NEWLINE
+    after one stands where it starts."""
     toks: list[_Tok] = []
-    line, col = 1, 1
-    depth = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            if depth == 0 and toks and toks[-1].kind != "NEWLINE":
-                toks.append(_Tok("NEWLINE", "", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            digits = text[i:j].lstrip("0") or "0"
+    line, col, depth = 1, 1, 0
+    for s in _PIECES.findall(text):
+        kind = _KINDS.get(s[0])
+        if kind == "NAME":
+            toks.append(_new(_Tok, ("NAME", s, line, col)))
+        elif kind == "SYM":
+            if s in "([":
+                depth += 1
+            elif s in ")]":
+                depth = max(0, depth - 1)
+            toks.append(_new(_Tok, ("SYM", s, line, col)))
+        elif kind == "INT":
+            digits = s.lstrip("0") or "0"
             if len(digits) > _MAX_DIGITS or int(digits) >> LIMIT * LIMIT:
                 raise ParseError(f"integer literal exceeds {LIMIT * LIMIT} bits", line, col)
-            toks.append(_Tok("INT", digits, line, col))
-            col += j - i
-            i = j
+            toks.append(_new(_Tok, ("INT", digits, line, col)))
+        elif kind == "\n":
+            if s[-1] == "\n":
+                if depth == 0 and toks and toks[-1].kind != "NEWLINE":
+                    toks.append(_new(_Tok, ("NEWLINE", "", line, col)))
+                line, col = line + 1, 1
             continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            toks.append(_Tok("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth = max(0, depth - 1)
-            toks.append(_Tok("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("NEWLINE", "", line, col))
-    toks.append(_Tok("EOF", "", line, col))
+        elif kind is None:
+            raise ParseError(f"unexpected character {s!r}", line, col)
+        col += len(s)
+    toks.append(_new(_Tok, ("NEWLINE", "", line, col)))
+    toks.append(_new(_Tok, ("EOF", "", line, col)))
     return toks
 
 

@@ -583,9 +583,10 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
         rev = Verdict(False, "skipped: prerequisites failed")
     rep.add("Pt_n . N = A_n^-1 Lambda_n(D) P_n", rev)
 
-    block = block_antidiagonal(cert.V, cert.Nn)
+    # the direct sum is formed even when check 7 is derived, so that blocks
+    # on different supports are refused as they are when it scans
     bw = Weight.direct_sum([w, wt])
-    memb = Verdict(True) if derived else verify_in_DW(block, bw, n_max)
+    memb = Verdict(True) if derived else verify_in_DW(block_antidiagonal(cert.V, cert.Nn), bw, n_max)
     rep.add("antidiagonal block operator in algebra of W (+) Wt", memb)
     return rep
 

@@ -23,11 +23,11 @@ integer each (``pack``), at a width from one routine, ``pack_width``, that
 keeps every digit of a sum of products in [-2^(w-1), 2^(w-1)). Packing is
 then injective: a sum is unpacked once (``unpack``), read at one digit
 (``digit``) or tested for zero as one integer. ``int_dot`` sums products of
-pairs this way for ``Poly`` and ``MatPoly`` products and the sequence
-recursion; ``diffop.int_action`` multiplies whole matrices of packed entries
-for the operator algebra and ``dwalgebra.relation``. Kernels that stay in
-Z[x] take plain integer coefficient lists (``int_poly_dot``,
-``int_poly_matmul``, ``int_poly_quo``): the weight adjoint, and the Sturm
+pairs this way for ``Poly`` and ``MatPoly`` products; ``diffop.int_action``
+multiplies whole matrices of packed entries for the operator algebra and
+``dwalgebra.relation``. Kernels that stay in Z[x] take plain integer
+coefficient lists (``int_poly_dot``, ``int_poly_matmul``, ``int_poly_quo``):
+the weight adjoint, the moment rows of ``weights.moment_ints``, and the Sturm
 chain of ``nonneg_integer_roots`` and ``real_root_count``. Polynomial
 division runs there too: ``poly_quo`` and ``exact_div`` divide numerators by
 a primitive divisor, and ``poly_gcd`` follows the primitive remainder
@@ -278,11 +278,6 @@ def poly_over(ints, den: int) -> Poly:
         ints, den = tuple(c // g for c in ints), den // g
     coeffs = map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints)
     return Poly._of(coeffs, (ints, den, _bits(ints)))
-
-
-def int_const(v: Fraction):
-    """The integer form of the nonzero constant polynomial v."""
-    return (v.numerator,), v.denominator, abs(v.numerator).bit_length()
 
 
 def int_entries(polys):
@@ -969,14 +964,16 @@ class Matrix:
 
     @classmethod
     def blockdiag(cls, parts):
-        """The matrix with ``parts`` down the diagonal and zeros elsewhere."""
+        """The matrix with ``parts`` down the diagonal and zeros elsewhere,
+        built without coercion: trusts that the parts are matrices of the
+        class's entry type, square where the class must be square."""
         width = sum(p.ncols for p in parts)
         rows, off = [], 0
         for p in parts:
             for r in p.rows:
                 rows.append([cls._zero] * off + list(r) + [cls._zero] * (width - off - len(r)))
             off += p.ncols
-        return cls(rows)
+        return cls._of(rows)
 
     @property
     def nrows(self) -> int:

@@ -14,6 +14,7 @@ step reads its rows k and k + 1.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +33,14 @@ from .exactalg import (
     den_lcm,
     exact_div,
     frac,
-    int_const,
-    int_dot,
-    int_form,
     int_matrix,
+    int_poly_matmul,
     lowest_terms,
+    pack,
+    pack_width,
+    poly_over,
     real_root_count,
+    unpack,
 )
 from .diffop import DiffOp, MatPoly, _canonical, ratio_matrix_str
 
@@ -140,26 +143,19 @@ class Jacobi(ScalarWeightFamily):
         return lowest_terms(Poly((b - a, -(a + b))), Poly((1, 0, -1)))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
+        # over l, the lcm of the parameters' denominators, with A = a l,
+        # B = b l and s = (2n + a + b) l, each coefficient is one Fraction
         a, b = self.alpha, self.beta
+        l = math.lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (l // a.denominator), b.numerator * (l // b.denominator)
+        s = 2 * n * l + A + B
         if n == 0:
-            bn = (b - a) / (a + b + 2)
-        else:
-            bn = (b - a) * (b + a) / ((2 * n + a + b) * (2 * n + a + b + 2))
-        if n == 0:
-            cn = Fraction(0)
-        elif n == 1:
+            return Fraction(B - A, s + 2 * l), Fraction(0)
+        bn = Fraction((B - A) * (B + A), s * (s + 2 * l))
+        if n == 1:
             # the (n + a + b) factor cancels (2n + a + b - 1) at n = 1
-            cn = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-        else:
-            cn = (
-                4
-                * n
-                * (n + a)
-                * (n + b)
-                * (n + a + b)
-                / ((2 * n + a + b) ** 2 * (2 * n + a + b + 1) * (2 * n + a + b - 1))
-            )
-        return bn, cn
+            return bn, Fraction(4 * (l + A) * (l + B) * l, s * s * (s + l))
+        return bn, Fraction(4 * n * (n * l + A) * (n * l + B) * (n * l + A + B) * l, s * s * (s + l) * (s - l))
 
     def ends(self):
         return (-1, self.beta), (1, self.alpha)
@@ -451,14 +447,18 @@ class OPSequence:
 
     An atomic weight's sequence is built by the block three-term recursion
     P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. With an identity factor B_k and
-    C_k are the family's closed forms times I; otherwise they are read off
-    the moment rows R_{k,j} = <P_k, x^j I> of one product P_k M (the matrix
-    form of the modified Chebyshev algorithm): P_k is monic and orthogonal
-    to lower degrees, so H_k = <P_k, P_k> = R_{k,k} and
-    <x P_k, P_k> = R_{k,k+1} + H_k P_{k,k-1}^T, with P_{k,k-1} the x^(k-1)
-    coefficient of P_k; B_k = <x P_k, P_k> H_k^-1, C_k = H_k H_{k-1}^-1,
-    C_0 = 0. Each cell of P_{k+1} is one integer sum, ``exactalg.int_dot``.
-    A direct sum assembles its blocks' sequences.
+    C_k are the family's closed forms times I, and a size-s identity weight
+    takes P_k = p_k I from its family's scalar sequence. Otherwise they are
+    read off the moment rows R_{k,j} = <P_k, x^j I> of one integer product
+    P_k M (``moment_ints``, the matrix form of the modified Chebyshev
+    algorithm): P_k is monic and orthogonal to lower degrees, so
+    H_k = <P_k, P_k> = R_{k,k} and <x P_k, P_k> = R_{k,k+1} + H_k P_{k,k-1}^T,
+    with P_{k,k-1} the x^(k-1) coefficient of P_k; B_k = <x P_k, P_k> H_k^-1,
+    C_k = H_k H_{k-1}^-1, C_0 = 0. The update runs in Z: the integer forms
+    of P_k and P_{k-1} and the integer numerators of B_k and C_k go over one
+    denominator per step, each cell is one sum of packed integers, and each
+    entry of P_{k+1} one ``poly_over``. A direct sum assembles its blocks'
+    sequences.
 
     Construction memoizes inside the object (build-then-share: one thread
     extends, any number may read afterwards).
@@ -470,8 +470,10 @@ class OPSequence:
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
         self._h_inv = None  # H_k^-1 of the last step: (integer matrix, denominator)
-        # an identity factor takes the family's closed forms
+        # an identity factor takes the family's closed forms, and a size-s one
+        # its family's scalar sequence
         self._closed = weight.is_identity
+        self._lift = sequence_for(weight.family.scalar_weight()) if self._closed and weight.size > 1 else None
         self._children: list[OPSequence] | None = None
         if not weight.is_atomic:
             self._children = [sequence_for(b) for b in weight.blocks]
@@ -509,43 +511,62 @@ class OPSequence:
 
     def _step(self, k: int):
         """Append P_{k+1}, B_k and C_k."""
-        w = self.weight
-        pk = self._polys[k]
+        w, n = self.weight, self.weight.size
+        pk, pk1 = self._polys[k], self._polys[k - 1]
         if self._closed:
-            b, c = w.family.recursion(k)
-            bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
-        else:
-            # rows k, k + 1 over one denominator dh
-            hr, dh = int_matrix([row for r in moment_rows(pk, w, k + 1, k) for row in r.rows])
-            h, r = hr[: w.size], hr[w.size :]
-            det, adj = bareiss([row + [int(i == j) for j in range(w.size)] for i, row in enumerate(h)])
-            if not det:
-                raise SingularError(f"degenerate moment system at degree {k + 1}")
-            # with H_k^-1 = dh adj / det and P_{k,k-1} = pn / pd (zero at
-            # k = 0), <x P_k, P_k> = (r pd + h pn^T) / (dh pd), so
-            # B_k = (r pd + h pn^T) adj / (pd det); C_k = H_k H_{k-1}^-1
-            pn, pd = int_matrix(pk.coeff(k - 1).rows)
-            r = [[a * pd + b for a, b in zip(ra, rb)] for ra, rb in zip(r, _int_product(h, list(zip(*pn))))]
-            bk = _over(_int_product(r, adj), pd * det)
-            ck = _over(_int_product(h, self._h_inv[0]), dh * self._h_inv[1]) if k else FracMat.zeros(w.size)
-            self._h_inv = [[v * dh for v in row] for row in adj], det
-        # cell (r, c) of x P_k - B_k P_k - C_k P_{k-1} is one int_dot over
-        # (x, P_k[r][c]), (-B_k[r][t], P_k[t][c]) and (-C_k[r][t], P_{k-1}[t][c])
-        terms = [(bk, pk)] + ([(ck, self._polys[k - 1])] if k else [])
-        terms = [
-            ([[int_const(-v) if v else None for v in r] for r in m.rows],
-             [[int_form(e) if e else None for e in col] for col in zip(*p.rows)])
-            for m, p in terms
-        ]
-        xf, pcols, cells = int_form(X), terms[0][1], range(w.size)
-        self._polys.append(MatPoly([
-            [int_dot(([(xf, pcols[c][r])] if pcols[c][r] else [])
-                     + [(a, b) for consts, cols in terms for a, b in zip(consts[r], cols[c]) if a and b])
-             for c in cells]
-            for r in cells
-        ]))
-        self._B.append(bk)
-        self._C.append(ck)
+            if self._lift is not None:
+                b, c = (m.rows[0][0] for m in self._lift.recursion_pair(k))
+                self._polys.append(MatPoly.scalar(self._lift.poly(k + 1).entry(0, 0), n))
+            else:
+                b, c = w.family.recursion(k)
+                cn = ([[c.numerator]], c.denominator) if k else None
+                self._polys.append(_update(pk, pk1, ([[b.numerator]], b.denominator), cn))
+            self._B.append(_diag(b, n))
+            self._C.append(_diag(c, n))
+            return
+        (h, r), dh = moment_ints(pk, w, k + 1, k)
+        det, adj = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(h)])
+        if not det:
+            raise SingularError(f"degenerate moment system at degree {k + 1}")
+        # with H_k^-1 = dh adj / det and P_{k,k-1} = pn / pd (zero at k = 0),
+        # pd the denominator of P_k's integer form, <x P_k, P_k> =
+        # (r pd + h pn^T) / (dh pd), so B_k = (r pd + h pn^T) adj / (pd det);
+        # C_k = H_k H_{k-1}^-1
+        ints, pd, _ = pk.int_form()
+        pn = [[e[k - 1] if len(e) >= k > 0 else 0 for e in ints[i : i + n]] for i in range(0, n * n, n)]
+        r = [[a * pd + b for a, b in zip(ra, rb)] for ra, rb in zip(r, _int_product(h, list(zip(*pn))))]
+        bk = (_int_product(r, adj), pd * det)
+        ck = (_int_product(h, self._h_inv[0]), dh * self._h_inv[1]) if k else None
+        self._h_inv = [[v * dh for v in row] for row in adj], det
+        self._polys.append(_update(pk, pk1, bk, ck))
+        self._B.append(_over(*bk))
+        self._C.append(_over(*ck) if k else FracMat.zeros(n))
+
+
+def _update(pk: MatPoly, pk1: MatPoly, bk, ck) -> MatPoly:
+    """P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}, B_k and C_k given as
+    (integer rows, denominator) and C_k as None at k = 0, on the integer
+    forms of P_k and P_{k-1} over their common denominator D: each entry of
+    P_k and P_{k-1} is packed once, at a width with room for every term and
+    for their number, and cell (r, c), x P_k[r][c] - sum_t B_k[r][t] P_k[t][c]
+    - sum_t C_k[r][t] P_{k-1}[t][c] times D, is one sum of packed integers."""
+    n = pk.size
+    terms = [(pk.int_form(), bk)] + ([(pk1.int_form(), ck)] if ck else [])
+    den = math.lcm(*(f[1] * c[1] for f, c in terms))
+    scale = den // terms[0][0][1]
+    consts = [[[-v * (den // (f[1] * cd)) for v in row] for row in rows] for f, (rows, cd) in terms]
+    big = max(scale, *(abs(v) for m in consts for row in m for v in row))
+    w = pack_width((2 * n).bit_length() + big.bit_length() + max(f[2] for f, _ in terms), 1)
+    packed = [[pack(e, w) for e in f[0]] for f, _ in terms]
+    count = max(map(len, terms[0][0][0])) + 1
+    cells = []
+    for r in range(n):
+        for c in range(n):
+            acc = packed[0][r * n + c] * scale << w
+            for p, m in zip(packed, consts):
+                acc += sum(map(operator.mul, m[r], p[c::n]))
+            cells.append(poly_over(unpack(acc, w, count), den))
+    return MatPoly._of(cells[i : i + n] for i in range(0, n * n, n))
 
 
 _SEQUENCE_CACHE: dict[Weight, OPSequence] = {}
@@ -586,10 +607,19 @@ def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
 
 
 def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[FracMat]:
-    """<P, x^k I> = integral x^k P W for k = k_min..k_max, from one product
-    P M: row k is one integer dot per entry of P M against nu_k, nu_{k+1},
-    ... over their common denominator. The atomic form's factor N / m must be
-    polynomial (m = 1)."""
+    """<P, x^k I> = integral x^k P W for k = k_min..k_max: the FracMat view
+    of ``moment_ints``. The atomic form's factor N / m must be polynomial
+    (m = 1)."""
+    rows, den = moment_ints(p, weight, k_max, k_min)
+    return [FracMat._of([Fraction(v, den) if v else _F0 for v in r] for r in row) for row in rows]
+
+
+def moment_ints(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> tuple[list, int]:
+    """(rows, den): rows[k - k_min] is <P, x^k I> as an integer matrix over
+    den, the least denominator of all the rows, for k = k_min..k_max. P M is
+    one ``int_poly_matmul`` of the integer forms P and N keep, and each entry
+    of row k one integer dot of an entry of P M against nu_k, nu_{k+1}, ...
+    over their common denominator."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
     if p.size != weight.size:
@@ -597,17 +627,14 @@ def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[
     fam, num, m = weight.as_atomic()
     if m.degree > 0:
         raise NonPolynomialError("weight factor has non-polynomial entries after merging")
-    pm = p * num
+    (pi, pd, pb), (ni, nd, nb), n = p.int_form(), num.int_form(), p.size
+    pm = [e for e, _ in int_poly_matmul([(e, pb) for e in pi], [(e, nb) for e in ni], n)]
     # nu_k.. must be as long as every entry of P M, since a dot stops at the shorter
-    top = max(pm.degree, 0) + k_max
+    top = max(1, *map(len, pm)) - 1 + k_max
     (nums,), den = int_matrix([_moments_list(fam, top)[: top + 1]])
-    forms = [[int_form(e)[:2] if e else ((), 1) for e in row] for row in pm.rows]
-    out = []
-    for k in range(k_min, k_max + 1):
-        tail = nums[k:]
-        dots = [[(sum(map(operator.mul, ints, tail)), d * den) for ints, d in row] for row in forms]
-        out.append(FracMat([[Fraction(v, d) if v else _F0 for v, d in row] for row in dots]))
-    return out
+    rows = [[sum(map(operator.mul, e, nums[k:])) for e in pm] for k in range(k_min, k_max + 1)]
+    g = math.gcd(den * pd * nd, *(v for row in rows for v in row))
+    return [[[v // g for v in row[i : i + n]] for i in range(0, n * n, n)] for row in rows], den * pd * nd // g
 
 
 def contract_rows(rows: list[tuple[int, FracMat]], q: MatPoly) -> FracMat:
@@ -620,6 +647,10 @@ def contract_rows(rows: list[tuple[int, FracMat]], q: MatPoly) -> FracMat:
 def _int_product(a, b) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _diag(v: Fraction, n: int) -> FracMat:
+    return FracMat._of([v if i == j else _F0 for j in range(n)] for i in range(n))
 
 
 def _over(rows, den) -> FracMat:

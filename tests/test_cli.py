@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from mvop import cli
 from mvop.catalog import entry
 from mvop.cli import main, run
 from mvop.dsl import CheckArg, CheckCommand, parse_spec
@@ -161,6 +165,47 @@ class TestSchema:
             n_max=4,
         )
         jsonschema.validate(report_bad, schema)
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _separate_call(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new process."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = "import sys; from mvop.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its argument parser once per process; the calls after
+    the first reuse it and answer as separate processes do."""
+
+    CALLS = [
+        ["verify"],
+        ["verify", str(DATA_DIR / "lag2diag.mvop"), "--nmax", "3"],
+        ["entry", "GEG2", "--nmax", "3"],
+        ["--help"],
+    ]
+
+    def test_one_process_answers_as_separate_processes(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_PARSER", None)
+        got, parsers = [], []
+        for argv in self.CALLS:
+            got.append(_call(argv, capsys))
+            parsers.append(cli._PARSER)
+        assert parsers[0] is not None and all(p is parsers[0] for p in parsers)
+        assert [g[0] for g in got] == [2, 0, 0, 0]
+        assert got == [_separate_call(argv) for argv in self.CALLS]
 
 
 class TestMain:

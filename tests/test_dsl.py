@@ -1,7 +1,9 @@
 """DSL parsing, printing, and round-trips."""
 
 import re
+import string
 import time
+from dataclasses import dataclass
 from fractions import Fraction as F
 from importlib import resources
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mvop.exactalg import FracMat, Poly, X
 from mvop.diffop import DiffOp, MatPoly, compose, embed_scalar, op_power
 from mvop.weights import Jacobi, Laguerre, Weight
+from mvop import dsl
 from mvop.dsl import (
     ParseError,
     SpecDocument,
@@ -524,3 +527,130 @@ class TestFuzz:
         for at, tok in edits:
             pieces[2 * (at % ntok) + 1] = tok
         _parses_or_refuses("".join(pieces))
+
+
+@dataclass
+class _CharTok:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+    def __iter__(self):
+        return iter((self.kind, self.text, self.line, self.col))
+
+
+_DIGITS = set(string.digits)
+_NAME_START = set(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+
+def _lex_by_character(text):
+    """Oracle: the character-at-a-time lexer that the compiled expression of
+    ``dsl._lex`` replaced, as it was."""
+    toks = []
+    line, col = 1, 1
+    depth = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            if depth == 0 and toks and toks[-1].kind != "NEWLINE":
+                toks.append(_CharTok("NEWLINE", "", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            digits = text[i:j].lstrip("0") or "0"
+            if len(digits) > dsl._MAX_DIGITS or int(digits) >> dsl.LIMIT * dsl.LIMIT:
+                raise ParseError(f"integer literal exceeds {dsl.LIMIT * dsl.LIMIT} bits", line, col)
+            toks.append(_CharTok("INT", digits, line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _NAME_START:
+            j = i
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            toks.append(_CharTok("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in set("=+-*/^()[],;"):
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth = max(0, depth - 1)
+            toks.append(_CharTok("SYM", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_CharTok("NEWLINE", "", line, col))
+    toks.append(_CharTok("EOF", "", line, col))
+    return toks
+
+
+def _lexed(lex, text):
+    try:
+        return [tuple(t) for t in lex(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+# pieces of documents (non-ASCII characters are valid in a comment), with
+# up to two characters inserted anywhere: ASCII, or some non-ASCII ones (a
+# digit and a letter of other scripts, a superscript, a no-break space, a
+# character outside the BMP) or any other
+_LEX_PIECES = st.sampled_from([
+    "x", "ab_1", "007", "12", "=", "-", "^", "(", ")", "[", "]", ";", ",",
+    "#", "# c", "# \u03bb\u00b2", "\n", "\n", " ", "\t", "\r",
+])
+_LEX_INSERTS = st.one_of(
+    st.characters(max_codepoint=127),
+    st.sampled_from(list("\u0663\u00b2\u00e9\u03bb\u00a0\U0001d400")),
+    st.characters(),
+)
+
+
+@st.composite
+def _lex_texts(draw):
+    chars = list("".join(draw(st.lists(_LEX_PIECES, max_size=40))))
+    for at, ch in draw(st.lists(st.tuples(st.integers(0, 200), _LEX_INSERTS), max_size=2)):
+        chars.insert(at % (len(chars) + 1), ch)
+    return "".join(chars)
+
+
+class TestLexerOracle:
+    """The compiled lexer gives the character-at-a-time lexer's tokens, and
+    its ParseError text, on every input."""
+
+    @given(_lex_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_random_text(self, text):
+        assert _lexed(dsl._lex, text) == _lexed(_lex_by_character, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "#", "a #c", "a #c\nb", "(\n)\n\n", "x\r\n", "0" * 3000 + "7", "1" * 1234, "2" * 1234, "9" * 1240, "a\t٣"],
+    )
+    def test_edges(self, text):
+        assert _lexed(dsl._lex, text) == _lexed(_lex_by_character, text)
+
+    @pytest.mark.parametrize("k", range(len(_DATA)))
+    def test_data_files(self, k):
+        got = _lexed(dsl._lex, _DATA[k])
+        assert not isinstance(got, str) and got == _lexed(_lex_by_character, _DATA[k])

@@ -437,7 +437,6 @@ class TestKeptForms:
 
         e = catalog.entry("JAC2")
         monkeypatch.setattr(weights, "_SEQUENCE_CACHE", {})
-        sequence_for(e.weight_Wt).poly(8)
         counts = dict.fromkeys(("int_entries", "int_derivatives"), 0)
         for name in counts:
             def counted(*args, real=getattr(diffop, name), name=name):
@@ -445,6 +444,8 @@ class TestKeptForms:
                 return real(*args)
 
             monkeypatch.setattr(diffop, name, counted)
+        # the build reads the integer forms of P_0..P_7 in its steps
+        sequence_for(e.weight_Wt).poly(8)
         d = _fresh(e.ops["D1"])
         for _ in range(3):
             assert verify_in_DW(d, e.weight_Wt, 8).ok
@@ -847,6 +848,23 @@ class TestDerivedDarboux:
                 assert [(c.name, c.ok, c.detail) for c in rep.checks] == _direct_darboux_checks(cert, rep)
             assert [[c.ok for c in (r.checks[0], r.checks[1], r.checks[3])]
                     for r in map(darboux_verify, certs[3:])] == [[False, True, True], [True, False, True], [True, True, False]]
+
+    def test_block_operator_built_only_when_check_7_scans(self, monkeypatch):
+        from mvop.catalog import entry
+
+        e = entry("JAC2")
+        w, wt, ops = e.weight_W, e.weight_Wt, e.ops
+        built = []
+
+        def counted(v, nn):
+            built.append((v, nn))
+            return block_antidiagonal(v, nn)
+
+        monkeypatch.setattr(dwalgebra, "block_antidiagonal", counted)
+        assert darboux_verify(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"], 4)).ok
+        assert built == []
+        rep = darboux_verify(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"] + ops["D"], 4))
+        assert not rep.ok and built == [(ops["V"], ops["N"])]
 
     def test_mixed_support_still_refused(self):
         one = DiffOp.identity(1)

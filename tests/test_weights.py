@@ -7,6 +7,7 @@ closed-form recursion coefficients, and the first entries of e_0 J^s, J the
 monic Jacobi matrix of those coefficients, check the moments.
 """
 
+import operator
 import re
 from fractions import Fraction as F
 
@@ -15,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mvop import weights
 from mvop.catalog import entry
-from mvop.exactalg import DomainError, FracMat, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, SingularError, X
+from mvop.exactalg import (
+    DomainError, FracMat, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, SingularError, X, int_form, int_matrix,
+)
 from mvop.diffop import DiffOp, MatPoly, apply, w_adjoint
 from test_integer_kernels import numerator_form
 from mvop.weights import (
@@ -122,6 +125,25 @@ class TestScalarRecursion:
         _, oracle = gram_schmidt_recursion(family, 6)
         for n in range(7):
             assert family.recursion(n) == oracle[n]
+
+    @given(st.fractions(min_value=F(-6, 7), max_value=9, max_denominator=12),
+           st.fractions(min_value=F(-6, 7), max_value=9, max_denominator=12))
+    @example(F(-1, 2), F(-1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_jacobi_integer_form_equals_fraction_formula(self, a, b):
+        # the closed forms as Fraction expressions, as Jacobi.recursion
+        # evaluated them before it went over one integer denominator
+        def by_fractions(n):
+            if n == 0:
+                return (b - a) / (a + b + 2), F(0)
+            bn = (b - a) * (b + a) / ((2 * n + a + b) * (2 * n + a + b + 2))
+            if n == 1:
+                return bn, 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+            return bn, 4 * n * (n + a) * (n + b) * (n + a + b) / (
+                (2 * n + a + b) ** 2 * (2 * n + a + b + 1) * (2 * n + a + b - 1))
+
+        family = Jacobi(a, b)
+        assert [family.recursion(n) for n in range(10)] == [by_fractions(n) for n in range(10)]
 
 
 class TestMoments:
@@ -262,7 +284,38 @@ class TestInnerProductOracle:
         assert got == want and repr(got) == repr(want)
 
 
+def _moment_rows_per_entry(p, weight, k_max, k_min=0):
+    """Oracle: moment rows as ``moment_rows`` formed them before its integer
+    kernel, from the Fraction product P M, one integer form and one Fraction
+    per entry."""
+    fam, num, m = weight.as_atomic()
+    assert m == Poly((1,))
+    pm = p * num
+    top = max(pm.degree, 0) + k_max
+    (nums,), den = int_matrix([weights._moments_list(fam, top)[: top + 1]])
+    forms = [[int_form(e)[:2] if e else ((), 1) for e in row] for row in pm.rows]
+    out = []
+    for k in range(k_min, k_max + 1):
+        tail = nums[k:]
+        dots = [[(sum(map(operator.mul, ints, tail)), d * den) for ints, d in row] for row in forms]
+        out.append(FracMat([[F(v, d) if v else F(0) for v, d in row] for row in dots]))
+    return out
+
+
+wide_polys = st.lists(st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6), max_size=7).map(Poly)
+
+
 class TestMomentRows:
+    @given(gram_cases(), st.data(), st.integers(0, 6), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_entry_fraction_path(self, case, data, k_min, span):
+        w, n = case[2], case[2].size
+        row = st.lists(st.one_of(small_polys, wide_polys), min_size=n, max_size=n)
+        p = MatPoly(data.draw(st.lists(row, min_size=n, max_size=n)))
+        got = moment_rows(p, w, k_min + span, k_min)
+        want = _moment_rows_per_entry(p, w, k_min + span, k_min)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
     @given(gram_cases(), st.integers(0, 5))
     @example((MatPoly.zeros(2), None, Weight.of_scalars(Laguerre(F(1, 2)), Laguerre(F(3, 2)))), 3)
     @example((MatPoly.zeros(1), None, HermiteShifted(F(1, 3)).scalar_weight()), 0)
@@ -414,6 +467,34 @@ def _entry_weights():
             yield pytest.param(name, params, id=f"{name}-params{k}")
 
 
+@st.composite
+def classical_families(draw):
+    """A Hermite, Laguerre or Jacobi family at drawn parameters."""
+    par = st.fractions(min_value=F(-6, 7), max_value=6, max_denominator=7)
+    kind = draw(st.sampled_from(["hermite", "laguerre", "jacobi"]))
+    if kind == "hermite":
+        return HermiteShifted(draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)))
+    if kind == "laguerre":
+        return Laguerre(draw(par))
+    return Jacobi(draw(par), draw(par))
+
+
+@st.composite
+def mixed_direct_sums(draw):
+    """A direct sum holding a scalar block and a 2x2 block (an identity or a
+    polynomial factor), in either order, and maybe one more block of size 1
+    or 2; every block's family shares one support."""
+    kind = draw(st.sampled_from(sorted(BASE_FAMILIES)))
+    shifts = iter(draw(st.permutations(range(3))))
+    blocks = [BASE_FAMILIES[kind](next(shifts)).scalar_weight(),
+              Weight.atomic(BASE_FAMILIES[kind](next(shifts)), draw(st.one_of(st.just(MatPoly.identity(2)), factors(2))))]
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 2))
+        blocks.append(Weight.atomic(BASE_FAMILIES[kind](next(shifts)),
+                                    draw(st.one_of(st.just(MatPoly.identity(size)), factors(size)))))
+    return Weight.direct_sum(draw(st.permutations(blocks)))
+
+
 class TestStepOracle:
     """``_step`` reads H_k and B_k off moment rows and sums each cell of the
     update as integers; every P_n, B_n and C_n must equal, by repr, what the
@@ -434,6 +515,18 @@ class TestStepOracle:
         w = Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatPoly([[Poly((2,)), X], [X, Poly((1, 0, 1))]]))
         monkeypatch.setattr(weights, "inner_product", _no_inner_product)
         assert OPSequence(w).poly(6).degree == 6
+
+    @given(classical_families(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_identity_factors(self, family, size):
+        w = Weight.atomic(family, MatPoly.identity(size))
+        assert w.is_identity
+        _assert_step_matches_oracle(w)
+
+    @given(mixed_direct_sums())
+    @settings(max_examples=20, deadline=None)
+    def test_direct_sums_of_scalar_and_matrix_blocks(self, w):
+        _assert_step_matches_oracle(w, 10)
 
 
 class TestSingularGram:
