@@ -58,6 +58,7 @@ from .weights import (
     Laguerre,
     ScalarWeightFamily,
     Weight,
+    density_ratio,
     sequence_for,
 )
 
@@ -393,8 +394,6 @@ def intertwiner_search(
         n_horizon = order_bound + degree_slack + 3
     if n_horizon < order_bound + degree_slack + 3:
         raise DomainError("search horizon too small for the ansatz")
-    from .weights import density_ratio
-
     if density_ratio(f1, f2) is None:
         return IntertwinerBasis(
             f1, f2, order_bound, degree_slack, (), refused=True,
@@ -596,20 +595,13 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
 
 
 def scalar_darboux_class(f1, f2) -> bool:
-    """Same Darboux-equivalence class: Hermite needs equal shifts; Laguerre an
-    integer parameter difference; Jacobi an equal parameter sum and an integer
-    difference. Mixed families are never equivalent."""
+    """Same Darboux-equivalence class: a rational density ratio
+    (``density_ratio``: one family, equal Hermite shifts, integer parameter
+    differences) and, for Jacobi, an equal parameter sum."""
     f1, f2 = _family_of(f1), _family_of(f2)
-    if type(f1) is not type(f2):
+    if density_ratio(f1, f2) is None:
         return False
-    if isinstance(f1, HermiteShifted):
-        return f1.b == f2.b
-    if isinstance(f1, Laguerre):
-        return (f1.alpha - f2.alpha).denominator == 1
-    return (
-        f1.alpha + f1.beta == f2.alpha + f2.beta
-        and (f1.alpha - f2.alpha).denominator == 1
-    )
+    return not isinstance(f1, Jacobi) or f1.alpha + f1.beta == f2.alpha + f2.beta
 
 
 def _scalar_blocks(w: Weight) -> list[ScalarWeightFamily]:

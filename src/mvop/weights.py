@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exactalg import (
     _F0,
     _P1,
+    _value,
     DomainError,
     FracMat,
     NonPolynomialError,
@@ -35,9 +36,11 @@ from .exactalg import (
     frac,
     int_matrix,
     int_poly_matmul,
+    int_poly_quo,
     lowest_terms,
     pack,
     pack_width,
+    poly_gcd,
     poly_over,
     real_root_count,
     unpack,
@@ -78,9 +81,6 @@ class HermiteShifted(ScalarWeightFamily):
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         return self.b, Fraction(n, 2)
 
-    def sample_points(self):
-        return [Fraction(-3) + Fraction(6 * i, 17) for i in range(1, 17)]
-
     def moment_step(self, s: int, values) -> Fraction:
         # mu_{s+1} = b mu_s + (s/2) mu_{s-1}, from d/dx[x^s rho] integrating to 0
         prev = values[s - 1] if s >= 1 else Fraction(0)
@@ -111,9 +111,6 @@ class Laguerre(ScalarWeightFamily):
 
     def ends(self):
         return (0, self.alpha), (None, None)
-
-    def sample_points(self):
-        return [Fraction(8 * i, 17) for i in range(1, 17)]
 
     def moment_step(self, s: int, values) -> Fraction:
         # Gamma recursion: mu_{s+1} = (alpha + 1 + s) mu_s
@@ -159,9 +156,6 @@ class Jacobi(ScalarWeightFamily):
 
     def ends(self):
         return (-1, self.beta), (1, self.alpha)
-
-    def sample_points(self):
-        return [Fraction(-1) + Fraction(2 * i, 17) for i in range(1, 17)]
 
     def moment_step(self, s: int, values) -> Fraction:
         # integration by parts of d/dx[(1-x)^(a+1) (1+x)^(b+1) x^s]
@@ -247,7 +241,9 @@ class Weight:
     def atomic(family: ScalarWeightFamily, N: MatPoly, m: Poly = _P1) -> "Weight":
         """rho N / m, N a symmetric polynomial matrix, in the canonical form
         of operators (``diffop._canonical``: gcd(m, every entry) = 1, m monic);
-        refused unless integrable and positive definite on the support."""
+        refused unless integrable (``_check_poles``) and positive definite
+        almost everywhere on the support, decided exactly
+        (``_check_positive``)."""
         if N != N.transpose():
             raise DomainError("matrix factor must be symmetric")
         if m != _P1:
@@ -255,13 +251,7 @@ class Weight:
         w = Weight(family=family, N=N, m=m)
         if m.degree > 0:
             w._check_poles()
-        try:
-            # a positive last leading minor at a sample point proves det N != 0
-            w._positivity_spot_check()
-        except DomainError:
-            if not bareiss(N.rows)[0]:
-                raise DomainError("matrix factor is singular as a rational matrix") from None
-            raise
+        w._check_positive()
         return w
 
     @staticmethod
@@ -338,9 +328,9 @@ class Weight:
         """Rewrite as a single (family, N, m) with one base density.
 
         A direct sum is merged over the base with the least parameters, so
-        each block's density ratio to it is a polynomial; Hermite blocks with
-        distinct shifts have a non-rational ratio and raise
-        NonPolynomialError.
+        each block's density ratio to it (``density_ratio``) is a polynomial;
+        a block whose ratio is not rational (another family, another Hermite
+        shift, a non-integer parameter difference) raises NonPolynomialError.
         """
         if self._atomic is not None:
             return self._atomic
@@ -348,38 +338,19 @@ class Weight:
             self._atomic = (self.family, self.N, self.m)
             return self._atomic
         parts = self.flat_blocks()
-        fams = [p.family for p in parts]
-        kinds = {type(f) for f in fams}
-        if len(kinds) != 1:
-            raise NonPolynomialError("direct sum mixes weight families")
-        kind = kinds.pop()
-        if kind is HermiteShifted:
-            shifts = {f.b for f in fams}
-            if len(shifts) != 1:
-                raise NonPolynomialError(
-                    "Hermite blocks with distinct shifts have no common rational density"
-                )
-            base = fams[0]
-        elif kind is Laguerre:
-            amin = min(f.alpha for f in fams)
-            if any((f.alpha - amin).denominator != 1 for f in fams):
-                raise NonPolynomialError("Laguerre parameters differ by a non-integer")
-            base = Laguerre(amin)
-        else:
-            amin = min(f.alpha for f in fams)
-            bmin = min(f.beta for f in fams)
-            if any(
-                (f.alpha - amin).denominator != 1 or (f.beta - bmin).denominator != 1
-                for f in fams
-            ):
-                raise NonPolynomialError("Jacobi parameters differ by a non-integer")
-            base = Jacobi(amin, bmin)
+        kind = type(parts[0].family)
+        fams = [p.family for p in parts if type(p.family) is kind]
+        base = kind(*(min(getattr(f, v.name) for f in fams) for v in fields(kind)))
+        ratios = [density_ratio(part.family, base) for part in parts]
+        if None in ratios:
+            raise NonPolynomialError("direct sum blocks have no common rational density")
         m = den_lcm(part.m for part in parts)
-        num = MatPoly.blockdiag([part.N * (density_ratio(part.family, base)[0] * exact_div(m, part.m)) for part in parts])
+        num = MatPoly.blockdiag([part.N * (r[0] * exact_div(m, part.m)) for part, r in zip(parts, ratios)])
         if m != _P1:
             (num,), m = _canonical([num], m)
         self._atomic = (base, num, m)
         return self._atomic
+
     def factor_data(self) -> tuple[Poly, Poly, MatPoly, MatPoly, Poly]:
         """(s, t, M, A, det) of the atomic form, computed once per weight:
         W = rho M with M a polynomial matrix, s/t = rho'/rho, and
@@ -409,25 +380,33 @@ class Weight:
             if k and any(d and a + _order_at(d, e) - k <= -1 for d in (r[i] for i, r in enumerate(self.N.rows))):
                 raise DomainError(f"weight is not integrable at the pole x = {e}")
 
-    def _positivity_spot_check(self):
-        # ratio > 0 on the open support, so positive definiteness of W(x) at a
-        # rational sample point is exactly positivity of M(x)'s leading minors.
-        # With M = N/m, L N integer (``cells``) and y = p/q, minor k of
-        # q^e L N(y) (e = deg N) is (q^e L m(y))^k times M(y)'s, and it is
-        # pivot k of bareiss, which sees each pivot before any row exchange
-        num, m = self.N, self.m
-        cells = num.int_form()[0]
-        n, e, pts = num.size, num.degree, self.family.sample_points()
-        if e < 1 and m.degree < 1:
-            pts = pts[:1]  # a constant factor has the same minors everywhere
-        for x in pts:
-            if not (my := m(x)):  # admission has refused a pole inside the support
-                raise DomainError(f"pole at x = {x}")
-            p, q, s = x.numerator, x.denominator, 1 if my > 0 else -1
-            powers = [p**i * q ** (e - i) for i in range(e + 1)]
-            rows = [[sum(map(operator.mul, cells[r * n + c], powers)) for c in range(n)] for r in range(n)]
-            if not bareiss(rows, lambda k, minor: minor * s ** (k + 1) > 0)[0]:
-                raise DomainError(f"weight factor not positive definite at sample x = {x}")
+    def _check_positive(self):
+        """Refuse N / m unless it is positive definite at all but finitely
+        many points of the open support. By Sylvester's criterion that is so
+        exactly when each Delta_k / m^k is positive there but at finitely many
+        points, Delta_k the leading k x k minor of N (``bareiss`` on its
+        integer form): Delta_k is not zero, has no root of odd multiplicity
+        inside the support, where it would change sign (``_odd_part``), and
+        Delta_k m^k > 0 at an interior integer c once the (even) multiplicity
+        of c is divided out; m has one sign inside the support
+        (``_check_poles``)."""
+        (lo, _), (hi, _) = self.family.ends()
+        c = 0 if lo is None else lo + 1 if hi is None else (lo + hi) // 2
+        cells, n, s = self.N.int_form()[0], self.N.size, 1 if self.m(c) > 0 else -1
+        for k in range(1, n + 1):
+            d = bareiss([cells[r * n : r * n + k] for r in range(k)])[0]
+            if not d:
+                if k == n:
+                    raise DomainError("matrix factor is singular as a rational matrix")
+                raise DomainError(f"weight factor not positive definite: leading minor {k} is zero")
+            if len(d) > 1 and real_root_count(odd := _odd_part(poly_over(d, 1)), lo, hi):
+                raise DomainError(
+                    f"weight factor not positive definite: leading minor {k} changes sign at a root of {odd.monic()}"
+                )
+            while not _value(d, c):
+                d = int_poly_quo(d, (c * c, -2 * c, 1))
+            if _value(d, c) * s**k < 0:
+                raise DomainError(f"weight factor not positive definite: leading minor {k} is negative")
 
 
 def _order_at(p: Poly, e: int) -> int:
@@ -436,6 +415,21 @@ def _order_at(p: Poly, e: int) -> int:
     while not p(e):
         p, k = exact_div(p, lin), k + 1
     return k
+
+
+def _odd_part(p: Poly) -> Poly:
+    """The product of the irreducible factors of odd multiplicity in a
+    nonconstant p, by the square-free split: with c = gcd(p, p') and w =
+    p / c, the factors of multiplicity i = 1, 2, ... are w / y, y = gcd(w, c),
+    before w, c := y, c / y."""
+    c = poly_gcd(p, p.derivative())
+    w, odd, i = exact_div(p, c), _P1, 1
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        if i % 2:
+            odd = odd * exact_div(w, y)
+        w, c, i = y, exact_div(c, y), i + 1
+    return odd
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,29 @@ class TestBadParams:
         assert rc == 2
         assert len(err) == 1 and needle in err[0]
 
+    @pytest.mark.parametrize(
+        "factor, identity, minor",
+        [("[(x-20)^2-1]", "[1]", 1), ("[1, 0; 0, (x-20)^2-1]", "[1, 0; 0, 1]", 2)],
+        ids=["1x1", "2x2"],
+    )
+    def test_factor_negative_inside_support_refused(self, factor, identity, minor, tmp_path, capsys):
+        # (x - 20)^2 - 1 < 0 on (19, 21), inside Laguerre's (0, oo): the
+        # weight is not positive definite there, so nothing about it may pass
+        p = tmp_path / "w.mvop"
+        p.write_text(f"weight W = laguerre(alpha=0) * {factor}\nop I = d^0*{identity}\ncheck in_algebra(I, W)\n")
+        self.assert_usage_error(
+            ["verify", str(p)], capsys,
+            f"parse error: line 1, column 12: weight factor not positive definite: leading minor {minor} changes sign",
+        )
+
+    def test_factor_touching_zero_inside_support_admitted(self, tmp_path, capsys):
+        # (x - 3)^2 vanishes at x = 3 only, so the weight is positive definite
+        # almost everywhere on the support
+        p = tmp_path / "w.mvop"
+        p.write_text("weight W = laguerre(alpha=0) * [(x-3)^2]\nop I = d^0*[1]\ncheck in_algebra(I, W)\n")
+        assert main(["verify", str(p)]) == 0
+        assert "PASS  in_algebra(I, W)" in capsys.readouterr().out
+
     def test_inadmissible_entry_params(self, capsys):
         self.assert_usage_error(["entry", "JAC2", "--params", "kappa=5"], capsys, "JAC2")
 
