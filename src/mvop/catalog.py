@@ -345,9 +345,13 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
     # such a pair has a factor of order <= 2, and a certificate factor needs a
     # nonsingular conjugator already at n = 0 (A_0 is the constant term), so
     # it is enough that det A_0 vanishes identically on both searched spaces
-    fwd = matrix_intertwiner_search(W, Wt, 2, 1)
-    rev = matrix_intertwiner_search(Wt, W, 2, 1)
+    fwd = matrix_intertwiner_search(W, Wt, 2)
+    rev = matrix_intertwiner_search(Wt, W, 2)
     ok = _const_term_singular_on_span(fwd, 3) and _const_term_singular_on_span(rev, 3)
+    # the label keeps "(slack 1)": the benchmark's recorded digests hash each
+    # check's (name, ok), so it changes when they are next re-recorded; it
+    # stays true, as the search's ansatz holds every operator that a slack-1
+    # ansatz does (``dwalgebra._search_system``)
     rep.add(
         "no certificate factor of order <= 2 in either direction (slack 1)",
         Verdict(
@@ -357,7 +361,7 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
         ),
     )
     control = matrix_intertwiner_verify(ops["V"], W, Wt, n_max)
-    ctrl_space = matrix_intertwiner_search(W, Wt, 3, 0)
+    ctrl_space = matrix_intertwiner_search(W, Wt, 3)
     rep.add(
         "positive control: order-3 space contains V",
         Verdict(control and len(ctrl_space) >= 1, f"order-3 search dimension {len(ctrl_space)}"),

@@ -54,7 +54,7 @@ def _outcome(kind: str, vals: list, opts: dict, n_max: int):
             v.detail = "lambda_n = " + ", ".join(str(c.entry(0, 0)) for c in v.eigs[:6])
         return v
     if kind == "search":
-        basis = _dw.intertwiner_search(*vals, opts["order"], opts.get("slack", 0), opts.get("horizon"))
+        basis = _dw.intertwiner_search(*vals, opts["order"], n_horizon=opts.get("horizon"))
         if "dim" not in opts:
             return Verdict(True, basis.describe())
         detail = f"{basis.describe()} (dim {basis.dim}, expected {opts['dim']})"
@@ -191,7 +191,6 @@ def _parser() -> argparse.ArgumentParser:
     p_search.add_argument("w1", help="e.g. 'laguerre(alpha=1/2)'")
     p_search.add_argument("w2")
     p_search.add_argument("--order", type=int, required=True)
-    p_search.add_argument("--slack", type=int, default=0, help=f"coefficient degree slack, 0..{LIMIT} (default 0)")
     add_common(p_search)
 
     p_classify = sub.add_parser("classify", help="decide the Darboux class of two scalar weights")
@@ -218,10 +217,7 @@ def main(argv=None) -> int:
             with open(args.file, "r", encoding="utf-8") as fh:
                 doc = parse_spec(fh.read(), _parse_params(args.params))
         elif args.command == "search":
-            doc = parse_spec(
-                f"check search({args.w1.strip()}, {args.w2.strip()}, "
-                f"order={args.order}, slack={args.slack})\n"
-            )
+            doc = parse_spec(f"check search({args.w1.strip()}, {args.w2.strip()}, order={args.order})\n")
         else:
             doc = parse_spec(f"check classify({args.w1.strip()}, {args.w2.strip()})\n")
     except ParseError as exc:

@@ -71,17 +71,17 @@ _CHECK_SIGS = {
     "entry": ("name",),
 }
 
-# the largest exponent, derivative order, horizon, search slack or expression
-# nesting a document may ask for (the catalog needs 8), so that no input
-# starts unbounded work or exhausts the parser's stack; a product's or
-# power's order and coefficient degree are bounded by LIMIT and its
+# the largest exponent, derivative order, horizon, search order or
+# expression nesting a document may ask for (the catalog needs 8), so that
+# no input starts unbounded work or exhausts the parser's stack; a product's
+# or power's order and coefficient degree are bounded by LIMIT and its
 # coefficient bits by LIMIT squared
 LIMIT = 64
 
 # int options map to their (least, greatest) value, or None when unbounded
 _COUNT = (0, LIMIT)
 _CHECK_OPTIONS = {
-    "search": {"order": _COUNT, "slack": _COUNT, "dim": None, "horizon": _COUNT},
+    "search": {"order": _COUNT, "dim": None, "horizon": _COUNT},
     "classify": {"expect": "bool"},
     "intertwine": {"nmax": _COUNT},
     "in_algebra": {"nmax": _COUNT},

@@ -11,8 +11,9 @@ one checker, ``relation``, which decides each n on one packed integer matrix
 product (``diffop.int_action``) and builds both sides only where it fails.
 Operators are read in their numerator form: a rational T acts through
 ``diffop.action``, whose denominator says whether P_n . T is polynomial.
-Searches are linear algebra over Q and are reported as bounded evidence,
-never as nonexistence proofs.
+There is one intertwiner search, linear algebra over Q whose ansatz holds
+every intertwiner of bounded order; the scalar search runs it on 1x1
+weights. An empty result is bounded evidence, never a nonexistence proof.
 """
 
 from __future__ import annotations
@@ -249,18 +250,22 @@ def symmetry_check(d: DiffOp, weight: Weight) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# intertwiners between scalar weights
+# intertwiners
 
 
 def intertwiner_verify(t: DiffOp, w1, w2, n_max: int = 8) -> Verdict:
-    """Check p_n^{w1} . t = lambda_n p_n^{w2} with scalar lambda_n (0 allowed);
-    ``eigs`` holds the 1x1 matrices [lambda_n]."""
-    f1, f2 = _family_of(w1), _family_of(w2)
-    if t.size != 1:
-        raise ShapeError("intertwiner must be a scalar operator")
-    s1 = sequence_for(f1.scalar_weight())
-    s2 = sequence_for(f2.scalar_weight())
-    return relation(s1.poly, t, s2.poly, n_max)
+    """Check P_n . t = C_n Pt_n for n <= n_max with constant matrices C_n (0
+    allowed), P_n and Pt_n the monic sequences of w1 and w2: weights of t's
+    size, or scalar families when t is 1x1. ``eigs`` holds the C_n."""
+    w1, w2 = _weight_of(w1), _weight_of(w2)
+    if not t.size == w1.size == w2.size:
+        raise ShapeError("operator and weight sizes differ")
+    return relation(sequence_for(w1).poly, t, sequence_for(w2).poly, n_max)
+
+
+def matrix_intertwiner_verify(v: DiffOp, w1: Weight, w2: Weight, n_max: int = 8) -> bool:
+    """Whether ``intertwiner_verify`` passes."""
+    return intertwiner_verify(v, w1, w2, n_max).ok
 
 
 @dataclass
@@ -268,7 +273,6 @@ class IntertwinerBasis:
     w1: ScalarWeightFamily
     w2: ScalarWeightFamily
     order_bound: int
-    degree_slack: int
     basis: tuple[DiffOp, ...]
     refused: bool = False
     reason: str = ""
@@ -283,27 +287,45 @@ class IntertwinerBasis:
             return f"refused structurally: {self.reason}"
         if not self.basis:
             return (
-                f"no intertwiner up to order {self.order_bound}, slack "
-                f"{self.degree_slack} (bounded evidence, not a nonexistence proof)"
+                f"no intertwiner up to order {self.order_bound} "
+                "(bounded evidence, not a nonexistence proof)"
             )
         from .dsl import op_scalar_str
 
         return "basis [" + "; ".join(op_scalar_str(t) for t in self.basis) + "]"
 
 
-def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int):
-    """The homogeneous system of ``_search_linear_space`` as dense integer
-    rows, and the offset of each order's block of variables.
+def _search_horizon(order_bound: int, n_horizon: int | None) -> int:
+    # below order + 3 the system leaves operators free that fail just past
+    # the horizon, and the nullspace vectors that pass re-verification then
+    # need not span the intertwiners that do
+    least = order_bound + 3
+    if n_horizon is None:
+        return least
+    if n_horizon < least:
+        raise DomainError(f"search horizon {n_horizon} below order + 3 = {least}")
+    return n_horizon
+
+
+def _search_system(seq1, seq2, size: int, order_bound: int, horizon: int):
+    """The homogeneous system of ``matrix_intertwiner_search`` as dense
+    integer rows, and the offset of each order's block of variables.
+
+    The ansatz is T = sum_j F_j d^j, j <= K, with deg F_j <= j, and it holds
+    every T of order <= K with P_n . T = C_n Pt_n for n <= K. For P_n . T =
+    sum_{j <= n} P_n^(j) F_j, and P_n^(n) = n! I as P_n is monic: if deg F_j
+    <= j for j < n, every other term has degree <= n, and so has C_n Pt_n,
+    so deg F_n <= n. Likewise P_n . T has degree <= n, so only the rows t < n
+    constrain T.
 
     Variable (j, i, e, c), the x^i coefficient of F_j at entry (e, c), sits at
-    offsets[j] + (i size + e) size + c. Row (n, t, r, c), t != n, states
+    offsets[j] + (i size + e) size + c. Row (n, t, r, c), t < n, states
     [x^t](P_n . T)_{rc} = [x^t](C_n Pt_n)_{rc} with C_n = [x^n](P_n . T). For
     each n the derivatives P_n^(j) are put over one denominator L and Pt_n
     over one denominator Lt, and the row is the rational one times L Lt. Rows
     are filled at their nonzeros only; all-zero rows are dropped.
     """
-    widths = [j + degree_slack + 1 for j in range(order_bound + 1)]
-    offsets = list(accumulate((w * size * size for w in widths), initial=0))
+    offsets = list(accumulate(((j + 1) * size * size for j in range(order_bound + 1)), initial=0))
     nvars = offsets[-1]
     rows = []
     for n in range(horizon + 1):
@@ -317,15 +339,13 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
             return [
                 (offsets[j] + (i * size + e) * size, q[t - i])
                 for j, dj in enumerate(derivs)
-                for i in range(max(0, t - n + j), min(widths[j], t + 1))
+                for i in range(max(0, t - n + j), min(j, t) + 1)
                 for e, q in enumerate(dj[r * size : (r + 1) * size])
                 if t - i < len(q) and q[t - i]
             ]
 
         top = [terms(r, n) for r in range(size)]
-        for t in range(n + degree_slack + 1):
-            if t == n:
-                continue
+        for t in range(n):
             for r in range(size):
                 cur = terms(r, t)
                 for c in range(size):
@@ -343,90 +363,58 @@ def _search_system(seq1, seq2, size: int, order_bound: int, degree_slack: int, h
     return rows, offsets
 
 
-def _search_linear_space(
-    seq1, seq2, size: int, order_bound: int, degree_slack: int, horizon: int
+def matrix_intertwiner_search(
+    w1: Weight, w2: Weight, order_bound: int, *, n_horizon: int | None = None
 ) -> list[DiffOp]:
-    """Basis of {T of order <= K, deg F_j <= j + slack : P_n . T = C_n Pt_n, n <= horizon}.
+    """Operators T of order <= K with P_n . T = C_n Pt_n, found exactly.
 
-    The extraction C_n := [x^n](P_n . T) is itself linear in T, so the whole
-    condition is one homogeneous linear system over Q, assembled as an integer
-    system over one denominator per n (``_search_system``) and solved by
-    ``nullspace``.
+    The extraction C_n := [x^n](P_n . T) is itself linear in T, so the
+    condition for n <= n_horizon is one homogeneous linear system over Q,
+    assembled as an integer system over one denominator per n
+    (``_search_system``) and solved by ``nullspace``. The horizon defaults to
+    K + 3, and a smaller one is a DomainError. The basis operators that hold
+    up to n_horizon + 3 are returned, each scaled so that the last nonzero
+    entry of its leading coefficient is monic. An empty list is bounded
+    evidence, not a nonexistence proof.
     """
-    rows, offsets = _search_system(seq1, seq2, size, order_bound, degree_slack, horizon)
-    ops, step = [], size * size
+    if w1.size != w2.size:
+        raise ShapeError("weights must have equal size")
+    n_horizon = _search_horizon(order_bound, n_horizon)
+    size, step = w1.size, w1.size * w1.size
+    rows, offsets = _search_system(sequence_for(w1), sequence_for(w2), size, order_bound, n_horizon)
+    ops = []
     for v in nullspace(rows, offsets[-1]):
         # entry (r, c) of F_j, coefficients by power of x, from j's block
         blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
         coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
         op = DiffOp(size, [MatPoly(f) for f in coeffs])
         if not op.is_zero:
-            ops.append(_normalize_op(op))
-    return ops
-
-
-def _normalize_op(op: DiffOp) -> DiffOp:
-    # scaled so that the last nonzero entry of the leading coefficient is monic
-    scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
-    return op if scale == 1 else op * (1 / scale)
-
-
-def _check_slack(degree_slack: int):
-    # a negative slack drops coefficients every intertwiner may need, so an
-    # empty result would claim too much
-    if degree_slack < 0:
-        raise DomainError(f"negative degree slack {degree_slack}")
+            scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
+            ops.append(op if scale == 1 else op * (1 / scale))
+    return [v for v in ops if matrix_intertwiner_verify(v, w1, w2, n_horizon + 3)]
 
 
 def intertwiner_search(
-    w1, w2, order_bound: int, degree_slack: int = 0, n_horizon: int | None = None
+    w1, w2, order_bound: int, degree_slack: int = 0, *, n_horizon: int | None = None
 ) -> IntertwinerBasis:
-    """All scalar operators of bounded order/degree carrying one orthogonal
-    family to the other, found by exact nullspace computation.
+    """``matrix_intertwiner_search`` between two scalar families, on their
+    1x1 weights. Pairs whose density ratio is not a rational function are
+    refused structurally: their module is zero.
 
-    An empty basis means "none up to this order and slack"; it is bounded
-    evidence, not a nonexistence proof. Pairs whose density ratio is not a
-    rational function are refused structurally: their module is zero.
+    ``degree_slack`` is accepted and ignored, for callers that still pass
+    it: no degree bound wider than the ansatz's deg F_j <= j finds more
+    (``_search_system``).
     """
-    _check_slack(degree_slack)
     f1, f2 = _family_of(w1), _family_of(w2)
-    if n_horizon is None:
-        n_horizon = order_bound + degree_slack + 3
-    if n_horizon < order_bound + degree_slack + 3:
-        raise DomainError("search horizon too small for the ansatz")
+    n_horizon = _search_horizon(order_bound, n_horizon)
     if density_ratio(f1, f2) is None:
         return IntertwinerBasis(
-            f1, f2, order_bound, degree_slack, (), refused=True,
+            f1, f2, order_bound, (), refused=True,
             reason="density ratio is not rational: the module is zero",
             horizon=n_horizon,
         )
-    s1 = sequence_for(f1.scalar_weight())
-    s2 = sequence_for(f2.scalar_weight())
-    ops = _search_linear_space(s1, s2, 1, order_bound, degree_slack, n_horizon)
-    verified = tuple(t for t in ops if intertwiner_verify(t, f1, f2, n_horizon + 5).ok)
-    return IntertwinerBasis(f1, f2, order_bound, degree_slack, verified, horizon=n_horizon)
-
-
-def matrix_intertwiner_verify(v: DiffOp, w1: Weight, w2: Weight, n_max: int = 8) -> bool:
-    """P_n . v = C_n Pt_n with any constant matrices C_n, checked exactly."""
-    s1, s2 = sequence_for(w1), sequence_for(w2)
-    return relation(s1.poly, v, s2.poly, n_max).ok
-
-
-def matrix_intertwiner_search(
-    w1: Weight, w2: Weight, order_bound: int, degree_slack: int = 0,
-    n_horizon: int | None = None,
-) -> list[DiffOp]:
-    """Matrix analogue of the bounded intertwiner search (used as evidence
-    about factorizations between matrix weights)."""
-    _check_slack(degree_slack)
-    if w1.size != w2.size:
-        raise ShapeError("weights must have equal size")
-    if n_horizon is None:
-        n_horizon = order_bound + degree_slack + 3
-    s1, s2 = sequence_for(w1), sequence_for(w2)
-    ops = _search_linear_space(s1, s2, w1.size, order_bound, degree_slack, n_horizon)
-    return [v for v in ops if matrix_intertwiner_verify(v, w1, w2, n_horizon + 3)]
+    ops = matrix_intertwiner_search(f1.scalar_weight(), f2.scalar_weight(), order_bound, n_horizon=n_horizon)
+    return IntertwinerBasis(f1, f2, order_bound, tuple(ops), horizon=n_horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -438,10 +438,11 @@ class TestBadParams:
         p.write_text(f"param a = {value}\n", encoding="utf-8")
         self.assert_usage_error(["verify", str(p)], capsys, f"parse error: {needle}")
 
-    def test_negative_slack_refused(self, capsys):
-        # slack -5 used to print PASS with "no intertwiner up to order 1"
-        cmd = ["search", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--order", "1", "--slack", "-5"]
-        self.assert_usage_error(cmd, capsys, "slack -5 outside 0..64")
+    def test_slack_option_removed(self, capsys):
+        # the search's ansatz holds every intertwiner, so it has no slack
+        cmd = ["search", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--order", "1", "--slack", "1"]
+        code, _, err = _call(cmd, capsys)
+        assert code == 2 and "unrecognized arguments: --slack 1" in err
 
     def test_unknown_name_in_entry(self):
         with pytest.raises(DomainError, match="kapa"):

@@ -169,11 +169,10 @@ class TestParseErrors:
             "op T = d^1 - 1\ncheck intertwine(T, w1, w2, nmax={n})\n",
             "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order={n})\n",
             "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, horizon={n})\n",
-            "check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, slack={n})\n",
             "op T = (d^1)^{n}\n",
         ],
         ids=["d-order", "x-exponent", "const-exponent", "in-algebra-nmax", "intertwine-nmax",
-             "search-order", "search-horizon", "search-slack", "op-exponent"],
+             "search-order", "search-horizon", "op-exponent"],
     )
     def test_limit_plus_one_refused(self, template):
         from mvop.dsl import LIMIT
@@ -231,11 +230,10 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_spec(text)
 
-    def test_negative_slack_refused(self):
-        # a negative slack drops coefficients the ansatz needs: slack -5 used
-        # to report that no intertwiner of order 1 exists, though d^1 - 1 does
-        with pytest.raises(ParseError, match="slack -1 outside 0..64"):
-            parse_spec("check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, slack=-1)\n")
+    def test_slack_option_removed(self):
+        # the search's ansatz holds every intertwiner, so it has no slack
+        with pytest.raises(ParseError, match="line 1, column 65: unknown option 'slack' for search"):
+            parse_spec("check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=1, slack=1)\n")
 
     def test_negative_nmax_refused(self):
         with pytest.raises(ParseError, match="nmax -1"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop import catalog, dwalgebra
-from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, RatFunc, ShapeError, X
+from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, RatFunc, ShapeError, X, nullspace
 from mvop.diffop import (
     DiffOp,
     MatPoly,
@@ -36,6 +36,7 @@ from mvop.dwalgebra import (
     fullness_check,
     intertwiner_search,
     intertwiner_verify,
+    matrix_intertwiner_search,
     matrix_intertwiner_verify,
     module_decompose,
     module_generator,
@@ -539,22 +540,33 @@ class TestIntertwinerSearch:
         with pytest.raises(DomainError):
             intertwiner_search(LAG, Laguerre(ALPHA + 1), 2, 0, n_horizon=3)
 
-    def test_negative_slack_refused(self):
+    def test_slack_argument_ignored(self):
         # slack -5 used to drop d^1 - 1 from the ansatz and report that no
-        # intertwiner of order 1 exists
-        from mvop.dwalgebra import matrix_intertwiner_search
-        from mvop.exactalg import DomainError
-
-        with pytest.raises(DomainError, match="negative degree slack -5"):
-            intertwiner_search(LAG, Laguerre(ALPHA + 1), 1, -5)
+        # intertwiner of order 1 exists; the argument is now ignored
+        basis = intertwiner_search(LAG, Laguerre(ALPHA + 1), 1, -5)
+        assert basis.basis == (DiffOp.scalar([Poly((-1,)), Poly((1,))]),)
+        # the matrix search takes its horizon by keyword, so a stale slack fails
         w1, w2 = LAG.scalar_weight(), Laguerre(ALPHA + 1).scalar_weight()
-        with pytest.raises(DomainError, match="negative degree slack -1"):
-            matrix_intertwiner_search(w1, w2, 1, -1)
+        with pytest.raises(TypeError):
+            matrix_intertwiner_search(w1, w2, 1, 1)
+
+    def test_matrix_search_horizon_precondition(self):
+        # horizons 1, 2 and 3 used to return 1, 2 and 5 of the 7 operators
+        # of order <= 3 carrying LAG3's W onto Wt
+        from mvop.catalog import entry
+
+        e = entry("LAG3")
+        for h in range(6):
+            with pytest.raises(DomainError, match=f"search horizon {h} below order \\+ 3 = 6"):
+                matrix_intertwiner_search(e.weight_W, e.weight_Wt, 3, n_horizon=h)
+        assert len(matrix_intertwiner_search(e.weight_W, e.weight_Wt, 3)) == 7
 
 
 def _search_system_over_q(seq1, seq2, size, order_bound, degree_slack, horizon):
-    """Oracle: the search system assembled in Fractions, one variable at a
-    time, rows in (n, t, r, c) order with all-zero rows dropped."""
+    """Oracle: the search system with deg F_j <= j + degree_slack and rows
+    t <= n + degree_slack, assembled in Fractions one variable at a time,
+    rows in (n, t, r, c) order with all-zero rows dropped; and the
+    variables (j, i, r, c) in column order."""
     variables = [
         (j, i, r, c)
         for j in range(order_bound + 1)
@@ -601,7 +613,7 @@ def _search_system_over_q(seq1, seq2, size, order_bound, degree_slack, horizon):
                                     vec[k] -= q * a
                     if any(vec):
                         rows.append(vec)
-    return rows, nvars
+    return rows, variables
 
 
 def _primitive_ints(row):
@@ -618,34 +630,48 @@ def _search_cases():
     for k, params in enumerate(ROBUSTNESS_PARAMS["LAG3"]):
         e = entry("LAG3", params)
         W, Wt = e.weight_W, e.weight_Wt
-        for label, args in (("fwd", (W, Wt, 2, 1)), ("rev", (Wt, W, 2, 1)), ("ctrl", (W, Wt, 3, 0))):
+        for label, args in (("fwd", (W, Wt, 2)), ("rev", (Wt, W, 2)), ("ctrl", (W, Wt, 3))):
             yield pytest.param(*args, id=f"LAG3-params{k}-{label}")
     for name in ("JAC2", "GEG2"):
         e = entry(name)
-        yield pytest.param(e.weight_W, e.weight_Wt, 2, 0, id=name)
+        yield pytest.param(e.weight_W, e.weight_Wt, 2, id=name)
     a = F(1, 2)
-    for k, (w1, w2, order, slack) in enumerate((
-        (Laguerre(a), Laguerre(a + 1), 1, 0),
-        (Laguerre(a), Laguerre(a + 2), 2, 0),
-        (Jacobi(F(1, 2), F(3, 4)), Jacobi(F(3, 2), F(3, 4)), 4, 1),
-        (HermiteShifted(F(0)), HermiteShifted(F(1)), 3, 0),
+    for k, (w1, w2, order) in enumerate((
+        (Laguerre(a), Laguerre(a + 1), 1),
+        (Laguerre(a), Laguerre(a + 2), 2),
+        (Jacobi(F(1, 2), F(3, 4)), Jacobi(F(3, 2), F(3, 4)), 4),
+        (HermiteShifted(F(0)), HermiteShifted(F(1)), 3),
     )):
-        yield pytest.param(w1.scalar_weight(), w2.scalar_weight(), order, slack, id=f"scalar{k}")
+        yield pytest.param(w1.scalar_weight(), w2.scalar_weight(), order, id=f"scalar{k}")
 
 
 class TestSearchSystemOracle:
     """The integer search system is the Fraction one, row for row, up to a
-    positive scale per row."""
+    positive scale per row; and a wider ansatz adds nothing to it."""
 
-    @pytest.mark.parametrize("w1, w2, order, slack", _search_cases())
-    def test_rows_match_fraction_assembly(self, w1, w2, order, slack):
+    @pytest.mark.parametrize("w1, w2, order", _search_cases())
+    def test_rows_match_fraction_assembly(self, w1, w2, order):
         s1, s2 = sequence_for(w1), sequence_for(w2)
-        horizon = order + slack + 3
-        rows, offsets = _search_system(s1, s2, w1.size, order, slack, horizon)
-        want, nvars = _search_system_over_q(s1, s2, w1.size, order, slack, horizon)
-        assert offsets[-1] == nvars
+        horizon = order + 3
+        rows, offsets = _search_system(s1, s2, w1.size, order, horizon)
+        want, variables = _search_system_over_q(s1, s2, w1.size, order, 0, horizon)
+        assert offsets[-1] == len(variables)
         assert all(type(c) is int for r in rows for c in r)
         assert [_primitive_ints(r) for r in rows] == [_primitive_ints(r) for r in want]
+
+    @pytest.mark.parametrize("w1, w2, order", _search_cases())
+    def test_slack_adds_nothing(self, w1, w2, order):
+        # if P_n . T = C_n Pt_n for n <= order, then deg F_j <= j: every
+        # solution of a slack-s system vanishes at x^i of F_j for i > j, so
+        # its nullspace is the slack-0 one
+        s1, s2 = sequence_for(w1), sequence_for(w2)
+        dims = []
+        for slack in (0, 1, 2):
+            rows, variables = _search_system_over_q(s1, s2, w1.size, order, slack, order + 3)
+            basis = nullspace(rows, len(variables))
+            assert all(not c for v in basis for c, (j, i, _, _) in zip(v, variables) if i > j)
+            dims.append(len(basis))
+        assert dims[0] == dims[1] == dims[2]
 
 
 class TestModuleGenerator:

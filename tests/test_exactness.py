@@ -18,6 +18,10 @@ of LAG3's three ``matrix_intertwiner_search`` calls at each
 ``ROBUSTNESS_PARAMS`` set, and of the acceptance gate's four
 ``intertwiner_search`` pairs. It was recorded by running this file on commit
 9bf7937, before ``nullspace`` moved onto fraction-free integer elimination.
+Two of LAG3's calls then searched with degree slack 1; the search has no
+slack now, and its ansatz holds every operator that one did, so they return
+the same bases. The scalar pairs still pass, and print, their old slack
+argument, which ``intertwiner_search`` ignores.
 
 The fourth sha256 pins ``relation``: the ``repr`` of every Verdict it returns
 inside ``darboux_verify`` (memberships with their Lambda_n, the forward and
@@ -120,7 +124,7 @@ def _search_outputs():
     for params in ROBUSTNESS_PARAMS["LAG3"]:
         e = entry("LAG3", params)
         W, Wt = e.weight_W, e.weight_Wt
-        for label, args in (("fwd", (W, Wt, 2, 1)), ("rev", (Wt, W, 2, 1)), ("ctrl", (W, Wt, 3, 0))):
+        for label, args in (("fwd", (W, Wt, 2)), ("rev", (Wt, W, 2)), ("ctrl", (W, Wt, 3))):
             yield from (f"LAG3 {params} {label} = {op_str(v)}" for v in matrix_intertwiner_search(*args))
     a = F(1, 2)
     pairs = (
