@@ -174,8 +174,9 @@ def ratio_matrix_str(num: MatPoly, den: Poly) -> str:
 
 def _canonical(nums: list[MatPoly], den: Poly) -> tuple[list[MatPoly], Poly]:
     """nums / den with gcd(den, every entry) = 1 and den monic, by one gcd
-    over all entries and one exact division of each, both in Z[x]. Weight
-    factors are kept in this form too."""
+    over all entries and one exact division of each, both in Z[x].
+    ``Weight.atomic`` puts a rational factor in this form before it moves
+    the denominator into the density."""
     g = den
     for e in (e for m in nums for r in m.rows for e in r):
         if g.degree < 1:

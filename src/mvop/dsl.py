@@ -44,6 +44,7 @@ from typing import NamedTuple
 from .exactalg import DomainError, NonPolynomialError, Poly, X, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
+from .dwalgebra import _search_horizon
 
 
 class ParseError(ValueError):
@@ -594,6 +595,7 @@ class _Parser:
         sig = _CHECK_SIGS[kind]
         args: list[CheckArg] = []
         options: dict[str, object] = {}
+        option_toks: dict[str, _Tok] = {}
         allowed = _CHECK_OPTIONS.get(kind, {})
         first = True
         while not self.accept("SYM", ")"):
@@ -613,6 +615,7 @@ class _Parser:
                     self.err(f"repeated option {t.text!r}", t)
                 self.next()
                 self.next()
+                option_toks[t.text] = t
                 options[t.text] = self.option_value(t.text, allowed[t.text])
                 continue
             if len(args) >= len(sig):
@@ -620,8 +623,14 @@ class _Parser:
             args.append(self.check_arg(sig[len(args)]))
         if len(args) != len(sig):
             self.err(f"{kind} expects {len(sig)} arguments, got {len(args)}", kind_tok)
-        if kind == "search" and "order" not in options:
-            self.err("search requires an order=... option", kind_tok)
+        if kind == "search":
+            if "order" not in options:
+                self.err("search requires an order=... option", kind_tok)
+            try:
+                _search_horizon(options["order"], options.get("horizon"))
+            except DomainError as exc:
+                first = next(k for k in range(LIMIT + 1) if _search_horizon(k, None) > LIMIT)
+                self.err(f"{exc}; orders {first}..{LIMIT} admit no horizon= within 0..{LIMIT}", option_toks["horizon"])
         self.doc.checks.append(CheckCommand(kind, args, options, kind_tok.line))
 
     def option_value(self, name, typ):
@@ -741,8 +750,6 @@ def weight_text(w: Weight, block_names=None) -> str:
         fam = _family_text(w.family)
         if w.size == 1 and w.is_identity:
             return fam
-        if w.m.degree > 0:
-            raise NonPolynomialError("documents hold polynomial weight factors only")
         return f"{fam} * {matrix_text(w.N)}"
     if block_names is None:
         raise DomainError("direct sums print through previously named blocks")

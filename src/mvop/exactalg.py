@@ -779,14 +779,13 @@ def _cleared(rows):
     return [[e.num if e.den == q else e.num * exact_div(q, e.den) for e in r] for r in rows], q
 
 
-def bareiss(rows, admit=None):
+def bareiss(rows):
     """det A and det(A) A^-1 B for rows [A | B], A the leading square block
     (with B = I, the adjugate of A), by fraction-free (Bareiss) elimination
     on integers (``_fraction_free``). Entries are all ints, all integer
     coefficient tuples (polynomials, lowest power first, zero as ()) or all
     Poly, and the results are of the same kind; (0, None) when A is
-    singular, or, for integer entries, when ``admit(k, p)`` is false for a
-    pivot p. A polynomial matrix is eliminated as the integers its entries
+    singular. A polynomial matrix is eliminated as the integers its entries
     pack to, Poly entries over their common denominator L (which scales
     both results by L^n): packing at width w is evaluation at x = 2^w, a
     ring homomorphism, so every division stays exact, and at a width that
@@ -796,7 +795,7 @@ def bareiss(rows, admit=None):
     """
     first = rows[0][0]
     if isinstance(first, int):
-        return _fraction_free(rows, admit)
+        return _fraction_free(rows)
     n, width, poly = len(rows), len(rows[0]), isinstance(first, Poly)
     if poly:
         flat, den, _ = int_entries([e for r in rows for e in r])
@@ -818,20 +817,18 @@ def bareiss(rows, admit=None):
     return out(det), [[out(v) for v in r] for r in rest]
 
 
-def _fraction_free(rows, admit=None):
+def _fraction_free(rows):
     """``bareiss`` on integers: at step k each other row becomes (p a_i -
     a_ik a_k) / p', p the pivot a_kk and p' the one before, and every
     division is exact. With a B the rows above each pivot are cleared as
     well (Gauss-Jordan), which the determinant alone does not need.
-    ``admit(k, p)`` sees each pivot p before any row exchange; without
-    exchanges pivot k is the leading principal minor of order k + 1.
     """
     n = len(rows)
     a = [list(r) for r in rows]
     prev, sign = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
-        if admit and not admit(k, a[k][k]) or p is None:
+        if p is None:
             return 0, None
         if p != k:
             a[k], a[p], sign = a[p], a[k], -sign

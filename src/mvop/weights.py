@@ -2,11 +2,11 @@
 orthogonal polynomial sequences.
 
 A matrix weight is stored as a classical scalar density rho times a square
-matrix factor N / m kept as operators are, N polynomial over one monic m
-(``Weight.atomic``), or a direct sum of weights. All inner
-products are normalized by the zeroth moment of the base density, which keeps
-every value in Q; orthogonality and nonsingularity statements are unaffected
-by a positive global factor. The one contraction against moments is
+polynomial matrix factor N (``Weight.atomic``, which moves a rational
+factor's poles at the support's finite ends into rho), or a direct sum of
+weights. All inner products are normalized by the zeroth moment of the
+base density, which keeps every value in Q; orthogonality and
+nonsingularity statements are unaffected by a positive global factor. The one contraction against moments is
 ``moment_rows``, R_k = <P, x^k I> from one product P M: an inner product is
 sum_k R_k Q_k^T over the nonzero rows (``contract_rows``) and the sequence
 step reads its rows k and k + 1.
@@ -31,7 +31,6 @@ from .exactalg import (
     SingularError,
     X,
     bareiss,
-    den_lcm,
     exact_div,
     frac,
     int_matrix,
@@ -225,32 +224,28 @@ def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
 
 
 class Weight:
-    """Either atomic, W = rho_family * N / m (module docstring), or a direct
-    sum of ``blocks``."""
+    """Either atomic, W = rho_family * N (module docstring), or a direct sum
+    of ``blocks``."""
 
-    __slots__ = ("family", "N", "m", "blocks", "_hash", "_atomic", "_factor")
+    __slots__ = ("family", "N", "blocks", "_hash", "_atomic", "_factor")
 
-    def __init__(self, family=None, N=None, m=_P1, blocks=None):
+    def __init__(self, family=None, N=None, blocks=None):
         self.family = family
         self.N = N
-        self.m = m
         self.blocks = blocks
         self._hash = self._atomic = self._factor = None
 
     @staticmethod
     def atomic(family: ScalarWeightFamily, N: MatPoly, m: Poly = _P1) -> "Weight":
-        """rho N / m, N a symmetric polynomial matrix, in the canonical form
-        of operators (``diffop._canonical``: gcd(m, every entry) = 1, m monic);
-        refused unless integrable (``_check_poles``) and positive definite
-        almost everywhere on the support, decided exactly
-        (``_check_positive``)."""
+        """rho N / m, N a symmetric polynomial matrix, as rho' N' with N'
+        polynomial (``_absorb``); refused unless positive definite almost
+        everywhere on the support, decided exactly (``_check_positive``)."""
         if N != N.transpose():
             raise DomainError("matrix factor must be symmetric")
         if m != _P1:
             (N,), m = _canonical([N], m)
-        w = Weight(family=family, N=N, m=m)
-        if m.degree > 0:
-            w._check_poles()
+            family, N = _absorb(family, N, m)
+        w = Weight(family=family, N=N)
         w._check_positive()
         return w
 
@@ -279,7 +274,7 @@ class Weight:
     @property
     def is_identity(self) -> bool:
         """Atomic with the identity factor: W = rho I."""
-        return self.is_atomic and self.m == _P1 and self.N.monic_degree == 0
+        return self.is_atomic and self.N.monic_degree == 0
 
     @property
     def size(self) -> int:
@@ -310,22 +305,22 @@ class Weight:
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return (self.family, self.N, self.m, self.blocks) == (other.family, other.N, other.m, other.blocks)
+        return (self.family, self.N, self.blocks) == (other.family, other.N, other.blocks)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.family, self.N, self.m, self.blocks))
+            self._hash = hash((self.family, self.N, self.blocks))
         return self._hash
 
     def __repr__(self):
         if self.is_atomic:
-            return f"Weight({self.family!r} * {ratio_matrix_str(self.N, self.m)})"
+            return f"Weight({self.family!r} * {ratio_matrix_str(self.N, _P1)})"
         return "Weight(" + " (+) ".join(repr(b) for b in self.blocks) + ")"
 
     # -- common atomic form
 
-    def as_atomic(self) -> tuple[ScalarWeightFamily, MatPoly, Poly]:
-        """Rewrite as a single (family, N, m) with one base density.
+    def as_atomic(self) -> tuple[ScalarWeightFamily, MatPoly]:
+        """Rewrite as a single (family, N) with one base density.
 
         A direct sum is merged over the base with the least parameters, so
         each block's density ratio to it (``density_ratio``) is a polynomial;
@@ -335,7 +330,7 @@ class Weight:
         if self._atomic is not None:
             return self._atomic
         if self.is_atomic:
-            self._atomic = (self.family, self.N, self.m)
+            self._atomic = (self.family, self.N)
             return self._atomic
         parts = self.flat_blocks()
         kind = type(parts[0].family)
@@ -344,55 +339,34 @@ class Weight:
         ratios = [density_ratio(part.family, base) for part in parts]
         if None in ratios:
             raise NonPolynomialError("direct sum blocks have no common rational density")
-        m = den_lcm(part.m for part in parts)
-        num = MatPoly.blockdiag([part.N * (r[0] * exact_div(m, part.m)) for part, r in zip(parts, ratios)])
-        if m != _P1:
-            (num,), m = _canonical([num], m)
-        self._atomic = (base, num, m)
+        self._atomic = (base, MatPoly.blockdiag([part.N * r[0] for part, r in zip(parts, ratios)]))
         return self._atomic
 
     def factor_data(self) -> tuple[Poly, Poly, MatPoly, MatPoly, Poly]:
         """(s, t, M, A, det) of the atomic form, computed once per weight:
         W = rho M with M a polynomial matrix, s/t = rho'/rho, and
-        M^-1 = A / det, A the adjugate. A rational factor N/m is written
-        rho N/m = (rho/m) N, which moves -m'/m into rho'/rho."""
+        M^-1 = A / det, A the adjugate."""
         if self._factor is None:
-            fam, num, m = self.as_atomic()
+            fam, num = self.as_atomic()
             s, t = fam.sigma()
-            if m.degree > 0:
-                s, t = s * m - t * m.derivative(), t * m
             det, adj = bareiss([r + e for r, e in zip(num.rows, MatPoly.identity(num.size).rows)])
             self._factor = (s, t, num, MatPoly(adj), det)
         return self._factor
 
     # -- validation
 
-    def _check_poles(self):
-        """Refuse N / m unless rho N / m is integrable: m has no root inside
-        the support (``real_root_count``), and at a finite end e, a_e the
-        density's exponent there, a_e + ord_e(N_ii) - ord_e(m) > -1 for each
-        nonzero N_ii, which bounds |W_ij| <= (W_ii W_jj)^(1/2) as well."""
-        (lo, a_lo), (hi, a_hi) = self.family.ends()
-        if real_root_count(self.m, lo, hi):
-            raise DomainError(f"weight factor has a pole inside the support, at a root of {self.m}")
-        for e, a in ((lo, a_lo), (hi, a_hi)):
-            k = a is not None and _order_at(self.m, e)
-            if k and any(d and a + _order_at(d, e) - k <= -1 for d in (r[i] for i, r in enumerate(self.N.rows))):
-                raise DomainError(f"weight is not integrable at the pole x = {e}")
-
     def _check_positive(self):
-        """Refuse N / m unless it is positive definite at all but finitely
-        many points of the open support. By Sylvester's criterion that is so
-        exactly when each Delta_k / m^k is positive there but at finitely many
-        points, Delta_k the leading k x k minor of N (``bareiss`` on its
-        integer form): Delta_k is not zero, has no root of odd multiplicity
-        inside the support, where it would change sign (``_odd_part``), and
-        Delta_k m^k > 0 at an interior integer c once the (even) multiplicity
-        of c is divided out; m has one sign inside the support
-        (``_check_poles``)."""
+        """Refuse N unless it is positive definite at all but finitely many
+        points of the open support. By Sylvester's criterion that is so
+        exactly when each leading k x k minor Delta_k of N (``bareiss`` on
+        its integer form) is positive there but at finitely many points:
+        Delta_k is not zero, has no root of odd multiplicity inside the
+        support, where it would change sign (``_odd_part``), and Delta_k > 0
+        at an interior integer c once the (even) multiplicity of c is
+        divided out."""
         (lo, _), (hi, _) = self.family.ends()
         c = 0 if lo is None else lo + 1 if hi is None else (lo + hi) // 2
-        cells, n, s = self.N.int_form()[0], self.N.size, 1 if self.m(c) > 0 else -1
+        cells, n = self.N.int_form()[0], self.N.size
         for k in range(1, n + 1):
             d = bareiss([cells[r * n : r * n + k] for r in range(k)])[0]
             if not d:
@@ -405,16 +379,34 @@ class Weight:
                 )
             while not _value(d, c):
                 d = int_poly_quo(d, (c * c, -2 * c, 1))
-            if _value(d, c) * s**k < 0:
+            if _value(d, c) < 0:
                 raise DomainError(f"weight factor not positive definite: leading minor {k} is negative")
 
 
-def _order_at(p: Poly, e: int) -> int:
-    """The multiplicity of e as a root of a nonzero p."""
-    k, lin = 0, Poly((-e, 1))
-    while not p(e):
-        p, k = exact_div(p, lin), k + 1
-    return k
+def _absorb(family: ScalarWeightFamily, N: MatPoly, m: Poly) -> tuple[ScalarWeightFamily, MatPoly]:
+    """rho N / m, in canonical form, as (family', N'): each power k of
+    x - e dividing m at a finite end e, where rho has the exponent a, moves
+    into that exponent as a - k. Refused when a - k <= -1: gcd(m, N) = 1, so
+    for N positive semidefinite some diagonal entry of N is not zero at e
+    and the weight is not integrable there. Any other factor of m is
+    refused, since the moments of rho / m are not rational multiples of
+    rho's (e^-x / (1 + x) integrates to an exponential integral)."""
+    ks = []
+    for e, a in family.ends():
+        k = 0
+        while e is not None and not m(e):
+            m, k = exact_div(m, Poly((-e, 1))), k + 1
+        if k and a - k <= -1:
+            raise DomainError(f"weight is not integrable at the pole x = {e}")
+        ks.append(k)
+    if m.degree > 0:
+        raise DomainError(f"weight factor has a pole off the support's finite ends, at a root of {m}")
+    if isinstance(family, Laguerre):
+        return Laguerre(family.alpha - ks[0]), N
+    if isinstance(family, Jacobi):
+        # (x - 1)^k = (-1)^k (1 - x)^k
+        return Jacobi(family.alpha - ks[1], family.beta - ks[0]), N * (-1) ** ks[1]
+    return family, N
 
 
 def _odd_part(p: Poly) -> Poly:
@@ -440,19 +432,19 @@ class OPSequence:
     """Monic orthogonal polynomials of a weight, with recursion data.
 
     An atomic weight's sequence is built by the block three-term recursion
-    P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. With an identity factor B_k and
-    C_k are the family's closed forms times I, and a size-s identity weight
-    takes P_k = p_k I from its family's scalar sequence. Otherwise they are
-    read off the moment rows R_{k,j} = <P_k, x^j I> of one integer product
-    P_k M (``moment_ints``, the matrix form of the modified Chebyshev
-    algorithm): P_k is monic and orthogonal to lower degrees, so
+    P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. A scalar weight with the
+    identity factor takes its family's closed-form B_k and C_k. Otherwise
+    they are read off the moment rows R_{k,j} = <P_k, x^j I> of one integer
+    product P_k M (``moment_ints``, the matrix form of the modified
+    Chebyshev algorithm): P_k is monic and orthogonal to lower degrees, so
     H_k = <P_k, P_k> = R_{k,k} and <x P_k, P_k> = R_{k,k+1} + H_k P_{k,k-1}^T,
     with P_{k,k-1} the x^(k-1) coefficient of P_k; B_k = <x P_k, P_k> H_k^-1,
     C_k = H_k H_{k-1}^-1, C_0 = 0. The update runs in Z: the integer forms
     of P_k and P_{k-1} and the integer numerators of B_k and C_k go over one
     denominator per step, each cell is one sum of packed integers, and each
     entry of P_{k+1} one ``poly_over``. A direct sum assembles its blocks'
-    sequences.
+    sequences, and a size-s identity weight, the direct sum of s copies of
+    its family's scalar weight, assembles s copies of that sequence.
 
     Construction memoizes inside the object (build-then-share: one thread
     extends, any number may read afterwards).
@@ -464,13 +456,12 @@ class OPSequence:
         self._B: list[FracMat] = []
         self._C: list[FracMat] = []
         self._h_inv = None  # H_k^-1 of the last step: (integer matrix, denominator)
-        # an identity factor takes the family's closed forms, and a size-s one
-        # its family's scalar sequence
         self._closed = weight.is_identity
-        self._lift = sequence_for(weight.family.scalar_weight()) if self._closed and weight.size > 1 else None
         self._children: list[OPSequence] | None = None
         if not weight.is_atomic:
             self._children = [sequence_for(b) for b in weight.blocks]
+        elif self._closed and weight.size > 1:
+            self._children = [sequence_for(weight.family.scalar_weight())] * weight.size
 
     # -- public access
 
@@ -508,15 +499,11 @@ class OPSequence:
         w, n = self.weight, self.weight.size
         pk, pk1 = self._polys[k], self._polys[k - 1]
         if self._closed:
-            if self._lift is not None:
-                b, c = (m.rows[0][0] for m in self._lift.recursion_pair(k))
-                self._polys.append(MatPoly.scalar(self._lift.poly(k + 1).entry(0, 0), n))
-            else:
-                b, c = w.family.recursion(k)
-                cn = ([[c.numerator]], c.denominator) if k else None
-                self._polys.append(_update(pk, pk1, ([[b.numerator]], b.denominator), cn))
-            self._B.append(_diag(b, n))
-            self._C.append(_diag(c, n))
+            b, c = w.family.recursion(k)
+            cn = ([[c.numerator]], c.denominator) if k else None
+            self._polys.append(_update(pk, pk1, ([[b.numerator]], b.denominator), cn))
+            self._B.append(FracMat._of([[b]]))
+            self._C.append(FracMat._of([[c]]))
             return
         (h, r), dh = moment_ints(pk, w, k + 1, k)
         det, adj = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(h)])
@@ -602,8 +589,7 @@ def inner_product(p: MatPoly, q: MatPoly, weight: Weight) -> FracMat:
 
 def moment_rows(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> list[FracMat]:
     """<P, x^k I> = integral x^k P W for k = k_min..k_max: the FracMat view
-    of ``moment_ints``. The atomic form's factor N / m must be polynomial
-    (m = 1)."""
+    of ``moment_ints``."""
     rows, den = moment_ints(p, weight, k_max, k_min)
     return [FracMat._of([Fraction(v, den) if v else _F0 for v in r] for r in row) for row in rows]
 
@@ -618,9 +604,7 @@ def moment_ints(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> tuple
         raise DomainError("k_max must be nonnegative")
     if p.size != weight.size:
         raise ShapeError("inner product size mismatch")
-    fam, num, m = weight.as_atomic()
-    if m.degree > 0:
-        raise NonPolynomialError("weight factor has non-polynomial entries after merging")
+    fam, num = weight.as_atomic()
     (pi, pd, pb), (ni, nd, nb), n = p.int_form(), num.int_form(), p.size
     pm = [e for e, _ in int_poly_matmul([(e, pb) for e in pi], [(e, nb) for e in ni], n)]
     # nu_k.. must be as long as every entry of P M, since a dot stops at the shorter
@@ -641,10 +625,6 @@ def contract_rows(rows: list[tuple[int, FracMat]], q: MatPoly) -> FracMat:
 def _int_product(a, b) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
-
-
-def _diag(v: Fraction, n: int) -> FracMat:
-    return FracMat._of([v if i == j else _F0 for j in range(n)] for i in range(n))
 
 
 def _over(rows, den) -> FracMat:

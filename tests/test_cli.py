@@ -407,6 +407,16 @@ class TestBadParams:
         cmd = ["classify", "laguerre(alpha=1/2)", "laguerre(alpha=3/2)", "--nmax", str(LIMIT + 1)]
         self.assert_usage_error(cmd, capsys, f"--nmax {LIMIT + 1}")
 
+    def test_search_horizon_below_order_plus_three_refused(self, tmp_path, capsys):
+        # used to parse, then fail as an error row at run time (exit 1)
+        p = tmp_path / "search.mvop"
+        p.write_text("\ncheck search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=2, horizon=3)\n")
+        self.assert_usage_error(
+            ["verify", str(p)], capsys,
+            "parse error: line 2, column 65: search horizon 3 below order + 3 = 5; "
+            "orders 62..64 admit no horizon= within 0..64",
+        )
+
     def test_deep_nesting_refused(self, tmp_path, capsys):
         # used to end in a RecursionError traceback and exit 1
         p = tmp_path / "deep.mvop"

@@ -465,11 +465,10 @@ def _apply_matrf(p, d):
     return acc
 
 
-def _w_adjoint_matrf(d, weight):
+def _w_adjoint_matrf(d, fam, m):
     """sum_{l >= k} (-1)^l binom(l, k) T^(l-k)(M F_l^T) M^-1 with T(R) =
-    R' + sigma R, each entry a RatFunc normalised by gcd at every step."""
-    fam, num, q = weight.as_atomic()
-    m = MatRF([[RatFunc(e, q) for e in r] for r in num.rows])
+    R' + sigma R, sigma that of the family's density and M the MatRF m,
+    each entry a RatFunc normalised by gcd at every step."""
     sigma, minv, fs = RatFunc(*fam.sigma()), field_inverse(m), matrf_coeffs(d)
     out = []
     for k in range(d.order + 1):
@@ -490,13 +489,20 @@ symbols = st.integers(1, 4).flatmap(
 
 
 @st.composite
-def rational_factor_weights(draw):
-    """Laguerre(alpha) * B diag(1/(x + c_i)) B^T, B unit lower triangular: a
-    factor with non-polynomial entries, positive definite on x > 0."""
-    cs = [draw(st.integers(1, 3)) for _ in range(2)]
+def rational_factors(draw):
+    """(Laguerre(alpha + 2), B diag(1/x^k_i) B^T), k_i <= 2, or
+    (Jacobi(alpha + 2, beta + 2), B diag(1/((1 - x)^a_i (1 + x)^b_i)) B^T),
+    a_i, b_i <= 2, B unit lower triangular: a factor with non-polynomial
+    entries, positive definite on the support, whose poles admission moves
+    into the density."""
     b = MatRF([[Poly((1,)), Poly()], [draw(small_polys), Poly((1,))]])
-    m = b * MatRF.diag(*(RatFunc(Poly((1,)), X + c) for c in cs)) * b.transpose()
-    return matrf_weight(Laguerre(draw(st.sampled_from([F(0), F(1, 2), F(2)]))), m)
+    base = st.sampled_from([F(0), F(1, 2), F(2)])
+    if draw(st.booleans()):
+        fam, dens = Laguerre(draw(base) + 2), [X ** draw(st.integers(0, 2)) for _ in range(2)]
+    else:
+        fam = Jacobi(draw(base) + 2, draw(base) + 2)
+        dens = [(1 - X) ** draw(st.integers(0, 2)) * (1 + X) ** draw(st.integers(0, 2)) for _ in range(2)]
+    return fam, b * MatRF.diag(*(RatFunc(Poly((1,)), q) for q in dens)) * b.transpose()
 
 
 class TestNumeratorForm:
@@ -549,10 +555,13 @@ class TestNumeratorForm:
             with pytest.raises(NonPolynomialError):
                 apply(p, d)
 
-    @given(rational_factor_weights(), _ops(2, st.one_of(small_polys, ratfuncs), 2))
+    @given(rational_factors(), _ops(2, st.one_of(small_polys, ratfuncs), 2))
     @settings(max_examples=20, deadline=None)
-    def test_rational_factor_adjoint(self, w, d):
-        assert w_adjoint(d, w) == _w_adjoint_matrf(d, w)
+    def test_rational_factor_adjoint(self, factor, d):
+        # the adjoint depends on W = rho M alone, so the absorbed weight's
+        # adjoint is the one on the family and the rational M as drawn
+        fam, m = factor
+        assert w_adjoint(d, matrf_weight(fam, m)) == _w_adjoint_matrf(d, fam, m)
 
 
 class TestPolynomialPath:

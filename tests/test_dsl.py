@@ -69,7 +69,7 @@ class TestParsing:
     def test_weight_with_matrix_factor(self):
         doc = parse_spec("weight w = jacobi(alpha=1/2, beta=3/4) * [1, 0; 0, 1+x]\n")
         w = doc.weights["w"]
-        assert w.N.entry(1, 1) == Poly((1, 1)) and w.m == Poly((1,))
+        assert w.N.entry(1, 1) == Poly((1, 1)) and w.family == Jacobi(F(1, 2), F(3, 4))
 
     def test_constant_division(self):
         doc = parse_spec("param a = 2\nop T = d^0*(x/a + 1/a)\n")
@@ -244,6 +244,20 @@ class TestParseErrors:
             parse_spec(
                 "check search(laguerre(alpha=1/2), laguerre(alpha=3/2))\n"
             )
+
+    @pytest.mark.parametrize(
+        "options, column",
+        [("order=2, horizon=3", 65), ("horizon=4, order=2", 56), ("order=62, horizon=64", 66)],
+        ids=["below", "before-order", "no-horizon-fits"],
+    )
+    def test_search_horizon_below_order_plus_three_refused(self, options, column):
+        # used to parse and then fail as an error row when the check ran
+        text = f"check search(laguerre(alpha=1/2), laguerre(alpha=3/2), {options})\n"
+        with pytest.raises(ParseError, match=f"line 1, column {column}: search horizon .* below order \\+ 3") as info:
+            parse_spec(text)
+        assert "orders 62..64 admit no horizon= within 0..64" in str(info.value)
+        parse_spec("check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=2, horizon=5)\n")
+        parse_spec("check search(laguerre(alpha=1/2), laguerre(alpha=3/2), order=64)\n")
 
 
 _W = "weight w = laguerre(alpha=1/2)\nweight v = jacobi(alpha=1, beta=2)\n"

@@ -75,6 +75,51 @@ class TestMembership:
             verify_in_DW(DiffOp.identity(2), LAG.scalar_weight(), 2)
 
 
+# (entry, the weight attribute, the operator) for memberships the catalog
+# checks with ``verify_in_DW`` or with stated eigenvalues: LAG2DIAG's W is a
+# direct sum and GEG2's w an identity weight, whose sequences are assembled
+# from scalar blocks, the others have dense factors
+CONGRUENCE_MEMBERSHIPS = [("LAG2DIAG", "weight_W", f"G{i}") for i in range(1, 7)] + [
+    ("JAC2", "weight_Wt", "D1"), ("JAC2", "weight_Wt", "D2"), ("LAG3", "weight_Wt", "E"), ("HER3", "weight_Wt", "E"),
+    ("GEG2", "weight_W", "D"),
+]
+
+
+def _constant(m: FracMat) -> MatPoly:
+    return MatPoly([[Poly((v,)) for v in r] for r in m.rows])
+
+
+@st.composite
+def congruences(draw, n):
+    """An invertible n x n S with entries p/q, |p| <= 3, 1 <= q <= 3."""
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return FracMat(draw(rows.filter(lambda r: FracMat(r).det() != 0)))
+
+
+class TestCongruenceOracle:
+    """W' = S W S^T has the monic sequence S P_n S^-1, so D is in D(W) with
+    eigenvalues Lambda_n exactly when S D S^-1 is in D(W') with S Lambda_n
+    S^-1. W' is one atomic weight with a dense factor over W's base density,
+    so a direct sum's assembled blocks are compared with the moment path."""
+
+    @pytest.mark.parametrize("name, attr, op", CONGRUENCE_MEMBERSHIPS, ids=[f"{n}-{o}" for n, _, o in CONGRUENCE_MEMBERSHIPS])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_membership_is_invariant(self, name, attr, op, data):
+        e = catalog.entry(name)
+        w, d = getattr(e, attr), e.ops[op]
+        s = data.draw(congruences(w.size), label="S")
+        s_inv = s.inv()
+        fam, n = w.as_atomic()
+        sp, sp_inv = _constant(s), _constant(s_inv)
+        moved = Weight.atomic(fam, sp * n * sp.transpose())
+        got = verify_in_DW(DiffOp(d.size, [sp * c * sp_inv for c in d.coeffs], d.den), moved, 6)
+        want = verify_in_DW(d, w, 6)
+        assert want.ok and got.ok
+        assert got.eigs == [s * lam * s_inv for lam in want.eigs]
+
+
 class TestNegativeHorizon:
     """A negative horizon checks no n; each of these used to return ok."""
 

@@ -316,8 +316,10 @@ def _family(draw, kind):
 @st.composite
 def weights(draw, size):
     """rho times L L^T (L unit lower triangular, polynomial), a rational
-    factor B diag(1/(x + c_i)) B^T on Laguerre, or a direct sum of scalar
-    weights whose parameters differ by integers."""
+    factor L diag(1/q_i) L^T with q_i = x^k_i on Laguerre or (1 - x)^a_i
+    (1 + x)^b_i on Jacobi, exponents <= 1, over the family with its
+    exponents raised by 2 (admission moves the poles into the density), or
+    a direct sum of scalar weights whose parameters differ by integers."""
     kind = draw(st.sampled_from(["hermite", "laguerre", "jacobi"]))
     shape = draw(st.sampled_from(["factor", "rational", "sum"]))
     if shape == "sum" and size > 1:
@@ -330,9 +332,12 @@ def weights(draw, size):
             parts = [Jacobi(fam.alpha + draw(st.integers(0, 2)), fam.beta + draw(st.integers(0, 2))) for _ in range(size)]
         return Weight.of_scalars(*parts)
     lower = MatRF([[1 if r == c else draw(_polys(1)) if r > c else 0 for c in range(size)] for r in range(size)])
-    if shape == "rational":
-        scale = MatRF.diag(*(RatFunc(_P1, X + draw(st.integers(1, 3))) for _ in range(size)))
-        return matrf_weight(Laguerre(draw(params)), lower * scale * lower.transpose())
+    if shape == "rational" and kind != "hermite":
+        fam, ends = (Laguerre(draw(params) + 2), [X]) if kind == "laguerre" else (
+            Jacobi(draw(params) + 2, draw(params) + 2), [1 - X, 1 + X])
+        dens = [math.prod((e ** draw(st.integers(0, 1)) for e in ends), start=_P1) for _ in range(size)]
+        scale = MatRF.diag(*(RatFunc(_P1, q) for q in dens))
+        return matrf_weight(fam, lower * scale * lower.transpose())
     return matrf_weight(_family(draw, kind), lower * lower.transpose())
 
 

@@ -232,8 +232,7 @@ class TestInnerProduct:
 def _inner_product_by_fracmat(p, q, weight):
     """Oracle: the integrand's coefficient matrices times the moments, summed
     as FracMats."""
-    fam, num, m = weight.as_atomic()
-    assert m == Poly((1,))
+    fam, num = weight.as_atomic()
     integrand = p * num * q.transpose()
     nu = weights._moments_list(fam, max(integrand.degree, 0))
     acc = FracMat.zeros(p.size)
@@ -290,8 +289,7 @@ def _moment_rows_per_entry(p, weight, k_max, k_min=0):
     """Oracle: moment rows as ``moment_rows`` formed them before its integer
     kernel, from the Fraction product P M, one integer form and one Fraction
     per entry."""
-    fam, num, m = weight.as_atomic()
-    assert m == Poly((1,))
+    fam, num = weight.as_atomic()
     pm = p * num
     top = max(pm.degree, 0) + k_max
     (nums,), den = int_matrix([weights._moments_list(fam, top)[: top + 1]])
@@ -418,7 +416,7 @@ def _step_gram_products(self, k):
     w = self.weight
     pk = self._polys[k]
     xpk = X * pk
-    if w.N == MatPoly.identity(w.size) and w.m == Poly((1,)):
+    if w.N == MatPoly.identity(w.size):
         b, c = w.family.recursion(k)
         bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
     else:
@@ -536,14 +534,14 @@ class TestSingularGram:
 
     def test_singular_at_degree_two(self):
         # H_1 = <P_1, P_1> has (2,2) entry nu_3 - 10 nu_2 + 28 nu_1 - 24 = 0
-        seq = OPSequence(Weight(family=Laguerre(F(2)), N=MatPoly.diag(1, X - 6), m=Poly((1,))))
+        seq = OPSequence(Weight(family=Laguerre(F(2)), N=MatPoly.diag(1, X - 6)))
         assert seq.poly(1).degree == 1
         with pytest.raises(SingularError, match="degenerate moment system at degree 2"):
             seq.poly(2)
 
     def test_singular_at_degree_one(self):
         # H_0 = diag(1, nu_1 - 3/2) = diag(1, 0)
-        seq = OPSequence(Weight(family=Laguerre(F(1, 2)), N=MatPoly.diag(1, X - F(3, 2)), m=Poly((1,))))
+        seq = OPSequence(Weight(family=Laguerre(F(1, 2)), N=MatPoly.diag(1, X - F(3, 2))))
         with pytest.raises(SingularError, match="degenerate moment system at degree 1"):
             seq.poly(1)
 
@@ -626,47 +624,50 @@ def _admission_by_sympy(fam, m):
     return None
 
 
-def _pole_free(outside):
-    """1, x - e with e outside the closed support, or (x - e)^2 + s, s > 0:
-    no root inside the support."""
-    return st.one_of(
-        st.just(Poly((1,))),
-        outside.map(lambda e: X - e),
-        st.tuples(st.fractions(-3, 3, max_denominator=3), st.sampled_from([F(1, 4), F(1), F(2)])).map(
-            lambda t: (X - t[0]) ** 2 + t[1]
-        ),
-    )
-
-
-# (family, points inside its support, denominators with no root there)
+# (family, points inside its support, the factors x - e or e - x at its
+# finite ends, positive inside)
 ADMISSION_FAMILIES = [
-    (Laguerre(F(1, 2)), st.fractions(F(1, 3), 6, max_denominator=3), _pole_free(st.fractions(-3, F(-1, 3), max_denominator=3))),
-    (
-        Jacobi(F(1, 2), F(3, 4)),
-        st.fractions(F(-2, 3), F(2, 3), max_denominator=3),
-        _pole_free(st.one_of(st.fractions(F(4, 3), 3, max_denominator=3), st.fractions(-3, F(-4, 3), max_denominator=3))),
-    ),
-    (HermiteShifted(F(1, 3)), st.fractions(-3, 3, max_denominator=3), _pole_free(st.nothing())),
+    (Laguerre(F(1, 2)), st.fractions(F(1, 3), 6, max_denominator=3), [X]),
+    (Jacobi(F(1, 2), F(3, 4)), st.fractions(F(-2, 3), F(2, 3), max_denominator=3), [1 - X, 1 + X]),
+    (HermiteShifted(F(1, 3)), st.fractions(-3, 3, max_denominator=3), []),
 ]
+
+
+def _raised(fam, k):
+    """The family with the density's exponent at each finite end raised by k."""
+    if isinstance(fam, Laguerre):
+        return Laguerre(fam.alpha + k)
+    if isinstance(fam, Jacobi):
+        return Jacobi(fam.alpha + k, fam.beta + k)
+    return fam
 
 
 @st.composite
 def admission_factors(draw):
     """(family, M) with M = g D^-1 (B B^T + diag(c)) D^-1 / r, size 1-4: B of
     small polynomials and c of small constants, so the minors pass or fail
-    anywhere; D = diag(d_i) and r with no root inside the support
-    (``_pole_free``), r of either sign; g = 1, x - a or (x - a)^2 with a
-    inside, often the interior point that admission reads the sign at, so a
-    minor has a root there of either parity."""
-    fam, inside, pole_free = draw(st.sampled_from(ADMISSION_FAMILIES))
+    anywhere; D = diag(d_i) and r products of powers of the factors at the
+    support's finite ends (up to 2 in each d_i, 1 in r), r of either sign,
+    over the family with those exponents raised by 5, so admission absorbs
+    them into an integrable density; g = 1, x - a or (x - a)^2 with a inside,
+    often the interior point that admission reads the sign at, so a minor
+    has a root there of either parity."""
+    fam, inside, ends = draw(st.sampled_from(ADMISSION_FAMILIES))
+
+    def end_powers(top):
+        p = Poly((1,))
+        for e in ends:
+            p = p * e ** draw(st.integers(0, top))
+        return p
+
     n = draw(st.integers(1, 4))
     b = MatPoly(draw(st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)))
     s = b * b.transpose() + MatPoly.diag(*(Poly((draw(st.fractions(-2, 2, max_denominator=3)),)) for _ in range(n)))
-    d = [draw(pole_free) for _ in range(n)]
-    r = draw(pole_free) * draw(st.sampled_from([1, -1]))
+    d = [end_powers(2) for _ in range(n)]
+    r = end_powers(1) * draw(st.sampled_from([1, -1]))
     a = draw(st.one_of(inside, st.just(F(1) if isinstance(fam, Laguerre) else F(0))))
     g = draw(st.sampled_from([Poly((1,)), X - a, (X - a) ** 2]))
-    return fam, MatRF([[RatFunc(g * s.entry(i, j), r * d[i] * d[j]) for j in range(n)] for i in range(n)])
+    return _raised(fam, 5), MatRF([[RatFunc(g * s.entry(i, j), r * d[i] * d[j]) for j in range(n)] for i in range(n)])
 
 
 class TestAdmissionOracle:
@@ -680,12 +681,12 @@ class TestAdmissionOracle:
     # would read
     @example((Laguerre(F(0)), MatRF([[RatFunc((X - 20) ** 2 - 1)]])))
     # an even root at the point admission reads the sign at
-    @example((Jacobi(F(1, 2), F(3, 4)), MatRF.diag(RatFunc(Poly((1,))), RatFunc(X**2, -X - 2))))
-    # m = x - 2 < 0 on the support: with N = -I, Delta_2 m^2 > 0 although
-    # m < 0, so the sign of m is read to the power k
-    @example((Jacobi(F(1, 2), F(3, 4)), MatRF.diag(RatFunc(Poly((1,)), 2 - X), RatFunc(Poly((1,)), 2 - X))))
-    # r < 0 on the support: N's minors and m^k flip sign together
-    @example((Jacobi(F(1, 2), F(3, 4)), MatRF([[RatFunc(Poly((1,)), X - 2)] * 2, [RatFunc(Poly((1,)), X - 2), RatFunc(Poly((3,)), X - 2)]])))
+    @example((Jacobi(F(1, 2), F(3, 4)), MatRF.diag(RatFunc(Poly((1,))), RatFunc(X**2, -X - 1))))
+    # m = x - 1 < 0 on the support: N = -I over m is I over 1 - x, so the
+    # absorbed factor flips N's sign
+    @example((Jacobi(F(1, 2), F(3, 4)), MatRF.diag(RatFunc(Poly((1,)), 1 - X), RatFunc(Poly((1,)), 1 - X))))
+    # r < 0 on the support: the factor is negative definite
+    @example((Jacobi(F(1, 2), F(3, 4)), MatRF([[RatFunc(Poly((1,)), X - 1)] * 2, [RatFunc(Poly((1,)), X - 1), RatFunc(Poly((3,)), X - 1)]])))
     @settings(max_examples=100, deadline=None)
     def test_matches_sympy_minors(self, case):
         fam, m = case
@@ -753,7 +754,7 @@ class TestWeightValidation:
         # one elimination per leading minor of the factor's integer form, and
         # a constant minor's sign is read at one point, with no root count
         calls, eliminate = [], weights.bareiss
-        monkeypatch.setattr(weights, "bareiss", lambda rows, admit=None: calls.append(rows) or eliminate(rows, admit))
+        monkeypatch.setattr(weights, "bareiss", lambda rows: calls.append(rows) or eliminate(rows))
         monkeypatch.setattr(weights, "real_root_count", lambda *args: pytest.fail("root count of a constant minor"))
         Weight.atomic(Jacobi(F(1, 2), F(3, 4)), MatPoly([[Poly((2,)), Poly((1,))], [Poly((1,)), Poly((2,))]]))
         assert calls == [[[(2,)]], [[(2,), (1,)], [(1,), (2,)]]]
@@ -818,24 +819,25 @@ class TestWeightValidation:
     def test_common_atomic_merge(self):
         a, b = F(1, 2), F(3, 4)
         w = Weight.of_scalars(Jacobi(a + 1, b), Jacobi(a + 1, b + 1))
-        fam, num, m = w.as_atomic()
+        fam, num = w.as_atomic()
         assert fam == Jacobi(a + 1, b)
-        assert num == MatPoly.diag(Poly((1,)), Poly((1, 1))) and m == Poly((1,))
+        assert num == MatPoly.diag(Poly((1,)), Poly((1, 1)))
 
     def test_rational_blocks_merge_to_canonical_form(self):
-        # blocks 1/x over Laguerre(5/2) and x^2/x over Laguerre(1/2): on the
-        # base Laguerre(1/2), diag(x^2/x, x^2/x) = diag(x, x) over 1; then
-        # x^2/(x + 1) and 1/(x^2 + x) are diag(x^3, 1) over x^2 + x
+        # blocks 1/x over Laguerre(5/2) and x^2/x over Laguerre(1/2) are
+        # Laguerre(3/2) and Laguerre(1/2) x: on the base Laguerre(1/2),
+        # diag(x, x); then -1/(x - 1) over Jacobi(3/2, 1/2) and (1 - x)/(x + 1)^2
+        # over Jacobi(1/2, 5/2) are Jacobi(1/2, 1/2) and Jacobi(1/2, 1/2) (1 - x)
         w = Weight.direct_sum([
             Weight.atomic(Laguerre(F(5, 2)), MatPoly.identity(1), X),
             Weight.atomic(Laguerre(F(1, 2)), MatPoly([[X**2]]), X),
         ])
-        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly.diag(X, X), Poly((1,)))
+        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly.diag(X, X))
         w = Weight.direct_sum([
-            Weight.atomic(Laguerre(F(5, 2)), MatPoly.identity(1), X + 1),
-            Weight.atomic(Laguerre(F(1, 2)), MatPoly.identity(1), X * (X + 1)),
+            Weight.atomic(Jacobi(F(3, 2), F(1, 2)), MatPoly.identity(1) * -1, X - 1),
+            Weight.atomic(Jacobi(F(1, 2), F(5, 2)), MatPoly([[1 - X]]), (X + 1) ** 2),
         ])
-        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly.diag(X**3, Poly((1,))), X**2 + X)
+        assert w.as_atomic() == (Jacobi(F(1, 2), F(1, 2)), MatPoly.diag(Poly((1,)), 1 - X))
 
     def test_numerator_form_once_per_weight(self, monkeypatch):
         # the weight keeps (N, m); admission, as_atomic and factor_data read
@@ -851,27 +853,31 @@ class TestWeightValidation:
             monkeypatch.setattr(module, "exact_div", lambda *args: pytest.fail("exact division"))
         w.factor_data()
         assert not calls
-        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]), Poly((1,)))
+        assert w.as_atomic() == (Laguerre(F(1, 2)), MatPoly([[Poly((0, 0, 1)), X], [X, Poly((2,))]]))
         assert w.as_atomic()[1] is w.N and w.factor_data()[2] is w.N
         monkeypatch.undo()
-        # a rational factor is put in canonical form at admission:
-        # diag(x^2 + x, 2 x) / (2 x^2 + 2 x) = diag((x + 1)/2, 1) / (x + 1)
-        w = Weight.atomic(Laguerre(F(1, 2)), MatPoly.diag(X**2 + X, 2 * X), 2 * X**2 + 2 * X)
-        assert (w.N, w.m) == (MatPoly.diag((X + 1) * F(1, 2), 1), X + 1)
+        # a rational factor is put in canonical form at admission, and its
+        # pole at 0 moves into the density: diag(x^2 + x, 2 x) / (2 x^2) =
+        # diag((x + 1)/2, 1) / x, so Laguerre(3/2) becomes Laguerre(1/2)
+        w = Weight.atomic(Laguerre(F(3, 2)), MatPoly.diag(X**2 + X, 2 * X), 2 * X**2)
+        assert (w.family, w.N) == (Laguerre(F(1, 2)), MatPoly.diag((X + 1) * F(1, 2), 1))
 
 
 class TestPoles:
-    """Admission of a rational factor N / m is decided exactly: m may not
-    vanish inside the support, and at a finite end e where it vanishes the
-    exponent a_e + ord_e(N_ii) - ord_e(m) must stay above -1."""
+    """A rational factor N / m is admitted only as a polynomial one: each
+    power of x - e in m at a finite end e of the support moves into the
+    density's exponent a_e there, which must stay above -1; any other factor
+    of m is refused, as the moments of rho / m are not rational multiples of
+    rho's."""
 
     @pytest.mark.parametrize(
         "family, m, message",
         [
             (Laguerre(0), X, "weight is not integrable at the pole x = 0"),
             (Jacobi(0, 0), X + 1, "weight is not integrable at the pole x = -1"),
-            (Laguerre(0), (X - 1) ** 2, "weight factor has a pole inside the support, at a root of x^2 - 2*x + 1"),
-            (Jacobi(F(1, 2), F(1, 2)), X**2, "weight factor has a pole inside the support, at a root of x^2"),
+            (Laguerre(0), (X - 1) ** 2,
+             "weight factor has a pole off the support's finite ends, at a root of x^2 - 2*x + 1"),
+            (Jacobi(F(1, 2), F(1, 2)), X**2, "weight factor has a pole off the support's finite ends, at a root of x^2"),
         ],
         ids=["laguerre-end", "jacobi-end", "laguerre-inside", "jacobi-inside"],
     )
@@ -880,22 +886,76 @@ class TestPoles:
             Weight.atomic(family, MatPoly.identity(1), m)
 
     @pytest.mark.parametrize(
-        "family, sign, m",
-        [(Laguerre(2), 1, X), (Jacobi(0, 1), 1, X + 1), (HermiteShifted(0), 1, X**2 + 1), (Jacobi(F(1, 2), 0), -1, X - 1)],
-        ids=["laguerre-end", "jacobi-end", "hermite-no-real-root", "jacobi-other-end"],
+        "family, m, rest",
+        [
+            (HermiteShifted(0), X**2 + 1, "x^2 + 1"),
+            (Laguerre(2), X + 2, "x + 2"),
+            (Laguerre(2), (X - 1) ** 2, "x^2 - 2*x + 1"),
+            # the power of x moves into the density, the rest is named
+            (Laguerre(2), X * (X + 2), "x + 2"),
+            (Jacobi(F(1, 2), F(1, 2)), (X - 2) * (X + 1), "x - 2"),
+        ],
+        ids=["hermite", "laguerre-outside", "laguerre-inside", "laguerre-end-and-outside", "jacobi-outside"],
     )
-    def test_integrable_admitted(self, family, sign, m):
+    def test_off_end_poles_refused(self, family, m, rest):
+        message = f"weight factor has a pole off the support's finite ends, at a root of {rest}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Weight.atomic(family, MatPoly.identity(1), m)
+
+    @pytest.mark.parametrize(
+        "family, sign, m, absorbed",
+        [
+            (Laguerre(2), 1, X, Laguerre(1)),
+            (Jacobi(0, 1), 1, X + 1, Jacobi(0, 0)),
+            # (x - 1)^k = (-1)^k (1 - x)^k: -1 / (x - 1) is 1 / (1 - x)
+            (Jacobi(F(1, 2), 0), -1, X - 1, Jacobi(F(-1, 2), 0)),
+        ],
+        ids=["laguerre-end", "jacobi-end", "jacobi-other-end"],
+    )
+    def test_integrable_admitted(self, family, sign, m, absorbed):
         w = Weight.atomic(family, MatPoly.identity(1) * sign, m)
-        assert (w.N, w.m) == (MatPoly.identity(1) * sign, m)
+        assert (w.family, w.N) == (absorbed, MatPoly.identity(1))
+        assert w == absorbed.scalar_weight() and repr(w) == repr(absorbed.scalar_weight())
+
+    def test_jacobi_sign_flips_with_the_power_at_one(self):
+        # N / ((x - 1)^2 (x + 1)) keeps N's sign, N / ((x - 1) (x + 1)^2) flips it
+        n = MatPoly([[Poly((2,)), X], [X, Poly((1,))]])
+        w = Weight.atomic(Jacobi(F(5, 2), F(3, 2)), n, (X - 1) ** 2 * (X + 1))
+        assert (w.family, w.N) == (Jacobi(F(1, 2), F(1, 2)), n)
+        w = Weight.atomic(Jacobi(F(3, 2), F(5, 2)), n * -1, (X - 1) * (X + 1) ** 2)
+        assert (w.family, w.N) == (Jacobi(F(1, 2), F(1, 2)), n)
+        with pytest.raises(DomainError, match="^weight factor not positive definite: leading minor 1 is negative$"):
+            Weight.atomic(Jacobi(F(3, 2), F(5, 2)), n, (X - 1) * (X + 1) ** 2)
 
     def test_order_of_the_numerator_counts(self):
         # diag(x^2 + x^3, x) / x^2 is diag(x + x^2, 1) / x: at x = 0 the
         # (1, 1) entry 1/x is not integrable against Laguerre(0), the (0, 0)
-        # entry 1 + x is; on Laguerre(1/2) both are
+        # entry 1 + x is; on Laguerre(1/2) both are, and the weight is
+        # Laguerre(-1/2) diag(x + x^2, 1)
         n = MatPoly.diag(X**2 + X**3, X)
         with pytest.raises(DomainError, match="^weight is not integrable at the pole x = 0$"):
             Weight.atomic(Laguerre(0), n, X**2)
-        assert Weight.atomic(Laguerre(F(1, 2)), n, X**2).m == X
+        w = Weight.atomic(Laguerre(F(1, 2)), n, X**2)
+        assert (w.family, w.N) == (Laguerre(F(-1, 2)), MatPoly.diag(X + X**2, Poly((1,))))
+
+    def test_absorbed_factor_builds_the_shifted_sequence(self):
+        # Laguerre(2) / x is Laguerre(1): the same weight, sequence and
+        # membership verdicts; the same holds for a size-2 factor
+        from mvop.dwalgebra import verify_in_DW
+
+        w = Weight.atomic(Laguerre(2), MatPoly.identity(1), X)
+        assert w == Laguerre(1).scalar_weight()
+        seq, want = OPSequence(w), OPSequence(Laguerre(1).scalar_weight())
+        assert [seq.poly(n) for n in range(8)] == [want.poly(n) for n in range(8)]
+        assert verify_in_DW(DiffOp.identity(1), w, 3).ok
+        assert verify_in_DW(Laguerre(1).delta(), w, 6).ok
+        assert not verify_in_DW(Laguerre(2).delta(), w, 6).ok
+        n = MatPoly([[Poly((2,)), X], [X, X**2 + 2]])
+        w = Weight.atomic(Jacobi(F(3, 2), F(1, 2)), n * -1, X - 1)
+        assert w == Weight.atomic(Jacobi(F(1, 2), F(1, 2)), n)
+        assert inner_product(MatPoly.identity(2), MatPoly.identity(2), w) == inner_product(
+            MatPoly.identity(2), MatPoly.identity(2), Weight.atomic(Jacobi(F(1, 2), F(1, 2)), n)
+        )
 
 
 class TestCacheBound:
