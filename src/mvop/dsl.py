@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,7 +59,8 @@ _RESERVED = {
     "x", "d", "delta", "true", "false",
 }
 
-_FAMILIES = {"hermite", "laguerre", "jacobi"}
+_FAMILIES = {"hermite": HermiteShifted, "laguerre": Laguerre, "jacobi": Jacobi}
+_FAMILY_NAMES = {c: name for name, c in _FAMILIES.items()}
 
 _CHECK_SIGS = {
     "in_algebra": ("op", "weight"),
@@ -388,18 +389,16 @@ class _Parser:
         kv = {}
         if not self.accept("SYM", ")"):
             while True:
-                key = self.expect("NAME").text
+                key = self.expect("NAME")
+                if key.text in kv:
+                    self.err(f"repeated parameter {key.text!r}", key)
                 self.expect("SYM", "=")
-                kv[key] = self.const_expr()
+                kv[key.text] = self.const_expr()
                 if not self.accept("SYM", ","):
                     break
             self.expect("SYM", ")")
         try:
-            if t.text == "hermite":
-                return HermiteShifted(**kv)
-            if t.text == "laguerre":
-                return Laguerre(**kv)
-            return Jacobi(**kv)
+            return _FAMILIES[t.text](**kv)
         except TypeError:
             self.err(f"bad parameters for {t.text}: {sorted(kv)}", t)
         except DomainError as exc:
@@ -687,11 +686,7 @@ def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) ->
 
 
 def _family_text(f: ScalarWeightFamily) -> str:
-    if isinstance(f, HermiteShifted):
-        return f"hermite(b={f.b})"
-    if isinstance(f, Laguerre):
-        return f"laguerre(alpha={f.alpha})"
-    return f"jacobi(alpha={f.alpha}, beta={f.beta})"
+    return f"{_FAMILY_NAMES[type(f)]}(" + ", ".join(f"{v.name}={getattr(f, v.name)}" for v in fields(f)) + ")"
 
 
 def matrix_text(m: MatPoly) -> str:

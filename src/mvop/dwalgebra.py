@@ -22,6 +22,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, permutations
 
 from .exactalg import (
@@ -54,7 +55,6 @@ from .diffop import (
     w_adjoint,
 )
 from .weights import (
-    HermiteShifted,
     Jacobi,
     Laguerre,
     ScalarWeightFamily,
@@ -423,47 +423,24 @@ def intertwiner_search(
 
 def module_generator(w1, w2) -> DiffOp:
     """Cyclic generator of the intertwiner right-module between two classical
-    scalar weights: the zero operator when they are not Darboux related, the
-    identity when equal, and the explicit first-order ladder products
-    otherwise."""
+    scalar weights: the zero operator when they are not Darboux related
+    (``scalar_darboux_class``), the identity when equal, and the explicit
+    first-order ladder products otherwise."""
     f1, f2 = _family_of(w1), _family_of(w2)
-    zero = DiffOp.zero(1)
-    if type(f1) is not type(f2):
-        return zero
+    if not scalar_darboux_class(f1, f2):
+        return DiffOp.zero(1)
     if f1 == f2:
         return DiffOp.identity(1)
-    if isinstance(f1, HermiteShifted):
-        return zero
+    k = int(f2.alpha - f1.alpha)
     if isinstance(f1, Laguerre):
-        d = f2.alpha - f1.alpha
-        if d.denominator != 1:
-            return zero
-        k = int(d)
         if k > 0:
-            step = DiffOp.scalar([Poly((-1,)), Poly((1,))])
-            return op_power(step, k)
-        k = -k
-        out = None
-        for j in range(k, 0, -1):
-            nj = DiffOp.scalar([Poly((f2.alpha + j,)), X])
-            out = nj if out is None else compose(out, nj)
-        return out
-    if f1.alpha + f1.beta != f2.alpha + f2.beta:
-        return zero
-    d = f2.alpha - f1.alpha
-    if d.denominator != 1:
-        return zero
-    k = int(d)
-    out = None
-    if k > 0:
-        for j in range(k, 0, -1):
-            vj = DiffOp.scalar([Poly((f2.beta + j,)), Poly((1, 1))])
-            out = vj if out is None else compose(out, vj)
-        return out
-    for j in range(-k, 0, -1):
-        nj = DiffOp.scalar([Poly((f2.alpha + j,)), Poly((-1, 1))])
-        out = nj if out is None else compose(out, nj)
-    return out
+            return op_power(DiffOp.scalar([Poly((-1,)), Poly((1,))]), k)
+        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), X]) for j in range(-k, 0, -1)]
+    elif k > 0:
+        steps = [DiffOp.scalar([Poly((f2.beta + j,)), Poly((1, 1))]) for j in range(k, 0, -1)]
+    else:
+        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), Poly((-1, 1))]) for j in range(-k, 0, -1)]
+    return reduce(compose, steps)
 
 
 def module_decompose(a: DiffOp, w1, w2) -> Poly:

@@ -22,7 +22,7 @@ substitution): the numerators of polynomials over a common denominator
 integer each (``pack``), at a width from one routine, ``pack_width``, that
 keeps every digit of a sum of products in [-2^(w-1), 2^(w-1)). Packing is
 then injective: a sum is unpacked once (``unpack``), read at one digit
-(``digit``) or tested for zero as one integer. ``int_dot`` sums products of
+(``digit``) or tested for zero as one integer. ``poly_dot`` sums products of
 pairs this way for ``Poly`` and ``MatPoly`` products; ``diffop.int_action``
 multiplies whole matrices of packed entries for the operator algebra and
 ``dwalgebra.relation``. Kernels that stay in Z[x] take plain integer
@@ -348,24 +348,14 @@ def digit(v: int, w: int, k: int) -> int:
 
 
 def poly_dot(pairs) -> Poly:
-    """Sum of a * b over (Poly, Poly) pairs, through ``int_dot``."""
-    return int_dot([(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs])
-
-
-def int_dot(forms) -> Poly:
-    """Sum of products over pairs of integer forms of nonzero polynomials:
-    over the common denominator L of all products, each pair packed, the
-    packed integers multiplied, scaled to L, summed and unpacked once, at a
-    width with room for the scale, both operands, the terms of one
-    coefficient and the number of pairs."""
+    """Sum of a * b over (Poly, Poly) pairs: the integer forms of each pair
+    over the common denominator L of all products, one ``int_poly_dot``."""
+    forms = [(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs]
     if not forms:
         return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
-    terms = [(den // (fa[1] * fb[1]), fa[0], fb[0]) for fa, fb in forms]
-    bits = (len(forms) - 1).bit_length() + max(
-        fa[2] + fb[2] + (s * min(len(a), len(b)) - 1).bit_length() for (s, a, b), (fa, fb) in zip(terms, forms)
-    )
-    return poly_over(_packed_dot(terms, bits), den)
+    ints, _ = int_poly_dot([(den // (fa[1] * fb[1]), (fa[0], fa[2]), (fb[0], fb[2])) for fa, fb in forms])
+    return poly_over(ints, den)
 
 
 def int_poly(ints):
@@ -379,13 +369,17 @@ def int_poly(ints):
 
 def int_poly_dot(terms):
     """Sum of c a b over (c, a, b), c an integer and a, b ``int_poly``
-    operands, as an ``int_poly``; ``int_dot``'s packing, at a width from the
-    bit lengths the operands carry."""
+    operands, as an ``int_poly``: each pair packed, the packed integers
+    multiplied, scaled by c, summed and unpacked once, at a width with room
+    for c, both operands, the terms of one coefficient and the number of
+    terms, from the bit lengths the operands carry."""
     terms = [(c, a, b, ab + bb) for c, (a, ab), (b, bb) in terms if c and a and b]
     if not terms:
         return (), 0
     bits = (len(terms) - 1).bit_length() + max(s + (abs(c) * min(len(a), len(b)) - 1).bit_length() for c, a, b, s in terms)
-    return int_poly(_packed_dot([t[:3] for t in terms], bits))
+    w = pack_width(bits, 1)
+    acc = sum(c * pack(a, w) * pack(b, w) for c, a, b, _ in terms)
+    return int_poly(unpack(acc, w, max(len(a) + len(b) for _, a, b, _ in terms) - 1))
 
 
 def int_poly_matmul(a, b, n: int):
@@ -402,15 +396,6 @@ def int_poly_matmul(a, b, n: int):
     pa, pb = [pack(e, w) for e in a], [pack(e, w) for e in b]
     return [int_poly(unpack(sum(map(operator.mul, pa[r * n : (r + 1) * n], pb[c::n])), w, la + lb - 1))
             for r in range(n) for c in range(n)]
-
-
-def _packed_dot(terms, bits):
-    # the digits of sum c a b, every one below 2^bits in magnitude
-    w = pack_width(bits, 1)
-    acc = 0
-    for c, a, b in terms:
-        acc += c * pack(a, w) * pack(b, w)
-    return unpack(acc, w, max(len(a) + len(b) for _, a, b in terms) - 1)
 
 
 def _bits(ints) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .exactalg import (
@@ -52,14 +52,30 @@ from .diffop import DiffOp, MatPoly, _canonical, ratio_matrix_str
 
 
 class ScalarWeightFamily:
-    """Base for the three classical families (shifted Hermite, Laguerre, Jacobi)."""
+    """Base for the three classical families (shifted Hermite, Laguerre,
+    Jacobi). A family is its Pearson pair (t, s), rho'/rho = s/t with
+    deg t <= 2 and deg(t' + s) = 1 (``pearson``), and its ends: ``_ENDS``
+    holds, lower end first, each end's position (None when infinite) and
+    the field that holds the density's exponent there."""
+
+    _ENDS = ((None, None), (None, None))
 
     def scalar_weight(self) -> "Weight":
         return Weight.atomic(self, MatPoly.identity(1))
 
     def ends(self):
         """(end, the density's exponent there) at each end, None when infinite."""
-        return (None, None), (None, None)
+        return tuple((e, name and getattr(self, name)) for e, name in self._ENDS)
+
+    def delta(self) -> DiffOp:
+        """Bochner's operator t d^2 + (t' + s) d."""
+        t, s = self.pearson()
+        return DiffOp.scalar([Poly(), t.derivative() + s, t])
+
+    def sigma(self) -> tuple[Poly, Poly]:
+        """rho'/rho = s/t in lowest terms."""
+        t, s = self.pearson()
+        return lowest_terms(s, t)
 
 
 @dataclass(frozen=True)
@@ -71,19 +87,11 @@ class HermiteShifted(ScalarWeightFamily):
     def __post_init__(self):
         object.__setattr__(self, "b", frac(self.b))
 
-    def delta(self) -> DiffOp:
-        return DiffOp.scalar([Poly(), Poly((2 * self.b, -2)), Poly((1,))])
-
-    def sigma(self) -> tuple[Poly, Poly]:
-        return Poly((2 * self.b, -2)), _P1
+    def pearson(self) -> tuple[Poly, Poly]:
+        return _P1, Poly((2 * self.b, -2))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         return self.b, Fraction(n, 2)
-
-    def moment_step(self, s: int, values) -> Fraction:
-        # mu_{s+1} = b mu_s + (s/2) mu_{s-1}, from d/dx[x^s rho] integrating to 0
-        prev = values[s - 1] if s >= 1 else Fraction(0)
-        return self.b * values[s] + Fraction(s, 2) * prev
 
 
 @dataclass(frozen=True)
@@ -92,28 +100,20 @@ class Laguerre(ScalarWeightFamily):
 
     alpha: Fraction
 
+    _ENDS = ((0, "alpha"), (None, None))
+
     def __post_init__(self):
         a = frac(self.alpha)
         if a <= -1:
             raise DomainError(f"Laguerre parameter must exceed -1, got {a}")
         object.__setattr__(self, "alpha", a)
 
-    def delta(self) -> DiffOp:
-        return DiffOp.scalar([Poly(), Poly((self.alpha + 1, -1)), X])
-
-    def sigma(self) -> tuple[Poly, Poly]:
-        return lowest_terms(Poly((self.alpha, -1)), X)
+    def pearson(self) -> tuple[Poly, Poly]:
+        return X, Poly((self.alpha, -1))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         a = self.alpha
         return 2 * n + a + 1, Fraction(n) * (n + a)
-
-    def ends(self):
-        return (0, self.alpha), (None, None)
-
-    def moment_step(self, s: int, values) -> Fraction:
-        # Gamma recursion: mu_{s+1} = (alpha + 1 + s) mu_s
-        return (self.alpha + 1 + s) * values[s]
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ class Jacobi(ScalarWeightFamily):
     alpha: Fraction
     beta: Fraction
 
+    _ENDS = ((-1, "beta"), (1, "alpha"))
+
     def __post_init__(self):
         a, b = frac(self.alpha), frac(self.beta)
         if a <= -1 or b <= -1:
@@ -130,13 +132,9 @@ class Jacobi(ScalarWeightFamily):
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
-    def delta(self) -> DiffOp:
+    def pearson(self) -> tuple[Poly, Poly]:
         a, b = self.alpha, self.beta
-        return DiffOp.scalar([Poly(), Poly((b - a, -(a + b + 2))), Poly((1, 0, -1))])
-
-    def sigma(self) -> tuple[Poly, Poly]:
-        a, b = self.alpha, self.beta
-        return lowest_terms(Poly((b - a, -(a + b))), Poly((1, 0, -1)))
+        return Poly((1, 0, -1)), Poly((b - a, -(a + b)))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
         # over l, the lcm of the parameters' denominators, with A = a l,
@@ -153,36 +151,29 @@ class Jacobi(ScalarWeightFamily):
             return bn, Fraction(4 * (l + A) * (l + B) * l, s * s * (s + l))
         return bn, Fraction(4 * n * (n * l + A) * (n * l + B) * (n * l + A + B) * l, s * s * (s + l) * (s - l))
 
-    def ends(self):
-        return (-1, self.beta), (1, self.alpha)
 
-    def moment_step(self, s: int, values) -> Fraction:
-        # integration by parts of d/dx[(1-x)^(a+1) (1+x)^(b+1) x^s]
-        a, b = self.alpha, self.beta
-        prev = values[s - 1] if s >= 1 else Fraction(0)
-        return ((b - a) * values[s] + s * prev) / (a + b + 2 + s)
+def _finite_ends(family: ScalarWeightFamily) -> list[tuple[int, str, Poly]]:
+    """(e, the exponent's field, the factor x - e at the lower end and e - x
+    at the upper, each positive inside the support) at each finite end."""
+    return [(e, name, Poly((-e * sign, sign))) for (e, name), sign in zip(family._ENDS, (1, -1)) if e is not None]
 
 
 def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> tuple[Poly, Poly] | None:
-    """f1/f2 as (numerator, denominator), or None when it is not rational."""
+    """f1/f2 as (numerator, denominator), or None when it is not rational:
+    the families differ other than in their exponents at the finite ends, or an
+    exponent differs by a non-integer. An integer difference k at an end
+    puts that end's factor to the power |k| above or below."""
     if type(f1) is not type(f2):
         return None
-    if isinstance(f1, HermiteShifted):
-        return (_P1, _P1) if f1.b == f2.b else None
-    if isinstance(f1, Laguerre):
-        d = f1.alpha - f2.alpha
-        if d.denominator != 1:
-            return None
-        k = int(d)
-        return (X**k, _P1) if k >= 0 else (_P1, X ** (-k))
-    da = f1.alpha - f2.alpha
-    db = f1.beta - f2.beta
-    if da.denominator != 1 or db.denominator != 1:
+    ends = _finite_ends(f1)
+    if replace(f2, **{name: getattr(f1, name) for _, name, _ in ends}) != f1:
         return None
-    ka, kb = int(da), int(db)
-    one_minus, one_plus = Poly((1, -1)), Poly((1, 1))
-    num = (one_minus ** max(ka, 0)) * (one_plus ** max(kb, 0))
-    den = (one_minus ** max(-ka, 0)) * (one_plus ** max(-kb, 0))
+    num = den = _P1
+    for _, name, p in ends:
+        k = getattr(f1, name) - getattr(f2, name)
+        if k.denominator != 1:
+            return None
+        num, den = (num * p ** int(k), den) if k >= 0 else (num, den * p ** int(-k))
     return num, den
 
 
@@ -212,10 +203,18 @@ _MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
 
 
 def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
-    # the family's closed one-step recurrence extends the table at O(1) per entry
+    # (x^k t rho)' = k x^(k-1) t rho + x^k (t' + s) rho integrates to 0, as t rho
+    # vanishes at both ends: with t = t0 + t1 x + t2 x^2 and t' + s = u0 + u1 x,
+    # k (t0 nu_{k-1} + t1 nu_k + t2 nu_{k+1}) + u0 nu_k + u1 nu_{k+1} = 0
     values = _cached(_MOMENT_CACHE, family, lambda: [Fraction(1)])
-    while len(values) <= s_max:
-        values.append(family.moment_step(len(values) - 1, values))
+    if len(values) <= s_max:
+        t, s = family.pearson()
+        u = t.derivative() + s
+        t0, t1, t2, u0, u1 = t[0], t[1], t[2], u[0], u[1]
+        while len(values) <= s_max:
+            k = len(values) - 1
+            prev = values[k - 1] if k else 0
+            values.append(-(k * t0 * prev + (k * t1 + u0) * values[k]) / (k * t2 + u1))
     return values
 
 
@@ -384,29 +383,26 @@ class Weight:
 
 
 def _absorb(family: ScalarWeightFamily, N: MatPoly, m: Poly) -> tuple[ScalarWeightFamily, MatPoly]:
-    """rho N / m, in canonical form, as (family', N'): each power k of
-    x - e dividing m at a finite end e, where rho has the exponent a, moves
-    into that exponent as a - k. Refused when a - k <= -1: gcd(m, N) = 1, so
-    for N positive semidefinite some diagonal entry of N is not zero at e
-    and the weight is not integrable there. Any other factor of m is
-    refused, since the moments of rho / m are not rational multiples of
-    rho's (e^-x / (1 + x) integrates to an exponential integral)."""
-    ks = []
-    for e, a in family.ends():
-        k = 0
-        while e is not None and not m(e):
-            m, k = exact_div(m, Poly((-e, 1))), k + 1
-        if k and a - k <= -1:
+    """rho N / m, in canonical form, as (family', N'): each power k of the
+    factor x - e (lower end) or e - x (upper end) dividing m at a finite end
+    e, where rho has the exponent a, moves into that exponent as a - k; what
+    is left of m is then the constant (-1)^k of the upper end, and divides N.
+    Refused when a - k <= -1: gcd(m, N) = 1, so for N positive semidefinite
+    some diagonal entry of N is not zero at e and the weight is not
+    integrable there. Any other factor of m is refused, since the moments of
+    rho / m are not rational multiples of rho's (e^-x / (1 + x) integrates to
+    an exponential integral)."""
+    exps = {}
+    for e, name, p in _finite_ends(family):
+        a = getattr(family, name)
+        while not m(e):
+            m, a = exact_div(m, p), a - 1
+        if a <= -1:
             raise DomainError(f"weight is not integrable at the pole x = {e}")
-        ks.append(k)
+        exps[name] = a
     if m.degree > 0:
-        raise DomainError(f"weight factor has a pole off the support's finite ends, at a root of {m}")
-    if isinstance(family, Laguerre):
-        return Laguerre(family.alpha - ks[0]), N
-    if isinstance(family, Jacobi):
-        # (x - 1)^k = (-1)^k (1 - x)^k
-        return Jacobi(family.alpha - ks[1], family.beta - ks[0]), N * (-1) ** ks[1]
-    return family, N
+        raise DomainError(f"weight factor has a pole off the support's finite ends, at a root of {m.monic()}")
+    return replace(family, **exps), N * (1 / m.lc)
 
 
 def _odd_part(p: Poly) -> Poly:

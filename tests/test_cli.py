@@ -283,6 +283,14 @@ class TestMain:
         assert rc == 2
         assert "line 2, column 13: unknown catalog entry 'NOSUCH'" in capsys.readouterr().err
 
+    def test_repeated_family_keyword_exit_two(self, tmp_path, capsys):
+        # it used to run with the last value, Laguerre(2)
+        p = tmp_path / "bad.mvop"
+        p.write_text("weight w = laguerre(alpha=1, alpha=2)\n")
+        rc = main(["verify", str(p)])
+        assert rc == 2
+        assert "line 1, column 30: repeated parameter 'alpha'" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, capsys):
         rc = main(["verify", "/nonexistent/file.mvop"])
         assert rc == 2

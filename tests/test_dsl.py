@@ -159,6 +159,21 @@ class TestParseErrors:
             parse_spec("weight w = laguerre(alpha=1/2)\ncheck classify(w)\n")
 
     @pytest.mark.parametrize(
+        "line, col",
+        [
+            # used to build Laguerre(2)
+            ("weight w = laguerre(alpha=1, alpha=2)", 30),
+            # used to build delta of Jacobi(1, 3)
+            ("op D = delta(jacobi(alpha=1, beta=2, beta=3))", 38),
+        ],
+    )
+    def test_repeated_family_keyword(self, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(line + "\n")
+        assert "repeated parameter" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    @pytest.mark.parametrize(
         "template",
         [
             "op T = d^{n}\n",

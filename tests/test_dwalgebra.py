@@ -21,6 +21,7 @@ from mvop.diffop import (
     bump_coefficient,
     coefficient_sites,
     compose,
+    degree_preserving,
     embed_scalar,
     op_power,
     poly_of_op,
@@ -85,8 +86,25 @@ CONGRUENCE_MEMBERSHIPS = [("LAG2DIAG", "weight_W", f"G{i}") for i in range(1, 7)
 ]
 
 
+# the catalog's Darboux certificates (W, Wt, V, N, D); LAG2DIAG has none
+CONGRUENCE_CERTIFICATES = ["JAC2", "LAG3", "GEG2", "HER3"]
+
+
 def _constant(m: FracMat) -> MatPoly:
     return MatPoly([[Poly((v,)) for v in r] for r in m.rows])
+
+
+def _congruent(w: Weight, s: FracMat) -> Weight:
+    """S W S^T, one atomic weight over W's base density."""
+    fam, n = w.as_atomic()
+    sp = _constant(s)
+    return Weight.atomic(fam, sp * n * sp.transpose())
+
+
+def _between(a: FracMat, d: DiffOp, b: FracMat) -> DiffOp:
+    """The operator with coefficients a F_j b."""
+    ap, bp = _constant(a), _constant(b)
+    return DiffOp(d.size, [ap * c * bp for c in d.coeffs], d.den)
 
 
 @st.composite
@@ -101,7 +119,11 @@ class TestCongruenceOracle:
     """W' = S W S^T has the monic sequence S P_n S^-1, so D is in D(W) with
     eigenvalues Lambda_n exactly when S D S^-1 is in D(W') with S Lambda_n
     S^-1. W' is one atomic weight with a dense factor over W's base density,
-    so a direct sum's assembled blocks are compared with the moment path."""
+    so a direct sum's assembled blocks are compared with the moment path.
+    The other verdicts move the same way: a Darboux certificate
+    (W, Wt, V, N, D) goes to (S W S^T, St Wt St^T, S V St^-1, St N S^-1,
+    S D S^-1) with conjugators S A_n St^-1, the W'-adjoint of S D S^-1 is
+    S D^* S^-1, and the symbol of S T R is S S_n R. A failure prints S."""
 
     @pytest.mark.parametrize("name, attr, op", CONGRUENCE_MEMBERSHIPS, ids=[f"{n}-{o}" for n, _, o in CONGRUENCE_MEMBERSHIPS])
     @given(data=st.data())
@@ -111,13 +133,59 @@ class TestCongruenceOracle:
         w, d = getattr(e, attr), e.ops[op]
         s = data.draw(congruences(w.size), label="S")
         s_inv = s.inv()
-        fam, n = w.as_atomic()
-        sp, sp_inv = _constant(s), _constant(s_inv)
-        moved = Weight.atomic(fam, sp * n * sp.transpose())
-        got = verify_in_DW(DiffOp(d.size, [sp * c * sp_inv for c in d.coeffs], d.den), moved, 6)
+        got = verify_in_DW(_between(s, d, s_inv), _congruent(w, s), 6)
         want = verify_in_DW(d, w, 6)
         assert want.ok and got.ok
         assert got.eigs == [s * lam * s_inv for lam in want.eigs]
+
+    @pytest.mark.parametrize("name", CONGRUENCE_CERTIFICATES)
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_darboux_verdicts_are_invariant(self, name, data):
+        e = catalog.entry(name)
+        w, wt, ops = e.weight_W, e.weight_Wt, e.ops
+        s = data.draw(congruences(w.size), label="S")
+        st_ = data.draw(congruences(wt.size), label="St")
+        s_inv, st_inv = s.inv(), st_.inv()
+        cert = DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"], 4)
+        moved = DarbouxCertificate(
+            _congruent(w, s), _congruent(wt, st_),
+            _between(s, ops["V"], st_inv), _between(st_, ops["N"], s_inv), _between(s, ops["D"], s_inv), 4,
+        )
+        want, got = darboux_verify(cert), darboux_verify(moved)
+        assert [(c.name, c.ok) for c in got.checks] == [(c.name, c.ok) for c in want.checks]
+        assert moved.conjugators == [s * a * st_inv for a in cert.conjugators]
+
+    @pytest.mark.parametrize("name, attr, op", CONGRUENCE_MEMBERSHIPS, ids=[f"{n}-{o}" for n, _, o in CONGRUENCE_MEMBERSHIPS])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_adjoint_is_conjugated(self, name, attr, op, data):
+        e = catalog.entry(name)
+        w, d = getattr(e, attr), e.ops[op]
+        s = data.draw(congruences(w.size), label="S")
+        s_inv = s.inv()
+        moved_d, moved_w = _between(s, d, s_inv), _congruent(w, s)
+        assert w_adjoint(moved_d, moved_w) == _between(s, w_adjoint(d, w), s_inv)
+        assert symmetry_check(moved_d, moved_w).ok == symmetry_check(d, w).ok
+
+    # each certificate's V, N and D, and x d - 2 on size 2, whose symbol
+    # (n - 2) I is singular at n = 2
+    DEGREE_CASES = [(n, o) for n in CONGRUENCE_CERTIFICATES for o in ("V", "N", "D")] + [(None, "x d - 2")]
+
+    @pytest.mark.parametrize("name, op", DEGREE_CASES, ids=[f"{n}-{o}" for n, o in DEGREE_CASES])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_degree_preservation_is_invariant(self, name, op, data):
+        if name is None:
+            t = DiffOp(2, [MatPoly.identity(2) * -2, MatPoly.scalar(X, 2)])
+        else:
+            t = catalog.entry(name).ops[op]
+        s = data.draw(congruences(t.size), label="S")
+        r = data.draw(congruences(t.size), label="R")
+        want, got = degree_preserving(t), degree_preserving(_between(s, t, r))
+        assert (got.ok, got.fail_n) == (want.ok, want.fail_n)
+        assert got.residual == want.residual * (s.det() * r.det())
+        assert name is not None or (want.ok, want.fail_n) == (False, 2)
 
 
 class TestNegativeHorizon:

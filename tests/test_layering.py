@@ -1,7 +1,8 @@
 """The package's layering, read off its source with ``ast``: rational
 functions (``RatFunc``, ``MatRF``) are named only inside ``exactalg`` and
 the package's re-export, and polynomials are divided by one algorithm, in
-Z[x], so no ``poly_divmod`` is defined. String literals do not count."""
+Z[x], so no ``poly_divmod`` is defined. String literals do not count. No
+module but ``__init__.py``, which re-exports, imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,19 @@ def test_no_field_division(path):
     defined = {n.name for n in ast.walk(ast.parse(path.read_text()))
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert "poly_divmod" not in defined, path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export
+    if path.name == "__init__.py":
+        return
+    tree = ast.parse(path.read_text())
+    imported = {
+        (a.asname or a.name).split(".")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and not (isinstance(n, ast.ImportFrom) and n.module == "__future__")
+        for a in n.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not imported - used, (path.name, sorted(imported - used))
