@@ -298,7 +298,11 @@ class IntertwinerBasis:
 def _search_horizon(order_bound: int, n_horizon: int | None) -> int:
     # below order + 3 the system leaves operators free that fail just past
     # the horizon, and the nullspace vectors that pass re-verification then
-    # need not span the intertwiners that do
+    # need not span the intertwiners that do. The search solves first at
+    # order + 1, the rows' square core, and re-verifies to this horizon + 3;
+    # only when a core operator fails there does the whole system run
+    if order_bound < 0:
+        raise DomainError(f"search order bound {order_bound} is negative")
     least = order_bound + 3
     if n_horizon is None:
         return least
@@ -376,22 +380,37 @@ def matrix_intertwiner_search(
     up to n_horizon + 3 are returned, each scaled so that the last nonzero
     entry of its leading coefficient is monic. An empty list is bounded
     evidence, not a nonexistence proof.
+
+    The system is first solved on its square core, the rows n <= K + 1
+    (as many as unknowns). If every core operator passes the re-verification
+    to n_horizon + 3, each satisfies every row up to n_horizon, so the core's
+    nullspace is the whole system's; the two row spaces are then equal and so
+    is their reduced echelon form, which fixes the basis, its scaling and its
+    order. Otherwise the whole system is solved and filtered as before.
     """
     if w1.size != w2.size:
         raise ShapeError("weights must have equal size")
     n_horizon = _search_horizon(order_bound, n_horizon)
     size, step = w1.size, w1.size * w1.size
-    rows, offsets = _search_system(sequence_for(w1), sequence_for(w2), size, order_bound, n_horizon)
-    ops = []
-    for v in nullspace(rows, offsets[-1]):
-        # entry (r, c) of F_j, coefficients by power of x, from j's block
-        blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
-        coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
-        op = DiffOp(size, [MatPoly(f) for f in coeffs])
-        if not op.is_zero:
-            scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
-            ops.append(op if scale == 1 else op * (1 / scale))
-    return [v for v in ops if matrix_intertwiner_verify(v, w1, w2, n_horizon + 3)]
+    seq1, seq2 = sequence_for(w1), sequence_for(w2)
+
+    def solve(horizon):
+        rows, offsets = _search_system(seq1, seq2, size, order_bound, horizon)
+        ops = []
+        for v in nullspace(rows, offsets[-1]):
+            # entry (r, c) of F_j, coefficients by power of x, from j's block
+            blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
+            coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
+            op = DiffOp(size, [MatPoly(f) for f in coeffs])
+            if not op.is_zero:
+                scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
+                ops.append(op if scale == 1 else op * (1 / scale))
+        return ops
+
+    ops = solve(order_bound + 1)
+    if all(matrix_intertwiner_verify(v, w1, w2, n_horizon + 3) for v in ops):
+        return ops
+    return [v for v in solve(n_horizon) if matrix_intertwiner_verify(v, w1, w2, n_horizon + 3)]
 
 
 def intertwiner_search(

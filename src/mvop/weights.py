@@ -211,10 +211,13 @@ def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
         t, s = family.pearson()
         u = t.derivative() + s
         t0, t1, t2, u0, u1 = t[0], t[1], t[2], u[0], u[1]
+        # Laguerre has t0 = t2 = 0 and Hermite t1 = t2 = 0: skip zero terms
         while len(values) <= s_max:
             k = len(values) - 1
-            prev = values[k - 1] if k else 0
-            values.append(-(k * t0 * prev + (k * t1 + u0) * values[k]) / (k * t2 + u1))
+            num = (k * t1 + u0 if t1 else u0) * values[k]
+            if t0 and k:
+                num += k * t0 * values[k - 1]
+            values.append(-num / (k * t2 + u1 if t2 else u1))
     return values
 
 

@@ -187,6 +187,63 @@ class TestCongruenceOracle:
         assert got.residual == want.residual * (s.det() * r.det())
         assert name is not None or (want.ok, want.fail_n) == (False, 2)
 
+    # (entry, order) of searches from W to Wt: LAG3, JAC2 and GEG2 keep the
+    # square core's nullspace, HER3 at orders 0 and 1 solves the whole system
+    SEARCH_CASES = [(n, k, rev) for n, k in (("LAG3", 2), ("LAG3", 3), ("HER3", 0), ("HER3", 1), ("JAC2", 1), ("GEG2", 1))
+                    for rev in (False, True)]
+
+    @pytest.mark.parametrize("name, order, reverse", SEARCH_CASES,
+                             ids=[f"{n}-{k}-{'rev' if r else 'fwd'}" for n, k, r in SEARCH_CASES])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_search_is_conjugated(self, name, order, reverse, data):
+        e = catalog.entry(name)
+        w1, w2 = (e.weight_Wt, e.weight_W) if reverse else (e.weight_W, e.weight_Wt)
+        s = data.draw(congruences(w1.size), label="S")
+        st_ = data.draw(congruences(w2.size), label="St")
+        st_inv = st_.inv()
+        want = [_between(s, t, st_inv) for t in matrix_intertwiner_search(w1, w2, order)]
+        got = matrix_intertwiner_search(_congruent(w1, s), _congruent(w2, st_), order)
+        assert len(got) == len(want)
+        assert _span_rank(got + want, order) == _span_rank(got, order) == len(got)
+
+    # stated C_n: LAG3's A_n of V from W to Wt, LAG2DIAG's eigenvalues of G1-G6
+    STATED_CASES = [("LAG3", "V")] + [("LAG2DIAG", f"G{i}") for i in range(1, 7)]
+
+    @pytest.mark.parametrize("name, op", STATED_CASES, ids=[f"{n}-{o}" for n, o in STATED_CASES])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_stated_relation_is_conjugated(self, name, op, data):
+        e = catalog.entry(name)
+        if name == "LAG3":
+            w1, w2, cs = e.weight_W, e.weight_Wt, e.expected["A_n"]
+            s = data.draw(congruences(w1.size), label="S")
+            st_ = data.draw(congruences(w2.size), label="St")
+        else:
+            w1 = w2 = e.weight_W
+            cs = e.expected["eigs"][op]
+            s = st_ = data.draw(congruences(w1.size), label="S")
+        t, st_inv = e.ops[op], st_.inv()
+        bump = FracMat([[1 if (r, c) == (0, 0) else 0 for c in range(w1.size)] for r in range(w1.size)])
+        bumped = lambda n: cs(n) + bump if n == 3 else cs(n)
+        p, q = sequence_for(w1).poly, sequence_for(w2).poly
+        p2, q2 = sequence_for(_congruent(w1, s)).poly, sequence_for(_congruent(w2, st_)).poly
+        moved = _between(s, t, st_inv)
+        for stated in (cs, bumped):
+            want = relation(p, t, q, 6, cs=stated)
+            got = relation(p2, moved, q2, 6, cs=lambda n: s * stated(n) * st_inv)
+            assert (got.ok, got.fail_n) == (want.ok, want.fail_n) == ((True, None) if stated is cs else (False, 3))
+            assert got.eigs == [s * c * st_inv for c in want.eigs]
+
+
+def _span_rank(ops, order) -> int:
+    """The rank of the operators' coefficient vectors, x^i of F_j, i <= j."""
+    size = ops[0].size if ops else 1
+    rows = [[t.coeff(j).entry(r, c)[i] for j in range(order + 1) for i in range(j + 1)
+             for r in range(size) for c in range(size)] for t in ops]
+    ncols = size * size * (order + 1) * (order + 2) // 2
+    return ncols - len(nullspace(rows, ncols))
+
 
 class TestNegativeHorizon:
     """A negative horizon checks no n; each of these used to return ok."""
@@ -653,6 +710,17 @@ class TestIntertwinerSearch:
         with pytest.raises(DomainError):
             intertwiner_search(LAG, Laguerre(ALPHA + 1), 2, 0, n_horizon=3)
 
+    def test_negative_order_bound_refused(self):
+        # an ansatz with no columns used to meet P_n's rows in
+        # _search_system as a bare IndexError
+        with pytest.raises(DomainError, match="search order bound -1 is negative"):
+            intertwiner_search(LAG, Laguerre(ALPHA + 1), -1)
+
+    def test_matrix_search_negative_order_bound_refused(self):
+        w = catalog.entry("JAC2").weight_W
+        with pytest.raises(DomainError, match="search order bound -1 is negative"):
+            matrix_intertwiner_search(w, w, -1)
+
     def test_slack_argument_ignored(self):
         # slack -5 used to drop d^1 - 1 from the ansatz and report that no
         # intertwiner of order 1 exists; the argument is now ignored
@@ -785,6 +853,86 @@ class TestSearchSystemOracle:
             assert all(not c for v in basis for c, (j, i, _, _) in zip(v, variables) if i > j)
             dims.append(len(basis))
         assert dims[0] == dims[1] == dims[2]
+
+
+def _whole_system_search(w1, w2, order):
+    """Oracle: the search without its square core. The nullspace of the
+    whole system at horizon K + 3, each operator scaled so that the last
+    nonzero entry of its leading coefficient is monic, kept when it holds
+    to K + 6."""
+    size, step = w1.size, w1.size * w1.size
+    rows, offsets = _search_system(sequence_for(w1), sequence_for(w2), size, order, order + 3)
+    ops = []
+    for v in nullspace(rows, offsets[-1]):
+        blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order + 1)]
+        op = DiffOp(size, [MatPoly([[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)]) for b in blocks])
+        scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
+        ops.append(op * (1 / scale))
+    return [t for t in ops if matrix_intertwiner_verify(t, w1, w2, order + 6)]
+
+
+def _catalog_pairs(name, params):
+    e = catalog.entry(name, params)
+    if e.weight_Wt is None:
+        return [(e.weight_W, e.weight_W)]
+    return [(e.weight_W, e.weight_Wt), (e.weight_Wt, e.weight_W)]
+
+
+def _horizons(monkeypatch):
+    """The horizon of every ``_search_system`` call the search makes."""
+    seen = []
+
+    def counted(*args):
+        seen.append(args[4])
+        return _search_system(*args)
+
+    monkeypatch.setattr(dwalgebra, "_search_system", counted)
+    return seen
+
+
+class TestSquareCoreSearch:
+    """The search solves the rows n <= K + 1 first and keeps their nullspace
+    when every operator of it holds to the horizon + 3. It must return what
+    the whole system returns, basis, scaling and order."""
+
+    @pytest.mark.parametrize("name, params", list(_entry_cases()))
+    def test_catalog_pairs_match_whole_system(self, name, params):
+        for w1, w2 in _catalog_pairs(name, params):
+            for order in range(4 if w1.size == 2 else 3):
+                want = _whole_system_search(w1, w2, order)
+                assert repr(matrix_intertwiner_search(w1, w2, order)) == repr(want), (name, params, order)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_scalar_pairs_match_whole_system(self, order):
+        # the scalar pairs of the search digest (tests/test_exactness.py)
+        a = F(1, 2)
+        pairs = ((Laguerre(a), Laguerre(a + 1)), (Laguerre(a), Laguerre(a + 2)),
+                 (Jacobi(F(1, 2), F(3, 4)), Jacobi(F(3, 2), F(3, 4))), (HermiteShifted(F(0)), HermiteShifted(F(1))))
+        for f1, f2 in pairs:
+            for w1, w2 in ((f1.scalar_weight(), f2.scalar_weight()), (f2.scalar_weight(), f1.scalar_weight())):
+                want = _whole_system_search(w1, w2, order)
+                assert repr(matrix_intertwiner_search(w1, w2, order)) == repr(want), (f1, f2, order)
+
+    def test_lag3_catalog_searches_solve_the_core_only(self, monkeypatch):
+        e = catalog.entry("LAG3")
+        W, Wt = e.weight_W, e.weight_Wt
+        seen = _horizons(monkeypatch)
+        for w1, w2, order in ((W, Wt, 2), (Wt, W, 2), (W, Wt, 3)):
+            seen.clear()
+            matrix_intertwiner_search(w1, w2, order)
+            assert seen == [order + 1]
+
+    @pytest.mark.parametrize("order", (0, 1))
+    def test_her3_falls_back_to_the_whole_system(self, order, monkeypatch):
+        # at orders 0 and 1 the core leaves operators free that fail past
+        # n = K + 1, so the whole system at K + 3 runs
+        e = catalog.entry("HER3")
+        w, W = e.weight_W, e.weight_Wt
+        seen = _horizons(monkeypatch)
+        for w1, w2 in ((w, W), (W, w)):
+            seen.clear()
+            assert matrix_intertwiner_search(w1, w2, order) == []
+            assert seen == [order + 1, order + 3]
 
 
 class TestModuleGenerator:
