@@ -38,6 +38,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .exactalg import (
     _P1,  # one shared object: den == _P1 then compares one tuple with itself
@@ -295,7 +296,9 @@ class DiffOp(IntForm):
         if self.size != other.size:
             raise ShapeError("operator size mismatch")
         a, b, den = _common(self, other)
-        return DiffOp(self.size, [x + y for x, y in zip(a, b)], den)
+        if len(a) < len(b):
+            a, b = b, a
+        return DiffOp(self.size, [*map(operator.add, a, b), *a[len(b):]], den)
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
@@ -323,13 +326,10 @@ class DiffOp(IntForm):
 
 
 def _common(a: DiffOp, b: DiffOp):
-    """The numerators of a and of b, padded to one length, over one
-    denominator, and it."""
-    na, nb, den = a.coeffs, b.coeffs, a.den
-    if a.den != b.den:
-        na, nb, den = [c * b.den for c in na], [c * a.den for c in nb], a.den * b.den
-    zero, k = MatPoly.zeros(a.size), max(len(na), len(nb))
-    return [*na] + [zero] * (k - len(na)), [*nb] + [zero] * (k - len(nb)), den
+    """The numerators of a and of b over one denominator, and it."""
+    if a.den == b.den:
+        return a.coeffs, b.coeffs, a.den
+    return [c * b.den for c in a.coeffs], [c * a.den for c in b.coeffs], a.den * b.den
 
 
 class IntOp:
@@ -481,12 +481,19 @@ def compose(first: DiffOp, second: DiffOp) -> DiffOp:
 
 
 def op_power(d: DiffOp, k: int) -> DiffOp:
+    """d^k by squaring: at most 2 floor(log2 k) compositions."""
     if k < 0:
         raise DomainError("negative operator power")
-    out = DiffOp.identity(d.size)
-    for _ in range(k):
-        out = compose(out, d)
-    return out
+    if k == 0:
+        return DiffOp.identity(d.size)
+    out = None
+    while True:
+        if k & 1:
+            out = d if out is None else compose(out, d)
+        k >>= 1
+        if not k:
+            return out
+        d = compose(d, d)
 
 
 def poly_of_op(p: Poly, d: DiffOp) -> DiffOp:
@@ -652,8 +659,9 @@ def block_antidiagonal(v: DiffOp, n: DiffOp) -> DiffOp:
         raise ShapeError("blocks must have equal size")
     s = v.size
     a, b, den = _common(v, n)
+    fill = MatPoly.zeros(s) if len(a) != len(b) else None
     return DiffOp(2 * s, [MatPoly([[Poly()] * s + list(r) for r in x.rows] + [list(r) + [Poly()] * s for r in y.rows])
-                          for x, y in zip(a, b)], den)
+                          for x, y in zip_longest(a, b, fillvalue=fill)], den)
 
 
 def coefficient_sites(d: DiffOp):
@@ -680,7 +688,8 @@ def diff_cells(a: DiffOp, b: DiffOp) -> list[tuple[int, int, int]]:
     if a.size != b.size:
         raise ShapeError("operator size mismatch")
     na, nb, _ = _common(a, b)
-    return [(j, r, c) for j, (x, y) in enumerate(zip(na, nb))
+    fill = MatPoly.zeros(a.size) if len(na) != len(nb) else None
+    return [(j, r, c) for j, (x, y) in enumerate(zip_longest(na, nb, fillvalue=fill))
             for r in range(a.size) for c in range(a.size) if x.entry(r, c) != y.entry(r, c)]
 
 

@@ -221,6 +221,7 @@ class SpecDocument:
 
 
 _ONE = MatPoly.identity(1)
+_ZERO = Poly()
 
 
 def _as_op(v) -> DiffOp:
@@ -230,7 +231,9 @@ def _as_op(v) -> DiffOp:
 
 def _as_poly(v):
     """A constant as a polynomial; any other value as it is."""
-    return Poly.const(v) if isinstance(v, Fraction) else v
+    if isinstance(v, Fraction):
+        return Poly._of((v,)) if v else _ZERO
+    return v
 
 
 def _const(v) -> Fraction | None:
@@ -244,14 +247,18 @@ def _lift(op: DiffOp, n: int) -> DiffOp:
     return DiffOp(n, [MatPoly.scalar(c.entry(0, 0), n) for c in op.coeffs], op.den)
 
 
+def _const_bits(c: Fraction) -> int:
+    """The larger bit length of c's numerator and denominator, 0 for 0."""
+    return (abs(c.numerator) | c.denominator).bit_length() if c else 0
+
+
 def _bits(coeffs) -> int:
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+    return max(map(_const_bits, coeffs), default=0)
 
 
 def _measure(v) -> tuple[int, int, int]:
-    """Order, coefficient degree and coefficient bit length of a value."""
-    if isinstance(v, Fraction):
-        return (0, 0, max(v.numerator.bit_length(), v.denominator.bit_length())) if v else (0, -1, 0)
+    """Order, coefficient degree and coefficient bit length of a polynomial
+    or an operator."""
     if isinstance(v, Poly):
         return 0, v.degree, _bits(v.coeffs)
     cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
@@ -269,10 +276,12 @@ class _Parser:
         self.doc = SpecDocument()
         self.overrides = dict(overrides or {})
         self.depth = 0
-        # by id, _measure of x and of each value bound to a name, None until
-        # taken: the document keeps them, so an id stays theirs. Any other
-        # value is new and is measured once, where it is used
+        # by id, _measure of x, of each op and of each power of a name, None
+        # until taken: the document or ``powers`` keeps them, so an id stays
+        # theirs. Any other value is new and is measured once, where it is used
         self.named = {id(X): None}
+        # (name, k): the k-th power of x, a param or an op, computed once
+        self.powers = {}
 
     # token helpers
 
@@ -297,9 +306,10 @@ class _Parser:
         return v
 
     def accept(self, kind, text=None):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == kind and (text is None or t.text == text):
-            return self.next()
+            self.pos += 1
+            return t
         return None
 
     def expect(self, kind, text=None):
@@ -346,10 +356,7 @@ class _Parser:
         name = self.fresh_name()
         self.expect("SYM", "=")
         value = self.const_expr()
-        if name in self.overrides:
-            value = self.overrides[name]
-        self.doc.params[name] = value
-        self.named[id(value)] = None
+        self.doc.params[name] = self.overrides.get(name, value)
 
     def parse_weight(self):
         name = self.fresh_name()
@@ -411,57 +418,59 @@ class _Parser:
         self.named[id(op)] = None
 
     def matrix(self) -> MatPoly:
-        start = self.expect("SYM", "[")
-        rows = [[self.polynomial()]]
+        toks, start = self.toks, self.expect("SYM", "[")
+        rows = [[]]
         while True:
-            if self.accept("SYM", ","):
-                rows[-1].append(self.polynomial())
-            elif self.accept("SYM", ";"):
-                rows.append([self.polynomial()])
-            else:
+            rows[-1].append(self.polynomial())
+            sep = toks[self.pos].text
+            if sep == ";":
+                rows.append([])
+            elif sep != ",":
                 break
+            self.pos += 1
         self.expect("SYM", "]")
         width = len(rows[0])
         if any(len(r) != width for r in rows) or width != len(rows):
             self.err("matrix must be square with equal-length rows", start)
-        return MatPoly(rows)
+        return MatPoly._of(rows)
 
-    # expressions: a value is a constant (Fraction), a Poly or a DiffOp
+    # expressions: a value is a constant (Fraction), a Poly or a DiffOp. The
+    # evaluator reads the tokens directly and takes one path per kind
 
     def const_expr(self) -> Fraction:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         c = _const(self.expr())
         if c is None:
             self.err("expected a constant expression", tok)
         return c
 
     def polynomial(self) -> Poly:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         p = _as_poly(self.expr())
         if not isinstance(p, Poly):
             self.err("a matrix entry must be a polynomial, not an operator", tok)
         return p
 
     def expr(self):
-        neg = self.accept("SYM", "-")
+        toks = self.toks
+        neg = toks[self.pos].text == "-"
+        if neg:
+            self.pos += 1
         acc = self.term()
         if neg:
             acc = -acc
-        while True:
-            tok = self.peek()
-            if tok.kind != "SYM" or tok.text not in ("+", "-"):
-                return acc
+        while (tok := toks[self.pos]).text in ("+", "-"):
             self.pos += 1
             rhs = self.term()
-            a, b = self.same_size(acc, rhs, tok)
-            acc = a + b if tok.text == "+" else a - b
+            if isinstance(acc, DiffOp) or isinstance(rhs, DiffOp):
+                acc, rhs = self.same_size(acc, rhs, tok)
+            acc = acc + rhs if tok.text == "+" else acc - rhs
+        return acc
 
     def term(self):
+        toks = self.toks
         acc = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind != "SYM" or tok.text not in ("*", "/"):
-                return acc
+        while (tok := toks[self.pos]).text in ("*", "/"):
             self.pos += 1
             rhs = self.factor()
             if tok.text == "/":
@@ -471,6 +480,7 @@ class _Parser:
                     self.err("division by zero", tok)
                 rhs = 1 / rhs
             acc = self.product(acc, rhs, tok)
+        return acc
 
     def nested(self, parse, tok):
         # parentheses, brackets, delta(...) and prefix minus signs recurse;
@@ -484,33 +494,44 @@ class _Parser:
         return value
 
     def factor(self):
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "-":
-            self.next()
+        t = self.toks[self.pos]
+        if t.text == "-":
+            self.pos += 1
             return -self.nested(self.factor, t)
         base = self.atom()
-        hat = self.accept("SYM", "^")
-        if hat:
-            k = self.small_int("exponent")
-            o, d, b = self.measure(base)
-            self.bound(hat, "power", o * k, d * k, b * k, "{}-bit coefficients to {}", b, k)
-            base = op_power(base, k) if isinstance(base, DiffOp) else base**k
-        return base
+        hat = self.toks[self.pos]
+        if hat.text != "^":
+            return base
+        self.pos += 1
+        k = self.small_int("exponent")
+        # a name is bound once, so a power of x, a param or an op is kept
+        key = (t.text, k) if t.kind == "NAME" and t.text not in ("d", "delta") else None
+        if key in self.powers:
+            return self.powers[key]
+        o, d, b = self.measure(base)
+        self.bound(hat, "power", o * k, d * k, b * k, "{}-bit coefficients to {}", b, k)
+        value = op_power(base, k) if isinstance(base, DiffOp) else base**k
+        if key:
+            self.powers[key] = value
+            self.named.setdefault(id(value), None)
+        return value
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "[":
+        t = self.toks[self.pos]
+        if t.text == "[":
             m = self.nested(self.matrix, t)
             return DiffOp(m.size, [m])
-        self.next()
+        self.pos += 1
         if t.kind == "INT":
             return Fraction(int(t.text))
-        if t.kind == "SYM" and t.text == "(":
+        if t.text == "(":
             value = self.nested(self.expr, t)
             self.expect("SYM", ")")
             return value
         if t.kind != "NAME":
             self.err("expected an expression", t)
+        if (value := self.doc.params.get(t.text)) is not None:
+            return value
         if t.text == "x":
             return X
         if t.text == "d":
@@ -522,8 +543,6 @@ class _Parser:
             _, fam = self.nested(self.scalar_weight, t)
             self.expect("SYM", ")")
             return fam.delta()
-        if t.text in self.doc.params:
-            return self.doc.params[t.text]
         if t.text in self.doc.ops:
             return self.doc.ops[t.text]
         if t.text in self.doc.weights:
@@ -531,7 +550,10 @@ class _Parser:
         self.err(f"unbound name {t.text!r}", t)
 
     def measure(self, v) -> tuple[int, int, int]:
-        """``_measure`` of v, taken once per parse."""
+        """Order, coefficient degree and coefficient bit length of a value:
+        ``_measure``'s, taken once per parse for a named value."""
+        if type(v) is Fraction:
+            return 0, 0 if v else -1, _const_bits(v)
         m = self.named.get(id(v))
         if m is None:
             m = _measure(v)
@@ -550,30 +572,29 @@ class _Parser:
             self.err(f"{what} of {bits_text.format(*args)} exceeds {LIMIT * LIMIT} bits", tok)
 
     def product(self, a, b, tok):
-        """a * b: apply a, then b."""
+        """a * b: apply a, then b. Two constants or polynomials multiply as
+        values; an operator operand composes."""
         (oa, da, ba), (ob, db, bb) = self.measure(a), self.measure(b)
         self.bound(tok, "product", oa + ob, da + db, ba + bb, "{}-bit and {}-bit coefficients", ba, bb)
-        if type(a) is Fraction and type(b) is Fraction:
+        if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
             return a * b
         # constants commute with every operator
         if (c := _const(b)) is not None:
             return a * c
         if (c := _const(a)) is not None:
             return b * c
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return a * b
         a, b = _as_op(a), _as_op(b)
         if a.size == 1 and b.order <= 0:
             # sum_j d^j a_j, then multiplication by G, is sum_j d^j a_j G
             g = b.coeff(0)
-            return DiffOp(b.size, [g if c == _ONE else g * c.entry(0, 0) for c in a.coeffs])
+            return DiffOp(b.size, [g if m == _ONE else MatPoly.zeros(b.size) if m.is_zero else g * m.entry(0, 0)
+                                   for m in a.coeffs])
         return compose(*self.same_size(a, b, tok))
 
     def same_size(self, a, b, tok):
-        """Two constants, two polynomials, or two operators of one size: a 1x1
-        operator in an N x N expression acts as itself times the identity."""
-        if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
-            return (a, b) if type(a) is type(b) else (_as_poly(a), _as_poly(b))
+        """Two operators of one size, for a pair of values of which one at
+        least is an operator: a 1x1 operator, polynomial or constant in an
+        N x N expression acts as itself times the identity."""
         a, b = _as_op(a), _as_op(b)
         if a.size == b.size:
             return a, b

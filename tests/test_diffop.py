@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop.dsl import op_str
-from mvop.exactalg import MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, X, bareiss
+from mvop import diffop
+from mvop.exactalg import DomainError, MatRF, NonPolynomialError, Poly, RatFunc, ShapeError, X, bareiss
 from mvop.diffop import (
     DiffOp,
     MatPoly,
@@ -216,6 +218,30 @@ def _random_op(data, size, maxorder):
         size,
         [_random_matpoly(data, size, 2) for _ in range(order + 1)],
     )
+
+
+class TestOpPower:
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_power_by_squaring(self, data):
+        # equal to k-fold composition, in at most 2 floor(log2 k) compositions
+        size = data.draw(st.integers(1, 3))
+        d = DiffOp.zero(size) if data.draw(st.booleans()) else _random_op(data, size, 3 - size)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return compose(a, b)
+
+        want = DiffOp.identity(size)
+        for k in range(10):
+            calls.clear()
+            with mock.patch.object(diffop, "compose", counted):
+                assert op_power(d, k) == want
+            assert len(calls) <= (2 * (k.bit_length() - 1) if k else 0), (k, len(calls))
+            want = compose(want, d)
+        with pytest.raises(DomainError):
+            op_power(d, -1)
 
 
 class _UnitWeight:

@@ -375,11 +375,27 @@ class TestOperatorExpressions:
     def test_power_degree_bound(self):
         self.refused("op T = (d^1*x^9)^8\n", "^8", "power of degree 72 exceeds 64")
 
+    def test_power_of_a_name_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(d, k):
+            calls.append(k)
+            return op_power(d, k)
+
+        monkeypatch.setattr(dsl, "op_power", counted)
+        ops = self.ops("op T = A^2 + A^2*x - x*A^2 + A^3 + (A)^2\nop U = A*A + A*A*x - x*(A*A) + A*A*A + A*A\n")
+        assert calls == [2, 3, 2]  # a parenthesized A is not a name
+        assert ops["T"] == ops["U"]
+
     def test_product_bits_bound(self):
         # (2^64)^63 = 2^4032 has 4033 bits
         text = "param a = (2^64)^63\n"
         self.ops(text + "op T = a*2^62\n")
         self.refused(text + "op T = a*2^63\n", "*", "product of 4033-bit and 64-bit coefficients exceeds 4096 bits")
+        # a constant with a polynomial, in either order
+        self.ops(text + "op T = a*(2^62*x)\n")
+        self.refused(text + "op T = a*(2^63*x)\n", "*", "product of 4033-bit and 64-bit coefficients exceeds 4096 bits")
+        self.refused(text + "op T = (2^63*x)*a\n", "*a", "product of 64-bit and 4033-bit coefficients exceeds 4096 bits")
 
     def test_unbound_op_name(self):
         self.refused("op T = A + S\n", "S", "unbound name 'S'")

@@ -48,11 +48,23 @@ and, so that rational coefficients print as before, the adjoints of
 ``DiffOp.ddx(2)`` and of every 2x2 operator against the rational-inverse
 weight Laguerre(0) * [1+x, x; x, 1+x^2]. It was recorded by running this file
 on commit 6244517, while operators still stored ``MatRF`` coefficients.
+
+The sixth sha256 pins the document parser: ``print_document`` of each data
+file parsed at each ``ROBUSTNESS_PARAMS`` set, then, for a deterministic
+corpus of single-token edits of the five data files and of hand-written
+documents (``_CASES``), ``str(ParseError)`` (message, line and column), or
+``print_document`` when the text parses. It was recorded by running this
+file on commit cd41aa8, before the expression evaluator took one path per
+value kind and ``op_power`` raised by squaring.
 """
 
 import hashlib
+import re
+from pathlib import Path
 from unittest import mock
 from fractions import Fraction as F
+
+import pytest
 
 from mvop.catalog import ENTRY_NAMES, check_entry, entry, verify_entry
 from mvop import catalog, dwalgebra
@@ -67,7 +79,7 @@ from mvop.diffop import (
     w_adjoint,
 )
 from mvop.exactalg import X
-from mvop.dsl import op_str
+from mvop.dsl import LIMIT, ParseError, op_str, parse_spec, print_document
 from mvop.dwalgebra import (
     DarbouxCertificate,
     darboux_verify,
@@ -84,6 +96,7 @@ OPERATOR_DIGEST = "9bfcfb56e955e5de8d4b56cac8a69e705c9bac0273a71a82eee2474ed4215
 SEARCH_DIGEST = "12a97444b698b6f2f31d7abbcc6da141de1a3db6644af2690866cd710b3041c4"
 RELATION_DIGEST = "7990d526a56fe5abe051e76b69cd034266df769f29e5062530bbd2d3a95497ef"
 ADJOINT_DIGEST = "ea2dba74817ec4a7262c76d56f4faec3d173889d8dbdbe7e55d30f5d1c0d561c"
+PARSE_DIGEST = "28ab9b5102625845eb1848c39a5b58f786add42559eba66afb362bfd260f49b0"
 
 
 def _outputs():
@@ -215,3 +228,136 @@ def _adjoint_outputs():
 
 def test_adjoints_and_symbols_bit_identical_to_recorded_digest():
     assert hashlib.sha256("\n".join(_adjoint_outputs()).encode()).hexdigest() == ADJOINT_DIGEST
+
+
+DATA_FILES = sorted((Path(__file__).resolve().parents[1] / "src" / "mvop" / "data").glob("*.mvop"))
+
+# what replaces the edited token: nothing, the token twice, or a fixed text
+_EDITS = ("", "{0} {0}", "0", "x", "Q", "(", "[", "]", ",", "^", "64", "d", "-", "*")
+_EDITS_PER_FILE = 90
+
+_BIG = "param a = (2^64)^63\n"  # 2^4032, a 4033-bit constant
+_THREE = "[1, 0, 0; 0, 1, 0; 0, 0, 1]"
+
+# (document, the refusal it must reach, or None when it parses): each refusal
+# of the expression evaluator for each kind of operand, and the admitted
+# values beside it, zeros included
+_CASES = (
+    # constants
+    (_BIG + "param p = a*2^64\n", "product of 4033-bit and 65-bit coefficients exceeds 4096 bits"),
+    (_BIG + "param p = a*2^62\n", None),
+    ("param p = (2^64)^64\n", "power of 65-bit coefficients to 64 exceeds 4096 bits"),
+    ("param b = 2^64\nparam p = b^63 + b^63\nparam q = b^64\n", "power of 65-bit coefficients to 64 exceeds 4096 bits"),
+    ("param p = (1/2)^64 - 0^0 + (-3)^3\n", None),
+    ("param p = 1/0\n", "division by zero"),
+    ("param p = 1/(x - x)\n", "division by zero"),
+    ("param p = 1/x\n", "division by a non-constant expression"),
+    ("param p = 1 + d^1\n", "expected a constant expression"),
+    ("param p = 2*(x - x + 3)/(x - x + 2)\n", None),
+    ("op T = 1" + "0" * 1300 + "\n", "integer literal exceeds 4096 bits"),
+    # polynomials
+    ("op T = x^64*x\n", "product of degree 65 exceeds 64"),
+    ("op T = x*x^64\n", "product of degree 65 exceeds 64"),
+    ("op T = (x^2)^33\n", "power of degree 66 exceeds 64"),
+    ("op T = (x^2 + x)^32*x^0\n", None),
+    (_BIG + "op T = (2^64*x)*a\n", "product of 65-bit and 4033-bit coefficients exceeds 4096 bits"),
+    (_BIG + "op T = a*(2^63*x)\n", "product of 4033-bit and 64-bit coefficients exceeds 4096 bits"),
+    (_BIG + "op T = a*(2^62*x)\n", None),
+    ("op T = (2^64*x)^64\n", "power of 65-bit coefficients to 64 exceeds 4096 bits"),
+    ("op T = x^64*0*x^64 + (x - x)^64*x^64 + (x - x + 2)*x^3/(x - x + 4)\n", None),
+    ("op T = x^65\n", "exponent 65 outside 0..64"),
+    ("op T = x^-1\n", "exponent -1 outside 0..64"),
+    # operators, alone and with constants and polynomials
+    ("op T = d^64*d^1\n", "product of order 65 exceeds 64"),
+    ("op T = (d^2)^33\n", "power of order 66 exceeds 64"),
+    ("op T = [x^64]*[x]\n", "product of degree 65 exceeds 64"),
+    ("op T = x^64*[x]\n", "product of degree 65 exceeds 64"),
+    ("op T = [x^2]^33\n", "power of degree 66 exceeds 64"),
+    (_BIG + "op T = [a]*[2^64]\n", "product of 4033-bit and 65-bit coefficients exceeds 4096 bits"),
+    (_BIG + "op T = d^1*[2^64]*a\n", "product of 65-bit and 4033-bit coefficients exceeds 4096 bits"),
+    (_BIG + "op T = a*d^1*[2^63]\n", "product of 4033-bit and 64-bit coefficients exceeds 4096 bits"),
+    ("op T = [2^64]^64\n", "power of 65-bit coefficients to 64 exceeds 4096 bits"),
+    ("op T = d^65\n", "derivative order 65 outside 0..64"),
+    ("op T = d^1/x\n", "division by a non-constant expression"),
+    ("op T = x/d^1\n", "division by a non-constant expression"),
+    ("op T = d^1/(d^1 - d^1)\n", "division by a non-constant expression"),
+    ("op T = 0*d^64*d^64 + (d^1 - d^1)^64*d^64 + d^3*(x - x + 2) + (x - x + 3)*d^2\n", None),
+    ("op T = (d^1 + x)^0 + (d^1 + x)^1 + (d^1 + x)^5 + (d^1*[1, x; 0, 2])^3\n", None),
+    ("op A = d^1*[x, 1; 0, x]\nop T = A^2 + A^2*x - x*A^3 + A^0\n", None),
+    ("op A = d^2*[x]\nop T = A^33\n", "power of order 66 exceeds 64"),
+    ("op T = d^2*[1, x; 0, 2] + [x] - x*d^1 + 2 - [1, 0; x, 1]*d^1*[0, 1; 1, 0]\n", None),
+    ("op T = [x]*d^2*[1, 0; 0, 2] + d^1*[1, 2; 3, x]*x - (x - x)*[1, 0; 0, 1]\n", None),
+    (f"op T = [1, 0; 0, 1] + {_THREE}\n", "operator sizes 2 and 3 differ"),
+    (f"op T = [1, 0; 0, 1]*{_THREE}\n", "operator sizes 2 and 3 differ"),
+    (f"op T = d^1*[1, 0; 0, 1]*x*{_THREE}\n", "operator sizes 2 and 3 differ"),
+    # matrices, names and nesting
+    ("op T = [1, 2; 3]\n", "matrix must be square with equal-length rows"),
+    ("op T = [1, 2; 3, 4\n", "expected ']'"),
+    ("op T = [d^1]\n", "a matrix entry must be a polynomial, not an operator"),
+    ("op T = [1, 0; 0, 1]*[1, x; 0, 2]/3 + [0, 1; 2, 3]^2\n", None),
+    ("op T = Q\n", "unbound name 'Q'"),
+    ("weight w = hermite(b=0)\nop T = w\n", "weight 'w' is not an operator"),
+    ("op T = )\n", "expected an expression"),
+    ("op T = 1 +\n", "expected an expression"),
+    ("op T = " + "(" * LIMIT + "d^1" + ")" * LIMIT + "\n", None),
+    ("op T = " + "(" * (LIMIT + 1) + "d^1" + ")" * (LIMIT + 1) + "\n", f"expression nested deeper than {LIMIT}"),
+    # the first sign of an expression does not nest
+    ("op T = " + "-" * (LIMIT + 1) + "1\n", None),
+    ("op T = " + "-" * (LIMIT + 2) + "1\n", f"expression nested deeper than {LIMIT}"),
+    ("op T = " + "[" * (LIMIT + 1) + "1" + "]" * (LIMIT + 1) + "\n", f"expression nested deeper than {LIMIT}"),
+)
+
+
+def _parsed(text, params=None):
+    try:
+        return print_document(parse_spec(text, params))
+    except ParseError as exc:
+        return str(exc)
+
+
+def _token_edits(text):
+    """``_EDITS_PER_FILE`` single-token edits of ``text``, at tokens spread
+    evenly over it outside comments, each taking the next of ``_EDITS``."""
+    spans = [m.span() for m in re.finditer(r"#[^\n]*|\w+|[^\w\s]", text) if m[0][0] != "#"]
+    for i in range(_EDITS_PER_FILE):
+        start, end = spans[i * len(spans) // _EDITS_PER_FILE]
+        yield text[:start] + _EDITS[i % len(_EDITS)].format(text[start:end]) + text[end:]
+
+
+def _parse_outputs():
+    for path in DATA_FILES:
+        name, text = path.stem.upper(), path.read_text()
+        yield from (f"{name} {params}\n{_parsed(text, params)}" for params in ROBUSTNESS_PARAMS[name])
+        yield from (f"{name} edit {i}: {_parsed(t)}" for i, t in enumerate(_token_edits(text)))
+    yield from (f"case {i}: {_parsed(text)}" for i, (text, _) in enumerate(_CASES))
+
+
+@pytest.fixture(scope="module")
+def parse_outputs():
+    return list(_parse_outputs())
+
+
+def test_parse_outputs_bit_identical_to_recorded_digest(parse_outputs):
+    assert hashlib.sha256("\n".join(parse_outputs).encode()).hexdigest() == PARSE_DIGEST
+
+
+@pytest.mark.parametrize("text, refusal", _CASES, ids=[f"case{i}" for i in range(len(_CASES))])
+def test_parse_case_reaches_its_refusal(text, refusal):
+    got = _parsed(text)
+    if refusal is None:
+        assert not got.startswith("line "), got
+    else:
+        assert re.fullmatch(rf"line \d+, column \d+: {re.escape(refusal)}.*", got), got
+
+
+def test_parse_corpus_reaches_every_refusal(parse_outputs):
+    # every refusal of the expression evaluator; test_parse_case_reaches_its_refusal
+    # pins each for constants, polynomials and operators
+    corpus = "\n".join(parse_outputs)
+    for refusal in ("product of order", "power of order", "product of degree", "power of degree",
+                    "-bit and", "-bit coefficients to", "division by zero",
+                    "division by a non-constant expression", "nested deeper than", "unbound name",
+                    "operator sizes", "is not an operator", "a matrix entry must be a polynomial",
+                    "matrix must be square", "expected an expression", "expected a constant expression",
+                    "exponent", "derivative order", "integer literal exceeds"):
+        assert refusal in corpus, refusal

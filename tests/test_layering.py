@@ -2,9 +2,13 @@
 functions (``RatFunc``, ``MatRF``) are named only inside ``exactalg`` and
 the package's re-export, and polynomials are divided by one algorithm, in
 Z[x], so no ``poly_divmod`` is defined. String literals do not count. No
-module but ``__init__.py``, which re-exports, imports a name it does not use."""
+module but ``__init__.py``, which re-exports, imports a name it does not use.
+Every module stays below the token count at which CPython's parser grows its
+token array."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,26 @@ def test_no_unused_imports(path):
     }
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - used, (path.name, sorted(imported - used))
+
+
+# CPython 3.11's parser doubles its token array when a module reaches 8,192
+# tokens, which adds about 0.5 MB to the compile peak; the benchmark keeps no
+# bytecode cache, so that shows in its peak_rss_mb. A change that has to cross
+# the line raises it here and states the measured cost.
+PARSER_TOKEN_LINE = 8192
+
+
+def parser_tokens(text: str) -> int:
+    """The module's tokens as ``tokenize`` gives them, comments and
+    non-logical newlines excluded."""
+    return sum(1 for t in tokenize.generate_tokens(io.StringIO(text).readline)
+               if t.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+def test_parser_tokens_counted():
+    assert parser_tokens("x = 1  # one\n\n") == 5  # x, =, 1, NEWLINE, ENDMARKER
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_below_parser_token_line(path):
+    assert parser_tokens(path.read_text()) < PARSER_TOKEN_LINE, path.name
