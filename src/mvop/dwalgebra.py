@@ -32,7 +32,6 @@ from .exactalg import (
     FracMat,
     Poly,
     ShapeError,
-    X,
     digit,
     int_matrix,
     nullspace,
@@ -54,14 +53,7 @@ from .diffop import (
     op_power,
     w_adjoint,
 )
-from .weights import (
-    Jacobi,
-    Laguerre,
-    ScalarWeightFamily,
-    Weight,
-    density_ratio,
-    sequence_for,
-)
+from .weights import ScalarWeightFamily, Weight, _finite_ends, sequence_for
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,7 @@ def intertwiner_search(
     """
     f1, f2 = _family_of(w1), _family_of(w2)
     n_horizon = _search_horizon(order_bound, n_horizon)
-    if density_ratio(f1, f2) is None:
+    if f1.density_class() != f2.density_class():
         return IntertwinerBasis(
             f1, f2, order_bound, (), refused=True,
             reason="density ratio is not rational: the module is zero",
@@ -440,26 +432,27 @@ def intertwiner_search(
 # module generators and decomposition
 
 
+def _exponent_changes(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> list[tuple[int, Fraction, int]]:
+    """(e, f1's exponent a there, the integer change k from f1 to f2) at each
+    finite end e of two Darboux related families."""
+    return [(e, getattr(f1, name), int(getattr(f2, name) - getattr(f1, name))) for e, name, _ in _finite_ends(f1)]
+
+
 def module_generator(w1, w2) -> DiffOp:
     """Cyclic generator of the intertwiner right-module between two classical
-    scalar weights: the zero operator when they are not Darboux related
-    (``scalar_darboux_class``), the identity when equal, and the explicit
-    first-order ladder products otherwise."""
+    scalar weights: zero unless they are Darboux related; else the ladders
+    (a - i) + (x - e) d, i = 0, ..., k - 1 in that order, at the finite end e
+    whose exponent falls from a by k, or (d + s1)^k, s1 the x coefficient of
+    s, when none falls (Laguerre with alpha rising by k; k = 0 if equal)."""
     f1, f2 = _family_of(w1), _family_of(w2)
     if not scalar_darboux_class(f1, f2):
         return DiffOp.zero(1)
-    if f1 == f2:
-        return DiffOp.identity(1)
-    k = int(f2.alpha - f1.alpha)
-    if isinstance(f1, Laguerre):
-        if k > 0:
-            return op_power(DiffOp.scalar([Poly((-1,)), Poly((1,))]), k)
-        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), X]) for j in range(-k, 0, -1)]
-    elif k > 0:
-        steps = [DiffOp.scalar([Poly((f2.beta + j,)), Poly((1, 1))]) for j in range(k, 0, -1)]
-    else:
-        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), Poly((-1, 1))]) for j in range(-k, 0, -1)]
-    return reduce(compose, steps)
+    changes = _exponent_changes(f1, f2)
+    for e, a, k in changes:
+        if k < 0:
+            return reduce(compose, [DiffOp.scalar([Poly((a - i,)), Poly((-e, 1))]) for i in range(-k)])
+    k = max((k for *_, k in changes), default=0)
+    return op_power(DiffOp.scalar([Poly((f1.pearson()[1][1],)), Poly((1,))]), k)
 
 
 def module_decompose(a: DiffOp, w1, w2) -> Poly:
@@ -467,15 +460,17 @@ def module_decompose(a: DiffOp, w1, w2) -> Poly:
     on leading coefficients, raising DecompositionError with the residual
     when a leaves the cyclic module."""
     f1, f2 = _family_of(w1), _family_of(w2)
-    t = module_generator(f1, f2)
-    if t.is_zero:
+    if not scalar_darboux_class(f1, f2):
         raise DecompositionError("module generator is zero for this pair")
     if a.size != 1:
         raise ShapeError("module decomposition applies to scalar operators")
+    # the generator's order is the largest exponent change at a finite end,
+    # and the loop refuses an a of lower order before the generator is needed
+    torder = max((abs(k) for *_, k in _exponent_changes(f1, f2)), default=0)
+    t = module_generator(f1, f2) if a.order >= torder else None
     delta = f2.delta()
     coeffs: dict[int, Fraction] = {}
     r = a
-    torder = t.order
     while not r.is_zero:
         o = r.order
         if o < torder or (o - torder) % 2 != 0:
@@ -579,63 +574,42 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
 
 
 def scalar_darboux_class(f1, f2) -> bool:
-    """Same Darboux-equivalence class: a rational density ratio
-    (``density_ratio``: one family, equal Hermite shifts, integer parameter
-    differences) and, for Jacobi, an equal parameter sum."""
-    f1, f2 = _family_of(f1), _family_of(f2)
-    if density_ratio(f1, f2) is None:
-        return False
-    return not isinstance(f1, Jacobi) or f1.alpha + f1.beta == f2.alpha + f2.beta
+    """Same Darboux-equivalence class (``ScalarWeightFamily.darboux_class``):
+    a rational density ratio and equal u1, which for Jacobi is an equal
+    parameter sum."""
+    return _family_of(f1).darboux_class() == _family_of(f2).darboux_class()
 
 
-def _scalar_blocks(w: Weight) -> list[ScalarWeightFamily]:
-    out = []
-    for b in w.flat_blocks():
-        out.append(b.scalar_family())
-    return out
+def _block_classes(w) -> list[tuple]:
+    return [b.scalar_family().darboux_class() for b in _weight_of(w).flat_blocks()]
 
 
 def diag_darboux_match(w: Weight, wt: Weight) -> tuple[int, ...] | None:
     """A permutation sigma with wt_j ~ w_{sigma(j)} for all j, or None.
 
-    First-found matching in lexicographic order; any valid permutation
-    certifies the pairing condition.
+    Each target block takes the first free block of its class. Darboux
+    relatedness is an equivalence, so this is the lexicographically first
+    matching, and a target whose class has no free block left has none.
     """
-    fs = _scalar_blocks(_weight_of(w))
-    fts = _scalar_blocks(_weight_of(wt))
-    if len(fs) != len(fts):
+    cs, cts = _block_classes(w), _block_classes(wt)
+    if len(cs) != len(cts):
         raise ShapeError("direct sums have different lengths")
-    n = len(fs)
-    used = [False] * n
-    sigma: list[int] = []
-
-    def backtrack(j: int) -> bool:
-        if j == n:
-            return True
-        for i in range(n):
-            if not used[i] and scalar_darboux_class(fts[j], fs[i]):
-                used[i] = True
-                sigma.append(i)
-                if backtrack(j + 1):
-                    return True
-                used[i] = False
-                sigma.pop()
-        return False
-
-    if backtrack(0):
-        return tuple(sigma)
-    return None
+    free: dict[tuple, list[int]] = {}
+    for i, c in reversed(list(enumerate(cs))):
+        free.setdefault(c, []).append(i)
+    sigma = []
+    for c in cts:
+        if not free.get(c):
+            return None
+        sigma.append(free[c].pop())
+    return tuple(sigma)
 
 
 def commutativity_predicate(w: Weight) -> bool:
     """The algebra of a direct sum of classical scalar weights is commutative
     exactly when no two blocks are Darboux related."""
-    fams = _scalar_blocks(_weight_of(w))
-    for i in range(len(fams)):
-        for j in range(len(fams)):
-            if i != j and scalar_darboux_class(fams[i], fams[j]):
-                return False
-    return True
+    cs = _block_classes(w)
+    return len(set(cs)) == len(cs)
 
 
 # ---------------------------------------------------------------------------

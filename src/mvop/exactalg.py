@@ -69,11 +69,9 @@ class DecompositionError(DomainError):
         self.residual = residual
 
 
-def frac(value, den=None) -> Fraction:
+def frac(value) -> Fraction:
     """Coerce to Fraction. Accepts int, Fraction and strings like '3/2'; a
     float is inexact and raises TypeError."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):

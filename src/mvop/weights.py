@@ -53,12 +53,24 @@ from .diffop import DiffOp, MatPoly, _canonical, ratio_matrix_str
 
 class ScalarWeightFamily:
     """Base for the three classical families (shifted Hermite, Laguerre,
-    Jacobi). A family is its Pearson pair (t, s), rho'/rho = s/t with
-    deg t <= 2 and deg(t' + s) = 1 (``pearson``), and its ends: ``_ENDS``
-    holds, lower end first, each end's position (None when infinite) and
-    the field that holds the density's exponent there."""
+    Jacobi). A family writes its fields, its Pearson pair (t, s), rho'/rho =
+    s/t with deg t <= 2 and deg(t' + s) = 1 (``pearson``), its ``recursion``
+    and its ends: ``_ENDS`` holds, lower end first, each end's position (None
+    when infinite) and the field that holds the density's exponent there.
+    Validation and the density and Darboux classes derive from these."""
 
     _ENDS = ((None, None), (None, None))
+
+    def __post_init__(self):
+        # exact fields; the density is integrable where each end exponent exceeds -1
+        names = [f.name for f in fields(self)]
+        for name in names:
+            object.__setattr__(self, name, frac(getattr(self, name)))
+        if any(name and getattr(self, name) <= -1 for _, name in self._ENDS):
+            got = ", ".join(str(getattr(self, name)) for name in names)
+            if len(names) > 1:
+                raise DomainError(f"{type(self).__name__} parameters must exceed -1, got ({got})")
+            raise DomainError(f"{type(self).__name__} parameter must exceed -1, got {got}")
 
     def scalar_weight(self) -> "Weight":
         return Weight.atomic(self, MatPoly.identity(1))
@@ -66,6 +78,21 @@ class ScalarWeightFamily:
     def ends(self):
         """(end, the density's exponent there) at each end, None when infinite."""
         return tuple((e, name and getattr(self, name)) for e, name in self._ENDS)
+
+    def density_class(self) -> tuple:
+        """The family, its fields away from the finite ends and each end's
+        exponent mod 1: equal for two families exactly when their density
+        ratio is rational (``density_ratio``)."""
+        exps = {name for _, name in self._ENDS}
+        vals = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return (type(self), *(v % 1 if name in exps else v for name, v in vals))
+
+    def darboux_class(self) -> tuple:
+        """The density class and u1, the x coefficient of t' + s: two
+        families are Darboux related exactly when these are equal, as u1
+        fixes delta's eigenvalues n (u1 + (n - 1) t2)."""
+        t, s = self.pearson()
+        return (*self.density_class(), (t.derivative() + s)[1])
 
     def delta(self) -> DiffOp:
         """Bochner's operator t d^2 + (t' + s) d."""
@@ -84,9 +111,6 @@ class HermiteShifted(ScalarWeightFamily):
 
     b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", frac(self.b))
-
     def pearson(self) -> tuple[Poly, Poly]:
         return _P1, Poly((2 * self.b, -2))
 
@@ -101,12 +125,6 @@ class Laguerre(ScalarWeightFamily):
     alpha: Fraction
 
     _ENDS = ((0, "alpha"), (None, None))
-
-    def __post_init__(self):
-        a = frac(self.alpha)
-        if a <= -1:
-            raise DomainError(f"Laguerre parameter must exceed -1, got {a}")
-        object.__setattr__(self, "alpha", a)
 
     def pearson(self) -> tuple[Poly, Poly]:
         return X, Poly((self.alpha, -1))
@@ -124,13 +142,6 @@ class Jacobi(ScalarWeightFamily):
     beta: Fraction
 
     _ENDS = ((-1, "beta"), (1, "alpha"))
-
-    def __post_init__(self):
-        a, b = frac(self.alpha), frac(self.beta)
-        if a <= -1 or b <= -1:
-            raise DomainError(f"Jacobi parameters must exceed -1, got ({a}, {b})")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
 
     def pearson(self) -> tuple[Poly, Poly]:
         a, b = self.alpha, self.beta
@@ -159,21 +170,16 @@ def _finite_ends(family: ScalarWeightFamily) -> list[tuple[int, str, Poly]]:
 
 
 def density_ratio(f1: ScalarWeightFamily, f2: ScalarWeightFamily) -> tuple[Poly, Poly] | None:
-    """f1/f2 as (numerator, denominator), or None when it is not rational:
-    the families differ other than in their exponents at the finite ends, or an
-    exponent differs by a non-integer. An integer difference k at an end
-    puts that end's factor to the power |k| above or below."""
-    if type(f1) is not type(f2):
-        return None
-    ends = _finite_ends(f1)
-    if replace(f2, **{name: getattr(f1, name) for _, name, _ in ends}) != f1:
+    """f1/f2 as (numerator, denominator), or None when it is not rational,
+    that is when the density classes differ (``density_class``). An integer
+    difference k in the exponent at a finite end puts that end's factor to
+    the power |k| above or below."""
+    if f1.density_class() != f2.density_class():
         return None
     num = den = _P1
-    for _, name, p in ends:
-        k = getattr(f1, name) - getattr(f2, name)
-        if k.denominator != 1:
-            return None
-        num, den = (num * p ** int(k), den) if k >= 0 else (num, den * p ** int(-k))
+    for _, name, p in _finite_ends(f1):
+        k = int(getattr(f1, name) - getattr(f2, name))
+        num, den = (num * p**k, den) if k >= 0 else (num, den * p**-k)
     return num, den
 
 

@@ -3,11 +3,13 @@ classification of direct sums."""
 
 import math
 import random
+from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvop import catalog, dwalgebra
 from mvop.exactalg import DecompositionError, DomainError, FracMat, Poly, RatFunc, ShapeError, X, nullspace
@@ -27,7 +29,9 @@ from mvop.diffop import (
     poly_of_op,
     w_adjoint,
 )
-from mvop.weights import HermiteShifted, Jacobi, Laguerre, Weight, inner_product, sequence_for
+from mvop.weights import (
+    HermiteShifted, Jacobi, Laguerre, Weight, _finite_ends, density_ratio, inner_product, sequence_for,
+)
 from mvop.dwalgebra import (
     DarbouxCertificate,
     _search_system,
@@ -1274,6 +1278,172 @@ class TestCommutativity:
 
     def test_single_block(self):
         assert commutativity_predicate(LAG.scalar_weight())
+
+
+# The classification as it was written per family, kept as the oracle for the
+# class keys: a rational density ratio built as polynomials, an equal
+# parameter sum for Jacobi, a backtracking block match and the ladders
+# written out for Laguerre and Jacobi.
+
+
+def _old_density_ratio(f1, f2):
+    if type(f1) is not type(f2):
+        return None
+    ends = _finite_ends(f1)
+    if replace(f2, **{name: getattr(f1, name) for _, name, _ in ends}) != f1:
+        return None
+    num = den = Poly((1,))
+    for _, name, p in ends:
+        k = getattr(f1, name) - getattr(f2, name)
+        if k.denominator != 1:
+            return None
+        num, den = (num * p ** int(k), den) if k >= 0 else (num, den * p ** int(-k))
+    return num, den
+
+
+def _old_scalar_darboux_class(f1, f2):
+    if _old_density_ratio(f1, f2) is None:
+        return False
+    return not isinstance(f1, Jacobi) or f1.alpha + f1.beta == f2.alpha + f2.beta
+
+
+def _old_diag_match(fs, fts):
+    n, used, sigma = len(fs), [False] * len(fs), []
+
+    def backtrack(j):
+        if j == n:
+            return True
+        for i in range(n):
+            if not used[i] and _old_scalar_darboux_class(fts[j], fs[i]):
+                used[i] = True
+                sigma.append(i)
+                if backtrack(j + 1):
+                    return True
+                used[i] = False
+                sigma.pop()
+        return False
+
+    return tuple(sigma) if backtrack(0) else None
+
+
+def _old_module_generator(f1, f2):
+    if not _old_scalar_darboux_class(f1, f2):
+        return DiffOp.zero(1)
+    if f1 == f2:
+        return DiffOp.identity(1)
+    k = int(f2.alpha - f1.alpha)
+    if isinstance(f1, Laguerre):
+        if k > 0:
+            return op_power(DiffOp.scalar([Poly((-1,)), Poly((1,))]), k)
+        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), X]) for j in range(-k, 0, -1)]
+    elif k > 0:
+        steps = [DiffOp.scalar([Poly((f2.beta + j,)), Poly((1, 1))]) for j in range(k, 0, -1)]
+    else:
+        steps = [DiffOp.scalar([Poly((f2.alpha + j,)), Poly((-1, 1))]) for j in range(-k, 0, -1)]
+    return reduce(compose, steps)
+
+
+_PAR = st.fractions(min_value=F(-6, 7), max_value=6, max_denominator=7)
+_KINDS = {"hermite": HermiteShifted, "laguerre": Laguerre, "jacobi": Jacobi}
+
+
+@st.composite
+def family_pairs(draw):
+    """Two families of one kind, each field kept or shifted by an integer or
+    by a non-integer (Jacobi's two often by opposite amounts, which keeps
+    the parameter sum), or, one time in ten, two families of any kinds."""
+    cls = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    f1 = cls(*(draw(_PAR) for _ in fields(cls)))
+    if draw(st.integers(0, 9)) == 0:
+        other = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+        return f1, other(*(draw(_PAR) for _ in fields(other)))
+    shifts = [draw(st.one_of(st.just(0), st.integers(-3, 3), _PAR)) for _ in fields(cls)]
+    if len(shifts) == 2 and draw(st.booleans()):
+        shifts[1] = -shifts[0]
+    vals = []
+    for f, shift in zip(fields(cls), shifts):
+        v = getattr(f1, f.name) + shift
+        while v <= -1:
+            v += 1
+        vals.append(v)
+    return f1, cls(*vals)
+
+
+# blocks of one support, few enough that classes repeat within a sum
+_BLOCKS = {
+    "hermite": [HermiteShifted(b) for b in (F(0), F(1), F(1, 2))],
+    "laguerre": [Laguerre(a) for a in (F(1, 2), F(3, 2), F(7, 2), F(1, 3), F(4, 3), F(0), F(2))],
+    "jacobi": [Jacobi(a, b) for a, b in ((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(1, 2)),
+                                         (F(3, 2), F(3, 2)), (F(0), F(1)), (F(1, 3), F(2, 3)))],
+}
+
+
+class TestClassKeysMatchOldClassification:
+    @given(family_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example((Jacobi(F(1, 2), F(3, 2)), Jacobi(F(1, 2), F(3, 2))))
+    @example((Jacobi(F(1, 2), F(7, 2)), Jacobi(F(5, 2), F(3, 2))))
+    @example((Jacobi(F(1, 2), F(7, 2)), Jacobi(F(3, 2), F(5, 2))))
+    @example((Jacobi(F(1, 2), F(3, 2)), Jacobi(F(1, 3), F(5, 3))))
+    @example((Laguerre(F(1, 2)), Laguerre(F(7, 2))))
+    @example((HermiteShifted(F(1)), HermiteShifted(F(2))))
+    def test_keys(self, pair):
+        f1, f2 = pair
+        old = _old_density_ratio(f1, f2)
+        assert (f1.density_class() == f2.density_class()) is (old is not None)
+        assert density_ratio(f1, f2) == old
+        want = _old_scalar_darboux_class(f1, f2)
+        assert (f1.darboux_class() == f2.darboux_class()) is want
+        assert scalar_darboux_class(f1, f2) is want is scalar_darboux_class(f2, f1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_match(self, data):
+        pool = _BLOCKS[data.draw(st.sampled_from(sorted(_BLOCKS)))]
+        n = data.draw(st.integers(1, 6))
+        fs, fts = (data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for _ in range(2))
+        assert diag_darboux_match(Weight.of_scalars(*fs), Weight.of_scalars(*fts)) == _old_diag_match(fs, fts)
+        related = any(_old_scalar_darboux_class(fs[i], fs[j]) for i in range(n) for j in range(n) if i != j)
+        assert commutativity_predicate(Weight.of_scalars(*fs)) is not related
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_ladders(self, k):
+        a, b = F(7, 2), F(15, 4)
+        for f1, f2 in ((Laguerre(a), Laguerre(a + k)), (Jacobi(a, b), Jacobi(a + k, b - k))):
+            t = module_generator(f1, f2)
+            assert t == _old_module_generator(f1, f2)
+            assert t.order == abs(k)
+
+    def test_no_polynomial_built(self, monkeypatch):
+        # a gap of 10^6 in each exponent used to build (1 + x)^(10^6) and
+        # (1 - x)^(10^6) to decide the class; the search refusal built the
+        # integer end's power before meeting the non-integer one
+        monkeypatch.setattr(Poly, "__pow__", lambda *args: pytest.fail("polynomial power"))
+        k = 10**6
+        assert scalar_darboux_class(Jacobi(F(1, 2), F(1, 2) + k), Jacobi(F(1, 2) + k, F(1, 2)))
+        basis = intertwiner_search(Jacobi(F(1, 3), F(1, 2) + k), Jacobi(F(1, 2), F(1, 2)), 0)
+        assert basis.refused and basis.dim == 0
+
+    def test_decompose_refused_by_order_alone(self, monkeypatch):
+        # T = d - 1 has order 1 and the generator of Laguerre(1/2) onto
+        # Laguerre(1/2 + 2^20) order 2^20, so T is refused before the
+        # generator is composed
+        monkeypatch.setattr(dwalgebra, "module_generator", lambda *args: pytest.fail("generator composed"))
+        k = 2**20
+        t = DiffOp.scalar([Poly((-1,)), Poly((1,))])
+        msg = f"residual of order 1 cannot be matched by generator of order {k}"
+        with pytest.raises(DecompositionError, match=f"^{msg}$") as err:
+            module_decompose(t, Laguerre(F(1, 2)), Laguerre(F(1, 2) + k))
+        assert err.value.residual == t
+
+    def test_large_mismatched_sum(self):
+        # 20 + 20 blocks against 21 + 19 of two classes: the backtracking
+        # tried every placement of the first class before giving up
+        a, b = Laguerre(F(1, 2)), Laguerre(F(1, 3))
+        w = Weight.of_scalars(*[a] * 20, *[b] * 20)
+        wt = Weight.of_scalars(*[b] * 19, *[a] * 21)
+        assert diag_darboux_match(w, wt) is None
+        assert diag_darboux_match(wt, Weight.of_scalars(*[a] * 21, *[b] * 19)) == tuple(range(19, 40)) + tuple(range(19))
 
 
 class TestFullness:

@@ -1,8 +1,11 @@
 """The package's layering, read off its source with ``ast``: rational
 functions (``RatFunc``, ``MatRF``) are named only inside ``exactalg`` and
 the package's re-export, and polynomials are divided by one algorithm, in
-Z[x], so no ``poly_divmod`` is defined. String literals do not count. No
-module but ``__init__.py``, which re-exports, imports a name it does not use.
+Z[x], so no ``poly_divmod`` is defined. The classical families are named
+only where they are defined, parsed and instantiated: every other module
+reads a family through its Pearson pair and ends. String literals do not
+count. No module but ``__init__.py``, which re-exports, imports a name it
+does not use.
 Every module stays below the token count at which CPython's parser grows its
 token array."""
 
@@ -41,6 +44,15 @@ def test_rational_functions_stay_in_exactalg(path):
     if path.name in ("exactalg.py", "__init__.py"):
         return
     assert not {"RatFunc", "MatRF"} & set(_names(ast.parse(path.read_text()))), path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_families_read_through_pearson_pair_and_ends(path):
+    # weights defines them, dsl parses them, catalog builds LAG3's Laguerre
+    # sequences and __init__ re-exports them
+    if path.name in ("weights.py", "dsl.py", "catalog.py", "__init__.py"):
+        return
+    assert not {"HermiteShifted", "Laguerre", "Jacobi"} & set(_names(ast.parse(path.read_text()))), path.name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

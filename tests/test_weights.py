@@ -807,6 +807,36 @@ class TestWeightValidation:
         with pytest.raises(DomainError):
             Laguerre(F(-3, 2))
 
+    @pytest.mark.parametrize(
+        "cls, args, message",
+        [
+            (Laguerre, (-1,), "Laguerre parameter must exceed -1, got -1"),
+            (Jacobi, (-1, 0), "Jacobi parameters must exceed -1, got (-1, 0)"),
+            (Jacobi, (0, "-3/2"), "Jacobi parameters must exceed -1, got (0, -3/2)"),
+        ],
+        ids=["laguerre", "jacobi-alpha", "jacobi-beta"],
+    )
+    def test_family_admission_messages(self, cls, args, message):
+        # the library path, where no DSL parse comes first
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cls(*args)
+
+    def test_family_fields_made_exact(self):
+        # an int or a string field becomes a Fraction; a float is inexact
+        for fam, want in (
+            (HermiteShifted("-1/3"), (F(-1, 3),)),
+            (HermiteShifted(2), (F(2),)),
+            (Laguerre("1/2"), (F(1, 2),)),
+            (Laguerre(0), (F(0),)),
+            (Jacobi("1/2", 3), (F(1, 2), F(3))),
+        ):
+            got = tuple(getattr(fam, f) for f in type(fam).__dataclass_fields__)
+            assert got == want and all(type(v) is F for v in got)
+            assert fam == type(fam)(*want) and hash(fam) == hash(type(fam)(*want))
+        for cls, args in ((HermiteShifted, (0.5,)), (Laguerre, (0.5,)), (Jacobi, (0, 0.5))):
+            with pytest.raises(TypeError, match="0.5"):
+                cls(*args)
+
     def test_density_ratio(self):
         one = Poly((1,))
         assert density_ratio(Laguerre(F(3, 2)), Laguerre(F(1, 2))) == (X, one)
