@@ -143,12 +143,12 @@ class MatPoly(IntForm, Matrix):
     @property
     def monic_degree(self) -> int:
         """The degree d when the x^d coefficient is the identity, else -1;
-        decided once."""
+        decided once, on the integer form."""
         try:
             return self._monic
         except AttributeError:
-            d = self.degree
-            monic = d >= 0 and all(e[d] == (i == k) for i, row in enumerate(self.rows) for k, e in enumerate(row))
+            d, (ints, den, _), s = self.degree, self.int_form(), self.size
+            monic = d >= 0 and all(e[d:] == ((den,) if i % (s + 1) == 0 else ()) for i, e in enumerate(ints))
             self._monic = d if monic else -1
             return self._monic
 
@@ -639,18 +639,6 @@ def degree_preserving(d: DiffOp) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # assembly helpers
-
-
-def embed_scalar(t: DiffOp, size: int, i: int, j: int) -> DiffOp:
-    """Place a 1x1 operator at cell (i, j) of a size x size operator."""
-    if t.size != 1:
-        raise ShapeError("embed_scalar expects a scalar operator")
-    out = []
-    for c in t.coeffs:
-        rows = [[Poly() for _ in range(size)] for _ in range(size)]
-        rows[i][j] = c.entry(0, 0)
-        out.append(MatPoly(rows))
-    return DiffOp(size, out, t.den)
 
 
 def block_antidiagonal(v: DiffOp, n: DiffOp) -> DiffOp:

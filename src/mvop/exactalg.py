@@ -104,13 +104,21 @@ class Poly:
         self._ints = None
 
     @staticmethod
-    def _of(coeffs, ints=None) -> "Poly":
+    def _of(coeffs) -> "Poly":
         """The Poly on ``coeffs`` without coercion or trimming. Trusts that
-        ``coeffs`` are Fractions whose last, if any, is nonzero, and that
-        ``ints``, when given, is what ``int_form`` computes from them."""
+        ``coeffs`` are Fractions whose last, if any, is nonzero."""
         p = Poly.__new__(Poly)
-        p.coeffs, p._hash, p._ints = tuple(coeffs), None, ints
+        p.coeffs, p._hash, p._ints = tuple(coeffs), None, None
         return p
+
+    def __getattr__(self, name):
+        # a ``poly_over`` result holds only its integer form until its
+        # Fractions are first read
+        if name != "coeffs":
+            raise AttributeError(name)
+        ints, den, _ = self._ints
+        self.coeffs = tuple(map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints))
+        return self.coeffs
 
     # -- construction helpers
 
@@ -124,16 +132,19 @@ class Poly:
 
     # -- structure
 
+    # degree, truth value, == and hash read the integer form where the
+    # Poly has one; equal Polys have equal integer forms (``int_form``)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints[0] if self._ints else self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints or self.coeffs)
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -146,16 +157,23 @@ class Poly:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def _key(self):
+        return int_form(self)[:2] if self else ()
+
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            if self is other:
+                return True
+            if self._ints is None is other._ints:  # neither has one: compare Fractions
+                return self.coeffs == other.coeffs
+            return self.degree == other.degree and self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            self._hash = hash(self._key())
         return self._hash
 
     # -- arithmetic
@@ -193,20 +211,17 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            if not c:
-                return _P0
-            return Poly._of(c * a for a in self.coeffs)
-        if not isinstance(other, Poly):
+            c, p = frac(other), self
+        elif not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) > 1 < len(b):
+        elif self.degree > 0 < other.degree:
             return poly_dot(((self, other),))
-        if not a or not b:
+        else:
+            # a constant operand scales the other
+            c, p = (self[0], other) if self.degree < 1 else (other[0], self)
+        if not c:
             return _P0
-        # a constant operand scales the other
-        c, p = (a[0], b) if len(a) == 1 else (b[0], a)
-        return Poly._of(c * v for v in p)
+        return Poly._of(c * v if v else v for v in p.coeffs)
 
     __rmul__ = __mul__
 
@@ -265,17 +280,19 @@ def int_form(p: Poly):
 
 def poly_over(ints, den: int) -> Poly:
     """The polynomial sum_k ints[k] x^k / den, den > 0, for a kernel's
-    integer result, trailing zeros allowed. Its ``int_form`` is seeded from
+    integer result, trailing zeros allowed. It holds only its ``int_form``,
     ints over den divided by their gcd, which is the lcm of the reduced
-    coefficients' denominators."""
+    coefficients' denominators; its Fraction ``coeffs`` are made when first
+    read, so a result that only feeds other integer kernels makes none."""
     ints = _trim(ints)
     if not ints:
         return _P0
     g = math.gcd(den, *ints)
     if g > 1:
         ints, den = tuple(c // g for c in ints), den // g
-    coeffs = map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints)
-    return Poly._of(coeffs, (ints, den, _bits(ints)))
+    p = Poly.__new__(Poly)
+    p._hash, p._ints = None, (ints, den, _bits(ints))
+    return p
 
 
 def int_entries(polys):
@@ -283,7 +300,7 @@ def int_entries(polys):
     denominator L, zero polynomials as empty lists, with every numerator
     below 2^b in magnitude. b comes from each ``int_form``'s stored bit length
     and the bits of its scale; no coefficient is scanned."""
-    forms = [int_form(p) if p.coeffs else None for p in polys]
+    forms = [int_form(p) if p else None for p in polys]
     den = math.lcm(*(f[1] for f in forms if f))
     scales = [den // f[1] if f else 1 for f in forms]
     bits = max((f[2] + (s - 1).bit_length() for f, s in zip(forms, scales) if f), default=0)
@@ -348,7 +365,7 @@ def digit(v: int, w: int, k: int) -> int:
 def poly_dot(pairs) -> Poly:
     """Sum of a * b over (Poly, Poly) pairs: the integer forms of each pair
     over the common denominator L of all products, one ``int_poly_dot``."""
-    forms = [(int_form(a), int_form(b)) for a, b in pairs if a.coeffs and b.coeffs]
+    forms = [(int_form(a), int_form(b)) for a, b in pairs if a and b]
     if not forms:
         return _P0
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))

@@ -22,6 +22,8 @@ from fractions import Fraction
 from .exactalg import (
     _F0,
     _P1,
+    _bits,
+    _trim,
     _value,
     DomainError,
     FracMat,
@@ -33,6 +35,7 @@ from .exactalg import (
     bareiss,
     exact_div,
     frac,
+    int_form,
     int_matrix,
     int_poly_matmul,
     int_poly_quo,
@@ -130,8 +133,9 @@ class Laguerre(ScalarWeightFamily):
         return X, Poly((self.alpha, -1))
 
     def recursion(self, n: int) -> tuple[Fraction, Fraction]:
-        a = self.alpha
-        return 2 * n + a + 1, Fraction(n) * (n + a)
+        # 2n + a + 1 and n (n + a), a = p / q, each one Fraction
+        p, q = self.alpha.numerator, self.alpha.denominator
+        return Fraction((2 * n + 1) * q + p, q), Fraction(n * (n * q + p), q)
 
 
 @dataclass(frozen=True)
@@ -203,28 +207,45 @@ def _cached(cache: dict, key, make):
     return value
 
 
-# normalized power moments nu_s = mu_s / mu_0: family -> nu_0, nu_1, ...,
-# as far as any caller has asked
-_MOMENT_CACHE: dict[ScalarWeightFamily, list[Fraction]] = {}
+# normalized power moments nu_s = mu_s / mu_0 as far as any caller has asked:
+# family -> [numerators, L, (T, U)] (``_moments``)
+_MOMENT_CACHE: dict[ScalarWeightFamily, list] = {}
 
 
-def _moments_list(family: ScalarWeightFamily, s_max: int) -> list[Fraction]:
-    # (x^k t rho)' = k x^(k-1) t rho + x^k (t' + s) rho integrates to 0, as t rho
-    # vanishes at both ends: with t = t0 + t1 x + t2 x^2 and t' + s = u0 + u1 x,
-    # k (t0 nu_{k-1} + t1 nu_k + t2 nu_{k+1}) + u0 nu_k + u1 nu_{k+1} = 0
-    values = _cached(_MOMENT_CACHE, family, lambda: [Fraction(1)])
-    if len(values) <= s_max:
-        t, s = family.pearson()
-        u = t.derivative() + s
-        t0, t1, t2, u0, u1 = t[0], t[1], t[2], u[0], u[1]
+def _moments(family: ScalarWeightFamily, s_max: int) -> list:
+    """The family's entry of ``_MOMENT_CACHE``, grown to hold nu_0..nu_s_max
+    as numerators over L, the lcm of their denominators.
+
+    (x^k t rho)' = k x^(k-1) t rho + x^k (t' + s) rho integrates to 0, as t rho
+    vanishes at both ends: with t = t0 + t1 x + t2 x^2 and t' + s = u0 + u1 x,
+    k (t0 nu_{k-1} + t1 nu_k + t2 nu_{k+1}) + u0 nu_k + u1 nu_{k+1} = 0. Over
+    integers T, U (t and u times one denominator), nu_{k+1} = num / (d L) for
+    the numerators n_k of nu_k over L; L grows to the lcm with the reduced
+    denominator, and the numerators with it."""
+    entry = _cached(_MOMENT_CACHE, family, lambda: [[1], 1, _recurrence(family)])
+    nums, den, (t0, t1, t2, u0, u1) = entry
+    while len(nums) <= s_max:
         # Laguerre has t0 = t2 = 0 and Hermite t1 = t2 = 0: skip zero terms
-        while len(values) <= s_max:
-            k = len(values) - 1
-            num = (k * t1 + u0 if t1 else u0) * values[k]
-            if t0 and k:
-                num += k * t0 * values[k - 1]
-            values.append(-num / (k * t2 + u1 if t2 else u1))
-    return values
+        k = len(nums) - 1
+        num = -(k * t1 + u0 if t1 else u0) * nums[k]
+        if t0 and k:
+            num -= k * t0 * nums[k - 1]
+        d = k * t2 + u1 if t2 else u1
+        g = math.gcd(num, d * den) * (1 if d > 0 else -1)
+        num, d = num // g, d * den // g
+        if den % d:
+            scale = d // math.gcd(den, d)
+            nums, den = [v * scale for v in nums], den * scale
+        nums.append(num * (den // d))
+    entry[:2] = nums, den
+    return entry
+
+
+def _recurrence(family: ScalarWeightFamily) -> tuple[int, ...]:
+    # t0, t1, t2, u0, u1 of ``_moments`` over one denominator
+    t, s = family.pearson()
+    u = t.derivative() + s
+    return int_matrix([[t[0], t[1], t[2], u[0], u[1]]])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +459,20 @@ class OPSequence:
 
     An atomic weight's sequence is built by the block three-term recursion
     P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. A scalar weight with the
-    identity factor takes its family's closed-form B_k and C_k. Otherwise
-    they are read off the moment rows R_{k,j} = <P_k, x^j I> of one integer
-    product P_k M (``moment_ints``, the matrix form of the modified
+    identity factor takes its family's closed-form b_k and c_k, on the
+    integer numerators of p_k and p_{k-1} (``_scalar_step``). Otherwise B_k
+    and C_k are read off the moment rows R_{k,j} = <P_k, x^j I> of one
+    integer product P_k M (``moment_ints``, the matrix form of the modified
     Chebyshev algorithm): P_k is monic and orthogonal to lower degrees, so
     H_k = <P_k, P_k> = R_{k,k} and <x P_k, P_k> = R_{k,k+1} + H_k P_{k,k-1}^T,
     with P_{k,k-1} the x^(k-1) coefficient of P_k; B_k = <x P_k, P_k> H_k^-1,
-    C_k = H_k H_{k-1}^-1, C_0 = 0. The update runs in Z: the integer forms
-    of P_k and P_{k-1} and the integer numerators of B_k and C_k go over one
-    denominator per step, each cell is one sum of packed integers, and each
-    entry of P_{k+1} one ``poly_over``. A direct sum assembles its blocks'
-    sequences, and a size-s identity weight, the direct sum of s copies of
-    its family's scalar weight, assembles s copies of that sequence.
+    C_k = H_k H_{k-1}^-1, C_0 = 0. The update runs in Z (``_update``), and
+    B_k and C_k are kept as the integer rows over one denominator it used.
+    A direct sum assembles its blocks' sequences, and a size-s identity
+    weight, the direct sum of s copies of its family's scalar weight,
+    assembles s copies of that sequence. ``recursion_pair`` makes FracMats
+    only when read: from the kept rows, the family's two Fractions or the
+    blocks' pairs.
 
     Construction memoizes inside the object (build-then-share: one thread
     extends, any number may read afterwards).
@@ -458,8 +481,7 @@ class OPSequence:
     def __init__(self, weight: Weight):
         self.weight = weight
         self._polys: list[MatPoly] = []
-        self._B: list[FracMat] = []
-        self._C: list[FracMat] = []
+        self._recs: list[tuple] = []  # (B_k, C_k) of the moment path as (integer rows, denominator), C_0 None
         self._h_inv = None  # H_k^-1 of the last step: (integer matrix, denominator)
         self._closed = weight.is_identity
         self._children: list[OPSequence] | None = None
@@ -477,8 +499,15 @@ class OPSequence:
         return self._polys[n]
 
     def recursion_pair(self, n: int) -> tuple[FracMat, FracMat]:
+        if self._children is not None:
+            pairs = [child.recursion_pair(n) for child in self._children]
+            return FracMat.blockdiag([p[0] for p in pairs]), FracMat.blockdiag([p[1] for p in pairs])
+        if self._closed:
+            b, c = self.weight.family.recursion(n)
+            return FracMat._of([[b]]), FracMat._of([[c]])
         self._extend(n + 1)
-        return self._B[n], self._C[n]
+        bk, ck = self._recs[n]
+        return _over(*bk), _over(*ck) if ck else FracMat.zeros(self.weight.size)
 
     # -- construction
 
@@ -486,29 +515,19 @@ class OPSequence:
         while len(self._polys) <= n:
             k = len(self._polys)
             if self._children is not None:
-                self._extend_blocks(k)
+                self._polys.append(MatPoly.blockdiag([child.poly(k) for child in self._children]))
             elif k == 0:
                 self._polys.append(MatPoly.identity(self.weight.size))
             else:
                 self._step(k - 1)
 
-    def _extend_blocks(self, k: int):
-        parts = [child.poly(k) for child in self._children]
-        recs = [child.recursion_pair(k) for child in self._children]
-        self._polys.append(MatPoly.blockdiag(parts))
-        self._B.append(FracMat.blockdiag([r[0] for r in recs]))
-        self._C.append(FracMat.blockdiag([r[1] for r in recs]))
-
     def _step(self, k: int):
-        """Append P_{k+1}, B_k and C_k."""
+        """Append P_{k+1}, keeping B_k and C_k unless closed-form."""
         w, n = self.weight, self.weight.size
         pk, pk1 = self._polys[k], self._polys[k - 1]
         if self._closed:
-            b, c = w.family.recursion(k)
-            cn = ([[c.numerator]], c.denominator) if k else None
-            self._polys.append(_update(pk, pk1, ([[b.numerator]], b.denominator), cn))
-            self._B.append(FracMat._of([[b]]))
-            self._C.append(FracMat._of([[c]]))
+            p = _scalar_step(w.family, k, pk.entry(0, 0), pk1.entry(0, 0))
+            self._polys.append(MatPoly._of([[p]]))
             return
         (h, r), dh = moment_ints(pk, w, k + 1, k)
         det, adj = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(h)])
@@ -525,8 +544,24 @@ class OPSequence:
         ck = (_int_product(h, self._h_inv[0]), dh * self._h_inv[1]) if k else None
         self._h_inv = [[v * dh for v in row] for row in adj], det
         self._polys.append(_update(pk, pk1, bk, ck))
-        self._B.append(_over(*bk))
-        self._C.append(_over(*ck) if k else FracMat.zeros(n))
+        self._recs.append((bk, ck))
+
+
+def _scalar_step(family: ScalarWeightFamily, k: int, p: Poly, q: Poly) -> Poly:
+    """x p - b_k p - c_k q for the family's (b_k, c_k), on the integer
+    numerators of p and q (q is not read when c_k = 0, as at k = 0): one
+    integer list over the lcm of the denominators of p b_k and q c_k."""
+    b, c = family.recursion(k)
+    pi, pd, _ = int_form(p)
+    qi, qd, _ = int_form(q) if c else ((), 1, 0)
+    den = math.lcm(pd * b.denominator, qd * c.denominator)
+    out = [0] + [den // pd * v for v in pi]
+    for f, ints, d in ((b, pi, pd), (c, qi, qd)):
+        if f:
+            v = den // (d * f.denominator) * f.numerator
+            for j, e in enumerate(ints):
+                out[j] -= v * e
+    return poly_over(out, den)
 
 
 def _update(pk: MatPoly, pk1: MatPoly, bk, ck) -> MatPoly:
@@ -535,7 +570,9 @@ def _update(pk: MatPoly, pk1: MatPoly, bk, ck) -> MatPoly:
     forms of P_k and P_{k-1} over their common denominator D: each entry of
     P_k and P_{k-1} is packed once, at a width with room for every term and
     for their number, and cell (r, c), x P_k[r][c] - sum_t B_k[r][t] P_k[t][c]
-    - sum_t C_k[r][t] P_{k-1}[t][c] times D, is one sum of packed integers."""
+    - sum_t C_k[r][t] P_{k-1}[t][c] times D, is one sum of packed integers.
+    The result's integer form is seeded from those sums over D, all divided
+    by their one gcd."""
     n = pk.size
     terms = [(pk.int_form(), bk)] + ([(pk1.int_form(), ck)] if ck else [])
     den = math.lcm(*(f[1] * c[1] for f, c in terms))
@@ -551,8 +588,12 @@ def _update(pk: MatPoly, pk1: MatPoly, bk, ck) -> MatPoly:
             acc = packed[0][r * n + c] * scale << w
             for p, m in zip(packed, consts):
                 acc += sum(map(operator.mul, m[r], p[c::n]))
-            cells.append(poly_over(unpack(acc, w, count), den))
-    return MatPoly._of(cells[i : i + n] for i in range(0, n * n, n))
+            cells.append(_trim(unpack(acc, w, count)))
+    g = math.gcd(den, *(v for e in cells for v in e))
+    cells, den = [tuple(v // g for v in e) for e in cells], den // g
+    out = MatPoly._of([poly_over(e, den) for e in cells[i : i + n]] for i in range(0, n * n, n))
+    out._form = cells, den, max(_bits(e) for e in cells if e)
+    return out
 
 
 _SEQUENCE_CACHE: dict[Weight, OPSequence] = {}
@@ -603,8 +644,8 @@ def moment_ints(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> tuple
     """(rows, den): rows[k - k_min] is <P, x^k I> as an integer matrix over
     den, the least denominator of all the rows, for k = k_min..k_max. P M is
     one ``int_poly_matmul`` of the integer forms P and N keep, and each entry
-    of row k one integer dot of an entry of P M against nu_k, nu_{k+1}, ...
-    over their common denominator."""
+    of row k one integer dot of an entry of P M against the numerators of
+    nu_k, nu_{k+1}, ... in the family's moment table (``_moments``)."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
     if p.size != weight.size:
@@ -614,7 +655,8 @@ def moment_ints(p: MatPoly, weight: Weight, k_max: int, k_min: int = 0) -> tuple
     pm = [e for e, _ in int_poly_matmul([(e, pb) for e in pi], [(e, nb) for e in ni], n)]
     # nu_k.. must be as long as every entry of P M, since a dot stops at the shorter
     top = max(1, *map(len, pm)) - 1 + k_max
-    (nums,), den = int_matrix([_moments_list(fam, top)[: top + 1]])
+    nums, den, _ = _moments(fam, top)
+    nums = nums[: top + 1]
     rows = [[sum(map(operator.mul, e, nums[k:])) for e in pm] for k in range(k_min, k_max + 1)]
     g = math.gcd(den * pd * nd, *(v for row in rows for v in row))
     return [[[v // g for v in row[i : i + n]] for i in range(0, n * n, n)] for row in rows], den * pd * nd // g

@@ -20,7 +20,6 @@ from mvop.diffop import (
     coefficient_sites,
     compose,
     degree_preserving,
-    embed_scalar,
     op_power,
     quotient_chain,
     w_adjoint,
@@ -37,6 +36,17 @@ from test_integer_kernels import (
 )
 
 ALPHA = F(1, 2)
+
+
+def embed_scalar(t: DiffOp, size: int, i: int, j: int) -> DiffOp:
+    """The 1x1 operator t placed at cell (i, j) of a size x size operator."""
+    assert t.size == 1
+    out = []
+    for c in t.coeffs:
+        rows = [[Poly() for _ in range(size)] for _ in range(size)]
+        rows[i][j] = c.entry(0, 0)
+        out.append(MatPoly(rows))
+    return DiffOp(size, out, t.den)
 
 
 def lag_v():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop.exactalg import FracMat, Poly, X
-from mvop.diffop import DiffOp, MatPoly, compose, embed_scalar, op_power
+from mvop.diffop import DiffOp, MatPoly, compose, op_power
 from mvop.weights import Jacobi, Laguerre, Weight
 from mvop import dsl
 from mvop.dsl import (
@@ -22,6 +22,7 @@ from mvop.dsl import (
     parse_spec,
     print_document,
 )
+from test_diffop import embed_scalar
 
 
 class TestParsing:

@@ -24,7 +24,6 @@ from mvop.diffop import (
     coefficient_sites,
     compose,
     degree_preserving,
-    embed_scalar,
     op_power,
     poly_of_op,
     w_adjoint,
@@ -50,6 +49,7 @@ from mvop.dwalgebra import (
     symmetry_check,
     verify_in_DW,
 )
+from test_diffop import embed_scalar
 
 ALPHA = F(1, 2)
 LAG = Laguerre(ALPHA)
@@ -619,13 +619,14 @@ class TestKeptForms:
                 return real(*args)
 
             monkeypatch.setattr(diffop, name, counted)
-        # the build reads the integer forms of P_0..P_7 in its steps
+        # the build reads the integer forms of P_0..P_7 in its steps; each
+        # step seeds the form of the P_{k+1} it makes
         sequence_for(e.weight_Wt).poly(8)
         d = _fresh(e.ops["D1"])
         for _ in range(3):
             assert verify_in_DW(d, e.weight_Wt, 8).ok
-            # P_0..P_8 once each, and the operator once
-            assert counts == {"int_entries": 10, "int_derivatives": 9}
+            # P_0 and the operator once each; derivatives of P_0..P_8 once each
+            assert counts == {"int_entries": 2, "int_derivatives": 9}
 
 class TestIntertwinerVerify:
     def test_laguerre_ladder(self):

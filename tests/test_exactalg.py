@@ -738,6 +738,15 @@ def _trusted_poly(p):
         assert p._ints == int_form(Poly(p.coeffs))
 
 
+def _unset(obj, name):
+    # True when the slot is empty; object.__getattribute__ skips __getattr__
+    try:
+        object.__getattribute__(obj, name)
+    except AttributeError:
+        return True
+    return False
+
+
 def _seeded_poly(p):
     # a kernel's result: nonzero, it carries its integer form
     _trusted_poly(p)
@@ -781,6 +790,50 @@ class TestTrustedConstruction:
         p = poly_over(ints + [0] * zeros, den)
         assert p == Poly([F(c, den) for c in ints])
         _seeded_poly(p)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=6), st.integers(0, 2), st.integers(1, 10**5))
+    @example([], 0, 7)
+    @example([0, 0], 1, 3)
+    @example([5], 0, 10)
+    @example([-4, 0, 0, 6], 1, 4)
+    @settings(max_examples=80, deadline=None)
+    def test_poly_over_builds_coefficients_when_read(self, ints, zeros, den):
+        # a poly_over result and the same polynomial built from Fractions
+        # agree everywhere; degree, truth value, == and hash read no Fraction
+        lazy, eager = poly_over(ints + [0] * zeros, den), Poly([F(c, den) for c in ints])
+        unread = lambda p: p.is_zero or _unset(p, "coeffs")
+        assert lazy.degree == eager.degree and bool(lazy) == bool(eager) and lazy.is_zero == eager.is_zero
+        assert lazy == eager and eager == lazy and not lazy != eager
+        assert hash(lazy) == hash(eager)
+        table = {eager: "eager"}
+        table[lazy] = "lazy"
+        assert table == {eager: "lazy"} and table[lazy] == "lazy"
+        assert lazy == poly_over(ints, den) and hash(lazy) == hash(poly_over(ints, den))
+        assert unread(lazy)
+        assert [lazy[k] for k in range(-1, len(ints) + 2)] == [eager[k] for k in range(-1, len(ints) + 2)]
+        assert (repr(lazy), str(lazy)) == (repr(eager), str(eager))
+        if eager:
+            assert lazy.lc == eager.lc and type(lazy.lc) is F
+        assert lazy.coeffs == eager.coeffs
+        _seeded_poly(lazy)
+
+    @given(st.lists(st.sampled_from([F(0), F(0), F(1), F(-3, 2), F(7, 5)]), max_size=7),
+           st.sampled_from([0, 1, -2, F(0), F(3, 4), F(-1, 6)]))
+    @example([F(1), F(0), F(0), F(2)], F(3, 4))
+    @example([], 5)
+    @example([F(-3, 2)], F(3, 4))
+    @example([F(0), F(0), F(1)], 0)
+    @settings(max_examples=80, deadline=None)
+    def test_constant_scaling(self, coeffs, c):
+        # scaling skips zero coefficients; the product is unchanged: each
+        # coefficient times c, in either order and with c as a constant Poly
+        p = Poly(coeffs)
+        want = Poly([c * v for v in coeffs])
+        for r in (p * c, c * p, p * Poly.const(c), Poly.const(c) * p):
+            assert r == want and repr(r) == repr(want)
+            _trusted_poly(r)
+        for q in (p, Poly.const(c)):
+            assert q * Poly() == Poly() * q == Poly()
 
     @given(st.lists(st.tuples(big_polys, big_polys), max_size=4), nonzero_polys)
     @settings(max_examples=40, deadline=None)

@@ -50,6 +50,13 @@ FAMILIES = [
 ]
 
 
+def moments_list(family, s_max):
+    """nu_0..nu_s_max as Fractions, read off the family's integer moment
+    table."""
+    nums, den, _ = weights._moments(family, s_max)
+    return [F(v, den) for v in nums[: s_max + 1]]
+
+
 def row_moments(family, s_max):
     """Oracle: nu_s as the first entry of the row vector e_0 J^s, J the monic
     Jacobi matrix of the family's recursion coefficients; e_0 J^s is nonzero
@@ -72,7 +79,7 @@ def row_moments(family, s_max):
 def gram_schmidt_recursion(family, n_max):
     """Oracle: monic orthogonal polynomials from closed-recurrence moments by
     Gram-Schmidt, and the three-term coefficients they induce."""
-    nu = weights._moments_list(family, 2 * n_max + 2)
+    nu = moments_list(family, 2 * n_max + 2)
 
     def ip(p, q):
         prod = p * q
@@ -151,27 +158,27 @@ class TestScalarRecursion:
 class TestMoments:
     def test_laguerre_gamma_recursion_values(self):
         a = F(1, 2)
-        nu = weights._moments_list(Laguerre(a), 2)
+        nu = moments_list(Laguerre(a), 2)
         assert nu[1] == a + 1
         assert nu[2] == (a + 1) * (a + 2)
 
     def test_hermite_odd_vanishes(self):
-        nu = weights._moments_list(HermiteShifted(F(0)), 5)
+        nu = moments_list(HermiteShifted(F(0)), 5)
         assert nu[1] == 0 and nu[3] == 0 and nu[5] == 0
 
     def test_jacobi_first_moment(self):
         a, b = F(1, 2), F(3, 4)
-        nu = weights._moments_list(Jacobi(a, b), 1)
+        nu = moments_list(Jacobi(a, b), 1)
         assert nu[1] == (b - a) / (a + b + 2)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_consistency_with_closed_recurrence(self, family):
-        closed_route = weights._moments_list(family, 20)[:21]
+        closed_route = moments_list(family, 20)
         jacobi_route = row_moments(family, 20)
         assert list(closed_route) == jacobi_route
 
     def test_zeroth_is_one(self):
-        assert weights._moments_list(Jacobi(F(0), F(0)), 0)[0] == 1
+        assert moments_list(Jacobi(F(0), F(0)), 0)[0] == 1
 
     _PARAM = st.fractions(min_value=F(-6, 7), max_value=F(5), max_denominator=7)
 
@@ -190,10 +197,36 @@ class TestMoments:
         # must hold what one cold build to the largest request holds
         weights._MOMENT_CACHE.pop(family, None)
         for s in requests:
-            assert weights._moments_list(family, s)[: s + 1] == row_moments(family, s)
+            assert moments_list(family, s) == row_moments(family, s)
         extended = weights._MOMENT_CACHE.pop(family)
-        weights._moments_list(family, max(requests))
+        weights._moments(family, max(requests))
         assert weights._MOMENT_CACHE[family] == extended
+
+    @given(
+        st.one_of(
+            st.sampled_from(FAMILIES),
+            st.builds(HermiteShifted, _PARAM),
+            st.builds(Laguerre, _PARAM),
+            st.builds(Jacobi, _PARAM, _PARAM),
+        ),
+        st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_table_is_int_matrix_of_moments(self, family, requests):
+        # the table holds nu_0, nu_1, ... as numerators over the lcm of their
+        # denominators: int_matrix of the Fraction moments, as far as it
+        # reaches, whether extended request by request or built fresh
+        def check(entry, s):
+            nums, den, _ = entry
+            assert len(nums) > s
+            assert ([nums], den) == int_matrix([row_moments(family, len(nums) - 1)])
+
+        weights._MOMENT_CACHE.pop(family, None)
+        for s in requests:
+            check(weights._moments(family, s), s)
+        for s in requests:
+            weights._MOMENT_CACHE.pop(family)
+            check(weights._moments(family, s), s)
 
 
 class TestInnerProduct:
@@ -234,7 +267,7 @@ def _inner_product_by_fracmat(p, q, weight):
     as FracMats."""
     fam, num = weight.as_atomic()
     integrand = p * num * q.transpose()
-    nu = weights._moments_list(fam, max(integrand.degree, 0))
+    nu = moments_list(fam, max(integrand.degree, 0))
     acc = FracMat.zeros(p.size)
     for s in range(integrand.degree + 1):
         c = integrand.coeff(s)
@@ -292,7 +325,7 @@ def _moment_rows_per_entry(p, weight, k_max, k_min=0):
     fam, num = weight.as_atomic()
     pm = p * num
     top = max(pm.degree, 0) + k_max
-    (nums,), den = int_matrix([weights._moments_list(fam, top)[: top + 1]])
+    (nums,), den = int_matrix([moments_list(fam, top)])
     forms = [[int_form(e)[:2] if e else ((), 1) for e in row] for row in pm.rows]
     out = []
     for k in range(k_min, k_max + 1):
@@ -417,6 +450,8 @@ def _step_gram_products(self, k):
     pk = self._polys[k]
     xpk = X * pk
     if w.N == MatPoly.identity(w.size):
+        # a closed-form sequence keeps no recursion data: recursion_pair
+        # reads the family's
         b, c = w.family.recursion(k)
         bk, ck = FracMat.identity(w.size) * b, FracMat.identity(w.size) * c
     else:
@@ -428,12 +463,12 @@ def _step_gram_products(self, k):
         bk = _inner_product_by_fracmat(xpk, pk, w) * h_inv
         ck = h * self._h_prev_inv if k else FracMat.zeros(w.size)
         self._h_prev_inv = h_inv
+        # kept as the step keeps them: integer rows over one denominator, C_0 None
+        self._recs.append((int_matrix(bk.rows), int_matrix(ck.rows) if k else None))
     nxt = xpk - pk.lmul_const(bk)
     if k:
         nxt = nxt - self._polys[k - 1].lmul_const(ck)
     self._polys.append(nxt)
-    self._B.append(bk)
-    self._C.append(ck)
 
 
 def _no_inner_product(*args):
@@ -527,6 +562,57 @@ class TestStepOracle:
     @settings(max_examples=20, deadline=None)
     def test_direct_sums_of_scalar_and_matrix_blocks(self, w):
         _assert_step_matches_oracle(w, 10)
+
+
+def _raise_fracmat(*args, **kwargs):
+    raise AssertionError("a FracMat was made while building a sequence")
+
+
+def _block_sequences(seq):
+    for child in seq._children or ():
+        yield child
+        yield from _block_sequences(child)
+
+
+class TestNoUnusedWork:
+    """Building a sequence makes no recursion data that no caller reads: a
+    direct sum's blocks stop at the degree asked for, and no FracMat is made
+    until ``recursion_pair`` is read."""
+
+    @pytest.mark.parametrize("name, params", _entry_weights())
+    def test_catalog_weights_to_degree_12(self, name, params, monkeypatch):
+        monkeypatch.setattr(weights, "_SEQUENCE_CACHE", {})
+        monkeypatch.setattr(weights, "_MOMENT_CACHE", {})
+        seqs = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(FracMat, "__init__", _raise_fracmat)
+            m.setattr(FracMat, "_of", _raise_fracmat)
+            for w in entry(name, params).doc.weights.values():
+                seq = sequence_for(w)
+                assert seq.poly(12).degree == 12
+                seqs.append(seq)
+        for seq in seqs:
+            for block in _block_sequences(seq):
+                assert len(block._polys) == 13, repr(block.weight)
+            # x P_n = P_{n+1} + B_n P_n + C_n P_{n-1} with P_n monic: B_n and
+            # C_n are read off the x^n and x^(n-1) coefficients
+            ps = [seq.poly(n) for n in range(13)]
+            for n in range(12):
+                bn = ps[n].coeff(n - 1) - ps[n + 1].coeff(n)
+                cn = ps[n].coeff(n - 2) - ps[n + 1].coeff(n - 1) - bn * ps[n].coeff(n - 1) if n else FracMat.zeros(seq.weight.size)
+                assert seq.recursion_pair(n) == (bn, cn)
+
+
+class TestScalarStep:
+    @given(classical_families())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_step_is_poly_arithmetic(self, family):
+        p, q = Poly((1,)), Poly()
+        for k in range(12):
+            b, c = family.recursion(k)
+            got, want = weights._scalar_step(family, k, p, q), X * p - b * p - c * q
+            assert got == want and repr(got) == repr(want) and got.degree == k + 1
+            p, q = got, p
 
 
 class TestSingularGram:
@@ -1004,14 +1090,14 @@ class TestCacheBound:
     def test_at_most_cache_size(self):
         first, *rest = self._others(weights.CACHE_SIZE + 8)
         seq = sequence_for(first.scalar_weight())
-        weights._moments_list(first, 3)
+        weights._moments(first, 3)
         for i, fam in enumerate(rest):
             if i == weights.CACHE_SIZE // 2:
                 # a hit makes the first the most recently used again
                 assert sequence_for(first.scalar_weight()) is seq
-                weights._moments_list(first, 3)
+                weights._moments(first, 3)
             sequence_for(fam.scalar_weight())
-            weights._moments_list(fam, 3)
+            weights._moments(fam, 3)
             assert len(weights._SEQUENCE_CACHE) <= weights.CACHE_SIZE
             assert len(weights._MOMENT_CACHE) <= weights.CACHE_SIZE
         assert len(weights._SEQUENCE_CACHE) == len(weights._MOMENT_CACHE) == weights.CACHE_SIZE
@@ -1025,7 +1111,7 @@ class TestCacheBound:
         polys = [seq.poly(n) for n in range(9)]
         for fam in self._others(weights.CACHE_SIZE + 1):
             sequence_for(fam.scalar_weight())
-            weights._moments_list(fam, 3)
+            weights._moments(fam, 3)
         assert w not in weights._SEQUENCE_CACHE and w.as_atomic()[0] not in weights._MOMENT_CACHE
         rebuilt = sequence_for(w)
         assert rebuilt is not seq
