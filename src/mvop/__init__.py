@@ -2,8 +2,9 @@
 orthogonal polynomials, and for verifying Darboux transformations between
 weight matrices.
 
-Everything is computed over Q with fractions.Fraction; every verification is
-a coefficient-exact identity or a failure with a witness.
+Everything is computed exactly over Q: polynomials as integer numerators over
+one denominator, constants as fractions.Fraction. Every verification is a
+coefficient-exact identity or a failure with a witness.
 """
 
 __version__ = "0.1.0"

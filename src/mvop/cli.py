@@ -144,9 +144,9 @@ def _parse_params(s: str | None) -> dict[str, Fraction]:
         piece = piece.strip()
         if not piece:
             continue
-        if "=" not in piece:
+        k, eq, v = (t.strip() for t in piece.partition("="))
+        if not (eq and k.isascii() and k.isidentifier()):  # a DSL name: [A-Za-z_][A-Za-z0-9_]*
             raise ValueError(f"bad --params entry {piece!r}, expected name=value")
-        k, v = (t.strip() for t in piece.split("=", 1))
         if k in out:
             raise ValueError(f"--params names {k!r} more than once")
         if not v.isascii():

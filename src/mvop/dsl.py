@@ -35,13 +35,14 @@ parsed: the algebra layer never sees symbols.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import DomainError, NonPolynomialError, Poly, X, poly_str
+from .exactalg import DomainError, NonPolynomialError, Poly, X, int_form, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
 from .dwalgebra import _search_horizon
@@ -221,7 +222,6 @@ class SpecDocument:
 
 
 _ONE = MatPoly.identity(1)
-_ZERO = Poly()
 
 
 def _as_op(v) -> DiffOp:
@@ -232,7 +232,7 @@ def _as_op(v) -> DiffOp:
 def _as_poly(v):
     """A constant as a polynomial; any other value as it is."""
     if isinstance(v, Fraction):
-        return Poly._of((v,)) if v else _ZERO
+        return Poly((v,))
     return v
 
 
@@ -252,17 +252,22 @@ def _const_bits(c: Fraction) -> int:
     return (abs(c.numerator) | c.denominator).bit_length() if c else 0
 
 
-def _bits(coeffs) -> int:
-    return max(map(_const_bits, coeffs), default=0)
+def _poly_bits(p: Poly) -> int:
+    """The largest ``_const_bits`` of p's coefficients, read off its integer
+    form: n / den in lowest terms is (n / g) / (den / g), g = gcd(n, den)."""
+    ints, den, bits = int_form(p)
+    if den == 1:
+        return bits
+    return max(((abs(n) // (g := math.gcd(n, den))) | (den // g)).bit_length() for n in ints if n)
 
 
 def _measure(v) -> tuple[int, int, int]:
     """Order, coefficient degree and coefficient bit length of a polynomial
     or an operator."""
     if isinstance(v, Poly):
-        return 0, v.degree, _bits(v.coeffs)
+        return 0, v.degree, _poly_bits(v)
     cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
-    return v.order, max((p.degree for p in cells), default=-1), _bits(c for p in cells for c in p.coeffs)
+    return v.order, max((p.degree for p in cells), default=-1), max(map(_poly_bits, cells), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,38 @@
 """Exact arithmetic over Q: dense polynomials, rational functions, matrices.
 
-Everything in this module is immutable and pure, and the coefficient field is
-``fractions.Fraction`` throughout, so every computation downstream is exact.
-Matrices share one skeleton, ``Matrix``: ``FracMat`` (constant rational
-entries, used for eigenvalues, recursion coefficients and conjugating
-matrices), ``MatRF`` (square, rational-function entries, used by no other
-module: operators and weight factors are numerators over one denominator)
-and ``diffop.MatPoly``. Exact linear algebra runs through two elimination
-kernels. ``bareiss`` eliminates dense square matrices fraction-free: integer
-ones as they are, for leading minors, Gram blocks and the singular-span
-test, and polynomial ones as the integers their entries pack to, for symbol
-determinants and the adjugate of a weight factor. Every determinant,
-inverse and ``solve_square`` over a field is read off it too: a Fraction
-matrix goes over one denominator L to integers, a RatFunc matrix over q, the
-monic lcm of its denominators, to polynomials. ``nullspace``, whose callers
-are the searches' large sparse integer systems, reduces primitive integer
-rows kept as maps of their nonzeros and forms one Fraction per basis entry.
-All polynomial products run through packed integers (Kronecker
+Everything in this module is immutable and pure, and exact over Q: a ``Poly``
+is stored once, as integer numerators over one denominator (``int_form``), and
+does its arithmetic there, its ``fractions.Fraction`` coefficients made only
+when read; constants are Fractions. Matrices share one skeleton, ``Matrix``:
+``FracMat`` (constant rational entries, used for eigenvalues, recursion
+coefficients and conjugating matrices), ``MatRF`` (square, rational-function
+entries, used by no other module: operators and weight factors are numerators
+over one denominator) and ``diffop.MatPoly``. Exact linear algebra runs
+through two elimination kernels. ``bareiss`` eliminates dense square matrices
+fraction-free: integer ones as they are, for leading minors, Gram blocks and
+the singular-span test, and polynomial ones as the integers their entries pack
+to, for symbol determinants and the adjugate of a weight factor. Every
+determinant, inverse and ``solve_square`` over a field is read off it too: a
+Fraction matrix goes over one denominator L to integers, a RatFunc matrix over
+q, the monic lcm of its denominators, to polynomials. ``nullspace``, whose
+callers are the searches' large sparse integer systems, reduces primitive
+integer rows kept as maps of their nonzeros and forms one Fraction per basis
+entry. All polynomial products run through packed integers (Kronecker
 substitution): the numerators of polynomials over a common denominator
-(``int_form``, ``int_entries``) are packed as the digits of one Python
-integer each (``pack``), at a width from one routine, ``pack_width``, that
-keeps every digit of a sum of products in [-2^(w-1), 2^(w-1)). Packing is
-then injective: a sum is unpacked once (``unpack``), read at one digit
-(``digit``) or tested for zero as one integer. ``poly_dot`` sums products of
-pairs this way for ``Poly`` and ``MatPoly`` products; ``diffop.int_action``
-multiplies whole matrices of packed entries for the operator algebra and
+(``int_entries``) are packed as the digits of one Python integer each
+(``pack``), at a width from one routine, ``pack_width``, that keeps every
+digit of a sum of products in [-2^(w-1), 2^(w-1)). Packing is then injective:
+a sum is unpacked once (``unpack``), read at one digit (``digit``) or tested
+for zero as one integer. ``poly_dot`` sums products of pairs this way for
+``Poly`` and ``MatPoly`` products; ``diffop.int_action`` multiplies whole
+matrices of packed entries for the operator algebra and
 ``dwalgebra.relation``. Kernels that stay in Z[x] take plain integer
 coefficient lists (``int_poly_dot``, ``int_poly_matmul``, ``int_poly_quo``):
 the weight adjoint, the moment rows of ``weights.moment_ints``, and the Sturm
-chain of ``nonneg_integer_roots`` and ``real_root_count``. Polynomial
-division runs there too: ``poly_quo`` and ``exact_div`` divide numerators by
-a primitive divisor, and ``poly_gcd`` follows the primitive remainder
-sequence of the Sturm chain (Brown 1971).
+chain of ``nonneg_integer_roots`` and ``real_root_count``. Polynomial division
+runs there too: ``poly_quo`` and ``exact_div`` divide numerators by a
+primitive divisor, and ``poly_gcd`` follows the primitive remainder sequence
+of the Sturm chain (Brown 1971).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class DomainError(ArithmeticError):
@@ -83,37 +85,43 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+def _bits(ints) -> int:
+    return (max(map(abs, ints)) if ints else 0).bit_length()
+
+
+def _trim(ints) -> tuple[int, ...]:
+    ints = list(ints)
+    while ints and not ints[-1]:
+        ints.pop()
+    return tuple(ints)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 
 class Poly:
-    """Dense univariate polynomial over Q; coeffs[k] is the x^k coefficient.
+    """Dense univariate polynomial over Q, stored once as its integer form:
+    numerators without trailing zeros, their least common denominator and
+    the bit length of the largest numerator (``int_form``); zero is
+    ((), 1, 0) and has degree -1. ``coeffs``, coeffs[k] the x^k coefficient
+    as a Fraction, is a view made when first read; the checked constructor
+    keeps the Fractions it was given as that view. Structure and arithmetic
+    read only the integer form, so a kernel's result makes no Fraction
+    until one is read."""
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs", "_hash", "_ints")
+    __slots__ = ("_ints", "coeffs")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else frac(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._hash = None
-        self._ints = None
-
-    @staticmethod
-    def _of(coeffs) -> "Poly":
-        """The Poly on ``coeffs`` without coercion or trimming. Trusts that
-        ``coeffs`` are Fractions whose last, if any, is nonzero."""
-        p = Poly.__new__(Poly)
-        p.coeffs, p._hash, p._ints = tuple(coeffs), None, None
-        return p
+        den = math.lcm(*[c.denominator for c in cs])
+        ints = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._ints, self.coeffs = (ints, den, _bits(ints)), tuple(cs)
 
     def __getattr__(self, name):
-        # a ``poly_over`` result holds only its integer form until its
-        # Fractions are first read
+        # the Fraction view of a Poly built from its integer form
         if name != "coeffs":
             raise AttributeError(name)
         ints, den, _ = self._ints
@@ -124,7 +132,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((frac(c),))
+        return _as_poly(frac(c))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
@@ -132,49 +140,35 @@ class Poly:
 
     # -- structure
 
-    # degree, truth value, == and hash read the integer form where the
-    # Poly has one; equal Polys have equal integer forms (``int_form``)
-
     @property
     def degree(self) -> int:
-        return len(self._ints[0] if self._ints else self.coeffs) - 1
+        return len(self._ints[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self
+        return not self._ints[0]
 
     def __bool__(self):
-        return bool(self._ints or self.coeffs)
+        return bool(self._ints[0])
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return _F0
+        return self.coeffs[k] if 0 <= k <= self.degree else _F0
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _key(self):
-        return int_form(self)[:2] if self else ()
-
     def __eq__(self, other):
         if isinstance(other, Poly):
-            if self is other:
-                return True
-            if self._ints is None is other._ints:  # neither has one: compare Fractions
-                return self.coeffs == other.coeffs
-            return self.degree == other.degree and self._key() == other._key()
+            return self._ints == other._ints
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash(self._ints)
 
     # -- arithmetic
 
@@ -182,55 +176,51 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not (a and b):
-            return other if b else self
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._of(_trim(out))
+        if not (self and other):
+            return other if other else self
+        return _combine(self, other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(-c for c in self.coeffs)
+        ints, den, _ = self._ints
+        return poly_over([-c for c in ints], den)
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, operator.sub) if other else self
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c, p = frac(other), self
+            (c, d), p = (other.numerator, other.denominator), self
         elif not isinstance(other, Poly):
             return NotImplemented
         elif self.degree > 0 < other.degree:
             return poly_dot(((self, other),))
         else:
             # a constant operand scales the other
-            c, p = (self[0], other) if self.degree < 1 else (other[0], self)
-        if not c:
-            return _P0
-        return Poly._of(c * v if v else v for v in p.coeffs)
+            const, p = (self, other) if self.degree < 1 else (other, self)
+            cs, d, _ = const._ints
+            c = cs[0] if cs else 0
+        ints, den, _ = p._ints
+        return poly_over([c * v for v in ints], den * d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        cs = self.coeffs
-        if not any(cs[:-1]):  # zero, a constant or c x^k: no products
-            return Poly((0,) * (len(cs) - 1) * n + (cs[-1] ** n,)) if cs else _P0 if n else _P1
+        ints, den, _ = self._ints
+        if not any(ints[:-1]):  # zero, a constant or c x^k: no products
+            return poly_over((0,) * (len(ints) - 1) * n + (ints[-1] ** n,), den**n) if ints else _P0 if n else _P1
         out, base = _P1, self
         while True:
             if n & 1:
@@ -241,7 +231,8 @@ class Poly:
             base = base * base
 
     def derivative(self) -> "Poly":
-        return Poly._of(i * c for i, c in enumerate(self.coeffs) if i)
+        ints, den, _ = self._ints
+        return poly_over(int_poly_derivative(ints), den)
 
     def __call__(self, x) -> Fraction:
         x = frac(x)
@@ -251,10 +242,10 @@ class Poly:
         return acc
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        ints, _, _ = self._ints
+        if not ints:
             return self
-        inv = 1 / self.lc
-        return Poly(tuple(inv * c for c in self.coeffs))
+        return poly_over(ints, ints[-1]) if ints[-1] > 0 else poly_over([-c for c in ints], -ints[-1])
 
     def __repr__(self):
         return f"Poly({poly_str(self)!r})"
@@ -263,36 +254,35 @@ class Poly:
         return poly_str(self)
 
 
+def _combine(a: Poly, b: Poly, op) -> Poly:
+    # a + b or a - b on the numerators over their common denominator
+    (x, y), den, _ = int_entries((a, b))
+    return poly_over([op(u, v) for u, v in zip_longest(x, y, fillvalue=0)], den)
+
+
+def poly_over(ints, den: int) -> Poly:
+    """The polynomial sum_k ints[k] x^k / den, den > 0, for a kernel's
+    integer result, trailing zeros allowed: ints over den divided by their
+    gcd, stored as they are, with no Fraction made."""
+    ints = _trim(ints)
+    g = math.gcd(den, *ints)
+    if g > 1:
+        ints, den = tuple([c // g for c in ints]), den // g
+    p = Poly.__new__(Poly)
+    p._ints = ints, den, _bits(ints)
+    return p
+
+
 _P0 = Poly()
 _P1 = Poly((1,))
 X = Poly((0, 1))
 
 
 def int_form(p: Poly):
-    """(numerators over the lcm of p's denominators, that lcm, their largest
-    bit length) of a nonzero p, computed once per Poly."""
-    if p._ints is None:
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        ints = tuple(c.numerator * (den // c.denominator) for c in p.coeffs)
-        p._ints = (ints, den, max(abs(v) for v in ints).bit_length())
+    """(numerators, their least common denominator, the largest numerator's
+    bit length): the form p is stored in, ((), 1, 0) for zero. Equal
+    polynomials have equal forms."""
     return p._ints
-
-
-def poly_over(ints, den: int) -> Poly:
-    """The polynomial sum_k ints[k] x^k / den, den > 0, for a kernel's
-    integer result, trailing zeros allowed. It holds only its ``int_form``,
-    ints over den divided by their gcd, which is the lcm of the reduced
-    coefficients' denominators; its Fraction ``coeffs`` are made when first
-    read, so a result that only feeds other integer kernels makes none."""
-    ints = _trim(ints)
-    if not ints:
-        return _P0
-    g = math.gcd(den, *ints)
-    if g > 1:
-        ints, den = tuple(c // g for c in ints), den // g
-    p = Poly.__new__(Poly)
-    p._hash, p._ints = None, (ints, den, _bits(ints))
-    return p
 
 
 def int_entries(polys):
@@ -300,11 +290,17 @@ def int_entries(polys):
     denominator L, zero polynomials as empty lists, with every numerator
     below 2^b in magnitude. b comes from each ``int_form``'s stored bit length
     and the bits of its scale; no coefficient is scanned."""
-    forms = [int_form(p) if p else None for p in polys]
-    den = math.lcm(*(f[1] for f in forms if f))
-    scales = [den // f[1] if f else 1 for f in forms]
-    bits = max((f[2] + (s - 1).bit_length() for f, s in zip(forms, scales) if f), default=0)
-    return [tuple(s * c for c in f[0]) if s > 1 else f[0] if f else () for f, s in zip(forms, scales)], den, bits
+    forms = [p._ints for p in polys]
+    den = math.lcm(*[d for _, d, _ in forms])
+    nums, bits = [], 0
+    for ints, d, b in forms:
+        if d != den:
+            s = den // d
+            ints, b = tuple([s * c for c in ints]), b + (s - 1).bit_length()
+        nums.append(ints)
+        if ints and b > bits:
+            bits = b
+    return nums, den, bits
 
 
 def int_matrix(rows):
@@ -365,9 +361,7 @@ def digit(v: int, w: int, k: int) -> int:
 def poly_dot(pairs) -> Poly:
     """Sum of a * b over (Poly, Poly) pairs: the integer forms of each pair
     over the common denominator L of all products, one ``int_poly_dot``."""
-    forms = [(int_form(a), int_form(b)) for a, b in pairs if a and b]
-    if not forms:
-        return _P0
+    forms = [(a._ints, b._ints) for a, b in pairs]
     den = math.lcm(*(fa[1] * fb[1] for fa, fb in forms))
     ints, _ = int_poly_dot([(den // (fa[1] * fb[1]), (fa[0], fa[2]), (fb[0], fb[2])) for fa, fb in forms])
     return poly_over(ints, den)
@@ -379,7 +373,7 @@ def int_poly(ints):
     its largest coefficient, (), 0 for zero. Results come in this form, so
     no operand is scanned for its width again."""
     ints = _trim(ints)
-    return ints, _bits(ints) if ints else 0
+    return ints, _bits(ints)
 
 
 def int_poly_dot(terms):
@@ -413,17 +407,6 @@ def int_poly_matmul(a, b, n: int):
             for r in range(n) for c in range(n)]
 
 
-def _bits(ints) -> int:
-    return max(map(abs, ints)).bit_length()
-
-
-def _trim(ints) -> tuple[int, ...]:
-    ints = list(ints)
-    while ints and not ints[-1]:
-        ints.pop()
-    return tuple(ints)
-
-
 def int_poly_derivative(a) -> tuple[int, ...]:
     """The derivative of an integer coefficient list."""
     return tuple(k * c for k, c in enumerate(a) if k)
@@ -453,7 +436,7 @@ def _as_poly(v):
     if isinstance(v, Poly):
         return v
     if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
+        return poly_over((v.numerator,), v.denominator)
     return None
 
 
@@ -488,7 +471,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while len(y) > 1:
         x, y = y, _sturm_rem(x, y)
         if not y:
-            return Poly(x).monic()
+            return poly_over(x, 1).monic()
     return _P1
 
 

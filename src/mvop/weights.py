@@ -549,11 +549,11 @@ class OPSequence:
 
 def _scalar_step(family: ScalarWeightFamily, k: int, p: Poly, q: Poly) -> Poly:
     """x p - b_k p - c_k q for the family's (b_k, c_k), on the integer
-    numerators of p and q (q is not read when c_k = 0, as at k = 0): one
-    integer list over the lcm of the denominators of p b_k and q c_k."""
+    numerators of p and q (q's terms drop out when c_k = 0, as at k = 0):
+    one integer list over the lcm of the denominators of p b_k and q c_k."""
     b, c = family.recursion(k)
     pi, pd, _ = int_form(p)
-    qi, qd, _ = int_form(q) if c else ((), 1, 0)
+    qi, qd, _ = int_form(q)
     den = math.lcm(pd * b.denominator, qd * c.denominator)
     out = [0] + [den // pd * v for v in pi]
     for f, ints, d in ((b, pi, pd), (c, qi, qd)):

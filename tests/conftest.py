@@ -1,9 +1,6 @@
 import sys
 from pathlib import Path
 
-# allow running the suite from a fresh checkout without installing
-_src = Path(__file__).resolve().parents[1] / "src"
-try:
-    import mvop  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(_src))
+# test the checkout's package, ahead of any other importable mvop (an
+# installed copy, say), and without installing it
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

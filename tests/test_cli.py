@@ -386,6 +386,15 @@ class TestBadParams:
         self.assert_usage_error(cmd + ["--params", "alpha=1/2, alpha=3"], capsys, "'alpha' more than once")
 
     @pytest.mark.parametrize("cmd", [["entry", "JAC2"], ["verify", str(DATA_DIR / "jac2.mvop")]])
+    @pytest.mark.parametrize("piece", ["=3", "1a=2"])
+    def test_param_name_not_a_name_refused(self, cmd, piece, capsys):
+        # "=3" used to reach the document as an override naming nothing,
+        # reported at a line of a template the user never sees
+        self.assert_usage_error(
+            cmd + ["--params", piece], capsys, f"bad parameters: bad --params entry {piece!r}, expected name=value"
+        )
+
+    @pytest.mark.parametrize("cmd", [["entry", "JAC2"], ["verify", str(DATA_DIR / "jac2.mvop")]])
     @pytest.mark.parametrize("value", ["٣", "١/٢", "３"], ids=["arabic-indic", "ratio", "fullwidth"])
     def test_non_ascii_param_value_refused(self, cmd, value, capsys):
         # Fraction() reads these as 3, 1/2 and 3: verify passed 10/10 with

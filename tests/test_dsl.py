@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvop.exactalg import FracMat, Poly, X
+from mvop.exactalg import FracMat, Poly, X, poly_over
 from mvop.diffop import DiffOp, MatPoly, compose, op_power
 from mvop.weights import Jacobi, Laguerre, Weight
 from mvop import dsl
@@ -23,6 +23,7 @@ from mvop.dsl import (
     print_document,
 )
 from test_diffop import embed_scalar
+from test_exactalg import _unset
 
 
 class TestParsing:
@@ -439,6 +440,41 @@ class TestOperatorExpressions:
         deep = "delta(laguerre(alpha=" * (LIMIT + 1) + "1" + "))" * (LIMIT + 1)
         with pytest.raises(ParseError, match=f"nested deeper than {LIMIT}"):
             parse_spec(f"op T = {deep}\n")
+
+
+def _fraction_measure(v):
+    """The oracle of ``dsl._measure`` on Fraction coefficients: order,
+    coefficient degree and the largest bit length of a coefficient's
+    numerator or denominator (0 for 0)."""
+    bits = lambda c: (abs(c.numerator) | c.denominator).bit_length() if c else 0
+    if isinstance(v, Poly):
+        return 0, v.degree, max(map(bits, v.coeffs), default=0)
+    cells = [e for m in v.coeffs for row in m.rows for e in row]
+    return v.order, max((p.degree for p in cells), default=-1), max((bits(c) for p in cells for c in p.coeffs), default=0)
+
+
+# numerators and denominators that share factors with each other
+_numerators = st.lists(st.one_of(st.integers(-(2**80), 2**80), st.integers(-12, 12).map(lambda v: v * 6**9)), max_size=5)
+_denominators = st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2**70, 6**9, 3 * 2**40]))
+
+
+class TestMeasure:
+    @given(st.lists(st.tuples(_numerators, _denominators), min_size=1, max_size=6), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_form_measure_is_fraction_measure(self, forms, size):
+        # read off the stored integer form, without making a Fraction
+        polys = [poly_over(ints, den) for ints, den in forms]
+        for p in polys:
+            assert dsl._measure(p) == _fraction_measure(Poly(p.coeffs))
+        fresh = [poly_over(ints, den) for ints, den in forms]
+        got = [dsl._measure(p) for p in fresh]
+        assert all(_unset(p, "coeffs") for p in fresh)
+        assert got == [dsl._measure(p) for p in polys]
+        n = size * size
+        mats = [MatPoly([polys[k : k + n][r * size : (r + 1) * size] for r in range(size)])
+                for k in range(0, len(polys) - n + 1, n)]
+        op = DiffOp(size, mats)
+        assert dsl._measure(op) == _fraction_measure(op)
 
 
 class TestChecks:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -728,14 +729,26 @@ class TestExactCoercion:
         assert FracMat([["1/2"]]) == FracMat([[F(1, 2)]])
 
 
-def _trusted_poly(p):
-    """p is what the checked constructor makes of its coefficients, and a
-    seeded integer form is the one ``int_form`` computes from them."""
+def assert_canonical(p, coeffs=None):
+    """p is stored in the one form: integer numerators without trailing
+    zeros over a positive denominator that shares no factor with them, the
+    largest numerator's exact bit length, zero as ((), 1, 0). Its Fraction
+    view is those numerators over the denominator and, where given, the
+    Fraction (schoolbook) result ``coeffs``."""
+    ints, den, bits = int_form(p)
+    assert type(ints) is tuple and all(type(v) is int for v in ints)
+    assert type(den) is int and den > 0 and math.gcd(den, *ints) == 1
+    assert not ints or ints[-1] != 0
+    assert bits == max(map(abs, ints), default=0).bit_length()
+    assert ints or (den, bits) == (1, 0)
     assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
-    assert not p.coeffs or p.coeffs[-1] != 0
-    assert Poly(p.coeffs) == p
-    if p._ints is not None:
-        assert p._ints == int_form(Poly(p.coeffs))
+    assert p.coeffs == tuple(F(v, den) for v in ints)
+    assert Poly(p.coeffs) == p and int_form(Poly(p.coeffs)) == int_form(p)
+    if coeffs is not None:
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        assert p.coeffs == tuple(coeffs)
 
 
 def _unset(obj, name):
@@ -747,12 +760,6 @@ def _unset(obj, name):
     return False
 
 
-def _seeded_poly(p):
-    # a kernel's result: nonzero, it carries its integer form
-    _trusted_poly(p)
-    assert p.is_zero or p._ints is not None
-
-
 def _trusted_matrix(m, entry):
     assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
     assert all(type(e) is entry for r in m.rows for e in r)
@@ -760,7 +767,7 @@ def _trusted_matrix(m, entry):
     if entry is Poly:
         for r in m.rows:
             for e in r:
-                _trusted_poly(e)
+                assert_canonical(e)
 
 
 def _fracmats(r, c):
@@ -768,18 +775,30 @@ def _fracmats(r, c):
 
 
 class TestTrustedConstruction:
-    """``Poly._of`` and ``Matrix._of`` skip coercion, trimming and shape
+    """``poly_over`` and ``Matrix._of`` skip coercion, trimming and shape
     checks; every result built through them must equal the checked
-    constructor's, and every integer form a kernel seeds must be the one
-    ``int_form`` recomputes."""
+    constructor's, and every Poly, from either, is in the one canonical
+    form (``assert_canonical``)."""
 
     @given(polys, polys, fractions)
     @example(X**2 + 1, 1 - X**2, F(0))
+    @example(Poly([F(-1, 2), F(3, 4)]), Poly([F(1, 2), F(1, 4)]), F(-2, 3))
     @settings(max_examples=80, deadline=None)
     def test_poly_arithmetic(self, a, b, c):
-        for r in (a + b, a - b, b - a, -a, a + (-a), a * c, c * a, a * 3, a * Poly.const(c), Poly.const(c) * a, a.derivative()):
-            _trusted_poly(r)
-        assert a + 0 is a and 0 + a is a and a + Poly() is a
+        # each result against schoolbook arithmetic on Fraction coefficients
+        ca, cb = a.coeffs, b.coeffs
+        added = lambda x, y, s: [u + s * v for u, v in zip_longest(x, y, fillvalue=F(0))]
+        scaled = [c * v for v in ca]
+        want = [
+            (a + b, added(ca, cb, 1)), (a - b, added(ca, cb, -1)), (b - a, added(cb, ca, -1)),
+            (-a, [-v for v in ca]), (a + (-a), []), (a * c, scaled), (c * a, scaled),
+            (a * 3, [3 * v for v in ca]), (a * Poly.const(c), scaled), (Poly.const(c) * a, scaled),
+            (a.derivative(), [k * v for k, v in enumerate(ca) if k]),
+            (a.monic(), [v / ca[-1] for v in ca] if ca else []),
+        ]
+        for r, coeffs in want:
+            assert_canonical(r, coeffs)
+        assert a + 0 is a and 0 + a is a and a + Poly() is a and a - Poly() is a
         assert Poly() + a is a or a.is_zero
 
     @given(st.lists(st.integers(-(2**80), 2**80), max_size=6), st.integers(0, 3), st.integers(1, 10**6))
@@ -789,19 +808,22 @@ class TestTrustedConstruction:
     def test_poly_over_seeds_int_form(self, ints, zeros, den):
         p = poly_over(ints + [0] * zeros, den)
         assert p == Poly([F(c, den) for c in ints])
-        _seeded_poly(p)
+        assert_canonical(p, [F(c, den) for c in ints])
 
-    @given(st.lists(st.integers(-(2**70), 2**70), max_size=6), st.integers(0, 2), st.integers(1, 10**5))
-    @example([], 0, 7)
-    @example([0, 0], 1, 3)
-    @example([5], 0, 10)
-    @example([-4, 0, 0, 6], 1, 4)
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=6), st.integers(0, 2), st.integers(1, 10**5),
+           st.lists(st.integers(-(2**40), 2**40), max_size=5), st.integers(1, 10**4), fractions)
+    @example([], 0, 7, [], 1, F(0))
+    @example([0, 0], 1, 3, [1], 2, F(1))
+    @example([5], 0, 10, [-5], 10, F(-2, 3))
+    @example([-4, 0, 0, 6], 1, 4, [4, 0, 0, -6], 4, F(3, 4))
     @settings(max_examples=80, deadline=None)
-    def test_poly_over_builds_coefficients_when_read(self, ints, zeros, den):
+    def test_integer_operands_make_no_fraction(self, ints, zeros, den, other, oden, c):
         # a poly_over result and the same polynomial built from Fractions
-        # agree everywhere; degree, truth value, == and hash read no Fraction
-        lazy, eager = poly_over(ints + [0] * zeros, den), Poly([F(c, den) for c in ints])
-        unread = lambda p: p.is_zero or _unset(p, "coeffs")
+        # agree everywhere; structure and +, -, negation, constant scaling
+        # and derivative read no Fraction of operands that have none and
+        # build none for their results
+        lazy, eager = poly_over(ints + [0] * zeros, den), Poly([F(v, den) for v in ints])
+        b, const = poly_over(other, oden), poly_over([c.numerator], c.denominator)
         assert lazy.degree == eager.degree and bool(lazy) == bool(eager) and lazy.is_zero == eager.is_zero
         assert lazy == eager and eager == lazy and not lazy != eager
         assert hash(lazy) == hash(eager)
@@ -809,13 +831,21 @@ class TestTrustedConstruction:
         table[lazy] = "lazy"
         assert table == {eager: "lazy"} and table[lazy] == "lazy"
         assert lazy == poly_over(ints, den) and hash(lazy) == hash(poly_over(ints, den))
-        assert unread(lazy)
+        results = [lazy + b, b + lazy, lazy - b, b - lazy, -lazy, lazy * c, c * lazy, lazy * 3, -2 * lazy,
+                   lazy * const, const * lazy, lazy.derivative(), lazy + 1, 1 - lazy]
+        assert all(_unset(p, "coeffs") for p in (lazy, b, const, *results))
+        eb = Poly([F(v, oden) for v in other])
+        want = [eager + eb, eb + eager, eager - eb, eb - eager, -eager, eager * c, c * eager, eager * 3, -2 * eager,
+                eager * Poly.const(c), Poly.const(c) * eager, eager.derivative(), eager + 1, 1 - eager]
+        assert results == want
+        for r, w in zip(results, want):
+            assert_canonical(r, w.coeffs)
         assert [lazy[k] for k in range(-1, len(ints) + 2)] == [eager[k] for k in range(-1, len(ints) + 2)]
         assert (repr(lazy), str(lazy)) == (repr(eager), str(eager))
         if eager:
             assert lazy.lc == eager.lc and type(lazy.lc) is F
         assert lazy.coeffs == eager.coeffs
-        _seeded_poly(lazy)
+        assert_canonical(lazy)
 
     @given(st.lists(st.sampled_from([F(0), F(0), F(1), F(-3, 2), F(7, 5)]), max_size=7),
            st.sampled_from([0, 1, -2, F(0), F(3, 4), F(-1, 6)]))
@@ -831,7 +861,7 @@ class TestTrustedConstruction:
         want = Poly([c * v for v in coeffs])
         for r in (p * c, c * p, p * Poly.const(c), Poly.const(c) * p):
             assert r == want and repr(r) == repr(want)
-            _trusted_poly(r)
+            assert_canonical(r)
         for q in (p, Poly.const(c)):
             assert q * Poly() == Poly() * q == Poly()
 
@@ -839,18 +869,18 @@ class TestTrustedConstruction:
     @settings(max_examples=40, deadline=None)
     def test_kernel_results_seed_int_form(self, pairs, b):
         dot = poly_dot(pairs)
-        _seeded_poly(dot)
+        assert_canonical(dot)
         for a, c in pairs:
             # a constant operand scales the other without the kernel
-            (_seeded_poly if a.degree > 0 < c.degree else _trusted_poly)(a * c)
+            assert_canonical(a * c, _schoolbook([(a, c)]).coeffs)
         quo = poly_quo(dot * b, b)
         assert quo == dot
-        _seeded_poly(quo)
+        assert_canonical(quo)
         det, adj = bareiss([[b, X], [Poly.const(3), b * b]])
-        _seeded_poly(det)
+        assert_canonical(det)
         for r in adj:
             for e in r:
-                _seeded_poly(e)
+                assert_canonical(e)
 
     @given(
         st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
@@ -875,7 +905,7 @@ class TestTrustedConstruction:
             _trusted_matrix(r, Poly)
         for r in (p * q, p.lmul_const(q.coeff(0))):
             for e in (e for row in r.rows for e in row):
-                _seeded_poly(e)
+                assert_canonical(e)
         for k in range(3):
             _trusted_matrix(p.coeff(k), F)
         zero = MatPoly.zeros(p.size)
@@ -901,7 +931,7 @@ class TestTrustedConstruction:
         for m in (apply(p, d), *compose(d, d).coeffs):
             _trusted_matrix(m, Poly)
             for e in (e for row in m.rows for e in row):
-                _seeded_poly(e)
+                assert_canonical(e)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(_fracmats(n, n), min_size=1, max_size=4)))
     @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ reads a family through its Pearson pair and ends. String literals do not
 count. No module but ``__init__.py``, which re-exports, imports a name it
 does not use.
 Every module stays below the token count at which CPython's parser grows its
-token array."""
+token array, and the suite tests this checkout's package."""
 
 import ast
 import io
@@ -37,6 +37,14 @@ def _names(tree):
 
 def test_modules_found():
     assert {"exactalg.py", "diffop.py", "weights.py", "dsl.py", "dwalgebra.py"} <= {p.name for p in MODULES}
+
+
+def test_checkout_is_tested():
+    # conftest puts the checkout's src first, so the suite never tests
+    # another importable mvop
+    import mvop
+
+    assert Path(mvop.__file__).resolve().parent == SRC
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
