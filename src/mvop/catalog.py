@@ -163,8 +163,10 @@ def _data_text(name: str) -> str:
     return resources.files(__package__).joinpath("data", f"{name.lower()}.mvop").read_text(encoding="utf-8")
 
 
-def entry(name: str, params: dict | None = None) -> CatalogEntry:
-    """The fully populated catalog entry, at default or overridden parameters."""
+def _document(name: str, params: dict | None, printed: bool) -> SpecDocument:
+    """The entry's data file without its checks, then its verbatim readings
+    when ``printed``, parsed at default or overridden parameters after the
+    stated rules admit them."""
     if name not in _ENTRIES:
         raise LookupError(f"unknown catalog entry {name!r}; have {ENTRY_NAMES}")
     spec = _ENTRIES[name]
@@ -178,10 +180,17 @@ def entry(name: str, params: dict | None = None) -> CatalogEntry:
                 raise DomainError(f"{name} requires {rule}")
         # the file's checks are structural and not part of the entry; the
         # verbatim readings parse in the same pass, after the file's names
-        doc = parse_spec("".join(ln for ln in lines if not ln.startswith("check ")) + spec.printed, overrides)
+        body = "".join(ln for ln in lines if not ln.startswith("check "))
+        return parse_spec(body + spec.printed if printed else body, overrides)
     except ParseError as exc:
         # the data file is fixed, so a parse failure is a parameter problem
         raise DomainError(f"inadmissible parameters for {name}: {exc}") from exc
+
+
+def entry(name: str, params: dict | None = None) -> CatalogEntry:
+    """The fully populated catalog entry, at default or overridden parameters."""
+    doc = _document(name, params, printed=True)
+    spec = _ENTRIES[name]
     verbatim = {k.removesuffix("_printed"): doc.ops.pop(k) for k in list(doc.ops) if k.endswith("_printed")}
     w, wt = spec.weights
     return CatalogEntry(
@@ -203,8 +212,10 @@ def default_params(name: str) -> dict[str, Fraction]:
 
 def entry_document_text(name: str, params: dict | None = None) -> str:
     """The entry's data file with the entry's parameter values. At default
-    parameters this is the file itself."""
-    p = entry(name, params).params
+    parameters this is the file itself. It refuses what ``entry`` refuses,
+    with its message; the verbatim readings are not part of it, so they are
+    not parsed."""
+    p = _document(name, params, printed=False).params
     return re.sub(r"^param (\w+) = .*$", lambda m: f"param {m[1]} = {p[m[1]]}", _data_text(name), flags=re.MULTILINE)
 
 

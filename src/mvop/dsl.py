@@ -40,9 +40,9 @@ import re
 import string
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import accumulate
 
-from .exactalg import DomainError, NonPolynomialError, Poly, X, int_form, poly_str
+from .exactalg import DomainError, NonPolynomialError, Poly, X, int_form, poly_over, poly_str
 from .diffop import DiffOp, MatPoly, compose, op_power
 from .weights import HermiteShifted, Jacobi, Laguerre, ScalarWeightFamily, Weight
 from .dwalgebra import _search_horizon
@@ -95,68 +95,57 @@ _CHECK_OPTIONS = {
 # lexer
 
 
-class _Tok(NamedTuple):
-    kind: str  # NAME, INT, SYM, NEWLINE, EOF
-    text: str
-    line: int
-    col: int
-
-
-# the text splits into pieces that cover it: a newline, with the comment
-# before it on its line if any; a comment that ends the text; a run of
-# blanks; an integer; a name; or any one other character. A piece's first
-# character gives its kind: "\n" for a newline or a comment, None for a
-# character no token starts with. ASCII only: str.isdigit and str.isalpha
-# also accept other scripts' digits and letters, and superscripts, which
-# int() then reads or refuses
-_PIECES = re.compile(r"(?:#[^\n]*)?\n|#[^\n]*|[ \t\r]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.")
+# a line without its comment splits into pieces that cover it: a symbol, a
+# name, an integer, a run of blanks or any one other character. A piece's first
+# character gives its kind, None for a character no token starts with.
+# ASCII only: str.isdigit and str.isalpha also accept other scripts' digits
+# and letters, and superscripts, which int() then reads or refuses
+_PIECES = re.compile(r"[=+\-*/^()\[\],;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[ \t\r]+|.")
 _KINDS = {
     **dict.fromkeys("=+-*/^()[],;", "SYM"),
     **dict.fromkeys(string.ascii_letters + "_", "NAME"),
     **dict.fromkeys(string.digits, "INT"),
     **dict.fromkeys(" \t\r", " "),
-    "#": "\n",
-    "\n": "\n",
 }
-_new = tuple.__new__  # a _Tok from its fields, without NamedTuple's Python-level __new__
 # decimal digits of 2^(LIMIT^2), the most a literal within the bit bound has
 _MAX_DIGITS = len(str(1 << LIMIT * LIMIT))
+# a line is read piece by piece when it holds a character no token starts
+# with or a literal with a leading zero, or is long enough to hold a literal
+# as long as 2^(LIMIT^2)
+_IRREGULAR = re.compile(r"[^ \t\r0-9A-Za-z_=+\-*/^()\[\],;]|0(?<![0-9A-Za-z_]0)[0-9]")
+_BRACKETS = re.compile(r"[][()]")
 
 
-def _lex(text: str) -> list[_Tok]:
-    """The tokens of ``text``, then NEWLINE and EOF. A newline outside
+def _lex(text: str) -> list[tuple]:
+    """The tokens of ``text``, (kind, text, line, column) with kind NAME,
+    INT, SYM, NEWLINE or EOF, then NEWLINE and EOF. A newline outside
     brackets ends a statement (one NEWLINE for a run of them). Line and
     column count characters from 1; a comment takes no column, so a NEWLINE
     after one stands where it starts."""
-    toks: list[_Tok] = []
-    line, col, depth = 1, 1, 0
-    for s in _PIECES.findall(text):
-        kind = _KINDS.get(s[0])
-        if kind == "NAME":
-            toks.append(_new(_Tok, ("NAME", s, line, col)))
-        elif kind == "SYM":
-            if s in "([":
-                depth += 1
-            elif s in ")]":
-                depth = max(0, depth - 1)
-            toks.append(_new(_Tok, ("SYM", s, line, col)))
-        elif kind == "INT":
-            digits = s.lstrip("0") or "0"
-            if len(digits) > _MAX_DIGITS or int(digits) >> LIMIT * LIMIT:
-                raise ParseError(f"integer literal exceeds {LIMIT * LIMIT} bits", line, col)
-            toks.append(_new(_Tok, ("INT", digits, line, col)))
-        elif kind == "\n":
-            if s[-1] == "\n":
-                if depth == 0 and toks and toks[-1].kind != "NEWLINE":
-                    toks.append(_new(_Tok, ("NEWLINE", "", line, col)))
-                line, col = line + 1, 1
-            continue
-        elif kind is None:
-            raise ParseError(f"unexpected character {s!r}", line, col)
-        col += len(s)
-    toks.append(_new(_Tok, ("NEWLINE", "", line, col)))
-    toks.append(_new(_Tok, ("EOF", "", line, col)))
-    return toks
+    toks, depth = [], 0
+    lines = text.split("\n")
+    for line, code in enumerate(lines, 1):
+        code = code.partition("#")[0]
+        pieces = _PIECES.findall(code)
+        cols = accumulate(map(len, pieces), initial=1)
+        if len(code) >= _MAX_DIGITS or _IRREGULAR.search(code):
+            for s, col in zip(pieces, cols):
+                kind = _KINDS.get(s[0])
+                if kind is None:
+                    raise ParseError(f"unexpected character {s!r}", line, col)
+                if kind == "INT":
+                    s = s.lstrip("0") or "0"
+                    if len(s) > _MAX_DIGITS or int(s) >> LIMIT * LIMIT:
+                        raise ParseError(f"integer literal exceeds {LIMIT * LIMIT} bits", line, col)
+                if kind != " ":
+                    toks.append((kind, s, line, col))
+        else:
+            toks += [(kind, s, line, col) for s, col in zip(pieces, cols) if (kind := _KINDS[s[0]]) != " "]
+        for b in _BRACKETS.findall(code):
+            depth = depth + 1 if b in "([" else max(0, depth - 1)
+        if line < len(lines) and depth == 0 and toks and toks[-1][0] != "NEWLINE":
+            toks.append(("NEWLINE", "", line, len(code) + 1))
+    return toks + [(kind, "", line, len(code) + 1) for kind in ("NEWLINE", "EOF")]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +220,8 @@ def _as_op(v) -> DiffOp:
 
 def _as_poly(v):
     """A constant as a polynomial; any other value as it is."""
-    if isinstance(v, Fraction):
-        return Poly((v,))
+    if type(v) is Fraction:
+        return poly_over((v.numerator,), v.denominator)
     return v
 
 
@@ -252,22 +241,29 @@ def _const_bits(c: Fraction) -> int:
     return (abs(c.numerator) | c.denominator).bit_length() if c else 0
 
 
-def _poly_bits(p: Poly) -> int:
-    """The largest ``_const_bits`` of p's coefficients, read off its integer
-    form: n / den in lowest terms is (n / g) / (den / g), g = gcd(n, den)."""
-    ints, den, bits = int_form(p)
-    if den == 1:
-        return bits
-    return max(((abs(n) // (g := math.gcd(n, den))) | (den // g)).bit_length() for n in ints if n)
+def _size(v, exact=False):
+    """Order, coefficient degree and coefficient bit length of a constant, a
+    polynomial or an operator, read off the integer forms it stores. Unless
+    ``exact``, the bits are an upper bound: the larger bit length of the
+    numerators and of their denominator den, as n / den in lowest terms is
+    (n / g) / (den / g), g = gcd(n, den)."""
+    if type(v) is Fraction:
+        return 0, 0 if v else -1, _const_bits(v)
+    if type(v) is not Poly:
+        _, degrees, bits = zip((0, -1, 0), *(_size(e, exact) for m in v.coeffs for r in m.rows for e in r))
+        return v.order, max(degrees), max(bits)
+    ints, den, bits = int_form(v)
+    if not exact:
+        bits = max(bits, den.bit_length())
+    elif den > 1:
+        bits = max(((abs(n) // (g := math.gcd(n, den))) | (den // g)).bit_length() for n in ints if n)
+    return 0, len(ints) - 1, bits
 
 
 def _measure(v) -> tuple[int, int, int]:
-    """Order, coefficient degree and coefficient bit length of a polynomial
-    or an operator."""
-    if isinstance(v, Poly):
-        return 0, v.degree, _poly_bits(v)
-    cells = [e for m in v.coeffs for row in m.rows for e in row]  # values are polynomial
-    return v.order, max((p.degree for p in cells), default=-1), max(map(_poly_bits, cells), default=0)
+    """Order, coefficient degree and coefficient bit length of a constant, a
+    polynomial or an operator: ``_size`` with the exact bits."""
+    return _size(v, True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,44 +271,38 @@ def _measure(v) -> tuple[int, int, int]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], overrides: dict[str, Fraction] | None):
+    def __init__(self, toks: list[tuple], overrides: dict[str, Fraction] | None):
         self.toks = toks
         self.pos = 0
         self.doc = SpecDocument()
         self.overrides = dict(overrides or {})
         self.depth = 0
-        # by id, _measure of x, of each op and of each power of a name, None
-        # until taken: the document or ``powers`` keeps them, so an id stays
-        # theirs. Any other value is new and is measured once, where it is used
-        self.named = {id(X): None}
-        # (name, k): the k-th power of x, a param or an op, computed once
-        self.powers = {}
+        # the values a document computes once, as it binds each name once:
+        # integer literals by their text, ("d", j), ("delta", the weight's
+        # text), (x, a param, an op or a literal; k) for a k-th power and,
+        # by its size, a zero matrix
+        self.values = {}
 
-    # token helpers
+    # token helpers: a token is (kind, text, line, column)
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
 
     def err(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *tok[2:])
 
     def small_int(self, what, least=0, greatest=LIMIT) -> int:
         neg = bool(self.accept("SYM", "-"))
         tok = self.expect("INT")
-        v = -int(tok.text) if neg else int(tok.text)
+        v = -int(tok[1]) if neg else int(tok[1])
         if greatest is not None and not least <= v <= greatest:
             self.err(f"{what} {v} outside {least}..{greatest}", tok)
         return v
 
     def accept(self, kind, text=None):
         t = self.toks[self.pos]
-        if t.kind == kind and (text is None or t.text == text):
+        if t[0] == kind and (text is None or t[1] == text):
             self.pos += 1
             return t
         return None
@@ -320,8 +310,7 @@ class _Parser:
     def expect(self, kind, text=None):
         t = self.accept(kind, text)
         if t is None:
-            want = text or kind
-            self.err(f"expected {want!r}, found {self.peek().text or self.peek().kind!r}")
+            self.err(f"expected {text or kind!r}, found {self.peek()[1] or self.peek()[0]!r}")
         return t
 
     # document
@@ -330,32 +319,26 @@ class _Parser:
         while True:
             while self.accept("NEWLINE"):
                 pass
-            if self.peek().kind == "EOF":
+            if self.peek()[0] == "EOF":
                 unknown = sorted(set(self.overrides) - set(self.doc.params))
                 if unknown:
                     self.err(f"parameter override names no param statement: {', '.join(unknown)}")
                 return self.doc
             head = self.expect("NAME")
-            if head.text == "param":
-                self.parse_param()
-            elif head.text == "weight":
-                self.parse_weight()
-            elif head.text == "op":
-                self.parse_op()
-            elif head.text == "check":
-                self.parse_check()
-            else:
-                self.err(f"unknown statement {head.text!r}", head)
-            if self.peek().kind != "EOF":
+            if head[1] not in ("param", "weight", "op", "check"):
+                self.err(f"unknown statement {head[1]!r}", head)
+            getattr(self, f"parse_{head[1]}")()
+            if self.peek()[0] != "EOF":
                 self.expect("NEWLINE")
 
     def fresh_name(self) -> str:
         t = self.expect("NAME")
-        if t.text in _RESERVED:
-            self.err(f"{t.text!r} is a reserved word", t)
-        if t.text in self.doc.params or t.text in self.doc.weights or t.text in self.doc.ops:
-            self.err(f"name {t.text!r} is already bound", t)
-        return t.text
+        name = t[1]
+        if name in _RESERVED:
+            self.err(f"{name!r} is a reserved word", t)
+        if name in self.doc.params or name in self.doc.weights or name in self.doc.ops:
+            self.err(f"name {name!r} is already bound", t)
+        return name
 
     def parse_param(self):
         name = self.fresh_name()
@@ -370,14 +353,14 @@ class _Parser:
 
     def weight_expr(self) -> Weight:
         t = self.expect("NAME")
-        if t.text == "dsum":
+        if t[1] == "dsum":
             self.expect("SYM", "(")
             blocks = []
             while True:
                 ref = self.expect("NAME")
-                if ref.text not in self.doc.weights:
-                    self.err(f"unbound weight {ref.text!r}", ref)
-                blocks.append(self.doc.weights[ref.text])
+                if ref[1] not in self.doc.weights:
+                    self.err(f"unbound weight {ref[1]!r}", ref)
+                blocks.append(self.doc.weights[ref[1]])
                 if not self.accept("SYM", ","):
                     break
             self.expect("SYM", ")")
@@ -394,40 +377,40 @@ class _Parser:
         except DomainError as exc:
             self.err(str(exc), tok)
 
-    def family_call(self, t: _Tok) -> ScalarWeightFamily:
-        if t.text not in _FAMILIES:
-            self.err(f"unknown weight family {t.text!r}", t)
+    def family_call(self, t: tuple) -> ScalarWeightFamily:
+        family = t[1]
+        if family not in _FAMILIES:
+            self.err(f"unknown weight family {family!r}", t)
         self.expect("SYM", "(")
         kv = {}
         if not self.accept("SYM", ")"):
             while True:
                 key = self.expect("NAME")
-                if key.text in kv:
-                    self.err(f"repeated parameter {key.text!r}", key)
+                if key[1] in kv:
+                    self.err(f"repeated parameter {key[1]!r}", key)
                 self.expect("SYM", "=")
-                kv[key.text] = self.const_expr()
+                kv[key[1]] = self.const_expr()
                 if not self.accept("SYM", ","):
                     break
             self.expect("SYM", ")")
         try:
-            return _FAMILIES[t.text](**kv)
+            return _FAMILIES[family](**kv)
         except TypeError:
-            self.err(f"bad parameters for {t.text}: {sorted(kv)}", t)
+            self.err(f"bad parameters for {family}: {sorted(kv)}", t)
         except DomainError as exc:
             self.err(str(exc), t)
 
     def parse_op(self):
         name = self.fresh_name()
         self.expect("SYM", "=")
-        op = self.doc.ops[name] = _as_op(self.expr())
-        self.named[id(op)] = None
+        self.doc.ops[name] = _as_op(self.expr())
 
     def matrix(self) -> MatPoly:
         toks, start = self.toks, self.expect("SYM", "[")
         rows = [[]]
         while True:
             rows[-1].append(self.polynomial())
-            sep = toks[self.pos].text
+            sep = toks[self.pos][1]
             if sep == ";":
                 rows.append([])
             elif sep != ",":
@@ -458,33 +441,38 @@ class _Parser:
 
     def expr(self):
         toks = self.toks
-        neg = toks[self.pos].text == "-"
+        neg = toks[self.pos][1] == "-"
         if neg:
             self.pos += 1
         acc = self.term()
         if neg:
             acc = -acc
-        while (tok := toks[self.pos]).text in ("+", "-"):
+        while (tok := toks[self.pos])[1] in ("+", "-"):
             self.pos += 1
             rhs = self.term()
             if isinstance(acc, DiffOp) or isinstance(rhs, DiffOp):
                 acc, rhs = self.same_size(acc, rhs, tok)
-            acc = acc + rhs if tok.text == "+" else acc - rhs
+            acc = acc + rhs if tok[1] == "+" else acc - rhs
         return acc
 
     def term(self):
         toks = self.toks
         acc = self.factor()
-        while (tok := toks[self.pos]).text in ("*", "/"):
+        while (tok := toks[self.pos])[1] in ("*", "/"):
             self.pos += 1
             rhs = self.factor()
-            if tok.text == "/":
+            if tok[1] == "/":
                 if (rhs := _const(rhs)) is None:
                     self.err("division by a non-constant expression", tok)
                 if not rhs:
                     self.err("division by zero", tok)
                 rhs = 1 / rhs
-            acc = self.product(acc, rhs, tok)
+            if type(acc) is type(rhs) is Fraction:
+                if _const_bits(acc) + _const_bits(rhs) > LIMIT * LIMIT:
+                    self.bound(tok, acc, rhs)
+                acc *= rhs
+            else:
+                acc = self.product(acc, rhs, tok)
         return acc
 
     def nested(self, parse, tok):
@@ -500,87 +488,88 @@ class _Parser:
 
     def factor(self):
         t = self.toks[self.pos]
-        if t.text == "-":
+        if t[1] == "-":
             self.pos += 1
             return -self.nested(self.factor, t)
         base = self.atom()
         hat = self.toks[self.pos]
-        if hat.text != "^":
+        if hat[1] != "^":
             return base
+        # a one-token base is a name or a literal, bound once: its power is kept
+        one = self.toks[self.pos - 1] is t
         self.pos += 1
         k = self.small_int("exponent")
-        # a name is bound once, so a power of x, a param or an op is kept
-        key = (t.text, k) if t.kind == "NAME" and t.text not in ("d", "delta") else None
-        if key in self.powers:
-            return self.powers[key]
-        o, d, b = self.measure(base)
-        self.bound(hat, "power", o * k, d * k, b * k, "{}-bit coefficients to {}", b, k)
-        value = op_power(base, k) if isinstance(base, DiffOp) else base**k
-        if key:
-            self.powers[key] = value
-            self.named.setdefault(id(value), None)
+        key = (t[1], k) if one else None
+        value = self.values.get(key)
+        if value is None:
+            self.bound(hat, base, k=k)
+            value = op_power(base, k) if isinstance(base, DiffOp) else base**k
+            if key:
+                self.values[key] = value
         return value
 
     def atom(self):
         t = self.toks[self.pos]
-        if t.text == "[":
+        kind, text = t[:2]
+        if text == "[":
             m = self.nested(self.matrix, t)
             return DiffOp(m.size, [m])
         self.pos += 1
-        if t.kind == "INT":
-            return Fraction(int(t.text))
-        if t.text == "(":
+        if kind == "INT":
+            if (value := self.values.get(text)) is None:
+                value = self.values[text] = Fraction(int(text))
+            return value
+        if text == "(":
             value = self.nested(self.expr, t)
             self.expect("SYM", ")")
             return value
-        if t.kind != "NAME":
+        if kind != "NAME":
             self.err("expected an expression", t)
-        if (value := self.doc.params.get(t.text)) is not None:
+        if (value := self.doc.params.get(text)) is not None:
             return value
-        if t.text == "x":
+        if text == "x":
             return X
-        if t.text == "d":
+        if text == "d":
             self.expect("SYM", "^")
             j = self.small_int("derivative order")
-            return DiffOp.scalar([Poly()] * j + [Poly((1,))])
-        if t.text == "delta":
+            return self.once(("d", j), lambda: DiffOp(1, [MatPoly.zeros(1)] * j + [_ONE]))
+        if text == "delta":
             self.expect("SYM", "(")
-            _, fam = self.nested(self.scalar_weight, t)
+            weight, fam = self.nested(self.scalar_weight, t)
             self.expect("SYM", ")")
-            return fam.delta()
-        if t.text in self.doc.ops:
-            return self.doc.ops[t.text]
-        if t.text in self.doc.weights:
-            self.err(f"weight {t.text!r} is not an operator; delta({t.text}) is its classical operator", t)
-        self.err(f"unbound name {t.text!r}", t)
+            return self.once(("delta", weight), fam.delta)
+        if text in self.doc.ops:
+            return self.doc.ops[text]
+        if text in self.doc.weights:
+            self.err(f"weight {text!r} is not an operator; delta({text}) is its classical operator", t)
+        self.err(f"unbound name {text!r}", t)
 
-    def measure(self, v) -> tuple[int, int, int]:
-        """Order, coefficient degree and coefficient bit length of a value:
-        ``_measure``'s, taken once per parse for a named value."""
-        if type(v) is Fraction:
-            return 0, 0 if v else -1, _const_bits(v)
-        m = self.named.get(id(v))
-        if m is None:
-            m = _measure(v)
-            if id(v) in self.named:
-                self.named[id(v)] = m
-        return m
+    def once(self, key, make):
+        """The document's value for ``key``, made by ``make`` the first time."""
+        if (value := self.values.get(key)) is None:
+            value = self.values[key] = make()
+        return value
 
-    def bound(self, tok, what, order, degree, bits, bits_text, *args):
-        # products and powers add or multiply orders, degrees and coefficient
-        # sizes: bound the result before computing it
-        if order > LIMIT:
-            self.err(f"{what} of order {order} exceeds {LIMIT}", tok)
-        if degree > LIMIT:
-            self.err(f"{what} of degree {degree} exceeds {LIMIT}", tok)
-        if bits > LIMIT * LIMIT:
-            self.err(f"{what} of {bits_text.format(*args)} exceeds {LIMIT * LIMIT} bits", tok)
+    def bound(self, tok, a, b=None, k=1):
+        """Refuse the product a * b, or the power a^k when b is None, whose
+        order, coefficient degree or coefficient bits would exceed the
+        limits, before it is computed. ``_size`` bounds the result's in
+        O(1) per coefficient; only past a limit does ``_measure`` decide,
+        and word the refusal, exactly."""
+        for size in (_size, _measure):
+            (oa, da, ba), (ob, db, bb) = size(a), (0, 0, 0) if b is None else size(b)
+            order, degree, bits = oa * k + ob, da * k + db, ba * k + bb
+            if order <= LIMIT and degree <= LIMIT and bits <= LIMIT * LIMIT:
+                return
+        sizes = f"{ba}-bit coefficients to {k}" if b is None else f"{ba}-bit and {bb}-bit coefficients"
+        reason = (f"order {order} exceeds {LIMIT}" if order > LIMIT else f"degree {degree} exceeds {LIMIT}"
+                  if degree > LIMIT else f"{sizes} exceeds {LIMIT * LIMIT} bits")
+        self.err(f"{'power' if b is None else 'product'} of {reason}", tok)
 
     def product(self, a, b, tok):
         """a * b: apply a, then b. Two constants or polynomials multiply as
         values; an operator operand composes."""
-        (oa, da, ba), (ob, db, bb) = self.measure(a), self.measure(b)
-        self.bound(tok, "product", oa + ob, da + db, ba + bb, "{}-bit and {}-bit coefficients", ba, bb)
+        self.bound(tok, a, b)
         if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
             return a * b
         # constants commute with every operator
@@ -591,9 +580,8 @@ class _Parser:
         a, b = _as_op(a), _as_op(b)
         if a.size == 1 and b.order <= 0:
             # sum_j d^j a_j, then multiplication by G, is sum_j d^j a_j G
-            g = b.coeff(0)
-            return DiffOp(b.size, [g if m == _ONE else MatPoly.zeros(b.size) if m.is_zero else g * m.entry(0, 0)
-                                   for m in a.coeffs])
+            g, zero = b.coeff(0), self.once(b.size, lambda: MatPoly.zeros(b.size))
+            return DiffOp(b.size, [g if m == _ONE else zero if m.is_zero else g * m.entry(0, 0) for m in a.coeffs])
         return compose(*self.same_size(a, b, tok))
 
     def same_size(self, a, b, tok):
@@ -613,14 +601,14 @@ class _Parser:
 
     def parse_check(self):
         kind_tok = self.expect("NAME")
-        kind = kind_tok.text
+        kind = kind_tok[1]
         if kind not in _CHECK_SIGS:
             self.err(f"unknown check kind {kind!r}", kind_tok)
         self.expect("SYM", "(")
         sig = _CHECK_SIGS[kind]
         args: list[CheckArg] = []
         options: dict[str, object] = {}
-        option_toks: dict[str, _Tok] = {}
+        option_toks: dict[str, tuple] = {}
         allowed = _CHECK_OPTIONS.get(kind, {})
         first = True
         while not self.accept("SYM", ")"):
@@ -628,20 +616,16 @@ class _Parser:
                 self.expect("SYM", ",")
             first = False
             t = self.peek()
-            if (
-                t.kind == "NAME"
-                and self.toks[self.pos + 1].kind == "SYM"
-                and self.toks[self.pos + 1].text == "="
-            ):
+            if t[0] == "NAME" and self.toks[self.pos + 1][:2] == ("SYM", "="):
                 # no argument is written name = ..., so this is an option
-                if t.text not in allowed:
-                    self.err(f"unknown option {t.text!r} for {kind}", t)
-                if t.text in options:
-                    self.err(f"repeated option {t.text!r}", t)
-                self.next()
-                self.next()
-                option_toks[t.text] = t
-                options[t.text] = self.option_value(t.text, allowed[t.text])
+                name = t[1]
+                if name not in allowed:
+                    self.err(f"unknown option {name!r} for {kind}", t)
+                if name in options:
+                    self.err(f"repeated option {name!r}", t)
+                self.pos += 2
+                option_toks[name] = t
+                options[name] = self.option_value(name, allowed[name])
                 continue
             if len(args) >= len(sig):
                 self.err(f"too many arguments for {kind}", t)
@@ -656,14 +640,14 @@ class _Parser:
             except DomainError as exc:
                 first = next(k for k in range(LIMIT + 1) if _search_horizon(k, None) > LIMIT)
                 self.err(f"{exc}; orders {first}..{LIMIT} admit no horizon= within 0..{LIMIT}", option_toks["horizon"])
-        self.doc.checks.append(CheckCommand(kind, args, options, kind_tok.line))
+        self.doc.checks.append(CheckCommand(kind, args, options, kind_tok[2]))
 
     def option_value(self, name, typ):
         if typ == "bool":
             tok = self.expect("NAME")
-            if tok.text not in ("true", "false"):
+            if tok[1] not in ("true", "false"):
                 self.err("expected true or false", tok)
-            return tok.text == "true"
+            return tok[1] == "true"
         return self.small_int(name, *(typ or (None, None)))
 
     def check_arg(self, want: str) -> CheckArg:
@@ -672,33 +656,34 @@ class _Parser:
             tok = self.expect("NAME")
             from .catalog import ENTRY_NAMES  # catalog imports this module
 
-            if tok.text not in ENTRY_NAMES:
-                self.err(f"unknown catalog entry {tok.text!r}", tok)
-            return CheckArg(tok.text, tok.text)
-        inline = t.kind == "NAME" and t.text in _FAMILIES
+            if tok[1] not in ENTRY_NAMES:
+                self.err(f"unknown catalog entry {tok[1]!r}", tok)
+            return CheckArg(tok[1], tok[1])
+        inline = t[0] == "NAME" and t[1] in _FAMILIES
         if inline and want == "op":
             self.err("expected an operator, found a weight", t)
         if inline or want == "scalar":
             return CheckArg(*self.scalar_weight())
         tok = self.expect("NAME")
         bound = self.doc.ops if want == "op" else self.doc.weights
-        if tok.text not in bound:
-            self.err(f"unbound {'operator' if want == 'op' else 'weight'} {tok.text!r}", tok)
-        return CheckArg(tok.text, bound[tok.text])
+        if tok[1] not in bound:
+            self.err(f"unbound {'operator' if want == 'op' else 'weight'} {tok[1]!r}", tok)
+        return CheckArg(tok[1], bound[tok[1]])
 
     def scalar_weight(self) -> tuple[str, ScalarWeightFamily]:
         """A scalar family written inline, or the name of a plain scalar
         weight, with its text."""
         tok = self.expect("NAME")
-        if tok.text in _FAMILIES:
+        name = tok[1]
+        if name in _FAMILIES:
             fam = self.family_call(tok)
             return _family_text(fam), fam
-        if tok.text not in self.doc.weights:
-            self.err(f"unbound weight {tok.text!r}", tok)
+        if name not in self.doc.weights:
+            self.err(f"unbound weight {name!r}", tok)
         try:
-            return tok.text, self.doc.weights[tok.text].scalar_family()
+            return name, self.doc.weights[name].scalar_family()
         except DomainError:
-            self.err(f"weight {tok.text!r} is not a plain scalar weight", tok)
+            self.err(f"weight {name!r} is not a plain scalar weight", tok)
 
 
 def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) -> SpecDocument:

@@ -36,6 +36,7 @@ from .exactalg import (
     int_matrix,
     nullspace,
     pack_width,
+    poly_over,
 )
 from .diffop import (
     DiffOp,
@@ -390,10 +391,12 @@ def matrix_intertwiner_search(
         rows, offsets = _search_system(seq1, seq2, size, order_bound, horizon)
         ops = []
         for v in nullspace(rows, offsets[-1]):
-            # entry (r, c) of F_j, coefficients by power of x, from j's block
-            blocks = [v[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
-            coeffs = [[[Poly(b[r * size + c :: step]) for c in range(size)] for r in range(size)] for b in blocks]
-            op = DiffOp(size, [MatPoly(f) for f in coeffs])
+            # entry (r, c) of F_j, coefficients by power of x, from j's
+            # block, its numerators over the vector's one denominator
+            (ints,), den = int_matrix([v])
+            blocks = [ints[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
+            op = DiffOp(size, [MatPoly._of([[poly_over(b[r * size + c :: step], den) for c in range(size)] for r in range(size)])
+                               for b in blocks])
             if not op.is_zero:
                 scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
                 ops.append(op if scale == 1 else op * (1 / scale))

@@ -72,12 +72,16 @@ class DecompositionError(DomainError):
 
 
 def frac(value) -> Fraction:
-    """Coerce to Fraction. Accepts int, Fraction and strings like '3/2'; a
-    float is inexact and raises TypeError."""
+    """Coerce to Fraction. Accepts int, Fraction and strings like '3/2' or
+    '1.5'; a float is inexact and raises TypeError. A string with an exponent
+    or a digit separator raises ValueError: Fraction would read '1e30000000'
+    as a 30-million-digit integer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, a Fraction or a string like '3/2'")
+    if isinstance(value, str) and any(c in value for c in "eE_"):
+        raise ValueError(f"{value!r} has an exponent or a digit separator; write an integer, a ratio like '3/2' or a decimal like '1.5'")
     return Fraction(value)
 
 
@@ -1019,7 +1023,7 @@ class Matrix:
             return type(self)._of([dot(row, col) for col in cols] for row in self.rows)
         if isinstance(other, self._scalars):
             s = self._coerce(other)
-            return type(self)._of((c * s for c in r) for r in self.rows)
+            return type(self)._of((c * s if c else c for c in r) for r in self.rows)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -163,6 +163,56 @@ class TestDataFiles:
         assert entry_document_text("GEG2") == (DATA_DIR / "geg2.mvop").read_text()
 
 
+# per entry, parameters its stated rules refuse, and parameters they admit
+# whose document is refused (a 4096-bit value overflows a product or power)
+_BIG = F(2**4096 - 1)
+REFUSED_PARAMS = {
+    "JAC2": [{"kappa": F(5)}, {"alpha": _BIG}],
+    "LAG3": [{"alpha": F(-2)}, {"a1": _BIG}],
+    "GEG2": [{"a": F(2)}, {"r": _BIG}],
+    "HER3": [{"a": F(0)}, {"a": _BIG}],
+    "LAG2DIAG": [{"alpha": F(0)}, {"alpha": _BIG}],
+}
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestRenderedDocument:
+    """``entry_document_text`` renders from the data file's own statements:
+    it refuses exactly what ``entry`` refuses, with the same message, and
+    parses no verbatim reading."""
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_refuses_what_entry_refuses(self, name):
+        rule, admission = (_outcome(entry, name, p) for p in REFUSED_PARAMS[name])
+        assert f"{name} requires" in rule[1] and f"inadmissible parameters for {name}: line" in admission[1]
+        for p in ROBUSTNESS_PARAMS[name] + REFUSED_PARAMS[name]:
+            assert _outcome(entry_document_text, name, p) == _outcome(entry, name, p), p
+
+    @pytest.mark.parametrize("name", ["LAG3", "HER3"])
+    def test_verbatim_readings_not_parsed(self, name, monkeypatch):
+        import dataclasses
+
+        spec = catalog._ENTRIES[name]
+        monkeypatch.setitem(catalog._ENTRIES, name, dataclasses.replace(spec, printed="op N_printed = )\n"))
+        with pytest.raises(DomainError, match="inadmissible parameters"):
+            entry(name)
+        assert entry_document_text(name) == (DATA_DIR / f"{name.lower()}.mvop").read_text()
+
+    def test_exponent_parameters_refused(self):
+        # Fraction reads '1e3'; a large exponent used to expand before refusal
+        with pytest.raises(ValueError, match="exponent"):
+            entry("GEG2", {"r": "1e3"})
+        with pytest.raises(ValueError, match="exponent"):
+            entry_document_text("GEG2", {"r": "1e30000000"})
+
+
 class TestVerification:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_default_parameters_pass(self, name):

@@ -403,6 +403,14 @@ class TestBadParams:
             cmd + ["--params", f"alpha={value}", "--nmax", "1"], capsys, f"--params value {value!r} for 'alpha' is not ASCII"
         )
 
+    @pytest.mark.parametrize("cmd", [["entry", "GEG2"], ["verify", str(DATA_DIR / "geg2.mvop")]])
+    def test_exponent_param_value_refused(self, cmd, capsys):
+        # Fraction() reads exponent notation: r=1e30000000 used to build a
+        # 99,657,843-bit integer for over a minute before a product refused it
+        start = time.perf_counter()
+        self.assert_usage_error(cmd + ["--params", "r=1e30000000"], capsys, "bad parameters: '1e30000000' has an exponent")
+        assert time.perf_counter() - start < 1
+
     def test_unknown_name_in_document(self, capsys):
         self.assert_usage_error(
             ["verify", str(DATA_DIR / "jac2.mvop"), "--params", "zeta=1"], capsys, "zeta"

@@ -8,9 +8,9 @@ from fractions import Fraction as F
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mvop.exactalg import FracMat, Poly, X, poly_over
+from mvop.exactalg import FracMat, Poly, X, poly_over, poly_str
 from mvop.diffop import DiffOp, MatPoly, compose, op_power
 from mvop.weights import Jacobi, Laguerre, Weight
 from mvop import dsl
@@ -24,6 +24,11 @@ from mvop.dsl import (
 )
 from test_diffop import embed_scalar
 from test_exactalg import _unset
+
+# the package's data files, their texts and their catalog entries
+_FILES = sorted(f for f in (resources.files("mvop") / "data").iterdir() if f.name.endswith(".mvop"))
+_DATA = [f.read_text() for f in _FILES]
+_DATA_NAMES = [f.name.removesuffix(".mvop").upper() for f in _FILES]
 
 
 class TestParsing:
@@ -477,6 +482,122 @@ class TestMeasure:
         assert dsl._measure(op) == _fraction_measure(op)
 
 
+def _value(draw, kind, order, degree, bits):
+    """A constant, polynomial or 1x1 operator with exactly this order,
+    coefficient degree and coefficient bit length. The top coefficient is
+    2^(bits-1)/q or q/2^(bits-1), q odd and below 2^(bits-1), and small
+    enough that the literal's division stays within the bit limit; a
+    polynomial adds an integer constant term of up to ``bits`` bits, so that
+    over the common denominator its numerators can outgrow the exact size,
+    or fall short of the denominator's."""
+    limit = dsl.LIMIT * dsl.LIMIT
+    q = draw(st.sampled_from([q for q in (1, 3, 5, 7, 2 ** min(bits - 1, 40) - 1)
+                              if q == 1 or 1 < q < 2 ** (bits - 1) and bits + q.bit_length() <= limit]))
+    top = draw(st.sampled_from([1, -1])) * F(2 ** (bits - 1), q) ** draw(st.sampled_from([1, -1]))
+    if kind == "const":
+        return top
+    low = draw(st.sampled_from([0, 2**bits - 1]) | st.integers(0, 2**bits - 1)) if degree else 0
+    p = Poly((low,) + (0,) * (degree - 1) + (top,)) if degree else Poly((top,))
+    return p if kind == "poly" else DiffOp.scalar([Poly()] * order + [p])
+
+
+def _text(v):
+    return str(v) if isinstance(v, F) else poly_str(v) if isinstance(v, Poly) else op_str(v)
+
+
+def _exact(v):
+    if isinstance(v, F):
+        return 0, 0 if v else -1, (abs(v.numerator) | v.denominator).bit_length() if v else 0
+    return _fraction_measure(v)
+
+
+@st.composite
+def _near_a_line(draw):
+    """(a, b, k): a product a * b (k = 1) or a power a^k (b None) whose
+    order, degree or bits land on LIMIT or LIMIT^2, one below or one above;
+    its other sizes are small, and for a power as small as they can be, as
+    an operator of order 1, degree 1 and 64-bit coefficients takes seconds
+    to raise to the 64th power."""
+    line = draw(st.sampled_from(["order", "degree", "bits"]))
+    limit = dsl.LIMIT * dsl.LIMIT if line == "bits" else dsl.LIMIT
+    target = limit + draw(st.sampled_from([-1, 0, 1]))
+    cap = {"order": dsl.LIMIT, "degree": dsl.LIMIT, "bits": limit - 2}[line]
+    kinds = {"order": ["op"], "degree": ["poly", "op"], "bits": ["const", "poly", "op"]}[line]
+    power = draw(st.booleans())
+    if power:
+        k = draw(st.sampled_from([k for k in range(2, dsl.LIMIT + 1) if target % k == 0 and target // k <= cap]))
+        shares = [target // k]
+    else:
+        k = 1
+        first = draw(st.integers(max(1, target - cap), min(cap, target - 1)))
+        shares = [first, target - first]
+    values = []
+    for share in shares:
+        kind = draw(st.sampled_from(kinds))
+        low = {"const": 0, "poly": 1, "op": 0}[kind]
+        dims = {"order": draw(st.integers(0, not power)) if kind == "op" else 0,
+                "degree": low if power or kind == "const" else draw(st.integers(low, 2)),
+                "bits": draw(st.integers(1, 1 if power else 3))}
+        dims[line] = share
+        values.append(_value(draw, kind, dims["order"], dims["degree"], dims["bits"]))
+    return values[0], values[1] if len(values) > 1 else None, k
+
+
+class TestBoundFastPath:
+    """Products and powers near the order, degree and bit limits are refused
+    or accepted exactly as the exact sizes decide, whatever the bound read
+    off the stored forms says."""
+
+    @given(_near_a_line())
+    # the stored form's bound overstates 2^2047/3 x + 2^2048 - 1 by two bits,
+    # and the numerators of x / 2^2047 understate it by 2047
+    @example((Poly((2**2048 - 1, F(2**2047, 3))), F(2**2047), 1))
+    @example((Poly((0, F(1, 2**2047))), F(2**2048), 1))
+    @settings(max_examples=120, deadline=None)
+    def test_decided_by_exact_sizes(self, case):
+        a, b, k = case
+        left = f"op T = ({_text(a)})"
+        text = left + (f"^{k}\n" if b is None else f"*({_text(b)})\n")
+        (oa, da, ba), (ob, db, bb) = _exact(a), (0, 0, 0) if b is None else _exact(b)
+        order, degree, bits = oa * k + ob, da * k + db, ba * k + bb
+        what = "power" if b is None else "product"
+        if order > dsl.LIMIT:
+            refusal = f"{what} of order {order} exceeds {dsl.LIMIT}"
+        elif degree > dsl.LIMIT:
+            refusal = f"{what} of degree {degree} exceeds {dsl.LIMIT}"
+        elif bits > dsl.LIMIT * dsl.LIMIT:
+            sizes = f"{ba}-bit coefficients to {k}" if b is None else f"{ba}-bit and {bb}-bit coefficients"
+            refusal = f"{what} of {sizes} exceeds {dsl.LIMIT * dsl.LIMIT} bits"
+        else:
+            refusal = None
+        if refusal:
+            with pytest.raises(ParseError) as exc:
+                parse_spec(text)
+            assert str(exc.value) == f"line 1, column {len(left) + 1}: {refusal}"
+            return
+        as_op = lambda v: v if isinstance(v, DiffOp) else DiffOp.scalar([v if isinstance(v, Poly) else Poly((v,))])
+        if b is None:
+            want = op_power(a, k) if isinstance(a, DiffOp) else a**k
+        else:
+            want = compose(as_op(a), as_op(b)) if DiffOp in (type(a), type(b)) else a * b
+        assert parse_spec(text).ops["T"] == as_op(want)
+
+    @pytest.mark.parametrize("k", range(len(_DATA)))
+    def test_data_files_never_measure_exactly(self, k, monkeypatch):
+        from test_catalog import ROBUSTNESS_PARAMS
+
+        calls = []
+        monkeypatch.setattr(dsl, "_measure", lambda v: calls.append(v) or _exact(v))
+        name = _DATA_NAMES[k]
+        for params in ROBUSTNESS_PARAMS[name]:
+            parse_spec(_DATA[k], params)
+        assert calls == []
+        # the exact size still decides past a limit
+        with pytest.raises(ParseError, match="power of 65-bit coefficients to 64"):
+            parse_spec("op T = (2^64*x)^64\n")
+        assert calls
+
+
 class TestChecks:
     def test_search_check_with_options(self):
         doc = parse_spec(
@@ -570,7 +691,6 @@ _TOKENS = (
     "h", "v", "w1", "0", "1", "2", "3", "7", "64", "65",
     "99999999999", *"=+-*/^()[],;", "\n", "#", "@", ".",
 )
-_DATA = [f.read_text() for f in (resources.files("mvop") / "data").iterdir() if f.name.endswith(".mvop")]
 
 
 def _parses_or_refuses(text):
@@ -725,7 +845,14 @@ class TestLexerOracle:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "#", "a #c", "a #c\nb", "(\n)\n\n", "x\r\n", "0" * 3000 + "7", "1" * 1234, "2" * 1234, "9" * 1240, "a\t٣"],
+        ["", "#", "a #c", "a #c\nb", "(\n)\n\n", "x\r\n", "0" * 3000 + "7", "1" * 1234, "2" * 1234, "9" * 1240, "a\t٣",
+         # literals read piece by piece in the middle of a line
+         "op T = [x, 007; 0, 1]\n", "param a = 3 * " + "1" * 1234 + " + 1\n", "b = 2*" + "9" * 1240 + "*x\n",
+         # a non-ASCII character after a '#' is a comment, before one it is not
+         "a = 1 # \u00e9\u03bb\nb = 2\n", "a = \u00e9 # c\n",
+         "x\r\ny = 1\r\n\r\nz\r\n",
+         "op T = [x, 1; # first row\n 0, x] + (1 +\n # inside\n 2)\nop U = T\n",
+         "param a = 1\n# the end", "param a = 1 # the end"],
     )
     def test_edges(self, text):
         assert _lexed(dsl._lex, text) == _lexed(_lex_by_character, text)

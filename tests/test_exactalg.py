@@ -245,6 +245,29 @@ class TestMatrixBase:
         assert MatRF.identity(2) * inv_x == MatRF.diag(inv_x, inv_x)
 
 
+_scalars = st.one_of(st.just(F(0)), st.integers(-3, 3), st.fractions(max_denominator=5))
+
+
+class TestScalarProduct:
+    """A matrix times a scalar skips its zero entries and equals the
+    entrywise product, repr for repr."""
+
+    @given(st.integers(1, 3), st.data(), _scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_fracmat(self, n, data, s):
+        m = FracMat(data.draw(st.lists(st.lists(st.one_of(st.just(F(0)), fractions), min_size=n, max_size=n), min_size=n, max_size=n)))
+        want = FracMat([[c * s for c in r] for r in m.rows])
+        assert repr(m * s) == repr(s * m) == repr(want) and m * s == want
+
+    @given(st.integers(1, 3), st.data(), st.one_of(_scalars, polys))
+    @settings(max_examples=100, deadline=None)
+    def test_matpoly(self, n, data, s):
+        m = MatPoly(data.draw(st.lists(st.lists(st.one_of(st.just(Poly()), polys), min_size=n, max_size=n), min_size=n, max_size=n)))
+        want = MatPoly([[c * s for c in r] for r in m.rows])
+        assert repr(m * s) == repr(s * m) == repr(want) and m * s == want
+        assert all(p._ints == Poly(p.coeffs)._ints for r in (m * s).rows for p in r)
+
+
 class TestLinearAlgebra:
     def test_nullspace_simple(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
@@ -717,6 +740,13 @@ class TestExactCoercion:
         with pytest.raises(TypeError, match="0.1"):
             frac(0.1)
         assert frac(3) == 3 and frac(F(1, 2)) == F(1, 2) and frac("3/2") == F(3, 2)
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1E3", "2.5e-1", "1_000", "3/1_0"])
+    def test_frac_refuses_exponent_and_separator(self, text):
+        # Fraction reads these, and '1e30000000' as a 30-million-digit integer
+        with pytest.raises(ValueError, match="exponent or a digit separator"):
+            frac(text)
+        assert frac("3/2") == F(3, 2) and frac("-7") == -7 and frac("1.5") == F(3, 2)
 
     def test_poly_refuses_float(self):
         with pytest.raises(TypeError, match="0.1"):
