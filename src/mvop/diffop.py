@@ -296,14 +296,15 @@ class DiffOp(IntForm):
         if self.size != other.size:
             raise ShapeError("operator size mismatch")
         a, b, den = _common(self, other)
-        if len(a) < len(b):
-            a, b = b, a
-        return DiffOp(self.size, [*map(operator.add, a, b), *a[len(b):]], den)
+        return DiffOp(self.size, [*map(operator.add, a, b), *a[len(b):], *b[len(a):]], den)
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self + (-other)
+        if self.size != other.size:
+            raise ShapeError("operator size mismatch")
+        a, b, den = _common(self, other)
+        return DiffOp(self.size, [*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])], den)
 
     def __neg__(self):
         return DiffOp(self.size, [-c for c in self.coeffs], self.den)

@@ -45,7 +45,6 @@ from .diffop import (
     Verdict,
     action,
     apply,
-    block_antidiagonal,
     compare_operators,
     compose,
     degree_preserving,
@@ -521,8 +520,14 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     P_n . D = Lambda_n P_n, P_n . V = A_n Pt_n with A_n nonsingular) imply the
     rest, as P . (V N) = (P . V) . N: A_n (Pt_n . N) = Lambda_n P_n (check 6),
     Pt_n . (N V) = A_n^-1 Lambda_n A_n Pt_n (check 5), and diag(P_n, Pt_n) .
-    (0 V / N 0) = (0 A_n / A_n^-1 Lambda_n 0) diag(P_n, Pt_n) (check 7). So
-    checks 5-7 scan only when one of checks 1, 2 and 4 fails."""
+    (0 V / N 0) = (0 A_n / A_n^-1 Lambda_n 0) diag(P_n, Pt_n) (check 7).
+
+    When one of them fails, the reverse relation Pt_n . N = B_n P_n, B_n
+    solved, runs as far as the forward one holds, and checks 5-7 are read off
+    the two: check 7 fails where either first does, check 5 holds when both
+    do (Pt_n . (N V) = B_n A_n Pt_n) and scans N V otherwise, and check 6
+    fails at the first n with A_n B_n != Lambda_n, Pt_n . N = C P_n only for
+    C = B_n as P_n is monic."""
     rep = Report()
     w, wt = _weight_of(cert.W), _weight_of(cert.Wt)
     seq = sequence_for(w)
@@ -549,25 +554,26 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     detail4 = f"conjugator A_{singular[0]} is singular" if singular else fwd.detail
     rep.add("P_n . V = A_n Pt_n with A_n nonsingular", Verdict(ok4, detail4))
     cert.conjugators = conj
-    derived = factor.ok and mem.ok and ok4
 
-    memt = Verdict(True) if derived else verify_in_DW(compose(cert.Nn, cert.V), wt, n_max)
+    # Pt_n . N = B_n P_n, B_n solved, as far as check 7 needs it
+    sound = factor.ok and mem.ok and ok4
+    back = Verdict(True) if sound else relation(seqt.poly, cert.Nn, seq.poly, n_max if fwd.ok else fwd.fail_n)
+    memt = Verdict(True) if fwd.ok and back.ok else verify_in_DW(compose(cert.Nn, cert.V), wt, n_max)
     rep.add("N V in algebra of Wt", memt)
 
-    if derived:
-        rev = Verdict(True)
-    elif ok4 and mem.ok:
-        rev = relation(
-            seqt.poly, cert.Nn, seq.poly, n_max, cs=lambda n: conj[n].inv() * mem.eigs[n]
-        )
+    if ok4 and mem.ok:
+        bad = next((n for n, b in enumerate(back.eigs) if conj[n] * b != mem.eigs[n]), None)
+        rev = back if bad is None else Verdict(False, f"P_n . T != C_n Q_n at n={bad}", bad)
     else:
         rev = Verdict(False, "skipped: prerequisites failed")
     rep.add("Pt_n . N = A_n^-1 Lambda_n(D) P_n", rev)
 
-    # the direct sum is formed even when check 7 is derived, so that blocks
-    # on different supports are refused as they are when it scans
-    bw = Weight.direct_sum([w, wt])
-    memb = Verdict(True) if derived else verify_in_DW(block_antidiagonal(cert.V, cert.Nn), bw, n_max)
+    # the direct sum is formed so that blocks on different supports are refused
+    Weight.direct_sum([w, wt])
+    k = min((v.fail_n for v in (fwd, back) if not v.ok), default=None)
+    pole = f"non-polynomial action at n={k}" in (fwd.detail, back.detail)
+    how = "non-polynomial action" if pole else "not an eigenfunction"
+    memb = Verdict(True) if k is None else Verdict(False, f"{how} at n={k}", k)
     rep.add("antidiagonal block operator in algebra of W (+) Wt", memb)
     return rep
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvop.dsl import op_str
 from mvop import diffop
@@ -534,6 +534,11 @@ def rational_factors(draw):
     return fam, b * MatRF.diag(*(RatFunc(Poly((1,)), q) for q in dens)) * b.transpose()
 
 
+def _over(den, *coeffs):
+    """The scalar operator sum_j d^j coeffs[j] / den."""
+    return DiffOp(1, [MatPoly([[c]]) for c in coeffs], den)
+
+
 class TestNumeratorForm:
     @given(st.integers(1, 2).flatmap(lambda n: _ops(n, st.one_of(small_polys, ratfuncs), 3)), nonconstant_polys)
     @settings(max_examples=30, deadline=None)
@@ -542,6 +547,19 @@ class TestNumeratorForm:
         scaled = DiffOp(d.size, [c * g for c in d.coeffs], d.den * g)
         assert scaled == d and hash(scaled) == hash(d)
         assert scaled.den.lc == 1 and (scaled.den == Poly((1,))) == d.is_polynomial
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[_ops(n, st.one_of(small_polys, ratfuncs), 3)] * 2)))
+    @settings(max_examples=60, deadline=None)
+    @example((lag_n(), lag_v()))
+    @example((lag_v(), DiffOp.scalar([Poly((1,)), X, X * X]) * F(1, 3)))
+    @example((_over(X + 1, Poly((2,)), Poly((1,))), _over(X - 1, X, Poly(), Poly((5,)))))
+    @example((_over(X + 1, Poly((2,)), Poly((1,))), _over(X + 1, Poly((2,)), Poly((1,)))))
+    @example((_over(X + 1, X), _over(X + 1, X, X)))
+    def test_difference_is_sum_with_negation(self, ab):
+        # a - b subtracts on the numerators over one denominator, orders and
+        # denominators differing or not, the zero operator included
+        a, b = ab
+        assert repr(a - b) == repr(a + (-b)) and a - b == a + (-b)
 
     @given(symbols)
     @settings(max_examples=40, deadline=None)

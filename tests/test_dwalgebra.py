@@ -1134,29 +1134,66 @@ class TestDerivedDarboux:
             certs.append(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"] + ops["D"], n_max))
             certs.append(DarbouxCertificate(w, w, one, outsider, outsider, n_max))
             certs.append(DarbouxCertificate(w, wt, one, ops["D"], ops["D"], n_max))
+            # the forward and reverse relations: a coefficient not polynomial
+            # in x, A_n B_n != Lambda_n, and both mutated, failing first on
+            # either side or at the same n
+            s = w.size
+            pole = DiffOp(s, [MatPoly.zeros(s), MatPoly.identity(s)], Poly((3, 1)))
+            v_at, n_at = ({m: bump_coefficient(ops[k], (m, 0, s - 1, m + 1)) for m in (0, 1)} for k in ("V", "N"))
+            pairs = [(ops["V"], ops["N"] + pole), (ops["V"] + pole, ops["N"]), (ops["V"] * 3, ops["N"]),
+                     (v_at[0], n_at[1]), (v_at[1], n_at[0]), (v_at[1], n_at[1]), (v_at[0], n_at[0]),
+                     (v_at[1], ops["N"] + pole), (v_at[0], ops["N"] + pole)]
+            certs += [DarbouxCertificate(w, wt, v, nn, ops["D"], n_max) for v, nn in pairs]
             for cert in certs:
-                rep = darboux_verify(cert)
-                assert not rep.ok
+                calls.clear()
+                with mock.patch.object(dwalgebra, "relation", counted):
+                    rep = darboux_verify(cert)
+                assert not rep.ok and len(calls) <= 4
+                assert all(args[1].size == w.size for args in calls)
                 assert [(c.name, c.ok, c.detail) for c in rep.checks] == _direct_darboux_checks(cert, rep)
             assert [[c.ok for c in (r.checks[0], r.checks[1], r.checks[3])]
-                    for r in map(darboux_verify, certs[3:])] == [[False, True, True], [True, False, True], [True, True, False]]
+                    for r in map(darboux_verify, certs[3:6])] == [[False, True, True], [True, False, True], [True, True, False]]
+            # the bumps at (m, 0, N - 1, m + 1) fail exactly at n = m
+            seq, seqt = sequence_for(w), sequence_for(wt)
+            for m in (0, 1):
+                assert relation(seq.poly, v_at[m], seqt.poly, n_max).fail_n == m
+                assert relation(seqt.poly, n_at[m], seq.poly, n_max).fail_n == m
+            details = [[c.detail for c in darboux_verify(cert).checks[4:]] for cert in certs[6:9]]
+            assert details[0][2] == details[0][1] == "non-polynomial action at n=1"
+            assert details[1][2] == "non-polynomial action at n=1"
+            assert details[2][0] == details[2][2] == "" and details[2][1].startswith("P_n . T != C_n Q_n at n=")
 
     def test_block_operator_built_only_when_check_7_scans(self, monkeypatch):
+        # check 7 is read off the forward and reverse relations on every
+        # certificate: no N+N block operator, and no sequence of W (+) Wt
+        from mvop import weights
         from mvop.catalog import entry
 
         e = entry("JAC2")
         w, wt, ops = e.weight_W, e.weight_Wt, e.ops
-        built = []
+        assert not hasattr(dwalgebra, "block_antidiagonal")
+        seen, sizes = [], []
 
-        def counted(v, nn):
-            built.append((v, nn))
-            return block_antidiagonal(v, nn)
+        def counted_relation(ps, t, qs, n_max, cs=None):
+            sizes.append(t.size)
+            return relation(ps, t, qs, n_max, cs)
 
-        monkeypatch.setattr(dwalgebra, "block_antidiagonal", counted)
-        assert darboux_verify(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"], 4)).ok
-        assert built == []
-        rep = darboux_verify(DarbouxCertificate(w, wt, ops["V"], ops["N"], ops["D"] + ops["D"], 4))
-        assert not rep.ok and built == [(ops["V"], ops["N"])]
+        def counted_sequence(weight):
+            seen.append(weight)
+            return sequence_for(weight)
+
+        monkeypatch.setattr(dwalgebra, "relation", counted_relation)
+        monkeypatch.setattr(dwalgebra, "sequence_for", counted_sequence)
+        weights._SEQUENCE_CACHE.pop(Weight.direct_sum([w, wt]), None)
+        sites = {k: list(coefficient_sites(ops[k])) for k in ("V", "N", "D")}
+        bumped = {k: bump_coefficient(ops[k], s[len(s) // 2]) for k, s in sites.items()}
+        certs = [(ops["V"], ops["N"], ops["D"]), (ops["V"], ops["N"], ops["D"] + ops["D"]),
+                 (bumped["V"], ops["N"], ops["D"]), (ops["V"], bumped["N"], ops["D"]),
+                 (ops["V"], ops["N"], bumped["D"]), (bumped["V"], bumped["N"], ops["D"])]
+        oks = [darboux_verify(DarbouxCertificate(w, wt, *c, 4)).ok for c in certs]
+        assert oks == [True] + [False] * 5
+        assert set(sizes) == {w.size} and {x.size for x in seen} == {w.size}
+        assert Weight.direct_sum([w, wt]) not in weights._SEQUENCE_CACHE
 
     def test_mixed_support_still_refused(self):
         one = DiffOp.identity(1)

@@ -30,14 +30,17 @@ reverse conjugations, the block operator on W (+) Wt) and inside
 parameters for JAC2, LAG3 and HER3. The failing-n path is pinned by
 (fail_n, detail, residual) of three ``bump_coefficient`` mutants per entry:
 D in ``verify_in_DW``, V in ``matrix_intertwiner_verify`` and N in a whole
-``darboux_verify``, whose reverse relation runs with stated constants. It was
+``darboux_verify``, whose reverse relation ran with stated constants. It was
 recorded by running this file on commit 554ad6d, before ``relation``'s cells
-moved onto one packed integer matrix product. Since ``darboux_verify`` decides
-its last three checks from the first, second and fourth when those pass, it
-calls ``relation`` twice on a sound certificate; the test then runs the three
-relations those checks stood for (N V on Wt, the reverse conjugation, the
-block operator on W (+) Wt) itself, in their old order, so the digest is the
-one recorded on 554ad6d.
+moved onto one packed integer matrix product. ``darboux_verify`` now decides
+its last three checks from the forward relation and, when one of checks 1,
+2 and 4 fails, one reverse relation with solved constants; it scans neither
+the block operator nor, when both relations hold, N V. So for the sound
+certificates, which call ``relation`` twice, and for the N mutant, whose
+membership and forward relation are kept from the call, the test runs the
+three relations those checks stood for (N V on Wt, the reverse conjugation
+with stated constants, the block operator on W (+) Wt) itself, in their old
+order, so the digest is the one recorded on 554ad6d.
 
 The fifth sha256 pins adjoints and symbols, at default parameters and at each
 ``ROBUSTNESS_PARAMS`` set: the ``repr`` of every ``symmetry_check`` and
@@ -188,7 +191,17 @@ def _relation_outputs():
             verdicts.clear()
             verify_in_DW(mutants["D"], W, 16)
             matrix_intertwiner_verify(mutants["V"], W, Wt, 16)
-            darboux_verify(DarbouxCertificate(W, Wt, ops["V"], mutants["N"], ops["D"], 16))
+            cert = DarbouxCertificate(W, Wt, ops["V"], mutants["N"], ops["D"], 16)
+            darboux_verify(cert)
+            # the membership and forward relation stay; checks 5-7 are read
+            # off a reverse relation with solved constants, so the three
+            # relations they stood for run here, in their old order
+            del verdicts[4:]
+            mem = verdicts[2]
+            verify_in_DW(compose(mutants["N"], ops["V"]), Wt, 16)
+            dwalgebra.relation(seqt.poly, mutants["N"], seq.poly, 16,
+                               cs=lambda n: cert.conjugators[n].inv() * mem.eigs[n])
+            verify_in_DW(block_antidiagonal(ops["V"], mutants["N"]), Weight.direct_sum([W, Wt]), 16)
             assert sum(not v.ok for v in verdicts) >= 3
             yield from (f"{name} mutant {v.ok} {v.fail_n} {v.detail} {v.residual!r}" for v in verdicts)
 
