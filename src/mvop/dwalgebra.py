@@ -37,6 +37,7 @@ from .exactalg import (
     nullspace,
     pack_width,
     poly_over,
+    read_off,
 )
 from .diffop import (
     DiffOp,
@@ -131,15 +132,15 @@ def check_horizon(n_max: int):
         raise DomainError(f"negative horizon n_max = {n_max}")
 
 
-def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
-    """Check P_n . T = C_n Q_n for n <= n_max.
+def relation(ps, t: DiffOp, qs, n_max: int, cs=None, *, n_min: int = 0) -> Verdict:
+    """Check P_n . T = C_n Q_n for n_min <= n <= n_max.
 
     ``ps``, ``qs`` and ``cs`` map n to P_n, Q_n (matrix polynomials of degree
     n) and C_n (constant matrices). Without ``cs``, C_n is solved from the
     degree-n coefficients: [x^n](P_n . T) times the inverse of Q_n's leading
-    coefficient, which must then be nonsingular. ``eigs`` holds C_0, ...,
-    C_{k-1} for the first failing n = k (all of them when the relation holds).
-    A negative ``n_max`` is a DomainError.
+    coefficient, which must then be nonsingular. ``eigs`` holds C_{n_min},
+    ..., C_{k-1} for the first failing n = k (all of them when the relation
+    holds). A negative ``n_max`` is a DomainError.
 
     When P_n, Q_n and T are polynomial, neither side is built: ``_decide``
     tests each n on one packed integer matrix product, from the integer
@@ -150,7 +151,7 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None) -> Verdict:
     check_horizon(n_max)
     op = t.int_op() if t.is_polynomial else None
     eigs: list[FracMat] = []
-    for n in range(n_max + 1):
+    for n in range(n_min, n_max + 1):
         p = ps(n)
         r = None
         if op is None or p.size != t.size:
@@ -291,8 +292,9 @@ def _search_horizon(order_bound: int, n_horizon: int | None) -> int:
     # below order + 3 the system leaves operators free that fail just past
     # the horizon, and the nullspace vectors that pass re-verification then
     # need not span the intertwiners that do. The search solves first at
-    # order + 1, the rows' square core, and re-verifies to this horizon + 3;
-    # only when a core operator fails there does the whole system run
+    # order + 1, the rows' square core, and re-verifies each operator from
+    # order + 2 to this horizon + 3, the rows solved holding exactly; only
+    # when a core operator fails there does the whole system run
     if order_bound < 0:
         raise DomainError(f"search order bound {order_bound} is negative")
     least = order_bound + 3
@@ -373,12 +375,16 @@ def matrix_intertwiner_search(
     entry of its leading coefficient is monic. An empty list is bounded
     evidence, not a nonexistence proof.
 
-    The system is first solved on its square core, the rows n <= K + 1
-    (as many as unknowns). If every core operator passes the re-verification
-    to n_horizon + 3, each satisfies every row up to n_horizon, so the core's
-    nullspace is the whole system's; the two row spaces are then equal and so
-    is their reduced echelon form, which fixes the basis, its scaling and its
-    order. Otherwise the whole system is solved and filtered as before.
+    ``nullspace`` takes the columns in triangular order, every [x^i]F_j with
+    i < j by (j, i) and then every [x^j]F_j, in which the rows n <= K are
+    block triangular, and ``read_off`` gives its basis back as the one
+    ``nullspace`` reads off in the ansatz's order.
+
+    The system is first solved on its square core, the rows n <= K + 1 (as
+    many as unknowns), which its operators hold exactly. If every one holds
+    for K + 1 < n <= n_horizon + 3, each satisfies every row up to n_horizon,
+    so the core's nullspace and basis are the whole system's. Otherwise the
+    whole system is solved and filtered for n_horizon < n <= n_horizon + 3.
     """
     if w1.size != w2.size:
         raise ShapeError("weights must have equal size")
@@ -388,23 +394,23 @@ def matrix_intertwiner_search(
 
     def solve(horizon):
         rows, offsets = _search_system(seq1, seq2, size, order_bound, horizon)
+        js = range(order_bound + 1)
+        cols = [offsets[j] + i * step + k for j in js for i in range(j) for k in range(step)]
+        cols += [offsets[j] + j * step + k for j in js for k in range(step)]
         ops = []
-        for v in nullspace(rows, offsets[-1]):
-            # entry (r, c) of F_j, coefficients by power of x, from j's
-            # block, its numerators over the vector's one denominator
-            (ints,), den = int_matrix([v])
-            blocks = [ints[offsets[j] : offsets[j + 1]] for j in range(order_bound + 1)]
+        for ints, den in read_off(nullspace([[row[k] for k in cols] for row in rows], offsets[-1]), cols, offsets[-1]):
+            # entry (r, c) of F_j, coefficients by power of x, from j's block
+            blocks = [ints[offsets[j] : offsets[j + 1]] for j in js]
             op = DiffOp(size, [MatPoly._of([[poly_over(b[r * size + c :: step], den) for c in range(size)] for r in range(size)])
                                for b in blocks])
-            if not op.is_zero:
-                scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
-                ops.append(op if scale == 1 else op * (1 / scale))
+            scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
+            ops.append(op if scale == 1 else op * (1 / scale))
         return ops
 
     ops = solve(order_bound + 1)
-    if all(matrix_intertwiner_verify(v, w1, w2, n_horizon + 3) for v in ops):
+    if all(relation(seq1.poly, v, seq2.poly, n_horizon + 3, n_min=order_bound + 2) for v in ops):
         return ops
-    return [v for v in solve(n_horizon) if matrix_intertwiner_verify(v, w1, w2, n_horizon + 3)]
+    return [v for v in solve(n_horizon) if relation(seq1.poly, v, seq2.poly, n_horizon + 3, n_min=n_horizon + 1)]
 
 
 def intertwiner_search(
@@ -548,7 +554,9 @@ def darboux_verify(cert: DarbouxCertificate) -> Report:
     )
 
     fwd = relation(seq.poly, cert.V, seqt.poly, n_max)
-    singular = [n for n, a in enumerate(fwd.eigs) if a.det() == 0]
+    # with P_n and Pt_n monic and deg F_j <= j, A_n = [x^n](P_n . V) is V's
+    # symbol S_n, and V's part of check 3 rules out det S_n = 0 for all n >= 0
+    singular = [] if dv.ok else [n for n, a in enumerate(fwd.eigs) if a.det() == 0]
     conj = fwd.eigs[: singular[0]] if singular else fwd.eigs
     ok4 = fwd.ok and not singular
     detail4 = f"conjugator A_{singular[0]} is singular" if singular else fwd.detail

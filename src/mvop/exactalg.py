@@ -16,8 +16,9 @@ determinant, inverse and ``solve_square`` over a field is read off it too: a
 Fraction matrix goes over one denominator L to integers, a RatFunc matrix over
 q, the monic lcm of its denominators, to polynomials. ``nullspace``, whose
 callers are the searches' large sparse integer systems, reduces primitive
-integer rows kept as maps of their nonzeros and forms one Fraction per basis
-entry. All polynomial products run through packed integers (Kronecker
+integer rows kept as maps of their nonzeros (``_echelon``, shared with
+``read_off``) and forms one Fraction per basis entry. All polynomial products
+run through packed integers (Kronecker
 substitution): the numerators of polynomials over a common denominator
 (``int_entries``) are packed as the digits of one Python integer each
 (``pack``), at a width from one routine, ``pack_width``, that keeps every
@@ -853,8 +854,9 @@ def _clear(r, prow, p):
     return r
 
 
-def nullspace(rows, ncols) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix over Q, read off its RREF.
+def _echelon(rows):
+    """(pivots, rows) of the reduced row echelon form of a matrix over Q, each
+    row an integer multiple of its RREF row, kept as {col: value}.
 
     Rows are sequences of ints or Fractions. Sparse and fraction-free: each
     row becomes a primitive integer row {col: value} of its nonzeros and is
@@ -862,9 +864,7 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
     their pivots; a row left nonzero is kept, its pivot its first nonzero
     column. Back substitution then clears each pivot column in the rows
     above. Every step is an integer combination (``_clear``) over the union
-    of two rows' nonzeros, pivot rows kept primitive. Row i ends as its RREF
-    row times an integer, so each basis entry is one Fraction and the basis
-    (the RREF is unique) is the one elimination over Q gives.
+    of two rows' nonzeros, pivot rows kept primitive.
     """
     pivots, echelon = [], []
     for row in rows:
@@ -882,6 +882,14 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
         for j in range(i):
             if p in echelon[j]:
                 echelon[j] = _primitive(_clear(echelon[j], r, p))
+    return pivots, echelon
+
+
+def nullspace(rows, ncols) -> list[list[Fraction]]:
+    """Basis of the right nullspace of a matrix over Q, read off its RREF
+    (``_echelon``), one Fraction per entry: the basis elimination over Q
+    gives, the RREF being unique."""
+    pivots, echelon = _echelon(rows)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -895,6 +903,19 @@ def nullspace(rows, ncols) -> list[list[Fraction]]:
                 v[p] = Fraction(-c, prow[p])
         basis.append(v)
     return basis
+
+
+def read_off(basis, cols, ncols):
+    """``nullspace``'s basis of the span of ``basis``, whose column k is column
+    cols[k]: its vectors end at distinct columns, 1 there and 0 at the other
+    ends, so it is the span's RREF with the columns reversed. As (integers,
+    denominator) pairs, in the order of those ends."""
+    back = sorted(range(ncols), key=cols.__getitem__, reverse=True)
+    out = []
+    for p, e in sorted(zip(*_echelon([[v[i] for i in back] for v in basis])), key=lambda pe: -pe[0]):
+        s = -1 if e[p] < 0 else 1
+        out.append(([s * e.get(ncols - 1 - k, 0) for k in range(ncols)], s * e[p]))
+    return out
 
 
 # ---------------------------------------------------------------------------

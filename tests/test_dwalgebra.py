@@ -384,9 +384,9 @@ class TestRelation:
 # test
 
 
-def _relation_materialised(ps, t, qs, n_max, cs=None):
+def _relation_materialised(ps, t, qs, n_max, cs=None, *, n_min=0):
     eigs = []
-    for n in range(n_max + 1):
+    for n in range(n_min, n_max + 1):
         r, den = action(ps(n), t)
         if den.degree > 0:
             return Verdict(False, f"non-polynomial action at n={n}", n, (r, den), eigs)
@@ -407,15 +407,24 @@ def _relation_materialised(ps, t, qs, n_max, cs=None):
     return Verdict(True, eigs=eigs)
 
 
-def _same_verdict(ps, t, qs, n_max, cs=None) -> Verdict:
+def _same_verdict(ps, t, qs, n_max, cs=None, *, n_min=0) -> Verdict:
     with mock.patch.object(dwalgebra, "apply", wraps=dwalgebra.apply) as spy:
-        got = relation(ps, t, qs, n_max, cs)
-    want = _relation_materialised(ps, t, qs, n_max, cs)
+        got = relation(ps, t, qs, n_max, cs, n_min=n_min)
+    want = _relation_materialised(ps, t, qs, n_max, cs, n_min=n_min)
     assert got == want and repr(got) == repr(want)
     if t.is_polynomial and isinstance(ps(0), MatPoly):
         # a passing n builds neither side; the first failing n builds both
         assert spy.call_count == got.detail.startswith("P_n . T != C_n Q_n")
     return got
+
+
+def _bump_past(op: DiffOp, j: int) -> DiffOp:
+    """op + x^(j+1) d^j at entry (0, N - 1): for n >= j, P_n . T gains the
+    degree n + 1 term (n)_j x^(n+1), so a relation op holds first fails at
+    n = j, and deg F_j = j + 1 fails degree preservation."""
+    s = op.size
+    cell = MatPoly([[X ** (j + 1) if (r, c) == (0, s - 1) else Poly() for c in range(s)] for r in range(s)])
+    return op + DiffOp(s, [MatPoly.zeros(s)] * j + [cell])
 
 
 def _entry_cases():
@@ -557,6 +566,19 @@ class TestRelationOracle:
             assert rep.ok and rep.eigs == [FracMat.zeros(op.size)] * 7
             rep = _same_verdict(seq.poly, zero, seq.poly, 3, cs=lambda n: FracMat.identity(op.size))
             assert not rep.ok and rep.fail_n == 0
+
+    @pytest.mark.parametrize("k", range(len(_MEMBERS)))
+    def test_lower_bound_skips_only_held_n(self, k):
+        # from any n_min at or below the first failing n, the verdict, its n
+        # and its residual are the full relation's, and eigs its tail
+        op, seq = _member(k)
+        for t in [op] + [_bump_past(op, j) for j in range(4)]:
+            full = relation(seq.poly, t, seq.poly, 6)
+            assert full.ok == (t is op) and full.fail_n == (None if t is op else len(full.eigs))
+            for m in range(7 if full.ok else full.fail_n + 1):
+                got = _same_verdict(seq.poly, t, seq.poly, 6, n_min=m)
+                assert (got.ok, got.detail, got.fail_n, got.residual) == (full.ok, full.detail, full.fail_n, full.residual)
+                assert got.eigs == full.eigs[m:]
 
     @pytest.mark.parametrize("name", ["LAG3", "HER3"])
     def test_block_operator_on_a_direct_sum(self, name):
@@ -940,6 +962,35 @@ class TestSquareCoreSearch:
             assert seen == [order + 1, order + 3]
 
 
+class TestTriangularSearch:
+    """The search eliminates its columns in triangular order, reads the basis
+    back in the ansatz's order and re-verifies only n past the rows solved."""
+
+    @pytest.mark.parametrize("side", ["Wt", "W"])
+    def test_lag3_self_searches_match_whole_system(self, side):
+        e = catalog.entry("LAG3")
+        w = e.weight_Wt if side == "Wt" else e.weight_W
+        for order in range(5):
+            assert repr(matrix_intertwiner_search(w, w, order)) == repr(_whole_system_search(w, w, order)), order
+
+    @pytest.mark.parametrize("name, params", list(_entry_cases()))
+    def test_returned_operators_hold_from_n_zero(self, name, params):
+        for w1, w2 in _catalog_pairs(name, params):
+            for order in range(4 if w1.size == 2 else 3):
+                for v in matrix_intertwiner_search(w1, w2, order):
+                    assert intertwiner_verify(v, w1, w2, order + 6).ok, (name, params, order)
+
+    def test_lag3_order_3_core_elimination_steps(self, monkeypatch):
+        # triangular order: 886 steps, against 1,655 in the ansatz's order
+        from mvop import exactalg
+
+        e = catalog.entry("LAG3")
+        steps, real = [], exactalg._clear
+        monkeypatch.setattr(exactalg, "_clear", lambda *args: steps.append(1) or real(*args))
+        matrix_intertwiner_search(e.weight_W, e.weight_Wt, 3)
+        assert len(steps) <= 1000
+
+
 class TestModuleGenerator:
     def test_laguerre_up_three(self):
         t = module_generator(LAG, Laguerre(ALPHA + 3))
@@ -1079,22 +1130,27 @@ class TestDarbouxVerify:
 
 
 def _direct_darboux_checks(cert: DarbouxCertificate, rep) -> list[tuple]:
-    """(name, ok, detail) of all seven checks, with checks 5-7 computed by
-    their own scans, as darboux_verify ran them before it derived them."""
+    """(name, ok, detail) of all seven checks, with checks 4-7 computed by
+    their own scans, as darboux_verify ran them before it derived them:
+    check 4 scans every A_n for a zero determinant."""
     w, wt, n_max, v, nn = cert.W, cert.Wt, cert.n_max, cert.V, cert.Nn
     mem = verify_in_DW(cert.D, w, n_max)
     seq, seqt = sequence_for(w), sequence_for(wt)
-    if rep.checks[3].ok and mem.ok:
-        rev = relation(seqt.poly, nn, seq.poly, n_max, cs=lambda n: cert.conjugators[n].inv() * mem.eigs[n])
+    fwd = relation(seq.poly, v, seqt.poly, n_max)
+    singular = [n for n, a in enumerate(fwd.eigs) if a.det() == 0]
+    ok4 = fwd.ok and not singular
+    if ok4 and mem.ok:
+        rev = relation(seqt.poly, nn, seq.poly, n_max, cs=lambda n: fwd.eigs[n].inv() * mem.eigs[n])
     else:
         rev = Verdict(False, "skipped: prerequisites failed")
     implied = [
+        ("P_n . V = A_n Pt_n with A_n nonsingular", Verdict(ok4, f"conjugator A_{singular[0]} is singular" if singular else fwd.detail)),
         ("N V in algebra of Wt", verify_in_DW(compose(nn, v), wt, n_max)),
         ("Pt_n . N = A_n^-1 Lambda_n(D) P_n", rev),
         ("antidiagonal block operator in algebra of W (+) Wt",
          verify_in_DW(block_antidiagonal(v, nn), Weight.direct_sum([w, wt]), n_max)),
     ]
-    return [(c.name, c.ok, c.detail) for c in rep.checks[:4]] + [(k, r.ok, r.detail) for k, r in implied]
+    return [(c.name, c.ok, c.detail) for c in rep.checks[:3]] + [(k, r.ok, r.detail) for k, r in implied]
 
 
 class TestDerivedDarboux:
@@ -1194,6 +1250,33 @@ class TestDerivedDarboux:
         assert oks == [True] + [False] * 5
         assert set(sizes) == {w.size} and {x.size for x in seen} == {w.size}
         assert Weight.direct_sum([w, wt]) not in weights._SEQUENCE_CACHE
+
+    @pytest.mark.parametrize("name", ["JAC2", "LAG3", "HER3"])
+    def test_sound_certificate_takes_no_determinant(self, name, monkeypatch):
+        # check 3 rules out a singular A_n = S_n(V) for every n
+        e = catalog.entry(name)
+        cert = DarbouxCertificate(e.weight_W, e.weight_Wt, e.ops["V"], e.ops["N"], e.ops["D"], 16)
+        assert darboux_verify(cert).ok
+        dets, real = [], FracMat.det
+        monkeypatch.setattr(FracMat, "det", lambda m: dets.append(m) or real(m))
+        assert darboux_verify(cert).ok and dets == []
+
+    @pytest.mark.parametrize("name", ["JAC2", "LAG3", "HER3"])
+    def test_check_4_scans_when_check_3_fails(self, name, monkeypatch):
+        # deg F_j = j + 1 fails check 3, so the j A_n below the relation's
+        # first failure are scanned; the zero V passes the relation with all
+        # n_max + 1 = 9 of its A_n singular
+        e = catalog.entry(name)
+        w, wt, ops = e.weight_W, e.weight_Wt, e.ops
+        dets, real = [], FracMat.det
+        monkeypatch.setattr(FracMat, "det", lambda m: dets.append(m) or real(m))
+        for scanned, v in [(j, _bump_past(ops["V"], j)) for j in range(3)] + [(9, DiffOp.zero(w.size))]:
+            cert = DarbouxCertificate(w, wt, v, ops["N"], ops["D"], 8)
+            dets.clear()
+            rep = darboux_verify(cert)
+            assert not rep.checks[2].ok and len(dets) == scanned
+            assert [(c.name, c.ok, c.detail) for c in rep.checks] == _direct_darboux_checks(cert, rep)
+        assert rep.checks[3].detail == "conjugator A_0 is singular"
 
     def test_mixed_support_still_refused(self):
         one = DiffOp.identity(1)

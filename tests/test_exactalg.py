@@ -31,6 +31,7 @@ from mvop.exactalg import (
     poly_over,
     poly_quo,
     poly_str,
+    read_off,
     solve_square,
     unpack,
 )
@@ -401,6 +402,44 @@ class TestNullspaceOracle:
         ncols = len(rows[0])
         want = _nullspace_over_q([[F(c) for c in r] for r in rows], ncols)
         assert repr(nullspace(rows, ncols)) == repr(want)
+
+
+@st.composite
+def permuted_int_systems(draw):
+    """A sparse integer system and a column order: rows of a few nonzeros,
+    zero rows among them, and a drawn set of columns pinned by one-cell rows,
+    so that full rank and empty nullspaces occur."""
+    ncols = draw(st.integers(1, 16))
+    cells = st.dictionaries(st.integers(0, ncols - 1), nonzero_ints, max_size=max(1, ncols // 3))
+    rows = []
+    for row_cells in draw(st.lists(cells, max_size=ncols + 4)):
+        row = [0] * ncols
+        for c, v in row_cells.items():
+            row[c] = v
+        rows.append(row)
+    for c in draw(st.sets(st.integers(0, ncols - 1))):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(nonzero_ints) if k == c else 0 for k in range(ncols)])
+    return rows or [[0] * ncols], draw(st.permutations(range(ncols)))
+
+
+class TestReadOff:
+    """``read_off`` gives back, in the original column order, the basis
+    ``nullspace`` reads off for that order, from the nullspace of the
+    system with its columns permuted."""
+
+    @given(permuted_int_systems())
+    @example(([[0, 0, 0]], [2, 0, 1]))
+    @example(([[3, 0], [0, -5]], [1, 0]))
+    @example(([[1, 2, 3], [2, 4, 6]], [0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_read_off_undoes_a_column_permutation(self, case):
+        rows, cols = case
+        ncols = len(cols)
+        permuted = [[r[k] for k in cols] for r in rows]
+        pairs = read_off(nullspace(permuted, ncols), cols, ncols)
+        assert all(type(c) is int for ints, _ in pairs for c in ints) and all(den > 0 for _, den in pairs)
+        got = [[F(c, den) for c in ints] for ints, den in pairs]
+        assert repr(got) == repr(nullspace(rows, ncols))
 
 
 @st.composite
