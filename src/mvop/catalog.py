@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
-from .exactalg import DomainError, FracMat, Poly, X, bareiss, frac, int_matrix
+from .exactalg import DomainError, FracMat, Poly, X, bareiss, frac, int_matrix, nullspace
 from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
 from .weights import Laguerre, Weight, contract_rows, moment_rows, sequence_for
 from .dwalgebra import (
@@ -246,6 +246,16 @@ def _const_term_singular_on_span(basis, size: int) -> bool:
     return True
 
 
+def _in_span(v: DiffOp, basis) -> bool:
+    """Whether the polynomial operator v lies in the span of ``basis``: a null
+    vector of the stacked ``int_form`` numerators (multiples of the
+    coefficients, by d-power, row, column and x-power) that uses v's."""
+    forms = [t.int_form()[0] for t in (*basis, v)]
+    deg, length = max(len(e) for f in forms for e in f), max(map(len, forms))
+    vecs = [[c for e in f for c in e + (0,) * (deg - len(e))] + [0] * (deg * (length - len(f))) for f in forms]
+    return any(u[-1] for u in nullspace(list(zip(*vecs)), len(vecs)))
+
+
 def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
     """Q_0..Q_bound are orthogonal for the weight with nonsingular Gram
     blocks <Q_n, Q_n>.
@@ -375,7 +385,7 @@ def _verify_lag3(e: CatalogEntry, rep: Report, n_max: int):
     ctrl_space = matrix_intertwiner_search(W, Wt, 3)
     rep.add(
         "positive control: order-3 space contains V",
-        Verdict(control and len(ctrl_space) >= 1, f"order-3 search dimension {len(ctrl_space)}"),
+        Verdict(control and _in_span(ops["V"], ctrl_space), f"order-3 search dimension {len(ctrl_space)}"),
     )
 
 

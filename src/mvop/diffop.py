@@ -77,21 +77,26 @@ from .exactalg import (
 
 class IntForm:
     """The integer form of an immutable polynomial matrix or operator, kept
-    by the object: ``int_form`` once, the packed derivatives of ``packed``
-    once per width. A subclass lists its entries in ``_entries`` and has
-    slots ``_form`` and ``_packs``, left unset until first read so that
-    making an object costs nothing more."""
+    by the object: ``degree`` and ``int_form`` once, ``packed`` and
+    ``packed_cols`` once per width. A subclass lists its entries in
+    ``_entries`` and has slots ``_deg``, ``_form`` and ``_packs``, left unset
+    until first read so that making an object costs nothing more."""
 
     __slots__ = ()
+
+    @property
+    def degree(self) -> int:
+        """The largest degree of an entry, -1 when every entry is zero."""
+        if not hasattr(self, "_deg"):
+            self._deg = max((e.degree for e in self._entries()), default=-1)
+        return self._deg
 
     def int_form(self):
         """The ``int_entries`` form of the entries (by coefficient, row and
         column) over one denominator."""
-        try:
-            return self._form
-        except AttributeError:
+        if not hasattr(self, "_form"):
             self._form = int_entries(self._entries())
-            return self._form
+        return self._form
 
     def packed(self, w: int, count: int):
         """By coefficient i and row r, row r of A_i, A_i', ...,
@@ -101,11 +106,9 @@ class IntForm:
         first t + 1 derivatives. A width kept with fewer derivatives packs
         only the missing ones; the derivatives themselves are not kept, since
         few objects are packed twice."""
-        try:
-            got = self._packs.get(w)
-        except AttributeError:
-            got, self._packs = None, {}
-        s = self.size
+        if not hasattr(self, "_packs"):
+            self._packs = {}
+        got, s = self._packs.get(w), self.size
         if got is None or (got and len(got[0][0]) < count * s):
             ints, nn, have = self.int_form()[0], s * s, len(got[0][0]) // s if got else 0
             chains = [int_derivatives(ints[i : i + nn], count)[have:] for i in range(0, len(ints), nn)]
@@ -113,11 +116,20 @@ class IntForm:
                                      for r in range(s)] for i, chain in enumerate(chains)]
         return got
 
+    def packed_cols(self, w: int):
+        """By column c, entry [k][c] of every coefficient A_j by (j, k), for
+        ``int_action``: the ints of ``packed(w, 1)``'s rows, kept under -w."""
+        got = getattr(self, "_packs", {}).get(-w)
+        if got is None:
+            rows = self.packed(w, 1)
+            got = self._packs[-w] = [[row[c] for a in rows for row in a] for c in range(self.size)]
+        return got
+
 
 class MatPoly(IntForm, Matrix):
     """Square matrix with Poly entries (degree -1 when zero)."""
 
-    __slots__ = ("_form", "_packs", "_monic")
+    __slots__ = ("_deg", "_form", "_packs", "_monic")
     _zero = Poly()
     _scalars = (Poly, int, Fraction)
 
@@ -135,10 +147,6 @@ class MatPoly(IntForm, Matrix):
     @staticmethod
     def scalar(p: Poly, n: int) -> "MatPoly":
         return MatPoly.diag(*([p] * n))
-
-    @property
-    def degree(self) -> int:
-        return max(c.degree for r in self.rows for c in r)
 
     @property
     def monic_degree(self) -> int:
@@ -197,12 +205,12 @@ def _canonical(nums: list[MatPoly], den: Poly) -> tuple[list[MatPoly], Poly]:
 class DiffOp(IntForm):
     """Normal-form operator sum_j d^j F_j, stored as MatPoly numerators N_j
     (``coeffs``) over one monic scalar denominator ``den`` (module docstring).
-    Its integer form (``IntForm``) and ``IntOp`` are built once.
+    Its degree, integer form and packings (``IntForm``) are built once.
 
     The zero operator has an empty coefficient tuple and order -1.
     """
 
-    __slots__ = ("size", "coeffs", "den", "_hash", "_form", "_packs", "_intop")
+    __slots__ = ("size", "coeffs", "den", "_hash", "_deg", "_form", "_packs")
 
     def __init__(self, size: int, coeffs=(), den: Poly = _P1):
         """F_j = coeffs[j] / den, each coeffs[j] a polynomial matrix."""
@@ -217,7 +225,7 @@ class DiffOp(IntForm):
         self.size = size
         self.coeffs = tuple(cs)
         self.den = den
-        self._hash = self._intop = None
+        self._hash = None
 
     # -- constructors
 
@@ -266,12 +274,6 @@ class DiffOp(IntForm):
 
     def _entries(self):
         return [e for f in self.coeffs for r in f.rows for e in r]
-
-    def int_op(self) -> "IntOp":
-        """The operator as the right operand of ``int_action``."""
-        if self._intop is None:
-            self._intop = IntOp(self.size, self.int_form())
-        return self._intop
 
     def poly_coeffs(self) -> tuple[MatPoly, ...] | None:
         """Coefficients as MatPoly when every entry is polynomial, else None."""
@@ -333,26 +335,6 @@ def _common(a: DiffOp, b: DiffOp):
     return [c * b.den for c in a.coeffs], [c * a.den for c in b.coeffs], a.den * b.den
 
 
-class IntOp:
-    """An operator's numerators N_j from its integer form (``DiffOp.int_op``):
-    over one denominator ``den``, below 2^``bits``; column c lists N_j[k][c]
-    by (j, k), packed at most once per width."""
-
-    __slots__ = ("order", "deg", "den", "bits", "cols", "_packed")
-
-    def __init__(self, size: int, forms):
-        ints, self.den, self.bits = forms
-        self.order = len(ints) // (size * size) - 1
-        self.deg = max(map(len, ints), default=0) - 1
-        self.cols = [ints[c::size] for c in range(size)]
-        self._packed = {}
-
-    def packed_cols(self, w: int):
-        if w not in self._packed:
-            self._packed[w] = [[pack(e, w) for e in col] for col in self.cols]
-        return self._packed[w]
-
-
 def int_derivatives(ints, count: int):
     """The numerator lists of p, p', ..., p^(count-1) for each list of ints
     (over the same denominator: [x^k] p^(j) is k (k-1) ... (k-j+1) [x^(k+j)] p)."""
@@ -365,49 +347,50 @@ def int_derivatives(ints, count: int):
 _SCALES = {}  # (deg, order, top, mtop): int_action's scale
 
 
-def int_action(a: IntForm, s: int, op: IntOp, extra_bits: int = 0, ks=(0,)):
+def int_action(a: IntForm, s: int, t: IntForm, extra_bits: int = 0, ks=(0,)):
     """The cells of the d^k coefficients, k in ``ks``, of A T as packed
-    integers: A = sum_i d^i A_i, a MatPoly (one A_0) or a DiffOp of size s,
-    whose entries (by i, row, column) have the ``int_form`` over L, and T
-    the operator of ``op``. Cell (r, c) is one
-    C-level row-by-column sum over the concatenated (m, j) blocks, i = k - m:
-    row r lists binom(j, m) A_i^(j-m)[r][l], column c lists F_j[l][c], by l,
-    and digit e over L ``op.den`` is [x^e] of the cell. For A = P and k = 0
-    the cells are P . T. The width w holds every digit and ``extra_bits``
-    more, room for a caller's own sums. Returns (sums by k, w, bits): every
-    digit is below 2^bits.
+    integers: A = sum_i d^i A_i, a MatPoly (one A_0) or a DiffOp, and T =
+    sum_j d^j F_j a DiffOp, both of size s with ``int_form``s over L and L_T.
+    Cell (r, c) is one C-level row-by-column sum over the concatenated (m, j)
+    blocks, i = k - m: row r lists binom(j, m) A_i^(j-m)[r][l], column c
+    F_j[l][c] (``packed_cols``), by l, and digit e over L L_T is [x^e] of the
+    cell. For A = P and k = 0 the cells are P . T. The width w holds every
+    digit and ``extra_bits`` more, room for a caller's own sums. Returns
+    (sums by k, w, bits): every digit is below 2^bits.
     """
-    ints, _, abits = a.int_form()
+    (ints, _, abits), (tints, _, tbits) = a.int_form(), t.int_form()
     nn = s * s
-    order, deg = len(ints) // nn - 1, max(map(len, ints), default=0) - 1
-    top, mtop = min(op.order, deg), min(max(ks, default=0), op.order)
-    # A_i^(t) vanishes for t > deg and multiplies [x^e] A_i by at most
-    # deg!/(deg-t)!; each cell's digit sums at most min(deg, deg F) + 1
-    # products per (j, l). Kept per (deg, order, top, mtop).
-    key = (deg, op.order, top, mtop)
+    order, deg, torder, tdeg = len(ints) // nn - 1, a.degree, len(tints) // nn - 1, t.degree
+    top, mtop = min(torder, deg), min(max(ks, default=0), torder)
+    # A_i^(u) vanishes for u > deg and multiplies [x^e] A_i by at most
+    # deg!/(deg-u)!; each cell's digit sums at most min(deg, deg F) + 1
+    # products per (j, l). Kept per (deg, order of T, top, mtop).
+    key = (deg, torder, top, mtop)
     scale = _SCALES.get(key)
     if scale is None:
         scale = _kept(_SCALES, key, max((sum(math.comb(j, m) * math.perm(deg, j - m) for m in range(max(0, j - top), min(j, mtop) + 1))
-                                         for j in range(op.order + 1)), default=0))
-    bits = abits + op.bits + ((op.order + 1) * s * (min(deg, op.deg) + 1) * scale - 1).bit_length()
+                                         for j in range(torder + 1)), default=0))
+    bits = abits + tbits + ((torder + 1) * s * (min(deg, tdeg) + 1) * scale - 1).bit_length()
     w = pack_width(bits + extra_bits)
-    packed, cols = a.packed(w, max(top, 0) + 1), op.packed_cols(w)
+    packed, cols = a.packed(w, max(top, 0) + 1), t.packed_cols(w)
     out = []
     for k in ks:
         if k == 0 and order == 0:  # P . T: blocks (0, j), j <= top, binomials 1; a sum stops at the row's end
             rows = [row[: (top + 1) * s] for row in packed[0]]
             out.append([[sum(map(operator.mul, row, col)) for col in cols] for row in rows])
             continue
-        blocks = [(m, j) for m in range(max(0, k - order), min(k, op.order) + 1) for j in range(m, min(op.order, m + top) + 1)]
+        blocks = [(m, j) for m in range(max(0, k - order), min(k, torder) + 1) for j in range(m, min(torder, m + top) + 1)]
         left = [(math.comb(j, m), packed[k - m], (j - m) * s) for m, j in blocks]
-        rows = [[b * v if b > 1 else v for b, a_i, t in left for v in a_i[r][t : t + s]] for r in range(s)]
+        rows = [[b * v if b > 1 else v for b, a_i, at in left for v in a_i[r][at : at + s]] for r in range(s)]
         bcols = [[v for _, j in blocks for v in col[j * s : (j + 1) * s]] for col in cols]
         out.append([[sum(map(operator.mul, row, col)) for col in bcols] for row in rows])
     return out, w, bits
 
 
-def _unpacked(sums, w, count, den) -> MatPoly:
-    return MatPoly._of((poly_over(unpack(v, w, count), den) for v in row) for row in sums)
+def _unpacked(sums, w, a: IntForm, t: IntForm) -> list[MatPoly]:
+    # int_action(a, s, t)'s sums by k, each cell's digits over L L_T
+    den, count = a.int_form()[1] * t.int_form()[1], a.degree + t.degree + 1
+    return [MatPoly._of((poly_over(unpack(v, w, count), den) for v in row) for row in cells) for cells in sums]
 
 
 def quotient_chain(p: Poly, q: Poly, count: int) -> list[Poly]:
@@ -441,10 +424,7 @@ def action(p: MatPoly, d: DiffOp) -> tuple[MatPoly, Poly]:
     """
     if p.size != d.size:
         raise ShapeError("size mismatch in apply")
-    op = d.int_op()
-    ints, den, _ = p.int_form()
-    sums, w = int_action(p, p.size, op)[:2]
-    s = _unpacked(sums[0], w, max(map(len, ints)) + op.deg, den * op.den)
+    s = _unpacked(*int_action(p, p.size, d)[:2], p, d)[0]
     if d.is_polynomial:
         return s, _P1
     quos = [[poly_quo(e, d.den) for e in r] for r in s.rows]
@@ -474,11 +454,8 @@ def compose(first: DiffOp, second: DiffOp) -> DiffOp:
     n = first.size
     if not first.is_polynomial:
         second = _under(first.den, second)
-    op = second.int_op()
-    ints, den, _ = first.int_form()
-    sums, w = int_action(first, n, op, ks=range(first.order + second.order + 1))[:2]
-    count = max(map(len, ints), default=0) + op.deg
-    return DiffOp(n, [_unpacked(cells, w, count, den * op.den) for cells in sums], second.den)
+    sums, w = int_action(first, n, second, ks=range(first.order + second.order + 1))[:2]
+    return DiffOp(n, _unpacked(sums, w, first, second), second.den)
 
 
 def op_power(d: DiffOp, k: int) -> DiffOp:

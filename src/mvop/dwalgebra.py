@@ -41,7 +41,6 @@ from .exactalg import (
 )
 from .diffop import (
     DiffOp,
-    IntOp,
     MatPoly,
     Verdict,
     action,
@@ -140,7 +139,7 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None, *, n_min: int = 0) -> Verdi
     degree-n coefficients: [x^n](P_n . T) times the inverse of Q_n's leading
     coefficient, which must then be nonsingular. ``eigs`` holds C_{n_min},
     ..., C_{k-1} for the first failing n = k (all of them when the relation
-    holds). A negative ``n_max`` is a DomainError.
+    holds). ``n_max`` < 0 or ``n_min`` outside 0..n_max is a DomainError.
 
     When P_n, Q_n and T are polynomial, neither side is built: ``_decide``
     tests each n on one packed integer matrix product, from the integer
@@ -149,12 +148,14 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None, *, n_min: int = 0) -> Verdi
     through ``action``.
     """
     check_horizon(n_max)
-    op = t.int_op() if t.is_polynomial else None
+    if not 0 <= n_min <= n_max:
+        raise DomainError(f"n_min = {n_min} outside 0..{n_max}")
     eigs: list[FracMat] = []
+    poly = t.is_polynomial
     for n in range(n_min, n_max + 1):
         p = ps(n)
         r = None
-        if op is None or p.size != t.size:
+        if not poly or p.size != t.size:
             r, den = action(p, t)
             if den.degree > 0:
                 return Verdict(False, f"non-polynomial action at n={n}", n, (r, den), eigs)
@@ -166,7 +167,7 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None, *, n_min: int = 0) -> Verdi
                 return Verdict(False, f"leading coefficient of Q_n singular at n={n}", n, lead, eigs)
         c, ok = cs(n) if cs is not None else None, False
         if r is None:
-            c, ok = _decide(p, op, q, n, c, lead)
+            c, ok = _decide(p, t, q, n, c, lead)
         elif c is None:
             c = r.coeff(n) if lead is None else r.coeff(n) * lead.inv()
         if not ok:
@@ -178,7 +179,7 @@ def relation(ps, t: DiffOp, qs, n_max: int, cs=None, *, n_min: int = 0) -> Verdi
     return Verdict(True, eigs=eigs)
 
 
-def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
+def _decide(p: MatPoly, t: DiffOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     """(C_n, whether P_n . T = C_n Q_n), decided exactly on the packed sums S
     of P_n . T (``int_action``), L_P, L_Q, L_T the denominators of P_n, Q_n
     and T and Q^ = L_Q Q_n. With C_n solved and Q_n's lead I, S_n = L_P L_T C_n
@@ -193,8 +194,8 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
     fast = fits and c is None and lead is None
     # both terms of L_Q S - S_n Q^ lie below 2^(bits + extra - 1)
     extra = max((qf[1] - 1).bit_length(), qf[2] + (s - 1).bit_length()) + 1 if fast else 0
-    (sums,), w, bits = int_action(p, s, op, extra)
-    den = p.int_form()[1] * op.den
+    (sums,), w, bits = int_action(p, s, t, extra)
+    den = p.int_form()[1] * t.int_form()[1]
     if c is None:
         chat = [[digit(v, w, n) for v in row] for row in sums]
         c = FracMat._of((Fraction(v, den) if v else _F0 for v in row) for row in chat)
@@ -210,9 +211,8 @@ def _decide(p: MatPoly, op: IntOp, q, n: int, c, lead) -> tuple[FracMat, bool]:
         cbits = max(abs(v) for row in chat for v in row).bit_length()
         need = 1 + max((s1 - 1).bit_length() + bits, (s2 - 1).bit_length() + cbits + qf[2] + (s - 1).bit_length())
         if pack_width(need) > w:
-            (sums,), w = int_action(p, s, op, need - bits)[:2]
-    qrows = q.packed(w, 1)[0]
-    qcols = [[row[k] for row in qrows] for k in range(s)]
+            (sums,), w = int_action(p, s, t, need - bits)[:2]
+    qcols = q.packed_cols(w)
     return c, not any(
         s1 * v - s2 * sum(map(operator.mul, crow, qcol)) for crow, row in zip(chat, sums) for v, qcol in zip(row, qcols)
     )
@@ -269,7 +269,6 @@ class IntertwinerBasis:
     basis: tuple[DiffOp, ...]
     refused: bool = False
     reason: str = ""
-    horizon: int = 0
 
     @property
     def dim(self) -> int:
@@ -398,13 +397,15 @@ def matrix_intertwiner_search(
         cols = [offsets[j] + i * step + k for j in js for i in range(j) for k in range(step)]
         cols += [offsets[j] + j * step + k for j in js for k in range(step)]
         ops = []
-        for ints, den in read_off(nullspace([[row[k] for k in cols] for row in rows], offsets[-1]), cols, offsets[-1]):
-            # entry (r, c) of F_j, coefficients by power of x, from j's block
+        for ints, _ in read_off(nullspace([[row[k] for k in cols] for row in rows], offsets[-1]), cols, offsets[-1]):
+            # entry (r, c) of F_j, coefficients by power of x, from j's block,
+            # over the lead of the top nonzero block's last nonzero entry
             blocks = [ints[offsets[j] : offsets[j + 1]] for j in js]
-            op = DiffOp(size, [MatPoly._of([[poly_over(b[r * size + c :: step], den) for c in range(size)] for r in range(size)])
-                               for b in blocks])
-            scale = [e for r in op.coeffs[-1].rows for e in r if e][-1].lc
-            ops.append(op if scale == 1 else op * (1 / scale))
+            lead = next(v for b in reversed(blocks) for k in reversed(range(step)) for v in reversed(b[k::step]) if v)
+            if lead < 0:
+                blocks, lead = [[-v for v in b] for b in blocks], -lead
+            ops.append(DiffOp(size, [MatPoly._of([[poly_over(b[r * size + c :: step], lead) for c in range(size)] for r in range(size)])
+                                     for b in blocks]))
         return ops
 
     ops = solve(order_bound + 1)
@@ -430,10 +431,9 @@ def intertwiner_search(
         return IntertwinerBasis(
             f1, f2, order_bound, (), refused=True,
             reason="density ratio is not rational: the module is zero",
-            horizon=n_horizon,
         )
     ops = matrix_intertwiner_search(f1.scalar_weight(), f2.scalar_weight(), order_bound, n_horizon=n_horizon)
-    return IntertwinerBasis(f1, f2, order_bound, tuple(ops), horizon=n_horizon)
+    return IntertwinerBasis(f1, f2, order_bound, tuple(ops))
 
 
 # ---------------------------------------------------------------------------

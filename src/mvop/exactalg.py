@@ -859,7 +859,8 @@ def _echelon(rows):
     row an integer multiple of its RREF row, kept as {col: value}.
 
     Rows are sequences of ints or Fractions. Sparse and fraction-free: each
-    row becomes a primitive integer row {col: value} of its nonzeros and is
+    row becomes a primitive integer row {col: value} of its nonzeros (over
+    their common denominator when one is a Fraction) and is
     reduced, in turn, by the pivot rows kept before it, so it is zero at
     their pivots; a row left nonzero is kept, its pivot its first nonzero
     column. Back substitution then clears each pivot column in the rows
@@ -868,9 +869,10 @@ def _echelon(rows):
     """
     pivots, echelon = [], []
     for row in rows:
-        nz = {k: c for k, c in enumerate(row) if c}
-        den = math.lcm(*(c.denominator for c in nz.values()))
-        r = _primitive({k: c.numerator * (den // c.denominator) for k, c in nz.items()})
+        r = {k: c for k, c in enumerate(row) if c}
+        if any(type(c) is Fraction for c in r.values()):
+            r = dict(zip(r, int_matrix([r.values()])[0][0]))
+        r = _primitive(r)
         for p, prow in zip(pivots, echelon):
             if p in r:
                 r = _clear(r, prow, p)

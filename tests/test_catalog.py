@@ -256,6 +256,15 @@ class TestVerification:
         line = next(c for c in rep.checks if "printed readings" in c.name)
         assert line.ok and "disagree" in line.detail
 
+    def test_lag3_positive_control_checks_containment(self, monkeypatch):
+        # a nonempty order-3 space without V fails the control: here the
+        # order-2 space, whose operators are all of lower order than V
+        real = catalog.matrix_intertwiner_search
+        monkeypatch.setattr(catalog, "matrix_intertwiner_search", lambda w1, w2, k: real(w1, w2, min(k, 2)))
+        rep = verify_entry("LAG3", None, 4)
+        line = next(c for c in rep.checks if c.name == "positive control: order-3 space contains V")
+        assert not line.ok and line.detail == "order-3 search dimension 3"
+
     def test_her3_printed_readings_reported(self):
         rep = verify_entry("HER3", None, 4)
         line = next(c for c in rep.checks if "printed readings" in c.name)

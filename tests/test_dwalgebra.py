@@ -1,6 +1,7 @@
 """Algebra membership, symmetry, intertwiners, Darboux machinery and the
 classification of direct sums."""
 
+import itertools
 import math
 import random
 from dataclasses import fields, replace
@@ -269,6 +270,20 @@ class TestNegativeHorizon:
         w1, w2 = LAG.scalar_weight(), Laguerre(ALPHA + 1).scalar_weight()
         with pytest.raises(DomainError, match="horizon"):
             matrix_intertwiner_verify(DDX, w1, w2, -1)
+
+    def test_relation_refuses_lower_bound_past_horizon(self):
+        # x . P_0 has degree 1, so t fails at n = 0; from n_min = 5 to
+        # n_max = 3 no n would be checked and the pass would claim too much
+        seq, t = sequence_for(LAG.scalar_weight()), DiffOp.scalar([X])
+        assert relation(seq.poly, t, seq.poly, 3).fail_n == 0
+        with pytest.raises(DomainError, match="n_min = 5 outside 0..3"):
+            relation(seq.poly, t, seq.poly, 3, n_min=5)
+
+    def test_relation_refuses_negative_lower_bound(self):
+        # there is no P_n for n < 0 to check
+        seq = sequence_for(LAG.scalar_weight())
+        with pytest.raises(DomainError, match="n_min = -2 outside 0..3"):
+            relation(seq.poly, DDX, seq.poly, 3, n_min=-2)
 
     def test_zero_horizon_still_checks_n_zero(self):
         rep = verify_in_DW(DiffOp.scalar([Poly((1,)), Poly((1,))]), LAG.scalar_weight(), 0)
@@ -616,7 +631,7 @@ class TestKeptForms:
         # x^(j+1) d^j raises the degree of P_n's image from n = j on
         j, r, c = (data.draw(st.integers(0, k)) for k in (op.order, op.size - 1, op.size - 1))
         bumped = bump_coefficient(op, (j, r, c, j + 1))
-        assert wide.int_op().bits > narrow.int_op().bits + 64
+        assert wide.int_form()[2] > narrow.int_form()[2] + 64
         # P_n's derivatives to order 0, then to narrow's order at a narrow
         # width, at a wide one, then at the narrow one again
         for t in (DiffOp(op.size, narrow.coeffs[:1]), narrow, wide, narrow, bumped):
@@ -637,7 +652,9 @@ class TestKeptForms:
         counts = dict.fromkeys(("int_entries", "int_derivatives"), 0)
         for name in counts:
             def counted(*args, real=getattr(diffop, name), name=name):
-                counts[name] += 1
+                # int_derivatives counts only the calls that form a derivative:
+                # a packing without derivatives (the operator's) calls it with 1
+                counts[name] += name == "int_entries" or args[1] > 1
                 return real(*args)
 
             monkeypatch.setattr(diffop, name, counted)
@@ -647,8 +664,46 @@ class TestKeptForms:
         d = _fresh(e.ops["D1"])
         for _ in range(3):
             assert verify_in_DW(d, e.weight_Wt, 8).ok
-            # P_0 and the operator once each; derivatives of P_0..P_8 once each
-            assert counts == {"int_entries": 2, "int_derivatives": 9}
+            # P_0 and the operator once each; derivatives of P_1..P_8 once
+            # each (P_0, a constant, has none)
+            assert counts == {"int_entries": 2, "int_derivatives": 8}
+
+    def test_packed_cols_are_the_packed_ints(self):
+        # column c of packed_cols(w) lists entry [k][c] of every coefficient
+        # by (j, k): the very ints of packed(w, 1)'s rows, also for an
+        # operator packed first as a left operand, with derivatives, and
+        # after a later packing adds derivatives at the same width
+        from mvop.exactalg import pack
+
+        op, seq = _member(3)
+        left = _fresh(op)
+        left.packed(128, op.order + 1)
+        for a in (MatPoly(seq.poly(4).rows), _fresh(op), left):
+            s, ints = a.size, a.int_form()[0]
+            for w, more in ((64, 1), (128, 1), (64, op.order + 1)):
+                cols = a.packed_cols(w)
+                rows = a.packed(w, more)
+                assert len(cols) == s and all(len(col) == len(rows) * s for col in cols)
+                for j, k, c in itertools.product(range(len(rows)), range(s), range(s)):
+                    assert cols[c][j * s + k] is rows[j][k][c]
+                    assert cols[c][j * s + k] == pack(ints[(j * s + k) * s + c], w)
+
+    def test_compose_packs_each_entry_once(self, monkeypatch):
+        # compose(d, d) packs d as the left operand, each entry and its
+        # derivatives up to min(order, degree), and reads the right operand's
+        # columns off those ints: no entry is packed a second time
+        from mvop import diffop
+
+        calls = []
+        monkeypatch.setattr(diffop, "pack", lambda ints, w, real=diffop.pack: calls.append(w) or real(ints, w))
+        for k in range(len(_MEMBERS)):
+            op = _member(k)[0]
+            want, d, deg = compose(_fresh(op), _fresh(op)), _fresh(op), max(f.degree for f in op.coeffs)
+            calls.clear()
+            assert compose(d, d) == want
+            assert len(calls) == len(d.coeffs) * d.size**2 * (min(d.order, deg) + 1)
+            assert len(set(calls)) == 1
+
 
 class TestIntertwinerVerify:
     def test_laguerre_ladder(self):

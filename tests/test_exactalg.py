@@ -717,14 +717,13 @@ class TestProductKernel:
         # cell is, and the sums of -P cancel those of P
         p, fs = args
         d = DiffOp.from_matrices(p.size, fs)
-        op = d.int_op()
-        (sums,), w = int_action(p, p.size, op)[:2]
+        (sums,), w = int_action(p, p.size, d)[:2]
         want = _apply_per_j(p, d)
         for row, wrow in zip(sums, want.rows):
             for v, e in zip(row, wrow):
-                assert F(digit(v, w, k), p.int_form()[1] * op.den) == e[k]
+                assert F(digit(v, w, k), p.int_form()[1] * d.int_form()[1]) == e[k]
                 assert (v == 0) == e.is_zero
-        (negated,), w2 = int_action(-p, p.size, op)[:2]
+        (negated,), w2 = int_action(-p, p.size, d)[:2]
         assert w2 == w and all(a + b == 0 for row, nrow in zip(sums, negated) for a, b in zip(row, nrow))
 
     def test_digit_below_a_run_of_most_negative_digits(self):
@@ -739,9 +738,9 @@ class TestProductKernel:
         # one product (2^32 - 1)^2 per digit reaches 2^(bits - 1), so a bound
         # one bit short, or a width without the sign bit, misreads every digit
         m = 2**32 - 1
-        op = DiffOp(1, [MatPoly([[Poly.const(m)]])]).int_op()
+        t = DiffOp(1, [MatPoly([[Poly.const(m)]])])
         for sign in (1, -1):
-            (sums,), w, bits = int_action(MatPoly([[Poly([sign * m] * 3)]]), 1, op)
+            (sums,), w, bits = int_action(MatPoly([[Poly([sign * m] * 3)]]), 1, t)
             assert (bits, w) == (64, 128)
             got = [digit(sums[0][0], w, k) for k in range(4)]
             assert got == [sign * m * m] * 3 + [0]
