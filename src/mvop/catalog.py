@@ -11,7 +11,7 @@ verbatim readings and the provenance. Where a printed source token is visibly
 corrupt the entry keeps both readings: the emended operator is primary and the
 verbatim one is re-checked and reported, so source typos and engine bugs stay
 distinguishable. A Gram check reads every block <Q_n, Q_m> off Q_n's moment
-rows (``weights.moment_rows``), one product per image.
+rows (``weights.moment_ints``), one product per image.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 from .exactalg import DomainError, FracMat, Poly, X, bareiss, frac, int_matrix, nullspace
 from .diffop import DiffOp, MatPoly, Verdict, apply, compare_operators, compose, diff_cells
-from .weights import Laguerre, Weight, contract_rows, moment_rows, sequence_for
+from .weights import Laguerre, Weight, contract_rows, moment_ints, moment_rows, sequence_for
 from .dwalgebra import (
     DarbouxCertificate,
     Report,
@@ -39,7 +39,7 @@ from .dwalgebra import (
     symmetry_check,
     verify_in_DW,
 )
-from .dsl import ParseError, SpecDocument, parse_spec
+from .dsl import ParseError, Program, SpecDocument, compile_spec
 
 
 @dataclass
@@ -163,25 +163,37 @@ def _data_text(name: str) -> str:
     return resources.files(__package__).joinpath("data", f"{name.lower()}.mvop").read_text(encoding="utf-8")
 
 
+# by (entry spec, part), the program of its param lines ("head"), of its data
+# file without checks ("body") or of that and its verbatim readings
+# ("printed"): compiled once, run at every parameter point
+_PROGRAMS: dict[tuple["_EntrySpec", str], Program] = {}
+
+
+def _program(name: str, part: str) -> Program:
+    spec = _ENTRIES[name]
+    if (prog := _PROGRAMS.get((spec, part))) is None:
+        lines = _data_text(name).splitlines(True)
+        head = "".join(ln for ln in lines if ln.startswith("param "))
+        # the file's checks are structural and not part of the entry; the
+        # verbatim readings follow, after the file's names
+        body = "".join(ln for ln in lines if not ln.startswith("check "))
+        prog = _PROGRAMS[spec, part] = compile_spec({"head": head, "body": body, "printed": body + spec.printed}[part])
+    return prog
+
+
 def _document(name: str, params: dict | None, printed: bool) -> SpecDocument:
     """The entry's data file without its checks, then its verbatim readings
-    when ``printed``, parsed at default or overridden parameters after the
-    stated rules admit them."""
+    when ``printed``, at default or overridden parameters after the stated
+    rules admit them."""
     if name not in _ENTRIES:
         raise LookupError(f"unknown catalog entry {name!r}; have {ENTRY_NAMES}")
-    spec = _ENTRIES[name]
     overrides = {k: frac(v) for k, v in (params or {}).items()}
-    lines = _data_text(name).splitlines(True)
     try:
-        head = "".join(ln for ln in lines if ln.startswith("param "))
-        params = parse_spec(head, overrides).params
-        for rule, holds in spec.rules:
+        params = _program(name, "head").run(overrides).params
+        for rule, holds in _ENTRIES[name].rules:
             if not holds(params):
                 raise DomainError(f"{name} requires {rule}")
-        # the file's checks are structural and not part of the entry; the
-        # verbatim readings parse in the same pass, after the file's names
-        body = "".join(ln for ln in lines if not ln.startswith("check "))
-        return parse_spec(body + spec.printed if printed else body, overrides)
+        return _program(name, "printed" if printed else "body").run(overrides)
     except ParseError as exc:
         # the data file is fixed, so a parse failure is a parameter problem
         raise DomainError(f"inadmissible parameters for {name}: {exc}") from exc
@@ -256,16 +268,32 @@ def _in_span(v: DiffOp, basis) -> bool:
     return any(u[-1] for u in nullspace(list(zip(*vecs)), len(vecs)))
 
 
+def _gram_by_rows(q: MatPoly, weight: Weight, n: int) -> bool:
+    """Whether Q has degree n and a nonsingular x^n coefficient C, and its
+    integer moment rows R_k = <Q, x^k I> (one ``moment_ints``) vanish for
+    k < n with det R_n != 0."""
+    s, ints = q.size, q.int_form()[0]
+    lead = [e[n] if len(e) > n else 0 for e in ints]
+    if q.degree != n or not bareiss([lead[i : i + s] for i in range(0, s * s, s)])[0]:
+        return False
+    rows = moment_ints(q, weight, n)[0]
+    return not any(v for row in rows[:n] for r in row for v in r) and bool(bareiss(rows[n])[0])
+
+
 def _gram_orthogonal(polys, weight: Weight, bound: int) -> Verdict:
     """Q_0..Q_bound are orthogonal for the weight with nonsingular Gram
     blocks <Q_n, Q_n>.
 
-    One ``moment_rows`` call per n gives R_{n,k} = <Q_n, x^k I> up to the
-    largest deg Q_m, m <= n, and every block <Q_n, Q_m> = sum_k R_{n,k}
-    Q_{m,k}^T (``contract_rows``) is read off the nonzero ones, found once
-    per n: the diagonal block first, then m = 0, 1, ..., so a failure names
-    the first (n, m) and its block.
+    When ``_gram_by_rows`` holds for every n, <Q_n, Q_m> = sum_{k <= m}
+    R_{n,k} Q_{m,k}^T = 0 for m < n, and <Q_n, Q_n> = R_{n,n} C_n^T is
+    nonsingular. Otherwise one ``moment_rows`` call per n gives R_{n,k} up
+    to the largest deg Q_m, m <= n, and every block <Q_n, Q_m>
+    (``contract_rows``) is read off the nonzero ones, found once per n: the
+    diagonal block first, then m = 0, 1, ..., so a failure names the first
+    (n, m) and its block.
     """
+    if all(_gram_by_rows(polys[n], weight, n) for n in range(bound + 1)):
+        return Verdict(True)
     top = 0
     for n in range(bound + 1):
         top = max(top, polys[n].degree)

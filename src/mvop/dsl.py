@@ -29,13 +29,14 @@ of a plain scalar weight, named or written inline. ``+`` and ``-`` add,
 ``d^j*F`` puts F at d^j), and ``^k`` is a power. A 1x1 operator or polynomial
 inside an N x N expression acts as itself times the identity. Division is
 only by subexpressions that evaluate to a nonzero constant, so coefficients
-stay polynomial. Parameter names are substituted the moment a statement is
-parsed: the algebra layer never sees symbols.
+stay polynomial. A document compiles once to a program (``compile_spec``) that
+evaluates it at each parameter point: the algebra layer never sees symbols.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import string
 from dataclasses import dataclass, field, fields
@@ -51,6 +52,7 @@ from .dwalgebra import _search_horizon
 class ParseError(ValueError):
     def __init__(self, message, line, col):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -267,30 +269,235 @@ def _measure(v) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# instructions: an instruction's key k is (function, *arguments), an argument
+# the slot of an earlier value or static data, and k[0](v, token, k) returns
+# its value from the list v of a run's values, on one path per value kind. A
+# refusal names the instruction's token.
 
 
-class _Parser:
-    def __init__(self, toks: list[tuple], overrides: dict[str, Fraction] | None):
-        self.toks = toks
-        self.pos = 0
-        self.doc = SpecDocument()
-        self.overrides = dict(overrides or {})
-        self.depth = 0
-        # the values a document computes once, as it binds each name once:
-        # integer literals by their text, ("d", j), ("delta", the weight's
-        # text), (x, a param, an op or a literal; k) for a k-th power and,
-        # by its size, a zero matrix
-        self.values = {}
+def _refuse(message, tok):
+    raise ParseError(message, *tok[2:])
+
+
+def _call(v, tok, k):
+    """k[1] of the values of the slots k[2:]; a DomainError refuses it."""
+    try:
+        return k[1](*map(v.__getitem__, k[2:]))
+    except DomainError as exc:
+        _refuse(str(exc), tok)
+
+
+def _sum(v, tok, k):
+    a, b = v[k[2]], v[k[3]]
+    if isinstance(a, DiffOp) or isinstance(b, DiffOp):
+        a, b = _same_size(a, b, tok)
+    return a + b if k[1] == "+" else a - b
+
+
+def _inverse(v, tok, k):
+    """1 / a, for a divisor a that is a nonzero constant."""
+    if (c := _const(v[k[1]])) is None:
+        _refuse("division by a non-constant expression", tok)
+    if not c:
+        _refuse("division by zero", tok)
+    return 1 / c
+
+
+def _times(v, tok, k):
+    """a * b: apply a, then b. Two constants or polynomials multiply as
+    values; an operator operand composes."""
+    a, b = v[k[1]], v[k[2]]
+    if type(a) is type(b) is Fraction:
+        if _const_bits(a) + _const_bits(b) > LIMIT * LIMIT:
+            _bound(tok, a, b)
+        return a * b
+    _bound(tok, a, b)
+    if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
+        return a * b
+    # constants commute with every operator
+    if (c := _const(b)) is not None:
+        return a * c
+    if (c := _const(a)) is not None:
+        return b * c
+    a, b = _as_op(a), _as_op(b)
+    if a.size == 1 and b.order <= 0:
+        # sum_j d^j a_j, then multiplication by G, is sum_j d^j a_j G
+        n, g = b.size, b.coeff(0)
+        zero = MatPoly._of([(MatPoly._zero,) * n] * n)
+        return DiffOp(n, [g if m == _ONE else zero if m.is_zero else g * m.entry(0, 0) for m in a.coeffs])
+    return compose(*_same_size(a, b, tok))
+
+
+def _power(v, tok, k):
+    n, a = k[1], v[k[2]]
+    _bound(tok, a, k=n)
+    return op_power(a, n) if isinstance(a, DiffOp) else a**n
+
+
+def _bound(tok, a, b=None, k=1):
+    """Refuse the product a * b, or the power a^k when b is None, whose
+    order, coefficient degree or coefficient bits would exceed the limits,
+    before it is computed. ``_size`` bounds the result's in O(1) per
+    coefficient; only past a limit does ``_measure`` decide, and word the
+    refusal, exactly."""
+    for size in (_size, _measure):
+        (oa, da, ba), (ob, db, bb) = size(a), (0, 0, 0) if b is None else size(b)
+        order, degree, bits = oa * k + ob, da * k + db, ba * k + bb
+        if order <= LIMIT and degree <= LIMIT and bits <= LIMIT * LIMIT:
+            return
+    sizes = f"{ba}-bit coefficients to {k}" if b is None else f"{ba}-bit and {bb}-bit coefficients"
+    reason = (f"order {order} exceeds {LIMIT}" if order > LIMIT else f"degree {degree} exceeds {LIMIT}"
+              if degree > LIMIT else f"{sizes} exceeds {LIMIT * LIMIT} bits")
+    _refuse(f"{'power' if b is None else 'product'} of {reason}", tok)
+
+
+def _same_size(a, b, tok):
+    """Two operators of one size, for a pair of values of which one at least
+    is an operator: a 1x1 operator, polynomial or constant in an N x N
+    expression acts as itself times the identity."""
+    a, b = _as_op(a), _as_op(b)
+    if a.size == b.size:
+        return a, b
+    if a.size == 1:
+        return _lift(a, b.size), b
+    if b.size == 1:
+        return a, _lift(b, a.size)
+    _refuse(f"operator sizes {a.size} and {b.size} differ", tok)
+
+
+def _matrix(v, tok, k):
+    n = k[1]  # the n x n matrix of the entries k[2:], row by row
+    return MatPoly._of([[v[s] for s in k[i : i + n]] for i in range(2, n * n + 2, n)])
+
+
+def _matrix_op(m: MatPoly) -> DiffOp:
+    return DiffOp(m.size, [m])
+
+
+def _entry(v, tok, k):
+    if not isinstance(p := _as_poly(v[k[1]]), Poly):
+        _refuse("a matrix entry must be a polynomial, not an operator", tok)
+    return p
+
+
+def _constant(v, tok, k):
+    if (c := _const(v[k[1]])) is None:
+        _refuse("expected a constant expression", tok)
+    return c
+
+
+def _param(v, tok, k):
+    return v[k[2]].get(k[1], v[k[3]])  # the override of param k[1], if any
+
+
+def _family(v, tok, k):
+    family, keys = k[1:3]
+    kv = dict(zip(keys, map(v.__getitem__, k[3:])))
+    try:
+        return _FAMILIES[family](**kv)
+    except TypeError:
+        _refuse(f"bad parameters for {family}: {sorted(kv)}", tok)
+    except DomainError as exc:
+        _refuse(str(exc), tok)
+
+
+def _direct_sum(*blocks):
+    return Weight.direct_sum(blocks)
+
+
+def _end(v, tok, k):
+    """The program's last instruction: the syntax refusal that ended its
+    text, if any, else the refusal of overrides that name no param."""
+    _, refusal, names, overrides = k
+    if refusal:
+        _refuse(refusal, tok)
+    if unknown := sorted(set(v[overrides]) - set(names)):
+        _refuse(f"parameter override names no param statement: {', '.join(unknown)}", tok)
+
+
+def _scalar_family(v, tok, k):
+    try:
+        return v[k[1]].scalar_family()
+    except DomainError:
+        _refuse(f"weight {tok[1]!r} is not a plain scalar weight", tok)
+
+
+# how many leading arguments of an instruction are static data, not slots
+_STATIC = {_call: 1, _sum: 1, _power: 1, _matrix: 1, _param: 1, _family: 2, _end: 2}
+
+
+class Program:
+    """A document compiled to a straight-line program (``compile_spec``):
+    one instruction per operation, in the order one pass over the text
+    performs them, identical ones once; ``live`` holds those not kept, each
+    as (slot, token, key). Slot 0 holds a run's overrides. A value that
+    depends on no param (its instruction's argument slots come down to
+    literals, x and d^j) is kept from the first run that computes it, and
+    later runs skip it. A syntax refusal is the last instruction, so a value
+    refusal above it comes first."""
+
+    def __init__(self, c: "_Compiler"):
+        self.live, self.kept = c.code, c.kept
+        self.params, self.weights, self.ops, self.checks = c.params, c.weights, c.ops, c.checks
+        # the slots of param-free instructions not yet kept
+        self.pending = [i[0] for i in c.code if i[0] not in c.varying]
+
+    def run(self, overrides: dict[str, Fraction] | None = None) -> SpecDocument:
+        """The document at the params' values, overrides shadowing them; an
+        override that names no param statement is a ParseError."""
+        v = self.kept.copy()
+        v[0] = overrides or {}
+        try:
+            for slot, tok, k in self.live:
+                v[slot] = k[0](v, tok, k)
+        finally:
+            if kept := [s for s in self.pending if v[s] is not None]:
+                for s in kept:
+                    self.kept[s] = v[s]
+                self.pending = [s for s in self.pending if v[s] is None]
+                self.live = [i for i in self.live if self.kept[i[0]] is None]
+        return SpecDocument(
+            {k: v[s] for k, s in self.params.items()},
+            {k: v[s] for k, s in self.weights.items()},
+            {k: v[s] for k, s in self.ops.items()},
+            [CheckCommand(kind, [CheckArg(_family_text(v[s]) if t is None else t, v[s]) for t, s in args],
+                          dict(options), line) for kind, args, options, line in self.checks],
+        )
+
+
+class _Compiler:
+    """The recursive descent over a document's tokens, emitting one
+    instruction per operation instead of computing it."""
+
+    def __init__(self, toks: list[tuple]):
+        self.toks, self.pos, self.depth, self.code = toks, 0, 0, []
+        # slot -> its value from the start (literals, x), else None, slot 0
+        # holding a run's overrides; instruction or preset key -> slot; the
+        # slots that depend on a param
+        self.kept, self.seen, self.varying = [None], {}, {0}
+        self.x = self.preset("x", X)
+        # bound names -> slots; checks as (kind, [(text, slot)], options, line)
+        self.params, self.weights, self.ops, self.checks = {}, {}, {}, []
+
+    def emit(self, key, tok=None):
+        """The slot of the instruction ``key``, new unless one is identical."""
+        if (slot := self.seen.get(key)) is None:
+            self.code.append((slot := self.preset(key, None), tok, key))
+            if not self.varying.isdisjoint(key[_STATIC.get(key[0], 0) + 1 :]):
+                self.varying.add(slot)
+        return slot
+
+    def preset(self, key, value):
+        """A slot holding ``value`` from the start, unless ``key`` has one."""
+        if (slot := self.seen.get(key)) is None:
+            slot = self.seen[key] = len(self.kept)
+            self.kept.append(value)
+        return slot
 
     # token helpers: a token is (kind, text, line, column)
 
-    def peek(self) -> tuple:
-        return self.toks[self.pos]
-
     def err(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, *tok[2:])
+        _refuse(message, tok or self.toks[self.pos])
 
     def small_int(self, what, least=0, greatest=LIMIT) -> int:
         neg = bool(self.accept("SYM", "-"))
@@ -310,25 +517,26 @@ class _Parser:
     def expect(self, kind, text=None):
         t = self.accept(kind, text)
         if t is None:
-            self.err(f"expected {text or kind!r}, found {self.peek()[1] or self.peek()[0]!r}")
+            found = self.toks[self.pos]
+            self.err(f"expected {text or kind!r}, found {found[1] or found[0]!r}")
         return t
 
     # document
 
-    def parse(self) -> SpecDocument:
+    def document(self):
         while True:
             while self.accept("NEWLINE"):
                 pass
-            if self.peek()[0] == "EOF":
-                unknown = sorted(set(self.overrides) - set(self.doc.params))
-                if unknown:
-                    self.err(f"parameter override names no param statement: {', '.join(unknown)}")
-                return self.doc
+            if self.toks[self.pos][0] == "EOF":
+                return
             head = self.expect("NAME")
             if head[1] not in ("param", "weight", "op", "check"):
                 self.err(f"unknown statement {head[1]!r}", head)
-            getattr(self, f"parse_{head[1]}")()
-            if self.peek()[0] != "EOF":
+            if head[1] == "check":
+                self.check()
+            else:
+                self.binding(head[1])
+            if self.toks[self.pos][0] != "EOF":
                 self.expect("NEWLINE")
 
     def fresh_name(self) -> str:
@@ -336,48 +544,42 @@ class _Parser:
         name = t[1]
         if name in _RESERVED:
             self.err(f"{name!r} is a reserved word", t)
-        if name in self.doc.params or name in self.doc.weights or name in self.doc.ops:
+        if name in self.params or name in self.weights or name in self.ops:
             self.err(f"name {name!r} is already bound", t)
         return name
 
-    def parse_param(self):
+    def binding(self, kind):
+        """A param, weight or op statement: its name bound to its value's slot."""
         name = self.fresh_name()
         self.expect("SYM", "=")
-        value = self.const_expr()
-        self.doc.params[name] = self.overrides.get(name, value)
+        if kind == "param":
+            self.params[name] = self.emit((_param, name, 0, self.const_expr()))
+        elif kind == "op":
+            self.ops[name] = self.emit((_call, _as_op, self.expr()))
+        else:
+            self.weights[name] = self.weight_expr()
 
-    def parse_weight(self):
-        name = self.fresh_name()
-        self.expect("SYM", "=")
-        self.doc.weights[name] = self.weight_expr()
-
-    def weight_expr(self) -> Weight:
+    def weight_expr(self) -> int:
         t = self.expect("NAME")
         if t[1] == "dsum":
             self.expect("SYM", "(")
             blocks = []
             while True:
                 ref = self.expect("NAME")
-                if ref[1] not in self.doc.weights:
+                if ref[1] not in self.weights:
                     self.err(f"unbound weight {ref[1]!r}", ref)
-                blocks.append(self.doc.weights[ref[1]])
+                blocks.append(self.weights[ref[1]])
                 if not self.accept("SYM", ","):
                     break
             self.expect("SYM", ")")
-            return self._guard(t, lambda: Weight.direct_sum(blocks))
+            return self.emit((_call, _direct_sum, *blocks), t)
         fam = self.family_call(t)
         if self.accept("SYM", "*"):
             mat = self.matrix()
-            return self._guard(t, lambda: Weight.atomic(fam, mat))
-        return self._guard(t, lambda: fam.scalar_weight())
+            return self.emit((_call, Weight.atomic, fam, mat), t)
+        return self.emit((_call, ScalarWeightFamily.scalar_weight, fam), t)
 
-    def _guard(self, tok, build):
-        try:
-            return build()
-        except DomainError as exc:
-            self.err(str(exc), tok)
-
-    def family_call(self, t: tuple) -> ScalarWeightFamily:
+    def family_call(self, t: tuple) -> int:
         family = t[1]
         if family not in _FAMILIES:
             self.err(f"unknown weight family {family!r}", t)
@@ -393,19 +595,9 @@ class _Parser:
                 if not self.accept("SYM", ","):
                     break
             self.expect("SYM", ")")
-        try:
-            return _FAMILIES[family](**kv)
-        except TypeError:
-            self.err(f"bad parameters for {family}: {sorted(kv)}", t)
-        except DomainError as exc:
-            self.err(str(exc), t)
+        return self.emit((_family, family, tuple(kv), *kv.values()), t)
 
-    def parse_op(self):
-        name = self.fresh_name()
-        self.expect("SYM", "=")
-        self.doc.ops[name] = _as_op(self.expr())
-
-    def matrix(self) -> MatPoly:
+    def matrix(self) -> int:
         toks, start = self.toks, self.expect("SYM", "[")
         rows = [[]]
         while True:
@@ -420,59 +612,44 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows) or width != len(rows):
             self.err("matrix must be square with equal-length rows", start)
-        return MatPoly._of(rows)
+        return self.emit((_matrix, width, *(s for r in rows for s in r)))
 
-    # expressions: a value is a constant (Fraction), a Poly or a DiffOp. The
-    # evaluator reads the tokens directly and takes one path per kind
+    # expressions: each returns the slot of its value, a constant
+    # (Fraction), a Poly or a DiffOp
 
-    def const_expr(self) -> Fraction:
+    def const_expr(self) -> int:
         tok = self.toks[self.pos]
-        c = _const(self.expr())
-        if c is None:
-            self.err("expected a constant expression", tok)
-        return c
+        return self.emit((_constant, self.expr()), tok)
 
-    def polynomial(self) -> Poly:
+    def polynomial(self) -> int:
         tok = self.toks[self.pos]
-        p = _as_poly(self.expr())
-        if not isinstance(p, Poly):
-            self.err("a matrix entry must be a polynomial, not an operator", tok)
-        return p
+        if tok[0] == "INT" and self.toks[self.pos + 1][1] in (",", ";", "]"):
+            self.pos, key = self.pos + 1, ("poly", tok[1])
+            return self.seen.get(key) or self.preset(key, poly_over((int(tok[1]),), 1))
+        return self.emit((_entry, self.expr()), tok)
 
-    def expr(self):
+    def expr(self) -> int:
         toks = self.toks
         neg = toks[self.pos][1] == "-"
         if neg:
             self.pos += 1
         acc = self.term()
         if neg:
-            acc = -acc
+            acc = self.emit((_call, operator.neg, acc))
         while (tok := toks[self.pos])[1] in ("+", "-"):
             self.pos += 1
-            rhs = self.term()
-            if isinstance(acc, DiffOp) or isinstance(rhs, DiffOp):
-                acc, rhs = self.same_size(acc, rhs, tok)
-            acc = acc + rhs if tok[1] == "+" else acc - rhs
+            acc = self.emit((_sum, tok[1], acc, self.term()), tok)
         return acc
 
-    def term(self):
+    def term(self) -> int:
         toks = self.toks
         acc = self.factor()
         while (tok := toks[self.pos])[1] in ("*", "/"):
             self.pos += 1
             rhs = self.factor()
             if tok[1] == "/":
-                if (rhs := _const(rhs)) is None:
-                    self.err("division by a non-constant expression", tok)
-                if not rhs:
-                    self.err("division by zero", tok)
-                rhs = 1 / rhs
-            if type(acc) is type(rhs) is Fraction:
-                if _const_bits(acc) + _const_bits(rhs) > LIMIT * LIMIT:
-                    self.bound(tok, acc, rhs)
-                acc *= rhs
-            else:
-                acc = self.product(acc, rhs, tok)
+                rhs = self.emit((_inverse, rhs), tok)
+            acc = self.emit((_times, acc, rhs), tok)
         return acc
 
     def nested(self, parse, tok):
@@ -486,127 +663,61 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def factor(self):
+    def factor(self) -> int:
         t = self.toks[self.pos]
         if t[1] == "-":
             self.pos += 1
-            return -self.nested(self.factor, t)
+            return self.emit((_call, operator.neg, self.nested(self.factor, t)))
         base = self.atom()
         hat = self.toks[self.pos]
         if hat[1] != "^":
             return base
-        # a one-token base is a name or a literal, bound once: its power is kept
-        one = self.toks[self.pos - 1] is t
         self.pos += 1
-        k = self.small_int("exponent")
-        key = (t[1], k) if one else None
-        value = self.values.get(key)
-        if value is None:
-            self.bound(hat, base, k=k)
-            value = op_power(base, k) if isinstance(base, DiffOp) else base**k
-            if key:
-                self.values[key] = value
-        return value
+        return self.emit((_power, self.small_int("exponent"), base), hat)
 
-    def atom(self):
+    def atom(self) -> int:
         t = self.toks[self.pos]
         kind, text = t[:2]
         if text == "[":
-            m = self.nested(self.matrix, t)
-            return DiffOp(m.size, [m])
+            return self.emit((_call, _matrix_op, self.nested(self.matrix, t)))
         self.pos += 1
         if kind == "INT":
-            if (value := self.values.get(text)) is None:
-                value = self.values[text] = Fraction(int(text))
-            return value
+            return self.seen.get(text) or self.preset(text, Fraction(int(text)))
         if text == "(":
             value = self.nested(self.expr, t)
             self.expect("SYM", ")")
             return value
         if kind != "NAME":
             self.err("expected an expression", t)
-        if (value := self.doc.params.get(text)) is not None:
-            return value
+        if (slot := self.params.get(text)) is not None:
+            return slot
         if text == "x":
-            return X
+            return self.x
         if text == "d":
             self.expect("SYM", "^")
             j = self.small_int("derivative order")
-            return self.once(("d", j), lambda: DiffOp(1, [MatPoly.zeros(1)] * j + [_ONE]))
+            return self.seen.get(("d", j)) or self.preset(("d", j), DiffOp(1, [MatPoly.zeros(1)] * j + [_ONE]))
         if text == "delta":
             self.expect("SYM", "(")
-            weight, fam = self.nested(self.scalar_weight, t)
+            _, fam = self.nested(self.scalar_weight, t)
             self.expect("SYM", ")")
-            return self.once(("delta", weight), fam.delta)
-        if text in self.doc.ops:
-            return self.doc.ops[text]
-        if text in self.doc.weights:
+            return self.emit((_call, ScalarWeightFamily.delta, fam))
+        if text in self.ops:
+            return self.ops[text]
+        if text in self.weights:
             self.err(f"weight {text!r} is not an operator; delta({text}) is its classical operator", t)
         self.err(f"unbound name {text!r}", t)
 
-    def once(self, key, make):
-        """The document's value for ``key``, made by ``make`` the first time."""
-        if (value := self.values.get(key)) is None:
-            value = self.values[key] = make()
-        return value
-
-    def bound(self, tok, a, b=None, k=1):
-        """Refuse the product a * b, or the power a^k when b is None, whose
-        order, coefficient degree or coefficient bits would exceed the
-        limits, before it is computed. ``_size`` bounds the result's in
-        O(1) per coefficient; only past a limit does ``_measure`` decide,
-        and word the refusal, exactly."""
-        for size in (_size, _measure):
-            (oa, da, ba), (ob, db, bb) = size(a), (0, 0, 0) if b is None else size(b)
-            order, degree, bits = oa * k + ob, da * k + db, ba * k + bb
-            if order <= LIMIT and degree <= LIMIT and bits <= LIMIT * LIMIT:
-                return
-        sizes = f"{ba}-bit coefficients to {k}" if b is None else f"{ba}-bit and {bb}-bit coefficients"
-        reason = (f"order {order} exceeds {LIMIT}" if order > LIMIT else f"degree {degree} exceeds {LIMIT}"
-                  if degree > LIMIT else f"{sizes} exceeds {LIMIT * LIMIT} bits")
-        self.err(f"{'power' if b is None else 'product'} of {reason}", tok)
-
-    def product(self, a, b, tok):
-        """a * b: apply a, then b. Two constants or polynomials multiply as
-        values; an operator operand composes."""
-        self.bound(tok, a, b)
-        if not isinstance(a, DiffOp) and not isinstance(b, DiffOp):
-            return a * b
-        # constants commute with every operator
-        if (c := _const(b)) is not None:
-            return a * c
-        if (c := _const(a)) is not None:
-            return b * c
-        a, b = _as_op(a), _as_op(b)
-        if a.size == 1 and b.order <= 0:
-            # sum_j d^j a_j, then multiplication by G, is sum_j d^j a_j G
-            g, zero = b.coeff(0), self.once(b.size, lambda: MatPoly.zeros(b.size))
-            return DiffOp(b.size, [g if m == _ONE else zero if m.is_zero else g * m.entry(0, 0) for m in a.coeffs])
-        return compose(*self.same_size(a, b, tok))
-
-    def same_size(self, a, b, tok):
-        """Two operators of one size, for a pair of values of which one at
-        least is an operator: a 1x1 operator, polynomial or constant in an
-        N x N expression acts as itself times the identity."""
-        a, b = _as_op(a), _as_op(b)
-        if a.size == b.size:
-            return a, b
-        if a.size == 1:
-            return _lift(a, b.size), b
-        if b.size == 1:
-            return a, _lift(b, a.size)
-        self.err(f"operator sizes {a.size} and {b.size} differ", tok)
-
     # checks
 
-    def parse_check(self):
+    def check(self):
         kind_tok = self.expect("NAME")
         kind = kind_tok[1]
         if kind not in _CHECK_SIGS:
             self.err(f"unknown check kind {kind!r}", kind_tok)
         self.expect("SYM", "(")
         sig = _CHECK_SIGS[kind]
-        args: list[CheckArg] = []
+        args: list[tuple] = []
         options: dict[str, object] = {}
         option_toks: dict[str, tuple] = {}
         allowed = _CHECK_OPTIONS.get(kind, {})
@@ -615,7 +726,7 @@ class _Parser:
             if not first:
                 self.expect("SYM", ",")
             first = False
-            t = self.peek()
+            t = self.toks[self.pos]
             if t[0] == "NAME" and self.toks[self.pos + 1][:2] == ("SYM", "="):
                 # no argument is written name = ..., so this is an option
                 name = t[1]
@@ -640,7 +751,7 @@ class _Parser:
             except DomainError as exc:
                 first = next(k for k in range(LIMIT + 1) if _search_horizon(k, None) > LIMIT)
                 self.err(f"{exc}; orders {first}..{LIMIT} admit no horizon= within 0..{LIMIT}", option_toks["horizon"])
-        self.doc.checks.append(CheckCommand(kind, args, options, kind_tok[2]))
+        self.checks.append((kind, args, options, kind_tok[2]))
 
     def option_value(self, name, typ):
         if typ == "bool":
@@ -650,46 +761,56 @@ class _Parser:
             return tok[1] == "true"
         return self.small_int(name, *(typ or (None, None)))
 
-    def check_arg(self, want: str) -> CheckArg:
-        t = self.peek()
+    def check_arg(self, want: str) -> tuple:
+        """(text, slot) of an argument, text None for an inline scalar family."""
+        t = self.toks[self.pos]
         if want == "name":
             tok = self.expect("NAME")
             from .catalog import ENTRY_NAMES  # catalog imports this module
 
             if tok[1] not in ENTRY_NAMES:
                 self.err(f"unknown catalog entry {tok[1]!r}", tok)
-            return CheckArg(tok[1], tok[1])
+            return tok[1], self.preset(("entry", tok[1]), tok[1])
         inline = t[0] == "NAME" and t[1] in _FAMILIES
         if inline and want == "op":
             self.err("expected an operator, found a weight", t)
         if inline or want == "scalar":
-            return CheckArg(*self.scalar_weight())
+            return self.scalar_weight()
         tok = self.expect("NAME")
-        bound = self.doc.ops if want == "op" else self.doc.weights
+        bound = self.ops if want == "op" else self.weights
         if tok[1] not in bound:
             self.err(f"unbound {'operator' if want == 'op' else 'weight'} {tok[1]!r}", tok)
-        return CheckArg(tok[1], bound[tok[1]])
+        return tok[1], bound[tok[1]]
 
-    def scalar_weight(self) -> tuple[str, ScalarWeightFamily]:
-        """A scalar family written inline, or the name of a plain scalar
-        weight, with its text."""
+    def scalar_weight(self) -> tuple:
+        """(text, slot) of a scalar family written inline, text None, or of
+        the name of a plain scalar weight."""
         tok = self.expect("NAME")
         name = tok[1]
         if name in _FAMILIES:
-            fam = self.family_call(tok)
-            return _family_text(fam), fam
-        if name not in self.doc.weights:
+            return None, self.family_call(tok)
+        if name not in self.weights:
             self.err(f"unbound weight {name!r}", tok)
-        try:
-            return name, self.doc.weights[name].scalar_family()
-        except DomainError:
-            self.err(f"weight {name!r} is not a plain scalar weight", tok)
+        return name, self.emit((_scalar_family, self.weights[name]), tok)
+
+
+def compile_spec(text: str) -> Program:
+    """The program of a DSL document; it refuses here only what the lexer
+    refuses, and every other refusal when it runs."""
+    c = _Compiler(_lex(text))
+    try:
+        c.document()
+        refusal, tok = None, c.toks[c.pos]
+    except ParseError as exc:
+        refusal, tok = exc.message, (None, None, exc.line, exc.col)
+    c.emit((_end, refusal, tuple(c.params), 0), tok)
+    return Program(c)
 
 
 def parse_spec(text: str, param_overrides: dict[str, Fraction] | None = None) -> SpecDocument:
     """Parse a DSL document; ``param_overrides`` shadow param statements, and
     an override that names no param statement is a ParseError."""
-    return _Parser(_lex(text), param_overrides).parse()
+    return compile_spec(text).run(param_overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Catalog entries: data fidelity, end-to-end verification, robustness."""
 
 import itertools
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from mvop.catalog import ENTRY_NAMES, _gram_orthogonal, check_entry, default_par
 from mvop.cli import main, run
 from mvop.diffop import DiffOp, MatPoly, Verdict, apply, bump_coefficient, coefficient_sites
 from mvop.dsl import parse_spec
-from mvop.weights import moment_rows, sequence_for
+from mvop.weights import moment_ints, moment_rows, sequence_for
 from test_weights import _inner_product_by_fracmat
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "mvop" / "data"
@@ -213,6 +214,32 @@ class TestRenderedDocument:
             entry_document_text("GEG2", {"r": "1e30000000"})
 
 
+class TestKeptPrograms:
+    """``entry`` runs each entry's kept programs at every parameter point:
+    the data file is read once, and what depends on no param is kept."""
+
+    def test_data_file_lexed_once(self, monkeypatch):
+        from mvop import dsl
+
+        texts, lex = [], dsl._lex
+        monkeypatch.setattr(dsl, "_lex", lambda text: texts.append(text) or lex(text))
+        monkeypatch.setattr(catalog, "_PROGRAMS", {}, raising=False)
+        a, b = entry("HER3", {"a": F(1), "b": F(2)}), entry("HER3", {"a": F(3), "b": F(1, 2)})
+        assert len(texts) == len(set(texts)) == 2  # the param lines, then the rest
+        assert a.doc.weights["h"] is b.doc.weights["h"] and a.weight_Wt != b.weight_Wt
+        assert a.verbatim_ops["D"] != b.verbatim_ops["D"]
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_runs_equal_one_pass(self, name):
+        text = "".join(ln for ln in (DATA_DIR / f"{name.lower()}.mvop").read_text().splitlines(True)
+                       if not ln.startswith("check ")) + catalog._ENTRIES[name].printed
+        for params in ROBUSTNESS_PARAMS[name] * 2:
+            e = entry(name, params)
+            doc = parse_spec(text, params)
+            assert {k.removesuffix("_printed"): doc.ops.pop(k) for k in list(doc.ops) if k.endswith("_printed")} == e.verbatim_ops
+            assert doc == e.doc and doc.params == e.params
+
+
 class TestVerification:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_default_parameters_pass(self, name):
@@ -308,14 +335,17 @@ class TestGramOracle:
 
     @pytest.mark.parametrize("name", [n for n in ENTRY_NAMES if n != "LAG2DIAG"])
     def test_every_catalog_call(self, name, monkeypatch):
-        # a passing check takes one product of moment rows per n
+        # a passing check takes one product of integer moment rows per n,
+        # and no Fraction rows
         counted = self.count_moment_rows(monkeypatch)
+        ints = []
+        monkeypatch.setattr(catalog, "moment_ints", lambda *a: ints.append(a) or moment_ints(*a))
         seen = []
 
         def checked(qs, weight, bound):
-            del counted[:]
+            del counted[:], ints[:]
             got = self.assert_same(qs, weight, bound)
-            assert [a[0] for a in counted] == qs[: bound + 1]
+            assert counted == [] and [a[0] for a in ints] == qs[: bound + 1]
             seen.append(got.ok)
             return got
 
@@ -403,8 +433,16 @@ class TestConstTermLattice:
         assert catalog._const_term_singular_on_span(basis, size) == _singular_on_grid(consts, size)
 
     def test_lag3_spans_take_ten_points(self, monkeypatch):
+        # the lattice's calls only: the Gram check eliminates with bareiss too
         calls = []
-        monkeypatch.setattr(catalog, "bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+        lattice = catalog._const_term_singular_on_span.__code__
+
+        def counted(rows):
+            if sys._getframe(1).f_code is lattice:
+                calls.append(rows)
+            return bareiss(rows)
+
+        monkeypatch.setattr(catalog, "bareiss", counted)
         report = verify_entry("LAG3", None, 2)
         line = next(c for c in report.checks if c.name.startswith("no certificate factor"))
         assert line.ok and "forward dim 3, reverse dim 3" in line.detail

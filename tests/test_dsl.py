@@ -391,7 +391,7 @@ class TestOperatorExpressions:
 
         monkeypatch.setattr(dsl, "op_power", counted)
         ops = self.ops("op T = A^2 + A^2*x - x*A^2 + A^3 + (A)^2\nop U = A*A + A*A*x - x*(A*A) + A*A*A + A*A\n")
-        assert calls == [2, 3, 2]  # a parenthesized A is not a name
+        assert calls == [2, 3]  # (A)^2 is the same instruction as A^2
         assert ops["T"] == ops["U"]
 
     def test_product_bits_bound(self):
@@ -445,6 +445,56 @@ class TestOperatorExpressions:
         deep = "delta(laguerre(alpha=" * (LIMIT + 1) + "1" + "))" * (LIMIT + 1)
         with pytest.raises(ParseError, match=f"nested deeper than {LIMIT}"):
             parse_spec(f"op T = {deep}\n")
+
+
+class TestPrograms:
+    """``compile_spec`` reads a document once into a program, and each
+    ``Program.run`` evaluates it at a parameter point: ``parse_spec`` is the
+    two in one call."""
+
+    def test_parse_spec_keeps_nothing_between_calls(self, monkeypatch):
+        calls, lex = [], dsl._lex
+        monkeypatch.setattr(dsl, "_lex", lambda text: calls.append(text) or lex(text))
+        parse_spec(_DATA[0])
+        parse_spec(_DATA[0])
+        assert calls == [_DATA[0], _DATA[0]]
+
+    def test_value_refusal_above_a_syntax_error_comes_first(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("param a = 1/0\nop T = x)\n")
+        assert str(exc.value) == "line 1, column 12: division by zero"
+        with pytest.raises(ParseError) as exc:
+            parse_spec("param a = 1/1\nop T = x)\n")
+        assert str(exc.value) == "line 2, column 9: expected 'NEWLINE', found ')'"
+
+    def test_refusal_depends_on_the_run(self):
+        prog = dsl.compile_spec("param a = 1\nop A = [x/a]\n")
+        refusals = []
+        for a in (0, 1, 0):
+            try:
+                doc = prog.run({"a": F(a)})
+            except ParseError as exc:
+                refusals.append(str(exc))
+            else:
+                assert doc.ops["A"] == DiffOp.scalar([X])
+        assert refusals == ["line 2, column 10: division by zero"] * 2
+
+    def test_runs_return_fresh_documents(self):
+        prog = dsl.compile_spec(_W + _AB + "check in_algebra(A, w)\n")
+        first = prog.run()
+        first.ops.pop("A")
+        first.params["p"] = F(1)
+        first.checks.clear()
+        second = prog.run()
+        assert list(second.ops) == ["A", "B"] and second.params == {} and len(second.checks) == 1
+        assert second == parse_spec(_W + _AB + "check in_algebra(A, w)\n")
+
+    def test_param_free_values_are_kept(self):
+        prog = dsl.compile_spec("param a = 1\nweight h = hermite(b=0)\nweight g = hermite(b=a)\n"
+                                "op D = delta(h)^2 + a*d^1\n")
+        one, two = prog.run(), prog.run({"a": F(2)})
+        assert one.weights["h"] is two.weights["h"] and one.weights["g"] != two.weights["g"]
+        assert one.ops["D"] != two.ops["D"] == parse_spec("op D = delta(hermite(b=0))^2 + 2*d^1\n").ops["D"]
 
 
 def _fraction_measure(v):
